@@ -6,6 +6,11 @@ basin - K: an open neighborhood of each swept cell, so the relative
 enclosures carry the same information as the ambient ones do for points of
 the basin. Verdicts are exactly one of Stable, NoExternalExplosions,
 ExternalExplosions, Unknown.
+
+No stage iterates per cell. Each is a whole-set formula over the flow's
+graph kernel (reach, recurrent cells, trim): an eventual image leaves a set
+exactly when the seed reaches a recurrent cell that reaches outside it, so
+the sweeps become a backward reach from the complement.
 """
 
 from collections import deque
@@ -76,59 +81,47 @@ def collar(flow, k):
     return frozenset(flow.cx.star_tops(set(k)))
 
 
-def maximal_invariant(flow, region):
-    """Largest subset of region viable forward and backward: iterated removal
-    of cells with no successor or no predecessor inside."""
-    s = set(region)
-    changed = True
-    while changed:
-        changed = False
-        for c in sorted(s):
-            if not (set(flow.succ[c]) & s) or not (set(flow.pred[c]) & s):
-                s.discard(c)
-                changed = True
-    return frozenset(s)
-
-
 def check_isolated(flow, k):
     kset = frozenset(k)
-    if maximal_invariant(flow, collar(flow, kset)) != kset:
+    if flow.trim(collar(flow, kset), "fp") != kset:
         raise NotIsolatedError("k is not the maximal invariant set of its collar")
 
 
 def stabilization(flow, k):
-    """Union of J+ enclosures over k, closed under the same union."""
-    s = frozenset(k)
-    while True:
-        ring = set()
-        for x in s:
-            ring |= flow.one_ring(x)
-        nxt = s | flow.eventual_image_scc(ring, "f")
-        if nxt == s:
-            return s
-        s = nxt
+    """Union of J+ enclosures over k, closed under the same union.
+
+    Each round takes the one-rings of the cells taken in the round before.
+    `fwd` and `img` hold the forward reach of every one-ring so far and of
+    the recurrent cells in it, so each cell is walked at most once in each."""
+    rec = flow.recurrent_cells()
+    khat = set(k)
+    fwd, img = set(), set()
+    new = set(khat)
+    while new:
+        ring = set().union(*map(flow.one_ring, new))
+        new = flow.reach(rec & flow.reach(ring, seen=fwd), seen=img) - khat
+        khat |= new
+    return frozenset(khat)
 
 
 def basin(flow, k, khat=None):
-    """Cells whose omega enclosure lands inside the stabilization."""
+    """Cells whose omega enclosure lands inside the stabilization: those
+    that reach no recurrent cell from which the complement is reachable."""
     check_isolated(flow, k)
     if khat is None:
         khat = stabilization(flow, k)
-    out = set()
-    for x in sorted(flow.tops):
-        if flow.eventual_image_scc({x}, "f") <= khat:
-            out.add(x)
-    return frozenset(out)
+    rec = flow.recurrent_cells()
+    escape = rec & flow.reach(flow.tops - khat, "p")
+    return frozenset(flow.tops - flow.reach(escape, "p"))
 
 
 def unstable_manifold(flow, k):
+    """Cells with a nonempty alpha enclosure inside the collar: reachable
+    from a recurrent cell, but from none that is reachable from outside."""
     col = collar(flow, k)
-    out = set()
-    for x in sorted(flow.tops):
-        enc = flow.eventual_image_scc({x}, "p")
-        if enc and enc <= col:
-            out.add(x)
-    return frozenset(out)
+    rec = flow.recurrent_cells()
+    escape = rec & flow.reach(flow.tops - col, "f")
+    return frozenset(flow.reach(rec, "f") - flow.reach(escape, "f"))
 
 
 def components(flow, basin_cells, k, khat):
@@ -156,40 +149,31 @@ def components(flow, basin_cells, k, khat):
     return comps
 
 
+def _violators(flow, cells, within, rec, col, direction):
+    """Sorted cells whose relative J+ ("f") or J- ("p") enclosure in `within`
+    leaves the collar: their one-ring meets the cells that reach, along
+    `direction` inside `within`, a recurrent cell of `within` that reaches
+    `within - col` the same way. Both reaches run against the direction."""
+    back = "p" if direction == "f" else "f"
+    escape = rec & flow.reach(within - col, back, within)
+    leaving = flow.reach(escape, back, within)
+    return [x for x in sorted(cells) if flow.one_ring(x) & leaving]
+
+
 def _witness_search(flow, candidates, within, col):
     """Look for an F-cycle fully outside the collar, reachable forward from
-    the one-ring of a violating cell. Returns (cell, cycle) or None."""
-    rec = flow.recurrent_cells()
+    the one-ring of a violating cell. Returns (cell, cycle) or None; the
+    first candidate in sorted order that reaches one wins."""
+    outside = flow.trim(flow.recurrent_cells() - col, "f")
+    feeders = flow.reach(outside, "p")
     for x in sorted(candidates):
         seed = flow.one_ring(x) & within
-        reach = flow.reach(seed, "f")
-        core = (rec & reach) - col
-        # keep only cells whose cycle stays outside the collar: grow the
-        # component of core under mutual reachability restricted to core
-        core = _prune_to_cycles(flow, core)
-        if not core:
-            continue
-        cycle = _extract_cycle(flow, core)
-        if cycle:
-            return x, cycle
+        if seed & feeders:
+            return x, _extract_cycle(flow, outside & flow.reach(seed, "f"))
     return None
 
 
-def _prune_to_cycles(flow, cells):
-    s = set(cells)
-    changed = True
-    while changed:
-        changed = False
-        for c in sorted(s):
-            if not (set(flow.succ[c]) & s):
-                s.discard(c)
-                changed = True
-    return s
-
-
 def _extract_cycle(flow, core):
-    if not core:
-        return []
     start = min(core)
     path = [start]
     pos = {start: 0}
@@ -213,14 +197,9 @@ def classify(flow, k, report):
         report.classification = "Stable"
         return report
     within = bas - kset
-    violations = []
-    for x in sorted(within):
-        if not flow.j_plus(x, within).issubset(col):
-            violations.append(x)
-    dual_violations = []
-    for x in sorted(khat - kset):
-        if x in within and not flow.j_minus(x, within).issubset(col):
-            dual_violations.append(x)
+    rec = flow.recurrent_cells(within)
+    violations = _violators(flow, within, within, rec, col, "f")
+    dual_violations = _violators(flow, khat & within, within, rec, col, "p")
     if not violations and not dual_violations:
         report.classification = "NoExternalExplosions"
         return report

@@ -1,8 +1,6 @@
 """Isolating blocks: grow the star of k, trim grazing cells, label the
 boundary faces as entrances and exits, and read off the asymptotic sets."""
 
-from . import attractor as att
-
 
 class NoBlockError(ValueError):
     code = "no-block"
@@ -72,19 +70,6 @@ def _labels(flow, faces):
     return ni, no
 
 
-def _viable(flow, n, direction):
-    table = flow.succ if direction == "f" else flow.pred
-    s = set(n)
-    changed = True
-    while changed:
-        changed = False
-        for c in sorted(s):
-            if not (set(table[c]) & s):
-                s.discard(c)
-                changed = True
-    return frozenset(s)
-
-
 def build_block(flow, k, budget=6):
     """Isolating block around k, or NoBlockError when the budget runs out."""
     kset = frozenset(k)
@@ -114,10 +99,10 @@ def build_block(flow, k, budget=6):
             continue  # a k cell on a grazing boundary; grow and retry
         if any(u in kset for f, (u, v) in faces.items()):
             continue  # k must be interior
-        if att.maximal_invariant(flow, n) != kset:
+        if flow.trim(n, "fp") != kset:
             continue
-        nplus = _viable(flow, n, "f")
-        nminus = _viable(flow, n, "p")
+        nplus = flow.trim(n, "f")
+        nminus = flow.trim(n, "p")
         return IsolatingBlock(flow, kset, n, faces, ni, no, nplus, nminus)
     raise NoBlockError("no isolating block within budget around %d cells" % len(kset))
 
@@ -126,9 +111,6 @@ def _face_components(cx, faces):
     """Connected components of a set of codim-1 faces through shared
     codim-2 subfaces."""
     faces = set(faces)
-    subs = {}
-    for f in faces:
-        subs[f] = set(cx.boundary[f])
     comps = 0
     seen = set()
     for start in sorted(faces):
@@ -139,10 +121,11 @@ def _face_components(cx, faces):
         seen.add(start)
         while stack:
             f = stack.pop()
-            for g in faces:
-                if g not in seen and subs[f] & subs[g]:
-                    seen.add(g)
-                    stack.append(g)
+            for sub in cx.boundary[f]:
+                for g in cx.cofaces(sub):
+                    if g in faces and g not in seen:
+                        seen.add(g)
+                        stack.append(g)
     return comps
 
 

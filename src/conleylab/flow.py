@@ -1,14 +1,18 @@
 """Combinatorial flows: multivalued successor maps on top cells.
 
 The transition relation F is total and local (successors stay inside the
-one-ring). P is the exact transpose. Limit sets are eventual images: iterate
-the image of a seed set until the set sequence turns periodic, then take the
-union of the cycle. An equivalent formulation through recurrent cells and
-reachability is used for whole-catalog sweeps; the two are tested against
-each other.
+one-ring). P is the exact transpose. Every enclosure is computed by one graph
+kernel: `reach` (breadth-first reachability), `recurrent_cells` (Tarjan's
+strongly connected components) and `trim` (a worklist that peels off cells
+with no successor and/or predecessor left inside a region), each
+O(cells + edges). Limit sets are eventual images: the cells reached by
+arbitrarily long paths from a seed, which is the reach of the recurrent part
+of the seed's reach.
 """
 
 from collections import deque
+
+from .complexes import CellComplex, ComplexError
 
 
 class FlowError(ValueError):
@@ -32,9 +36,6 @@ class LimitEnclosure:
 
     def touches(self, cell):
         return bool(self.flow.one_ring(cell) & self.cells)
-
-    def issubset(self, cellset):
-        return self.cells <= frozenset(cellset)
 
     def to_json(self):
         return {"cells": sorted(self.cells), "kind": self.kind,
@@ -89,63 +90,49 @@ class CombinatorialFlow:
     def _table(self, direction):
         return self.succ if direction == "f" else self.pred
 
-    # -- eventual images ----------------------------------------------------
+    # -- graph kernel ---------------------------------------------------------
 
     def eventual_image(self, seed, direction="f", within=None):
-        """Iterate the image until the set sequence repeats; union the cycle.
+        """Cells reached from the seed by paths of every length: the reach of
+        the recurrent cells in the reach of the seed. This is the union of
+        the periodic tail of the image sequence, found without iterating it.
 
-        With `within` the whole iteration is relative to that region, giving
-        the prolongational limits their reference-region semantics."""
-        table = self._table(direction)
-        s = frozenset(seed)
-        if within is not None:
-            within = frozenset(within)
-            s = s & within
-        seen = {}
-        seq = []
-        while s not in seen:
-            seen[s] = len(seq)
-            seq.append(s)
-            nxt = set()
-            for c in s:
-                nxt.update(table[c])
-            if within is not None:
-                nxt &= within
-            s = frozenset(nxt)
-        out = set()
-        for t in seq[seen[s]:]:
-            out |= t
-        return frozenset(out)
+        With `within` everything is relative to the subgraph on that region,
+        giving the prolongational limits their reference-region semantics."""
+        core = self.recurrent_cells(within) & self.reach(seed, direction, within)
+        return frozenset(self.reach(core, direction, within))
 
-    def reach(self, seed, direction="f", within=None):
+    def reach(self, seed, direction="f", within=None, seen=None):
+        """Cells reachable from the seed, inside `within` when given. With
+        `seen`, a set already closed under reach, only cells outside it are
+        walked: they are added to `seen` and returned."""
         table = self._table(direction)
-        out = set(seed)
-        if within is not None:
-            out &= set(within)
+        out = {c for c in seed if within is None or c in within}
+        if seen is None:
+            seen = out
+        else:
+            out -= seen
+            seen |= out
         q = deque(out)
         while q:
             c = q.popleft()
             for d in table[c]:
-                if d not in out and (within is None or d in within):
+                if d not in seen and (within is None or d in within):
+                    seen.add(d)
                     out.add(d)
                     q.append(d)
         return out
 
     def recurrent_cells(self, within=None):
         """Cells on some F-cycle (self loops included), optionally of the
-        subgraph induced on `within`."""
-        if within is not None:
-            key = frozenset(within)
-            cache = self.meta.setdefault("_rec_within", {})
-            if key in cache:
-                return cache[key]
-            rec = self._recurrent(key)
-            cache[key] = rec
-            return rec
-        if self._rec is not None:
+        subgraph induced on `within`. Only the whole-flow answer is kept;
+        a cycle inside `within` is a cycle of the flow, so the search for
+        one is confined to the recurrent cells of `within`."""
+        if self._rec is None:
+            self._rec = self._recurrent(None)
+        if within is None:
             return self._rec
-        self._rec = self._recurrent(None)
-        return self._rec
+        return self._recurrent(self._rec.intersection(within))
 
     def _recurrent(self, within):
         # iterative Tarjan on the induced subgraph
@@ -203,12 +190,29 @@ class CombinatorialFlow:
                         rec.add(comp[0])
         return frozenset(rec)
 
-    def eventual_image_scc(self, seed, direction="f", within=None):
-        """Reach of the recurrent part of the reach of the seed. Agrees with
-        eventual_image on every flow; cheaper for many-seed sweeps."""
-        r = self.reach(seed, direction, within)
-        core = self.recurrent_cells(within) & r
-        return frozenset(self.reach(core, direction, within))
+    def trim(self, region, directions):
+        """Largest subset of region in which every cell keeps a successor
+        ("f"), a predecessor ("p") or both ("fp") inside the subset. One
+        worklist pass: each removal decrements the counts of its neighbors."""
+        s = set(region)
+        counts = []
+        for d in directions:
+            table = self._table(d)
+            # the cells whose count drops when c goes are c's opposite neighbors
+            back = self._table("p" if d == "f" else "f")
+            counts.append(({c: len(s.intersection(table[c])) for c in s}, back))
+        dead = list({c for n, _ in counts for c, m in n.items() if not m})
+        s.difference_update(dead)
+        while dead:
+            c = dead.pop()
+            for n, back in counts:
+                for e in back[c]:
+                    if e in s:
+                        n[e] -= 1
+                        if n[e] == 0:
+                            s.discard(e)
+                            dead.append(e)
+        return frozenset(s)
 
     # -- limit enclosures -----------------------------------------------------
 
@@ -259,21 +263,28 @@ class CombinatorialFlow:
 
     @classmethod
     def from_json(cls, data, complex_resolver=None):
-        cxdata = data["complex"]
-        if isinstance(cxdata, str):
-            if complex_resolver is None:
-                raise FlowError("unreadable-input",
-                                "flow references complex %r by name" % cxdata)
-            cx = complex_resolver(cxdata)
-        else:
-            from .complexes import CellComplex
-            cx = CellComplex.from_json(cxdata)
-        meta = {}
-        if "recipe" in data:
-            meta["recipe"] = data["recipe"]
-        flow = cls(cx, {c: list(v) for c, v in data["successors"].items()},
-                   name=data.get("name"), meta=meta)
-        declared = set(data.get("fixed", []))
+        try:
+            cxdata = data["complex"]
+            if isinstance(cxdata, str):
+                if complex_resolver is None:
+                    raise FlowError("unreadable-input",
+                                    "flow references complex %r by name" % cxdata)
+                cx = complex_resolver(cxdata)
+            else:
+                cx = CellComplex.from_json(cxdata)
+            meta = {}
+            if "recipe" in data:
+                meta["recipe"] = data["recipe"]
+            flow = cls(cx, {c: list(v) for c, v in data["successors"].items()},
+                       name=data.get("name"), meta=meta)
+            declared = set(data.get("fixed", []))
+        except (FlowError, ComplexError):
+            raise
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            # malformed structure: a missing key, a list where a mapping
+            # belongs, an unhashable cell id
+            raise FlowError("unreadable-input", "malformed flow data: %s: %s"
+                            % (type(exc).__name__, exc))
         if declared and declared != set(flow.fixed):
             raise FlowError("unreadable-input", "fixed set disagrees with successors")
         return flow

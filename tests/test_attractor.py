@@ -1,6 +1,99 @@
 import pytest
 
 from conleylab import attractor, catalog, complexes as cxm, flow as flm
+from test_flow import image_cycle, iterated_image, trim_loop
+
+
+# -- reference implementations: one enclosure per cell -----------------------------
+
+def stabilization_rounds(flow, k):
+    s = frozenset(k)
+    while True:
+        ring = set()
+        for x in s:
+            ring |= flow.one_ring(x)
+        nxt = s | iterated_image(flow, ring, "f")
+        if nxt == s:
+            return s
+        s = nxt
+
+
+def basin_per_cell(flow, khat):
+    return frozenset(x for x in flow.tops
+                     if iterated_image(flow, {x}, "f") <= khat)
+
+
+def unstable_per_cell(flow, col):
+    out = set()
+    for x in flow.tops:
+        enc = iterated_image(flow, {x}, "p")
+        if enc and enc <= col:
+            out.add(x)
+    return frozenset(out)
+
+
+def violators_per_cell(flow, cells, within, col, direction):
+    return [x for x in sorted(cells)
+            if not iterated_image(flow, flow.one_ring(x) & within, direction,
+                                  within) <= col]
+
+
+def witness_per_candidate(flow, candidates, within, col):
+    rec = flow.recurrent_cells()
+    for x in sorted(candidates):
+        reach = flow.reach(flow.one_ring(x) & within, "f")
+        core = trim_loop(flow, (rec & reach) - col, "f")
+        if core:
+            return x, attractor._extract_cycle(flow, core)
+    return None
+
+
+def hug_flow():
+    c = cxm.circle(6)
+    succ = {"e:0": ["e:0"], "e:1": ["e:2"], "e:2": ["e:3"],
+            "e:3": ["e:4"], "e:4": ["e:5"], "e:5": ["e:4"]}
+    return flm.CombinatorialFlow(c, succ, name="hug")
+
+
+def _cell(i, j):
+    return "e:%d@e%d" % (i % 6, j % 6)
+
+
+# X branches onto a 2-cycle and a 3-cycle
+X = _cell(3, 3)
+TWO_CYCLE = [_cell(4, 4), _cell(4, 5)]
+THREE_CYCLE = [_cell(4, 2), _cell(5, 2), _cell(5, 3)]
+
+
+def two_cycle_flow():
+    """A fixed cell k = (0, 0) on a 6x6 torus. Every other cell steps toward
+    k, except that the corner (1, 1) of its collar leaks through (2, 2) into
+    X, which feeds both cycles. The one-ring of (1, 0) holds one cell of
+    that path and no other cell that reaches a cycle, so its images enter
+    each cycle at a single phase and repeat with period lcm(2, 3) = 6."""
+    def toward_zero(i):
+        return i - 1 if 1 <= i <= 3 else (i + 1) % 6 if i >= 4 else 0
+    succ = {_cell(i, j): [_cell(toward_zero(i), toward_zero(j))]
+            for i in range(6) for j in range(6)}
+    succ[_cell(1, 1)] = [_cell(0, 0), _cell(2, 2)]
+    succ[_cell(2, 2)] = [X]
+    succ[X] = [TWO_CYCLE[0], THREE_CYCLE[0]]
+    for cyc in (TWO_CYCLE, THREE_CYCLE):
+        for a, b in zip(cyc, cyc[1:] + cyc[:1]):
+            succ[a] = [b]
+    return flm.CombinatorialFlow(cxm.torus(6), succ, name="two-cycles")
+
+
+def oracle_cases():
+    """(flow, k) for every isolated catalog candidate and two hand-built
+    flows. capped-annulus is not isolated, see
+    test_not_isolated_candidate_rejected."""
+    for name in catalog.names():
+        entry = catalog.build(name)
+        if entry["k"] and name != "capped-annulus":
+            yield entry["flow"], entry["k"]
+    yield hug_flow(), ["e:0"]
+    yield two_cycle_flow(), [_cell(0, 0)]
 
 
 def test_verdict_vocabulary():
@@ -43,11 +136,7 @@ def test_homoclinic_sphere_witness():
 def test_unknown_when_cycle_hugs_the_collar():
     # recurrence just outside K whose only cycle clips the collar: the
     # enclosures leave the collar but no fully-outside cycle certifies
-    c = cxm.circle(6)
-    succ = {"e:0": ["e:0"], "e:1": ["e:2"], "e:2": ["e:3"],
-            "e:3": ["e:4"], "e:4": ["e:5"], "e:5": ["e:4"]}
-    f = flm.CombinatorialFlow(c, succ, name="hug")
-    rep = attractor.analyze(f, {"e:0"})
+    rep = attractor.analyze(hug_flow(), {"e:0"})
     assert rep.classification == "Unknown"
     assert rep.witness is None
     assert rep.notes and "refine and retry" in rep.notes[0]
@@ -74,3 +163,36 @@ def test_report_json_round_trip():
     assert back.r == rep.r and back.s == rep.s
     assert back.components == rep.components
     assert back.stabilization == rep.stabilization
+
+
+def test_two_cycle_flow_has_image_period_six():
+    f = two_cycle_flow()
+    seed = f.one_ring(_cell(1, 0))
+    assert len(image_cycle(f, seed)) == 6
+    assert f.eventual_image(seed) == iterated_image(f, seed)
+    rep = attractor.analyze(f, [_cell(0, 0)])
+    assert rep.stabilization == frozenset([_cell(0, 0)] + TWO_CYCLE
+                                          + THREE_CYCLE)
+    assert rep.classification == "ExternalExplosions"
+
+
+def test_pipeline_matches_per_cell_definitions():
+    for f, k in oracle_cases():
+        kset = frozenset(k)
+        col = attractor.collar(f, kset)
+        khat = attractor.stabilization(f, kset)
+        assert khat == stabilization_rounds(f, kset), f.name
+        bas = attractor.basin(f, kset, khat)
+        assert bas == basin_per_cell(f, khat), f.name
+        assert attractor.unstable_manifold(f, kset) == \
+            unstable_per_cell(f, col), f.name
+        within = bas - kset
+        rec = f.recurrent_cells(within)
+        plus = attractor._violators(f, within, within, rec, col, "f")
+        minus = attractor._violators(f, khat & within, within, rec, col, "p")
+        assert plus == violators_per_cell(f, within, within, col, "f"), f.name
+        assert minus == violators_per_cell(f, khat & within, within, col,
+                                           "p"), f.name
+        for cands in (plus, minus):
+            assert attractor._witness_search(f, cands, within, col) == \
+                witness_per_candidate(f, cands, within, col), f.name

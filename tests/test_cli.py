@@ -33,6 +33,14 @@ def test_analyze_error_exits(capsys):
     assert "error[unknown-flow]" in capsys.readouterr().err
 
 
+def test_malformed_flow_file_exits(tmp_path, capsys):
+    for i, body in enumerate(('{"successors": {}}', '[1, 2]')):
+        path = tmp_path / ("bad%d.json" % i)
+        path.write_text(body)
+        assert cli.main(["analyze", str(path)]) == 1
+        assert "error[unreadable-input]" in capsys.readouterr().err
+
+
 def test_verify_single_check(capsys):
     assert cli.main(["verify", "--only", "cor3.3"]) == 0
     out = capsys.readouterr().out

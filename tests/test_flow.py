@@ -1,6 +1,60 @@
 import pytest
 
-from conleylab import catalog, complexes as cxm, flow as flm
+from conleylab import attractor, blocks, catalog, complexes as cxm, flow as flm
+
+
+# -- reference implementations ---------------------------------------------------
+
+def image_cycle(flow, seed, direction="f", within=None):
+    """The periodic tail of the image sequence seed, F(seed), F^2(seed), ...
+    (relative to `within` when given), found by iterating until a set
+    repeats."""
+    table = flow.succ if direction == "f" else flow.pred
+    s = frozenset(seed)
+    if within is not None:
+        within = frozenset(within)
+        s = s & within
+    seen = {}
+    seq = []
+    while s not in seen:
+        seen[s] = len(seq)
+        seq.append(s)
+        nxt = set()
+        for c in s:
+            nxt.update(table[c])
+        if within is not None:
+            nxt &= within
+        s = frozenset(nxt)
+    return seq[seen[s]:]
+
+
+def iterated_image(flow, seed, direction="f", within=None):
+    """Eventual image by set iteration: the union of the periodic tail."""
+    return frozenset().union(*image_cycle(flow, seed, direction, within))
+
+
+def trim_loop(flow, region, directions):
+    """Trim by repeated sorted sweeps until a sweep removes nothing."""
+    tables = [flow.succ if d == "f" else flow.pred for d in directions]
+    s = set(region)
+    changed = True
+    while changed:
+        changed = False
+        for c in sorted(s):
+            if any(not (set(t[c]) & s) for t in tables):
+                s.discard(c)
+                changed = True
+    return frozenset(s)
+
+
+def catalog_flows():
+    """(name, flow, k or None) for every catalog entry at default resolution."""
+    for name in catalog.names():
+        entry = catalog.build(name)
+        yield name, entry["flow"], entry["k"]
+
+
+# -- tests -----------------------------------------------------------------------
 
 
 def test_validation_errors():
@@ -30,13 +84,34 @@ def test_rest_flow_prolongation_is_one_ring():
 
 
 def test_iterate_matches_scc_image():
-    entry = catalog.build("example22-torus")
-    fl = entry["flow"]
-    x = sorted(fl.tops)[0]
-    assert fl.eventual_image({x}) == fl.eventual_image_scc({x})
-    w = fl.reach({x})
-    assert (fl.eventual_image({x}, within=w)
-            == fl.eventual_image_scc({x}, within=w))
+    for name, fl, k in catalog_flows():
+        # dropping every other recurrent cell cuts cycles, so recurrence
+        # inside `within` differs from recurrence in the whole flow
+        within = fl.tops - set(sorted(fl.recurrent_cells())[::2])
+        for x in sorted(fl.tops):
+            seed = fl.one_ring(x)
+            for d in ("f", "p"):
+                assert fl.eventual_image(seed, d) == \
+                    iterated_image(fl, seed, d), (name, x, d)
+                assert fl.eventual_image(seed, d, within) == \
+                    iterated_image(fl, seed, d, within), (name, x, d)
+
+
+def test_trim_matches_sweep_loop():
+    for name, fl, k in catalog_flows():
+        if not k:
+            continue
+        col = attractor.collar(fl, k)
+        # outside the collar, removals cascade along the paths into it
+        regions = [col, fl.tops - col]
+        try:
+            regions.append(blocks.build_block(fl, k).n)
+        except blocks.NoBlockError:
+            pass
+        for region in regions:
+            for dirs in ("fp", "f", "p"):
+                assert fl.trim(region, dirs) == trim_loop(fl, region, dirs), \
+                    (name, dirs)
 
 
 def test_limit_enclosures_nest():
