@@ -1,10 +1,22 @@
 """Homology, cohomology ranks, and the small cup-product lookups.
 
-Two coefficient rings are supported, named "z" and "z2". Integer homology
-goes through Smith normal form; mod 2 ranks use bitmask elimination.
+Two coefficient rings are supported, named "z" and "z2". Both reduce the
+boundary matrices with one scheme: a pivot table keyed by each row's lowest
+column, so a row finds the pivot that clears its lowest entry in O(1).
+
+- Over z2 rows are int bitmasks; a row is XORed with the pivot of its low
+  bit until that bit has no pivot, then stored as one.
+- Over z rows are sparse dicts and only pivots with a unit (+-1) low entry
+  are stored. A row whose low entry is not a unit and has no pivot is set
+  aside. The stored pivots form an echelon block with unit leading entries,
+  so once the set-aside rows are cleared in every pivot column the Smith
+  normal form is the identity on that block plus the Smith form of the small
+  remainder, which a dense elimination computes.
+
+Torsion is reported as invariant factors d1 | d2 | ... with the 1s dropped.
 """
 
-from collections import defaultdict
+from math import gcd
 
 RINGS = ("z", "z2")
 
@@ -24,218 +36,163 @@ def _check_ring(ring):
 
 def gf2_rank(rows):
     """Rank of a GF(2) matrix given as bitmask rows."""
-    rank = 0
-    pivots = []
+    piv = {}
     for row in rows:
-        for p in pivots:
+        while row:
             low = row & -row
-            plow = p & -p
-            if plow & row:
-                row ^= p
-        while True:
-            reduced = False
-            for p in pivots:
-                if (p & -p) & row:
-                    row ^= p
-                    reduced = True
-            if not reduced:
+            p = piv.get(low)
+            if p is None:
+                piv[low] = row
                 break
-        if row:
-            pivots.append(row)
-            rank += 1
-    return rank
+            row ^= p
+    return len(piv)
 
 
-def smith_normal_form(mat, nrows, ncols):
-    """Rank and elementary divisors (> 1) of an integer matrix.
-
-    mat is a dict (i, j) -> value; it is consumed."""
-    a = defaultdict(int)
-    for k, v in mat.items():
-        if v:
-            a[k] = v
-    rows = defaultdict(set)
-    cols = defaultdict(set)
-    for (i, j) in a:
-        rows[i].add(j)
-        cols[j].add(i)
-
-    def set_entry(i, j, v):
-        if v:
-            a[(i, j)] = v
-            rows[i].add(j)
-            cols[j].add(i)
+def _add_multiple(row, pivot, c):
+    """row += c * pivot, dropping entries that cancel."""
+    for j, v in pivot.items():
+        w = row.get(j, 0) + c * v
+        if w:
+            row[j] = w
         else:
-            a.pop((i, j), None)
-            rows[i].discard(j)
-            cols[j].discard(i)
+            del row[j]
 
-    def add_row(src, dst, mult):
-        # row dst += mult * row src
-        for j in list(rows[src]):
-            set_entry(dst, j, a.get((dst, j), 0) + mult * a[(src, j)])
 
-    def add_col(src, dst, mult):
-        for i in list(cols[src]):
-            set_entry(i, dst, a.get((i, dst), 0) + mult * a[(i, src)])
-
-    def swap_rows(r1, r2):
-        if r1 == r2:
-            return
-        js = rows[r1] | rows[r2]
-        vals = {j: (a.get((r1, j), 0), a.get((r2, j), 0)) for j in js}
-        for j, (v1, v2) in vals.items():
-            set_entry(r1, j, v2)
-            set_entry(r2, j, v1)
-
-    def swap_cols(c1, c2):
-        if c1 == c2:
-            return
-        is_ = cols[c1] | cols[c2]
-        vals = {i: (a.get((i, c1), 0), a.get((i, c2), 0)) for i in is_}
-        for i, (v1, v2) in vals.items():
-            set_entry(i, c1, v2)
-            set_entry(i, c2, v1)
-
-    divisors = []
-    t = 0
-    used_rows = set()
-    used_cols = set()
-    while True:
-        pivot = None
-        best = None
-        for (i, j), v in a.items():
-            if i in used_rows or j in used_cols:
-                continue
-            av = abs(v)
-            if best is None or av < best:
-                best = av
-                pivot = (i, j)
-                if av == 1:
-                    break
-        if pivot is None:
-            break
-        pi, pj = pivot
-        swap_rows(pi, t)
-        swap_cols(pj, t)
-        # clear row and column t
-        while True:
-            done = True
-            pv = a.get((t, t), 0)
-            for i in list(cols[t]):
-                if i == t or i in used_rows:
-                    continue
-                v = a[(i, t)]
-                q = v // pv
-                if q:
-                    add_row(t, i, -q)
-                if a.get((i, t), 0):
-                    swap_rows(t, i)
-                    done = False
-            pv = a.get((t, t), 0)
-            for j in list(rows[t]):
-                if j == t or j in used_cols:
-                    continue
-                v = a[(t, j)]
-                q = v // pv
-                if q:
-                    add_col(t, j, -q)
-                if a.get((t, j), 0):
-                    swap_cols(t, j)
-                    done = False
-            if done:
+def smith_normal_form(rows):
+    """Rank and invariant factors (> 1) of an integer matrix given as sparse
+    rows {column: value}."""
+    piv = {}
+    aside = []
+    for row in rows:
+        row = {j: v for j, v in row.items() if v}
+        while row:
+            low = min(row)
+            p = piv.get(low)
+            if p is None:
+                if row[low] in (1, -1):
+                    piv[low] = row
+                else:
+                    aside.append(row)
                 break
-        divisors.append(abs(a[(t, t)]))
-        used_rows.add(t)
-        used_cols.add(t)
-        t += 1
+            _add_multiple(row, p, -row[low] * p[low])
+    rest = []
+    for row in aside:
+        # clearing the lowest pivot column only adds entries to its right
+        hit = [j for j in row if j in piv]
+        while hit:
+            j = min(hit)
+            _add_multiple(row, piv[j], -row[j] * piv[j][j])
+            hit = [j for j in row if j in piv]
+        if row:
+            rest.append(row)
+    diag = _diagonalize(rest)
+    return len(piv) + len(diag), _invariant_factors(diag)
 
-    # enforce the divisibility chain; only the divisor multiset matters here,
-    # so sorting by p-adic content is enough for the small torsion we meet
-    divisors.sort()
-    rank = len(divisors)
-    torsion = [d for d in divisors if d > 1]
-    return rank, torsion
+
+def _diagonalize(rows):
+    """Nonzero diagonal of an integer matrix brought to diagonal form by
+    dense row and column operations.
+
+    Each round moves a smallest nonzero entry to the corner and divides its
+    row and column by it; any nonzero remainder is smaller still, so the
+    rounds end."""
+    cols = sorted({j for r in rows for j in r})
+    at = {j: k for k, j in enumerate(cols)}
+    a = []
+    for r in rows:
+        dense = [0] * len(cols)
+        for j, v in r.items():
+            dense[at[j]] = v
+        a.append(dense)
+    diag = []
+    while a:
+        nonzero = [(abs(v), i, j) for i, r in enumerate(a)
+                   for j, v in enumerate(r) if v]
+        if not nonzero:
+            break
+        _, i, j = min(nonzero)
+        a[0], a[i] = a[i], a[0]
+        for r in a:
+            r[0], r[j] = r[j], r[0]
+        top = a[0]
+        p = top[0]
+        clean = True
+        for r in a[1:]:
+            q = r[0] // p
+            if q:
+                for k, v in enumerate(top):
+                    r[k] -= q * v
+            clean = clean and not r[0]
+        for k in range(1, len(top)):
+            q = top[k] // p
+            if q:
+                for r in a:
+                    r[k] -= q * r[0]
+            clean = clean and not top[k]
+        if clean:
+            diag.append(abs(p))
+            a = [r[1:] for r in a[1:]]
+    return diag
+
+
+def _invariant_factors(diag):
+    """Invariant factors (> 1) of the group sum of Z/d for d in diag:
+    replacing a pair by its gcd and lcm keeps the group, and one sweep leaves
+    each entry dividing the next."""
+    d = sorted(diag)
+    for i in range(len(d)):
+        for j in range(i + 1, len(d)):
+            g = gcd(d[i], d[j])
+            d[i], d[j] = g, d[i] * d[j] // g
+    return [x for x in d if x > 1]
 
 
 # -- chain complexes ---------------------------------------------------------
 
 def _chain_data(cx, rel=None):
-    """Generators per dimension and boundary matrices, optionally mod a
+    """Generator counts per dimension and, for each d >= 1, the boundary of
+    every d-cell as {index of a (d-1)-cell: coefficient}, optionally mod a
     closed subcomplex rel."""
     rel = set(rel or ())
-    if rel:
-        cl = cx.closure(rel)
-        if cl != rel:
-            raise AlgebraError("not-closed", "relative part is not closed")
-    gens = {}
-    for d in range(cx.top_dim + 1):
-        gens[d] = [c for c in cx.cells_of_dim(d) if c not in rel]
+    if rel and cx.closure(rel) != rel:
+        raise AlgebraError("not-closed", "relative part is not closed")
+    gens = {d: [c for c in cx.cells_of_dim(d) if c not in rel]
+            for d in range(cx.top_dim + 1)}
     index = {}
-    for d, cs in gens.items():
-        for i, c in enumerate(cs):
-            index[c] = i
-    mats = {}
-    for d in range(1, cx.top_dim + 1):
-        m = {}
-        for j, c in enumerate(gens[d]):
-            for f, k in cx.boundary[c].items():
-                if f in rel:
-                    continue
-                m[(index[f], j)] = k
-        mats[d] = (m, len(gens[d - 1]), len(gens[d]))
-    return gens, mats
+    for cs in gens.values():
+        index.update((c, i) for i, c in enumerate(cs))
+    chains = {d: [{index[f]: k for f, k in cx.boundary[c].items()
+                   if f not in rel} for c in gens[d]]
+              for d in range(1, cx.top_dim + 1)}
+    return {d: len(cs) for d, cs in gens.items()}, chains
 
 
-def _rank(mat, nrows, ncols, ring):
-    if not mat:
-        return 0, []
+def _rank(chains, ring):
+    """Rank and torsion of the matrix whose rows are the given chains."""
     if ring == "z2":
-        rows = defaultdict(int)
-        for (i, j), v in mat.items():
-            if v % 2:
-                rows[i] |= 1 << j
-        return gf2_rank(list(rows.values())), []
-    return smith_normal_form(dict(mat), nrows, ncols)
+        return gf2_rank(sum(1 << i for i, k in ch.items() if k % 2)
+                        for ch in chains), []
+    return smith_normal_form(chains)
 
 
 def homology(cx, ring="z", rel=None):
-    """List over dimensions of {"rank": int, "torsion": [int, ...]}."""
+    """List over dimensions of {"rank": int, "torsion": [int, ...]}; torsion
+    is the list of invariant factors."""
     _check_ring(ring)
-    gens, mats = _chain_data(cx, rel=rel)
+    sizes, chains = _chain_data(cx, rel=rel)
     ranks = {}
     torsions = {}
-    for d, (m, nr, nc) in mats.items():
-        ranks[d], torsions[d] = _rank(m, nr, nc, ring)
-    out = []
-    for d in range(cx.top_dim + 1):
-        n = len(gens[d])
-        rin = ranks.get(d, 0)
-        rout = ranks.get(d + 1, 0)
-        out.append({"rank": n - rin - rout,
-                    "torsion": sorted(torsions.get(d + 1, []))})
-    return out
-
-
-def relative_homology(cx, rel, ring="z"):
-    return homology(cx, ring=ring, rel=rel)
+    for d, rows in chains.items():
+        ranks[d], torsions[d] = _rank(rows, ring)
+    return [{"rank": sizes[d] - ranks.get(d, 0) - ranks.get(d + 1, 0),
+             "torsion": torsions.get(d + 1, [])}
+            for d in range(cx.top_dim + 1)]
 
 
 def cohomology_ranks(cx, ring="z", rel=None):
-    """Ranks of degree-k cohomology. Over z this is the free rank (universal
-    coefficients); over z2 the GF(2) dimension."""
-    _check_ring(ring)
-    if ring == "z":
-        return [h["rank"] for h in homology(cx, ring="z", rel=rel)]
-    gens, mats = _chain_data(cx, rel=rel)
-    ranks = {}
-    for d, (m, nr, nc) in mats.items():
-        ranks[d], _ = _rank(m, nr, nc, "z2")
-    out = []
-    for d in range(cx.top_dim + 1):
-        n = len(gens[d])
-        out.append(n - ranks.get(d, 0) - ranks.get(d + 1, 0))
-    return out
+    """Ranks of degree-k cohomology: the homology ranks, which over z are the
+    free ranks (universal coefficients) and over z2 the GF(2) dimensions."""
+    return [h["rank"] for h in homology(cx, ring=ring, rel=rel)]
 
 
 def euler(cx, cellset=None):

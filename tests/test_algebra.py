@@ -1,6 +1,211 @@
-import pytest
+from collections import defaultdict
+from itertools import combinations
+from math import gcd
 
-from conleylab import algebra, complexes as cxm
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from conleylab import algebra, catalog, complexes as cxm
+
+
+NAMED_SPACES = ("torus", "klein", "genus2", "sphere", "rp2", "annulus",
+                "s2xs1", "s2xts1", "t3")
+
+
+# -- reference implementations ---------------------------------------------------
+
+def gf2_rank_sweep(rows):
+    """GF(2) rank by sweeping every stored pivot over each row until no
+    pivot's low bit is left in it."""
+    rank = 0
+    pivots = []
+    for row in rows:
+        while True:
+            reduced = False
+            for p in pivots:
+                if (p & -p) & row:
+                    row ^= p
+                    reduced = True
+            if not reduced:
+                break
+        if row:
+            pivots.append(row)
+            rank += 1
+    return rank
+
+
+def bareiss_det(m):
+    """Determinant of a square integer matrix by fraction-free elimination."""
+    a = [list(r) for r in m]
+    n = len(a)
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            swap = next((i for i in range(k + 1, n) if a[i][k]), None)
+            if swap is None:
+                return 0
+            a[k], a[swap] = a[swap], a[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+        prev = a[k][k]
+    return sign * a[n - 1][n - 1] if n else 1
+
+
+def determinantal_invariants(m):
+    """Rank and invariant factors (> 1) of a dense integer matrix: the k-th
+    determinantal divisor d_k is the gcd of all k x k minors, and the k-th
+    invariant factor is d_k / d_(k-1)."""
+    nr = len(m)
+    nc = len(m[0]) if m else 0
+    factors = []
+    prev = 1
+    for k in range(1, min(nr, nc) + 1):
+        d = 0
+        for rs in combinations(range(nr), k):
+            for cs in combinations(range(nc), k):
+                d = gcd(d, bareiss_det([[m[i][j] for j in cs] for i in rs]))
+        if d == 0:
+            break
+        factors.append(d // prev)
+        prev = d
+    return len(factors), [f for f in factors if f > 1]
+
+
+def sweep_smith_normal_form(mat):
+    """Rank and elementary divisors (> 1) of an integer matrix {(i, j): v},
+    by repeated search for a smallest entry and clearing of its row and
+    column. The divisors are sorted but not canonical."""
+    a = {k: v for k, v in mat.items() if v}
+    rows = defaultdict(set)
+    cols = defaultdict(set)
+    for (i, j) in a:
+        rows[i].add(j)
+        cols[j].add(i)
+
+    def set_entry(i, j, v):
+        if v:
+            a[(i, j)] = v
+            rows[i].add(j)
+            cols[j].add(i)
+        else:
+            a.pop((i, j), None)
+            rows[i].discard(j)
+            cols[j].discard(i)
+
+    def add_row(src, dst, mult):
+        for j in list(rows[src]):
+            set_entry(dst, j, a.get((dst, j), 0) + mult * a[(src, j)])
+
+    def add_col(src, dst, mult):
+        for i in list(cols[src]):
+            set_entry(i, dst, a.get((i, dst), 0) + mult * a[(i, src)])
+
+    def swap_rows(r1, r2):
+        if r1 != r2:
+            vals = {j: (a.get((r1, j), 0), a.get((r2, j), 0))
+                    for j in rows[r1] | rows[r2]}
+            for j, (v1, v2) in vals.items():
+                set_entry(r1, j, v2)
+                set_entry(r2, j, v1)
+
+    def swap_cols(c1, c2):
+        if c1 != c2:
+            vals = {i: (a.get((i, c1), 0), a.get((i, c2), 0))
+                    for i in cols[c1] | cols[c2]}
+            for i, (v1, v2) in vals.items():
+                set_entry(i, c1, v2)
+                set_entry(i, c2, v1)
+
+    divisors = []
+    t = 0
+    used = set()
+    while True:
+        free = [(abs(v), k) for k, v in a.items()
+                if k[0] not in used and k[1] not in used]
+        if not free:
+            break
+        pi, pj = min(free)[1]
+        swap_rows(pi, t)
+        swap_cols(pj, t)
+        done = False
+        while not done:
+            done = True
+            for i in list(cols[t]):
+                if i == t or i in used:
+                    continue
+                q = a[(i, t)] // a[(t, t)]
+                if q:
+                    add_row(t, i, -q)
+                if a.get((i, t), 0):
+                    # the remainder is smaller than the pivot: it becomes
+                    # the pivot, so the division above always uses a fresh one
+                    swap_rows(t, i)
+                    done = False
+            for j in list(rows[t]):
+                if j == t or j in used:
+                    continue
+                q = a[(t, j)] // a[(t, t)]
+                if q:
+                    add_col(t, j, -q)
+                if a.get((t, j), 0):
+                    swap_cols(t, j)
+                    done = False
+        divisors.append(abs(a[(t, t)]))
+        used.add(t)
+        t += 1
+    divisors.sort()
+    return len(divisors), [d for d in divisors if d > 1]
+
+
+def sweep_homology(cx, ring="z", rel=None):
+    """homology() computed with the sweep kernels on {(i, j): v} matrices."""
+    rel = set(rel or ())
+    gens = {d: [c for c in cx.cells_of_dim(d) if c not in rel]
+            for d in range(cx.top_dim + 1)}
+    index = {c: i for cs in gens.values() for i, c in enumerate(cs)}
+    ranks, torsions = {}, {}
+    for d in range(1, cx.top_dim + 1):
+        mat = {(index[f], j): k for j, c in enumerate(gens[d])
+               for f, k in cx.boundary[c].items() if f not in rel}
+        if ring == "z2":
+            bits = defaultdict(int)
+            for (i, j), v in mat.items():
+                if v % 2:
+                    bits[i] |= 1 << j
+            ranks[d], torsions[d] = gf2_rank_sweep(list(bits.values())), []
+        else:
+            ranks[d], torsions[d] = sweep_smith_normal_form(mat)
+    return [{"rank": len(gens[d]) - ranks.get(d, 0) - ranks.get(d + 1, 0),
+             "torsion": torsions.get(d + 1, [])}
+            for d in range(cx.top_dim + 1)]
+
+
+def prime_powers(factors):
+    """Sorted prime-power divisors of the group sum of Z/f for f in
+    factors; two lists name the same group exactly when these agree."""
+    out = []
+    for f in factors:
+        p = 2
+        while f > 1:
+            q = 1
+            while f % p == 0:
+                f //= p
+                q *= p
+            if q > 1:
+                out.append(q)
+            p += 1
+    return sorted(out)
+
+
+def same_groups(hom, other):
+    return [(h["rank"], prime_powers(h["torsion"])) for h in hom] == \
+        [(h["rank"], prime_powers(h["torsion"])) for h in other]
+
+
+def sparse_rows(m):
+    return [{j: v for j, v in enumerate(r) if v} for r in m]
 
 
 def ranks(hom):
@@ -31,7 +236,7 @@ def test_relative_disc_mod_boundary():
     rim = d.closure(free)
     p = algebra.poincare_polynomial(d, rel=rim, ring="z")
     assert algebra.poly_to_string(p) == "t^2"
-    rel = algebra.relative_homology(d, rim)
+    rel = algebra.homology(d, rel=rim)
     assert ranks(rel) == [0, 0, 1]
 
 
@@ -63,11 +268,69 @@ def test_poly_helpers():
 
 
 def test_smith_normal_form():
-    rank, divisors = algebra.smith_normal_form(
-        {(0, 0): 2, (0, 1): 4, (1, 0): 6, (1, 1): 8}, 2, 2)
+    rank, divisors = algebra.smith_normal_form([{0: 2, 1: 4}, {0: 6, 1: 8}])
     assert rank == 2 and divisors == [2, 4]
-    rank, divisors = algebra.smith_normal_form({(0, 0): 1, (1, 1): 1}, 2, 3)
+    rank, divisors = algebra.smith_normal_form([{0: 1}, {1: 1}])
     assert rank == 2 and divisors == []
+    # torsion is canonical: invariant factors d1 | d2 | ...
+    assert algebra.smith_normal_form([{0: 2}, {1: 3}]) == (2, [6])
+    assert algebra.smith_normal_form([{0: 2}, {1: 10}, {2: 3}]) == (3, [2, 30])
+    assert algebra.smith_normal_form([{0: 6}]) == (1, [6])
+
+
+# a 7 x 7 matrix on which clearing a row and column with a divisor that has
+# gone stale after a swap grows the entries without end
+LOOP_D2 = [[-3, -1, -2, -4, 0, 4, 0],
+           [-6, -3, 2, 0, 6, 0, -3],
+           [3, -2, -6, 0, 0, 0, 0],
+           [4, 3, 0, 0, 0, 0, 0],
+           [0, -6, 0, 0, 0, -6, 4],
+           [0, 3, 2, -2, -1, 6, 0],
+           [0, 0, 0, 0, 0, 6, -5]]
+
+
+def loop_complex(m):
+    """One vertex, a loop edge (zero boundary) per row of m and a 2-cell
+    per column whose boundary is that column, so that d2 = m."""
+    cells = {"v": 0}
+    cells.update(("e%d" % i, 1) for i in range(len(m)))
+    cells.update(("f%d" % j, 2) for j in range(len(m[0])))
+    bnd = {"f%d" % j: {"e%d" % i: r[j] for i, r in enumerate(m) if r[j]}
+           for j in range(len(m[0]))}
+    return cxm.CellComplex("loops", cells, bnd)
+
+
+def test_smith_normal_form_terminates_on_stale_divisor_matrix():
+    assert algebra.smith_normal_form(sparse_rows(LOOP_D2)) == \
+        determinantal_invariants(LOOP_D2)
+
+
+def test_determinantal_oracle_pinned():
+    assert bareiss_det([[2, 1], [1, 1]]) == 1
+    assert bareiss_det([[0, 1, 0], [1, 0, 0], [0, 0, 1]]) == -1
+    assert determinantal_invariants([[2, 4], [6, 8]]) == (2, [2, 4])
+    assert determinantal_invariants([[2, 0], [0, 3]]) == (2, [6])
+    assert determinantal_invariants([[2, 4], [1, 2]]) == (1, [])
+    assert gf2_rank_sweep([0b110, 0b011, 0b101]) == 2
+
+
+int_matrices = st.integers(1, 5).flatmap(lambda nc: st.lists(
+    st.lists(st.one_of(st.just(0), st.integers(-9, 9)),
+             min_size=nc, max_size=nc),
+    min_size=1, max_size=5))
+
+
+@settings(max_examples=300, deadline=None)
+@given(int_matrices)
+def test_smith_normal_form_matches_determinantal_divisors(m):
+    assert algebra.smith_normal_form(sparse_rows(m)) == \
+        determinantal_invariants(m)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(0, (1 << 12) - 1), max_size=14))
+def test_gf2_rank_matches_sweep(rows):
+    assert algebra.gf2_rank(rows) == gf2_rank_sweep(rows)
 
 
 def test_gf2_rank():
@@ -110,3 +373,35 @@ def test_suspension_pair_homology():
     assert ranks(base) == [1, 1]
     pair, base = algebra.suspension_pair_homology(cxm.rp2())
     assert [h["torsion"] for h in pair] == [[], [], [2], []]
+
+
+def _complex_cases():
+    for name in NAMED_SPACES:
+        yield name, cxm.named_space(name), None
+    # boundary coefficients other than +-1: Z/2 on one cell, and LOOP_D2
+    yield "z/2", loop_complex([[2]]), None
+    yield "loops", loop_complex(LOOP_D2), None
+    for name in catalog.names():
+        entry = catalog.build(name)
+        cx = entry["flow"].cx
+        yield name, cx, cx.closure(entry["k"]) if entry["k"] else None
+
+
+def test_homology_identities_on_spaces_and_catalog_pairs():
+    for name, cx, rel in _complex_cases():
+        chi = cx.euler() - (cx.euler(rel) if rel else 0)
+        by_ring = {}
+        for ring in algebra.RINGS:
+            hom = algebra.homology(cx, ring=ring, rel=rel)
+            assert same_groups(hom, sweep_homology(cx, ring=ring, rel=rel)), \
+                (name, ring)
+            assert sum((-1) ** d * h["rank"]
+                       for d, h in enumerate(hom)) == chi, (name, ring)
+            by_ring[ring] = hom
+        z = by_ring["z"]
+        for d, h in enumerate(by_ring["z2"]):
+            # universal coefficients: Tor(H_(d-1), Z2) and H_d (x) Z2
+            even = sum(1 for t in z[d]["torsion"] if t % 2 == 0)
+            if d:
+                even += sum(1 for t in z[d - 1]["torsion"] if t % 2 == 0)
+            assert h["rank"] == z[d]["rank"] + even, (name, d)

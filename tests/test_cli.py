@@ -1,6 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
+import conleylab
 from conleylab import catalog, cli, complexes as cxm, flow as flm
+from test_algebra import LOOP_D2, determinantal_invariants, loop_complex
 
 
 def test_analyze_text(capsys):
@@ -121,6 +126,24 @@ def test_homology_named_complexes(capsys):
 def test_homology_csv(capsys):
     assert cli.main(["homology", "rp2", "--format", "csv"]) == 0
     assert capsys.readouterr().out == "degree,rank,torsion\n0,1,\n1,0,2\n2,0,\n"
+
+
+def test_homology_over_z_ends_on_loop_complex(tmp_path):
+    cx = loop_complex(LOOP_D2)
+    path = tmp_path / "loops.json"
+    path.write_text(json.dumps(flm.rest_flow(cx).to_json()))
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(
+        os.path.dirname(conleylab.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-m", "conleylab.cli", "homology", str(path),
+         "--ring", "z", "--format", "json"],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    rank, factors = determinantal_invariants(LOOP_D2)
+    rows = json.loads(proc.stdout)["homology"]
+    assert rows[1] == {"degree": 1, "rank": 0, "torsion": factors}
+    assert rows[2] == {"degree": 2, "rank": len(LOOP_D2) - rank,
+                       "torsion": []}
 
 
 def test_homology_of_flow_includes_pair_polynomial(capsys):
