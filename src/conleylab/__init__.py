@@ -6,7 +6,7 @@ builds isolating blocks, and checks the cohomological constraints that the
 catalog of example flows was designed to witness.
 """
 
-from .algebra import (AlgebraError, cohomology_ranks, euler, homology,
+from .algebra import (AlgebraError, cohomology_ranks, homology,
                       poincare_polynomial, poly_to_string)
 from .attractor import (AttractorReport, NotIsolatedError, VERDICTS, analyze,
                         classify)
@@ -26,7 +26,7 @@ __all__ = [
     "ComplexError", "ConstructionError", "FlowError", "IsolatingBlock",
     "LimitEnclosure", "NoBlockError", "NotIsolatedError", "TheoremError",
     "VERDICTS", "analysis", "analyze", "build", "build_block", "check_ids",
-    "classify", "cohomology_ranks", "conley_euler", "euler", "homology",
+    "classify", "cohomology_ranks", "conley_euler", "homology",
     "names", "poincare_polynomial", "poly_to_string", "refine_flow",
     "rest_flow", "run", "section_components", "__version__",
 ]

@@ -195,10 +195,6 @@ def cohomology_ranks(cx, ring="z", rel=None):
     return [h["rank"] for h in homology(cx, ring=ring, rel=rel)]
 
 
-def euler(cx, cellset=None):
-    return cx.euler(cellset)
-
-
 # -- polynomials -------------------------------------------------------------
 
 def poincare_polynomial(cx, rel=None, ring="z2"):

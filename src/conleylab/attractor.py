@@ -10,7 +10,8 @@ ExternalExplosions, Unknown.
 No stage iterates per cell. Each is a whole-set formula over the flow's
 graph kernel (reach, recurrent cells, trim): an eventual image leaves a set
 exactly when the seed reaches a recurrent cell that reaches outside it, so
-the sweeps become a backward reach from the complement.
+the sweeps become a backward reach from the complement, and the swept cells
+whose one-ring meets that reach are `flow.touching` of it.
 """
 
 from collections import deque
@@ -98,7 +99,7 @@ def stabilization(flow, k):
     fwd, img = set(), set()
     new = set(khat)
     while new:
-        ring = set().union(*map(flow.one_ring, new))
+        ring = flow.touching(new)
         new = flow.reach(rec & flow.reach(ring, seen=fwd), seen=img) - khat
         khat |= new
     return frozenset(khat)
@@ -153,11 +154,12 @@ def _violators(flow, cells, within, rec, col, direction):
     """Sorted cells whose relative J+ ("f") or J- ("p") enclosure in `within`
     leaves the collar: their one-ring meets the cells that reach, along
     `direction` inside `within`, a recurrent cell of `within` that reaches
-    `within - col` the same way. Both reaches run against the direction."""
+    `within - col` the same way. Both reaches run against the direction,
+    and the cells touching `leaving` are one `flow.touching` call."""
     back = "p" if direction == "f" else "f"
     escape = rec & flow.reach(within - col, back, within)
     leaving = flow.reach(escape, back, within)
-    return [x for x in sorted(cells) if flow.one_ring(x) & leaving]
+    return sorted(flow.touching(leaving) & cells)
 
 
 def _witness_search(flow, candidates, within, col):

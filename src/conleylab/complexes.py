@@ -3,25 +3,40 @@
 Cells are string ids, each with a dimension and a boundary chain written as
 {face_id: coefficient}. Every constructor validates del o del = 0, so a bad
 sign in a builder fails loudly at build time instead of corrupting homology
-later.
+later. A boundary for a cell that is not declared is refused too.
+
+Construction indexes only the cells by dimension. Cofaces, vertex supports
+and the top cells at each vertex are built once, on their first query, so a
+complex that only feeds homology never builds them.
 """
 
 from collections import defaultdict
+from functools import cached_property
 
 
 class ComplexError(ValueError):
-    pass
+    code = "bad-complex"
 
 
 class CellComplex:
     def __init__(self, name, cells, boundary, identifications=None, meta=None):
         self.name = name
         self.cells = dict(cells)          # id -> dim
+        undeclared = set(boundary) - set(self.cells)
+        if undeclared:
+            raise ComplexError("boundary given for undeclared cell %s"
+                               % min(undeclared, key=str))
         self.boundary = {c: dict(boundary.get(c, {})) for c in self.cells}
         self.identifications = list(identifications or [])
         self.meta = dict(meta or {})
+        self._by_dim = defaultdict(list)
+        for c, d in self.cells.items():
+            self._by_dim[d].append(c)
+        for d in self._by_dim:
+            self._by_dim[d].sort()
+        self.top_dim = max(self._by_dim) if self.cells else 0
         self._validate()
-        self._index()
+        self._ring_cache = {}
 
     # -- construction-time checks ------------------------------------------
 
@@ -36,41 +51,54 @@ class CellComplex:
                                        % (c, dc, f, self.cells[f]))
                 if coeff == 0:
                     raise ComplexError("zero coefficient stored for %s in %s" % (f, c))
-        # del o del = 0 over the integers
-        for c in self.cells:
-            acc = defaultdict(int)
-            for f, coeff in self.boundary[c].items():
+        # del o del = 0 over the integers; a cell with no cells two
+        # dimensions below it has faces without faces, so nothing to sum
+        for c, faces in self.boundary.items():
+            if self.cells[c] - 2 not in self._by_dim:
+                continue
+            acc = {}
+            for f, coeff in faces.items():
                 for g, coeff2 in self.boundary[f].items():
-                    acc[g] += coeff * coeff2
+                    acc[g] = acc.get(g, 0) + coeff * coeff2
             bad = {g: v for g, v in acc.items() if v != 0}
             if bad:
                 raise ComplexError("del del != 0 at %s: %r" % (c, bad))
 
-    def _index(self):
-        self._by_dim = defaultdict(list)
-        for c, d in self.cells.items():
-            self._by_dim[d].append(c)
-        for d in self._by_dim:
-            self._by_dim[d].sort()
-        self.top_dim = max(self._by_dim) if self.cells else 0
-        self._cofaces = defaultdict(list)
+    # -- indexes, each built on its first query ------------------------------
+
+    @cached_property
+    def _cofaces(self):
+        cofaces = defaultdict(list)
         for c, faces in self.boundary.items():
             for f in faces:
-                self._cofaces[f].append(c)
-        for f in self._cofaces:
-            self._cofaces[f].sort()
+                cofaces[f].append(c)
+        for f in cofaces:
+            cofaces[f].sort()
+        return cofaces
+
+    @cached_property
+    def _verts(self):
         # vertex support of each closed cell, for star and ring queries
-        self._verts = {}
+        verts = {}
         for d in sorted(self._by_dim):
             for c in self._by_dim[d]:
                 if d == 0:
-                    self._verts[c] = frozenset([c])
+                    verts[c] = frozenset([c])
                 else:
                     s = set()
                     for f in self.boundary[c]:
-                        s |= self._verts[f]
-                    self._verts[c] = frozenset(s)
-        self._ring_cache = {}
+                        s |= verts[f]
+                    verts[c] = frozenset(s)
+        return verts
+
+    @cached_property
+    def _vert_tops(self):
+        # all top cells whose closure contains each vertex
+        vert_tops = defaultdict(set)
+        for t in self.top_cells():
+            for v in self._verts[t]:
+                vert_tops[v].add(t)
+        return vert_tops
 
     # -- queries -----------------------------------------------------------
 
@@ -107,26 +135,14 @@ class CellComplex:
         """Top cells whose closure meets the closure of c (c included)."""
         if c in self._ring_cache:
             return self._ring_cache[c]
-        vs = self._verts[c]
         ring = set()
-        for v in vs:
-            for x in self._cofaces_by_vertex(v):
-                ring.add(x)
+        for v in self._verts[c]:
+            ring.update(self._vert_tops.get(v, ()))
         if self.cells[c] == self.top_dim:
             ring.add(c)
         ring = frozenset(ring)
         self._ring_cache[c] = ring
         return ring
-
-    def _cofaces_by_vertex(self, v):
-        # all top cells whose closure contains vertex v
-        if not hasattr(self, "_vert_tops"):
-            vt = defaultdict(set)
-            for t in self.top_cells():
-                for w in self._verts[t]:
-                    vt[w].add(t)
-            self._vert_tops = vt
-        return self._vert_tops.get(v, ())
 
     def star_tops(self, cellset):
         """Closed star: every top cell whose closure meets closure(cellset)."""
@@ -136,7 +152,7 @@ class CellComplex:
             vs |= self._verts[c]
         out = set()
         for v in vs:
-            out |= set(self._cofaces_by_vertex(v))
+            out.update(self._vert_tops.get(v, ()))
         for c in cellset:
             if self.cells[c] == self.top_dim:
                 out.add(c)

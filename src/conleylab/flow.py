@@ -8,6 +8,12 @@ with no successor and/or predecessor left inside a region), each
 O(cells + edges). Limit sets are eventual images: the cells reached by
 arbitrarily long paths from a seed, which is the reach of the recurrent part
 of the seed's reach.
+
+One-rings of top cells are symmetric (a is in the one-ring of b exactly
+when b is in that of a), so the top cells whose one-ring meets a region are
+the union of the region's one-rings: one set kernel, `touching`, in place of
+a test per cell or per pair. Locality of F is tested on vertex supports, so
+a rest flow builds no one-ring.
 """
 
 from collections import deque
@@ -61,7 +67,8 @@ class CombinatorialFlow:
                 if d not in topset:
                     raise FlowError("bad-successor",
                                     "%s -> %s is not a top cell" % (c, d))
-                if d not in cx.one_ring(c):
+                # d in one_ring(c), tested on vertex supports without the ring
+                if d != c and cx.vertices_of(c).isdisjoint(cx.vertices_of(d)):
                     raise FlowError("not-local",
                                     "%s -> %s leaves the one-ring" % (c, d))
             self.succ[c] = out
@@ -86,6 +93,11 @@ class CombinatorialFlow:
 
     def one_ring(self, c):
         return self.cx.one_ring(c)
+
+    def touching(self, cells):
+        """Top cells whose one-ring meets the top cells `cells`. One-rings of
+        top cells are symmetric, so this is the union of their one-rings."""
+        return set().union(*map(self.one_ring, cells))
 
     def _table(self, direction):
         return self.succ if direction == "f" else self.pred

@@ -46,6 +46,43 @@ def test_malformed_flow_file_exits(tmp_path, capsys):
         assert "error[unreadable-input]" in capsys.readouterr().err
 
 
+def test_malformed_complex_file_exits(tmp_path, capsys):
+    body = flm.rest_flow(cxm.sphere(3, 6)).to_json()
+    top = min(body["successors"])
+    vertex = min(c for c, d in body["complex"]["cells"] if d == 0)
+
+    def unknown_face(bnd):
+        bnd[top].append(["nowhere", 1])
+
+    def wrong_face_dimension(bnd):
+        bnd[top].append([vertex, 1])
+
+    def zero_coefficient(bnd):
+        bnd[top][0][1] = 0
+
+    def dd_nonzero(bnd):
+        bnd[top][0][1] *= -1
+
+    def undeclared_boundary(bnd):
+        bnd["ghost:1"] = [["nowhere", 1]]
+
+    cases = [(unknown_face, "unknown cell nowhere"),
+             (wrong_face_dimension, "(dim 0)"),
+             (zero_coefficient, "zero coefficient"),
+             (dd_nonzero, "del del != 0 at %s" % top),
+             (undeclared_boundary, "undeclared cell ghost:1")]
+    for edit, message in cases:
+        bad = json.loads(json.dumps(body))
+        edit(bad["complex"]["boundary"])
+        path = tmp_path / (edit.__name__ + ".json")
+        path.write_text(json.dumps(bad))
+        for cmd in ("analyze", "homology"):
+            assert cli.main([cmd, str(path)]) == 1, (edit.__name__, cmd)
+            err = capsys.readouterr().err
+            assert err.startswith("error[bad-complex]: "), (edit.__name__, err)
+            assert message in err, (edit.__name__, err)
+
+
 def test_verify_single_check(capsys):
     assert cli.main(["verify", "--only", "cor3.3"]) == 0
     out = capsys.readouterr().out

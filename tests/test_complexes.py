@@ -16,6 +16,38 @@ def ddzero(cx):
     return True
 
 
+def eager_indexes(cx):
+    """Cofaces and vertex supports of every cell, built from the boundary
+    table alone, lowest dimension first."""
+    cofaces = defaultdict(list)
+    for c in sorted(cx.cells):
+        for f in cx.boundary[c]:
+            cofaces[f].append(c)
+    verts = {}
+    for c in sorted(cx.cells, key=cx.dim):
+        verts[c] = (frozenset([c]) if cx.dim(c) == 0 else
+                    frozenset().union(*(verts[f] for f in cx.boundary[c])))
+    return cofaces, verts
+
+
+def test_lazy_indexes_match_eager_rebuild():
+    for name in ("torus", "klein", "genus2", "sphere", "rp2", "annulus",
+                 "s2xs1", "s2xts1", "t3"):
+        # a builder may query its complex; a loaded one has built nothing
+        cx = cxm.CellComplex.from_json(cxm.named_space(name).to_json())
+        assert not {"_cofaces", "_verts", "_vert_tops"} & set(vars(cx)), name
+        cofaces, verts = eager_indexes(cx)
+        tops = cx.top_cells()
+        for c in sorted(cx.cells):
+            assert cx.cofaces(c) == cofaces[c], (name, c)
+            assert cx.vertices_of(c) == verts[c], (name, c)
+            ring = {t for t in tops if verts[t] & verts[c]}
+            if cx.dim(c) == cx.top_dim:
+                ring.add(c)
+            assert cx.one_ring(c) == ring, (name, c)
+            assert cx.star_tops({c}) == ring, (name, c)
+
+
 def test_builder_counts_and_euler():
     t = cxm.torus(4, 4)
     assert len(t.cells) == 64 and t.euler() == 0
@@ -129,6 +161,10 @@ def test_json_round_trip():
 def test_unknown_boundary_cell_rejected():
     with pytest.raises(cxm.ComplexError):
         cxm.CellComplex("x", {"a": 1}, {"a": {"missing": 1}})
+    # a boundary for a cell that is not declared is refused, not dropped
+    with pytest.raises(cxm.ComplexError) as ei:
+        cxm.CellComplex("x", {"a": 0}, {"a": {}, "ghost": {"a": 1}})
+    assert ei.value.code == "bad-complex"
 
 
 def test_cell_map_must_be_chain_map():

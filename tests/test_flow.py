@@ -1,4 +1,7 @@
+import functools
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conleylab import attractor, blocks, catalog, complexes as cxm, flow as flm
 
@@ -112,6 +115,28 @@ def test_trim_matches_sweep_loop():
             for dirs in ("fp", "f", "p"):
                 assert fl.trim(region, dirs) == trim_loop(fl, region, dirs), \
                     (name, dirs)
+
+
+def test_one_rings_of_top_cells_are_symmetric():
+    for name, fl, k in catalog_flows():
+        for a in fl.tops:
+            assert a in fl.one_ring(a), (name, a)
+            for b in fl.one_ring(a):
+                assert a in fl.one_ring(b), (name, a, b)
+
+
+@functools.lru_cache(maxsize=None)
+def catalog_flow_list():
+    return [(name, fl) for name, fl, k in catalog_flows()]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_touching_matches_per_cell_rings(data):
+    name, fl = data.draw(st.sampled_from(catalog_flow_list()))
+    tops = sorted(fl.tops)
+    s = data.draw(st.frozensets(st.sampled_from(tops)))
+    assert fl.touching(s) == {y for y in tops if fl.one_ring(y) & s}, name
 
 
 def test_limit_enclosures_nest():

@@ -1,6 +1,14 @@
 import pytest
 
-from conleylab import complexes as cxm, theorems
+from conleylab import complexes as cxm, flow as flm, theorems
+
+
+def pairwise_jduality_violations(j_plus, j_minus, tops):
+    """Reference count: every ordered pair tested with `touches`."""
+    jp = {x: j_plus(x) for x in tops}
+    jm = {x: j_minus(x) for x in tops}
+    return sum(1 for x in tops for y in tops
+               if jp[x].touches(y) != jm[y].touches(x))
 
 
 def test_registry_order():
@@ -75,3 +83,22 @@ def test_empty_population_fails_instead_of_passing(monkeypatch):
     r = theorems.run(only="thm4.1")[0]
     assert r.status == "fail"
     assert any("no instance matched" in line for line in r.details)
+
+
+def test_jduality_count_matches_pairwise_oracle():
+    skewed = []
+    for entry, rep in theorems._population():
+        fl = entry["flow"]
+        tops = sorted(fl.tops)
+        assert theorems.jduality_violations(fl.j_plus, fl.j_minus, tops) \
+            == pairwise_jduality_violations(fl.j_plus, fl.j_minus, tops) \
+            == 0, entry["name"]
+        # J+ of the flow against J- of the rest flow on the same complex,
+        # and the reverse, break the duality on many pairs
+        rest = flm.rest_flow(fl.cx)
+        for jp, jm in ((fl.j_plus, rest.j_minus), (rest.j_plus, fl.j_minus)):
+            bad = theorems.jduality_violations(jp, jm, tops)
+            assert bad == pairwise_jduality_violations(jp, jm, tops), \
+                entry["name"]
+            skewed.append(bad)
+    assert min(skewed) > 0
