@@ -4,29 +4,42 @@ Flows are finite multivalued maps on the top cells of a regular CW complex.
 The package classifies attractor candidates by their explosion behaviour,
 builds isolating blocks, and checks the cohomological constraints that the
 catalog of example flows was designed to witness.
+
+Public names load their module on first use (PEP 562), so importing the
+package, or one of its modules, compiles only what is asked for.
 """
 
-from .algebra import (AlgebraError, cohomology_ranks, homology,
-                      poincare_polynomial, poly_to_string)
-from .attractor import (AttractorReport, NotIsolatedError, VERDICTS, analyze,
-                        classify)
-from .blocks import (BlockError, IsolatingBlock, NoBlockError, build_block,
-                     conley_euler, section_components)
-from .catalog import CatalogError, analysis, build, names, refine_flow
-from .complexes import CellComplex, CellMap, ComplexError
-from .constructions import ConstructionError
-from .flow import CombinatorialFlow, FlowError, LimitEnclosure, rest_flow
-from .theorems import CheckResult, TheoremError, check_ids, run
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AlgebraError", "AttractorReport", "BlockError", "CatalogError",
-    "CellComplex", "CellMap", "CheckResult", "CombinatorialFlow",
-    "ComplexError", "ConstructionError", "FlowError", "IsolatingBlock",
-    "LimitEnclosure", "NoBlockError", "NotIsolatedError", "TheoremError",
-    "VERDICTS", "analysis", "analyze", "build", "build_block", "check_ids",
-    "classify", "cohomology_ranks", "conley_euler", "homology",
-    "names", "poincare_polynomial", "poly_to_string", "refine_flow",
-    "rest_flow", "run", "section_components", "__version__",
-]
+_EXPORTS = {
+    "algebra": ("AlgebraError", "cohomology_ranks", "homology",
+                "poincare_polynomial", "poly_to_string"),
+    "attractor": ("AttractorReport", "NotIsolatedError", "VERDICTS",
+                  "analyze", "classify"),
+    "blocks": ("BlockError", "IsolatingBlock", "NoBlockError", "build_block",
+               "conley_euler", "section_components"),
+    "catalog": ("CatalogError", "analysis", "build", "names", "refine_flow"),
+    "complexes": ("CellComplex", "CellMap", "ComplexError", "ConleyError"),
+    "constructions": ("ConstructionError",),
+    "flow": ("CombinatorialFlow", "FlowError", "LimitEnclosure", "rest_flow"),
+    "theorems": ("CheckResult", "TheoremError", "check_ids", "run"),
+}
+_MODULE_OF = {name: mod for mod, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_MODULE_OF) + ["__version__"]
+
+
+def __getattr__(name):
+    mod = _MODULE_OF.get(name)
+    if mod is None:
+        raise AttributeError("module %r has no attribute %r"
+                             % (__name__, name))
+    value = getattr(importlib.import_module("." + mod, __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_MODULE_OF))

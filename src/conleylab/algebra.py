@@ -18,13 +18,13 @@ Torsion is reported as invariant factors d1 | d2 | ... with the 1s dropped.
 
 from math import gcd
 
+from .complexes import ConleyError
+
 RINGS = ("z", "z2")
 
 
-class AlgebraError(ValueError):
-    def __init__(self, code, msg=None):
-        super().__init__(msg or code)
-        self.code = code
+class AlgebraError(ConleyError):
+    pass
 
 
 def _check_ring(ring):

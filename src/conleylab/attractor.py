@@ -16,11 +16,16 @@ whose one-ring meets that reach are `flow.touching` of it.
 
 from collections import deque
 
+from .complexes import ConleyError
+
 VERDICTS = ("Stable", "NoExternalExplosions", "ExternalExplosions", "Unknown")
 
 
-class NotIsolatedError(ValueError):
+class NotIsolatedError(ConleyError):
     code = "not-isolated"
+
+    def __init__(self, msg):
+        super().__init__(self.code, msg)
 
 
 class AttractorReport:

@@ -1,15 +1,18 @@
 """Isolating blocks: grow the star of k, trim grazing cells, label the
 boundary faces as entrances and exits, and read off the asymptotic sets."""
 
+from .complexes import ConleyError
 
-class NoBlockError(ValueError):
+
+class NoBlockError(ConleyError):
     code = "no-block"
 
+    def __init__(self, msg):
+        super().__init__(self.code, msg)
 
-class BlockError(ValueError):
-    def __init__(self, code, msg=None):
-        super().__init__(msg or code)
-        self.code = code
+
+class BlockError(ConleyError):
+    pass
 
 
 class IsolatingBlock:

@@ -6,19 +6,16 @@ CONLEYLAB_CATALOG environment variable to a directory of flow JSON files to
 make external flows available under their file stem.
 """
 
-import json
 import os
 
 from . import constructions as cons
-from .complexes import (connected_sum, identity_map, mapping_torus, sphere,
-                        sphere_reflection, torus, klein)
-from .flow import CombinatorialFlow
+from .complexes import (ConleyError, connected_sum, identity_map,
+                        mapping_torus, sphere, sphere_reflection, torus, klein)
+from .flow import load_file
 
 
-class CatalogError(ValueError):
-    def __init__(self, code, message):
-        super().__init__(message)
-        self.code = code
+class CatalogError(ConleyError):
+    pass
 
 
 _CACHE = {}
@@ -256,20 +253,8 @@ def _external_names():
 
 
 def _load_external(name):
-    d = _external_dir()
-    path = os.path.join(d, name + ".json")
-    try:
-        with open(path) as fh:
-            data = json.load(fh)
-    except (OSError, ValueError) as exc:
-        raise CatalogError("unreadable-input",
-                           "cannot read flow file %s: %s" % (path, exc))
-    flow = CombinatorialFlow.from_json(data, complex_resolver=None)
-    if not flow.name:
-        flow.name = name
-    k = data.get("k")
-    return {"name": name, "resolution": None, "flow": flow,
-            "k": sorted(k) if k else None, "expected": {}, "ring": "z"}
+    return load_file(os.path.join(_external_dir(), name + ".json"), name,
+                     error=CatalogError)
 
 
 def build(name, resolution=None):

@@ -4,6 +4,10 @@ A target is either `catalog:NAME` (built-in recipes plus any flow files in
 the directory named by CONLEYLAB_CATALOG) or the path of a flow file such as
 the ones `construct` writes. Output bytes are deterministic for a fixed
 input so runs can be diffed.
+
+Each command imports the layers it calls inside its own function, so a call
+loads only what its command runs: `analyze FILE` never compiles the
+catalog, the checks or the plotting code.
 """
 
 import argparse
@@ -11,37 +15,21 @@ import json
 import os
 import sys
 
-from . import algebra, attractor, blocks, catalog, svgplot, theorems
-from .complexes import ComplexError
-from .constructions import ConstructionError
-from .flow import CombinatorialFlow, FlowError
-
-_ERRORS = (catalog.CatalogError, ComplexError, FlowError, ConstructionError,
-           attractor.NotIsolatedError, blocks.NoBlockError, blocks.BlockError,
-           algebra.AlgebraError, theorems.TheoremError)
+from .complexes import ComplexError, ConleyError, named_space
+from .flow import FlowError, load_file
 
 
 def _load_file(path):
-    try:
-        with open(path) as fh:
-            data = json.load(fh)
-    except (OSError, ValueError) as exc:
-        raise FlowError("unreadable-input",
-                        "cannot read flow file %s: %s" % (path, exc))
-    flow = CombinatorialFlow.from_json(data)
-    name = data.get("name") or os.path.splitext(os.path.basename(path))[0]
-    flow.name = flow.name or name
-    k = data.get("k")
-    return {"name": name, "resolution": None, "flow": flow,
-            "k": sorted(k) if k else None, "expected": {},
-            "ring": data.get("ring", "z")}
+    # the CLI's one entry to file loading; perfbench times it as cli.load
+    return load_file(path)
 
 
 def _load_target(spec, resolution=None):
+    if not spec.startswith("catalog:") and os.path.exists(spec):
+        return _load_file(spec)
+    from . import catalog
     if spec.startswith("catalog:"):
         return catalog.build(spec[len("catalog:"):], resolution)
-    if os.path.exists(spec):
-        return _load_file(spec)
     if spec in catalog.names():
         return catalog.build(spec, resolution)
     raise FlowError("unreadable-input",
@@ -63,14 +51,17 @@ def _json_dumps(payload):
 # -- analyze -------------------------------------------------------------------
 
 def _analyze(entry, max_refines):
+    from . import attractor
     flow, k = entry["flow"], entry["k"]
     if not k:
+        from . import catalog
         raise catalog.CatalogError("no-candidate",
                                    "%s carries no attractor candidate"
                                    % entry["name"])
     report = attractor.analyze(flow, k)
     refines = 0
     while report.classification == "Unknown" and refines < max_refines:
+        from . import catalog
         try:
             fine, _ = catalog.refine_flow(flow, 2)
         except FlowError:
@@ -117,6 +108,7 @@ def cmd_analyze(args):
 # -- verify --------------------------------------------------------------------
 
 def cmd_verify(args):
+    from . import theorems
     results = theorems.run(only=args.only)
     failed = [r for r in results if r.status != "pass"]
     if args.format == "json":
@@ -136,6 +128,7 @@ def cmd_verify(args):
 # -- plot ----------------------------------------------------------------------
 
 def cmd_plot(args):
+    from . import blocks, svgplot
     entry = _load_target(args.target, args.resolution)
     report, _ = _analyze(entry, args.refine)
     if args.format == "csv":
@@ -158,6 +151,7 @@ def cmd_plot(args):
 # -- construct -------------------------------------------------------------------
 
 def cmd_construct(args):
+    from . import catalog
     name = args.name
     if name.startswith("catalog:"):
         name = name[len("catalog:"):]
@@ -173,9 +167,9 @@ def cmd_construct(args):
 
 # -- homology --------------------------------------------------------------------
 
-def _homology_rows(cx, ring):
+def _homology_rows(groups):
     rows = []
-    for d, h in enumerate(algebra.homology(cx, ring=ring)):
+    for d, h in enumerate(groups):
         rows.append({"degree": d, "rank": h["rank"],
                      "torsion": list(h["torsion"])})
     return rows
@@ -186,7 +180,6 @@ def _homology_target(args):
     try:
         entry = _load_target(args.target, args.resolution)
     except FlowError:
-        from .complexes import ComplexError, named_space
         try:
             return named_space(args.target, args.resolution), "z", None
         except ComplexError:
@@ -197,9 +190,10 @@ def _homology_target(args):
 
 
 def cmd_homology(args):
+    from . import algebra
     cx, default_ring, k = _homology_target(args)
     ring = args.ring or default_ring
-    rows = _homology_rows(cx, ring)
+    rows = _homology_rows(algebra.homology(cx, ring=ring))
     pair = None
     if k:
         kbar = cx.closure(k)
@@ -236,32 +230,33 @@ def _parser():
         description="attractor classification over finite cell complexes")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, formats, default, target=True):
-        if target:
-            p.add_argument("target",
-                           help="catalog:NAME or a flow file path")
-        p.add_argument("--ring", choices=["z", "z2"], default=None,
-                       help="coefficient ring (default: the entry's ring)")
+    # each subcommand declares only the flags it reads
+    def common(p, formats, default):
+        p.add_argument("target",
+                       help="catalog:NAME or a flow file path")
         p.add_argument("--resolution", type=int, default=None,
                        help="grid resolution for catalog recipes")
-        p.add_argument("--refine", type=int, default=0,
-                       help="refinement attempts while the verdict is Unknown")
         p.add_argument("--format", choices=formats, default=default)
         p.add_argument("--out", default=None, help="write output to this file")
 
+    def refine(p):
+        p.add_argument("--refine", type=int, default=0,
+                       help="refinement attempts while the verdict is Unknown")
+
     p = sub.add_parser("analyze", help="classify an attractor candidate")
     common(p, ["json", "text"], "text")
+    refine(p)
     p.set_defaults(fn=cmd_analyze)
 
     p = sub.add_parser("verify", help="run the structural result checks")
     p.add_argument("--only", default=None, help="run a single check id")
-    p.add_argument("--ring", choices=["z", "z2"], default=None)
     p.add_argument("--format", choices=["json", "text"], default="text")
     p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("plot", help="draw the analysis as svg, csv or text")
     common(p, ["svg", "csv", "text", "json"], "svg")
+    refine(p)
     p.set_defaults(fn=cmd_plot)
 
     p = sub.add_parser("construct", help="write a catalog flow to a file")
@@ -272,6 +267,8 @@ def _parser():
 
     p = sub.add_parser("homology", help="homology of a flow's complex")
     common(p, ["json", "csv", "text"], "text")
+    p.add_argument("--ring", choices=["z", "z2"], default=None,
+                   help="coefficient ring (default: the entry's ring)")
     p.set_defaults(fn=cmd_homology)
     return ap
 
@@ -280,9 +277,8 @@ def main(argv=None):
     args = _parser().parse_args(argv)
     try:
         return args.fn(args)
-    except _ERRORS as err:
-        code = getattr(err, "code", "error")
-        sys.stderr.write("error[%s]: %s\n" % (code, err))
+    except ConleyError as err:
+        sys.stderr.write("error[%s]: %s\n" % (err.code, err))
         return 1
 
 

@@ -14,8 +14,22 @@ from collections import defaultdict
 from functools import cached_property
 
 
-class ComplexError(ValueError):
+class ConleyError(ValueError):
+    """Base of every error the command line reports as `error[code]`.
+
+    It lives here, at the root of the import graph, so catching it loads no
+    other module. Errors carry a short machine code on .code."""
+
+    def __init__(self, code, msg=None):
+        super().__init__(msg or code)
+        self.code = code
+
+
+class ComplexError(ConleyError):
     code = "bad-complex"
+
+    def __init__(self, msg):
+        super().__init__(self.code, msg)
 
 
 class CellComplex:
@@ -145,18 +159,10 @@ class CellComplex:
         return ring
 
     def star_tops(self, cellset):
-        """Closed star: every top cell whose closure meets closure(cellset)."""
-        cl = self.closure(cellset)
-        vs = set()
-        for c in cl:
-            vs |= self._verts[c]
-        out = set()
-        for v in vs:
-            out.update(self._vert_tops.get(v, ()))
-        for c in cellset:
-            if self.cells[c] == self.top_dim:
-                out.add(c)
-        return out
+        """Closed star: every top cell whose closure meets closure(cellset).
+        A cell's vertex support already covers its closure, so this is the
+        union of the one-rings of the cells."""
+        return set().union(*map(self.one_ring, cellset))
 
     def shared_faces(self, a, b):
         """Codim-1 faces shared by top cells a and b."""

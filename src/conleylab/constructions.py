@@ -7,15 +7,13 @@ that already exists. Errors carry a short machine code on .code.
 
 from collections import deque
 
-from .complexes import (CellComplex, annulus, disc, identity_map,
-                        mapping_torus, point, quotient, sphere)
+from .complexes import (CellComplex, ConleyError, annulus, disc,
+                        identity_map, mapping_torus, point, quotient, sphere)
 from .flow import CombinatorialFlow
 
 
-class ConstructionError(ValueError):
-    def __init__(self, code, message):
-        super().__init__(message)
-        self.code = code
+class ConstructionError(ConleyError):
+    pass
 
 
 def _carry_meta(dst, src):

@@ -11,20 +11,21 @@ of the seed's reach.
 
 One-rings of top cells are symmetric (a is in the one-ring of b exactly
 when b is in that of a), so the top cells whose one-ring meets a region are
-the union of the region's one-rings: one set kernel, `touching`, in place of
-a test per cell or per pair. Locality of F is tested on vertex supports, so
-a rest flow builds no one-ring.
+the union of the region's one-rings: one set kernel, `touching` (the
+complex's closed star, `star_tops`), in place of a test per cell or per
+pair. Locality of F is tested on vertex supports, so a rest flow builds no
+one-ring.
 """
 
+import json
+import os
 from collections import deque
 
-from .complexes import CellComplex, ComplexError
+from .complexes import CellComplex, ComplexError, ConleyError
 
 
-class FlowError(ValueError):
-    def __init__(self, code, msg=None):
-        super().__init__(msg or code)
-        self.code = code
+class FlowError(ConleyError):
+    pass
 
 
 class LimitEnclosure:
@@ -96,8 +97,9 @@ class CombinatorialFlow:
 
     def touching(self, cells):
         """Top cells whose one-ring meets the top cells `cells`. One-rings of
-        top cells are symmetric, so this is the union of their one-rings."""
-        return set().union(*map(self.one_ring, cells))
+        top cells are symmetric, so this is the union of their one-rings:
+        the closed star of the cells."""
+        return self.cx.star_tops(cells)
 
     def _table(self, direction):
         return self.succ if direction == "f" else self.pred
@@ -308,6 +310,26 @@ class CombinatorialFlow:
         from . import catalog
         entry, _ = catalog.refine_flow(self, factor)
         return entry["flow"]
+
+
+def load_file(path, name=None, error=FlowError):
+    """Read a flow file into an entry shaped like `catalog.build`'s:
+    {name, resolution, flow, k, expected, ring}. The entry is called `name`,
+    else the file's "name", else the file stem. A file that cannot be read
+    or parsed raises `error` with code unreadable-input."""
+    try:
+        with open(path) as fh:
+            data = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise error("unreadable-input",
+                    "cannot read flow file %s: %s" % (path, exc))
+    flow = CombinatorialFlow.from_json(data)
+    k = data.get("k")
+    return {"name": (name or data.get("name")
+                     or os.path.splitext(os.path.basename(path))[0]),
+            "resolution": None, "flow": flow,
+            "k": sorted(k) if k else None, "expected": {},
+            "ring": data.get("ring", "z")}
 
 
 def rest_flow(cx, name=None):

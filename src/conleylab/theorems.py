@@ -17,10 +17,8 @@ NO_UNSTABLE = "no unstable attractor without external explosions can exist"
 AT_MOST = "at most %d homoclinic components"
 
 
-class TheoremError(ValueError):
-    def __init__(self, code, message):
-        super().__init__(message)
-        self.code = code
+class TheoremError(complexes.ConleyError):
+    pass
 
 
 class CheckResult:

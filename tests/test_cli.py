@@ -3,9 +3,17 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 import conleylab
 from conleylab import catalog, cli, complexes as cxm, flow as flm
 from test_algebra import LOOP_D2, determinantal_invariants, loop_complex
+
+
+def src_env():
+    """Environment for a child python that imports this checkout."""
+    return dict(os.environ, PYTHONPATH=os.path.dirname(
+        os.path.dirname(conleylab.__file__)))
 
 
 def test_analyze_text(capsys):
@@ -169,12 +177,10 @@ def test_homology_over_z_ends_on_loop_complex(tmp_path):
     cx = loop_complex(LOOP_D2)
     path = tmp_path / "loops.json"
     path.write_text(json.dumps(flm.rest_flow(cx).to_json()))
-    env = dict(os.environ, PYTHONPATH=os.path.dirname(
-        os.path.dirname(conleylab.__file__)))
     proc = subprocess.run(
         [sys.executable, "-m", "conleylab.cli", "homology", str(path),
          "--ring", "z", "--format", "json"],
-        capture_output=True, text=True, env=env, timeout=60)
+        capture_output=True, text=True, env=src_env(), timeout=60)
     assert proc.returncode == 0, proc.stderr
     rank, factors = determinantal_invariants(LOOP_D2)
     rows = json.loads(proc.stdout)["homology"]
@@ -216,3 +222,59 @@ def test_refine_unavailable_leaves_note(tmp_path, capsys):
     data = json.loads(out.read_text())
     assert data["classification"] == "Unknown"
     assert any("refinement unavailable" in n for n in data["notes"])
+
+
+def test_external_catalog_file_keeps_its_ring(tmp_path, monkeypatch, capsys):
+    path = tmp_path / "myklein.json"
+    assert cli.main(["construct", "example22-klein", "--out", str(path)]) == 0
+    assert cli.main(["homology", str(path)]) == 0
+    by_path = capsys.readouterr().out
+    assert "over z2" in by_path
+    monkeypatch.setenv("CONLEYLAB_CATALOG", str(tmp_path))
+    assert cli.main(["homology", "catalog:myklein"]) == 0
+    assert capsys.readouterr().out == by_path
+
+
+def test_subcommands_reject_flags_they_do_not_read(capsys):
+    for argv in (["analyze", "north-south", "--ring", "z2"],
+                 ["plot", "north-south", "--ring", "z2"],
+                 ["verify", "--ring", "z2"],
+                 ["homology", "torus", "--refine", "1"]):
+        with pytest.raises(SystemExit) as ei:
+            cli.main(argv)
+        assert ei.value.code == 2, argv
+        assert "unrecognized arguments" in capsys.readouterr().err, argv
+
+
+def test_cli_loads_only_the_layers_its_command_runs(tmp_path):
+    entry = catalog.build("example22-torus")
+    body = entry["flow"].to_json()
+    body["k"] = entry["k"]
+    path = tmp_path / "torus.json"
+    path.write_text(json.dumps(body))
+    script = ("import sys\n"
+              "from conleylab import cli\n"
+              "rc = cli.main(sys.argv[1:])\n"
+              "print(' '.join(m for m in sys.modules"
+              " if m.startswith('conleylab.')))\n"
+              "sys.exit(rc)\n")
+    out = str(tmp_path / "out.json")
+    for args, layer in ((["analyze", str(path)], "attractor"),
+                        (["homology", str(path), "--ring", "z2"], "algebra")):
+        proc = subprocess.run(
+            [sys.executable, "-c", script] + args
+            + ["--format", "json", "--out", out],
+            capture_output=True, text=True, env=src_env(), timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        loaded = {m[len("conleylab."):] for m in proc.stdout.split()}
+        assert loaded == {"cli", "complexes", "flow", layer}, args
+
+
+def test_public_names_resolve_on_first_use():
+    listed = dir(conleylab)
+    for name in conleylab.__all__:
+        assert getattr(conleylab, name) is not None, name
+        assert name in listed, name
+    assert conleylab.analyze is conleylab.attractor.analyze
+    with pytest.raises(AttributeError):
+        conleylab.no_such_name

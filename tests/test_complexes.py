@@ -1,8 +1,13 @@
+import functools
 from collections import defaultdict
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conleylab import complexes as cxm
+
+NAMED_SPACES = ("torus", "klein", "genus2", "sphere", "rp2", "annulus",
+                "s2xs1", "s2xts1", "t3")
 
 
 def ddzero(cx):
@@ -46,6 +51,38 @@ def test_lazy_indexes_match_eager_rebuild():
                 ring.add(c)
             assert cx.one_ring(c) == ring, (name, c)
             assert cx.star_tops({c}) == ring, (name, c)
+
+
+def star_tops_by_closure(cx, cellset):
+    """The closed star by walking the closure of the set and uniting the
+    vertex supports of every face in it."""
+    cl = cx.closure(cellset)
+    vs = set()
+    for c in cl:
+        vs |= cx._verts[c]
+    out = set()
+    for v in vs:
+        out.update(cx._vert_tops.get(v, ()))
+    for c in cellset:
+        if cx.cells[c] == cx.top_dim:
+            out.add(c)
+    return out
+
+
+@functools.lru_cache(maxsize=None)
+def named(name):
+    return cxm.named_space(name)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_star_tops_matches_closure_walk(data):
+    cx = named(data.draw(st.sampled_from(NAMED_SPACES)))
+    s = set()
+    for d in range(cx.top_dim + 1):
+        s |= data.draw(st.sets(st.sampled_from(cx.cells_of_dim(d)),
+                               min_size=1, max_size=6))
+    assert cx.star_tops(s) == star_tops_by_closure(cx, s), cx.name
 
 
 def test_builder_counts_and_euler():
