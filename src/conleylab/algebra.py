@@ -1,8 +1,14 @@
 """Homology, cohomology ranks, and the small cup-product lookups.
 
-Two coefficient rings are supported, named "z" and "z2". Both reduce the
-boundary matrices with one scheme: a pivot table keyed by each row's lowest
-column, so a row finds the pivot that clears its lowest entry in O(1).
+Two coefficient rings are supported, named "z" and "z2". A boundary matrix
+whose every row is an edge {u: 1, v: -1}, a half edge {u: +-1} (the other
+end lies in the relative part) or empty is a reduced graph incidence matrix,
+as d1 of every complex the builders make is. It is totally unimodular, so it
+has no torsion, and its rank is that of a spanning forest, found by
+union-find in near-linear time whatever the cell numbering. Over z2 any row
+with at most two odd entries qualifies. Every other matrix, over both rings,
+is reduced with one scheme: a pivot table keyed by each row's lowest column,
+so a row finds the pivot that clears its lowest entry in O(1).
 
 - Over z2 rows are int bitmasks; a row is XORed with the pivot of its low
   bit until that bit has no pivot, then stored as one.
@@ -167,8 +173,53 @@ def _chain_data(cx, rel=None):
     return {d: len(cs) for d, cs in gens.items()}, chains
 
 
+def _graph_edges(chains, ring):
+    """The rows as the ends of graph edges: [u, v] for {u: 1, v: -1} (either
+    sign order), [u] for {u: +-1}, whose other end is the ground node, and []
+    for an empty row. Over z2 the ends are the odd entries. None when some
+    row has another shape."""
+    edges = []
+    for ch in chains:
+        if ring == "z2":
+            ends = [j for j, k in ch.items() if k % 2]
+            if len(ends) > 2:
+                return None
+        else:
+            ends = list(ch)
+            if sorted(ch.values()) not in ([], [-1], [1], [-1, 1]):
+                return None
+        edges.append(ends)
+    return edges
+
+
+def _forest_rank(edges):
+    """Number of edges in a spanning forest, by union-find; a one-ended edge
+    goes to the ground node -1."""
+    parent = {}
+
+    def find(x):
+        while parent.get(x, x) != x:
+            parent[x] = x = parent.get(parent[x], parent[x])
+        return x
+
+    rank = 0
+    for ends in edges:
+        if not ends:
+            continue
+        u = find(ends[0])
+        v = find(ends[1]) if len(ends) == 2 else find(-1)
+        if u != v:
+            parent[u] = v
+            rank += 1
+    return rank
+
+
 def _rank(chains, ring):
-    """Rank and torsion of the matrix whose rows are the given chains."""
+    """Rank and torsion of the matrix whose rows are the given chains:
+    union-find when it is a graph incidence matrix, else the pivot table."""
+    edges = _graph_edges(chains, ring)
+    if edges is not None:
+        return _forest_rank(edges), []
     if ring == "z2":
         return gf2_rank(sum(1 << i for i, k in ch.items() if k % 2)
                         for ch in chains), []

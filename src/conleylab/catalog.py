@@ -3,15 +3,18 @@
 build(name) returns an entry dict with the flow, the attractor candidate k,
 and the expected classification data the test suite pins down. Set the
 CONLEYLAB_CATALOG environment variable to a directory of flow JSON files to
-make external flows available under their file stem.
+make external flows available under their file stem. A file there that
+cannot be read, parsed or built as a flow raises CatalogError with code
+unreadable-input and the file's path.
 """
 
 import os
 
 from . import constructions as cons
-from .complexes import (ConleyError, connected_sum, identity_map,
-                        mapping_torus, sphere, sphere_reflection, torus, klein)
-from .flow import load_file
+from .complexes import (ComplexError, ConleyError, connected_sum,
+                        identity_map, mapping_torus, sphere, sphere_reflection,
+                        torus, klein)
+from .flow import FlowError, load_file
 
 
 class CatalogError(ConleyError):
@@ -253,8 +256,14 @@ def _external_names():
 
 
 def _load_external(name):
-    return load_file(os.path.join(_external_dir(), name + ".json"), name,
-                     error=CatalogError)
+    # a file that cannot be read, parsed or built as a flow is one kind of
+    # failure: unreadable-input, naming the file
+    path = os.path.join(_external_dir(), name + ".json")
+    try:
+        return load_file(path, name, error=CatalogError)
+    except (FlowError, ComplexError) as err:
+        raise CatalogError("unreadable-input", "malformed flow file %s: %s"
+                           % (path, err))
 
 
 def build(name, resolution=None):

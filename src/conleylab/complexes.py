@@ -164,10 +164,6 @@ class CellComplex:
         union of the one-rings of the cells."""
         return set().union(*map(self.one_ring, cellset))
 
-    def shared_faces(self, a, b):
-        """Codim-1 faces shared by top cells a and b."""
-        return set(self.boundary[a]) & set(self.boundary[b])
-
     def euler(self, cellset=None):
         """Euler characteristic of the closure of cellset (whole complex if None)."""
         if cellset is None:

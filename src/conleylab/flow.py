@@ -2,12 +2,19 @@
 
 The transition relation F is total and local (successors stay inside the
 one-ring). P is the exact transpose. Every enclosure is computed by one graph
-kernel: `reach` (breadth-first reachability), `recurrent_cells` (Tarjan's
-strongly connected components) and `trim` (a worklist that peels off cells
-with no successor and/or predecessor left inside a region), each
-O(cells + edges). Limit sets are eventual images: the cells reached by
-arbitrarily long paths from a seed, which is the reach of the recurrent part
-of the seed's reach.
+kernel: `reach` (breadth-first reachability), Tarjan's strongly connected
+components and `trim` (a worklist that peels off cells with no successor
+and/or predecessor left inside a region), each O(cells + edges). Limit sets
+are eventual images: the cells reached by arbitrarily long paths from a
+seed, which is the reach of the recurrent part of the seed's reach.
+
+One Tarjan pass over the whole flow yields its components in reverse
+topological order. It gives `recurrent_cells`, and, read forward for F and
+backward for P, every cell's own eventual image: a cell on a cycle reaches
+its image; any other cell's image is the union of its successors' images.
+The image of a seed is the union of its cells' images, so J+(x) and J-(x)
+are unions over the one-ring of x, with no walk per cell. Relative to a
+region (`within`) the images are walked per seed.
 
 One-rings of top cells are symmetric (a is in the one-ring of b exactly
 when b is in that of a), so the top cells whose one-ring meets a region are
@@ -20,6 +27,7 @@ one-ring.
 import json
 import os
 from collections import deque
+from functools import cached_property
 
 from .complexes import CellComplex, ComplexError, ConleyError
 
@@ -50,6 +58,12 @@ class LimitEnclosure:
 
     def __repr__(self):
         return "LimitEnclosure(%s, %d cells)" % (self.kind, len(self.cells))
+
+
+def _union(sets):
+    """Union of frozensets; when they are all equal, that one set itself."""
+    parts = set(sets)
+    return parts.pop() if len(parts) == 1 else frozenset().union(*parts)
 
 
 class CombinatorialFlow:
@@ -84,7 +98,7 @@ class CombinatorialFlow:
         for c in self.pred:
             self.pred[c] = tuple(sorted(self.pred[c]))
         self.tops = topset
-        self._rec = None
+        self._images = {}
 
     # -- basic structure ----------------------------------------------------
 
@@ -139,17 +153,26 @@ class CombinatorialFlow:
 
     def recurrent_cells(self, within=None):
         """Cells on some F-cycle (self loops included), optionally of the
-        subgraph induced on `within`. Only the whole-flow answer is kept;
-        a cycle inside `within` is a cycle of the flow, so the search for
-        one is confined to the recurrent cells of `within`."""
-        if self._rec is None:
-            self._rec = self._recurrent(None)
+        subgraph induced on `within`. A cycle inside `within` is a cycle of
+        the flow, so that search is confined to the recurrent cells of
+        `within`."""
         if within is None:
             return self._rec
-        return self._recurrent(self._rec.intersection(within))
+        return self._cyclic(self._components(self._rec.intersection(within)))
 
-    def _recurrent(self, within):
-        # iterative Tarjan on the induced subgraph
+    @cached_property
+    def _rec(self):
+        return self._cyclic(self._components(None))
+
+    def _cyclic(self, comps):
+        return frozenset(c for comp in comps
+                         if len(comp) > 1 or comp[0] in self.succ[comp[0]]
+                         for c in comp)
+
+    def _components(self, within):
+        """Strongly connected components of the subgraph induced on `within`
+        (the whole flow when None), by iterative Tarjan. They are yielded in
+        reverse topological order: each after every component it reaches."""
         def outs(c):
             if within is None:
                 return self.succ[c]
@@ -159,7 +182,6 @@ class CombinatorialFlow:
         low = {}
         onstack = set()
         stack = []
-        rec = set()
         counter = [0]
         order = sorted(self.tops if within is None else within)
         for root in order:
@@ -198,11 +220,32 @@ class CombinatorialFlow:
                         comp.append(w)
                         if w == node:
                             break
-                    if len(comp) > 1:
-                        rec.update(comp)
-                    elif comp[0] in outs(comp[0]):
-                        rec.add(comp[0])
-        return frozenset(rec)
+                    yield comp
+
+    def eventual_images(self, direction="f"):
+        """{cell: eventual image of {cell}} for every top cell, from the
+        components in the order that has each after the ones it reaches. A
+        cell on a cycle reaches its component, so its image is its reach;
+        any other cell's image is the union of its successors' images. Equal
+        images are one shared frozenset."""
+        if direction not in self._images:
+            table = self._table(direction)
+            comps = self._components(None)
+            if direction == "p":
+                comps = reversed(list(comps))
+            image = {}
+            shared = {}
+            for comp in comps:
+                c = comp[0]
+                if len(comp) > 1 or c in table[c]:
+                    s = frozenset(self.reach(comp, direction))
+                else:
+                    s = _union(image[d] for d in table[c])
+                s = shared.setdefault(s, s)
+                for c in comp:
+                    image[c] = s
+            self._images[direction] = image
+        return self._images[direction]
 
     def trim(self, region, directions):
         """Largest subset of region in which every cell keeps a successor
@@ -234,19 +277,19 @@ class CombinatorialFlow:
         self._need_cell(x)
         return LimitEnclosure(self.eventual_image({x}, "f"), "omega", self)
 
-    def alpha_limit(self, x):
-        self._need_cell(x)
-        return LimitEnclosure(self.eventual_image({x}, "p"), "alpha", self)
-
     def j_plus(self, x, within=None):
-        seed = self._j_seed(x, within)
-        return LimitEnclosure(self.eventual_image(seed, "f", within),
-                              "jplus", self)
+        return LimitEnclosure(self._j(x, "f", within), "jplus", self)
 
     def j_minus(self, x, within=None):
+        return LimitEnclosure(self._j(x, "p", within), "jminus", self)
+
+    def _j(self, x, direction, within):
+        # the eventual image of a seed is the union of its cells' images
         seed = self._j_seed(x, within)
-        return LimitEnclosure(self.eventual_image(seed, "p", within),
-                              "jminus", self)
+        if within is not None:
+            return self.eventual_image(seed, direction, within)
+        image = self.eventual_images(direction)
+        return _union(image[y] for y in seed)
 
     def _j_seed(self, x, within):
         self._need_cell(x)

@@ -5,9 +5,17 @@ flows meeting its hypotheses. Flows are picked out by properties of the
 complex and of the attractor report, not by name, so external catalog entries
 join the sweeps automatically. A check that matches no instance fails loudly
 rather than passing empty.
+
+`run` hands every check the same population: one `FlowRecord` per catalog
+flow, built on first use and dropped when the run returns. A record derives
+each fact the checks share (the closure of k, its cohomology ranks, the pair
+and section polynomials, the isolating block, the manifold predicates) at
+most once. A catalog file that cannot be read is skipped with a note
+naming it.
 """
 
 import itertools
+from functools import cache, cached_property
 
 from . import algebra, attractor, blocks, catalog, complexes, constructions
 
@@ -45,16 +53,101 @@ class CheckResult:
 
 # -- shared plumbing ----------------------------------------------------------
 
-_BLOCKS = {}
+class FlowRecord:
+    """One catalog flow, its attractor report and the facts the checks derive
+    from them. Each fact is computed on first use and kept as a small value
+    (cell sets, ranks, polynomials, the block), never as a subcomplex, so
+    the record costs little beyond the flow it describes."""
+
+    def __init__(self, entry, rep=None):
+        self.entry = entry
+        self.rep = rep
+        self.name = entry["name"]
+        self.flow = entry["flow"]
+        self.cx = self.flow.cx
+        self.ring = entry["ring"]
+
+    @cached_property
+    def kbar(self):
+        return frozenset(self.cx.closure(self.entry["k"]))
+
+    @cached_property
+    def k_ranks(self):
+        """Cohomology ranks of the closed attractor candidate."""
+        sub = self.cx.subcomplex(self.kbar, name=self.name + ":k")
+        return algebra.cohomology_ranks(sub, ring=self.ring)
+
+    @cached_property
+    def chi_k(self):
+        return self.cx.euler(self.kbar)
+
+    @cached_property
+    def chi_basin(self):
+        return self.cx.euler(self.rep.basin)
+
+    @cached_property
+    def pair_poly(self):
+        """Cohomology polynomial of the ambient complex relative to closed k."""
+        return algebra.poincare_polynomial(self.cx, rel=self.kbar,
+                                           ring=self.ring)
+
+    @cached_property
+    def _block(self):
+        try:
+            return blocks.build_block(self.flow, self.entry["k"])
+        except blocks.NoBlockError as err:
+            return err
+
+    @property
+    def block(self):
+        """The isolating block around k; raises its NoBlockError if none."""
+        if isinstance(self._block, blocks.NoBlockError):
+            raise self._block
+        return self._block
+
+    @cached_property
+    def section_minus(self):
+        return self._section("minus")
+
+    @cached_property
+    def section_plus(self):
+        return self._section("plus")
+
+    def _section(self, side):
+        # Poincare polynomial of the exit (or entry) section of the block
+        blk = self.block
+        faces = blk.nminus_faces if side == "minus" else blk.nplus_faces
+        sub = self.cx.subcomplex(self.cx.closure(set(faces)),
+                                 name="%s:n-%s" % (self.name, side))
+        return algebra.poincare_polynomial(sub, ring=self.ring)
+
+    @cached_property
+    def closed_manifold(self):
+        return self.cx.is_closed_manifold()
+
+    @cached_property
+    def closed_surface(self):
+        return self.cx.top_dim == 2 and self.closed_manifold
+
+    @cached_property
+    def orientable(self):
+        return self.cx.is_orientable()
+
+    @property
+    def unstable(self):
+        return self.rep.stabilization != self.rep.k
 
 
 def _population():
-    """(entry, report) for every catalog flow that analyzes cleanly."""
+    """(records, notes): a record for every catalog flow that analyzes
+    cleanly, and a note for every catalog entry that could not be read."""
     out = []
+    notes = []
     for name in catalog.names():
         try:
             entry = catalog.build(name)
-        except catalog.CatalogError:
+        except catalog.CatalogError as err:
+            notes.append("skipped catalog entry %s: %s" % (name, err))
             continue
         if not entry.get("k") or entry["expected"].get("error"):
             continue
@@ -62,45 +155,12 @@ def _population():
             rep = catalog.analysis(entry["name"], entry["resolution"])
         except (catalog.CatalogError, attractor.NotIsolatedError):
             continue
-        out.append((entry, rep))
-    return out
-
-
-def _block(entry):
-    key = (entry["name"], entry["resolution"])
-    if key not in _BLOCKS:
-        _BLOCKS[key] = blocks.build_block(entry["flow"], entry["k"])
-    return _BLOCKS[key]
-
-
-def _kbar(entry):
-    cx = entry["flow"].cx
-    return cx.closure(entry["k"])
-
-
-def _unstable(rep):
-    return rep.stabilization != rep.k
+        out.append(FlowRecord(entry, rep))
+    return out, notes
 
 
 def _rank_at(ranks, i):
     return ranks[i] if 0 <= i < len(ranks) else 0
-
-
-def pair_polynomial(entry):
-    """Cohomology polynomial of the ambient complex relative to closed k."""
-    cx = entry["flow"].cx
-    return algebra.poincare_polynomial(cx, rel=_kbar(entry),
-                                       ring=entry["ring"])
-
-
-def section_polynomial(entry, side="minus"):
-    """Poincare polynomial of the exit (or entry) section of the block."""
-    blk = _block(entry)
-    faces = blk.nminus_faces if side == "minus" else blk.nplus_faces
-    cx = entry["flow"].cx
-    sub = cx.subcomplex(cx.closure(set(faces)),
-                        name="%s:n-%s" % (entry["name"], side))
-    return algebra.poincare_polynomial(sub, ring=entry["ring"])
 
 
 # -- shape feasibility --------------------------------------------------------
@@ -156,102 +216,95 @@ def shape_obstruction(m_ranks, k_ranks, r, ring="z2"):
 
 
 # -- the checks ---------------------------------------------------------------
+#
+# Each check takes its result and `population`, which returns the records of
+# the catalog flows (built on the first call of a run) and notes on res every
+# catalog entry it skipped.
 
-def _check_thm34(res):
+def _check_thm34(res, population):
     # global attractors with only internal explosions on closed manifolds:
     # the basin pair polynomial is palindromic, equals t * p(n-), and its
     # top coefficient counts the homoclinic components.
-    for entry, rep in _population():
-        cx = entry["flow"].cx
-        if not cx.is_closed_manifold():
+    for f in population(res):
+        if not f.closed_manifold:
             continue
-        if rep.classification != NOEXT or not rep.global_attractor:
+        if f.rep.classification != NOEXT or not f.rep.global_attractor:
             continue
-        d = cx.top_dim
-        p = pair_polynomial(entry)
-        sec = section_polynomial(entry, "minus")
+        d = f.cx.top_dim
+        p = f.pair_poly
+        sec = f.section_minus
         ptxt = algebra.poly_to_string(p)
         ok = algebra.poly_symmetric(p, d)
-        ok = ok and p.get(d, 0) == rep.r
+        ok = ok and p.get(d, 0) == f.rep.r
         ok = ok and algebra.poly_mul_t(sec) == p
-        pinned = entry["expected"].get("pair_poly")
+        pinned = f.entry["expected"].get("pair_poly")
         if pinned is not None:
             ok = ok and ptxt == pinned
         res.case(ok, "%s: p = %s, p(n-) = %s, r = %d"
-                 % (entry["name"], ptxt, algebra.poly_to_string(sec), rep.r))
+                 % (f.name, ptxt, algebra.poly_to_string(sec), f.rep.r))
 
 
-def _check_prop32(res):
+def _check_prop32(res, population):
     # r <= s <= rank H^{d-1}(k) and the higher cohomology of k vanishes.
     best = None
-    for entry, rep in _population():
-        cx = entry["flow"].cx
-        if rep.classification != NOEXT or not _unstable(rep):
+    for f in population(res):
+        rep = f.rep
+        if rep.classification != NOEXT or not f.unstable:
             continue
-        if not (cx.is_closed_manifold() or entry["flow"].meta.get("strips")):
+        if not (f.closed_manifold or f.flow.meta.get("strips")):
             continue
-        d = cx.top_dim
-        sub = cx.subcomplex(_kbar(entry), name=entry["name"] + ":k")
-        ranks = algebra.cohomology_ranks(sub, ring=entry["ring"])
-        bound = _rank_at(ranks, d - 1)
-        vanish = all(r == 0 for r in ranks[d:])
+        d = f.cx.top_dim
+        bound = _rank_at(f.k_ranks, d - 1)
+        vanish = all(r == 0 for r in f.k_ranks[d:])
         ok = rep.r <= rep.s <= bound and vanish
         res.case(ok, "%s: r = %d, s = %d, rank = %d"
-                 % (entry["name"], rep.r, rep.s, bound))
+                 % (f.name, rep.r, rep.s, bound))
         if ok and rep.s == bound and (best is None or bound > best[1]):
-            best = (entry["name"], bound)
+            best = (f.name, bound)
     if best:
         res.note("upper bound attained by %s at rank %d" % best)
 
 
-def _check_cor33(res):
+def _check_cor33(res, population):
     # rank one in degree d-1 pins everything down: one homoclinic
     # component and a basin covering the whole manifold.
-    for entry, rep in _population():
-        cx = entry["flow"].cx
-        if rep.classification != NOEXT or not _unstable(rep):
+    for f in population(res):
+        rep = f.rep
+        if rep.classification != NOEXT or not f.unstable:
             continue
-        if not cx.is_closed_manifold():
+        if not f.closed_manifold:
             continue
-        d = cx.top_dim
-        sub = cx.subcomplex(_kbar(entry), name=entry["name"] + ":k")
-        ranks = algebra.cohomology_ranks(sub, ring=entry["ring"])
-        if _rank_at(ranks, d - 1) != 1:
+        if _rank_at(f.k_ranks, f.cx.top_dim - 1) != 1:
             continue
         ok = rep.global_attractor and rep.r == 1 and rep.s == 1
         res.case(ok, "%s: global = %s, r = %d, s = %d"
-                 % (entry["name"], rep.global_attractor, rep.r, rep.s))
+                 % (f.name, rep.global_attractor, rep.r, rep.s))
 
 
-def _check_thm41(res):
+def _check_thm41(res, population):
     # on closed surfaces an unstable attractor explodes only internally
     # exactly when k and its closed basin have the same Euler number.
-    for entry, rep in _population():
-        cx = entry["flow"].cx
-        if not cx.is_closed_surface() or not _unstable(rep):
+    for f in population(res):
+        if not f.closed_surface or not f.unstable:
             continue
-        if rep.classification == "Unknown":
+        if f.rep.classification == "Unknown":
             continue
-        chi_k = cx.euler(_kbar(entry))
-        chi_b = cx.euler(cx.closure(rep.basin))
-        ok = (rep.classification == NOEXT) == (chi_k == chi_b)
+        ok = (f.rep.classification == NOEXT) == (f.chi_k == f.chi_basin)
         res.case(ok, "%s: %s, chi(k) = %d, chi(basin) = %d"
-                 % (entry["name"], rep.classification, chi_k, chi_b))
+                 % (f.name, f.rep.classification, f.chi_k, f.chi_basin))
 
 
-def _check_thm42(res):
+def _check_thm42(res, population):
     # the first cohomology rank of such an attractor only sees the surface.
-    for entry, rep in _population():
-        cx = entry["flow"].cx
-        if not cx.is_closed_surface() or not _unstable(rep):
+    for f in population(res):
+        if not f.closed_surface or not f.unstable:
             continue
-        if rep.classification != NOEXT:
+        if f.rep.classification != NOEXT:
             continue
-        sub = cx.subcomplex(_kbar(entry), name=entry["name"] + ":k")
-        rank = _rank_at(algebra.cohomology_ranks(sub, ring=entry["ring"]), 1)
-        want = 1 - cx.euler()
+        rank = _rank_at(f.k_ranks, 1)
+        want = 1 - f.cx.euler()
         res.case(rank == want, "%s: rank H^1(k) = %d, 1 - chi = %d"
-                 % (entry["name"], rank, want))
+                 % (f.name, rank, want))
 
 
 def obstruction_report(cx, ring="z2"):
@@ -268,7 +321,7 @@ def obstruction_report(cx, ring="z2"):
             "verdict": verdict}
 
 
-def _check_obstruction(res):
+def _check_obstruction(res, population):
     # cup products on H^1 bound the homoclinic count before any flow is
     # chosen. Spaces with a zero bound admit no such attractor at all.
     spaces = [
@@ -288,24 +341,23 @@ def _check_obstruction(res):
         rec = obstruction_report(cx, ring)
         res.case(rec["r_max"] == want,
                  "%s over %s: %s" % (label, ring, rec["verdict"]))
-    for entry, rep in _population():
-        cx = entry["flow"].cx
-        if not cx.is_closed_surface() or not cx.meta.get("cup"):
+    records = population(res)
+    for f in records:
+        if not f.closed_surface or not f.cx.meta.get("cup"):
             continue
-        if rep.classification != NOEXT or not _unstable(rep):
+        if f.rep.classification != NOEXT or not f.unstable:
             continue
-        rmax = algebra.max_null_system(algebra.cup_form_h1(cx, "z2"), "z2")
-        res.case(rep.r <= rmax, "%s: r = %d within bound %d"
-                 % (entry["name"], rep.r, rmax))
-    for entry, rep in _population():
-        cx = entry["flow"].cx
-        if cx.is_closed_surface() and cx.euler() == 2 and _unstable(rep):
-            res.case(rep.classification != NOEXT,
+        rmax = algebra.max_null_system(algebra.cup_form_h1(f.cx, "z2"), "z2")
+        res.case(f.rep.r <= rmax, "%s: r = %d within bound %d"
+                 % (f.name, f.rep.r, rmax))
+    for f in records:
+        if f.closed_surface and f.cx.euler() == 2 and f.unstable:
+            res.case(f.rep.classification != NOEXT,
                      "%s on the sphere: %s, as the zero bound demands"
-                     % (entry["name"], rep.classification))
+                     % (f.name, f.rep.classification))
 
 
-def _check_ex35(res):
+def _check_ex35(res, population):
     # a sphere-shaped attractor in the three-torus cannot avoid external
     # explosions: exactness forces a1 = 3 against a3 = r = 1.
     data = shape_obstruction([1, 3, 3, 1], [1, 0, 1, 0], 1)
@@ -317,7 +369,7 @@ def _check_ex35(res):
              "a1 = 3, never a1 = r = 1)" % data["verdict"])
 
 
-def _check_ex37(res):
+def _check_ex37(res, population):
     # a projective-plane shaped attractor in RP^2 x S^1 passes every test
     # the invariants can make, with the pinned polynomial pair.
     data = shape_obstruction([1, 2, 2, 1], [1, 1, 1, 0], 1, ring="z2")
@@ -332,31 +384,29 @@ def _check_ex37(res):
     res.note("the invariants leave existence open either way")
 
 
-def _check_cor58(res):
+def _check_cor58(res, population):
     # flows on planar complexes: every catalog attractor there is stable,
     # matching the vanishing cup bound for subsets of the plane.
-    for entry, rep in _population():
-        if entry["flow"].meta.get("family") != "planar":
+    for f in population(res):
+        if f.flow.meta.get("family") != "planar":
             continue
-        cx = entry["flow"].cx
-        chi_k = cx.euler(_kbar(entry))
-        chi_b = cx.euler(cx.closure(rep.basin))
-        ok = rep.classification == "Stable" and chi_k == chi_b
+        ok = f.rep.classification == "Stable" and f.chi_k == f.chi_basin
         res.case(ok, "%s: %s, chi(k) = %d = chi(basin) = %d"
-                 % (entry["name"], rep.classification, chi_k, chi_b))
+                 % (f.name, f.rep.classification, f.chi_k, f.chi_basin))
     res.note("no planar catalog flow carries an unstable attractor")
 
 
-def _check_thm59(res):
+def _check_thm59(res, population):
     # collar flows around a two-sided non-separating hypersurface produce
     # unstable attractors with internal explosions only. On the sphere no
     # such hypersurface exists and the construction must refuse.
-    for entry, rep in _population():
-        if entry["flow"].meta.get("family") != "hypersurface":
+    for f in population(res):
+        if f.flow.meta.get("family") != "hypersurface":
             continue
-        ok = rep.classification == NOEXT and _unstable(rep) and rep.r >= 1
+        rep = f.rep
+        ok = rep.classification == NOEXT and f.unstable and rep.r >= 1
         res.case(ok, "%s: %s, r = %d, s = %d"
-                 % (entry["name"], rep.classification, rep.r, rep.s))
+                 % (f.name, rep.classification, rep.r, rep.s))
     sp = complexes.sphere(4, 8)
     z = {"eh:2,%d" % l for l in range(8)}
     try:
@@ -367,7 +417,7 @@ def _check_thm59(res):
                  "sphere equator refused with %r" % err.code)
 
 
-def _check_thm61(res):
+def _check_thm61(res, population):
     # twisted and untwisted bundles over the circle carry the same
     # attractor fingerprint; only the ambient homology separates them.
     # dim 2: torus against klein bottle. dim 3: the two sphere bundles.
@@ -378,73 +428,70 @@ def _check_thm61(res):
         (3, False): ((1, 1, 0, 0), 2, "t^3 + t", {0: 1, 2: 1}),
     }
     seen = set()
-    for entry, rep in _population():
-        cx = entry["flow"].cx
-        if not cx.meta.get("mapping_torus") or not cx.is_closed_manifold():
+    for f in population(res):
+        if not f.cx.meta.get("mapping_torus") or not f.closed_manifold:
             continue
-        if rep.classification != NOEXT or not rep.global_attractor:
+        if f.rep.classification != NOEXT or not f.rep.global_attractor:
             continue
-        key = (cx.top_dim, cx.is_orientable())
+        key = (f.cx.top_dim, f.orientable)
         if key not in want:
             continue
         ranks, tordeg, ptxt, secpoly = want[key]
-        hom = algebra.homology(cx, ring="z")
+        hom = algebra.homology(f.cx, ring="z")
         ok = tuple(h["rank"] for h in hom) == ranks
         for d, h in enumerate(hom):
             if tordeg is not None and d == tordeg:
                 ok = ok and h["torsion"] == [2]
             else:
                 ok = ok and not h["torsion"]
-        ok = ok and rep.r == 1
-        p = algebra.poly_to_string(pair_polynomial(entry))
+        ok = ok and f.rep.r == 1
+        p = algebra.poly_to_string(f.pair_poly)
         ok = ok and p == ptxt
-        for side in ("minus", "plus"):
-            ok = ok and section_polynomial(entry, side) == secpoly
+        ok = ok and f.section_minus == secpoly and f.section_plus == secpoly
         seen.add(key)
         tag = "untwisted" if key[1] else "twisted"
         res.case(ok, "%s (%s, dim %d): H_* ranks %s, p = %s"
-                 % (entry["name"], tag, key[0],
+                 % (f.name, tag, key[0],
                     list(h["rank"] for h in hom), p))
     for d in (2, 3):
         if (d, True) in seen and (d, False) in seen:
             res.note("dim %d pair separated by ambient homology alone" % d)
 
 
-def _check_lemma31(res):
+def _check_lemma31(res, population):
     # Lefschetz duality on the block: H^k(n, boundary) matches H_{2-k}(n)
     # with mod 2 coefficients on closed orientable surfaces.
-    for entry, rep in _population():
-        cx = entry["flow"].cx
-        if not cx.is_closed_surface() or not cx.is_orientable():
+    for f in population(res):
+        if not f.closed_surface or not f.orientable:
             continue
         try:
-            blk = _block(entry)
+            blk = f.block
         except blocks.NoBlockError:
             continue
         sub = blocks.block_subcomplex(blk)
-        rim = cx.closure(set(blk.boundary_faces()))
+        rim = f.cx.closure(set(blk.boundary_faces()))
         co = algebra.cohomology_ranks(sub, ring="z2", rel=rim)
         ho = [h["rank"] for h in algebra.homology(sub, ring="z2")]
         ok = all(_rank_at(co, k) == _rank_at(ho, 2 - k) for k in range(3))
         res.case(ok, "%s: rel ranks %s, dual ranks %s"
-                 % (entry["name"], co, list(reversed(ho))))
+                 % (f.name, co, list(reversed(ho))))
 
 
-def _check_lemma71(res):
+def _check_lemma71(res, population):
     # the pair polynomial is an invariant of the flow, not of the grid:
     # rebuilding the same recipe twice as fine leaves it unchanged.
     for name in ("example22-torus", "example22-klein", "example22-circle",
                  "north-south"):
         fn, default, minimum = catalog._RECIPES[name]
-        coarse = catalog.build(name, minimum)
-        fine = catalog.build(name, 2 * minimum)
-        p1 = algebra.poly_to_string(pair_polynomial(coarse))
-        p2 = algebra.poly_to_string(pair_polynomial(fine))
+        coarse = FlowRecord(catalog.build(name, minimum))
+        fine = FlowRecord(catalog.build(name, 2 * minimum))
+        p1 = algebra.poly_to_string(coarse.pair_poly)
+        p2 = algebra.poly_to_string(fine.pair_poly)
         res.case(p1 == p2, "%s: %s at resolution %d and %d"
                  % (name, p1, minimum, 2 * minimum))
 
 
-def _check_lemma72(res):
+def _check_lemma72(res, population):
     # product with an interval relative to its ends shifts homology up one
     # degree, torsion included.
     for x, ring in ((complexes.point(), "z"), (complexes.circle(8), "z"),
@@ -460,57 +507,61 @@ def _check_lemma72(res):
                  (x.name, [h["rank"] for h in pair]))
 
 
-def _check_conley_euler(res):
+def _check_conley_euler(res, population):
     # chi(n) - chi(exit set) recovers the Euler number of the attractor on
     # every closed surface in the catalog that admits a block.
-    for entry, rep in _population():
-        cx = entry["flow"].cx
-        if not cx.is_closed_surface():
+    for f in population(res):
+        if not f.closed_surface:
             continue
         try:
-            blk = _block(entry)
+            blk = f.block
         except blocks.NoBlockError:
             continue
         ce = blocks.conley_euler(blk)
-        chi = cx.euler(_kbar(entry))
-        res.case(ce == chi, "%s: index pair gives %d, chi(k) = %d"
-                 % (entry["name"], ce, chi))
+        res.case(ce == f.chi_k, "%s: index pair gives %d, chi(k) = %d"
+                 % (f.name, ce, f.chi_k))
 
 
-def _check_jduality(res):
+def _check_jduality(res, population):
     # the prolongational sets come in a dual pair: y lies in the forward
     # set of x exactly when x lies in the backward set of y. Checked on
     # every ordered pair of top cells.
-    for entry, rep in _population():
-        flow = entry["flow"]
-        tops = sorted(flow.tops)
-        if len(tops) > 2000:
-            res.note("%s skipped at %d top cells" % (entry["name"],
-                                                     len(tops)))
+    for f in population(res):
+        flow = f.flow
+        n = len(flow.tops)
+        if n > 2000:
+            res.note("%s skipped at %d top cells" % (f.name, n))
             continue
-        bad = jduality_violations(flow.j_plus, flow.j_minus, tops)
+        bad = jduality_violations(flow.cx, flow.eventual_images("f"),
+                                  flow.eventual_images("p"))
         res.case(bad == 0, "%s: %d pairs, %d violations"
-                 % (entry["name"], len(tops) ** 2, bad))
+                 % (f.name, n ** 2, bad))
 
 
-def jduality_violations(j_plus, j_minus, tops):
-    """Ordered pairs (x, y) of top cells where j_plus(x) touches y but
-    j_minus(y) does not touch x, or the reverse; `tops` lists every top cell.
-    For each x the cells j_plus(x) touches are compared with dual[x], the
-    cells y whose j_minus(y) touches x. Both sides come from the enclosures
-    of every cell, and each distinct enclosure is expanded once."""
-    touched = {}
+def jduality_violations(cx, plus, minus):
+    """Ordered pairs (x, y) of top cells where J+(x) touches y but J-(y) does
+    not touch x, or the reverse. `plus` and `minus` map every top cell to its
+    forward and backward eventual image, and J+(x), J-(x) are the unions of
+    those images over the one-ring of x.
 
-    def touching(enc):
-        if enc.cells not in touched:
-            touched[enc.cells] = enc.flow.touching(enc.cells)
-        return touched[enc.cells]
+    For each x the cells J+(x) touches are compared with dual[x], the cells
+    y whose J-(y) touches x. Touching distributes over unions, so each
+    distinct image is expanded once."""
+    expanded = {}
 
+    def touching(images, x):
+        parts = {images[y] for y in cx.one_ring(x)}
+        for img in parts:
+            if img not in expanded:
+                expanded[img] = cx.star_tops(img)
+        return set().union(*(expanded[img] for img in parts))
+
+    tops = cx.top_cells()
     dual = {x: set() for x in tops}
     for y in tops:
-        for x in touching(j_minus(y)):
+        for x in touching(minus, y):
             dual[x].add(y)
-    return sum(len(touching(j_plus(x)) ^ dual[x]) for x in tops)
+    return sum(len(touching(plus, x) ^ dual[x]) for x in tops)
 
 
 _REGISTRY = [
@@ -548,13 +599,14 @@ def run(only=None):
         for w in wanted:
             if w not in known:
                 raise TheoremError("unknown-check", "no check named %r" % w)
+    population = _members()
     out = []
     for cid, title, fn in _REGISTRY:
         if cid not in wanted:
             continue
         res = CheckResult(cid, title)
         try:
-            fn(res)
+            fn(res, population)
         except Exception as err:   # a crash is a failure, not a skip
             res.status = "fail"
             res.note("crashed: %s" % err)
@@ -563,3 +615,16 @@ def run(only=None):
             res.note("no instance matched the hypotheses")
         out.append(res)
     return out
+
+
+def _members():
+    """The `population` one run hands its checks: the records are built on
+    the first call and dropped with the run."""
+    built = cache(_population)
+
+    def population(res):
+        records, notes = built()
+        for text in notes:
+            res.note(text)
+        return records
+    return population

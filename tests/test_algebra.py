@@ -182,6 +182,26 @@ def sweep_homology(cx, ring="z", rel=None):
             for d in range(cx.top_dim + 1)]
 
 
+def kernel_rank(chains, ring):
+    """Rank and torsion from the pivot-table kernel alone, without the
+    union-find path for graph-shaped matrices."""
+    if ring == "z2":
+        return algebra.gf2_rank(sum(1 << i for i, k in ch.items() if k % 2)
+                                for ch in chains), []
+    return algebra.smith_normal_form(chains)
+
+
+def kernel_homology(cx, ring="z", rel=None):
+    """homology() with every boundary matrix sent to the pivot-table kernel."""
+    sizes, chains = algebra._chain_data(cx, rel=rel)
+    ranks, torsions = {}, {}
+    for d, rows in chains.items():
+        ranks[d], torsions[d] = kernel_rank(rows, ring)
+    return [{"rank": sizes[d] - ranks.get(d, 0) - ranks.get(d + 1, 0),
+             "torsion": torsions.get(d + 1, [])}
+            for d in range(cx.top_dim + 1)]
+
+
 def prime_powers(factors):
     """Sorted prime-power divisors of the group sum of Z/f for f in
     factors; two lists name the same group exactly when these agree."""
@@ -331,6 +351,52 @@ def test_smith_normal_form_matches_determinantal_divisors(m):
 @given(st.lists(st.integers(0, (1 << 12) - 1), max_size=14))
 def test_gf2_rank_matches_sweep(rows):
     assert algebra.gf2_rank(rows) == gf2_rank_sweep(rows)
+
+
+NCOLS = 8
+column = st.integers(0, NCOLS - 1)
+sign = st.sampled_from([1, -1])
+# rows of a reduced graph incidence matrix: an edge, a half edge whose
+# other end lies in the relative part, or nothing
+graph_rows = st.one_of(
+    st.tuples(column, column, sign).filter(lambda t: t[0] != t[1])
+    .map(lambda t: {t[0]: t[2], t[1]: -t[2]}),
+    st.tuples(column, sign).map(lambda t: {t[0]: t[1]}),
+    st.just({}))
+# rows that send the matrix to the pivot table over z
+fallback_rows = st.one_of(
+    st.tuples(column, column).filter(lambda t: t[0] != t[1])
+    .map(lambda t: {t[0]: 1, t[1]: 1}),
+    st.tuples(column, st.sampled_from([2, -2, 3])).map(lambda t: {t[0]: t[1]}),
+    st.lists(column, min_size=3, max_size=3, unique=True)
+    .map(lambda cs: {cs[0]: 1, cs[1]: -1, cs[2]: 1}))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(graph_rows, max_size=14))
+def test_union_find_rank_matches_kernel(rows):
+    for ring in algebra.RINGS:
+        assert algebra._graph_edges(rows, ring) is not None
+        assert algebra._rank(rows, ring) == kernel_rank(rows, ring), ring
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(graph_rows, max_size=12), fallback_rows, st.integers(0, 12))
+def test_rank_falls_back_to_kernel_on_other_rows(rows, extra, at):
+    rows = rows[:at] + [extra] + rows[at:]
+    assert algebra._graph_edges(rows, "z") is None
+    for ring in algebra.RINGS:
+        assert algebra._rank(rows, ring) == kernel_rank(rows, ring), ring
+
+
+def test_homology_of_named_spaces_matches_kernel():
+    # the builders' own cell ids: d1 is graph-shaped and takes union-find
+    for name in NAMED_SPACES:
+        for res in (None, 8):
+            cx = cxm.named_space(name, res)
+            for ring in algebra.RINGS:
+                assert algebra.homology(cx, ring) == \
+                    kernel_homology(cx, ring), (name, res, ring)
 
 
 def test_gf2_rank():

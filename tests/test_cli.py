@@ -1,5 +1,6 @@
 import json
 import os
+import pathlib
 import subprocess
 import sys
 
@@ -106,6 +107,30 @@ def test_verify_unknown_id(capsys):
 def test_verify_full_suite(capsys):
     assert cli.main(["verify"]) == 0
     assert "result: 16/16 checks passed" in capsys.readouterr().out
+
+
+def test_verify_json_matches_pinned_output(monkeypatch, capsys):
+    monkeypatch.delenv("CONLEYLAB_CATALOG", raising=False)
+    want = (pathlib.Path(__file__).parent / "data" / "verify.json").read_bytes()
+    assert cli.main(["verify", "--format", "json"]) == 0
+    assert capsys.readouterr().out.encode() == want
+
+
+def test_verify_skips_unreadable_catalog_files_with_a_note(
+        tmp_path, monkeypatch, capsys):
+    body = catalog.build("example22-circle")["flow"].to_json()
+    body["successors"] = {}
+    (tmp_path / "nosucc.json").write_text(json.dumps(body))
+    (tmp_path / "notjson.json").write_text("not json")
+    monkeypatch.setenv("CONLEYLAB_CATALOG", str(tmp_path))
+    assert cli.main(["verify", "--format", "json"]) == 0
+    results = json.loads(capsys.readouterr().out)
+    assert [r["status"] for r in results] == ["pass"] * 16
+    notes = [d for r in results for d in r["details"] if d.startswith("note ")]
+    for name in ("nosucc.json", "notjson.json"):
+        assert any(name in n for n in notes), name
+        assert cli.main(["analyze", "catalog:" + name[:-5]]) == 1
+        assert "error[unreadable-input]" in capsys.readouterr().err
 
 
 def test_plot_csv_row_per_top_cell(capsys):

@@ -100,6 +100,50 @@ def test_iterate_matches_scc_image():
                     iterated_image(fl, seed, d, within), (name, x, d)
 
 
+def test_j_enclosures_match_per_seed_images():
+    # j_plus/j_minus take unions of per-cell images from one SCC pass; the
+    # per-seed walk over the one-ring is the reference
+    for name, fl, k in catalog_flows():
+        for x in sorted(fl.tops):
+            seed = fl.one_ring(x)
+            assert fl.j_plus(x).cells == fl.eventual_image(seed, "f"), \
+                (name, x)
+            assert fl.j_minus(x).cells == fl.eventual_image(seed, "p"), \
+                (name, x)
+
+
+@functools.lru_cache(maxsize=None)
+def small_complexes():
+    return [cxm.circle(3), cxm.circle(7), cxm.circle(12), cxm.torus(3, 3)]
+
+
+@st.composite
+def small_flows(draw):
+    """Local flows on small complexes. Few successors per cell give chains
+    of recurrent components joined by transient cells, and self loops."""
+    cx = draw(st.sampled_from(small_complexes()))
+    succ = {c: draw(st.lists(st.sampled_from(sorted(cx.one_ring(c))),
+                             min_size=1, max_size=3))
+            for c in cx.top_cells()}
+    return flm.CombinatorialFlow(cx, succ)
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_flows())
+def test_scc_images_match_set_iteration(fl):
+    on_cycle = {c for c in fl.tops if c in fl.reach(fl.succ[c])}
+    assert fl.recurrent_cells() == on_cycle
+    for d in ("f", "p"):
+        images = fl.eventual_images(d)
+        assert set(images) == fl.tops
+        for x in fl.tops:
+            assert images[x] == iterated_image(fl, {x}, d), (x, d)
+    for x in fl.tops:
+        seed = fl.one_ring(x)
+        assert fl.j_plus(x).cells == iterated_image(fl, seed, "f"), x
+        assert fl.j_minus(x).cells == iterated_image(fl, seed, "p"), x
+
+
 def test_trim_matches_sweep_loop():
     for name, fl, k in catalog_flows():
         if not k:

@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import pytest
 
 from conleylab import complexes as cxm, flow as flm, theorems
@@ -9,6 +12,13 @@ def pairwise_jduality_violations(j_plus, j_minus, tops):
     jm = {x: j_minus(x) for x in tops}
     return sum(1 for x in tops for y in tops
                if jp[x].touches(y) != jm[y].touches(x))
+
+
+def per_seed(fl, direction, kind):
+    """J+ (direction "f") or J- ("p") of each cell by its own walk from its
+    one-ring, without the shared per-cell images."""
+    return lambda x: flm.LimitEnclosure(
+        fl.eventual_image(fl.one_ring(x), direction), kind, fl)
 
 
 def test_registry_order():
@@ -79,7 +89,6 @@ def test_shape_obstruction_consistent():
 def test_empty_population_fails_instead_of_passing(monkeypatch):
     from conleylab import catalog
     monkeypatch.setattr(catalog, "names", lambda: [])
-    monkeypatch.setattr(theorems, "_BLOCKS", {})
     r = theorems.run(only="thm4.1")[0]
     assert r.status == "fail"
     assert any("no instance matched" in line for line in r.details)
@@ -87,18 +96,46 @@ def test_empty_population_fails_instead_of_passing(monkeypatch):
 
 def test_jduality_count_matches_pairwise_oracle():
     skewed = []
-    for entry, rep in theorems._population():
-        fl = entry["flow"]
+    records, notes = theorems._population()
+    assert records and not notes
+    for f in records:
+        fl = f.flow
         tops = sorted(fl.tops)
-        assert theorems.jduality_violations(fl.j_plus, fl.j_minus, tops) \
-            == pairwise_jduality_violations(fl.j_plus, fl.j_minus, tops) \
-            == 0, entry["name"]
+        plus, minus = per_seed(fl, "f", "jplus"), per_seed(fl, "p", "jminus")
+        assert theorems.jduality_violations(
+            fl.cx, fl.eventual_images("f"), fl.eventual_images("p")) \
+            == pairwise_jduality_violations(plus, minus, tops) == 0, f.name
         # J+ of the flow against J- of the rest flow on the same complex,
         # and the reverse, break the duality on many pairs
         rest = flm.rest_flow(fl.cx)
-        for jp, jm in ((fl.j_plus, rest.j_minus), (rest.j_plus, fl.j_minus)):
-            bad = theorems.jduality_violations(jp, jm, tops)
-            assert bad == pairwise_jduality_violations(jp, jm, tops), \
-                entry["name"]
+        for a, b in ((fl, rest), (rest, fl)):
+            bad = theorems.jduality_violations(
+                fl.cx, a.eventual_images("f"), b.eventual_images("p"))
+            assert bad == pairwise_jduality_violations(
+                per_seed(a, "f", "jplus"), per_seed(b, "p", "jminus"),
+                tops), f.name
             skewed.append(bad)
     assert min(skewed) > 0
+
+
+def test_runs_agree_and_leave_no_module_state(monkeypatch):
+    def containers():
+        return {k: len(v) for k, v in vars(theorems).items()
+                if isinstance(v, (dict, list, set)) and not k.startswith("__")}
+
+    made = []
+
+    class Tracked(theorems.FlowRecord):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(weakref.ref(self))
+
+    monkeypatch.setattr(theorems, "FlowRecord", Tracked)
+    before = containers()
+    first = [r.to_json() for r in theorems.run()]
+    second = [r.to_json() for r in theorems.run()]
+    assert first == second
+    # the registry is the one module-level container, and it is unchanged
+    assert containers() == before == {"_REGISTRY": 16}
+    gc.collect()
+    assert made and all(ref() is None for ref in made)
