@@ -20,7 +20,7 @@ _EXPORTS = {
                   "analyze", "classify"),
     "blocks": ("BlockError", "IsolatingBlock", "NoBlockError", "build_block",
                "conley_euler", "section_components"),
-    "catalog": ("CatalogError", "analysis", "build", "names", "refine_flow"),
+    "catalog": ("CatalogError", "analysis", "build", "names"),
     "complexes": ("CellComplex", "CellMap", "ComplexError", "ConleyError"),
     "constructions": ("ConstructionError",),
     "flow": ("CombinatorialFlow", "FlowError", "LimitEnclosure", "rest_flow"),

@@ -1,18 +1,24 @@
 """Named flow catalog.
 
-build(name) returns an entry dict with the flow, the attractor candidate k,
-and the expected classification data the test suite pins down. Set the
-CONLEYLAB_CATALOG environment variable to a directory of flow JSON files to
-make external flows available under their file stem. A file there that
-cannot be read, parsed or built as a flow raises CatalogError with code
-unreadable-input and the file's path.
+build(name, resolution) returns an entry dict with the flow, the attractor
+candidate k, and the expected classification data the test suite pins down.
+Built-in entries are cached by (name, resolution), and an entry is the one
+way a flow is shared or rebuilt: a recipe that extends another entry (the
+strip recipes, the two-cycle genus-two flow) gets it from `build`, and the
+CLI's `--refine` asks `build` for twice the resolution.
+
+Set the CONLEYLAB_CATALOG environment variable to a directory of flow JSON
+files to make external flows available under their file stem. They are read
+afresh on every call, have resolution None and so never refine. A file
+there that cannot be read, parsed or built as a flow raises CatalogError
+with code unreadable-input and the file's path.
 """
 
 import os
 
 from . import constructions as cons
-from .complexes import (ComplexError, ConleyError, connected_sum,
-                        identity_map, mapping_torus, sphere, sphere_reflection,
+from .complexes import (ComplexError, ConleyError, identity_map,
+                        mapping_torus, named_space, sphere, sphere_reflection,
                         torus, klein)
 from .flow import FlowError, load_file
 
@@ -22,7 +28,6 @@ class CatalogError(ConleyError):
 
 
 _CACHE = {}
-_ANALYSIS_CACHE = {}
 
 
 def _expect(classification, r=None, s=None, global_=None, error=None,
@@ -39,6 +44,12 @@ def _expect(classification, r=None, s=None, global_=None, error=None,
     if pair_poly is not None:
         out["pair_poly"] = pair_poly
     return out
+
+
+def _strip(name, res):
+    """(flow, k) of the catalog entry `name` with one more uniform strip."""
+    entry = build(name, res)
+    return cons.add_uniform_component(entry["flow"], entry["k"])
 
 
 def _example22_torus(res):
@@ -93,8 +104,7 @@ def _ns_annulus(res):
 
 
 def _ns_annulus_strip(res):
-    flow, k = cons.ns_annulus(4, res)
-    flow, k = cons.add_uniform_component(flow, k)
+    flow, k = _strip("ns-annulus", res)
     return flow, k, _expect("Stable", 0, 2, False), "z"
 
 
@@ -113,12 +123,6 @@ def _hypersurface_torus(res):
                             pair_poly="t^2 + t"), "z"
 
 
-def _genus2(res):
-    mid = res // 2
-    cell = "e:%d@e%d" % (mid, mid)
-    return connected_sum(torus(res, res), torus(res, res), cell, cell)
-
-
 def _genus2_targets(res):
     return [
         {"edges": ["a:e:%d@v3" % l for l in range(res)],
@@ -128,8 +132,8 @@ def _genus2_targets(res):
     ]
 
 
-def _hypersurface_genus2(res):
-    cx = _genus2(res)
+def _hypersurface_genus2_one(res):
+    cx = named_space("genus2", res)
     z = ["a:e:%d@v%d" % (l, res - 2) for l in range(res)]
     flow, k = cons.hypersurface_flow(cx, z, name="hypersurface-genus2")
     flow.meta["strip_targets"] = _genus2_targets(res)
@@ -138,7 +142,7 @@ def _hypersurface_genus2(res):
 
 
 def _hypersurface_genus2_two(res):
-    cx = _genus2(res)
+    cx = build("hypersurface-genus2", res)["flow"].cx
     z = (["a:e:%d@v%d" % (l, res - 2) for l in range(res)] +
          ["b:e:%d@v%d" % (l, res - 2) for l in range(res)])
     flow, k = cons.hypersurface_flow(cx, z, name="hypersurface-genus2-two")
@@ -147,16 +151,13 @@ def _hypersurface_genus2_two(res):
 
 
 def _hypersurface_genus2_strip(res):
-    flow, k, _, ring = _hypersurface_genus2(res)
-    flow, k = cons.add_uniform_component(flow, k)
-    return flow, k, _expect("NoExternalExplosions", 1, 2, False), ring
+    flow, k = _strip("hypersurface-genus2", res)
+    return flow, k, _expect("NoExternalExplosions", 1, 2, False), "z"
 
 
 def _hypersurface_genus2_strip2(res):
-    flow, k, _, ring = _hypersurface_genus2(res)
-    flow, k = cons.add_uniform_component(flow, k)
-    flow, k = cons.add_uniform_component(flow, k)
-    return flow, k, _expect("NoExternalExplosions", 1, 3, False), ring
+    flow, k = _strip("hypersurface-genus2-strip", res)
+    return flow, k, _expect("NoExternalExplosions", 1, 3, False), "z"
 
 
 def _planar_disc(res):
@@ -192,7 +193,7 @@ _RECIPES = {
     "ns-annulus-strip": (_ns_annulus_strip, 12, 4),
     "homoclinic-sphere": (_homoclinic_sphere, 12, 8),
     "hypersurface-torus": (_hypersurface_torus, 12, 8),
-    "hypersurface-genus2": (_hypersurface_genus2, 8, 8),
+    "hypersurface-genus2": (_hypersurface_genus2_one, 8, 8),
     "hypersurface-genus2-two": (_hypersurface_genus2_two, 8, 8),
     "hypersurface-genus2-strip": (_hypersurface_genus2_strip, 8, 8),
     "hypersurface-genus2-strip2": (_hypersurface_genus2_strip2, 8, 8),
@@ -200,40 +201,6 @@ _RECIPES = {
     "planar-annulus": (_planar_annulus, 8, 4),
     "capped-annulus": (_capped_annulus, 10, 6),
     "rest-torus": (_rest_torus, 8, 3),
-}
-
-
-def _band_div(cid, factor):
-    base, band = cid.rsplit("@e", 1)
-    return base, int(band) // factor
-
-
-def _proj_torus(cid, factor):
-    base, band = _band_div(cid, factor)
-    pos = int(base.split(":")[1])
-    return "e:%d@e%d" % (pos // factor, band)
-
-
-def _proj_band_only(cid, factor):
-    base, band = _band_div(cid, factor)
-    return "%s@e%d" % (base, band)
-
-
-def _proj_sphere(cid, factor):
-    if cid.startswith("cap:"):
-        return cid
-    r, l = cid[2:].split(",")
-    return "f:%d,%d" % (int(r) // factor, int(l) // factor)
-
-
-_PROJECTIONS = {
-    "example22-torus": _proj_torus,
-    "example22-klein": _proj_torus,
-    "example22-circle": _proj_band_only,
-    "example22-s2xs1": _proj_band_only,
-    "example22-s2xts1": _proj_band_only,
-    "north-south": _proj_sphere,
-    "homoclinic-sphere": _proj_sphere,
 }
 
 
@@ -282,8 +249,6 @@ def build(name, resolution=None):
     if key not in _CACHE:
         flow, k, expected, ring = fn(res)
         flow.meta["recipe"] = {"name": name, "resolution": res}
-        if k:
-            flow.meta["k"] = sorted(k)
         _CACHE[key] = {"name": name, "resolution": res, "flow": flow,
                        "k": sorted(k) if k else None, "expected": expected,
                        "ring": ring}
@@ -291,34 +256,10 @@ def build(name, resolution=None):
 
 
 def analysis(name, resolution=None):
-    """Cached attractor report for a catalog entry with a candidate."""
+    """Attractor report for a catalog entry with a candidate."""
     from . import attractor
     entry = build(name, resolution)
-    key = (entry["name"], entry["resolution"])
-    if key not in _ANALYSIS_CACHE:
-        if not entry["k"]:
-            raise CatalogError("no-candidate",
-                               "%s carries no attractor candidate" % name)
-        _ANALYSIS_CACHE[key] = attractor.analyze(entry["flow"], entry["k"])
-    return _ANALYSIS_CACHE[key]
-
-
-def refine_flow(flow, factor=2):
-    """Rebuild a recipe flow at finer resolution.
-
-    Returns (entry, projection) where projection maps fine top cells onto
-    the coarse ones, or None when the family has no cell-wise projection."""
-    recipe = flow.meta.get("recipe")
-    if not recipe or recipe.get("name") not in _RECIPES:
-        from .flow import FlowError
-        raise FlowError("refine-unsupported", "flow lacks refinement rule")
-    if factor < 1 or int(factor) != factor:
-        raise CatalogError("bad-resolution", "factor must be a positive int")
-    name = recipe["name"]
-    res = recipe["resolution"] * int(factor)
-    entry = build(name, res)
-    projfn = _PROJECTIONS.get(name)
-    proj = None
-    if projfn is not None:
-        proj = {c: projfn(c, int(factor)) for c in entry["flow"].tops}
-    return entry, proj
+    if not entry["k"]:
+        raise CatalogError("no-candidate",
+                           "%s carries no attractor candidate" % name)
+    return attractor.analyze(entry["flow"], entry["k"])

@@ -5,6 +5,12 @@ the directory named by CONLEYLAB_CATALOG) or the path of a flow file such as
 the ones `construct` writes. Output bytes are deterministic for a fixed
 input so runs can be diffed.
 
+`--refine N` rebuilds a built-in catalog entry at twice its resolution, up
+to N times, while the verdict is Unknown. A file or an external catalog
+entry has no resolution and is analysed as it stands: a `recipe` it carries
+is provenance, never a flow to substitute. `construct NAME --resolution R`
+output refines as `catalog:NAME --resolution R`.
+
 Each command imports the layers it calls inside its own function, so a call
 loads only what its command runs: `analyze FILE` never compiles the
 catalog, the checks or the plotting code.
@@ -51,26 +57,22 @@ def _json_dumps(payload):
 # -- analyze -------------------------------------------------------------------
 
 def _analyze(entry, max_refines):
+    """(report, refinements, the entry the report describes)."""
     from . import attractor
-    flow, k = entry["flow"], entry["k"]
-    if not k:
-        from . import catalog
-        raise catalog.CatalogError("no-candidate",
-                                   "%s carries no attractor candidate"
-                                   % entry["name"])
-    report = attractor.analyze(flow, k)
+    if not entry["k"]:
+        raise FlowError("no-candidate", "%s carries no attractor candidate"
+                        % entry["name"])
+    report = attractor.analyze(entry["flow"], entry["k"])
     refines = 0
     while report.classification == "Unknown" and refines < max_refines:
-        from . import catalog
-        try:
-            fine, _ = catalog.refine_flow(flow, 2)
-        except FlowError:
+        if entry["resolution"] is None:
             report.notes.append("refinement unavailable, verdict stays open")
             break
-        flow, k = fine["flow"], fine["k"]
+        from . import catalog
+        entry = catalog.build(entry["name"], 2 * entry["resolution"])
         refines += 1
-        report = attractor.analyze(flow, k)
-    return report, refines
+        report = attractor.analyze(entry["flow"], entry["k"])
+    return report, refines, entry
 
 
 def _analyze_text(report, refines):
@@ -95,7 +97,7 @@ def _analyze_text(report, refines):
 
 def cmd_analyze(args):
     entry = _load_target(args.target, args.resolution)
-    report, refines = _analyze(entry, args.refine)
+    report, refines, _ = _analyze(entry, args.refine)
     if args.format == "json":
         payload = report.to_json()
         payload["refinements"] = refines
@@ -130,7 +132,7 @@ def cmd_verify(args):
 def cmd_plot(args):
     from . import blocks, svgplot
     entry = _load_target(args.target, args.resolution)
-    report, _ = _analyze(entry, args.refine)
+    report, _, entry = _analyze(entry, args.refine)
     if args.format == "csv":
         _emit(svgplot.csv_text(report), args.out)
     elif args.format == "text":
@@ -239,13 +241,14 @@ def _parser():
         p.add_argument("--format", choices=formats, default=default)
         p.add_argument("--out", default=None, help="write output to this file")
 
-    def refine(p):
+    def add_refine(p):
         p.add_argument("--refine", type=int, default=0,
-                       help="refinement attempts while the verdict is Unknown")
+                       help="times to rebuild a catalog entry at twice its "
+                       "resolution while the verdict is Unknown")
 
     p = sub.add_parser("analyze", help="classify an attractor candidate")
     common(p, ["json", "text"], "text")
-    refine(p)
+    add_refine(p)
     p.set_defaults(fn=cmd_analyze)
 
     p = sub.add_parser("verify", help="run the structural result checks")
@@ -256,7 +259,7 @@ def _parser():
 
     p = sub.add_parser("plot", help="draw the analysis as svg, csv or text")
     common(p, ["svg", "csv", "text", "json"], "svg")
-    refine(p)
+    add_refine(p)
     p.set_defaults(fn=cmd_plot)
 
     p = sub.add_parser("construct", help="write a catalog flow to a file")

@@ -22,6 +22,10 @@ the union of the region's one-rings: one set kernel, `touching` (the
 complex's closed star, `star_tops`), in place of a test per cell or per
 pair. Locality of F is tested on vertex supports, so a rest flow builds no
 one-ring.
+
+A flow knows nothing of how it was built. A catalog flow carries its
+`recipe` ({name, resolution}) in `meta` and in its JSON as provenance only;
+rebuilding it finer is the catalog's job, by that (name, resolution) key.
 """
 
 import json
@@ -346,20 +350,14 @@ class CombinatorialFlow:
             raise FlowError("unreadable-input", "fixed set disagrees with successors")
         return flow
 
-    def refine(self, factor=2):
-        recipe = self.meta.get("recipe")
-        if not recipe:
-            raise FlowError("refine-unsupported", "flow lacks refinement rule")
-        from . import catalog
-        entry, _ = catalog.refine_flow(self, factor)
-        return entry["flow"]
-
 
 def load_file(path, name=None, error=FlowError):
     """Read a flow file into an entry shaped like `catalog.build`'s:
     {name, resolution, flow, k, expected, ring}. The entry is called `name`,
-    else the file's "name", else the file stem. A file that cannot be read
-    or parsed raises `error` with code unreadable-input."""
+    else the file's "name", else the file stem. Its resolution is None: a
+    file is read as it stands and never rebuilt, whatever recipe it names.
+    A file that cannot be read or parsed raises `error` with code
+    unreadable-input."""
     try:
         with open(path) as fh:
             data = json.load(fh)

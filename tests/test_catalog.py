@@ -65,17 +65,17 @@ def test_every_entry_matches_its_expectation():
         assert rep.global_attractor == want["global"], name
 
 
-def test_analysis_is_cached():
-    assert catalog.analysis("north-south") is catalog.analysis("north-south")
-
-
-def test_refine_flow_projection():
-    entry = catalog.build("example22-torus")
-    fine_entry, proj = catalog.refine_flow(entry["flow"], 2)
-    fine = fine_entry["flow"]
-    assert fine_entry["resolution"] == 2 * entry["resolution"]
-    assert set(proj) == set(fine.tops)
-    assert set(proj.values()) == set(entry["flow"].tops)
+def test_external_file_is_read_afresh(tmp_path, monkeypatch):
+    # an edited external file is reported as it now stands, never stale
+    monkeypatch.setenv("CONLEYLAB_CATALOG", str(tmp_path))
+    for name in ("example22-circle", "example22-torus"):
+        src = catalog.build(name)
+        body = src["flow"].to_json()
+        body["k"] = src["k"]
+        (tmp_path / "ext.json").write_text(json.dumps(body))
+        rep = catalog.analysis("ext")
+        assert rep.flow.succ == src["flow"].succ, name
+        assert rep.k == frozenset(src["k"]), name
 
 
 def test_rest_torus_has_no_candidate():

@@ -230,23 +230,77 @@ def test_external_catalog_env(tmp_path, monkeypatch, capsys):
     assert "classification: NoExternalExplosions" in capsys.readouterr().out
 
 
-def test_refine_unavailable_leaves_note(tmp_path, capsys):
-    # a hand-built flow with no recipe cannot refine, so the Unknown
-    # verdict stays open and says so
+def hug_file(tmp_path, **extra):
+    """A hand-built flow on circle(6) whose candidate analyzes as Unknown."""
     c = cxm.circle(6)
     succ = {"e:0": ["e:0"], "e:1": ["e:2"], "e:2": ["e:3"],
             "e:3": ["e:4"], "e:4": ["e:5"], "e:5": ["e:4"]}
-    f = flm.CombinatorialFlow(c, succ, name="hug")
-    body = f.to_json()
+    body = flm.CombinatorialFlow(c, succ, name="hug").to_json()
     body["k"] = ["e:0"]
+    body.update(extra)
     path = tmp_path / "hug.json"
     path.write_text(json.dumps(body))
+    return path
+
+
+def test_refine_unavailable_leaves_note(tmp_path):
+    # a hand-built flow with no recipe cannot refine, so the Unknown
+    # verdict stays open and says so
     out = tmp_path / "rep.json"
-    assert cli.main(["analyze", str(path), "--refine", "2",
+    assert cli.main(["analyze", str(hug_file(tmp_path)), "--refine", "2",
                      "--format", "json", "--out", str(out)]) == 0
     data = json.loads(out.read_text())
     assert data["classification"] == "Unknown"
     assert any("refinement unavailable" in n for n in data["notes"])
+
+
+def test_refine_never_swaps_in_the_recipe_flow(tmp_path):
+    # a file is analysed as it stands: the recipe it names is provenance,
+    # not a flow to refine into
+    path = hug_file(tmp_path, recipe={"name": "example22-circle",
+                                      "resolution": 6})
+    out = tmp_path / "rep.json"
+    assert cli.main(["analyze", str(path), "--refine", "1",
+                     "--format", "json", "--out", str(out)]) == 0
+    data = json.loads(out.read_text())
+    assert data["classification"] == "Unknown"
+    assert data["refinements"] == 0
+    assert any("refinement unavailable" in n for n in data["notes"])
+
+
+def test_catalog_target_refines(tmp_path, monkeypatch):
+    # the coarse entry is made to come back Unknown; the entry rebuilt at
+    # twice its resolution settles it, and plot draws that same flow
+    from conleylab import attractor, blocks
+    coarse = catalog.build("example22-torus")
+    fine = catalog.build("example22-torus", 2 * coarse["resolution"])
+    real_analyze, real_block = attractor.analyze, blocks.build_block
+
+    def analyze(flow, k):
+        rep = real_analyze(flow, k)
+        if flow is coarse["flow"]:
+            rep.classification = "Unknown"
+        return rep
+
+    drawn = []
+
+    def build_block(flow, k):
+        drawn.append(flow)
+        return real_block(flow, k)
+
+    monkeypatch.setattr(attractor, "analyze", analyze)
+    monkeypatch.setattr(blocks, "build_block", build_block)
+    out = tmp_path / "rep.json"
+    assert cli.main(["analyze", "catalog:example22-torus", "--refine", "1",
+                     "--format", "json", "--out", str(out)]) == 0
+    data = json.loads(out.read_text())
+    assert data["refinements"] == 1
+    assert data["classification"] == "NoExternalExplosions"
+    assert len(data["k"]) == 2 * len(coarse["k"])
+    assert cli.main(["plot", "catalog:example22-torus", "--refine", "1",
+                     "--format", "svg",
+                     "--out", str(tmp_path / "plot.svg")]) == 0
+    assert drawn == [fine["flow"]]
 
 
 def test_external_catalog_file_keeps_its_ring(tmp_path, monkeypatch, capsys):
@@ -277,6 +331,9 @@ def test_cli_loads_only_the_layers_its_command_runs(tmp_path):
     body["k"] = entry["k"]
     path = tmp_path / "torus.json"
     path.write_text(json.dumps(body))
+    # a file with no candidate fails without compiling the catalog
+    nok = tmp_path / "nok.json"
+    nok.write_text(json.dumps(entry["flow"].to_json()))
     script = ("import sys\n"
               "from conleylab import cli\n"
               "rc = cli.main(sys.argv[1:])\n"
@@ -284,13 +341,15 @@ def test_cli_loads_only_the_layers_its_command_runs(tmp_path):
               " if m.startswith('conleylab.')))\n"
               "sys.exit(rc)\n")
     out = str(tmp_path / "out.json")
-    for args, layer in ((["analyze", str(path)], "attractor"),
-                        (["homology", str(path), "--ring", "z2"], "algebra")):
+    for args, layer, rc in (
+            (["analyze", str(path)], "attractor", 0),
+            (["analyze", str(nok)], "attractor", 1),
+            (["homology", str(path), "--ring", "z2"], "algebra", 0)):
         proc = subprocess.run(
             [sys.executable, "-c", script] + args
             + ["--format", "json", "--out", out],
             capture_output=True, text=True, env=src_env(), timeout=60)
-        assert proc.returncode == 0, proc.stderr
+        assert proc.returncode == rc, proc.stderr
         loaded = {m[len("conleylab."):] for m in proc.stdout.split()}
         assert loaded == {"cli", "complexes", "flow", layer}, args
 

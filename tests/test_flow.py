@@ -214,20 +214,6 @@ def test_outside_region_rejected():
     assert ei.value.code == "bad-cell"
 
 
-def test_refine_recipe_flow():
-    fl = catalog.build("example22-torus")["flow"]
-    f2 = fl.refine(2)
-    assert len(f2.tops) == 4 * len(fl.tops)
-    assert f2.meta["recipe"]["resolution"] == 2 * fl.meta["recipe"]["resolution"]
-
-
-def test_refine_needs_recipe():
-    f = flm.rest_flow(cxm.circle(6))
-    with pytest.raises(flm.FlowError) as ei:
-        f.refine()
-    assert ei.value.code == "refine-unsupported"
-
-
 def test_json_round_trip():
     fl = catalog.build("example22-circle")["flow"]
     data = fl.to_json()

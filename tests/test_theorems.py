@@ -1,9 +1,10 @@
 import gc
+import sys
 import weakref
 
 import pytest
 
-from conleylab import complexes as cxm, flow as flm, theorems
+from conleylab import catalog, complexes as cxm, flow as flm, theorems
 
 
 def pairwise_jduality_violations(j_plus, j_minus, tops):
@@ -34,6 +35,24 @@ def test_all_checks_pass():
     for r in results:
         assert r.status == "pass", (r.id, r.details)
         assert r.instances > 0, r.id
+
+
+def test_run_builds_the_genus_two_surface_once(monkeypatch):
+    # the four genus-two entries share one surface through catalog.build
+    calls = []
+    real = cxm.connected_sum
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(catalog, "_CACHE", {})
+    # patch every module that holds the builder, however it imported it
+    for mod in list(sys.modules.values()):
+        if getattr(mod, "connected_sum", None) is real:
+            monkeypatch.setattr(mod, "connected_sum", counted)
+    theorems.run()
+    assert len(calls) == 1
 
 
 def test_run_only():
