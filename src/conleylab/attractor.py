@@ -132,8 +132,15 @@ def unstable_manifold(flow, k):
 
 def components(flow, basin_cells, k, khat):
     """Connected components of basin - k through shared codim-1 faces,
-    labeled homoclinic when contained in the stabilization."""
+    labeled homoclinic when contained in the stabilization. The faces are
+    mapped to the cells of basin - k that own them, from those cells'
+    boundaries alone, and the walk follows that map."""
     rest = set(basin_cells) - set(k)
+    boundary = flow.cx.boundary
+    owners = {}
+    for c in rest:
+        for f in boundary[c]:
+            owners.setdefault(f, []).append(c)
     comps = []
     seen = set()
     for start in sorted(rest):
@@ -144,9 +151,9 @@ def components(flow, basin_cells, k, khat):
         seen.add(start)
         while q:
             u = q.popleft()
-            for f in flow.cx.boundary[u]:
-                for v in flow.cx.top_cofaces(f):
-                    if v in rest and v not in seen:
+            for f in boundary[u]:
+                for v in owners[f]:
+                    if v not in seen:
                         seen.add(v)
                         comp.add(v)
                         q.append(v)

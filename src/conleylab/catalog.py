@@ -255,10 +255,13 @@ def build(name, resolution=None):
     return _CACHE[key]
 
 
-def analysis(name, resolution=None):
-    """Attractor report for a catalog entry with a candidate."""
+def analysis(name, resolution=None, entry=None):
+    """Attractor report for a catalog entry with a candidate. `entry` is the
+    entry `build(name, resolution)` already returned, if the caller has it:
+    it is analysed as it stands, so an external file is read only once."""
     from . import attractor
-    entry = build(name, resolution)
+    if entry is None:
+        entry = build(name, resolution)
     if not entry["k"]:
         raise CatalogError("no-candidate",
                            "%s carries no attractor candidate" % name)

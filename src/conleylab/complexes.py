@@ -1,17 +1,24 @@
 """Finite regular CW complexes with integer incidence data.
 
 Cells are string ids, each with a dimension and a boundary chain written as
-{face_id: coefficient}. Every constructor validates del o del = 0, so a bad
-sign in a builder fails loudly at build time instead of corrupting homology
-later. A boundary for a cell that is not declared is refused too.
+{face_id: coefficient}. Every constructor validates the complex in one
+sweep, lowest dimension first: each face is known, one dimension lower and
+has a nonzero integer coefficient, and del o del = 0, so a bad sign in a
+builder fails loudly at build time instead of corrupting homology later. A
+boundary for a cell that is not declared is refused too. `from_json` hands
+a file's lists to the constructor as they stand.
 
 Construction indexes only the cells by dimension. Cofaces, vertex supports
 and the top cells at each vertex are built once, on their first query, so a
-complex that only feeds homology never builds them.
+complex that only feeds homology never builds them. Closed stars go
+through the vertices, so `attractor.analyze` on a loaded file builds the
+vertex supports and the vertex stars only: no coface index and no one-ring
+per cell.
 """
 
 from collections import defaultdict
 from functools import cached_property
+from itertools import chain
 
 
 class ConleyError(ValueError):
@@ -36,15 +43,20 @@ class CellComplex:
     def __init__(self, name, cells, boundary, identifications=None, meta=None):
         self.name = name
         self.cells = dict(cells)          # id -> dim
-        undeclared = set(boundary) - set(self.cells)
+        undeclared = boundary.keys() - self.cells.keys()
         if undeclared:
             raise ComplexError("boundary given for undeclared cell %s"
                                % min(undeclared, key=str))
-        self.boundary = {c: dict(boundary.get(c, {})) for c in self.cells}
+        # each cell's faces as {face: coeff}, from a mapping or from the
+        # [face, coeff] pairs of a file
+        self.boundary = {c: dict(boundary.get(c, ())) for c in self.cells}
         self.identifications = list(identifications or [])
         self.meta = dict(meta or {})
         self._by_dim = defaultdict(list)
         for c, d in self.cells.items():
+            if type(d) is not int:
+                raise ComplexError("dimension of %s is not an integer: %r"
+                                   % (c, d))
             self._by_dim[d].append(c)
         for d in self._by_dim:
             self._by_dim[d].sort()
@@ -55,6 +67,38 @@ class CellComplex:
     # -- construction-time checks ------------------------------------------
 
     def _validate(self):
+        """One sweep, lowest dimension first, after one look at all the
+        coefficients (nonzero integers). The faces of each dimension's cells
+        are checked together (known, one dimension lower), then each cell's
+        del del is summed over faces the sweep has already checked. A face
+        defect is reported before any del del != 0, each at the first
+        defective cell in the order the cells were given."""
+        cells, boundary = self.cells, self.boundary
+        coeffs = set(chain.from_iterable(map(dict.values, boundary.values())))
+        if 0 in coeffs or set(map(type, coeffs)) - {int}:
+            self._face_defect()
+        dd_bad = {}
+        for d in sorted(self._by_dim):
+            chains = list(map(boundary.__getitem__, self._by_dim[d]))
+            if set(map(cells.get, chain.from_iterable(chains))) - {d - 1}:
+                self._face_defect()
+            # a cell with no cells two dimensions below it has faces
+            # without faces, so its del del has nothing to sum
+            if d - 2 not in self._by_dim:
+                continue
+            for c, faces in zip(self._by_dim[d], chains):
+                acc = {}
+                for f, coeff in faces.items():
+                    for g, coeff2 in boundary[f].items():
+                        acc[g] = acc.get(g, 0) + coeff * coeff2
+                if any(acc.values()):
+                    dd_bad[c] = {g: v for g, v in acc.items() if v != 0}
+        if dd_bad:
+            c = next(c for c in cells if c in dd_bad)
+            raise ComplexError("del del != 0 at %s: %r" % (c, dd_bad[c]))
+
+    def _face_defect(self):
+        # the sweep found a bad face; name the first one in the given order
         for c, faces in self.boundary.items():
             dc = self.cells[c]
             for f, coeff in faces.items():
@@ -63,20 +107,11 @@ class CellComplex:
                 if self.cells[f] != dc - 1:
                     raise ComplexError("boundary of %s (dim %d) mentions %s (dim %d)"
                                        % (c, dc, f, self.cells[f]))
+                if type(coeff) is not int:
+                    raise ComplexError("coefficient of %s in %s is not an integer: %r"
+                                       % (f, c, coeff))
                 if coeff == 0:
                     raise ComplexError("zero coefficient stored for %s in %s" % (f, c))
-        # del o del = 0 over the integers; a cell with no cells two
-        # dimensions below it has faces without faces, so nothing to sum
-        for c, faces in self.boundary.items():
-            if self.cells[c] - 2 not in self._by_dim:
-                continue
-            acc = {}
-            for f, coeff in faces.items():
-                for g, coeff2 in self.boundary[f].items():
-                    acc[g] = acc.get(g, 0) + coeff * coeff2
-            bad = {g: v for g, v in acc.items() if v != 0}
-            if bad:
-                raise ComplexError("del del != 0 at %s: %r" % (c, bad))
 
     # -- indexes, each built on its first query ------------------------------
 
@@ -92,15 +127,17 @@ class CellComplex:
 
     @cached_property
     def _verts(self):
-        # vertex support of each closed cell, for star and ring queries
-        verts = {}
+        # vertex support of each closed cell, for star and ring queries;
+        # the faces of an edge are its vertices
+        boundary = self.boundary
+        vs, es = self._by_dim.get(0, ()), self._by_dim.get(1, ())
+        verts = dict(zip(vs, map(frozenset, zip(vs))))
+        verts.update(zip(es, map(frozenset, map(boundary.__getitem__, es))))
         for d in sorted(self._by_dim):
-            for c in self._by_dim[d]:
-                if d == 0:
-                    verts[c] = frozenset([c])
-                else:
+            if d > 1:
+                for c in self._by_dim[d]:
                     s = set()
-                    for f in self.boundary[c]:
+                    for f in boundary[c]:
                         s |= verts[f]
                     verts[c] = frozenset(s)
         return verts
@@ -108,11 +145,17 @@ class CellComplex:
     @cached_property
     def _vert_tops(self):
         # all top cells whose closure contains each vertex
-        vert_tops = defaultdict(set)
+        vert_tops = {v: set() for v in self._by_dim.get(0, ())}
         for t in self.top_cells():
             for v in self._verts[t]:
                 vert_tops[v].add(t)
         return vert_tops
+
+    @cached_property
+    def _bare_tops(self):
+        # top cells with no vertex, so in no vertex's star: only a
+        # degenerate complex has one
+        return frozenset(t for t in self.top_cells() if not self._verts[t])
 
     # -- queries -----------------------------------------------------------
 
@@ -151,7 +194,7 @@ class CellComplex:
             return self._ring_cache[c]
         ring = set()
         for v in self._verts[c]:
-            ring.update(self._vert_tops.get(v, ()))
+            ring.update(self._vert_tops[v])
         if self.cells[c] == self.top_dim:
             ring.add(c)
         ring = frozenset(ring)
@@ -160,9 +203,16 @@ class CellComplex:
 
     def star_tops(self, cellset):
         """Closed star: every top cell whose closure meets closure(cellset).
-        A cell's vertex support already covers its closure, so this is the
-        union of the one-rings of the cells."""
-        return set().union(*map(self.one_ring, cellset))
+        A cell's vertex support already covers its closure, and every top
+        cell is in the star of each of its vertices, so this is the union of
+        the stars of the set's vertices: the union of the cells' one-rings,
+        with no ring built per cell."""
+        verts = self._verts
+        vs = set().union(*map(verts.__getitem__, cellset))
+        out = set().union(*map(self._vert_tops.__getitem__, vs))
+        if self._bare_tops:
+            out |= self._bare_tops.intersection(cellset)
+        return out
 
     def euler(self, cellset=None):
         """Euler characteristic of the closure of cellset (whole complex if None)."""
@@ -237,8 +287,17 @@ class CellComplex:
 
     @classmethod
     def from_json(cls, data):
-        cells = {c: d for c, d in data["cells"]}
-        bnd = {c: {f: k for f, k in pairs} for c, pairs in data.get("boundary", {}).items()}
+        """The complex of a JSON body. Its `cells` pairs and per-cell
+        [face, coeff] lists go to the constructor as they stand; a mapping
+        where a list belongs would pass through dict() unnoticed, so it is
+        refused here."""
+        cells, bnd = data["cells"], data.get("boundary", {})
+        if type(cells) is not list:
+            raise ComplexError("cells are not a list of [id, dim] pairs")
+        if set(map(type, bnd.values())) - {list}:
+            c = next(c for c, pairs in bnd.items() if type(pairs) is not list)
+            raise ComplexError("boundary of %s is not a list of "
+                               "[face, coeff] pairs" % c)
         return cls(data.get("name", "complex"), cells, bnd,
                    identifications=data.get("identifications"))
 

@@ -7,8 +7,8 @@ that already exists. Errors carry a short machine code on .code.
 
 from collections import deque
 
-from .complexes import (CellComplex, ConleyError, annulus, disc,
-                        identity_map, mapping_torus, point, quotient, sphere)
+from .complexes import (CellComplex, ConleyError, annulus, disc, quotient,
+                        sphere)
 from .flow import CombinatorialFlow
 
 
@@ -53,38 +53,6 @@ def example_general(cx, name=None):
     flow = CombinatorialFlow(cx, succ, name=name or "circulation")
     flow.meta["family"] = "example22"
     return flow, k
-
-
-def circle_with_arc(m=12):
-    """Circle circulation with a whisker arc glued at the seam vertex.
-
-    The arc drains into the sink band, so its inner cell joins the basin as
-    a second, uniform component while the circulation component stays
-    homoclinic."""
-    pt = point()
-    base = mapping_torus(pt, identity_map(pt), m)
-    cells = dict(base.cells)
-    bnd = {c: dict(base.boundary[c]) for c in base.cells}
-    cells.update({"arc:v:0": 0, "arc:v:1": 0, "arc:e:0": 1, "arc:e:1": 1})
-    bnd["arc:v:0"] = {}
-    bnd["arc:v:1"] = {}
-    bnd["arc:e:0"] = {"arc:v:0": 1, "v:0@v0": -1}
-    bnd["arc:e:1"] = {"arc:v:1": 1, "arc:v:0": -1}
-    cx = CellComplex("circle-arc(%d)" % m, cells, bnd)
-    tops = ["v:0@e%d" % i for i in range(m)]
-    succ = {}
-    for i, c in enumerate(tops):
-        if i == 0:
-            succ[c] = [c, tops[1]]
-        elif i == m - 1:
-            succ[c] = [c]
-        else:
-            succ[c] = [tops[i + 1]]
-    succ["arc:e:0"] = [tops[-1]]
-    succ["arc:e:1"] = ["arc:e:0", "arc:e:1"]
-    flow = CombinatorialFlow(cx, succ, name="circle-arc")
-    flow.meta["family"] = "example22"
-    return flow, sorted([tops[-1], tops[0]])
 
 
 # -- gradient-like sphere flows ----------------------------------------------
@@ -191,37 +159,6 @@ def capped_annulus(rows=6, cols=10):
     flow = CombinatorialFlow(cx, succ, name="capped-annulus")
     flow.meta["family"] = "capped-annulus"
     k = ["f:%d,%d" % (r, l) for r in range(rows) for l in (0, cols - 1)]
-    return flow, sorted(k)
-
-
-def embedded_annulus(rows=8, cols=12, band=(2, 5)):
-    """Annulus circulation as a latitude band of a sphere, fed from outside.
-
-    Away from the band everything drains toward it, the caps repel, and the
-    verdict matches the free-standing annulus circulation."""
-    lo, hi = band
-    if not (0 < lo <= hi < rows - 1):
-        raise ConstructionError("bad-host", "band must be interior")
-    cx = sphere(rows, cols)
-    succ = {"cap:n": ["cap:n"] + ["f:0,%d" % l for l in range(cols)],
-            "cap:s": ["cap:s"] + ["f:%d,%d" % (rows - 1, l)
-                                  for l in range(cols)]}
-    for r in range(rows):
-        for l in range(cols):
-            c = "f:%d,%d" % (r, l)
-            if r < lo:
-                succ[c] = ["f:%d,%d" % (r + 1, l)]
-            elif r > hi:
-                succ[c] = ["f:%d,%d" % (r - 1, l)]
-            elif l == cols - 1:
-                succ[c] = [c]
-            elif l == 0:
-                succ[c] = [c, "f:%d,1" % r]
-            else:
-                succ[c] = ["f:%d,%d" % (r, l + 1)]
-    flow = CombinatorialFlow(cx, succ, name="embedded-annulus")
-    flow.meta["family"] = "embedded-annulus"
-    k = ["f:%d,%d" % (r, l) for r in range(lo, hi + 1) for l in (0, cols - 1)]
     return flow, sorted(k)
 
 

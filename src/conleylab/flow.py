@@ -20,8 +20,9 @@ One-rings of top cells are symmetric (a is in the one-ring of b exactly
 when b is in that of a), so the top cells whose one-ring meets a region are
 the union of the region's one-rings: one set kernel, `touching` (the
 complex's closed star, `star_tops`), in place of a test per cell or per
-pair. Locality of F is tested on vertex supports, so a rest flow builds no
-one-ring.
+pair. It goes through vertices: the region's vertex supports, then the top
+cells at each of those vertices, so no one-ring is built per cell. Locality
+of F is tested on vertex supports too, so a rest flow builds no one-ring.
 
 A flow knows nothing of how it was built. A catalog flow carries its
 `recipe` ({name, resolution}) in `meta` and in its JSON as provenance only;
@@ -276,10 +277,6 @@ class CombinatorialFlow:
         return frozenset(s)
 
     # -- limit enclosures -----------------------------------------------------
-
-    def omega_limit(self, x):
-        self._need_cell(x)
-        return LimitEnclosure(self.eventual_image({x}, "f"), "omega", self)
 
     def j_plus(self, x, within=None):
         return LimitEnclosure(self._j(x, "f", within), "jplus", self)

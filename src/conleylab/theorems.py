@@ -152,7 +152,7 @@ def _population():
         if not entry.get("k") or entry["expected"].get("error"):
             continue
         try:
-            rep = catalog.analysis(entry["name"], entry["resolution"])
+            rep = catalog.analysis(entry["name"], entry["resolution"], entry)
         except (catalog.CatalogError, attractor.NotIsolatedError):
             continue
         out.append(FlowRecord(entry, rep))

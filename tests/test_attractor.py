@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from conleylab import attractor, catalog, complexes as cxm, flow as flm
@@ -46,6 +48,31 @@ def witness_per_candidate(flow, candidates, within, col):
         if core:
             return x, attractor._extract_cycle(flow, core)
     return None
+
+
+def components_by_cofaces(flow, basin_cells, k, khat):
+    """Components of basin - k by a breadth-first walk that asks the
+    complex for the top cofaces of every face it crosses."""
+    rest = set(basin_cells) - set(k)
+    comps = []
+    seen = set()
+    for start in sorted(rest):
+        if start in seen:
+            continue
+        comp = {start}
+        q = [start]
+        seen.add(start)
+        while q:
+            u = q.pop(0)
+            for f in flow.cx.boundary[u]:
+                for v in flow.cx.top_cofaces(f):
+                    if v in rest and v not in seen:
+                        seen.add(v)
+                        comp.add(v)
+                        q.append(v)
+        label = "homoclinic" if comp <= khat else "uniform"
+        comps.append({"cells": frozenset(comp), "label": label})
+    return comps
 
 
 def hug_flow():
@@ -196,3 +223,29 @@ def test_pipeline_matches_per_cell_definitions():
         for cands in (plus, minus):
             assert attractor._witness_search(f, cands, within, col) == \
                 witness_per_candidate(f, cands, within, col), f.name
+
+
+def test_components_match_coface_walk():
+    for f, k in oracle_cases():
+        kset = frozenset(k)
+        khat = attractor.stabilization(f, kset)
+        bas = attractor.basin(f, kset, khat)
+        assert attractor.components(f, bas, kset, khat) == \
+            components_by_cofaces(f, bas, kset, khat), f.name
+        # a basin without k's neighbours splits into more pieces
+        thin = bas - attractor.collar(f, kset) | kset
+        assert attractor.components(f, thin, kset, khat) == \
+            components_by_cofaces(f, thin, kset, khat), f.name
+
+
+def test_analyze_on_a_loaded_file_builds_no_coface_index_or_rings():
+    for f, k in oracle_cases():
+        loaded = flm.CombinatorialFlow.from_json(
+            json.loads(json.dumps(f.to_json())))
+        rep = attractor.analyze(loaded, k)
+        cx = loaded.cx
+        assert "_cofaces" not in cx.__dict__, f.name
+        # one-rings are built only for the witness candidates tried
+        assert len(cx._ring_cache) <= 5, f.name
+        if rep.classification != "Unknown":
+            assert set(cx._ring_cache) <= {rep.witness}, f.name

@@ -92,6 +92,56 @@ def test_malformed_complex_file_exits(tmp_path, capsys):
             assert message in err, (edit.__name__, err)
 
 
+def test_malformed_complex_shapes_exit(tmp_path, capsys):
+    # the loader hands the file's lists to the constructor, so a mapping or
+    # a wrong-sized pair must not pass through dict() as if it were pairs
+    body = flm.rest_flow(cxm.sphere(3, 6)).to_json()
+    top = min(body["successors"])
+
+    def mapping_boundary(cx):
+        cx["boundary"][top] = dict(cx["boundary"][top])
+
+    def short_pair(cx):
+        cx["boundary"][top][0] = cx["boundary"][top][0][:1]
+
+    def long_pair(cx):
+        cx["boundary"][top][0].append(1)
+
+    def cells_mapping(cx):
+        cx["cells"] = dict(cx["cells"])
+
+    def cell_not_a_pair(cx):
+        cx["cells"][0] = cx["cells"][0][0]
+
+    def two_char_cell(cx):
+        cx["cells"].append("ab")
+
+    def fractional_dimension(cx):
+        cx["cells"][0][1] = 1.5
+
+    def string_dimension(cx):
+        cx["cells"][0][1] = str(cx["cells"][0][1])
+
+    def string_coefficient(cx):
+        cx["boundary"][top][0][1] = "1"
+
+    def bool_coefficient(cx):
+        cx["boundary"][top][0][1] = True
+
+    for edit in (mapping_boundary, short_pair, long_pair, cells_mapping,
+                 cell_not_a_pair, two_char_cell, fractional_dimension,
+                 string_dimension, string_coefficient, bool_coefficient):
+        bad = json.loads(json.dumps(body))
+        edit(bad["complex"])
+        path = tmp_path / (edit.__name__ + ".json")
+        path.write_text(json.dumps(bad))
+        for cmd in ("analyze", "homology"):
+            assert cli.main([cmd, str(path)]) == 1, (edit.__name__, cmd)
+            err = capsys.readouterr().err
+            assert err.startswith("error["), (edit.__name__, cmd, err)
+            assert "Traceback" not in err, (edit.__name__, cmd)
+
+
 def test_verify_single_check(capsys):
     assert cli.main(["verify", "--only", "cor3.3"]) == 0
     out = capsys.readouterr().out

@@ -1,4 +1,5 @@
 import functools
+import json
 from collections import defaultdict
 
 import pytest
@@ -69,6 +70,11 @@ def star_tops_by_closure(cx, cellset):
     return out
 
 
+def star_tops_by_rings(cx, cellset):
+    """The closed star as the union of the one-rings of the cells."""
+    return set().union(*map(cx.one_ring, cellset))
+
+
 @functools.lru_cache(maxsize=None)
 def named(name):
     return cxm.named_space(name)
@@ -83,6 +89,86 @@ def test_star_tops_matches_closure_walk(data):
         s |= data.draw(st.sets(st.sampled_from(cx.cells_of_dim(d)),
                                min_size=1, max_size=6))
     assert cx.star_tops(s) == star_tops_by_closure(cx, s), cx.name
+    assert cx.star_tops(s) == star_tops_by_rings(cx, s), cx.name
+
+
+def test_star_tops_keeps_a_top_cell_without_vertices():
+    # a sphere as one vertex and one 2-cell: the 2-cell's closure holds no
+    # vertex, so no vertex star lists it, but its own star does
+    cx = cxm.CellComplex("s2-min", {"v": 0, "f": 2}, {})
+    assert cx.vertices_of("f") == frozenset()
+    for s in ({"f"}, {"v", "f"}):
+        assert cx.star_tops(s) == star_tops_by_rings(cx, s) == {"f"}
+    assert cx.star_tops({"v"}) == star_tops_by_rings(cx, {"v"}) == set()
+
+
+def validate_two_pass(cells, boundary):
+    """The complex checks as two sweeps over the cells in the order given:
+    first every face of every cell, then del del of every cell. Returns the
+    first message, or None for a valid complex."""
+    dims = set(cells.values())
+    for c, faces in boundary.items():
+        dc = cells[c]
+        for f, coeff in faces.items():
+            if f not in cells:
+                return "boundary of %s mentions unknown cell %s" % (c, f)
+            if cells[f] != dc - 1:
+                return ("boundary of %s (dim %d) mentions %s (dim %d)"
+                        % (c, dc, f, cells[f]))
+            if coeff == 0:
+                return "zero coefficient stored for %s in %s" % (f, c)
+    for c, faces in boundary.items():
+        if cells[c] - 2 not in dims:
+            continue
+        acc = {}
+        for f, coeff in faces.items():
+            for g, coeff2 in boundary[f].items():
+                acc[g] = acc.get(g, 0) + coeff * coeff2
+        bad = {g: v for g, v in acc.items() if v != 0}
+        if bad:
+            return "del del != 0 at %s: %r" % (c, bad)
+    return None
+
+
+@functools.lru_cache(maxsize=None)
+def named_json(name):
+    return json.dumps(cxm.named_space(name).to_json())
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_one_sweep_validation_matches_two_passes(data):
+    body = json.loads(named_json(data.draw(st.sampled_from(NAMED_SPACES))))
+    cells = dict(body["cells"])
+    ids = sorted(cells)
+    faced = sorted(body["boundary"])
+    bnd = body["boundary"]
+    kind = data.draw(st.sampled_from(("face", "dimension", "coefficient",
+                                      "sign")))
+    if kind == "dimension":
+        c = data.draw(st.sampled_from(ids))
+        d = data.draw(st.integers(0, 4).filter(lambda d: d != cells[c]))
+        body["cells"] = [[x, d if x == c else dx] for x, dx in body["cells"]]
+    else:
+        c = data.draw(st.sampled_from(faced))
+        i = data.draw(st.integers(0, len(bnd[c]) - 1))
+        k = bnd[c][i][1]
+        if kind == "face":
+            bnd[c][i][0] = data.draw(st.sampled_from(ids + ["nowhere"]))
+        elif kind == "coefficient":
+            bnd[c][i][1] = data.draw(st.integers(-3, 3).filter(
+                lambda x: x != k))
+        else:
+            bnd[c][i][1] = -k
+    cells = dict(body["cells"])
+    boundary = {x: dict(bnd.get(x, [])) for x in cells}
+    want = validate_two_pass(cells, boundary)
+    if want is None:
+        cxm.CellComplex.from_json(body)
+    else:
+        with pytest.raises(cxm.ComplexError) as ei:
+            cxm.CellComplex.from_json(body)
+        assert str(ei.value) == want, kind
 
 
 def test_builder_counts_and_euler():

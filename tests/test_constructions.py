@@ -4,6 +4,69 @@ from conleylab import (attractor, catalog, complexes as cxm,
                        constructions as cons, flow as flm)
 
 
+def circle_with_arc(m=12):
+    """Circle circulation with a whisker arc glued at the seam vertex.
+
+    The arc drains into the sink band, so its inner cell joins the basin as
+    a second, uniform component while the circulation component stays
+    homoclinic."""
+    pt = cxm.point()
+    base = cxm.mapping_torus(pt, cxm.identity_map(pt), m)
+    cells = dict(base.cells)
+    bnd = {c: dict(base.boundary[c]) for c in base.cells}
+    cells.update({"arc:v:0": 0, "arc:v:1": 0, "arc:e:0": 1, "arc:e:1": 1})
+    bnd["arc:v:0"] = {}
+    bnd["arc:v:1"] = {}
+    bnd["arc:e:0"] = {"arc:v:0": 1, "v:0@v0": -1}
+    bnd["arc:e:1"] = {"arc:v:1": 1, "arc:v:0": -1}
+    cx = cxm.CellComplex("circle-arc(%d)" % m, cells, bnd)
+    tops = ["v:0@e%d" % i for i in range(m)]
+    succ = {}
+    for i, c in enumerate(tops):
+        if i == 0:
+            succ[c] = [c, tops[1]]
+        elif i == m - 1:
+            succ[c] = [c]
+        else:
+            succ[c] = [tops[i + 1]]
+    succ["arc:e:0"] = [tops[-1]]
+    succ["arc:e:1"] = ["arc:e:0", "arc:e:1"]
+    flow = flm.CombinatorialFlow(cx, succ, name="circle-arc")
+    flow.meta["family"] = "example22"
+    return flow, sorted([tops[-1], tops[0]])
+
+
+def embedded_annulus(rows=8, cols=12, band=(2, 5)):
+    """Annulus circulation as a latitude band of a sphere, fed from outside.
+
+    Away from the band everything drains toward it, the caps repel, and the
+    verdict matches the free-standing annulus circulation."""
+    lo, hi = band
+    if not (0 < lo <= hi < rows - 1):
+        raise cons.ConstructionError("bad-host", "band must be interior")
+    cx = cxm.sphere(rows, cols)
+    succ = {"cap:n": ["cap:n"] + ["f:0,%d" % l for l in range(cols)],
+            "cap:s": ["cap:s"] + ["f:%d,%d" % (rows - 1, l)
+                                  for l in range(cols)]}
+    for r in range(rows):
+        for l in range(cols):
+            c = "f:%d,%d" % (r, l)
+            if r < lo:
+                succ[c] = ["f:%d,%d" % (r + 1, l)]
+            elif r > hi:
+                succ[c] = ["f:%d,%d" % (r - 1, l)]
+            elif l == cols - 1:
+                succ[c] = [c]
+            elif l == 0:
+                succ[c] = [c, "f:%d,1" % r]
+            else:
+                succ[c] = ["f:%d,%d" % (r, l + 1)]
+    flow = flm.CombinatorialFlow(cx, succ, name="embedded-annulus")
+    flow.meta["family"] = "embedded-annulus"
+    k = ["f:%d,%d" % (r, l) for r in range(lo, hi + 1) for l in (0, cols - 1)]
+    return flow, sorted(k)
+
+
 def test_example_general_needs_a_mapping_torus():
     with pytest.raises(cons.ConstructionError) as ei:
         cons.example_general(cxm.sphere(3, 6))
@@ -19,7 +82,7 @@ def test_homoclinic_sphere_size_guard():
 def test_circle_with_arc():
     # attractor on the circle with a whisker arc attached: the arc adds a
     # second basin component, so s exceeds the manifold bound rank H^0(K)
-    flow, k = cons.circle_with_arc(12)
+    flow, k = circle_with_arc(12)
     rep = attractor.analyze(flow, k)
     assert rep.classification == "NoExternalExplosions"
     assert rep.r == 1 and rep.s == 2
@@ -48,7 +111,7 @@ def test_embedded_annulus_keeps_verdict_with_euler_mismatch():
     # stays NoExternalExplosions even though chi(K) != chi(basin closure),
     # because the basin omits the caps and the surface Euler test assumes
     # a flow defined on all of M
-    flow, k = cons.embedded_annulus()
+    flow, k = embedded_annulus()
     rep = attractor.analyze(flow, k)
     assert rep.classification == "NoExternalExplosions"
     cx = flow.cx
@@ -75,7 +138,7 @@ def test_freeze_outside_preserves_classification():
     frozen = cons.freeze_outside(f, f.tops - {"cap:n"})
     assert attractor.analyze(frozen, entry["k"]).classification == "Stable"
 
-    flow, k = cons.embedded_annulus()
+    flow, k = embedded_annulus()
     moving = flow.tops - set(flow.fixed)
     frozen2 = cons.freeze_outside(flow, flow.reach(moving))
     rep = attractor.analyze(frozen2, k)

@@ -1,4 +1,6 @@
 import gc
+import json
+import os
 import sys
 import weakref
 
@@ -53,6 +55,28 @@ def test_run_builds_the_genus_two_surface_once(monkeypatch):
             monkeypatch.setattr(mod, "connected_sum", counted)
     theorems.run()
     assert len(calls) == 1
+
+
+def test_run_reads_each_external_file_once(tmp_path, monkeypatch):
+    # the entry `build` read is the one analysed: a second read could see a
+    # rewritten file and pair an entry with the report of another flow
+    entry = catalog.build("example22-circle")
+    with_k = entry["flow"].to_json()
+    with_k["k"] = entry["k"]
+    (tmp_path / "withk.json").write_text(json.dumps(with_k))
+    (tmp_path / "nok.json").write_text(json.dumps(entry["flow"].to_json()))
+    monkeypatch.setenv("CONLEYLAB_CATALOG", str(tmp_path))
+    reads = []
+    real = catalog.load_file
+
+    def counted(path, *args, **kwargs):
+        reads.append(os.path.basename(path))
+        return real(path, *args, **kwargs)
+
+    monkeypatch.setattr(catalog, "load_file", counted)
+    results = theorems.run()
+    assert all(r.status == "pass" for r in results)
+    assert sorted(reads) == ["nok.json", "withk.json"]
 
 
 def test_run_only():
