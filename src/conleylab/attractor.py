@@ -12,6 +12,9 @@ graph kernel (reach, recurrent cells, trim): an eventual image leaves a set
 exactly when the seed reaches a recurrent cell that reaches outside it, so
 the sweeps become a backward reach from the complement, and the swept cells
 whose one-ring meets that reach are `flow.touching` of it.
+
+`analyze` builds the collar of K and checks isolation once; each stage that
+tests against the collar takes it as an argument.
 """
 
 from collections import deque
@@ -87,9 +90,9 @@ def collar(flow, k):
     return frozenset(flow.cx.star_tops(set(k)))
 
 
-def check_isolated(flow, k):
-    kset = frozenset(k)
-    if flow.trim(collar(flow, kset), "fp") != kset:
+def check_isolated(flow, k, col):
+    """k must be the maximal invariant set of its collar `col`."""
+    if flow.trim(col, "fp") != frozenset(k):
         raise NotIsolatedError("k is not the maximal invariant set of its collar")
 
 
@@ -110,21 +113,17 @@ def stabilization(flow, k):
     return frozenset(khat)
 
 
-def basin(flow, k, khat=None):
-    """Cells whose omega enclosure lands inside the stabilization: those
+def basin(flow, khat):
+    """Cells whose omega enclosure lands inside the stabilization khat: those
     that reach no recurrent cell from which the complement is reachable."""
-    check_isolated(flow, k)
-    if khat is None:
-        khat = stabilization(flow, k)
     rec = flow.recurrent_cells()
     escape = rec & flow.reach(flow.tops - khat, "p")
     return frozenset(flow.tops - flow.reach(escape, "p"))
 
 
-def unstable_manifold(flow, k):
-    """Cells with a nonempty alpha enclosure inside the collar: reachable
+def unstable_manifold(flow, col):
+    """Cells with a nonempty alpha enclosure inside the collar col: reachable
     from a recurrent cell, but from none that is reachable from outside."""
-    col = collar(flow, k)
     rec = flow.recurrent_cells()
     escape = rec & flow.reach(flow.tops - col, "f")
     return frozenset(flow.reach(rec, "f") - flow.reach(escape, "f"))
@@ -201,12 +200,11 @@ def _extract_cycle(flow, core):
         cur = nxt
 
 
-def classify(flow, k, report):
+def classify(flow, k, report, col):
     """Fill classification, witness and notes on the report."""
     kset = frozenset(k)
     khat = report.stabilization
     bas = report.basin
-    col = collar(flow, kset)
     if khat == kset:
         report.classification = "Stable"
         return report
@@ -235,14 +233,15 @@ def analyze(flow, k):
     for c in kset:
         if c not in flow.tops:
             raise NotIsolatedError("k contains %s which is not a top cell" % c)
-    check_isolated(flow, kset)
+    col = collar(flow, kset)
+    check_isolated(flow, kset, col)
     report = AttractorReport(flow, kset)
     report.stabilization = stabilization(flow, kset)
-    report.basin = basin(flow, kset, report.stabilization)
-    report.unstable = unstable_manifold(flow, kset)
+    report.basin = basin(flow, report.stabilization)
+    report.unstable = unstable_manifold(flow, col)
     report.components = components(flow, report.basin, kset, report.stabilization)
     report.s = len(report.components)
     report.r = sum(1 for c in report.components if c["label"] == "homoclinic")
     report.global_attractor = report.basin == flow.tops
-    classify(flow, kset, report)
+    classify(flow, kset, report, col)
     return report

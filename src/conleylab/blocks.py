@@ -73,14 +73,15 @@ def _labels(flow, faces):
     return ni, no
 
 
-def build_block(flow, k, budget=6):
+def build_block(flow, k):
     """Isolating block around k, or NoBlockError when the budget runs out."""
     kset = frozenset(k)
     region = kset
-    for _ in range(budget):
+    for _ in range(6):  # the budget: rounds of star growth around k
         region = frozenset(flow.cx.star_tops(set(region)))
         n = set(region)
-        # trim boundary cells that neither enter nor exit across the boundary
+        # trim boundary cells that neither enter nor exit across the
+        # boundary; the last round leaves faces, ni and no for the final n
         while True:
             faces = _boundary_data(flow, n)
             ni, no = _labels(flow, faces)
@@ -96,8 +97,6 @@ def build_block(flow, k, budget=6):
             n -= removable
         if not (kset <= n):
             continue
-        faces = _boundary_data(flow, n)
-        ni, no = _labels(flow, faces)
         if any(f not in ni and f not in no for f in faces):
             continue  # a k cell on a grazing boundary; grow and retry
         if any(u in kset for f, (u, v) in faces.items()):

@@ -178,10 +178,13 @@ def _homology_rows(groups):
 
 
 def _homology_target(args):
-    """(complex, default ring, k or None); bare complex names resolve too."""
+    """(complex, default ring, k or None); bare complex names resolve too,
+    but a file or `catalog:` spec that fails to load reports its error."""
     try:
         entry = _load_target(args.target, args.resolution)
     except FlowError:
+        if args.target.startswith("catalog:") or os.path.exists(args.target):
+            raise
         try:
             return named_space(args.target, args.resolution), "z", None
         except ComplexError:

@@ -10,10 +10,10 @@ a file's lists to the constructor as they stand.
 
 Construction indexes only the cells by dimension. Cofaces, vertex supports
 and the top cells at each vertex are built once, on their first query, so a
-complex that only feeds homology never builds them. Closed stars go
-through the vertices, so `attractor.analyze` on a loaded file builds the
-vertex supports and the vertex stars only: no coface index and no one-ring
-per cell.
+complex that only feeds homology never builds them. `star_tops` is the one
+closed-star query, a one-ring included, and it goes through the vertices,
+so `attractor.analyze` on a loaded file builds the vertex supports and the
+vertex stars only: no coface index, and no complex stores a ring per cell.
 """
 
 from collections import defaultdict
@@ -62,7 +62,6 @@ class CellComplex:
             self._by_dim[d].sort()
         self.top_dim = max(self._by_dim) if self.cells else 0
         self._validate()
-        self._ring_cache = {}
 
     # -- construction-time checks ------------------------------------------
 
@@ -188,25 +187,12 @@ class CellComplex:
     def vertices_of(self, c):
         return self._verts[c]
 
-    def one_ring(self, c):
-        """Top cells whose closure meets the closure of c (c included)."""
-        if c in self._ring_cache:
-            return self._ring_cache[c]
-        ring = set()
-        for v in self._verts[c]:
-            ring.update(self._vert_tops[v])
-        if self.cells[c] == self.top_dim:
-            ring.add(c)
-        ring = frozenset(ring)
-        self._ring_cache[c] = ring
-        return ring
-
     def star_tops(self, cellset):
         """Closed star: every top cell whose closure meets closure(cellset).
         A cell's vertex support already covers its closure, and every top
         cell is in the star of each of its vertices, so this is the union of
-        the stars of the set's vertices: the union of the cells' one-rings,
-        with no ring built per cell."""
+        the stars of the set's vertices. It is the one closed-star query:
+        the one-ring of a cell c is star_tops((c,)), and no ring is kept."""
         verts = self._verts
         vs = set().union(*map(verts.__getitem__, cellset))
         out = set().union(*map(self._vert_tops.__getitem__, vs))
@@ -542,15 +528,14 @@ def annulus(rows, cols):
     return cx
 
 
-def disjoint_union(a, b, prefix_a="a:", prefix_b="b:"):
+def disjoint_union(a, b):
+    """a + b, with the cells of a prefixed "a:" and those of b "b:"."""
     cells = {}
     bnd = {}
-    for c, d in a.cells.items():
-        cells[prefix_a + c] = d
-        bnd[prefix_a + c] = {prefix_a + f: k for f, k in a.boundary[c].items()}
-    for c, d in b.cells.items():
-        cells[prefix_b + c] = d
-        bnd[prefix_b + c] = {prefix_b + f: k for f, k in b.boundary[c].items()}
+    for pre, cx in (("a:", a), ("b:", b)):
+        for c, d in cx.cells.items():
+            cells[pre + c] = d
+            bnd[pre + c] = {pre + f: k for f, k in cx.boundary[c].items()}
     return CellComplex("(%s)+(%s)" % (a.name, b.name), cells, bnd)
 
 

@@ -261,10 +261,10 @@ def _sides(cx, circ, z):
     return side_a, side_b
 
 
-def hypersurface_flow(cx, z, bands=4, name=None):
+def hypersurface_flow(cx, z, name=None):
     """Creep-and-return flow across a two-sided cycle of codim-1 cells.
 
-    K is the complement of `bands` open bands swept out from z. The K side
+    K is the complement of four open bands swept out from z. The K side
     of z creeps across, the bands march away from the seam, and the last
     band lands back in K. Raises separating-cycle when cutting along z
     disconnects the complex."""
@@ -302,7 +302,7 @@ def hypersurface_flow(cx, z, bands=4, name=None):
         engine = set(side_a.values())
         lanes = [set(side_b.values())]
         used = engine | lanes[0]
-        for _ in range(bands - 1):
+        for _ in range(3):  # the bands after the first
             cur = lanes[-1]
             nxt = set()
             for t in cur:
@@ -387,12 +387,13 @@ def freeze_outside(flow, p):
     return out
 
 
-def add_uniform_component(flow, k, prefix=None):
+def add_uniform_component(flow, k):
     """Glue a drifting strip onto a free seam of K.
 
     Adds one uniform component to the basin without touching K or the
     homoclinic count. The flow must advertise a seam with every coface in K;
-    otherwise there is no room to attach."""
+    otherwise there is no room to attach. The strip's cells are prefixed
+    "u<i>:", i counting the strips attached before it."""
     targets = flow.meta.get("strip_targets", [])
     used = flow.meta.get("strips", [])
     idx = len(used)
@@ -407,7 +408,7 @@ def add_uniform_component(flow, k, prefix=None):
             raise ConstructionError(
                 "no-room", "no room to attach a uniform strip: the seam at "
                 "%s meets moving cells" % e)
-    pre = prefix or ("u%d:" % idx)
+    pre = "u%d:" % idx
     n = len(edges)
     strip = annulus(3, n)
     cells = dict(flow.cx.cells)

@@ -21,8 +21,9 @@ when b is in that of a), so the top cells whose one-ring meets a region are
 the union of the region's one-rings: one set kernel, `touching` (the
 complex's closed star, `star_tops`), in place of a test per cell or per
 pair. It goes through vertices: the region's vertex supports, then the top
-cells at each of those vertices, so no one-ring is built per cell. Locality
-of F is tested on vertex supports too, so a rest flow builds no one-ring.
+cells at each of those vertices. `one_ring(c)` is the same query on {c},
+computed on each call and never stored. Locality of F is tested on vertex
+supports too, so a rest flow builds no one-ring.
 
 A flow knows nothing of how it was built. A catalog flow carries its
 `recipe` ({name, resolution}) in `meta` and in its JSON as provenance only;
@@ -112,7 +113,7 @@ class CombinatorialFlow:
         return frozenset(c for c, out in self.succ.items() if out == (c,))
 
     def one_ring(self, c):
-        return self.cx.one_ring(c)
+        return frozenset(self.cx.star_tops((c,)))
 
     def touching(self, cells):
         """Top cells whose one-ring meets the top cells `cells`. One-rings of

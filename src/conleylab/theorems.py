@@ -543,17 +543,19 @@ def jduality_violations(cx, plus, minus):
 
     For each x the cells J+(x) touches are compared with dual[x], the cells
     y whose J-(y) touches x. Touching distributes over unions, so each
-    distinct image is expanded once."""
+    distinct image is expanded once. The one-rings are taken once per call
+    and dropped when it returns."""
+    tops = cx.top_cells()
+    rings = {x: cx.star_tops((x,)) for x in tops}
     expanded = {}
 
     def touching(images, x):
-        parts = {images[y] for y in cx.one_ring(x)}
+        parts = {images[y] for y in rings[x]}
         for img in parts:
             if img not in expanded:
                 expanded[img] = cx.star_tops(img)
         return set().union(*(expanded[img] for img in parts))
 
-    tops = cx.top_cells()
     dual = {x: set() for x in tops}
     for y in tops:
         for x in touching(minus, y):

@@ -209,9 +209,9 @@ def test_pipeline_matches_per_cell_definitions():
         col = attractor.collar(f, kset)
         khat = attractor.stabilization(f, kset)
         assert khat == stabilization_rounds(f, kset), f.name
-        bas = attractor.basin(f, kset, khat)
+        bas = attractor.basin(f, khat)
         assert bas == basin_per_cell(f, khat), f.name
-        assert attractor.unstable_manifold(f, kset) == \
+        assert attractor.unstable_manifold(f, col) == \
             unstable_per_cell(f, col), f.name
         within = bas - kset
         rec = f.recurrent_cells(within)
@@ -229,7 +229,7 @@ def test_components_match_coface_walk():
     for f, k in oracle_cases():
         kset = frozenset(k)
         khat = attractor.stabilization(f, kset)
-        bas = attractor.basin(f, kset, khat)
+        bas = attractor.basin(f, khat)
         assert attractor.components(f, bas, kset, khat) == \
             components_by_cofaces(f, bas, kset, khat), f.name
         # a basin without k's neighbours splits into more pieces
@@ -240,12 +240,26 @@ def test_components_match_coface_walk():
 
 def test_analyze_on_a_loaded_file_builds_no_coface_index_or_rings():
     for f, k in oracle_cases():
-        loaded = flm.CombinatorialFlow.from_json(
-            json.loads(json.dumps(f.to_json())))
-        rep = attractor.analyze(loaded, k)
+        body = json.loads(json.dumps(f.to_json()))
+        loaded = flm.CombinatorialFlow.from_json(body)
+        attractor.analyze(loaded, k)
         cx = loaded.cx
         assert "_cofaces" not in cx.__dict__, f.name
-        # one-rings are built only for the witness candidates tried
-        assert len(cx._ring_cache) <= 5, f.name
-        if rep.classification != "Unknown":
-            assert set(cx._ring_cache) <= {rep.witness}, f.name
+        # the analysis adds the vertex supports and the vertex stars to the
+        # complex and nothing else: no ring is stored per cell
+        fresh = flm.CombinatorialFlow.from_json(body).cx
+        assert set(vars(cx)) - set(vars(fresh)) <= \
+            {"_verts", "_vert_tops", "_bare_tops"}, f.name
+
+
+def test_analyze_computes_the_collar_and_isolation_once(monkeypatch):
+    calls = {}
+    for name in ("collar", "check_isolated"):
+        def counted(*args, _fn=getattr(attractor, name), _name=name):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(attractor, name, counted)
+    for f, k in oracle_cases():
+        calls.update(collar=0, check_isolated=0)
+        attractor.analyze(f, k)
+        assert calls == {"collar": 1, "check_isolated": 1}, f.name

@@ -135,11 +135,15 @@ def test_malformed_complex_shapes_exit(tmp_path, capsys):
         edit(bad["complex"])
         path = tmp_path / (edit.__name__ + ".json")
         path.write_text(json.dumps(bad))
+        errs = []
         for cmd in ("analyze", "homology"):
             assert cli.main([cmd, str(path)]) == 1, (edit.__name__, cmd)
             err = capsys.readouterr().err
             assert err.startswith("error["), (edit.__name__, cmd, err)
             assert "Traceback" not in err, (edit.__name__, cmd)
+            errs.append(err)
+        # homology names the load failure of a file as analyze does
+        assert errs[0] == errs[1], (edit.__name__, errs)
 
 
 def test_verify_single_check(capsys):

@@ -128,7 +128,7 @@ def small_flows(draw):
     """Local flows on small complexes. Few successors per cell give chains
     of recurrent components joined by transient cells, and self loops."""
     cx = draw(st.sampled_from(small_complexes()))
-    succ = {c: draw(st.lists(st.sampled_from(sorted(cx.one_ring(c))),
+    succ = {c: draw(st.lists(st.sampled_from(sorted(cx.star_tops({c}))),
                              min_size=1, max_size=3))
             for c in cx.top_cells()}
     return flm.CombinatorialFlow(cx, succ)
