@@ -307,84 +307,19 @@ def cup_form_h1(cx, ring="z2"):
 
 
 def max_null_system(form, ring="z2"):
-    """Largest d with d classes alpha_i, all pairwise cup products zero.
+    """Largest d with d independent classes alpha_i, all pairwise cup
+    products zero: the largest totally isotropic subspace of the form.
 
-    Mod 2 forms are searched exhaustively; exterior presentations use the
-    rule that two independent degree-1 classes have nonzero product."""
+    That is n - ceil(rank / 2) for a symmetric form over z2 and for a skew
+    form over z, and every stored integer form is skew. Exterior
+    presentations use the rule that two independent degree-1 classes have
+    nonzero product."""
     _check_ring(ring)
     if isinstance(form, tuple) and form[0] == "exterior":
         return 1 if form[1] >= 1 else 0
-    n = len(form)
-    if n == 0:
-        return 0
-    if ring == "z2":
-        vectors = list(range(1, 1 << n))
-
-        def pair(u, v):
-            s = 0
-            for i in range(n):
-                if not (u >> i) & 1:
-                    continue
-                for j in range(n):
-                    if (v >> j) & 1:
-                        s ^= form[i][j] & 1
-            return s
-
-        best = 0
-        # depth-first over echelon bases
-        def extend(basis, space):
-            nonlocal best
-            best = max(best, len(basis))
-            top = max(space) if space else 0
-            for v in vectors:
-                if v in space or (basis and v <= max(basis)):
-                    continue
-                ok = True
-                for w in list(space) + [v]:
-                    if pair(v, w) or pair(w, v):
-                        ok = False
-                        break
-                if not ok:
-                    continue
-                new_space = set(space)
-                for w in list(space) + [0]:
-                    new_space.add(w ^ v)
-                extend(basis + [v], new_space)
-
-        extend([], set())
-        return best
-    # integer search over small coordinate vectors
-    coords = [-1, 0, 1]
-    vecs = [[]]
-    for _ in range(n):
-        vecs = [v + [c] for v in vecs for c in coords]
-    vecs = [tuple(v) for v in vecs if any(v)]
-
-    def pair(u, v):
-        return sum(u[i] * form[i][j] * v[j] for i in range(n) for j in range(n))
-
-    best = 0
-
-    def indep(basis, v):
-        # GF(2)-reduction is a cheap proxy; exact enough at these sizes
-        rows = []
-        for b in list(basis) + [v]:
-            rows.append(sum((x % 2) << i for i, x in enumerate(b)))
-        return gf2_rank(rows) == len(basis) + 1
-
-    def extend(basis, start):
-        nonlocal best
-        best = max(best, len(basis))
-        for i in range(start, len(vecs)):
-            v = vecs[i]
-            if not indep(basis, v):
-                continue
-            if any(pair(v, w) or pair(w, v) for w in list(basis) + [v]):
-                continue
-            extend(basis + [v], i + 1)
-
-    extend([], 0)
-    return best
+    rank, _ = _rank([{j: v for j, v in enumerate(row) if v} for row in form],
+                    ring)
+    return len(form) - (rank + 1) // 2
 
 
 # -- suspension helper --------------------------------------------------------

@@ -14,10 +14,9 @@ the sweeps become a backward reach from the complement, and the swept cells
 whose one-ring meets that reach are `flow.touching` of it.
 
 `analyze` builds the collar of K and checks isolation once; each stage that
-tests against the collar takes it as an argument.
+tests against the collar takes it as an argument. The components of
+basin - K are the complex's own `components` walk, labeled here.
 """
-
-from collections import deque
 
 from .complexes import ConleyError
 
@@ -130,35 +129,12 @@ def unstable_manifold(flow, col):
 
 
 def components(flow, basin_cells, k, khat):
-    """Connected components of basin - k through shared codim-1 faces,
-    labeled homoclinic when contained in the stabilization. The faces are
-    mapped to the cells of basin - k that own them, from those cells'
-    boundaries alone, and the walk follows that map."""
-    rest = set(basin_cells) - set(k)
-    boundary = flow.cx.boundary
-    owners = {}
-    for c in rest:
-        for f in boundary[c]:
-            owners.setdefault(f, []).append(c)
-    comps = []
-    seen = set()
-    for start in sorted(rest):
-        if start in seen:
-            continue
-        comp = {start}
-        q = deque([start])
-        seen.add(start)
-        while q:
-            u = q.popleft()
-            for f in boundary[u]:
-                for v in owners[f]:
-                    if v not in seen:
-                        seen.add(v)
-                        comp.add(v)
-                        q.append(v)
-        label = "homoclinic" if comp <= khat else "uniform"
-        comps.append({"cells": frozenset(comp), "label": label})
-    return comps
+    """The components of basin - k (`CellComplex.components`: through
+    shared codim-1 faces), each labeled homoclinic when it lies in the
+    stabilization."""
+    return [{"cells": comp,
+             "label": "homoclinic" if comp <= khat else "uniform"}
+            for comp in flow.cx.components(set(basin_cells) - set(k))]
 
 
 def _violators(flow, cells, within, rec, col, direction):

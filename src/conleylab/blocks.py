@@ -1,5 +1,7 @@
 """Isolating blocks: grow the star of k, trim grazing cells, label the
-boundary faces as entrances and exits, and read off the asymptotic sets."""
+boundary faces as entrances and exits, and read off the asymptotic sets.
+The sections n- and n+ are counted as `CellComplex.components` of their
+boundary faces."""
 
 from .complexes import ConleyError
 
@@ -109,36 +111,14 @@ def build_block(flow, k):
     raise NoBlockError("no isolating block within budget around %d cells" % len(kset))
 
 
-def _face_components(cx, faces):
-    """Connected components of a set of codim-1 faces through shared
-    codim-2 subfaces."""
-    faces = set(faces)
-    comps = 0
-    seen = set()
-    for start in sorted(faces):
-        if start in seen:
-            continue
-        comps += 1
-        stack = [start]
-        seen.add(start)
-        while stack:
-            f = stack.pop()
-            for sub in cx.boundary[f]:
-                for g in cx.cofaces(sub):
-                    if g in faces and g not in seen:
-                        seen.add(g)
-                        stack.append(g)
-    return comps
-
-
 def section_components(block):
     """(components of n-, components of n+). Only regular blocks have
     well-defined sections."""
     if not block.regular:
         raise BlockError("not-regular", "sections need a regular block")
     cx = block.flow.cx
-    return (_face_components(cx, block.nminus_faces),
-            _face_components(cx, block.nplus_faces))
+    return (len(cx.components(block.nminus_faces)),
+            len(cx.components(block.nplus_faces)))
 
 
 def conley_euler(block):

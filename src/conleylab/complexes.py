@@ -8,12 +8,16 @@ builder fails loudly at build time instead of corrupting homology later. A
 boundary for a cell that is not declared is refused too. `from_json` hands
 a file's lists to the constructor as they stand.
 
-Construction indexes only the cells by dimension. Cofaces, vertex supports
-and the top cells at each vertex are built once, on their first query, so a
-complex that only feeds homology never builds them. `star_tops` is the one
-closed-star query, a one-ring included, and it goes through the vertices,
-so `attractor.analyze` on a loaded file builds the vertex supports and the
-vertex stars only: no coface index, and no complex stores a ring per cell.
+Construction indexes only the cells by dimension. The top cofaces of each
+codim-1 face, the vertex supports and the top cells at each vertex are
+built once, on their first query, so a complex that only feeds homology
+never builds them. `star_tops` is the one closed-star query, a one-ring
+included, and it goes through the vertices. `components` is the one
+connected-components walk: the components of basin - k, the block sections
+and the circles of a cycle are all cells joined through shared faces, and
+it maps those faces from the set's own boundaries. So `attractor.analyze`
+on a loaded file builds the vertex supports and the vertex stars only: no
+coface index, and no complex stores a ring per cell.
 """
 
 from collections import defaultdict
@@ -115,14 +119,14 @@ class CellComplex:
     # -- indexes, each built on its first query ------------------------------
 
     @cached_property
-    def _cofaces(self):
-        cofaces = defaultdict(list)
-        for c, faces in self.boundary.items():
-            for f in faces:
-                cofaces[f].append(c)
-        for f in cofaces:
-            cofaces[f].sort()
-        return cofaces
+    def _top_cofaces(self):
+        # the top cells on each codim-1 face, from the top cells' boundaries;
+        # top_cells() is sorted, so each list is too
+        top_cofaces = defaultdict(list)
+        for t in self.top_cells():
+            for f in self.boundary[t]:
+                top_cofaces[f].append(t)
+        return top_cofaces
 
     @cached_property
     def _verts(self):
@@ -167,11 +171,8 @@ class CellComplex:
     def top_cells(self):
         return list(self._by_dim.get(self.top_dim, []))
 
-    def cofaces(self, c):
-        return list(self._cofaces.get(c, []))
-
     def top_cofaces(self, c):
-        return [x for x in self._cofaces.get(c, []) if self.cells[x] == self.top_dim]
+        return list(self._top_cofaces.get(c, ()))
 
     def closure(self, cellset):
         out = set()
@@ -199,6 +200,33 @@ class CellComplex:
         if self._bare_tops:
             out |= self._bare_tops.intersection(cellset)
         return out
+
+    def components(self, cells):
+        """Connected components of a set of cells of one dimension, two
+        cells joined when their boundaries share a face, as frozensets
+        ordered by each component's least cell. Each face is mapped to the
+        cells of the set that own it, from those cells' boundaries alone,
+        and the walk follows that map. On edges this is vertex adjacency."""
+        boundary = self.boundary
+        owners = defaultdict(list)
+        for c in cells:
+            for f in boundary[c]:
+                owners[f].append(c)
+        comps = []
+        seen = set()
+        for start in sorted(cells):
+            if start in seen:
+                continue
+            seen.add(start)
+            comp = [start]
+            for u in comp:  # the list grows while it is walked
+                for f in boundary[u]:
+                    for v in owners[f]:
+                        if v not in seen:
+                            seen.add(v)
+                            comp.append(v)
+            comps.append(frozenset(comp))
+        return comps
 
     def euler(self, cellset=None):
         """Euler characteristic of the closure of cellset (whole complex if None)."""
@@ -433,9 +461,7 @@ def sphere(rows, cols):
         for l in range(cols):
             grid["f:%d,%d" % (r, l)] = (r, l)
     cx.meta["grid"] = grid
-    cx.meta["grid_shape"] = (rows, cols)
-    cx.meta["family"] = "sphere"
-    cx.meta["cup"] = {"space": "sphere", "rings": {"z": [], "z2": []}}
+    cx.meta["cup"] = {"rings": {"z": [], "z2": []}}
     return cx
 
 
@@ -486,8 +512,6 @@ def disc(rings, sectors):
         for s in range(sectors):
             grid["q:%d,%d" % (r, s)] = (r, s)
     cx.meta["grid"] = grid
-    cx.meta["grid_shape"] = (rings, sectors)
-    cx.meta["family"] = "disc"
     return cx
 
 
@@ -521,10 +545,7 @@ def annulus(rows, cols):
         for l in range(cols):
             grid["e:%d&e:%d" % (r, l)] = (r, l)
     cx.meta["grid"] = grid
-    cx.meta["grid_shape"] = (rows, cols)
-    cx.meta["family"] = "annulus"
-    cx.meta["cup"] = {"space": "annulus",
-                      "rings": {"z": [[0]], "z2": [[0]]}}
+    cx.meta["cup"] = {"rings": {"z": [[0]], "z2": [[0]]}}
     return cx
 
 
@@ -577,10 +598,8 @@ def quotient(cx, pairs, name=None):
             chain[rf] += k * sf
         bnd[c] = {f: k for f, k in chain.items() if k}
     idents = [[k, d, s] for (k, d, s) in pairs]
-    out = CellComplex(name or (cx.name + "/~"), cells, bnd,
-                      identifications=cx.identifications + idents)
-    out.meta.update(cx.meta)
-    return out
+    return CellComplex(name or (cx.name + "/~"), cells, bnd,
+                       identifications=cx.identifications + idents)
 
 
 def mapping_torus(fiber, glue, m, name=None):
@@ -627,7 +646,6 @@ def mapping_torus(fiber, glue, m, name=None):
             for i in range(m):
                 grid["%s@e%d" % (c, i)] = (pos, i)
         cx.meta["grid"] = grid
-        cx.meta["grid_shape"] = (len(fiber.top_cells()), m)
     return cx
 
 
@@ -635,11 +653,8 @@ def torus(n, m=None):
     m = m or n
     ci = circle(n)
     cx = mapping_torus(ci, identity_map(ci), m, name="torus(%d,%d)" % (n, m))
-    cx.meta["family"] = "torus"
-    cx.meta["closed_surface"] = True
-    cx.meta["cup"] = {"space": "torus",
-                      "rings": {"z": [[0, 1], [-1, 0]], "z2": [[0, 1], [1, 0]]},
-                      "kind": "exterior"}
+    cx.meta["cup"] = {"rings": {"z": [[0, 1], [-1, 0]],
+                                "z2": [[0, 1], [1, 0]]}}
     return cx
 
 
@@ -647,8 +662,7 @@ def klein(n, m=None):
     m = m or n
     ci = circle(n)
     cx = mapping_torus(ci, circle_reflection(n), m, name="klein(%d,%d)" % (n, m))
-    cx.meta["family"] = "klein"
-    cx.meta["cup"] = {"space": "klein", "rings": {"z2": [[0, 1], [1, 1]]}}
+    cx.meta["cup"] = {"rings": {"z2": [[0, 1], [1, 1]]}}
     return cx
 
 
@@ -683,11 +697,7 @@ def rp2(rows=2, cols=4):
                 pairs.append((a, b, -1))
     pairs.append(("cap:n", "cap:s", 1))
     cx = quotient(sp, pairs, name="rp2(%d,%d)" % (rows, cols))
-    cx.meta["family"] = "rp2"
-    cx.meta["closed_surface"] = True
-    cx.meta.pop("grid", None)
-    cx.meta["cup"] = {"space": "rp2", "rings": {"z2": [[1]]},
-                      "kind": "truncated-polynomial"}
+    cx.meta["cup"] = {"rings": {"z2": [[1]]}}
     return cx
 
 
@@ -789,13 +799,9 @@ def connected_sum(a, b, cell_a, cell_b, name=None):
                 last_err = err
                 continue
             if out.is_closed_surface() and out.is_orientable():
-                out.meta["family"] = "genus2"
-                out.meta["closed_surface"] = True
-                out.meta["summands"] = {"a": a.name, "b": b.name,
-                                        "removed": [cell_a, cell_b]}
                 h = [[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 1], [0, 0, -1, 0]]
                 h2 = [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]]
-                out.meta["cup"] = {"space": "genus2", "rings": {"z": h, "z2": h2}}
+                out.meta["cup"] = {"rings": {"z": h, "z2": h2}}
                 return out
             last_err = ComplexError("glued complex is not an orientable surface")
     raise last_err or ComplexError("no orientation-reversing matching found")
@@ -804,9 +810,7 @@ def connected_sum(a, b, cell_a, cell_b, name=None):
 def t3(n=4, m=4):
     base = torus(n, n)
     cx = product(base, circle(m), name="t3(%d,%d)" % (n, m))
-    cx.meta["family"] = "t3"
-    cx.meta["cup"] = {"space": "t3", "kind": "exterior", "rank": 3,
-                      "rings": {"z": "exterior3", "z2": "exterior3"}}
+    cx.meta["cup"] = {"rings": {"z": "exterior3", "z2": "exterior3"}}
     return cx
 
 

@@ -194,26 +194,6 @@ def planar_annulus(sectors=8):
 # -- hypersurface flows -------------------------------------------------------
 
 
-def _cycle_components(cx, z):
-    comps = []
-    left = set(z)
-    while left:
-        start = min(left)
-        comp = {start}
-        left.discard(start)
-        q = deque([start])
-        while q:
-            e = q.popleft()
-            for v in cx.vertices_of(e):
-                for e2 in tuple(left):
-                    if v in cx.vertices_of(e2):
-                        left.discard(e2)
-                        comp.add(e2)
-                        q.append(e2)
-        comps.append(sorted(comp))
-    return comps
-
-
 def _same_side_top(cx, v, start, target, z):
     """Top over `target` reached from `start` by rotating around v without
     crossing z."""
@@ -293,7 +273,7 @@ def hypersurface_flow(cx, z, name=None):
         raise ConstructionError(
             "separating-cycle",
             "cutting along the cycle disconnects the complex")
-    circles = _cycle_components(cx, z)
+    circles = [sorted(c) for c in cx.components(z)]
     lanes_per_circle = []
     engines_per_circle = []
     used_all = set()
@@ -354,7 +334,6 @@ def hypersurface_flow(cx, z, name=None):
                 succ[t] = outs
     flow = CombinatorialFlow(cx, succ, name=name or "hypersurface")
     flow.meta["family"] = "hypersurface"
-    flow.meta["cycle"] = sorted(z)
     return flow, sorted(kset)
 
 

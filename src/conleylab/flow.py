@@ -364,6 +364,9 @@ def load_file(path, name=None, error=FlowError):
                     "cannot read flow file %s: %s" % (path, exc))
     flow = CombinatorialFlow.from_json(data)
     k = data.get("k")
+    if k is not None and (type(k) is not list or set(map(type, k)) - {str}):
+        raise FlowError("unreadable-input",
+                        "malformed flow data: k is not a list of cell ids")
     return {"name": (name or data.get("name")
                      or os.path.splitext(os.path.basename(path))[0]),
             "resolution": None, "flow": flow,

@@ -1,5 +1,5 @@
 from collections import defaultdict
-from itertools import combinations
+from itertools import combinations, product
 from math import gcd
 
 import pytest
@@ -422,6 +422,83 @@ def test_cup_forms_and_max_null_system():
     # t3 carries an exterior-algebra presentation
     assert algebra.cup_form_h1(cxm.t3(3)) == ("exterior", 3)
     assert algebra.max_null_system(("exterior", 3)) == 1
+
+
+def null_system_search(form, ring):
+    """Largest set of independent classes with all pairwise products zero,
+    by exhaustive search: over z2 every vector, over z the coordinates
+    {-1, 0, 1}, one of v and -v (they pair and reduce alike). Independence
+    is tested mod 2, which over z is a proxy that is exact at these sizes.
+    The search grows sets in index order and carries the candidates that
+    are still compatible, so it stops once they cannot beat the best."""
+    n = len(form)
+    coords = (0, 1) if ring == "z2" else (-1, 0, 1)
+    vecs = [v for v in product(coords, repeat=n)
+            if any(v) and [x for x in v if x][0] == 1]
+
+    def pair(u, v):
+        p = sum(u[i] * form[i][j] * v[j] for i in range(n) for j in range(n))
+        return p % 2 if ring == "z2" else p
+
+    def indep(vs):
+        return algebra.gf2_rank([sum((x % 2) << i for i, x in enumerate(v))
+                                 for v in vs]) == len(vs)
+
+    best = 0
+
+    def extend(basis, cands):
+        nonlocal best
+        best = max(best, len(basis))
+        for i, v in enumerate(cands):
+            if best == n or len(basis) + len(cands) - i <= best:
+                return
+            extend(basis + [v],
+                   [w for w in cands[i + 1:] if not pair(v, w)
+                    and not pair(w, v) and indep(basis + [v, w])])
+
+    extend([], [v for v in vecs if not pair(v, v)])
+    return best
+
+
+def test_max_null_system_matches_search_on_stored_forms():
+    for name in NAMED_SPACES:
+        cup = cxm.named_space(name).meta.get("cup", {"rings": {}})
+        for form in cup["rings"].values():
+            if form == "exterior3":
+                continue
+            for ring in algebra.RINGS:
+                assert algebra.max_null_system(form, ring) == \
+                    null_system_search(form, ring), (name, form, ring)
+
+
+def square_forms(max_n, entry):
+    return st.integers(0, max_n).flatmap(lambda n: st.lists(
+        st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n))
+
+
+def symmetric(m):
+    return [[m[min(i, j)][max(i, j)] for j in range(len(m))]
+            for i in range(len(m))]
+
+
+def skew(m):
+    return [[m[i][j] if i < j else -m[j][i] if i > j else 0
+             for j in range(len(m))] for i in range(len(m))]
+
+
+@settings(max_examples=300, deadline=None)
+@given(square_forms(5, st.integers(0, 1)))
+def test_max_null_system_matches_search_on_symmetric_z2_forms(m):
+    form = symmetric(m)
+    assert algebra.max_null_system(form, "z2") == \
+        null_system_search(form, "z2")
+
+
+@settings(max_examples=300, deadline=None)
+@given(square_forms(4, st.integers(-2, 2)))
+def test_max_null_system_matches_search_on_skew_z_forms(m):
+    form = skew(m)
+    assert algebra.max_null_system(form, "z") == null_system_search(form, "z")
 
 
 def test_algebra_errors():

@@ -244,7 +244,7 @@ def test_analyze_on_a_loaded_file_builds_no_coface_index_or_rings():
         loaded = flm.CombinatorialFlow.from_json(body)
         attractor.analyze(loaded, k)
         cx = loaded.cx
-        assert "_cofaces" not in cx.__dict__, f.name
+        assert "_top_cofaces" not in cx.__dict__, f.name
         # the analysis adds the vertex supports and the vertex stars to the
         # complex and nothing else: no ring is stored per cell
         fresh = flm.CombinatorialFlow.from_json(body).cx

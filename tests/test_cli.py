@@ -146,6 +146,22 @@ def test_malformed_complex_shapes_exit(tmp_path, capsys):
         assert errs[0] == errs[1], (edit.__name__, errs)
 
 
+def test_malformed_k_exits(tmp_path, capsys):
+    # k must be a list of cell ids; any other shape is unreadable input
+    body = flm.rest_flow(cxm.sphere(3, 6)).to_json()
+    for i, k in enumerate((5, [1, "cap:s"], [["cap:s"]])):
+        path = tmp_path / ("k%d.json" % i)
+        path.write_text(json.dumps(dict(body, k=k)))
+        errs = []
+        for cmd in ("analyze", "homology"):
+            assert cli.main([cmd, str(path)]) == 1, (k, cmd)
+            err = capsys.readouterr().err
+            assert err.startswith("error[unreadable-input]"), (k, cmd, err)
+            assert "Traceback" not in err, (k, cmd)
+            errs.append(err)
+        assert errs[0] == errs[1], (k, errs)
+
+
 def test_verify_single_check(capsys):
     assert cli.main(["verify", "--only", "cor3.3"]) == 0
     out = capsys.readouterr().out
@@ -176,12 +192,14 @@ def test_verify_skips_unreadable_catalog_files_with_a_note(
     body["successors"] = {}
     (tmp_path / "nosucc.json").write_text(json.dumps(body))
     (tmp_path / "notjson.json").write_text("not json")
+    body = catalog.build("example22-circle")["flow"].to_json()
+    (tmp_path / "badk.json").write_text(json.dumps(dict(body, k=[1, "x"])))
     monkeypatch.setenv("CONLEYLAB_CATALOG", str(tmp_path))
     assert cli.main(["verify", "--format", "json"]) == 0
     results = json.loads(capsys.readouterr().out)
     assert [r["status"] for r in results] == ["pass"] * 16
     notes = [d for r in results for d in r["details"] if d.startswith("note ")]
-    for name in ("nosucc.json", "notjson.json"):
+    for name in ("nosucc.json", "notjson.json", "badk.json"):
         assert any(name in n for n in notes), name
         assert cli.main(["analyze", "catalog:" + name[:-5]]) == 1
         assert "error[unreadable-input]" in capsys.readouterr().err

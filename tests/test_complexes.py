@@ -22,18 +22,25 @@ def ddzero(cx):
     return True
 
 
-def eager_indexes(cx):
-    """Cofaces and vertex supports of every cell, built from the boundary
-    table alone, lowest dimension first."""
+def eager_cofaces(cx):
+    """The cofaces of every cell, sorted, from the boundary table alone."""
     cofaces = defaultdict(list)
     for c in sorted(cx.cells):
         for f in cx.boundary[c]:
             cofaces[f].append(c)
+    return cofaces
+
+
+def eager_indexes(cx):
+    """Top cofaces and vertex supports of every cell, built from the
+    boundary table alone, lowest dimension first."""
+    top_cofaces = {f: [c for c in cof if cx.dim(c) == cx.top_dim]
+                   for f, cof in eager_cofaces(cx).items()}
     verts = {}
     for c in sorted(cx.cells, key=cx.dim):
         verts[c] = (frozenset([c]) if cx.dim(c) == 0 else
                     frozenset().union(*(verts[f] for f in cx.boundary[c])))
-    return cofaces, verts
+    return top_cofaces, verts
 
 
 def test_lazy_indexes_match_eager_rebuild():
@@ -41,11 +48,12 @@ def test_lazy_indexes_match_eager_rebuild():
                  "s2xs1", "s2xts1", "t3"):
         # a builder may query its complex; a loaded one has built nothing
         cx = cxm.CellComplex.from_json(cxm.named_space(name).to_json())
-        assert not {"_cofaces", "_verts", "_vert_tops"} & set(vars(cx)), name
-        cofaces, verts = eager_indexes(cx)
+        assert not {"_top_cofaces", "_verts", "_vert_tops"} & set(vars(cx)), \
+            name
+        top_cofaces, verts = eager_indexes(cx)
         tops = cx.top_cells()
         for c in sorted(cx.cells):
-            assert cx.cofaces(c) == cofaces[c], (name, c)
+            assert cx.top_cofaces(c) == top_cofaces.get(c, []), (name, c)
             assert cx.vertices_of(c) == verts[c], (name, c)
             ring = {t for t in tops if verts[t] & verts[c]}
             if cx.dim(c) == cx.top_dim:
@@ -137,6 +145,65 @@ def validate_two_pass(cells, boundary):
         if bad:
             return "del del != 0 at %s: %r" % (c, bad)
     return None
+
+
+def components_by_cofaces(cx, cells):
+    """Components of a set of same-dimension cells by a depth-first walk
+    from each face of a cell to every coface of that face in the set."""
+    cofaces = eager_cofaces(cx)
+    cells = set(cells)
+    comps = []
+    seen = set()
+    for start in sorted(cells):
+        if start in seen:
+            continue
+        comp = {start}
+        stack = [start]
+        seen.add(start)
+        while stack:
+            f = stack.pop()
+            for sub in cx.boundary[f]:
+                for g in cofaces[sub]:
+                    if g in cells and g not in seen:
+                        seen.add(g)
+                        comp.add(g)
+                        stack.append(g)
+        comps.append(frozenset(comp))
+    return comps
+
+
+def components_by_vertex_pairs(cx, cells):
+    """Components by testing every pair of cells for a shared vertex; on a
+    set of edges that is shared-face adjacency."""
+    comps = []
+    left = set(cells)
+    while left:
+        start = min(left)
+        comp = {start}
+        left.discard(start)
+        q = [start]
+        while q:
+            e = q.pop(0)
+            for e2 in tuple(left):
+                if cx.vertices_of(e) & cx.vertices_of(e2):
+                    left.discard(e2)
+                    comp.add(e2)
+                    q.append(e2)
+        comps.append(frozenset(comp))
+    return comps
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_components_match_coface_walk_and_vertex_pairs(data):
+    cx = named(data.draw(st.sampled_from(NAMED_SPACES)))
+    d = data.draw(st.sampled_from((cx.top_dim, cx.top_dim - 1)))
+    pool = cx.cells_of_dim(d)
+    s = data.draw(st.sets(st.sampled_from(pool), max_size=len(pool)))
+    comps = cx.components(s)
+    assert comps == components_by_cofaces(cx, s), (cx.name, d)
+    if d == 1:
+        assert comps == components_by_vertex_pairs(cx, s), cx.name
 
 
 @functools.lru_cache(maxsize=None)
