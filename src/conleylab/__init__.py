@@ -21,7 +21,7 @@ _EXPORTS = {
     "blocks": ("BlockError", "IsolatingBlock", "NoBlockError", "build_block",
                "conley_euler", "section_components"),
     "catalog": ("CatalogError", "analysis", "build", "names"),
-    "complexes": ("CellComplex", "CellMap", "ComplexError", "ConleyError"),
+    "complexes": ("CellComplex", "ComplexError", "ConleyError"),
     "constructions": ("ConstructionError",),
     "flow": ("CombinatorialFlow", "FlowError", "LimitEnclosure", "rest_flow"),
     "theorems": ("CheckResult", "TheoremError", "check_ids", "run"),

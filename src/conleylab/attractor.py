@@ -11,7 +11,9 @@ No stage iterates per cell. Each is a whole-set formula over the flow's
 graph kernel (reach, recurrent cells, trim): an eventual image leaves a set
 exactly when the seed reaches a recurrent cell that reaches outside it, so
 the sweeps become a backward reach from the complement, and the swept cells
-whose one-ring meets that reach are `flow.touching` of it.
+whose one-ring meets that reach are the closed star `cx.star_tops` of it.
+`_violators` is the one path for these relative enclosures; the flow keeps
+only the ambient J+/J- of a single cell.
 
 `analyze` builds the collar of K and checks isolation once; each stage that
 tests against the collar takes it as an argument. The components of
@@ -106,7 +108,7 @@ def stabilization(flow, k):
     fwd, img = set(), set()
     new = set(khat)
     while new:
-        ring = flow.touching(new)
+        ring = flow.cx.star_tops(new)
         new = flow.reach(rec & flow.reach(ring, seen=fwd), seen=img) - khat
         khat |= new
     return frozenset(khat)
@@ -142,11 +144,11 @@ def _violators(flow, cells, within, rec, col, direction):
     leaves the collar: their one-ring meets the cells that reach, along
     `direction` inside `within`, a recurrent cell of `within` that reaches
     `within - col` the same way. Both reaches run against the direction,
-    and the cells touching `leaving` are one `flow.touching` call."""
+    and the cells touching `leaving` are one `cx.star_tops` call."""
     back = "p" if direction == "f" else "f"
     escape = rec & flow.reach(within - col, back, within)
     leaving = flow.reach(escape, back, within)
-    return sorted(flow.touching(leaving) & cells)
+    return sorted(flow.cx.star_tops(leaving) & cells)
 
 
 def _witness_search(flow, candidates, within, col):
@@ -206,9 +208,10 @@ def classify(flow, k, report, col):
 def analyze(flow, k):
     """Run the whole pipeline on an isolated attractor candidate."""
     kset = frozenset(k)
-    for c in kset:
-        if c not in flow.tops:
-            raise NotIsolatedError("k contains %s which is not a top cell" % c)
+    outside = sorted(kset - flow.tops)
+    if outside:
+        raise NotIsolatedError("k contains %s which is not a top cell"
+                               % outside[0])
     col = collar(flow, kset)
     check_isolated(flow, kset, col)
     report = AttractorReport(flow, kset)

@@ -5,7 +5,9 @@ candidate k, and the expected classification data the test suite pins down.
 Built-in entries are cached by (name, resolution), and an entry is the one
 way a flow is shared or rebuilt: a recipe that extends another entry (the
 strip recipes, the two-cycle genus-two flow) gets it from `build`, and the
-CLI's `--refine` asks `build` for twice the resolution.
+CLI's `--refine` asks `build` for twice the resolution. The cache has no
+bound: every built-in entry built stays in memory for the life of the
+process. Clear `catalog._CACHE` to release them.
 
 Set the CONLEYLAB_CATALOG environment variable to a directory of flow JSON
 files to make external flows available under their file stem. They are read
@@ -17,9 +19,8 @@ with code unreadable-input and the file's path.
 import os
 
 from . import constructions as cons
-from .complexes import (ComplexError, ConleyError, identity_map,
-                        mapping_torus, named_space, sphere, sphere_reflection,
-                        torus, klein)
+from .complexes import (ComplexError, ConleyError, mapping_torus,
+                        named_space, sphere, sphere_reflection, torus, klein)
 from .flow import FlowError, load_file
 
 
@@ -66,25 +67,21 @@ def _example22_klein(res):
 
 def _example22_circle(res):
     from .complexes import point
-    pt = point()
-    cx = mapping_torus(pt, identity_map(pt), res, name="circle(%d)" % res)
+    cx = mapping_torus(point(), None, res, name="circle(%d)" % res)
     flow, k = cons.example_general(cx, name="example22-circle")
     return flow, k, _expect("NoExternalExplosions", 1, 1, True,
                             pair_poly="t"), "z"
 
 
 def _example22_s2xs1(res):
-    fiber = sphere(3, 6)
-    cx = mapping_torus(fiber, identity_map(fiber), res,
-                       name="s2xs1(%d)" % res)
+    cx = mapping_torus(sphere(3, 6), None, res, name="s2xs1(%d)" % res)
     flow, k = cons.example_general(cx, name="example22-s2xs1")
     return flow, k, _expect("NoExternalExplosions", 1, 1, True,
                             pair_poly="t^3 + t"), "z"
 
 
 def _example22_s2xts1(res):
-    fiber = sphere(3, 6)
-    cx = mapping_torus(fiber, sphere_reflection(3, 6), res,
+    cx = mapping_torus(sphere(3, 6), sphere_reflection(3, 6), res,
                        name="s2xts1(%d)" % res)
     flow, k = cons.example_general(cx, name="example22-s2xts1")
     return flow, k, _expect("NoExternalExplosions", 1, 1, True,

@@ -144,7 +144,7 @@ def cmd_plot(args):
         block = None
         try:
             block = blocks.build_block(entry["flow"], entry["k"])
-        except (blocks.NoBlockError, blocks.BlockError):
+        except blocks.NoBlockError:
             pass
         _emit(svgplot.svg_text(report, block=block), args.out)
     return 0
@@ -198,6 +198,12 @@ def cmd_homology(args):
     from . import algebra
     cx, default_ring, k = _homology_target(args)
     ring = args.ring or default_ring
+    outside = sorted(set(k or ()).difference(cx.top_cells()))
+    if outside:
+        # the line analyze prints for the same file
+        from .attractor import NotIsolatedError
+        raise NotIsolatedError("k contains %s which is not a top cell"
+                               % outside[0])
     rows = _homology_rows(algebra.homology(cx, ring=ring))
     pair = None
     if k:

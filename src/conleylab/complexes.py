@@ -6,7 +6,9 @@ sweep, lowest dimension first: each face is known, one dimension lower and
 has a nonzero integer coefficient, and del o del = 0, so a bad sign in a
 builder fails loudly at build time instead of corrupting homology later. A
 boundary for a cell that is not declared is refused too. `from_json` hands
-a file's lists to the constructor as they stand.
+a file's lists to the constructor as they stand. A mapping torus glues
+through a plain cell bijection of its fiber, with solved signs, and that
+same sweep is its one chain-map check.
 
 Construction indexes only the cells by dimension. The top cofaces of each
 codim-1 face, the vertex supports and the top cells at each vertex are
@@ -316,70 +318,30 @@ class CellComplex:
                    identifications=data.get("identifications"))
 
 
-class CellMap:
-    """Cellular chain map given as cell -> (cell, sign)."""
-
-    def __init__(self, src, dst, mapping):
-        self.src = src
-        self.dst = dst
-        self.mapping = dict(mapping)
-        self._validate()
-
-    def _validate(self):
-        for c, (c2, s) in self.mapping.items():
-            if self.src.cells[c] != self.dst.cells[c2]:
-                raise ComplexError("map does not preserve dimension at %s" % c)
-            if s not in (1, -1):
-                raise ComplexError("map sign at %s must be +-1" % c)
-            # chain map: del(phi c) = phi(del c)
-            lhs = defaultdict(int)
-            for f, k in self.dst.boundary[c2].items():
-                lhs[f] += s * k
-            rhs = defaultdict(int)
-            for f, k in self.src.boundary[c].items():
-                f2, s2 = self.mapping[f]
-                rhs[f2] += k * s2
-            if {k: v for k, v in lhs.items() if v} != {k: v for k, v in rhs.items() if v}:
-                raise ComplexError("not a chain map at %s" % c)
-
-    def __call__(self, c):
-        return self.mapping[c]
-
-
-def complete_map_signs(src, dst, bijection):
-    """Solve the sign of each cell so that the bijection becomes a chain map.
-
-    Vertices get +1. Higher cells are solved one dimension at a time from the
-    commutation constraint; an inconsistent bijection raises."""
-    mapping = {}
-    for v in src.cells_of_dim(0):
-        mapping[v] = (bijection[v], 1)
-    for d in range(1, src.top_dim + 1):
-        for c in src.cells_of_dim(d):
+def complete_map_signs(fiber, bijection):
+    """The {cell: (image, sign)} table of a cell bijection of `fiber` onto
+    itself. Vertices get +1; higher cells, one dimension at a time, take the
+    sign that matches the first face their mapped boundary shares with their
+    image's boundary. Whether the table is a chain map is not checked here."""
+    table = {}
+    for v in fiber.cells_of_dim(0):
+        table[v] = (bijection[v], 1)
+    for d in range(1, fiber.top_dim + 1):
+        for c in fiber.cells_of_dim(d):
             c2 = bijection[c]
             rhs = defaultdict(int)
-            for f, k in src.boundary[c].items():
-                f2, s2 = mapping[f]
+            for f, k in fiber.boundary[c].items():
+                f2, s2 = table[f]
                 rhs[f2] += k * s2
-            dst_b = dst.boundary[c2]
             sign = None
-            for f2, k2 in dst_b.items():
+            for f2, k2 in fiber.boundary[c2].items():
                 if rhs.get(f2, 0):
                     sign = rhs[f2] // k2
                     break
             if sign not in (1, -1):
                 raise ComplexError("cannot orient %s over %s" % (c, c2))
-            for f2, k2 in dst_b.items():
-                if sign * k2 != rhs.get(f2, 0):
-                    raise ComplexError("inconsistent signs at %s" % c)
-            if set(rhs) - set(dst_b):
-                raise ComplexError("boundary mismatch at %s" % c)
-            mapping[c] = (c2, sign)
-    return CellMap(src, dst, mapping)
-
-
-def identity_map(cx):
-    return CellMap(cx, cx, {c: (c, 1) for c in cx.cells})
+            table[c] = (c2, sign)
+    return table
 
 
 # -- elementary builders ----------------------------------------------------
@@ -416,13 +378,12 @@ def circle(n):
 
 
 def circle_reflection(n):
-    """The reflection l -> -l of circle(n), as a chain map."""
-    cx = circle(n)
+    """The reflection l -> -l of circle(n), as a cell bijection."""
     bij = {}
     for i in range(n):
         bij["v:%d" % i] = "v:%d" % ((n - i) % n)
         bij["e:%d" % i] = "e:%d" % ((n - 1 - i) % n)
-    return complete_map_signs(cx, cx, bij)
+    return bij
 
 
 def sphere(rows, cols):
@@ -466,8 +427,7 @@ def sphere(rows, cols):
 
 
 def sphere_reflection(rows, cols):
-    """Longitude reflection l -> -l of the grid sphere."""
-    cx = sphere(rows, cols)
+    """Longitude reflection l -> -l of the grid sphere, as a bijection."""
     bij = {"cap:n": "cap:n", "cap:s": "cap:s"}
     for r in range(rows + 1):
         for l in range(cols):
@@ -477,7 +437,7 @@ def sphere_reflection(rows, cols):
         for l in range(cols):
             bij["ev:%d,%d" % (r, l)] = "ev:%d,%d" % (r, (cols - l) % cols)
             bij["f:%d,%d" % (r, l)] = "f:%d,%d" % (r, (cols - 1 - l) % cols)
-    return complete_map_signs(cx, cx, bij)
+    return bij
 
 
 def disc(rings, sectors):
@@ -549,17 +509,6 @@ def annulus(rows, cols):
     return cx
 
 
-def disjoint_union(a, b):
-    """a + b, with the cells of a prefixed "a:" and those of b "b:"."""
-    cells = {}
-    bnd = {}
-    for pre, cx in (("a:", a), ("b:", b)):
-        for c, d in cx.cells.items():
-            cells[pre + c] = d
-            bnd[pre + c] = {pre + f: k for f, k in cx.boundary[c].items()}
-    return CellComplex("(%s)+(%s)" % (a.name, b.name), cells, bnd)
-
-
 def quotient(cx, pairs, name=None):
     """Identify cells: pairs of (keep, drop, sign) meaning drop = sign * keep.
 
@@ -603,11 +552,16 @@ def quotient(cx, pairs, name=None):
 
 
 def mapping_torus(fiber, glue, m, name=None):
-    """Fiber x interval(m) with the top end glued back through `glue`.
+    """Fiber x interval(m) with the top end glued back through `glue`, a
+    cell bijection of the fiber onto itself (None for the identity).
 
     Cell ids: `sigma@v{i}` for the slice copies and `sigma@e{i}` for the band
-    copies, i = 0..m-1. The gluing seam is the v0 slice."""
+    copies, i = 0..m-1. The gluing seam is the v0 slice. On the seam band
+    sigma@e{m-1}, del del is +-(del phi - phi del)(sigma)@v0, so the
+    complex's own del del = 0 sweep is the one chain-map check of the glue."""
     assert m >= 3
+    signs = ({c: (c, 1) for c in fiber.cells} if glue is None
+             else complete_map_signs(fiber, glue))
     cells = {}
     bnd = {}
     for c, d in fiber.cells.items():
@@ -619,7 +573,7 @@ def mapping_torus(fiber, glue, m, name=None):
         # slice copy of c at position i, folding i = m through the glue
         if i < m:
             return ("%s@v%d" % (c, i), 1)
-        c2, s = glue(c)
+        c2, s = signs[c]
         return ("%s@v0" % c2, s)
 
     for c, d in fiber.cells.items():
@@ -651,8 +605,7 @@ def mapping_torus(fiber, glue, m, name=None):
 
 def torus(n, m=None):
     m = m or n
-    ci = circle(n)
-    cx = mapping_torus(ci, identity_map(ci), m, name="torus(%d,%d)" % (n, m))
+    cx = mapping_torus(circle(n), None, m, name="torus(%d,%d)" % (n, m))
     cx.meta["cup"] = {"rings": {"z": [[0, 1], [-1, 0]],
                                 "z2": [[0, 1], [1, 0]]}}
     return cx
@@ -660,8 +613,8 @@ def torus(n, m=None):
 
 def klein(n, m=None):
     m = m or n
-    ci = circle(n)
-    cx = mapping_torus(ci, circle_reflection(n), m, name="klein(%d,%d)" % (n, m))
+    cx = mapping_torus(circle(n), circle_reflection(n), m,
+                       name="klein(%d,%d)" % (n, m))
     cx.meta["cup"] = {"rings": {"z2": [[0, 1], [1, 1]]}}
     return cx
 
@@ -671,30 +624,17 @@ def rp2(rows=2, cols=4):
     R, C = rows, cols
     sp = sphere(2 * R, 2 * C)
     pairs = []
-    for r in range(2 * R + 1):
-        for l in range(2 * C):
-            a = "w:%d,%d" % (r, l)
-            b = "w:%d,%d" % (2 * R - r, (l + C) % (2 * C))
-            if a < b:
-                pairs.append((a, b, 1))
-    for r in range(2 * R + 1):
-        for l in range(2 * C):
-            a = "eh:%d,%d" % (r, l)
-            b = "eh:%d,%d" % (2 * R - r, (l + C) % (2 * C))
-            if a < b:
-                pairs.append((a, b, 1))
-    for r in range(2 * R):
-        for l in range(2 * C):
-            a = "ev:%d,%d" % (r, l)
-            b = "ev:%d,%d" % (2 * R - 1 - r, (l + C) % (2 * C))
-            if a < b:
-                pairs.append((a, b, -1))
-    for r in range(2 * R):
-        for l in range(2 * C):
-            a = "f:%d,%d" % (r, l)
-            b = "f:%d,%d" % (2 * R - 1 - r, (l + C) % (2 * C))
-            if a < b:
-                pairs.append((a, b, -1))
+    # (kind, rows of that kind, the row r goes to, sign of the identification)
+    for kind, nrows, flip, sign in (("w", 2 * R + 1, 2 * R, 1),
+                                    ("eh", 2 * R + 1, 2 * R, 1),
+                                    ("ev", 2 * R, 2 * R - 1, -1),
+                                    ("f", 2 * R, 2 * R - 1, -1)):
+        for r in range(nrows):
+            for l in range(2 * C):
+                a = "%s:%d,%d" % (kind, r, l)
+                b = "%s:%d,%d" % (kind, flip - r, (l + C) % (2 * C))
+                if a < b:
+                    pairs.append((a, b, sign))
     pairs.append(("cap:n", "cap:s", 1))
     cx = quotient(sp, pairs, name="rp2(%d,%d)" % (rows, cols))
     cx.meta["cup"] = {"rings": {"z2": [[1]]}}
@@ -741,10 +681,15 @@ def connected_sum(a, b, cell_a, cell_b, name=None):
     if len(walk_a) != len(walk_b):
         raise ComplexError("hole boundaries have different lengths")
     k = len(walk_a)
-    un = disjoint_union(a, b)
-    dropped = {"a:" + cell_a, "b:" + cell_b}
-    cells = {c: d for c, d in un.cells.items() if c not in dropped}
-    bnd = {c: dict(un.boundary[c]) for c in cells}
+    # both surfaces side by side, cells prefixed "a:" and "b:", less the holes
+    cells = {}
+    bnd = {}
+    for pre, cx, hole in (("a:", a, cell_a), ("b:", b, cell_b)):
+        for c, d in cx.cells.items():
+            if c != hole:
+                cells[pre + c] = d
+                bnd[pre + c] = {pre + f: coeff
+                                for f, coeff in cx.boundary[c].items()}
     base = CellComplex("presum", cells, bnd)
 
     verts_a = ["a:" + v for (v, e) in walk_a]
@@ -835,8 +780,7 @@ def named_space(name, resolution=None):
     if name == "annulus":
         return annulus(max(2, n // 2), n)
     if name == "s2xs1":
-        sp = sphere(3, 6)
-        return mapping_torus(sp, identity_map(sp), n, name="s2xs1(%d)" % n)
+        return mapping_torus(sphere(3, 6), None, n, name="s2xs1(%d)" % n)
     if name == "s2xts1":
         return mapping_torus(sphere(3, 6), sphere_reflection(3, 6), n,
                              name="s2xts1(%d)" % n)

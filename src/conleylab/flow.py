@@ -13,17 +13,20 @@ topological order. It gives `recurrent_cells`, and, read forward for F and
 backward for P, every cell's own eventual image: a cell on a cycle reaches
 its image; any other cell's image is the union of its successors' images.
 The image of a seed is the union of its cells' images, so J+(x) and J-(x)
-are unions over the one-ring of x, with no walk per cell. Relative to a
-region (`within`) the images are walked per seed.
+are unions over the one-ring of x, with no walk per cell. This is the one
+J+/J- path of the flow. `eventual_image` walks one seed on its own, as the
+reference the shared images are tested against. Enclosures relative to a
+region (basin - k) are whole-set sweeps in `attractor`, composed from
+`reach` and `recurrent_cells` of that region.
 
 One-rings of top cells are symmetric (a is in the one-ring of b exactly
 when b is in that of a), so the top cells whose one-ring meets a region are
-the union of the region's one-rings: one set kernel, `touching` (the
-complex's closed star, `star_tops`), in place of a test per cell or per
-pair. It goes through vertices: the region's vertex supports, then the top
-cells at each of those vertices. `one_ring(c)` is the same query on {c},
-computed on each call and never stored. Locality of F is tested on vertex
-supports too, so a rest flow builds no one-ring.
+the union of the region's one-rings: the complex's closed star,
+`cx.star_tops`, in place of a test per cell or per pair. It goes through
+vertices: the region's vertex supports, then the top cells at each of those
+vertices. `one_ring(c)` is the same query on {c}, computed on each call and
+never stored. Locality of F is tested on vertex supports too, so a rest
+flow builds no one-ring.
 
 A flow knows nothing of how it was built. A catalog flow carries its
 `recipe` ({name, resolution}) in `meta` and in its JSON as provenance only;
@@ -34,6 +37,7 @@ import json
 import os
 from collections import deque
 from functools import cached_property
+from itertools import chain
 
 from .complexes import CellComplex, ComplexError, ConleyError
 
@@ -43,27 +47,18 @@ class FlowError(ConleyError):
 
 
 class LimitEnclosure:
-    """A certified outer enclosure of a limit set, as a set of top cells.
+    """An outer enclosure of a limit set, as a set of top cells.
 
     Membership of a cell is tested through its one-ring: the enclosure is a
     region, and a cell belongs to the limit behaviour when its neighborhood
     meets that region. Plain `in` on .cells is deliberately not the test."""
 
-    def __init__(self, cells, kind, flow, certified=True):
+    def __init__(self, cells, flow):
         self.cells = frozenset(cells)
-        self.kind = kind
         self.flow = flow
-        self.certified = certified
 
     def touches(self, cell):
         return bool(self.flow.one_ring(cell) & self.cells)
-
-    def to_json(self):
-        return {"cells": sorted(self.cells), "kind": self.kind,
-                "certified": self.certified}
-
-    def __repr__(self):
-        return "LimitEnclosure(%s, %d cells)" % (self.kind, len(self.cells))
 
 
 def _union(sets):
@@ -115,26 +110,18 @@ class CombinatorialFlow:
     def one_ring(self, c):
         return frozenset(self.cx.star_tops((c,)))
 
-    def touching(self, cells):
-        """Top cells whose one-ring meets the top cells `cells`. One-rings of
-        top cells are symmetric, so this is the union of their one-rings:
-        the closed star of the cells."""
-        return self.cx.star_tops(cells)
-
     def _table(self, direction):
         return self.succ if direction == "f" else self.pred
 
     # -- graph kernel ---------------------------------------------------------
 
-    def eventual_image(self, seed, direction="f", within=None):
+    def eventual_image(self, seed, direction="f"):
         """Cells reached from the seed by paths of every length: the reach of
         the recurrent cells in the reach of the seed. This is the union of
         the periodic tail of the image sequence, found without iterating it.
-
-        With `within` everything is relative to the subgraph on that region,
-        giving the prolongational limits their reference-region semantics."""
-        core = self.recurrent_cells(within) & self.reach(seed, direction, within)
-        return frozenset(self.reach(core, direction, within))
+        It walks this one seed: the reference for `eventual_images`."""
+        core = self.recurrent_cells() & self.reach(seed, direction)
+        return frozenset(self.reach(core, direction))
 
     def reach(self, seed, direction="f", within=None, seen=None):
         """Cells reachable from the seed, inside `within` when given. With
@@ -279,29 +266,17 @@ class CombinatorialFlow:
 
     # -- limit enclosures -----------------------------------------------------
 
-    def j_plus(self, x, within=None):
-        return LimitEnclosure(self._j(x, "f", within), "jplus", self)
+    def j_plus(self, x):
+        return LimitEnclosure(self._j(x, "f"), self)
 
-    def j_minus(self, x, within=None):
-        return LimitEnclosure(self._j(x, "p", within), "jminus", self)
+    def j_minus(self, x):
+        return LimitEnclosure(self._j(x, "p"), self)
 
-    def _j(self, x, direction, within):
+    def _j(self, x, direction):
         # the eventual image of a seed is the union of its cells' images
-        seed = self._j_seed(x, within)
-        if within is not None:
-            return self.eventual_image(seed, direction, within)
-        image = self.eventual_images(direction)
-        return _union(image[y] for y in seed)
-
-    def _j_seed(self, x, within):
         self._need_cell(x)
-        if within is None:
-            return self.one_ring(x)
-        a = frozenset(within)
-        if x not in a:
-            raise FlowError("outside-region",
-                            "%s is not in the reference region" % x)
-        return self.one_ring(x) & a
+        image = self.eventual_images(direction)
+        return _union(image[y] for y in self.one_ring(x))
 
     def _need_cell(self, x):
         if x not in self.tops:
@@ -349,24 +324,48 @@ class CombinatorialFlow:
         return flow
 
 
+def _ids(value):
+    """Whether a field value is a list of cell ids (strings)."""
+    return type(value) is list and not set(map(type, value)) - {str}
+
+
+def _check_fields(data):
+    """Refuse a flow file field of the wrong shape, naming the field."""
+    succ = data.get("successors")
+    if (type(succ) is not dict or set(map(type, succ.values())) - {list}
+            or set(map(type, chain.from_iterable(succ.values()))) - {str}):
+        bad = "successors is not a mapping from cell ids to lists of cell ids"
+    elif "fixed" in data and not _ids(data["fixed"]):
+        bad = "fixed is not a list of cell ids"
+    elif data.get("k") is not None and not _ids(data["k"]):
+        bad = "k is not a list of cell ids"
+    elif data.get("ring", "z") not in ("z", "z2"):
+        bad = "ring is not z or z2"
+    else:
+        return
+    raise FlowError("unreadable-input", "malformed flow data: " + bad)
+
+
 def load_file(path, name=None, error=FlowError):
     """Read a flow file into an entry shaped like `catalog.build`'s:
     {name, resolution, flow, k, expected, ring}. The entry is called `name`,
     else the file's "name", else the file stem. Its resolution is None: a
     file is read as it stands and never rebuilt, whatever recipe it names.
-    A file that cannot be read or parsed raises `error` with code
-    unreadable-input."""
+    A file that cannot be read or parsed raises `error`, and one whose
+    fields have the wrong shape raises FlowError naming the field, both
+    with code unreadable-input."""
     try:
         with open(path) as fh:
             data = json.load(fh)
     except (OSError, ValueError) as exc:
         raise error("unreadable-input",
                     "cannot read flow file %s: %s" % (path, exc))
+    if type(data) is not dict:
+        raise FlowError("unreadable-input",
+                        "malformed flow data: the file is not a JSON object")
+    _check_fields(data)
     flow = CombinatorialFlow.from_json(data)
     k = data.get("k")
-    if k is not None and (type(k) is not list or set(map(type, k)) - {str}):
-        raise FlowError("unreadable-input",
-                        "malformed flow data: k is not a list of cell ids")
     return {"name": (name or data.get("name")
                      or os.path.splitext(os.path.basename(path))[0]),
             "resolution": None, "flow": flow,

@@ -344,7 +344,7 @@ def _check_obstruction(res, population):
             continue
         if f.rep.classification != NOEXT or not f.unstable:
             continue
-        rmax = algebra.max_null_system(algebra.cup_form_h1(f.cx, "z2"), "z2")
+        rmax = obstruction_report(f.cx)["r_max"]
         res.case(f.rep.r <= rmax, "%s: r = %d within bound %d"
                  % (f.name, f.rep.r, rmax))
     for f in records:

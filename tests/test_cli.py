@@ -162,6 +162,53 @@ def test_malformed_k_exits(tmp_path, capsys):
         assert errs[0] == errs[1], (k, errs)
 
 
+def test_k_outside_the_top_cells_exits(tmp_path, capsys):
+    # homology checks k as analyze does, instead of looking the id up
+    body = flm.rest_flow(cxm.sphere(3, 6)).to_json()
+    # with several such ids, both name the least, whatever the hash seed
+    for k in (["nowhere"], ["zzz", "nowhere", "xyz"]):
+        path = tmp_path / "k.json"
+        path.write_text(json.dumps(dict(body, k=k)))
+        for cmd in ("analyze", "homology"):
+            assert cli.main([cmd, str(path)]) == 1, cmd
+            assert capsys.readouterr().err == (
+                "error[not-isolated]: k contains nowhere which is not a top "
+                "cell\n"), (k, cmd)
+
+
+def assert_field_refused(tmp_path, capsys, field, value, message):
+    body = flm.rest_flow(cxm.sphere(3, 6)).to_json()
+    if field == "successors":
+        top = min(body["successors"])
+        body["successors"][top] = value
+    else:
+        body[field] = value
+    path = tmp_path / (field + ".json")
+    path.write_text(json.dumps(body))
+    for cmd in ("analyze", "homology"):
+        assert cli.main([cmd, str(path)]) == 1, (field, cmd)
+        assert capsys.readouterr().err == (
+            "error[unreadable-input]: malformed flow data: %s\n" % message), \
+            (field, cmd)
+
+
+def test_successors_field_must_map_cells_to_lists(tmp_path, capsys):
+    # a string used to be read one character at a time
+    assert_field_refused(
+        tmp_path, capsys, "successors", "cap:n",
+        "successors is not a mapping from cell ids to lists of cell ids")
+
+
+def test_fixed_field_must_be_a_list_of_cells(tmp_path, capsys):
+    assert_field_refused(tmp_path, capsys, "fixed", 7,
+                         "fixed is not a list of cell ids")
+
+
+def test_ring_field_must_be_z_or_z2(tmp_path, capsys):
+    assert_field_refused(tmp_path, capsys, "ring", "q",
+                         "ring is not z or z2")
+
+
 def test_verify_single_check(capsys):
     assert cli.main(["verify", "--only", "cor3.3"]) == 0
     out = capsys.readouterr().out

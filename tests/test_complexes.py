@@ -337,7 +337,7 @@ def test_connected_sum_genus_two():
 
 def test_mapping_torus_of_point_is_circle():
     pt = cxm.point()
-    mt = cxm.mapping_torus(pt, cxm.identity_map(pt), 8)
+    mt = cxm.mapping_torus(pt, None, 8)
     assert mt.top_dim == 1 and mt.euler() == 0 and len(mt.cells) == 16
 
 
@@ -366,19 +366,45 @@ def test_unknown_boundary_cell_rejected():
     assert ei.value.code == "bad-complex"
 
 
-def test_cell_map_must_be_chain_map():
+def test_glue_must_be_chain_map():
     c = cxm.circle(4)
-    ident = {cell: (cell, 1) for cell in c.cells}
-    cxm.CellMap(c, c, ident)      # identity passes validation
-    bad = dict(ident)
-    bad["v:0"] = ("v:1", 1)
-    with pytest.raises(cxm.ComplexError):
-        cxm.CellMap(c, c, bad)
+    ident = {cell: cell for cell in c.cells}
+    # the identity bijection glues, and to the same torus as no glue
+    assert cxm.mapping_torus(c, ident, 4).boundary == \
+        cxm.mapping_torus(c, None, 4).boundary
+    # swapping two vertices but no edge is a bijection, not a chain map
+    bad = dict(ident, **{"v:0": "v:1", "v:1": "v:0"})
+    with pytest.raises(cxm.ComplexError) as ei:
+        cxm.mapping_torus(c, bad, 4)
+    assert "del del != 0" in str(ei.value)
+
+
+@pytest.mark.parametrize("fiber, glue", [
+    (cxm.circle(6), cxm.circle_reflection(6)),
+    (cxm.sphere(3, 6), cxm.sphere_reflection(3, 6)),
+], ids=["klein", "s2xts1"])
+def test_seam_del_del_covers_the_chain_map_condition(monkeypatch, fiber,
+                                                     glue):
+    # on the seam band sigma@e{m-1}, del del is +-(del phi - phi del)
+    # (sigma)@v0, so the complex's own sweep refuses a sign table with any
+    # one sign flipped
+    real = cxm.complete_map_signs
+    cxm.mapping_torus(fiber, glue, 3)       # the solved table glues
+    for cell in sorted(fiber.cells):
+        def flipped(fib, bijection):
+            table = real(fib, bijection)
+            image, sign = table[cell]
+            table[cell] = (image, -sign)
+            return table
+
+        monkeypatch.setattr(cxm, "complete_map_signs", flipped)
+        with pytest.raises(cxm.ComplexError) as ei:
+            cxm.mapping_torus(fiber, glue, 3)
+        assert "del del != 0" in str(ei.value), cell
 
 
 def test_reflection_glues_to_klein_bottle():
-    r = cxm.circle_reflection(6)
-    k = cxm.mapping_torus(r.src, r, 6)
+    k = cxm.mapping_torus(cxm.circle(6), cxm.circle_reflection(6), 6)
     from conleylab import algebra
     hom = algebra.homology(k)
     assert [h["rank"] for h in hom] == [1, 1, 0]

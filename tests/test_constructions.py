@@ -11,7 +11,7 @@ def circle_with_arc(m=12):
     a second, uniform component while the circulation component stays
     homoclinic."""
     pt = cxm.point()
-    base = cxm.mapping_torus(pt, cxm.identity_map(pt), m)
+    base = cxm.mapping_torus(pt, None, m)
     cells = dict(base.cells)
     bnd = {c: dict(base.boundary[c]) for c in base.cells}
     cells.update({"arc:v:0": 0, "arc:v:1": 0, "arc:e:0": 1, "arc:e:1": 1})
@@ -92,7 +92,7 @@ def test_circle_with_arc():
 def test_example_over_interval_fiber():
     # the closed-annulus phase space: same engine construction, fiber an arc
     fiber = cxm.interval(3)
-    mt = cxm.mapping_torus(fiber, cxm.identity_map(fiber), 12)
+    mt = cxm.mapping_torus(fiber, None, 12)
     flow, k = cons.example_general(mt)
     rep = attractor.analyze(flow, k)
     assert rep.classification == "NoExternalExplosions"

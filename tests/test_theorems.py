@@ -9,19 +9,20 @@ import pytest
 from conleylab import catalog, complexes as cxm, flow as flm, theorems
 
 
-def pairwise_jduality_violations(j_plus, j_minus, tops):
-    """Reference count: every ordered pair tested with `touches`."""
-    jp = {x: j_plus(x) for x in tops}
-    jm = {x: j_minus(x) for x in tops}
+def pairwise_jduality_violations(j_plus, j_minus, rings):
+    """Reference count: every ordered pair (x, y) tested by the definition,
+    one_ring(y) & J+(x) nonempty against one_ring(x) & J-(y) nonempty.
+    `rings` holds the one-ring of each top cell, taken once per flow."""
+    tops = sorted(rings)
     return sum(1 for x in tops for y in tops
-               if jp[x].touches(y) != jm[y].touches(x))
+               if rings[y].isdisjoint(j_plus[x])
+               != rings[x].isdisjoint(j_minus[y]))
 
 
-def per_seed(fl, direction, kind):
+def per_seed(fl, direction, rings):
     """J+ (direction "f") or J- ("p") of each cell by its own walk from its
     one-ring, without the shared per-cell images."""
-    return lambda x: flm.LimitEnclosure(
-        fl.eventual_image(fl.one_ring(x), direction), kind, fl)
+    return {x: fl.eventual_image(ring, direction) for x, ring in rings.items()}
 
 
 def test_registry_order():
@@ -143,11 +144,11 @@ def test_jduality_count_matches_pairwise_oracle():
     assert records and not notes
     for f in records:
         fl = f.flow
-        tops = sorted(fl.tops)
-        plus, minus = per_seed(fl, "f", "jplus"), per_seed(fl, "p", "jminus")
+        rings = {x: fl.one_ring(x) for x in fl.tops}
+        plus, minus = per_seed(fl, "f", rings), per_seed(fl, "p", rings)
         assert theorems.jduality_violations(
             fl.cx, fl.eventual_images("f"), fl.eventual_images("p")) \
-            == pairwise_jduality_violations(plus, minus, tops) == 0, f.name
+            == pairwise_jduality_violations(plus, minus, rings) == 0, f.name
         # J+ of the flow against J- of the rest flow on the same complex,
         # and the reverse, break the duality on many pairs
         rest = flm.rest_flow(fl.cx)
@@ -155,8 +156,8 @@ def test_jduality_count_matches_pairwise_oracle():
             bad = theorems.jduality_violations(
                 fl.cx, a.eventual_images("f"), b.eventual_images("p"))
             assert bad == pairwise_jduality_violations(
-                per_seed(a, "f", "jplus"), per_seed(b, "p", "jminus"),
-                tops), f.name
+                per_seed(a, "f", rings), per_seed(b, "p", rings),
+                rings), f.name
             skewed.append(bad)
     assert min(skewed) > 0
 
