@@ -15,11 +15,13 @@ codim-1 face, the vertex supports and the top cells at each vertex are
 built once, on their first query, so a complex that only feeds homology
 never builds them. `star_tops` is the one closed-star query, a one-ring
 included, and it goes through the vertices. `components` is the one
-connected-components walk: the components of basin - k, the block sections
-and the circles of a cycle are all cells joined through shared faces, and
-it maps those faces from the set's own boundaries. So `attractor.analyze`
+connected-components walk: the components of basin - k, the block sections,
+the circles of a cycle, the pieces a cycle cuts a surface into and the two
+sides of a circle are all cells joined through shared faces outside a cut,
+and it maps those faces from the set's own boundaries. So `attractor.analyze`
 on a loaded file builds the vertex supports and the vertex stars only: no
-coface index, and no complex stores a ring per cell.
+coface index, and no complex stores a ring per cell. A connected sum glues
+its holes by one matching.
 """
 
 from collections import defaultdict
@@ -203,17 +205,20 @@ class CellComplex:
             out |= self._bare_tops.intersection(cellset)
         return out
 
-    def components(self, cells):
+    def components(self, cells, cut=()):
         """Connected components of a set of cells of one dimension, two
-        cells joined when their boundaries share a face, as frozensets
-        ordered by each component's least cell. Each face is mapped to the
-        cells of the set that own it, from those cells' boundaries alone,
-        and the walk follows that map. On edges this is vertex adjacency."""
+        cells joined when their boundaries share a face outside `cut`, as
+        frozensets ordered by each component's least cell. Each face is
+        mapped to the cells of the set that own it, from those cells'
+        boundaries alone, less the faces in `cut`, and the walk follows
+        that map. On edges this is vertex adjacency."""
         boundary = self.boundary
         owners = defaultdict(list)
         for c in cells:
             for f in boundary[c]:
                 owners[f].append(c)
+        for f in cut:
+            owners.pop(f, None)
         comps = []
         seen = set()
         for start in sorted(cells):
@@ -673,8 +678,10 @@ def _boundary_cycle(cx, cell):
 def connected_sum(a, b, cell_a, cell_b, name=None):
     """Remove one 2-cell from each closed orientable surface and glue the holes.
 
-    The boundary squares are matched with reversed orientation; the matching
-    offset is searched until the quotient validates and stays orientable."""
+    The holes are matched one way, a's boundary walk against b's reversed,
+    each edge glued with the sign that maps its boundary onto its partner's:
+    a sum of orientable surfaces is orientable however the holes are
+    matched. The cup table sums the inputs' tables, for each ring both carry."""
     assert a.cells[cell_a] == 2 and b.cells[cell_b] == 2
     walk_a = _boundary_cycle(a, cell_a)
     walk_b = _boundary_cycle(b, cell_b)
@@ -694,62 +701,35 @@ def connected_sum(a, b, cell_a, cell_b, name=None):
 
     verts_a = ["a:" + v for (v, e) in walk_a]
     edges_a = ["a:" + e for (v, e) in walk_a]
-    verts_b = ["b:" + v for (v, e) in walk_b]
-    edges_b = ["b:" + e for (v, e) in walk_b]
-
-    last_err = None
-    for flip in (True, False):
-        for off in range(k):
-            vb = list(reversed(verts_b)) if flip else list(verts_b)
-            eb = list(reversed(edges_b)) if flip else list(edges_b)
-            if flip:
-                # reversing the vertex cycle shifts which edge sits between
-                # consecutive vertices
-                eb = eb[1:] + eb[:1]
-            vb = vb[off:] + vb[:off]
-            eb = eb[off:] + eb[:off]
-            pairs = []
-            ok = True
-            for i in range(k):
-                pairs.append((verts_a[i], vb[i], 1))
-            for i in range(k):
-                ea = edges_a[i]
-                ebi = eb[i]
-                # endpoints of ea map to verts_a[i], verts_a[i+1]
-                va0 = verts_a[i]
-                va1 = verts_a[(i + 1) % k]
-                ca = base.boundary[ea]
-                cbv = base.boundary[ebi]
-                vmap = {vb[i]: va0, vb[(i + 1) % k]: va1}
-                mapped = {}
-                for w, kk in cbv.items():
-                    if w not in vmap:
-                        ok = False
-                        break
-                    mapped[vmap[w]] = kk
-                if not ok:
-                    break
-                if mapped == dict(ca):
-                    pairs.append((ea, ebi, 1))
-                elif mapped == {w: -kk for w, kk in ca.items()}:
-                    pairs.append((ea, ebi, -1))
-                else:
-                    ok = False
-                    break
-            if not ok:
-                continue
-            try:
-                out = quotient(base, pairs, name=name or "sum(%s,%s)" % (a.name, b.name))
-            except ComplexError as err:
-                last_err = err
-                continue
-            if out.is_closed_surface() and out.is_orientable():
-                h = [[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 1], [0, 0, -1, 0]]
-                h2 = [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]]
-                out.meta["cup"] = {"rings": {"z": h, "z2": h2}}
-                return out
-            last_err = ComplexError("glued complex is not an orientable surface")
-    raise last_err or ComplexError("no orientation-reversing matching found")
+    vb = ["b:" + v for (v, e) in reversed(walk_b)]
+    # reversing the vertex cycle shifts which edge sits between consecutive
+    # vertices
+    eb = ["b:" + e for (v, e) in reversed(walk_b)]
+    eb = eb[1:] + eb[:1]
+    pairs = list(zip(verts_a, vb, [1] * k))
+    for i in range(k):
+        # an endpoint off the hole maps to None, which matches nothing
+        vmap = {vb[i]: verts_a[i], vb[(i + 1) % k]: verts_a[(i + 1) % k]}
+        mapped = {vmap.get(w): kk for w, kk in base.boundary[eb[i]].items()}
+        ca = base.boundary[edges_a[i]]
+        if mapped == ca:
+            pairs.append((edges_a[i], eb[i], 1))
+        elif mapped == {w: -kk for w, kk in ca.items()}:
+            pairs.append((edges_a[i], eb[i], -1))
+        else:
+            raise ComplexError("hole edges %s and %s do not match"
+                               % (edges_a[i], eb[i]))
+    out = quotient(base, pairs, name=name or "sum(%s,%s)" % (a.name, b.name))
+    if not (out.is_closed_surface() and out.is_orientable()):
+        raise ComplexError("glued complex is not an orientable surface")
+    # the orthogonal sum of the two cup tables, ring by ring
+    cup_a, cup_b = (cx.meta.get("cup", {}).get("rings", {}) for cx in (a, b))
+    rings = {r: [row + [0] * len(cup_b[r]) for row in cup_a[r]] +
+             [[0] * len(cup_a[r]) + row for row in cup_b[r]]
+             for r in sorted(cup_a.keys() & cup_b.keys())}
+    if rings:
+        out.meta["cup"] = {"rings": rings}
+    return out
 
 
 def t3(n=4, m=4):
@@ -762,28 +742,27 @@ def t3(n=4, m=4):
 def named_space(name, resolution=None):
     """Catalog complexes addressable by bare name string.
 
-    resolution scales the grid where the builder takes one; rp2 has a
-    fixed small model and ignores it."""
-    n = resolution or 4
-    if name == "torus":
-        return torus(n, n)
-    if name == "klein":
-        return klein(n, n)
-    if name == "genus2":
-        mid = n // 2
-        cell = "e:%d@e%d" % (mid, mid)
-        return connected_sum(torus(n, n), torus(n, n), cell, cell)
-    if name == "sphere":
-        return sphere(max(3, n), 2 * max(3, n))
-    if name == "rp2":
-        return rp2()
-    if name == "annulus":
-        return annulus(max(2, n // 2), n)
-    if name == "s2xs1":
-        return mapping_torus(sphere(3, 6), None, n, name="s2xs1(%d)" % n)
-    if name == "s2xts1":
-        return mapping_torus(sphere(3, 6), sphere_reflection(3, 6), n,
-                             name="s2xts1(%d)" % n)
-    if name == "t3":
-        return t3(n, n)
-    raise ComplexError("no catalog complex named %r" % name)
+    resolution scales the grid where the builder takes one, from 3 up
+    (4 when it is None); below 3 is refused with code bad-resolution. rp2
+    has a fixed small model and ignores it."""
+    n = 4 if resolution is None else resolution
+    mid = "e:%d@e%d" % (n // 2, n // 2)  # the genus-two hole in each torus
+    builders = {
+        "torus": lambda: torus(n, n),
+        "klein": lambda: klein(n, n),
+        "genus2": lambda: connected_sum(torus(n, n), torus(n, n), mid, mid),
+        "sphere": lambda: sphere(n, 2 * n),
+        "rp2": rp2,
+        "annulus": lambda: annulus(max(2, n // 2), n),
+        "s2xs1": lambda: mapping_torus(sphere(3, 6), None, n,
+                                       name="s2xs1(%d)" % n),
+        "s2xts1": lambda: mapping_torus(sphere(3, 6), sphere_reflection(3, 6),
+                                        n, name="s2xts1(%d)" % n),
+        "t3": lambda: t3(n, n),
+    }
+    if name not in builders:
+        raise ComplexError("no catalog complex named %r" % name)
+    if n < 3 and name != "rp2":
+        raise ConleyError("bad-resolution",
+                          "%s needs resolution >= 3" % name)
+    return builders[name]()

@@ -3,9 +3,13 @@
 Every builder returns (flow, k) with k the attractor candidate, except the
 modifiers freeze_outside and add_uniform_component which transform a flow
 that already exists. Errors carry a short machine code on .code.
-"""
 
-from collections import deque
+A hypersurface flow takes its cycle apart with `CellComplex.components`
+alone: the cycle is non-separating when the top cells cut along it are one
+component, its circles are its components, and the two sides of a circle
+are the two components of the top cells at the circle's vertices, cut along
+the cycle and along every face that misses the circle.
+"""
 
 from .complexes import (CellComplex, ConleyError, annulus, disc, quotient,
                         sphere)
@@ -14,12 +18,6 @@ from .flow import CombinatorialFlow
 
 class ConstructionError(ConleyError):
     pass
-
-
-def _carry_meta(dst, src):
-    for key, val in src.items():
-        if not key.startswith("_"):
-            dst[key] = val
 
 
 # -- circulating band flows on mapping tori ----------------------------------
@@ -194,51 +192,26 @@ def planar_annulus(sectors=8):
 # -- hypersurface flows -------------------------------------------------------
 
 
-def _same_side_top(cx, v, start, target, z):
-    """Top over `target` reached from `start` by rotating around v without
-    crossing z."""
-    fan = set(cx.star_tops({v}))
-    seen = {start}
-    q = deque([start])
-    while q:
-        t = q.popleft()
-        if target in cx.boundary[t]:
-            return t
-        for f in cx.boundary[t]:
-            if f in z or v not in cx.vertices_of(f):
-                continue
-            for t2 in cx.top_cofaces(f):
-                if t2 in fan and t2 not in seen:
-                    seen.add(t2)
-                    q.append(t2)
-    return None
-
-
 def _sides(cx, circ, z):
-    """Split the tops along one z-circle into the two lanes."""
-    e0 = circ[0]
-    t0, t1 = sorted(cx.top_cofaces(e0))
-    side_a = {e0: t0}
-    side_b = {e0: t1}
-    q = deque([e0])
-    circset = set(circ)
-    while q:
-        e = q.popleft()
-        for v in cx.vertices_of(e):
-            for e2 in circset:
-                if e2 in side_a or v not in cx.vertices_of(e2):
-                    continue
-                ta = _same_side_top(cx, v, side_a[e], e2, z)
-                tb = _same_side_top(cx, v, side_b[e], e2, z)
-                if ta is None or tb is None or ta == tb:
-                    raise ConstructionError(
-                        "one-sided", "the cycle has no product collar")
-                side_a[e2], side_b[e2] = ta, tb
-                q.append(e2)
-    if set(side_a.values()) & set(side_b.values()):
-        raise ConstructionError("one-sided",
-                                "the cycle has no product collar")
-    return side_a, side_b
+    """{edge: (top on side a, top on side b)} along one z-circle. The tops
+    at the circle's vertices, cut along z and along every face that misses
+    the circle, fall into exactly two halves when the circle has a product
+    collar, and each edge of the circle then has one coface in each. Side a
+    is the half that holds the least coface of the circle's least edge."""
+    fan = cx.star_tops(circ)
+    verts = set().union(*map(cx.vertices_of, circ))
+    cut = set(z)
+    for t in fan:
+        cut.update(f for f in cx.boundary[t]
+                   if verts.isdisjoint(cx.vertices_of(f)))
+    halves = cx.components(fan, cut)
+    a = next(h for h in halves if min(cx.top_cofaces(circ[0])) in h)
+    sides = {e: tuple(sorted(cx.top_cofaces(e), key=lambda t: t not in a))
+             for e in circ}
+    if len(halves) != 2 or any(t not in a or u in a
+                               for t, u in sides.values()):
+        raise ConstructionError("one-sided", "the cycle has no product collar")
+    return sides
 
 
 def hypersurface_flow(cx, z, name=None):
@@ -249,43 +222,27 @@ def hypersurface_flow(cx, z, name=None):
     band lands back in K. Raises separating-cycle when cutting along z
     disconnects the complex."""
     z = frozenset(z)
-    topdim = cx.top_dim
     for e in sorted(z):
-        if cx.cells.get(e) != topdim - 1:
+        if cx.cells.get(e) != cx.top_dim - 1:
             raise ConstructionError("bad-cycle",
                                     "%s is not a codim-1 cell" % e)
         if len(cx.top_cofaces(e)) != 2:
             raise ConstructionError("bad-cycle",
                                     "%s is not interior two-sided" % e)
-    tops = sorted(cx.top_cells())
-    seen = {tops[0]}
-    q = deque([tops[0]])
-    while q:
-        t = q.popleft()
-        for f in cx.boundary[t]:
-            if f in z:
-                continue
-            for t2 in cx.top_cofaces(f):
-                if t2 not in seen:
-                    seen.add(t2)
-                    q.append(t2)
-    if len(seen) != len(tops):
+    tops = cx.top_cells()
+    if len(cx.components(tops, z)) != 1:
         raise ConstructionError(
             "separating-cycle",
             "cutting along the cycle disconnects the complex")
-    circles = [sorted(c) for c in cx.components(z)]
-    lanes_per_circle = []
-    engines_per_circle = []
+    collars = []  # (sides, bands) of each circle of z
     used_all = set()
-    for circ in circles:
-        side_a, side_b = _sides(cx, circ, z)
-        engine = set(side_a.values())
-        lanes = [set(side_b.values())]
-        used = engine | lanes[0]
+    for circ in cx.components(z):
+        sides = _sides(cx, sorted(circ), z)
+        lanes = [{b for _, b in sides.values()}]
+        used = {a for a, _ in sides.values()} | lanes[0]
         for _ in range(3):  # the bands after the first
-            cur = lanes[-1]
             nxt = set()
-            for t in cur:
+            for t in lanes[-1]:
                 for f in cx.boundary[t]:
                     for t2 in cx.top_cofaces(f):
                         if t2 != t and t2 not in used:
@@ -299,27 +256,17 @@ def hypersurface_flow(cx, z, name=None):
             raise ConstructionError("collars-overlap",
                                     "the cycle collars are not disjoint")
         used_all |= used
-        lanes_per_circle.append(lanes)
-        engines_per_circle.append(side_a)
-    moving = set()
-    for lanes in lanes_per_circle:
-        for band in lanes:
-            moving |= band
-    kset = set(tops) - moving
+        collars.append((sides, lanes))
+    kset = set(tops).difference(*(band for _, lanes in collars
+                                  for band in lanes))
     succ = {t: [t] for t in sorted(kset)}
-    for ci, circ in enumerate(circles):
-        side_a = engines_per_circle[ci]
-        side_b_tops = lanes_per_circle[ci][0]
-        for e in circ:
-            t = side_a[e]
+    for sides, lanes in collars:
+        for t, t2 in sides.values():
             if t not in kset:
                 raise ConstructionError("collar-too-tight",
                                         "an engine cell fell outside K")
-            other = [t2 for t2 in cx.top_cofaces(e) if t2 != t]
-            for t2 in other:
-                if t2 not in succ[t]:
-                    succ[t].append(t2)
-        lanes = lanes_per_circle[ci]
+            if t2 not in succ[t]:
+                succ[t].append(t2)
         for i, band in enumerate(lanes):
             nxtset = lanes[i + 1] if i + 1 < len(lanes) else kset
             for t in sorted(band):
@@ -362,7 +309,7 @@ def freeze_outside(flow, p):
     for c in sorted(pset - fed):
         succ[c] = [c] + succ[c]
     out = CombinatorialFlow(flow.cx, succ, name=flow.name + ":frozen")
-    _carry_meta(out.meta, flow.meta)
+    out.meta.update(flow.meta)
     return out
 
 
@@ -410,6 +357,6 @@ def add_uniform_component(flow, k):
         succ[c1] = [c0]
         succ[c2] = [c1, pre + "e:2&e:%d" % ((l + 1) % n)]
     out = CombinatorialFlow(cx2, succ, name=flow.name + "+strip%d" % idx)
-    _carry_meta(out.meta, flow.meta)
+    out.meta.update(flow.meta)
     out.meta["strips"] = list(used) + [pre]
     return out, sorted(kset)

@@ -1,3 +1,6 @@
+import contextlib
+import hashlib
+import io
 import json
 import os
 import pathlib
@@ -297,6 +300,36 @@ def test_construct_round_trip(tmp_path, capsys):
 def test_construct_bad_resolution(capsys):
     assert cli.main(["construct", "example22-circle", "--resolution", "2"]) == 1
     assert "error[bad-resolution]" in capsys.readouterr().err
+
+
+def test_construct_output_is_pinned():
+    # sha256 of every catalog entry's construct output at its default and
+    # its minimum resolution
+    pinned = json.loads((pathlib.Path(__file__).parent / "data" /
+                         "construct.json").read_text())
+    assert sorted(pinned) == sorted(catalog._RECIPES)
+    for name, by_res in pinned.items():
+        for res, digest in by_res.items():
+            with contextlib.redirect_stdout(io.StringIO()) as out:
+                assert cli.main(["construct", name, "--resolution", res]) == 0
+            got = hashlib.sha256(out.getvalue().encode()).hexdigest()
+            assert got == digest, (name, res)
+
+
+@pytest.mark.parametrize("name, res", [
+    ("torus", 2), ("torus", 0), ("annulus", 1), ("annulus", 2),
+    ("s2xs1", 2), ("t3", -1), ("sphere", 1)])
+def test_homology_refuses_a_resolution_below_three(capsys, name, res):
+    assert cli.main(["homology", name, "--resolution", str(res)]) == 1
+    err = capsys.readouterr().err
+    assert err == "error[bad-resolution]: %s needs resolution >= 3\n" % name
+
+
+def test_homology_of_rp2_ignores_the_resolution(capsys):
+    assert cli.main(["homology", "rp2", "--resolution", "1"]) == 0
+    rp2_at_1 = capsys.readouterr().out
+    assert cli.main(["homology", "rp2"]) == 0
+    assert capsys.readouterr().out == rp2_at_1
 
 
 def test_homology_named_complexes(capsys):

@@ -147,9 +147,10 @@ def validate_two_pass(cells, boundary):
     return None
 
 
-def components_by_cofaces(cx, cells):
+def components_by_cofaces(cx, cells, cut=()):
     """Components of a set of same-dimension cells by a depth-first walk
-    from each face of a cell to every coface of that face in the set."""
+    from each face of a cell outside `cut` to every coface of that face in
+    the set."""
     cofaces = eager_cofaces(cx)
     cells = set(cells)
     comps = []
@@ -162,7 +163,7 @@ def components_by_cofaces(cx, cells):
         seen.add(start)
         while stack:
             f = stack.pop()
-            for sub in cx.boundary[f]:
+            for sub in set(cx.boundary[f]).difference(cut):
                 for g in cofaces[sub]:
                     if g in cells and g not in seen:
                         seen.add(g)
@@ -172,9 +173,9 @@ def components_by_cofaces(cx, cells):
     return comps
 
 
-def components_by_vertex_pairs(cx, cells):
-    """Components by testing every pair of cells for a shared vertex; on a
-    set of edges that is shared-face adjacency."""
+def components_by_vertex_pairs(cx, cells, cut=()):
+    """Components by testing every pair of cells for a shared vertex
+    outside `cut`; on a set of edges that is shared-face adjacency."""
     comps = []
     left = set(cells)
     while left:
@@ -185,7 +186,7 @@ def components_by_vertex_pairs(cx, cells):
         while q:
             e = q.pop(0)
             for e2 in tuple(left):
-                if cx.vertices_of(e) & cx.vertices_of(e2):
+                if (cx.vertices_of(e) & cx.vertices_of(e2)).difference(cut):
                     left.discard(e2)
                     comp.add(e2)
                     q.append(e2)
@@ -200,10 +201,12 @@ def test_components_match_coface_walk_and_vertex_pairs(data):
     d = data.draw(st.sampled_from((cx.top_dim, cx.top_dim - 1)))
     pool = cx.cells_of_dim(d)
     s = data.draw(st.sets(st.sampled_from(pool), max_size=len(pool)))
-    comps = cx.components(s)
-    assert comps == components_by_cofaces(cx, s), (cx.name, d)
+    faces = cx.cells_of_dim(d - 1)
+    cut = data.draw(st.sets(st.sampled_from(faces), max_size=len(faces)))
+    comps = cx.components(s, cut)
+    assert comps == components_by_cofaces(cx, s, cut), (cx.name, d)
     if d == 1:
-        assert comps == components_by_vertex_pairs(cx, s), cx.name
+        assert comps == components_by_vertex_pairs(cx, s, cut), cx.name
 
 
 @functools.lru_cache(maxsize=None)
@@ -333,6 +336,12 @@ def test_connected_sum_genus_two():
                           "e:2@e2", "e:2@e2")
     assert g.euler() == -2
     assert g.is_closed_surface() and g.is_orientable()
+
+
+def test_connected_sum_refuses_a_non_orientable_or_open_input():
+    for a, cell in ((cxm.klein(4, 4), "e:2@e2"), (cxm.annulus(3, 4), "e:1&e:2")):
+        with pytest.raises(cxm.ComplexError, match="not an orientable surface"):
+            cxm.connected_sum(a, cxm.torus(4, 4), cell, "e:2@e2")
 
 
 def test_mapping_torus_of_point_is_circle():

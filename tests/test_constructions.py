@@ -168,6 +168,20 @@ def test_hypersurface_needs_nonseparating_cycle():
     assert ei.value.code == "separating-cycle"
 
 
+@pytest.mark.parametrize("cx, z", [
+    # the core circle of a Klein bottle has a Moebius band for its collar
+    (cxm.klein(8, 8), ["v:0@e%d" % i for i in range(8)]),
+    # an arc of a torus circle: the collar wraps round its two ends
+    (cxm.torus(8, 8), ["e:%d@v6" % l for l in range(7)]),
+    # a circle with a tail: the tail's two cofaces lie on one side
+    (cxm.torus(8, 8), ["e:%d@v6" % l for l in range(8)] + ["v:0@e6"]),
+])
+def test_hypersurface_needs_two_sided_cycle(cx, z):
+    with pytest.raises(cons.ConstructionError) as ei:
+        cons.hypersurface_flow(cx, z)
+    assert ei.value.code == "one-sided"
+
+
 def test_hypersurface_torus_attractor_is_complement_of_band():
     entry = catalog.build("hypersurface-torus")
     rep = attractor.analyze(entry["flow"], entry["k"])

@@ -114,6 +114,16 @@ def test_obstruction_report_values():
             assert rep["verdict"] == theorems.AT_MOST % want
 
 
+def test_obstruction_of_a_sum_with_a_sphere_is_the_torus_bound():
+    # sphere # torus is a torus: its cup table is the torus table plus the
+    # sphere's empty one, so both rings bound r by 1
+    cx = cxm.connected_sum(cxm.sphere(3, 4), cxm.torus(4, 4),
+                           "f:1,1", "e:2@e2")
+    assert cx.euler() == 0
+    for ring in ("z", "z2"):
+        assert theorems.obstruction_report(cx, ring)["r_max"] == 1, ring
+
+
 def test_shape_obstruction_forced():
     # K with sphere ranks inside the 3-torus: every candidate polynomial
     # needs a_1 = 3, but a global NoExternalExplosions attractor forces
