@@ -93,7 +93,7 @@ def collar(flow, k):
 
 def check_isolated(flow, k, col):
     """k must be the maximal invariant set of its collar `col`."""
-    if flow.trim(col, "fp") != frozenset(k):
+    if flow.trim(col, "f") & flow.trim(col, "p") != frozenset(k):
         raise NotIsolatedError("k is not the maximal invariant set of its collar")
 
 

@@ -1,7 +1,9 @@
 """Isolating blocks: grow the star of k, trim grazing cells, label the
 boundary faces as entrances and exits, and read off the asymptotic sets.
-The sections n- and n+ are counted as `CellComplex.components` of their
-boundary faces."""
+Each round takes two trims of n, the cells staying inside forward (n+) and
+backward (n-); their intersection is the invariant part of n, which must
+be k. The sections n- and n+ are counted as `CellComplex.components` of
+their boundary faces."""
 
 from .complexes import ConleyError
 
@@ -87,26 +89,17 @@ def build_block(flow, k):
         while True:
             faces = _boundary_data(flow, n)
             ni, no = _labels(flow, faces)
-            graze = set()
-            for f, (u, v) in faces.items():
-                if f in ni or f in no:
-                    continue
-                if u not in kset:
-                    graze.add(u)
-            removable = graze - kset
-            if not removable:
+            graze = {u for f, (u, v) in faces.items()
+                     if f not in ni and f not in no and u not in kset}
+            if not graze:
                 break
-            n -= removable
-        if not (kset <= n):
-            continue
-        if any(f not in ni and f not in no for f in faces):
-            continue  # a k cell on a grazing boundary; grow and retry
-        if any(u in kset for f, (u, v) in faces.items()):
-            continue  # k must be interior
-        if flow.trim(n, "fp") != kset:
-            continue
+            n -= graze
+        if any(u in kset for u, v in faces.values()):
+            continue  # k must be interior; a grazing face is on a k cell
         nplus = flow.trim(n, "f")
         nminus = flow.trim(n, "p")
+        if nplus & nminus != kset:
+            continue  # k is not the invariant part of n
         return IsolatingBlock(flow, kset, n, faces, ni, no, nplus, nminus)
     raise NoBlockError("no isolating block within budget around %d cells" % len(kset))
 
@@ -132,4 +125,4 @@ def conley_euler(block):
 def block_subcomplex(block):
     """The closed block as its own complex; its homology is the Cech
     cohomology carrier for k."""
-    return block.flow.cx.subcomplex(set(block.n), name=block.flow.name + ":block")
+    return block.flow.cx.subcomplex(set(block.n))

@@ -2,12 +2,15 @@
 
 build(name, resolution) returns an entry dict with the flow, the attractor
 candidate k, and the expected classification data the test suite pins down.
-Built-in entries are cached by (name, resolution), and an entry is the one
-way a flow is shared or rebuilt: a recipe that extends another entry (the
-strip recipes, the two-cycle genus-two flow) gets it from `build`, and the
-CLI's `--refine` asks `build` for twice the resolution. The cache has no
-bound: every built-in entry built stays in memory for the life of the
-process. Clear `catalog._CACHE` to release them.
+A recipe maps a resolution to (flow, k, expected, ring), and a family of
+entries shares one recipe factory: `_example22` puts the circulating band
+flow on a named space, and `_strip` glues one more uniform strip onto
+another entry. Built-in entries are cached by (name, resolution), and an
+entry is the one way a flow is shared or rebuilt: a recipe that extends
+another entry (the strips, the two-cycle genus-two flow) gets it from
+`build`, and the CLI's `--refine` asks `build` for twice the resolution.
+The cache has no bound: every built-in entry built stays in memory for the
+life of the process. Clear `catalog._CACHE` to release them.
 
 Set the CONLEYLAB_CATALOG environment variable to a directory of flow JSON
 files to make external flows available under their file stem. They are read
@@ -20,8 +23,8 @@ import os
 
 from . import constructions as cons
 from .complexes import (ComplexError, ConleyError, mapping_torus,
-                        named_space, sphere, sphere_reflection, torus, klein)
-from .flow import FlowError, load_file
+                        named_space, point)
+from .flow import FlowError, load_file, rest_flow
 
 
 class CatalogError(ConleyError):
@@ -33,59 +36,38 @@ _CACHE = {}
 
 def _expect(classification, r=None, s=None, global_=None, error=None,
             pair_poly=None):
-    out = {"classification": classification}
-    if r is not None:
-        out["r"] = r
-    if s is not None:
-        out["s"] = s
-    if global_ is not None:
-        out["global"] = global_
-    if error is not None:
-        out["error"] = error
-    if pair_poly is not None:
-        out["pair_poly"] = pair_poly
-    return out
+    out = {"classification": classification, "r": r, "s": s,
+           "global": global_, "error": error, "pair_poly": pair_poly}
+    return {key: v for key, v in out.items()
+            if v is not None or key == "classification"}
 
 
-def _strip(name, res):
-    """(flow, k) of the catalog entry `name` with one more uniform strip."""
-    entry = build(name, res)
-    return cons.add_uniform_component(entry["flow"], entry["k"])
-
-
-def _example22_torus(res):
-    flow, k = cons.example_general(torus(res, res), name="example22-torus")
-    return flow, k, _expect("NoExternalExplosions", 1, 1, True,
-                            pair_poly="t^2 + t"), "z"
-
-
-def _example22_klein(res):
-    flow, k = cons.example_general(klein(res, res), name="example22-klein")
-    return flow, k, _expect("NoExternalExplosions", 1, 1, True,
-                            pair_poly="t^2 + t"), "z2"
+def _example22(space, ring, pair_poly):
+    """The recipe of the circulating band flow on the named space `space`."""
+    def recipe(res):
+        flow, k = cons.example_general(named_space(space, res),
+                                       name="example22-" + space)
+        return flow, k, _expect("NoExternalExplosions", 1, 1, True,
+                                pair_poly=pair_poly), ring
+    return recipe
 
 
 def _example22_circle(res):
-    from .complexes import point
+    # a point's mapping torus: the one example22 host that is no named space
     cx = mapping_torus(point(), None, res, name="circle(%d)" % res)
     flow, k = cons.example_general(cx, name="example22-circle")
     return flow, k, _expect("NoExternalExplosions", 1, 1, True,
                             pair_poly="t"), "z"
 
 
-def _example22_s2xs1(res):
-    cx = mapping_torus(sphere(3, 6), None, res, name="s2xs1(%d)" % res)
-    flow, k = cons.example_general(cx, name="example22-s2xs1")
-    return flow, k, _expect("NoExternalExplosions", 1, 1, True,
-                            pair_poly="t^3 + t"), "z"
-
-
-def _example22_s2xts1(res):
-    cx = mapping_torus(sphere(3, 6), sphere_reflection(3, 6), res,
-                       name="s2xts1(%d)" % res)
-    flow, k = cons.example_general(cx, name="example22-s2xts1")
-    return flow, k, _expect("NoExternalExplosions", 1, 1, True,
-                            pair_poly="t^3 + t"), "z2"
+def _strip(parent, expected):
+    """The recipe of the catalog entry `parent` with one more uniform
+    strip, which it gets from `build` at the same resolution."""
+    def recipe(res):
+        entry = build(parent, res)
+        flow, k = cons.add_uniform_component(entry["flow"], entry["k"])
+        return flow, k, expected, "z"
+    return recipe
 
 
 def _north_south(res):
@@ -100,11 +82,6 @@ def _ns_annulus(res):
     return flow, k, _expect("Stable", 0, 1, False), "z"
 
 
-def _ns_annulus_strip(res):
-    flow, k = _strip("ns-annulus", res)
-    return flow, k, _expect("Stable", 0, 2, False), "z"
-
-
 def _homoclinic_sphere(res):
     rows = max(4, res // 2)
     cols = max(6, res - rows + ((res - rows) % 2))
@@ -113,7 +90,7 @@ def _homoclinic_sphere(res):
 
 
 def _hypersurface_torus(res):
-    cx = torus(res, res)
+    cx = named_space("torus", res)
     z = ["e:%d@v%d" % (l, res - 2) for l in range(res)]
     flow, k = cons.hypersurface_flow(cx, z, name="hypersurface-torus")
     return flow, k, _expect("NoExternalExplosions", 1, 1, True,
@@ -121,12 +98,9 @@ def _hypersurface_torus(res):
 
 
 def _genus2_targets(res):
-    return [
-        {"edges": ["a:e:%d@v3" % l for l in range(res)],
-         "vertices": ["a:v:%d@v3" % l for l in range(res)]},
-        {"edges": ["b:e:%d@v3" % l for l in range(res)],
-         "vertices": ["b:v:%d@v3" % l for l in range(res)]},
-    ]
+    return [{"edges": ["%s:e:%d@v3" % (side, l) for l in range(res)],
+             "vertices": ["%s:v:%d@v3" % (side, l) for l in range(res)]}
+            for side in "ab"]
 
 
 def _hypersurface_genus2_one(res):
@@ -140,21 +114,11 @@ def _hypersurface_genus2_one(res):
 
 def _hypersurface_genus2_two(res):
     cx = build("hypersurface-genus2", res)["flow"].cx
-    z = (["a:e:%d@v%d" % (l, res - 2) for l in range(res)] +
-         ["b:e:%d@v%d" % (l, res - 2) for l in range(res)])
+    z = ["%s:e:%d@v%d" % (side, l, res - 2)
+         for side in "ab" for l in range(res)]
     flow, k = cons.hypersurface_flow(cx, z, name="hypersurface-genus2-two")
     return flow, k, _expect("NoExternalExplosions", 2, 2, True,
                             pair_poly="2t^2 + 2t"), "z"
-
-
-def _hypersurface_genus2_strip(res):
-    flow, k = _strip("hypersurface-genus2", res)
-    return flow, k, _expect("NoExternalExplosions", 1, 2, False), "z"
-
-
-def _hypersurface_genus2_strip2(res):
-    flow, k = _strip("hypersurface-genus2-strip", res)
-    return flow, k, _expect("NoExternalExplosions", 1, 3, False), "z"
 
 
 def _planar_disc(res):
@@ -173,27 +137,30 @@ def _capped_annulus(res):
 
 
 def _rest_torus(res):
-    from .flow import rest_flow
-    flow = rest_flow(torus(res, res), name="rest-torus")
-    flow.meta["family"] = "rest"
+    flow = rest_flow(named_space("torus", res), name="rest-torus")
     return flow, None, _expect(None, error="no-candidate"), "z"
 
 
 _RECIPES = {
-    "example22-torus": (_example22_torus, 12, 6),
-    "example22-klein": (_example22_klein, 12, 6),
+    "example22-torus": (_example22("torus", "z", "t^2 + t"), 12, 6),
+    "example22-klein": (_example22("klein", "z2", "t^2 + t"), 12, 6),
     "example22-circle": (_example22_circle, 12, 4),
-    "example22-s2xs1": (_example22_s2xs1, 6, 4),
-    "example22-s2xts1": (_example22_s2xts1, 6, 4),
+    "example22-s2xs1": (_example22("s2xs1", "z", "t^3 + t"), 6, 4),
+    "example22-s2xts1": (_example22("s2xts1", "z2", "t^3 + t"), 6, 4),
     "north-south": (_north_south, 12, 7),
     "ns-annulus": (_ns_annulus, 12, 4),
-    "ns-annulus-strip": (_ns_annulus_strip, 12, 4),
+    "ns-annulus-strip": (_strip("ns-annulus",
+                                _expect("Stable", 0, 2, False)), 12, 4),
     "homoclinic-sphere": (_homoclinic_sphere, 12, 8),
     "hypersurface-torus": (_hypersurface_torus, 12, 8),
     "hypersurface-genus2": (_hypersurface_genus2_one, 8, 8),
     "hypersurface-genus2-two": (_hypersurface_genus2_two, 8, 8),
-    "hypersurface-genus2-strip": (_hypersurface_genus2_strip, 8, 8),
-    "hypersurface-genus2-strip2": (_hypersurface_genus2_strip2, 8, 8),
+    "hypersurface-genus2-strip": (
+        _strip("hypersurface-genus2",
+               _expect("NoExternalExplosions", 1, 2, False)), 8, 8),
+    "hypersurface-genus2-strip2": (
+        _strip("hypersurface-genus2-strip",
+               _expect("NoExternalExplosions", 1, 3, False)), 8, 8),
     "planar-disc": (_planar_disc, 8, 4),
     "planar-annulus": (_planar_annulus, 8, 4),
     "capped-annulus": (_capped_annulus, 10, 6),

@@ -22,6 +22,9 @@ and it maps those faces from the set's own boundaries. So `attractor.analyze`
 on a loaded file builds the vertex supports and the vertex stars only: no
 coface index, and no complex stores a ring per cell. A connected sum glues
 its holes by one matching.
+
+Each builder that allocates counts the cells its arguments imply, and refuses
+more than MAX_CELLS with code too-large before it allocates.
 """
 
 from collections import defaultdict
@@ -48,7 +51,7 @@ class ComplexError(ConleyError):
 
 
 class CellComplex:
-    def __init__(self, name, cells, boundary, identifications=None, meta=None):
+    def __init__(self, name, cells, boundary, identifications=None):
         self.name = name
         self.cells = dict(cells)          # id -> dim
         undeclared = boundary.keys() - self.cells.keys()
@@ -59,7 +62,7 @@ class CellComplex:
         # [face, coeff] pairs of a file
         self.boundary = {c: dict(boundary.get(c, ())) for c in self.cells}
         self.identifications = list(identifications or [])
-        self.meta = dict(meta or {})
+        self.meta = {}
         self._by_dim = defaultdict(list)
         for c, d in self.cells.items():
             if type(d) is not int:
@@ -289,11 +292,11 @@ class CellComplex:
                         stack.append(v)
         return True
 
-    def subcomplex(self, cellset, name=None):
+    def subcomplex(self, cellset):
         cl = self.closure(cellset)
         cells = {c: self.cells[c] for c in cl}
         bnd = {c: dict(self.boundary[c]) for c in cl}
-        return CellComplex(name or (self.name + ":sub"), cells, bnd)
+        return CellComplex(self.name + ":sub", cells, bnd)
 
     # -- serialization -----------------------------------------------------
 
@@ -351,6 +354,19 @@ def complete_map_signs(fiber, bijection):
 
 # -- elementary builders ----------------------------------------------------
 
+# The most cells a builder makes: five times torus(160, 160), the largest
+# complex the benchmarks measure.
+MAX_CELLS = 1 << 19
+
+
+def _check_size(what, count):
+    # a builder's refusal of its arguments, before it allocates
+    if count > MAX_CELLS:
+        raise ConleyError("too-large",
+                          "%s would have %d cells; the limit is %d"
+                          % (what, count, MAX_CELLS))
+
+
 def point():
     return CellComplex("point", {"v:0": 0}, {})
 
@@ -358,6 +374,7 @@ def point():
 def interval(n):
     """n edges in a row, vertices v:0 .. v:n."""
     assert n >= 1
+    _check_size("interval(%d)" % n, 2 * n + 1)
     cells = {}
     bnd = {}
     for i in range(n + 1):
@@ -371,6 +388,7 @@ def interval(n):
 
 def circle(n):
     assert n >= 3, "need at least 3 edges for a regular circle"
+    _check_size("circle(%d)" % n, 2 * n)
     cells = {}
     bnd = {}
     for i in range(n):
@@ -394,6 +412,7 @@ def circle_reflection(n):
 def sphere(rows, cols):
     """Grid sphere: `rows` bands of squares between two polygonal caps."""
     assert rows >= 1 and cols >= 3
+    _check_size("sphere(%d,%d)" % (rows, cols), (4 * rows + 2) * cols + 2)
     cells = {}
     bnd = {}
     for r in range(rows + 1):
@@ -448,6 +467,8 @@ def sphere_reflection(rows, cols):
 def disc(rings, sectors):
     """Closed disc: a central polygon plus `rings - 1` quad rings."""
     assert rings >= 1 and sectors >= 3
+    _check_size("disc(%d,%d)" % (rings, sectors),
+                (4 * rings - 2) * sectors + 1)
     cells = {}
     bnd = {}
     for r in range(1, rings + 1):
@@ -484,6 +505,8 @@ def disc(rings, sectors):
 
 def product(a, b, name=None):
     """Cell product with Leibniz boundary signs. Ids look like `ca&cb`."""
+    name = name or "(%s)x(%s)" % (a.name, b.name)
+    _check_size(name, len(a.cells) * len(b.cells))
     cells = {}
     bnd = {}
     for ca, da in a.cells.items():
@@ -497,7 +520,7 @@ def product(a, b, name=None):
             for f, k in b.boundary[cb].items():
                 chain[ca + "&" + f] += sgn * k
             bnd[c] = {f: k for f, k in chain.items() if k}
-    return CellComplex(name or "(%s)x(%s)" % (a.name, b.name), cells, bnd)
+    return CellComplex(name, cells, bnd)
 
 
 def annulus(rows, cols):
@@ -565,6 +588,8 @@ def mapping_torus(fiber, glue, m, name=None):
     sigma@e{m-1}, del del is +-(del phi - phi del)(sigma)@v0, so the
     complex's own del del = 0 sweep is the one chain-map check of the glue."""
     assert m >= 3
+    name = name or "maptorus(%s,%d)" % (fiber.name, m)
+    _check_size(name, 2 * m * len(fiber.cells))
     signs = ({c: (c, 1) for c in fiber.cells} if glue is None
              else complete_map_signs(fiber, glue))
     cells = {}
@@ -595,7 +620,7 @@ def mapping_torus(fiber, glue, m, name=None):
             chain[hi] += sgn * shi
             chain["%s@v%d" % (c, i)] += -sgn
             bnd["%s@e%d" % (c, i)] = {f: k for f, k in chain.items() if k}
-    cx = CellComplex(name or "maptorus(%s,%d)" % (fiber.name, m), cells, bnd)
+    cx = CellComplex(name, cells, bnd)
     cx.meta["mapping_torus"] = {"fiber_tops": sorted(fiber.top_cells()), "bands": m}
     if fiber.top_dim == 1:
         # fiber circle positions give a square grid
@@ -682,7 +707,10 @@ def connected_sum(a, b, cell_a, cell_b, name=None):
     each edge glued with the sign that maps its boundary onto its partner's:
     a sum of orientable surfaces is orientable however the holes are
     matched. The cup table sums the inputs' tables, for each ring both carry."""
-    assert a.cells[cell_a] == 2 and b.cells[cell_b] == 2
+    for cx, hole in ((a, cell_a), (b, cell_b)):
+        if cx.cells.get(hole) != 2:
+            raise ComplexError("hole %s is not a 2-cell of %s"
+                               % (hole, cx.name))
     walk_a = _boundary_cycle(a, cell_a)
     walk_b = _boundary_cycle(b, cell_b)
     if len(walk_a) != len(walk_b):

@@ -49,7 +49,6 @@ def example_general(cx, name=None):
     k = sorted(["%s@e%d" % (s, m - 1) for s in ftops] +
                ["%s@e0" % s for s in ftops])
     flow = CombinatorialFlow(cx, succ, name=name or "circulation")
-    flow.meta["family"] = "example22"
     return flow, k
 
 
@@ -66,7 +65,6 @@ def north_south(rows=6, cols=8):
             c = "f:%d,%d" % (r, l)
             succ[c] = ["f:%d,%d" % (r + 1, l)] if r < rows - 1 else ["cap:s"]
     flow = CombinatorialFlow(cx, succ, name="north-south")
-    flow.meta["family"] = "north-south"
     return flow, ["cap:s"]
 
 
@@ -104,7 +102,6 @@ def homoclinic_sphere(rows=5, cols=8):
                 succ[f(r, l)] = [f(r, l + 1)] + \
                     ([f(top, l)] if r == top - 1 else [])
     flow = CombinatorialFlow(cx, succ, name="homoclinic-sphere")
-    flow.meta["family"] = "homoclinic"
     return flow, ["cap:s"]
 
 
@@ -129,7 +126,6 @@ def ns_annulus(rows=4, cols=12):
             else:
                 succ[c] = ["e:%d&e:%d" % (r - 1, l)]
     flow = CombinatorialFlow(cx, succ, name="ns-annulus")
-    flow.meta["family"] = "ns-annulus"
     flow.meta["strip_targets"] = [{
         "edges": ["v:0&e:%d" % l for l in range(cols)],
         "vertices": ["v:0&v:%d" % l for l in range(cols)],
@@ -155,7 +151,6 @@ def capped_annulus(rows=6, cols=10):
             else:
                 succ[c] = ["f:%d,%d" % (r, l + 1)]
     flow = CombinatorialFlow(cx, succ, name="capped-annulus")
-    flow.meta["family"] = "capped-annulus"
     k = ["f:%d,%d" % (r, l) for r in range(rows) for l in (0, cols - 1)]
     return flow, sorted(k)
 

@@ -2,22 +2,22 @@
 
 The transition relation F is total and local (successors stay inside the
 one-ring). P is the exact transpose. Every enclosure is computed by one graph
-kernel: `reach` (breadth-first reachability), Tarjan's strongly connected
-components and `trim` (a worklist that peels off cells with no successor
-and/or predecessor left inside a region), each O(cells + edges). Limit sets
-are eventual images: the cells reached by arbitrarily long paths from a
-seed, which is the reach of the recurrent part of the seed's reach.
+kernel, each part O(cells + edges) and asked one direction at a time: `reach`
+(breadth-first reachability), Tarjan's strongly connected components and
+`trim` (a worklist that peels off the cells with no successor, or no
+predecessor, left inside a region). Limit sets are eventual images: the cells
+reached by arbitrarily long paths from a seed, which is the reach of the
+recurrent part of the seed's reach.
 
-One Tarjan pass over the whole flow yields its components in reverse
-topological order. It gives `recurrent_cells`, and, read forward for F and
-backward for P, every cell's own eventual image: a cell on a cycle reaches
+One Tarjan pass over the whole flow, kept as `_sccs`, lists its components in
+reverse topological order. It gives `recurrent_cells`, and, read forward for F
+and backward for P, every cell's own eventual image: a cell on a cycle reaches
 its image; any other cell's image is the union of its successors' images.
 The image of a seed is the union of its cells' images, so J+(x) and J-(x)
 are unions over the one-ring of x, with no walk per cell. This is the one
-J+/J- path of the flow. `eventual_image` walks one seed on its own, as the
-reference the shared images are tested against. Enclosures relative to a
-region (basin - k) are whole-set sweeps in `attractor`, composed from
-`reach` and `recurrent_cells` of that region.
+J+/J- path of the flow. Enclosures relative to a region (basin - k) are
+whole-set sweeps in `attractor`, composed from `reach` and `recurrent_cells`
+of that region.
 
 One-rings of top cells are symmetric (a is in the one-ring of b exactly
 when b is in that of a), so the top cells whose one-ring meets a region are
@@ -115,14 +115,6 @@ class CombinatorialFlow:
 
     # -- graph kernel ---------------------------------------------------------
 
-    def eventual_image(self, seed, direction="f"):
-        """Cells reached from the seed by paths of every length: the reach of
-        the recurrent cells in the reach of the seed. This is the union of
-        the periodic tail of the image sequence, found without iterating it.
-        It walks this one seed: the reference for `eventual_images`."""
-        core = self.recurrent_cells() & self.reach(seed, direction)
-        return frozenset(self.reach(core, direction))
-
     def reach(self, seed, direction="f", within=None, seen=None):
         """Cells reachable from the seed, inside `within` when given. With
         `seen`, a set already closed under reach, only cells outside it are
@@ -154,8 +146,13 @@ class CombinatorialFlow:
         return self._cyclic(self._components(self._rec.intersection(within)))
 
     @cached_property
+    def _sccs(self):
+        # the one whole-flow Tarjan pass, in reverse topological order
+        return list(self._components(None))
+
+    @cached_property
     def _rec(self):
-        return self._cyclic(self._components(None))
+        return self._cyclic(self._sccs)
 
     def _cyclic(self, comps):
         return frozenset(c for comp in comps
@@ -223,9 +220,7 @@ class CombinatorialFlow:
         images are one shared frozenset."""
         if direction not in self._images:
             table = self._table(direction)
-            comps = self._components(None)
-            if direction == "p":
-                comps = reversed(list(comps))
+            comps = self._sccs if direction == "f" else reversed(self._sccs)
             image = {}
             shared = {}
             for comp in comps:
@@ -240,28 +235,28 @@ class CombinatorialFlow:
             self._images[direction] = image
         return self._images[direction]
 
-    def trim(self, region, directions):
+    def trim(self, region, direction):
         """Largest subset of region in which every cell keeps a successor
-        ("f"), a predecessor ("p") or both ("fp") inside the subset. One
-        worklist pass: each removal decrements the counts of its neighbors."""
+        ("f") or a predecessor ("p"): one worklist pass, each removal
+        decrementing the counts of its opposite neighbors. The invariant part
+        of region is trim(region, "f") & trim(region, "p"): a cell with a
+        backward path and a forward path inside region lies on the full path
+        that joins them."""
         s = set(region)
-        counts = []
-        for d in directions:
-            table = self._table(d)
-            # the cells whose count drops when c goes are c's opposite neighbors
-            back = self._table("p" if d == "f" else "f")
-            counts.append(({c: len(s.intersection(table[c])) for c in s}, back))
-        dead = list({c for n, _ in counts for c, m in n.items() if not m})
+        table = self._table(direction)
+        # the cells whose count drops when c goes are c's opposite neighbors
+        back = self._table("p" if direction == "f" else "f")
+        count = {c: len(s.intersection(table[c])) for c in s}
+        dead = [c for c, m in count.items() if not m]
         s.difference_update(dead)
         while dead:
             c = dead.pop()
-            for n, back in counts:
-                for e in back[c]:
-                    if e in s:
-                        n[e] -= 1
-                        if n[e] == 0:
-                            s.discard(e)
-                            dead.append(e)
+            for e in back[c]:
+                if e in s:
+                    count[e] -= 1
+                    if not count[e]:
+                        s.discard(e)
+                        dead.append(e)
         return frozenset(s)
 
     # -- limit enclosures -----------------------------------------------------

@@ -74,7 +74,7 @@ class FlowRecord:
     @cached_property
     def k_ranks(self):
         """Cohomology ranks of the closed attractor candidate."""
-        sub = self.cx.subcomplex(self.kbar, name=self.name + ":k")
+        sub = self.cx.subcomplex(self.kbar)
         return algebra.cohomology_ranks(sub, ring=self.ring)
 
     @cached_property
@@ -117,8 +117,7 @@ class FlowRecord:
         # Poincare polynomial of the exit (or entry) section of the block
         blk = self.block
         faces = blk.nminus_faces if side == "minus" else blk.nplus_faces
-        sub = self.cx.subcomplex(self.cx.closure(set(faces)),
-                                 name="%s:n-%s" % (self.name, side))
+        sub = self.cx.subcomplex(self.cx.closure(set(faces)))
         return algebra.poincare_polynomial(sub, ring=self.ring)
 
     @cached_property

@@ -3,7 +3,7 @@ import json
 import pytest
 
 from conleylab import attractor, catalog, complexes as cxm, flow as flm
-from test_flow import image_cycle, iterated_image, trim_loop
+from test_flow import eventual_image, image_cycle, iterated_image, trim_loop
 
 
 # -- reference implementations: one enclosure per cell -----------------------------
@@ -196,7 +196,7 @@ def test_two_cycle_flow_has_image_period_six():
     f = two_cycle_flow()
     seed = f.one_ring(_cell(1, 0))
     assert len(image_cycle(f, seed)) == 6
-    assert f.eventual_image(seed) == iterated_image(f, seed)
+    assert eventual_image(f, seed) == iterated_image(f, seed)
     rep = attractor.analyze(f, [_cell(0, 0)])
     assert rep.stabilization == frozenset([_cell(0, 0)] + TWO_CYCLE
                                           + THREE_CYCLE)

@@ -325,6 +325,19 @@ def test_homology_refuses_a_resolution_below_three(capsys, name, res):
     assert err == "error[bad-resolution]: %s needs resolution >= 3\n" % name
 
 
+@pytest.mark.parametrize("argv", [
+    ["homology", "torus"], ["homology", "t3"], ["homology", "sphere"],
+    ["construct", "example22-torus"], ["construct", "example22-circle"],
+    ["analyze", "catalog:ns-annulus-strip"], ["plot", "planar-disc"]])
+def test_a_huge_resolution_is_refused(capsys, argv):
+    assert cli.main(argv + ["--resolution", str(10 ** 6)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error[too-large]: ")
+    assert captured.err.endswith(" cells; the limit is %d\n" % cxm.MAX_CELLS)
+    assert captured.err.count("\n") == 1
+
+
 def test_homology_of_rp2_ignores_the_resolution(capsys):
     assert cli.main(["homology", "rp2", "--resolution", "1"]) == 0
     rp2_at_1 = capsys.readouterr().out

@@ -344,6 +344,54 @@ def test_connected_sum_refuses_a_non_orientable_or_open_input():
             cxm.connected_sum(a, cxm.torus(4, 4), cell, "e:2@e2")
 
 
+@pytest.mark.parametrize("hole, why", [
+    ("nowhere", "hole nowhere is not a 2-cell of torus(4,4)"),
+    ("e:2@v2", "hole e:2@v2 is not a 2-cell of torus(4,4)")])
+def test_connected_sum_refuses_a_hole_that_is_no_two_cell(hole, why):
+    for holes in ((hole, "e:2@e2"), ("e:2@e2", hole)):
+        with pytest.raises(cxm.ComplexError) as ei:
+            cxm.connected_sum(cxm.torus(4, 4), cxm.torus(4, 4), *holes)
+        assert str(ei.value) == why
+
+
+# each allocating builder with the cell count its arguments imply
+SIZED_BUILDERS = [
+    (lambda: cxm.interval(5), 11),
+    (lambda: cxm.circle(7), 14),
+    (lambda: cxm.sphere(3, 5), 72),
+    (lambda: cxm.disc(3, 5), 51),
+    (lambda: cxm.product(cxm.circle(3), cxm.circle(4)), 48),
+    (lambda: cxm.mapping_torus(cxm.circle(3), None, 4), 48),
+]
+
+
+@pytest.mark.parametrize("build, count", SIZED_BUILDERS)
+def test_builders_refuse_more_cells_than_the_limit(monkeypatch, build, count):
+    # the count each builder checks is exact: it passes at the limit and
+    # is refused one cell below it
+    monkeypatch.setattr(cxm, "MAX_CELLS", count)
+    assert len(build().cells) == count
+    monkeypatch.setattr(cxm, "MAX_CELLS", count - 1)
+    with pytest.raises(cxm.ConleyError) as ei:
+        build()
+    assert ei.value.code == "too-large"
+    assert str(ei.value).endswith(
+        " would have %d cells; the limit is %d" % (count, count - 1))
+
+
+def test_named_spaces_refuse_a_huge_resolution():
+    for name in ("torus", "klein", "genus2", "sphere", "annulus", "s2xs1",
+                 "s2xts1", "t3"):
+        with pytest.raises(cxm.ConleyError) as ei:
+            cxm.named_space(name, 10 ** 6)
+        assert ei.value.code == "too-large", name
+
+
+def test_the_largest_measured_grid_is_within_the_limit():
+    # torus(160, 160) is two copies of circle(160) per band, 160 bands
+    assert 5 * 2 * 160 * len(cxm.circle(160).cells) <= cxm.MAX_CELLS
+
+
 def test_mapping_torus_of_point_is_circle():
     pt = cxm.point()
     mt = cxm.mapping_torus(pt, None, 8)

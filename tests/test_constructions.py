@@ -32,7 +32,6 @@ def circle_with_arc(m=12):
     succ["arc:e:0"] = [tops[-1]]
     succ["arc:e:1"] = ["arc:e:0", "arc:e:1"]
     flow = flm.CombinatorialFlow(cx, succ, name="circle-arc")
-    flow.meta["family"] = "example22"
     return flow, sorted([tops[-1], tops[0]])
 
 
@@ -62,7 +61,6 @@ def embedded_annulus(rows=8, cols=12, band=(2, 5)):
             else:
                 succ[c] = ["f:%d,%d" % (r, l + 1)]
     flow = flm.CombinatorialFlow(cx, succ, name="embedded-annulus")
-    flow.meta["family"] = "embedded-annulus"
     k = ["f:%d,%d" % (r, l) for r in range(lo, hi + 1) for l in (0, cols - 1)]
     return flow, sorted(k)
 

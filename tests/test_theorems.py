@@ -7,6 +7,7 @@ import weakref
 import pytest
 
 from conleylab import catalog, complexes as cxm, flow as flm, theorems
+from test_flow import eventual_image
 
 
 def pairwise_jduality_violations(j_plus, j_minus, rings):
@@ -22,7 +23,8 @@ def pairwise_jduality_violations(j_plus, j_minus, rings):
 def per_seed(fl, direction, rings):
     """J+ (direction "f") or J- ("p") of each cell by its own walk from its
     one-ring, without the shared per-cell images."""
-    return {x: fl.eventual_image(ring, direction) for x, ring in rings.items()}
+    return {x: eventual_image(fl, ring, direction)
+            for x, ring in rings.items()}
 
 
 def test_registry_order():
@@ -56,6 +58,22 @@ def test_run_builds_the_genus_two_surface_once(monkeypatch):
             monkeypatch.setattr(mod, "connected_sum", counted)
     theorems.run()
     assert len(calls) == 1
+
+
+def test_run_makes_one_whole_flow_tarjan_pass_per_flow(monkeypatch):
+    # the recurrent cells and both image tables read one component list
+    passes = {}
+    real = flm.CombinatorialFlow._components
+
+    def counted(self, within):
+        if within is None:
+            passes[self] = passes.get(self, 0) + 1
+        return real(self, within)
+
+    monkeypatch.setattr(catalog, "_CACHE", {})
+    monkeypatch.setattr(flm.CombinatorialFlow, "_components", counted)
+    theorems.run()
+    assert passes and max(passes.values()) == 1
 
 
 def test_run_reads_each_external_file_once(tmp_path, monkeypatch):
