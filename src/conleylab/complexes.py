@@ -635,7 +635,9 @@ def mapping_torus(fiber, glue, m, name=None):
 
 def torus(n, m=None):
     m = m or n
-    cx = mapping_torus(circle(n), None, m, name="torus(%d,%d)" % (n, m))
+    name = "torus(%d,%d)" % (n, m)
+    _check_size(name, 4 * n * m)  # before the fiber circle is built
+    cx = mapping_torus(circle(n), None, m, name=name)
     cx.meta["cup"] = {"rings": {"z": [[0, 1], [-1, 0]],
                                 "z2": [[0, 1], [1, 0]]}}
     return cx
@@ -643,8 +645,9 @@ def torus(n, m=None):
 
 def klein(n, m=None):
     m = m or n
-    cx = mapping_torus(circle(n), circle_reflection(n), m,
-                       name="klein(%d,%d)" % (n, m))
+    name = "klein(%d,%d)" % (n, m)
+    _check_size(name, 4 * n * m)
+    cx = mapping_torus(circle(n), circle_reflection(n), m, name=name)
     cx.meta["cup"] = {"rings": {"z2": [[0, 1], [1, 1]]}}
     return cx
 
@@ -761,8 +764,9 @@ def connected_sum(a, b, cell_a, cell_b, name=None):
 
 
 def t3(n=4, m=4):
-    base = torus(n, n)
-    cx = product(base, circle(m), name="t3(%d,%d)" % (n, m))
+    name = "t3(%d,%d)" % (n, m)
+    _check_size(name, 8 * n * n * m)
+    cx = product(torus(n, n), circle(m), name=name)
     cx.meta["cup"] = {"rings": {"z": "exterior3", "z2": "exterior3"}}
     return cx
 

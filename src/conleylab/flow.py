@@ -74,17 +74,25 @@ class CombinatorialFlow:
         self.meta = dict(meta or {})
         tops = cx.top_cells()
         topset = frozenset(tops)
+        vertices_of = cx.vertices_of
         self.succ = {}
         for c in tops:
             if c not in successors or not successors[c]:
                 raise FlowError("not-total", "cell %s has no successor" % c)
             out = tuple(sorted(set(successors[c])))
+            # c's vertex support, read on its first edge to another cell, so
+            # a rest flow builds no vertex supports
+            near = None
             for d in out:
                 if d not in topset:
                     raise FlowError("bad-successor",
                                     "%s -> %s is not a top cell" % (c, d))
+                if d == c:
+                    continue
                 # d in one_ring(c), tested on vertex supports without the ring
-                if d != c and cx.vertices_of(c).isdisjoint(cx.vertices_of(d)):
+                if near is None:
+                    near = vertices_of(c)
+                if near.isdisjoint(vertices_of(d)):
                     raise FlowError("not-local",
                                     "%s -> %s leaves the one-ring" % (c, d))
             self.succ[c] = out
@@ -92,12 +100,12 @@ class CombinatorialFlow:
         if extra:
             raise FlowError("bad-successor",
                             "successors given for non top cells: %s" % sorted(extra)[:3])
-        self.pred = {c: [] for c in tops}
+        pred = {c: [] for c in tops}
         for c, outs in self.succ.items():
             for d in outs:
-                self.pred[d].append(c)
-        for c in self.pred:
-            self.pred[c] = tuple(sorted(self.pred[c]))
+                pred[d].append(c)
+        # succ is walked in sorted top-cell order: each list is sorted, unique
+        self.pred = {c: tuple(v) for c, v in pred.items()}
         self.tops = topset
         self._images = {}
 
@@ -304,8 +312,8 @@ class CombinatorialFlow:
             meta = {}
             if "recipe" in data:
                 meta["recipe"] = data["recipe"]
-            flow = cls(cx, {c: list(v) for c, v in data["successors"].items()},
-                       name=data.get("name"), meta=meta)
+            flow = cls(cx, data["successors"], name=data.get("name"),
+                       meta=meta)
             declared = set(data.get("fixed", []))
         except (FlowError, ComplexError):
             raise
@@ -352,7 +360,8 @@ def load_file(path, name=None, error=FlowError):
     try:
         with open(path) as fh:
             data = json.load(fh)
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
+        # RecursionError: arrays or objects nested past the parser's depth
         raise error("unreadable-input",
                     "cannot read flow file %s: %s" % (path, exc))
     if type(data) is not dict:

@@ -1,13 +1,18 @@
 import contextlib
+import functools
+import gc
 import hashlib
 import io
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
+import tempfile
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import conleylab
 from conleylab import catalog, cli, complexes as cxm, flow as flm
@@ -50,12 +55,19 @@ def test_analyze_error_exits(capsys):
     assert "error[unknown-flow]" in capsys.readouterr().err
 
 
+# arrays nested past the JSON parser's depth
+DEEP = "[" * 200000 + "]" * 200000
+
+
 def test_malformed_flow_file_exits(tmp_path, capsys):
-    for i, body in enumerate(('{"successors": {}}', '[1, 2]')):
+    for i, body in enumerate(('{"successors": {}}', '[1, 2]', DEEP)):
         path = tmp_path / ("bad%d.json" % i)
         path.write_text(body)
-        assert cli.main(["analyze", str(path)]) == 1
-        assert "error[unreadable-input]" in capsys.readouterr().err
+        for command in ("analyze", "homology"):
+            assert cli.main([command, str(path)]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error[unreadable-input]: "), (i, command)
+            assert err.count("\n") == 1, (i, command)
 
 
 def test_malformed_complex_file_exits(tmp_path, capsys):
@@ -212,6 +224,92 @@ def test_ring_field_must_be_z_or_z2(tmp_path, capsys):
                          "ring is not z or z2")
 
 
+@functools.lru_cache(maxsize=None)
+def fuzz_text():
+    """The construct output the fuzz test mutates: the smallest
+    example22-circle that analyzes."""
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        assert cli.main(["construct", "example22-circle",
+                         "--resolution", "5"]) == 0
+    return out.getvalue()
+
+
+def json_paths(node, path=()):
+    """The path of every value below node, as tuples of keys and indexes."""
+    items = (node.items() if type(node) is dict
+             else enumerate(node) if type(node) is list else ())
+    for key, value in items:
+        yield path + (key,)
+        yield from json_paths(value, path + (key,))
+
+
+_DROP = object()
+_NEST = "@@nest@@"
+
+
+def replace_at(doc, path, value):
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    if value is _DROP:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False)
+    | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    max_leaves=8)
+
+
+@st.composite
+def malformed_flow_texts(draw):
+    """A construct output with one of: a key dropped, a value replaced by
+    a random JSON value or by deeply nested arrays, the text truncated."""
+    doc = json.loads(fuzz_text())
+    kind = draw(st.sampled_from(["drop", "replace", "nest", "truncate"]))
+    if kind == "truncate":
+        text = json.dumps(doc)
+        return text[:draw(st.integers(0, len(text) - 1))]
+    paths = list(json_paths(doc))
+    if kind == "drop":
+        paths = [p for p in paths if type(p[-1]) is str]
+    path = draw(st.sampled_from(paths))
+    value = {"drop": _DROP, "replace": draw(json_values),
+             "nest": _NEST}[kind]
+    replace_at(doc, path, value)
+    text = json.dumps(doc)
+    if kind == "nest":
+        depth = draw(st.sampled_from([10, 500, 990, 5000, 200000]))
+        text = text.replace(json.dumps(_NEST), "[" * depth + "]" * depth)
+    return text
+
+
+_ERROR_LINE = re.compile(r"error\[[a-z-]+\]: [^\n]*\n")
+
+
+@settings(max_examples=60, deadline=None)
+@given(malformed_flow_texts(), st.sampled_from(["analyze", "homology"]))
+def test_a_malformed_flow_file_ends_in_one_error_line(text, command):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "flow.json")
+        with open(path, "w") as fh:
+            fh.write(text)
+        err = io.StringIO()
+        # a traceback would be an exception escaping main, failing the example
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(err):
+            rc = cli.main([command, path])
+    if rc == 0:
+        assert err.getvalue() == ""
+    else:
+        assert rc == 1
+        assert _ERROR_LINE.fullmatch(err.getvalue()), err.getvalue()
+
+
 def test_verify_single_check(capsys):
     assert cli.main(["verify", "--only", "cor3.3"]) == 0
     out = capsys.readouterr().out
@@ -244,12 +342,13 @@ def test_verify_skips_unreadable_catalog_files_with_a_note(
     (tmp_path / "notjson.json").write_text("not json")
     body = catalog.build("example22-circle")["flow"].to_json()
     (tmp_path / "badk.json").write_text(json.dumps(dict(body, k=[1, "x"])))
+    (tmp_path / "deep.json").write_text(DEEP)
     monkeypatch.setenv("CONLEYLAB_CATALOG", str(tmp_path))
     assert cli.main(["verify", "--format", "json"]) == 0
     results = json.loads(capsys.readouterr().out)
     assert [r["status"] for r in results] == ["pass"] * 16
     notes = [d for r in results for d in r["details"] if d.startswith("note ")]
-    for name in ("nosucc.json", "notjson.json", "badk.json"):
+    for name in ("nosucc.json", "notjson.json", "badk.json", "deep.json"):
         assert any(name in n for n in notes), name
         assert cli.main(["analyze", "catalog:" + name[:-5]]) == 1
         assert "error[unreadable-input]" in capsys.readouterr().err
@@ -336,6 +435,24 @@ def test_a_huge_resolution_is_refused(capsys, argv):
     assert captured.err.startswith("error[too-large]: ")
     assert captured.err.endswith(" cells; the limit is %d\n" % cxm.MAX_CELLS)
     assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("name, refused", [
+    ("torus", "torus(100000,100000)"), ("klein", "klein(100000,100000)"),
+    ("t3", "t3(100000,100000)"), ("genus2", "torus(100000,100000)")])
+def test_a_refused_grid_builds_no_fiber(capsys, monkeypatch, name, refused):
+    built = []
+    real_circle = cxm.circle
+
+    def circle(n):
+        built.append(n)
+        return real_circle(n)
+
+    monkeypatch.setattr(cxm, "circle", circle)
+    assert cli.main(["homology", name, "--resolution", str(10 ** 5)]) == 1
+    assert built == []
+    assert capsys.readouterr().err.startswith(
+        "error[too-large]: %s would have " % refused)
 
 
 def test_homology_of_rp2_ignores_the_resolution(capsys):
@@ -527,3 +644,58 @@ def test_public_names_resolve_on_first_use():
     assert conleylab.analyze is conleylab.attractor.analyze
     with pytest.raises(AttributeError):
         conleylab.no_such_name
+
+
+def test_main_leaves_the_collector_as_it_found_it(monkeypatch, capsys):
+    inside = []
+    real_analyze = cli.cmd_analyze
+
+    def cmd_analyze(args):
+        inside.append(gc.isenabled())
+        return real_analyze(args)
+
+    monkeypatch.setattr(cli, "cmd_analyze", cmd_analyze)
+    was = gc.isenabled()
+    try:
+        for state in (True, False):
+            (gc.enable if state else gc.disable)()
+            # a success and an error[...] exit
+            assert cli.main(["analyze", "north-south"]) == 0
+            assert gc.isenabled() is state
+            assert cli.main(["analyze", "rest-torus"]) == 1
+            assert gc.isenabled() is state
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert inside == [False] * 4
+    assert "error[no-candidate]" in capsys.readouterr().err
+
+
+def cyclic_garbage(argv):
+    """Objects the cyclic collector finds unreachable after one command
+    run with it off."""
+    was = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(argv) == 0
+        return gc.collect()
+    finally:
+        if was:
+            gc.enable()
+
+
+def test_a_command_leaves_cycles_that_do_not_grow_with_its_input(tmp_path):
+    # the command runs with the collector paused, which is safe only while
+    # the cycles it leaves behind stay bounded by the parser, not the input
+    argvs = [["verify", "--only", "jduality"]]
+    for res in (8, 16):
+        entry = catalog.build("example22-torus", res)
+        body = dict(entry["flow"].to_json(), k=entry["k"])
+        path = tmp_path / ("torus%d.json" % res)
+        path.write_text(json.dumps(body))
+        argvs += [["analyze", str(path)], ["homology", str(path)]]
+    for argv in argvs:
+        cyclic_garbage(argv)  # imports and caches fill on the first run
+    counts = {tuple(argv): cyclic_garbage(argv) for argv in argvs}
+    assert len(set(counts.values())) == 1, counts
