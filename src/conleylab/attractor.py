@@ -67,23 +67,6 @@ class AttractorReport:
             "notes": list(self.notes),
         }
 
-    @classmethod
-    def from_json(cls, data, flow):
-        rep = cls(flow, data["k"])
-        rep.stabilization = frozenset(data["stabilization"])
-        rep.basin = frozenset(data["basin"])
-        rep.unstable = frozenset(data.get("unstable_manifold", []))
-        rep.components = [{"cells": frozenset(c["cells"]), "label": c["label"]}
-                          for c in data["components"]]
-        rep.r = data["r"]
-        rep.s = data["s"]
-        rep.classification = data["classification"]
-        rep.global_attractor = data["global"]
-        rep.witness = data.get("witness")
-        rep.witness_cycle = list(data.get("witness_cycle", []))
-        rep.notes = list(data.get("notes", []))
-        return rep
-
 
 def collar(flow, k):
     """Closed star of k, as a set of top cells. All containment tests of the

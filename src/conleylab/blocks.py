@@ -38,18 +38,6 @@ class IsolatingBlock:
     def boundary_faces(self):
         return frozenset(self.faces)
 
-    def to_json(self):
-        return {
-            "n": sorted(self.n),
-            "ni": sorted(self.ni),
-            "no": sorted(self.no),
-            "nplus": sorted(self.nplus),
-            "nminus": sorted(self.nminus),
-            "nplus_faces": sorted(self.nplus_faces),
-            "nminus_faces": sorted(self.nminus_faces),
-            "regular": self.regular,
-        }
-
 
 def _boundary_data(flow, n):
     """Codim-1 faces with one top coface inside n and one outside."""
@@ -117,9 +105,7 @@ def section_components(block):
 def conley_euler(block):
     """Euler characteristic of the index pair: chi(N) - chi(No)."""
     cx = block.flow.cx
-    chi_n = cx.euler(block.n)
-    chi_o = cx.euler(block.no) if block.no else 0
-    return chi_n - chi_o
+    return cx.euler(block.n) - cx.euler(block.no)
 
 
 def block_subcomplex(block):

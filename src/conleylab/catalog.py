@@ -144,9 +144,9 @@ def _rest_torus(res):
 _RECIPES = {
     "example22-torus": (_example22("torus", "z", "t^2 + t"), 12, 6),
     "example22-klein": (_example22("klein", "z2", "t^2 + t"), 12, 6),
-    "example22-circle": (_example22_circle, 12, 4),
-    "example22-s2xs1": (_example22("s2xs1", "z", "t^3 + t"), 6, 4),
-    "example22-s2xts1": (_example22("s2xts1", "z2", "t^3 + t"), 6, 4),
+    "example22-circle": (_example22_circle, 12, 5),
+    "example22-s2xs1": (_example22("s2xs1", "z", "t^3 + t"), 6, 5),
+    "example22-s2xts1": (_example22("s2xts1", "z2", "t^3 + t"), 6, 5),
     "north-south": (_north_south, 12, 7),
     "ns-annulus": (_ns_annulus, 12, 4),
     "ns-annulus-strip": (_strip("ns-annulus",

@@ -53,8 +53,12 @@ def _load_target(spec, resolution=None):
 
 def _emit(text, out):
     if out:
-        with open(out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w") as fh:
+                fh.write(text)
+        except OSError as err:
+            raise ConleyError("unwritable-output", "cannot write %s: %s"
+                              % (out, err.strerror or err))
     else:
         sys.stdout.write(text)
 

@@ -169,9 +169,6 @@ class CellComplex:
 
     # -- queries -----------------------------------------------------------
 
-    def dim(self, c):
-        return self.cells[c]
-
     def cells_of_dim(self, d):
         return list(self._by_dim.get(d, []))
 
@@ -244,8 +241,6 @@ class CellComplex:
             cl = self.cells
         else:
             cl = self.closure(cellset)
-        if not cl:
-            return 0
         chi = 0
         for c in cl:
             chi += (-1) ** self.cells[c]
@@ -652,9 +647,9 @@ def klein(n, m=None):
     return cx
 
 
-def rp2(rows=2, cols=4):
-    """Antipodal quotient of sphere(2*rows, 2*cols)."""
-    R, C = rows, cols
+def rp2():
+    """Antipodal quotient of sphere(4, 8): one fixed model, rp2(2,4)."""
+    R, C = 2, 4
     sp = sphere(2 * R, 2 * C)
     pairs = []
     # (kind, rows of that kind, the row r goes to, sign of the identification)
@@ -669,7 +664,7 @@ def rp2(rows=2, cols=4):
                 if a < b:
                     pairs.append((a, b, sign))
     pairs.append(("cap:n", "cap:s", 1))
-    cx = quotient(sp, pairs, name="rp2(%d,%d)" % (rows, cols))
+    cx = quotient(sp, pairs, name="rp2(%d,%d)" % (R, C))
     cx.meta["cup"] = {"rings": {"z2": [[1]]}}
     return cx
 
@@ -703,7 +698,7 @@ def _boundary_cycle(cx, cell):
     return walk
 
 
-def connected_sum(a, b, cell_a, cell_b, name=None):
+def connected_sum(a, b, cell_a, cell_b):
     """Remove one 2-cell from each closed orientable surface and glue the holes.
 
     The holes are matched one way, a's boundary walk against b's reversed,
@@ -750,7 +745,7 @@ def connected_sum(a, b, cell_a, cell_b, name=None):
         else:
             raise ComplexError("hole edges %s and %s do not match"
                                % (edges_a[i], eb[i]))
-    out = quotient(base, pairs, name=name or "sum(%s,%s)" % (a.name, b.name))
+    out = quotient(base, pairs, name="sum(%s,%s)" % (a.name, b.name))
     if not (out.is_closed_surface() and out.is_orientable()):
         raise ComplexError("glued complex is not an orientable surface")
     # the orthogonal sum of the two cup tables, ring by ring
@@ -763,10 +758,10 @@ def connected_sum(a, b, cell_a, cell_b, name=None):
     return out
 
 
-def t3(n=4, m=4):
-    name = "t3(%d,%d)" % (n, m)
-    _check_size(name, 8 * n * n * m)
-    cx = product(torus(n, n), circle(m), name=name)
+def t3(n):
+    name = "t3(%d,%d)" % (n, n)
+    _check_size(name, 8 * n ** 3)
+    cx = product(torus(n, n), circle(n), name=name)
     cx.meta["cup"] = {"rings": {"z": "exterior3", "z2": "exterior3"}}
     return cx
 
@@ -790,7 +785,7 @@ def named_space(name, resolution=None):
                                        name="s2xs1(%d)" % n),
         "s2xts1": lambda: mapping_torus(sphere(3, 6), sphere_reflection(3, 6),
                                         n, name="s2xts1(%d)" % n),
-        "t3": lambda: t3(n, n),
+        "t3": lambda: t3(n),
     }
     if name not in builders:
         raise ComplexError("no catalog complex named %r" % name)

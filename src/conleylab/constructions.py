@@ -1,8 +1,8 @@
 """Flow constructions for the catalog.
 
 Every builder returns (flow, k) with k the attractor candidate, except the
-modifiers freeze_outside and add_uniform_component which transform a flow
-that already exists. Errors carry a short machine code on .code.
+modifier add_uniform_component, which transforms a flow that already exists.
+Errors carry a short machine code on .code.
 
 A hypersurface flow takes its cycle apart with `CellComplex.components`
 alone: the cycle is non-separating when the top cells cut along it are one
@@ -280,32 +280,6 @@ def hypersurface_flow(cx, z, name=None):
 
 
 # -- modifiers ----------------------------------------------------------------
-
-
-def freeze_outside(flow, p):
-    """Freeze every top cell outside p; p must be positively invariant.
-
-    Cells of p fed only from outside keep a slow self loop so backward
-    viability inside p survives the freeze."""
-    pset = frozenset(p)
-    for c in sorted(pset):
-        if c not in flow.tops:
-            raise ConstructionError("not-invariant",
-                                    "%s is not a top cell" % c)
-        if not set(flow.succ[c]) <= pset:
-            raise ConstructionError(
-                "not-invariant", "p is not positively invariant at %s" % c)
-    succ = {}
-    for c in sorted(flow.tops):
-        succ[c] = list(flow.succ[c]) if c in pset else [c]
-    fed = set()
-    for outs in succ.values():
-        fed.update(outs)
-    for c in sorted(pset - fed):
-        succ[c] = [c] + succ[c]
-    out = CombinatorialFlow(flow.cx, succ, name=flow.name + ":frozen")
-    out.meta.update(flow.meta)
-    return out
 
 
 def add_uniform_component(flow, k):

@@ -117,7 +117,7 @@ class FlowRecord:
         # Poincare polynomial of the exit (or entry) section of the block
         blk = self.block
         faces = blk.nminus_faces if side == "minus" else blk.nplus_faces
-        sub = self.cx.subcomplex(self.cx.closure(set(faces)))
+        sub = self.cx.subcomplex(faces)
         return algebra.poincare_polynomial(sub, ring=self.ring)
 
     @cached_property
@@ -323,13 +323,14 @@ def obstruction_report(cx, ring="z2"):
 def _check_obstruction(res, population):
     # cup products on H^1 bound the homoclinic count before any flow is
     # chosen. Spaces with a zero bound admit no such attractor at all.
+    torus = complexes.torus(6, 6)
     spaces = [
         ("sphere", complexes.sphere(2, 6), "z2", 0),
         ("projective plane", complexes.rp2(), "z2", 0),
-        ("torus", complexes.torus(6, 6), "z", 1),
-        ("torus", complexes.torus(6, 6), "z2", 1),
+        ("torus", torus, "z", 1),
+        ("torus", torus, "z2", 1),
         ("klein bottle", complexes.klein(6, 6), "z2", 1),
-        ("three-torus", complexes.t3(3, 3), "z", 1),
+        ("three-torus", complexes.t3(3), "z", 1),
         ("genus two surface",
          catalog.build("hypersurface-genus2")["flow"].cx, "z2", 2),
     ]
@@ -588,15 +589,12 @@ def check_ids():
 
 
 def run(only=None):
-    """Run all checks, or the ones named in `only`, in registry order."""
-    if only is None:
-        wanted = check_ids()
-    else:
-        wanted = [only] if isinstance(only, str) else list(only)
-        known = set(check_ids())
-        for w in wanted:
-            if w not in known:
-                raise TheoremError("unknown-check", "no check named %r" % w)
+    """Run all checks in registry order, or only the one with id `only`."""
+    wanted = check_ids()
+    if only is not None:
+        if only not in wanted:
+            raise TheoremError("unknown-check", "no check named %r" % only)
+        wanted = [only]
     population = _members()
     out = []
     for cid, title, fn in _REGISTRY:

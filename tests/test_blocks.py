@@ -104,15 +104,6 @@ def test_genus2_blocks():
     assert blocks.conley_euler(two) == -2
 
 
-def test_block_json():
-    b, _ = block_for("example22-circle")
-    d = b.to_json()
-    assert d["regular"] is True
-    assert sorted(d) == ["n", "ni", "nminus", "nminus_faces", "no",
-                         "nplus", "nplus_faces", "regular"]
-    assert set(d["nplus"]) | set(d["nminus"]) <= set(d["n"])
-
-
 def test_no_block_when_neighbors_never_leave():
     # a rest point next to other rest points: every neighborhood keeps
     # extra invariant cells, so no isolating block exists

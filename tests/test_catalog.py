@@ -48,21 +48,33 @@ def test_build_errors():
     assert ei.value.code == "bad-resolution"
 
 
+def assert_matches_expectation(name, resolution=None):
+    entry = catalog.build(name, resolution)
+    want = entry["expected"]
+    where = (name, entry["resolution"])
+    if want.get("error"):
+        with pytest.raises((catalog.CatalogError,
+                            attractor.NotIsolatedError)) as ei:
+            catalog.analysis(name, resolution)
+        assert ei.value.code == want["error"], where
+        return
+    rep = catalog.analysis(name, resolution)
+    assert rep.classification == want["classification"], where
+    assert rep.r == want["r"], where
+    assert rep.s == want["s"], where
+    assert rep.global_attractor == want["global"], where
+
+
 def test_every_entry_matches_its_expectation():
     for name in catalog.names():
-        entry = catalog.build(name)
-        want = entry["expected"]
-        if want.get("error"):
-            with pytest.raises((catalog.CatalogError,
-                                attractor.NotIsolatedError)) as ei:
-                catalog.analysis(name)
-            assert ei.value.code == want["error"], name
-            continue
-        rep = catalog.analysis(name)
-        assert rep.classification == want["classification"], name
-        assert rep.r == want["r"], name
-        assert rep.s == want["s"], name
-        assert rep.global_attractor == want["global"], name
+        assert_matches_expectation(name)
+
+
+def test_every_entry_matches_its_expectation_at_its_minimum_resolution():
+    # a recipe's minimum is the least resolution that still builds the
+    # flow it describes
+    for name, (_, _, minimum) in catalog._RECIPES.items():
+        assert_matches_expectation(name, minimum)
 
 
 def test_external_file_is_read_afresh(tmp_path, monkeypatch):

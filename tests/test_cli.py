@@ -415,6 +415,46 @@ def test_construct_output_is_pinned():
             assert got == digest, (name, res)
 
 
+PINNED_COMMANDS = {
+    "analyze": ["analyze", "--format", "json"],
+    "plot": ["plot", "--format", "json"],
+    "homology-z": ["homology", "--format", "json", "--ring", "z"],
+    "homology-z2": ["homology", "--format", "json", "--ring", "z2"],
+}
+
+
+def run_cli(argv):
+    """(exit code, stdout, stderr) of one in-process CLI call."""
+    with contextlib.redirect_stdout(io.StringIO()) as out, \
+            contextlib.redirect_stderr(io.StringIO()) as err:
+        rc = cli.main(argv)
+    return rc, out.getvalue(), err.getvalue()
+
+
+def pinned_outputs():
+    """For every catalog entry at its default resolution and each command
+    of PINNED_COMMANDS: the sha256 of its stdout, or [exit code, stderr]
+    when it ends in an error. tests/data/outputs.json holds these values,
+    written by `json.dumps(pinned_outputs(), indent=2, sort_keys=True)`."""
+    table = {}
+    for name in sorted(catalog._RECIPES):
+        row = table[name] = {}
+        for key, (command, *opts) in PINNED_COMMANDS.items():
+            rc, out, err = run_cli([command, "catalog:" + name] + opts)
+            if rc == 0 and not err:
+                row[key] = hashlib.sha256(out.encode()).hexdigest()
+            else:
+                assert out == "", (name, key)
+                row[key] = [rc, err]
+    return table
+
+
+def test_catalog_outputs_are_pinned():
+    pinned = json.loads((pathlib.Path(__file__).parent / "data" /
+                         "outputs.json").read_text())
+    assert pinned_outputs() == pinned
+
+
 @pytest.mark.parametrize("name, res", [
     ("torus", 2), ("torus", 0), ("annulus", 1), ("annulus", 2),
     ("s2xs1", 2), ("t3", -1), ("sphere", 1)])
@@ -422,6 +462,20 @@ def test_homology_refuses_a_resolution_below_three(capsys, name, res):
     assert cli.main(["homology", name, "--resolution", str(res)]) == 1
     err = capsys.readouterr().err
     assert err == "error[bad-resolution]: %s needs resolution >= 3\n" % name
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "catalog:north-south"], ["verify", "--only", "cor3.3"],
+    ["plot", "catalog:north-south"], ["construct", "north-south"],
+    ["homology", "torus"]])
+@pytest.mark.parametrize("where", ["directory", "missing-directory"])
+def test_an_unwritable_out_is_one_error_line(tmp_path, argv, where):
+    out = tmp_path if where == "directory" else tmp_path / "none" / "x.txt"
+    rc, text, err = run_cli(argv + ["--out", str(out)])
+    assert (rc, text) == (1, "")
+    assert err.startswith("error[unwritable-output]: cannot write %s: "
+                          % out)
+    assert err.count("\n") == 1
 
 
 @pytest.mark.parametrize("argv", [

@@ -34,11 +34,11 @@ def eager_cofaces(cx):
 def eager_indexes(cx):
     """Top cofaces and vertex supports of every cell, built from the
     boundary table alone, lowest dimension first."""
-    top_cofaces = {f: [c for c in cof if cx.dim(c) == cx.top_dim]
+    top_cofaces = {f: [c for c in cof if cx.cells[c] == cx.top_dim]
                    for f, cof in eager_cofaces(cx).items()}
     verts = {}
-    for c in sorted(cx.cells, key=cx.dim):
-        verts[c] = (frozenset([c]) if cx.dim(c) == 0 else
+    for c in sorted(cx.cells, key=cx.cells.__getitem__):
+        verts[c] = (frozenset([c]) if cx.cells[c] == 0 else
                     frozenset().union(*(verts[f] for f in cx.boundary[c])))
     return top_cofaces, verts
 
@@ -56,7 +56,7 @@ def test_lazy_indexes_match_eager_rebuild():
             assert cx.top_cofaces(c) == top_cofaces.get(c, []), (name, c)
             assert cx.vertices_of(c) == verts[c], (name, c)
             ring = {t for t in tops if verts[t] & verts[c]}
-            if cx.dim(c) == cx.top_dim:
+            if cx.cells[c] == cx.top_dim:
                 ring.add(c)
             assert cx.star_tops({c}) == ring, (name, c)
 
@@ -82,7 +82,7 @@ def ring_by_vertices(cx, c):
     support meets that of c, and c itself when it is a top cell."""
     vc = cx.vertices_of(c)
     ring = {t for t in cx.top_cells() if cx.vertices_of(t) & vc}
-    if cx.dim(c) == cx.top_dim:
+    if cx.cells[c] == cx.top_dim:
         ring.add(c)
     return ring
 

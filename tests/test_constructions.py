@@ -117,32 +117,6 @@ def test_embedded_annulus_keeps_verdict_with_euler_mismatch():
     assert cx.euler(cx.closure(rep.basin)) == 0
 
 
-def test_freeze_outside_whole_space_is_identity():
-    rf = flm.rest_flow(cxm.torus(4, 4))
-    fz = cons.freeze_outside(rf, rf.tops)
-    assert fz.succ == rf.succ
-
-
-def test_freeze_outside_needs_invariant_region():
-    entry = catalog.build("north-south")
-    with pytest.raises(cons.ConstructionError) as ei:
-        cons.freeze_outside(entry["flow"], set(sorted(entry["flow"].tops)[:3]))
-    assert ei.value.code == "not-invariant"
-
-
-def test_freeze_outside_preserves_classification():
-    entry = catalog.build("north-south")
-    f = entry["flow"]
-    frozen = cons.freeze_outside(f, f.tops - {"cap:n"})
-    assert attractor.analyze(frozen, entry["k"]).classification == "Stable"
-
-    flow, k = embedded_annulus()
-    moving = flow.tops - set(flow.fixed)
-    frozen2 = cons.freeze_outside(flow, flow.reach(moving))
-    rep = attractor.analyze(frozen2, k)
-    assert rep.classification == "NoExternalExplosions"
-
-
 def test_add_uniform_component_raises_s_not_r():
     entry = catalog.build("hypersurface-genus2")
     flow, k = entry["flow"], entry["k"]
