@@ -2,15 +2,15 @@
 
 build(name, resolution) returns an entry dict with the flow, the attractor
 candidate k, and the expected classification data the test suite pins down.
-A recipe maps a resolution to (flow, k, expected, ring), and a family of
-entries shares one recipe factory: `_example22` puts the circulating band
-flow on a named space, and `_strip` glues one more uniform strip onto
-another entry. Built-in entries are cached by (name, resolution), and an
-entry is the one way a flow is shared or rebuilt: a recipe that extends
-another entry (the strips, the two-cycle genus-two flow) gets it from
-`build`, and the CLI's `--refine` asks `build` for twice the resolution.
-The cache has no bound: every built-in entry built stays in memory for the
-life of the process. Clear `catalog._CACHE` to release them.
+A recipe maps a resolution and a `built` dict to (flow, k, expected, ring),
+and a family of entries shares one recipe factory: `_example22` puts the
+circulating band flow on a named space, and `_strip` glues one more uniform
+strip onto another entry. An entry is the one way a flow is shared or
+rebuilt: a recipe that extends another entry (the strips, the two-cycle
+genus-two flow) gets it from `build` with the same `built`, and the CLI's
+`--refine` asks `build` for twice the resolution. The module keeps no entry:
+a caller that needs one entry twice passes its own `built`, and the entries
+live as long as that dict does (`verify` keeps one for a run).
 
 Set the CONLEYLAB_CATALOG environment variable to a directory of flow JSON
 files to make external flows available under their file stem. They are read
@@ -31,9 +31,6 @@ class CatalogError(ConleyError):
     pass
 
 
-_CACHE = {}
-
-
 def _expect(classification, r=None, s=None, global_=None, error=None,
             pair_poly=None):
     out = {"classification": classification, "r": r, "s": s,
@@ -44,7 +41,7 @@ def _expect(classification, r=None, s=None, global_=None, error=None,
 
 def _example22(space, ring, pair_poly):
     """The recipe of the circulating band flow on the named space `space`."""
-    def recipe(res):
+    def recipe(res, built):
         flow, k = cons.example_general(named_space(space, res),
                                        name="example22-" + space)
         return flow, k, _expect("NoExternalExplosions", 1, 1, True,
@@ -52,7 +49,7 @@ def _example22(space, ring, pair_poly):
     return recipe
 
 
-def _example22_circle(res):
+def _example22_circle(res, built):
     # a point's mapping torus: the one example22 host that is no named space
     cx = mapping_torus(point(), None, res, name="circle(%d)" % res)
     flow, k = cons.example_general(cx, name="example22-circle")
@@ -63,33 +60,33 @@ def _example22_circle(res):
 def _strip(parent, expected):
     """The recipe of the catalog entry `parent` with one more uniform
     strip, which it gets from `build` at the same resolution."""
-    def recipe(res):
-        entry = build(parent, res)
+    def recipe(res, built):
+        entry = build(parent, res, built)
         flow, k = cons.add_uniform_component(entry["flow"], entry["k"])
         return flow, k, expected, "z"
     return recipe
 
 
-def _north_south(res):
+def _north_south(res, built):
     rows = max(3, res // 2)
     cols = max(4, res - rows)
     flow, k = cons.north_south(rows, cols)
     return flow, k, _expect("Stable", 0, 1, False), "z"
 
 
-def _ns_annulus(res):
+def _ns_annulus(res, built):
     flow, k = cons.ns_annulus(4, res)
     return flow, k, _expect("Stable", 0, 1, False), "z"
 
 
-def _homoclinic_sphere(res):
+def _homoclinic_sphere(res, built):
     rows = max(4, res // 2)
     cols = max(6, res - rows + ((res - rows) % 2))
     flow, k = cons.homoclinic_sphere(rows, cols)
     return flow, k, _expect("ExternalExplosions", 1, 1, True), "z"
 
 
-def _hypersurface_torus(res):
+def _hypersurface_torus(res, built):
     cx = named_space("torus", res)
     z = ["e:%d@v%d" % (l, res - 2) for l in range(res)]
     flow, k = cons.hypersurface_flow(cx, z, name="hypersurface-torus")
@@ -103,7 +100,7 @@ def _genus2_targets(res):
             for side in "ab"]
 
 
-def _hypersurface_genus2_one(res):
+def _hypersurface_genus2_one(res, built):
     cx = named_space("genus2", res)
     z = ["a:e:%d@v%d" % (l, res - 2) for l in range(res)]
     flow, k = cons.hypersurface_flow(cx, z, name="hypersurface-genus2")
@@ -112,8 +109,8 @@ def _hypersurface_genus2_one(res):
                             pair_poly="t^2 + t"), "z"
 
 
-def _hypersurface_genus2_two(res):
-    cx = build("hypersurface-genus2", res)["flow"].cx
+def _hypersurface_genus2_two(res, built):
+    cx = build("hypersurface-genus2", res, built)["flow"].cx
     z = ["%s:e:%d@v%d" % (side, l, res - 2)
          for side in "ab" for l in range(res)]
     flow, k = cons.hypersurface_flow(cx, z, name="hypersurface-genus2-two")
@@ -121,22 +118,22 @@ def _hypersurface_genus2_two(res):
                             pair_poly="2t^2 + 2t"), "z"
 
 
-def _planar_disc(res):
+def _planar_disc(res, built):
     flow, k = cons.planar_disc(res)
     return flow, k, _expect("Stable", 0, 1, False), "z"
 
 
-def _planar_annulus(res):
+def _planar_annulus(res, built):
     flow, k = cons.planar_annulus(res)
     return flow, k, _expect("Stable", 0, 2, False), "z"
 
 
-def _capped_annulus(res):
+def _capped_annulus(res, built):
     flow, k = cons.capped_annulus(max(4, res // 2), res)
     return flow, k, _expect(None, error="not-isolated"), "z"
 
 
-def _rest_torus(res):
+def _rest_torus(res, built):
     flow = rest_flow(named_space("torus", res), name="rest-torus")
     return flow, None, _expect(None, error="no-candidate"), "z"
 
@@ -197,8 +194,10 @@ def _load_external(name):
                            % (path, err))
 
 
-def build(name, resolution=None):
-    """Build a catalog entry: {name, resolution, flow, k, expected, ring}."""
+def build(name, resolution=None, built=None):
+    """Build a catalog entry: {name, resolution, flow, k, expected, ring}.
+    An entry in `built`, a dict by (name, resolution), is returned as it
+    stands; one built here goes into it with every entry it extends."""
     if name not in _RECIPES:
         d = _external_dir()
         if d and name in _external_names():
@@ -209,14 +208,15 @@ def build(name, resolution=None):
     if res < minimum:
         raise CatalogError("bad-resolution",
                            "%s needs resolution >= %d" % (name, minimum))
+    built = {} if built is None else built
     key = (name, res)
-    if key not in _CACHE:
-        flow, k, expected, ring = fn(res)
+    if key not in built:
+        flow, k, expected, ring = fn(res, built)
         flow.meta["recipe"] = {"name": name, "resolution": res}
-        _CACHE[key] = {"name": name, "resolution": res, "flow": flow,
-                       "k": sorted(k) if k else None, "expected": expected,
-                       "ring": ring}
-    return _CACHE[key]
+        built[key] = {"name": name, "resolution": res, "flow": flow,
+                      "k": sorted(k) if k else None, "expected": expected,
+                      "ring": ring}
+    return built[key]
 
 
 def analysis(name, resolution=None, entry=None):

@@ -6,16 +6,16 @@ complex and of the attractor report, not by name, so external catalog entries
 join the sweeps automatically. A check that matches no instance fails loudly
 rather than passing empty.
 
-`run` hands every check the same population: one `FlowRecord` per catalog
-flow, built on first use and dropped when the run returns. A record derives
-each fact the checks share (the closure of k, its cohomology ranks, the pair
-and section polynomials, the isolating block, the manifold predicates) at
-most once. A catalog file that cannot be read is skipped with a note
-naming it.
+`run` hands every check one population: the catalog entries the run builds,
+one per (name, resolution), and a `FlowRecord` per catalog flow, each built
+on first use and dropped when the run returns. A record derives each fact
+the checks share (the closure of k, its cohomology ranks, the pair and
+section polynomials, the isolating block, the manifold predicates) at most
+once. A catalog file that cannot be read is skipped with a note naming it.
 """
 
 import itertools
-from functools import cache, cached_property
+from functools import cached_property
 
 from . import algebra, attractor, blocks, catalog, complexes, constructions
 
@@ -74,7 +74,7 @@ class FlowRecord:
     @cached_property
     def k_ranks(self):
         """Cohomology ranks of the closed attractor candidate."""
-        sub = self.cx.subcomplex(self.kbar)
+        sub = self.cx.subcomplex(self.entry["k"])
         return algebra.cohomology_ranks(sub, ring=self.ring)
 
     @cached_property
@@ -137,27 +137,6 @@ class FlowRecord:
         return self.rep.stabilization != self.rep.k
 
 
-def _population():
-    """(records, notes): a record for every catalog flow that analyzes
-    cleanly, and a note for every catalog entry that could not be read."""
-    out = []
-    notes = []
-    for name in catalog.names():
-        try:
-            entry = catalog.build(name)
-        except catalog.CatalogError as err:
-            notes.append("skipped catalog entry %s: %s" % (name, err))
-            continue
-        if not entry.get("k") or entry["expected"].get("error"):
-            continue
-        try:
-            rep = catalog.analysis(entry["name"], entry["resolution"], entry)
-        except (catalog.CatalogError, attractor.NotIsolatedError):
-            continue
-        out.append(FlowRecord(entry, rep))
-    return out, notes
-
-
 def _rank_at(ranks, i):
     return ranks[i] if 0 <= i < len(ranks) else 0
 
@@ -216,9 +195,9 @@ def shape_obstruction(m_ranks, k_ranks, r, ring="z2"):
 
 # -- the checks ---------------------------------------------------------------
 #
-# Each check takes its result and `population`, which returns the records of
-# the catalog flows (built on the first call of a run) and notes on res every
-# catalog entry it skipped.
+# Each check takes its result and the run's `population`: calling it returns
+# the records of the catalog flows and notes on res every catalog entry it
+# skipped, and `population.built` holds the catalog entries the run built.
 
 def _check_thm34(res, population):
     # global attractors with only internal explosions on closed manifolds:
@@ -324,6 +303,7 @@ def _check_obstruction(res, population):
     # cup products on H^1 bound the homoclinic count before any flow is
     # chosen. Spaces with a zero bound admit no such attractor at all.
     torus = complexes.torus(6, 6)
+    genus2 = catalog.build("hypersurface-genus2", None, population.built)
     spaces = [
         ("sphere", complexes.sphere(2, 6), "z2", 0),
         ("projective plane", complexes.rp2(), "z2", 0),
@@ -331,8 +311,7 @@ def _check_obstruction(res, population):
         ("torus", torus, "z2", 1),
         ("klein bottle", complexes.klein(6, 6), "z2", 1),
         ("three-torus", complexes.t3(3), "z", 1),
-        ("genus two surface",
-         catalog.build("hypersurface-genus2")["flow"].cx, "z2", 2),
+        ("genus two surface", genus2["flow"].cx, "z2", 2),
     ]
     for label, cx, ring, want in spaces:
         rec = obstruction_report(cx, ring)
@@ -480,8 +459,8 @@ def _check_lemma71(res, population):
     for name in ("example22-torus", "example22-klein", "example22-circle",
                  "north-south"):
         fn, default, minimum = catalog._RECIPES[name]
-        coarse = FlowRecord(catalog.build(name, minimum))
-        fine = FlowRecord(catalog.build(name, 2 * minimum))
+        coarse = FlowRecord(catalog.build(name, minimum, population.built))
+        fine = FlowRecord(catalog.build(name, 2 * minimum, population.built))
         p1 = algebra.poly_to_string(coarse.pair_poly)
         p2 = algebra.poly_to_string(fine.pair_poly)
         res.case(p1 == p2, "%s: %s at resolution %d and %d"
@@ -595,7 +574,7 @@ def run(only=None):
         if only not in wanted:
             raise TheoremError("unknown-check", "no check named %r" % only)
         wanted = [only]
-    population = _members()
+    population = _Population()
     out = []
     for cid, title, fn in _REGISTRY:
         if cid not in wanted:
@@ -613,14 +592,35 @@ def run(only=None):
     return out
 
 
-def _members():
-    """The `population` one run hands its checks: the records are built on
-    the first call and dropped with the run."""
-    built = cache(_population)
+class _Population:
+    """One run's `population`; `built` holds the catalog entries it built."""
 
-    def population(res):
-        records, notes = built()
+    def __init__(self):
+        self.built = {}
+
+    @cached_property
+    def members(self):
+        """(records, notes): a record for every catalog flow that analyzes
+        cleanly, and a note for every catalog entry that could not be read."""
+        out = []
+        notes = []
+        for name in catalog.names():
+            try:
+                entry = catalog.build(name, None, self.built)
+            except catalog.CatalogError as err:
+                notes.append("skipped catalog entry %s: %s" % (name, err))
+                continue
+            if not entry.get("k") or entry["expected"].get("error"):
+                continue
+            try:
+                rep = catalog.analysis(name, entry["resolution"], entry)
+            except (catalog.CatalogError, attractor.NotIsolatedError):
+                continue
+            out.append(FlowRecord(entry, rep))
+        return out, notes
+
+    def __call__(self, res):
+        records, notes = self.members
         for text in notes:
             res.note(text)
         return records
-    return population

@@ -11,6 +11,7 @@ import time
 import pytest
 
 from conleylab import algebra, attractor, blocks, catalog, cli, theorems
+from test_flow import shared_entry
 
 NOEXT = "NoExternalExplosions"
 
@@ -18,10 +19,10 @@ NOEXT = "NoExternalExplosions"
 def _population():
     out = []
     for name in catalog.names():
-        entry = catalog.build(name)
+        entry = shared_entry(name)
         if not entry["k"] or entry["expected"].get("error"):
             continue
-        out.append((entry, catalog.analysis(name)))
+        out.append((entry, catalog.analysis(name, None, entry)))
     return out
 
 
@@ -40,12 +41,12 @@ def test_criterion_02_pair_polynomials():
     pinned = {"example22-torus": "t^2 + t",
               "hypersurface-genus2-two": "2t^2 + 2t"}
     for name, want in pinned.items():
-        entry = catalog.build(name)
+        entry = shared_entry(name)
         cx = entry["flow"].cx
         p = algebra.poincare_polynomial(cx, rel=cx.closure(entry["k"]),
                                         ring="z2")
         assert algebra.poly_to_string(p) == want
-        rep = catalog.analysis(name)
+        rep = catalog.analysis(name, None, entry)
         assert p[cx.top_dim] == rep.r
         assert algebra.poly_symmetric(p, cx.top_dim)
 
@@ -85,7 +86,7 @@ def test_criterion_05_first_cohomology_and_chi():
               "hypersurface-genus2": ("z", 3),
               "example22-klein": ("z2", 1)}
     for name, (ring, want) in pinned.items():
-        entry = catalog.build(name)
+        entry = shared_entry(name)
         cx = entry["flow"].cx
         sub = cx.subcomplex(cx.closure(entry["k"]))
         assert algebra.cohomology_ranks(sub, ring=ring)[1] == want, name
@@ -107,7 +108,7 @@ def test_criterion_06_obstruction_report():
     assert rec["r_max"] == 0 and rec["verdict"] == zero
     rec = theorems.obstruction_report(torus(6, 6), "z2")
     assert rec["r_max"] == 1 and rec["verdict"] == theorems.AT_MOST % 1
-    g2 = catalog.build("hypersurface-genus2")["flow"].cx
+    g2 = shared_entry("hypersurface-genus2")["flow"].cx
     rec = theorems.obstruction_report(g2, "z2")
     assert rec["r_max"] == 2 and rec["verdict"] == theorems.AT_MOST % 2
 
@@ -172,7 +173,7 @@ def test_criterion_09_duality_suites():
         _, default, minimum = catalog._RECIPES[name]
         polys = []
         for res in (minimum, 2 * minimum):
-            entry = catalog.build(name, res)
+            entry = shared_entry(name, res)
             cx = entry["flow"].cx
             p = algebra.poincare_polynomial(cx, rel=cx.closure(entry["k"]),
                                             ring="z2")
@@ -196,13 +197,13 @@ def test_criterion_10_exhaustive_jduality():
 
 
 def test_criterion_11_bundle_fingerprints():
-    hom = algebra.homology(catalog.build("example22-torus")["flow"].cx, "z")
+    hom = algebra.homology(shared_entry("example22-torus")["flow"].cx, "z")
     assert [h["rank"] for h in hom] == [1, 2, 1]
     assert all(not h["torsion"] for h in hom)
-    hom = algebra.homology(catalog.build("example22-klein")["flow"].cx, "z")
+    hom = algebra.homology(shared_entry("example22-klein")["flow"].cx, "z")
     assert [h["rank"] for h in hom] == [1, 1, 0]
     assert hom[1]["torsion"] == [2]
-    hom = algebra.homology(catalog.build("example22-s2xs1")["flow"].cx, "z")
+    hom = algebra.homology(shared_entry("example22-s2xs1")["flow"].cx, "z")
     assert [h["rank"] for h in hom] == [1, 1, 1, 1]
     assert all(not h["torsion"] for h in hom)
 

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conleylab import algebra, catalog, complexes as cxm
+from test_flow import shared_entry
 
 
 NAMED_SPACES = ("torus", "klein", "genus2", "sphere", "rp2", "annulus",
@@ -525,7 +526,7 @@ def _complex_cases():
     yield "z/2", loop_complex([[2]]), None
     yield "loops", loop_complex(LOOP_D2), None
     for name in catalog.names():
-        entry = catalog.build(name)
+        entry = shared_entry(name)
         cx = entry["flow"].cx
         yield name, cx, cx.closure(entry["k"]) if entry["k"] else None
 

@@ -3,7 +3,8 @@ import json
 import pytest
 
 from conleylab import attractor, catalog, complexes as cxm, flow as flm
-from test_flow import eventual_image, image_cycle, iterated_image, trim_loop
+from test_flow import (eventual_image, image_cycle, iterated_image,
+                       shared_entry, trim_loop)
 
 
 # -- reference implementations: one enclosure per cell -----------------------------
@@ -116,7 +117,7 @@ def oracle_cases():
     flows. capped-annulus is not isolated, see
     test_not_isolated_candidate_rejected."""
     for name in catalog.names():
-        entry = catalog.build(name)
+        entry = shared_entry(name)
         if entry["k"] and name != "capped-annulus":
             yield entry["flow"], entry["k"]
     yield hug_flow(), ["e:0"]
@@ -179,7 +180,7 @@ def test_not_isolated_candidate_rejected():
         attractor.analyze(f, {"v:0"})    # not a top cell
 
 
-def test_report_json_round_trip():
+def test_report_to_json():
     rep = catalog.analysis("example22-torus")
     data = rep.to_json()
     assert data["classification"] == "NoExternalExplosions"

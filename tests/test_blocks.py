@@ -1,8 +1,8 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conleylab import algebra, blocks, catalog, complexes as cxm, flow as flm
-from test_flow import catalog_flows, small_flows, trim_loop
+from conleylab import algebra, blocks, complexes as cxm, flow as flm
+from test_flow import catalog_flows, shared_entry, small_flows, trim_loop
 
 
 def build_block_three_trims(flow, k):
@@ -51,7 +51,7 @@ def assert_block_matches_three_trims(flow, k, label):
 
 
 def block_for(name):
-    entry = catalog.build(name)
+    entry = shared_entry(name)
     return blocks.build_block(entry["flow"], entry["k"]), entry
 
 

@@ -4,6 +4,7 @@ import os
 import pytest
 
 from conleylab import attractor, catalog
+from test_flow import shared_entry
 
 
 EXPECTED_NAMES = [
@@ -32,11 +33,25 @@ def test_names_pinned():
     assert catalog.names() == EXPECTED_NAMES
 
 
-def test_build_is_cached():
+def test_build_shares_entries_only_through_the_callers_dict():
+    # the module keeps no entry: two plain calls build the flow twice
     a = catalog.build("example22-torus")
-    assert catalog.build("example22-torus") is a
-    b = catalog.build("example22-torus", 16)
-    assert b is not a and b["resolution"] == 16
+    b = catalog.build("example22-torus")
+    assert a is not b and a["flow"] is not b["flow"]
+    assert a["flow"].succ == b["flow"].succ
+    built = {}
+    c = catalog.build("example22-torus", None, built)
+    assert catalog.build("example22-torus", 12, built) is c
+    d = catalog.build("example22-torus", 16, built)
+    assert d is not c and d["resolution"] == 16
+    assert set(built) == {("example22-torus", 12), ("example22-torus", 16)}
+    # an entry that extends others leaves its ancestors in the dict too
+    built = {}
+    strip2 = catalog.build("hypersurface-genus2-strip2", None, built)
+    assert set(built) == {("hypersurface-genus2", 8),
+                          ("hypersurface-genus2-strip", 8),
+                          ("hypersurface-genus2-strip2", 8)}
+    assert built[("hypersurface-genus2-strip2", 8)] is strip2
 
 
 def test_build_errors():
@@ -49,16 +64,16 @@ def test_build_errors():
 
 
 def assert_matches_expectation(name, resolution=None):
-    entry = catalog.build(name, resolution)
+    entry = shared_entry(name, resolution)
     want = entry["expected"]
     where = (name, entry["resolution"])
     if want.get("error"):
         with pytest.raises((catalog.CatalogError,
                             attractor.NotIsolatedError)) as ei:
-            catalog.analysis(name, resolution)
+            catalog.analysis(name, resolution, entry)
         assert ei.value.code == want["error"], where
         return
-    rep = catalog.analysis(name, resolution)
+    rep = catalog.analysis(name, resolution, entry)
     assert rep.classification == want["classification"], where
     assert rep.r == want["r"], where
     assert rep.s == want["s"], where

@@ -609,19 +609,21 @@ def test_catalog_target_refines(tmp_path, monkeypatch):
     # twice its resolution settles it, and plot draws that same flow
     from conleylab import attractor, blocks
     coarse = catalog.build("example22-torus")
-    fine = catalog.build("example22-torus", 2 * coarse["resolution"])
     real_analyze, real_block = attractor.analyze, blocks.build_block
+
+    def resolution(flow):
+        return flow.meta["recipe"]["resolution"]
 
     def analyze(flow, k):
         rep = real_analyze(flow, k)
-        if flow is coarse["flow"]:
+        if resolution(flow) == coarse["resolution"]:
             rep.classification = "Unknown"
         return rep
 
     drawn = []
 
     def build_block(flow, k):
-        drawn.append(flow)
+        drawn.append(resolution(flow))
         return real_block(flow, k)
 
     monkeypatch.setattr(attractor, "analyze", analyze)
@@ -636,7 +638,7 @@ def test_catalog_target_refines(tmp_path, monkeypatch):
     assert cli.main(["plot", "catalog:example22-torus", "--refine", "1",
                      "--format", "svg",
                      "--out", str(tmp_path / "plot.svg")]) == 0
-    assert drawn == [fine["flow"]]
+    assert drawn == [2 * coarse["resolution"]]
 
 
 def test_external_catalog_file_keeps_its_ring(tmp_path, monkeypatch, capsys):

@@ -1,11 +1,14 @@
 import gc
+import importlib
 import json
 import os
+import pkgutil
 import sys
 import weakref
 
 import pytest
 
+import conleylab
 from conleylab import catalog, complexes as cxm, flow as flm, theorems
 from test_flow import eventual_image
 
@@ -25,6 +28,34 @@ def per_seed(fl, direction, rings):
     one-ring, without the shared per-cell images."""
     return {x: eventual_image(fl, ring, direction)
             for x, ring in rings.items()}
+
+
+def wrap_recipes(monkeypatch, flows):
+    """Wrap every catalog recipe. Returns the list of the (name, resolution)
+    of each recipe call, and appends a weakref to each flow built to
+    `flows`."""
+    calls = []
+    for name, (fn, default, minimum) in list(catalog._RECIPES.items()):
+        def counted(res, *args, fn=fn, name=name):
+            calls.append((name, res))
+            out = fn(res, *args)
+            flows.append(weakref.ref(out[0]))
+            return out
+        monkeypatch.setitem(catalog._RECIPES, name,
+                            (counted, default, minimum))
+    return calls
+
+
+def module_containers():
+    """The length of every module-level dict, list and set of every
+    conleylab module."""
+    for info in pkgutil.iter_modules(conleylab.__path__):
+        importlib.import_module("conleylab." + info.name)
+    return {(mod.__name__, k): len(v)
+            for mod in list(sys.modules.values())
+            if mod.__name__.partition(".")[0] == "conleylab"
+            for k, v in vars(mod).items()
+            if isinstance(v, (dict, list, set)) and not k.startswith("__")}
 
 
 def test_registry_order():
@@ -51,7 +82,6 @@ def test_run_builds_the_genus_two_surface_once(monkeypatch):
         calls.append(args)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(catalog, "_CACHE", {})
     # patch every module that holds the builder, however it imported it
     for mod in list(sys.modules.values()):
         if getattr(mod, "connected_sum", None) is real:
@@ -70,7 +100,6 @@ def test_run_makes_one_whole_flow_tarjan_pass_per_flow(monkeypatch):
             passes[self] = passes.get(self, 0) + 1
         return real(self, within)
 
-    monkeypatch.setattr(catalog, "_CACHE", {})
     monkeypatch.setattr(flm.CombinatorialFlow, "_components", counted)
     theorems.run()
     assert passes and max(passes.values()) == 1
@@ -98,7 +127,11 @@ def test_run_reads_each_external_file_once(tmp_path, monkeypatch):
     assert sorted(reads) == ["nok.json", "withk.json"]
 
 
-def test_run_only():
+def test_run_only(monkeypatch):
+    # a check that reads no catalog flow builds no entry
+    calls = wrap_recipes(monkeypatch, [])
+    assert theorems.run(only="ex3.5")[0].status == "pass"
+    assert calls == []
     results = theorems.run(only="cor3.3")
     assert len(results) == 1 and results[0].id == "cor3.3"
     with pytest.raises(theorems.TheoremError) as ei:
@@ -166,7 +199,7 @@ def test_empty_population_fails_instead_of_passing(monkeypatch):
 
 def test_jduality_count_matches_pairwise_oracle():
     skewed = []
-    records, notes = theorems._population()
+    records, notes = theorems._Population().members
     assert records and not notes
     for f in records:
         fl = f.flow
@@ -189,23 +222,30 @@ def test_jduality_count_matches_pairwise_oracle():
 
 
 def test_runs_agree_and_leave_no_module_state(monkeypatch):
-    def containers():
-        return {k: len(v) for k, v in vars(theorems).items()
-                if isinstance(v, (dict, list, set)) and not k.startswith("__")}
-
+    # weakrefs to every record and every flow the runs and builds touch
     made = []
 
     class Tracked(theorems.FlowRecord):
         def __init__(self, *args):
             super().__init__(*args)
-            made.append(weakref.ref(self))
+            made.extend([weakref.ref(self), weakref.ref(self.flow)])
 
     monkeypatch.setattr(theorems, "FlowRecord", Tracked)
-    before = containers()
+    calls = wrap_recipes(monkeypatch, made)
+    before = module_containers()
     first = [r.to_json() for r in theorems.run()]
+    # one recipe call per (name, resolution): the strips, the two-cycle
+    # genus-two flow and lemma7.1 reuse the entries the run already built
+    assert len(calls) == len(set(calls)) == 24
     second = [r.to_json() for r in theorems.run()]
     assert first == second
-    # the registry is the one module-level container, and it is unchanged
-    assert containers() == before == {"_REGISTRY": 16}
+    assert calls[24:] == calls[:24]
+    for _ in range(2):
+        for name in catalog.names():
+            made.append(weakref.ref(catalog.build(name)["flow"]))
+    # no module keeps a record or a flow: the constant tables are all
+    # that is left, and they are unchanged
+    assert module_containers() == before
+    assert before[("conleylab.theorems", "_REGISTRY")] == 16
     gc.collect()
     assert made and all(ref() is None for ref in made)
