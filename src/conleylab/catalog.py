@@ -219,14 +219,11 @@ def build(name, resolution=None, built=None):
     return built[key]
 
 
-def analysis(name, resolution=None, entry=None):
-    """Attractor report for a catalog entry with a candidate. `entry` is the
-    entry `build(name, resolution)` already returned, if the caller has it:
-    it is analysed as it stands, so an external file is read only once."""
+def analysis(entry):
+    """Attractor report for an entry `build` returned, analysed as it
+    stands, so an external file is read only once."""
     from . import attractor
-    if entry is None:
-        entry = build(name, resolution)
     if not entry["k"]:
-        raise CatalogError("no-candidate",
-                           "%s carries no attractor candidate" % name)
+        raise CatalogError("no-candidate", "%s carries no attractor candidate"
+                           % entry["name"])
     return attractor.analyze(entry["flow"], entry["k"])

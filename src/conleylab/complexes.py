@@ -5,10 +5,14 @@ Cells are string ids, each with a dimension and a boundary chain written as
 sweep, lowest dimension first: each face is known, one dimension lower and
 has a nonzero integer coefficient, and del o del = 0, so a bad sign in a
 builder fails loudly at build time instead of corrupting homology later. A
-boundary for a cell that is not declared is refused too. `from_json` hands
-a file's lists to the constructor as they stand. A mapping torus glues
-through a plain cell bijection of its fiber, with solved signs, and that
-same sweep is its one chain-map check.
+boundary for a cell that is not declared is refused too. `from_json` turns
+a file's [face, coeff] lists into the dicts the constructor keeps.
+
+Builders glue tables, not complexes: `connected_sum`, `rp2` and the catalog's
+strips hand plain cells/boundary tables to `quotient`, so each space becomes
+one CellComplex, checked once. A mapping torus glues through a plain cell
+bijection of its fiber, with solved signs, and that sweep is its one
+chain-map check.
 
 Construction indexes only the cells by dimension. The top cofaces of each
 codim-1 face, the vertex supports and the top cells at each vertex are
@@ -51,6 +55,10 @@ class ComplexError(ConleyError):
 
 
 class CellComplex:
+    """Cells {id: dim} and boundaries {id: {face: coeff}}. The boundary
+    dicts handed in are kept, not copied, and may be shared with the tables
+    they came from: no boundary is changed after construction."""
+
     def __init__(self, name, cells, boundary, identifications=None):
         self.name = name
         self.cells = dict(cells)          # id -> dim
@@ -58,9 +66,9 @@ class CellComplex:
         if undeclared:
             raise ComplexError("boundary given for undeclared cell %s"
                                % min(undeclared, key=str))
-        # each cell's faces as {face: coeff}, from a mapping or from the
-        # [face, coeff] pairs of a file
-        self.boundary = {c: dict(boundary.get(c, ())) for c in self.cells}
+        # each cell's faces as {face: coeff}: the dict handed in, not a
+        # copy, and an empty one for a cell given none
+        self.boundary = {c: boundary.get(c) or {} for c in self.cells}
         self.identifications = list(identifications or [])
         self.meta = {}
         self._by_dim = defaultdict(list)
@@ -237,21 +245,13 @@ class CellComplex:
 
     def euler(self, cellset=None):
         """Euler characteristic of the closure of cellset (whole complex if None)."""
-        if cellset is None:
-            cl = self.cells
-        else:
-            cl = self.closure(cellset)
-        chi = 0
-        for c in cl:
-            chi += (-1) ** self.cells[c]
-        return chi
+        cl = self.cells if cellset is None else self.closure(cellset)
+        return sum((-1) ** self.cells[c] for c in cl)
 
     def is_closed_manifold(self):
         """Every codim-1 face sits in exactly two top cells."""
-        for f in self._by_dim.get(self.top_dim - 1, []):
-            if len(self.top_cofaces(f)) != 2:
-                return False
-        return True
+        return all(len(self.top_cofaces(f)) == 2
+                   for f in self._by_dim.get(self.top_dim - 1, []))
 
     def is_closed_surface(self):
         return self.top_dim == 2 and self.is_closed_manifold()
@@ -290,7 +290,7 @@ class CellComplex:
     def subcomplex(self, cellset):
         cl = self.closure(cellset)
         cells = {c: self.cells[c] for c in cl}
-        bnd = {c: dict(self.boundary[c]) for c in cl}
+        bnd = {c: self.boundary[c] for c in cl}
         return CellComplex(self.name + ":sub", cells, bnd)
 
     # -- serialization -----------------------------------------------------
@@ -306,10 +306,10 @@ class CellComplex:
 
     @classmethod
     def from_json(cls, data):
-        """The complex of a JSON body. Its `cells` pairs and per-cell
-        [face, coeff] lists go to the constructor as they stand; a mapping
-        where a list belongs would pass through dict() unnoticed, so it is
-        refused here."""
+        """The complex of a JSON body. Its `cells` pairs go to the
+        constructor as they stand, and each cell's [face, coeff] list
+        becomes the dict the complex keeps; a mapping where a list belongs
+        would pass through dict() unnoticed, so it is refused here."""
         cells, bnd = data["cells"], data.get("boundary", {})
         if type(cells) is not list:
             raise ComplexError("cells are not a list of [id, dim] pairs")
@@ -317,7 +317,8 @@ class CellComplex:
             c = next(c for c, pairs in bnd.items() if type(pairs) is not list)
             raise ComplexError("boundary of %s is not a list of "
                                "[face, coeff] pairs" % c)
-        return cls(data.get("name", "complex"), cells, bnd,
+        return cls(data.get("name", "complex"), cells,
+                   {c: dict(pairs) for c, pairs in bnd.items()},
                    identifications=data.get("identifications"))
 
 
@@ -326,9 +327,7 @@ def complete_map_signs(fiber, bijection):
     itself. Vertices get +1; higher cells, one dimension at a time, take the
     sign that matches the first face their mapped boundary shares with their
     image's boundary. Whether the table is a chain map is not checked here."""
-    table = {}
-    for v in fiber.cells_of_dim(0):
-        table[v] = (bijection[v], 1)
+    table = {v: (bijection[v], 1) for v in fiber.cells_of_dim(0)}
     for d in range(1, fiber.top_dim + 1):
         for c in fiber.cells_of_dim(d):
             c2 = bijection[c]
@@ -497,6 +496,9 @@ def disc(rings, sectors):
 
 
 # -- combining builders ------------------------------------------------------
+#
+# `product` and `mapping_torus` write each boundary as the plain dict of its
+# Leibniz terms: the terms of one cell name distinct cells, so none cancel.
 
 def product(a, b, name=None):
     """Cell product with Leibniz boundary signs. Ids look like `ca&cb`."""
@@ -505,16 +507,14 @@ def product(a, b, name=None):
     cells = {}
     bnd = {}
     for ca, da in a.cells.items():
+        sgn = -1 if da % 2 else 1
         for cb, db in b.cells.items():
             c = ca + "&" + cb
             cells[c] = da + db
-            chain = defaultdict(int)
-            for f, k in a.boundary[ca].items():
-                chain[f + "&" + cb] += k
-            sgn = -1 if da % 2 else 1
+            faces = {f + "&" + cb: k for f, k in a.boundary[ca].items()}
             for f, k in b.boundary[cb].items():
-                chain[ca + "&" + f] += sgn * k
-            bnd[c] = {f: k for f, k in chain.items() if k}
+                faces[ca + "&" + f] = sgn * k
+            bnd[c] = faces
     return CellComplex(name, cells, bnd)
 
 
@@ -532,18 +532,19 @@ def annulus(rows, cols):
     return cx
 
 
-def quotient(cx, pairs, name=None):
-    """Identify cells: pairs of (keep, drop, sign) meaning drop = sign * keep.
-
-    Chains of identifications are resolved with sign tracking. The result is
-    validated, so an identification that breaks del del = 0 raises."""
+def quotient(name, cells, boundary, pairs):
+    """The complex of the tables `cells` {id: dim} and `boundary` {id: {face:
+    coeff}} with cells identified: pairs of (keep, drop, sign) meaning drop
+    = sign * keep. The pairs resolve, with sign tracking, into one table of
+    the dropped cells, every face is looked up there once, and a cell with
+    no dropped face keeps its boundary dict. The result is validated, so an
+    identification that breaks del del = 0 raises."""
     target = {}
 
     def resolve(c):
         sign = 1
         while c in target:
-            c2, s = target[c]
-            c = c2
+            c, s = target[c]
             sign *= s
         return c, sign
 
@@ -557,21 +558,22 @@ def quotient(cx, pairs, name=None):
         # drop rd in favor of rk
         target[rd] = (rk, sign * sk * sd)
 
-    cells = {}
+    moved = {c: resolve(c) for c in target}
+    kept = {}
+    for c, d in cells.items():
+        kept.setdefault(moved[c][0] if c in moved else c, d)
     bnd = {}
-    for c, d in cx.cells.items():
-        rc, _ = resolve(c)
-        if rc not in cells:
-            cells[rc] = d
-    for c in cells:
-        chain = defaultdict(int)
-        for f, k in cx.boundary[c].items():
-            rf, sf = resolve(f)
-            chain[rf] += k * sf
-        bnd[c] = {f: k for f, k in chain.items() if k}
-    idents = [[k, d, s] for (k, d, s) in pairs]
-    return CellComplex(name or (cx.name + "/~"), cells, bnd,
-                       identifications=cx.identifications + idents)
+    for c in kept:
+        faces = boundary.get(c, {})
+        if not moved.keys().isdisjoint(faces):
+            chain = defaultdict(int)
+            for f, k in faces.items():
+                f, s = moved.get(f, (f, 1))
+                chain[f] += k * s
+            faces = {f: k for f, k in chain.items() if k}
+        bnd[c] = faces
+    return CellComplex(name, kept, bnd,
+                       identifications=[[k, d, s] for (k, d, s) in pairs])
 
 
 def mapping_torus(fiber, glue, m, name=None):
@@ -590,31 +592,23 @@ def mapping_torus(fiber, glue, m, name=None):
     cells = {}
     bnd = {}
     for c, d in fiber.cells.items():
-        for i in range(m):
-            cells["%s@v%d" % (c, i)] = d
-            cells["%s@e%d" % (c, i)] = d + 1
-
-    def vslice(c, i):
-        # slice copy of c at position i, folding i = m through the glue
-        if i < m:
-            return ("%s@v%d" % (c, i), 1)
+        faces = fiber.boundary[c].items()
+        sgn = -1 if d % 2 else 1
         c2, s = signs[c]
-        return ("%s@v0" % c2, s)
-
-    for c, d in fiber.cells.items():
         for i in range(m):
-            chain = defaultdict(int)
-            for f, k in fiber.boundary[c].items():
-                chain["%s@v%d" % (f, i)] += k
-            bnd["%s@v%d" % (c, i)] = dict(chain)
-            chain = defaultdict(int)
-            for f, k in fiber.boundary[c].items():
-                chain["%s@e%d" % (f, i)] += k
-            sgn = -1 if d % 2 else 1
-            hi, shi = vslice(c, i + 1)
-            chain[hi] += sgn * shi
-            chain["%s@v%d" % (c, i)] += -sgn
-            bnd["%s@e%d" % (c, i)] = {f: k for f, k in chain.items() if k}
+            v, e = "%s@v%d" % (c, i), "%s@e%d" % (c, i)
+            cells[v] = d
+            cells[e] = d + 1
+            bnd[v] = {"%s@v%d" % (f, i): k for f, k in faces}
+            band = {"%s@e%d" % (f, i): k for f, k in faces}
+            # the band ends on the next slice; the last one folds through
+            # the glue onto the v0 slice
+            if i + 1 < m:
+                band["%s@v%d" % (c, i + 1)] = sgn
+            else:
+                band["%s@v0" % c2] = sgn * s
+            band[v] = -sgn
+            bnd[e] = band
     cx = CellComplex(name, cells, bnd)
     cx.meta["mapping_torus"] = {"fiber_tops": sorted(fiber.top_cells()), "bands": m}
     if fiber.top_dim == 1:
@@ -664,7 +658,7 @@ def rp2():
                 if a < b:
                     pairs.append((a, b, sign))
     pairs.append(("cap:n", "cap:s", 1))
-    cx = quotient(sp, pairs, name="rp2(%d,%d)" % (R, C))
+    cx = quotient("rp2(%d,%d)" % (R, C), sp.cells, sp.boundary, pairs)
     cx.meta["cup"] = {"rings": {"z2": [[1]]}}
     return cx
 
@@ -714,7 +708,8 @@ def connected_sum(a, b, cell_a, cell_b):
     if len(walk_a) != len(walk_b):
         raise ComplexError("hole boundaries have different lengths")
     k = len(walk_a)
-    # both surfaces side by side, cells prefixed "a:" and "b:", less the holes
+    # both surfaces side by side as plain tables, cells prefixed "a:" and
+    # "b:", less the holes; `quotient` makes the one complex
     cells = {}
     bnd = {}
     for pre, cx, hole in (("a:", a, cell_a), ("b:", b, cell_b)):
@@ -723,7 +718,6 @@ def connected_sum(a, b, cell_a, cell_b):
                 cells[pre + c] = d
                 bnd[pre + c] = {pre + f: coeff
                                 for f, coeff in cx.boundary[c].items()}
-    base = CellComplex("presum", cells, bnd)
 
     verts_a = ["a:" + v for (v, e) in walk_a]
     edges_a = ["a:" + e for (v, e) in walk_a]
@@ -736,8 +730,8 @@ def connected_sum(a, b, cell_a, cell_b):
     for i in range(k):
         # an endpoint off the hole maps to None, which matches nothing
         vmap = {vb[i]: verts_a[i], vb[(i + 1) % k]: verts_a[(i + 1) % k]}
-        mapped = {vmap.get(w): kk for w, kk in base.boundary[eb[i]].items()}
-        ca = base.boundary[edges_a[i]]
+        mapped = {vmap.get(w): kk for w, kk in bnd[eb[i]].items()}
+        ca = bnd[edges_a[i]]
         if mapped == ca:
             pairs.append((edges_a[i], eb[i], 1))
         elif mapped == {w: -kk for w, kk in ca.items()}:
@@ -745,7 +739,7 @@ def connected_sum(a, b, cell_a, cell_b):
         else:
             raise ComplexError("hole edges %s and %s do not match"
                                % (edges_a[i], eb[i]))
-    out = quotient(base, pairs, name="sum(%s,%s)" % (a.name, b.name))
+    out = quotient("sum(%s,%s)" % (a.name, b.name), cells, bnd, pairs)
     if not (out.is_closed_surface() and out.is_orientable()):
         raise ComplexError("glued complex is not an orientable surface")
     # the orthogonal sum of the two cup tables, ring by ring
@@ -766,6 +760,14 @@ def t3(n):
     return cx
 
 
+def genus2(n):
+    """torus(n, n) summed with itself at its middle 2-cell; the a:/b:
+    prefixes of `connected_sum` keep the two copies apart."""
+    t = torus(n, n)
+    mid = "e:%d@e%d" % (n // 2, n // 2)
+    return connected_sum(t, t, mid, mid)
+
+
 def named_space(name, resolution=None):
     """Catalog complexes addressable by bare name string.
 
@@ -773,11 +775,10 @@ def named_space(name, resolution=None):
     (4 when it is None); below 3 is refused with code bad-resolution. rp2
     has a fixed small model and ignores it."""
     n = 4 if resolution is None else resolution
-    mid = "e:%d@e%d" % (n // 2, n // 2)  # the genus-two hole in each torus
     builders = {
         "torus": lambda: torus(n, n),
         "klein": lambda: klein(n, n),
-        "genus2": lambda: connected_sum(torus(n, n), torus(n, n), mid, mid),
+        "genus2": lambda: genus2(n),
         "sphere": lambda: sphere(n, 2 * n),
         "rp2": rp2,
         "annulus": lambda: annulus(max(2, n // 2), n),

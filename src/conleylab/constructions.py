@@ -11,8 +11,7 @@ are the two components of the top cells at the circle's vertices, cut along
 the cycle and along every face that misses the circle.
 """
 
-from .complexes import (CellComplex, ConleyError, annulus, disc, quotient,
-                        sphere)
+from .complexes import ConleyError, annulus, disc, quotient, sphere
 from .flow import CombinatorialFlow
 
 
@@ -307,16 +306,15 @@ def add_uniform_component(flow, k):
     n = len(edges)
     strip = annulus(3, n)
     cells = dict(flow.cx.cells)
-    bnd = {c: dict(flow.cx.boundary[c]) for c in flow.cx.cells}
+    bnd = dict(flow.cx.boundary)
     for c, d in strip.cells.items():
         cells[pre + c] = d
         bnd[pre + c] = {pre + f: v for f, v in strip.boundary[c].items()}
-    merged = CellComplex(flow.cx.name + "+u%d" % idx, cells, bnd)
     pairs = []
     for l in range(n):
         pairs.append((edges[l], pre + "v:0&e:%d" % l, 1))
         pairs.append((verts[l], pre + "v:0&v:%d" % l, 1))
-    cx2 = quotient(merged, pairs, name=flow.cx.name + "+u%d" % idx)
+    cx2 = quotient(flow.cx.name + "+u%d" % idx, cells, bnd, pairs)
     succ = {c: list(flow.succ[c]) for c in sorted(flow.tops)}
     for l in range(n):
         c0 = pre + "e:0&e:%d" % l

@@ -613,7 +613,7 @@ class _Population:
             if not entry.get("k") or entry["expected"].get("error"):
                 continue
             try:
-                rep = catalog.analysis(name, entry["resolution"], entry)
+                rep = catalog.analysis(entry)
             except (catalog.CatalogError, attractor.NotIsolatedError):
                 continue
             out.append(FlowRecord(entry, rep))

@@ -22,7 +22,7 @@ def _population():
         entry = shared_entry(name)
         if not entry["k"] or entry["expected"].get("error"):
             continue
-        out.append((entry, catalog.analysis(name, None, entry)))
+        out.append((entry, catalog.analysis(entry)))
     return out
 
 
@@ -46,7 +46,7 @@ def test_criterion_02_pair_polynomials():
         p = algebra.poincare_polynomial(cx, rel=cx.closure(entry["k"]),
                                         ring="z2")
         assert algebra.poly_to_string(p) == want
-        rep = catalog.analysis(name, None, entry)
+        rep = catalog.analysis(entry)
         assert p[cx.top_dim] == rep.r
         assert algebra.poly_symmetric(p, cx.top_dim)
 

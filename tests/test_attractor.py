@@ -1,8 +1,10 @@
 import json
+import random
 
 import pytest
 
-from conleylab import attractor, catalog, complexes as cxm, flow as flm
+from conleylab import (algebra, attractor, blocks, catalog, complexes as cxm,
+                       flow as flm)
 from test_flow import (eventual_image, image_cycle, iterated_image,
                        shared_entry, trim_loop)
 
@@ -130,7 +132,7 @@ def test_verdict_vocabulary():
 
 
 def test_north_south_is_stable():
-    rep = catalog.analysis("north-south")
+    rep = catalog.analysis(catalog.build("north-south"))
     assert rep.classification == "Stable"
     assert rep.stabilization == rep.k
     assert rep.r == 0 and rep.s == 1
@@ -153,7 +155,7 @@ def test_torus_flow_full_pipeline():
 
 def test_homoclinic_sphere_witness():
     entry = catalog.build("homoclinic-sphere")
-    rep = catalog.analysis("homoclinic-sphere")
+    rep = catalog.analysis(entry)
     assert rep.classification == "ExternalExplosions"
     assert rep.witness is not None
     assert rep.witness in rep.witness_cycle
@@ -173,7 +175,7 @@ def test_unknown_when_cycle_hugs_the_collar():
 
 def test_not_isolated_candidate_rejected():
     with pytest.raises(attractor.NotIsolatedError) as ei:
-        catalog.analysis("capped-annulus")
+        catalog.analysis(catalog.build("capped-annulus"))
     assert ei.value.code == "not-isolated"
     f = flm.rest_flow(cxm.circle(6))
     with pytest.raises(attractor.NotIsolatedError):
@@ -181,7 +183,7 @@ def test_not_isolated_candidate_rejected():
 
 
 def test_report_to_json():
-    rep = catalog.analysis("example22-torus")
+    rep = catalog.analysis(catalog.build("example22-torus"))
     data = rep.to_json()
     assert data["classification"] == "NoExternalExplosions"
     assert data["global"] is True
@@ -258,3 +260,87 @@ def test_analyze_computes_the_collar_and_isolation_once(monkeypatch):
         calls.update(collar=0, check_isolated=0)
         attractor.analyze(f, k)
         assert calls == {"collar": 1, "check_isolated": 1}, f.name
+
+
+# -- relabelling ----------------------------------------------------------------
+
+def relabel(fl, rng):
+    """(flow, perm): `fl` on a copy of its complex whose cell ids are
+    permuted within each dimension by `rng`, with the cells given in the
+    sorted order of their new ids, as a loaded file gives them; `perm` maps
+    each old id to its new one."""
+    cx = fl.cx
+    perm = {}
+    for d in sorted(set(cx.cells.values())):
+        old = cx.cells_of_dim(d)
+        new = list(old)
+        rng.shuffle(new)
+        perm.update(zip(old, new))
+    back = {v: c for c, v in perm.items()}
+    cells = {c: cx.cells[back[c]] for c in sorted(back)}
+    bnd = {perm[c]: {perm[f]: k for f, k in faces.items()}
+           for c, faces in cx.boundary.items()}
+    succ = {perm[c]: [perm[d] for d in outs] for c, outs in fl.succ.items()}
+    return (flm.CombinatorialFlow(cxm.CellComplex(cx.name, cells, bnd), succ,
+                                  name=fl.name), perm)
+
+
+def outcome(fn, *args):
+    # a value, or the code of the ConleyError it raised
+    try:
+        return fn(*args)
+    except cxm.ConleyError as err:
+        return ("error", err.code)
+
+
+def sections(fl, k):
+    return outcome(lambda: blocks.section_components(
+        blocks.build_block(fl, k)))
+
+
+def homologies(cx, k):
+    rels = [None] + ([cx.closure(k)] if k else [])
+    return [algebra.homology(cx, ring, rel)
+            for ring in ("z", "z2") for rel in rels]
+
+
+def test_verdicts_do_not_depend_on_cell_names():
+    # every catalog entry at its minimum resolution, its cell ids permuted
+    for name, (_, _, minimum) in sorted(catalog._RECIPES.items()):
+        entry = catalog.build(name, minimum)
+        fl, k = entry["flow"], entry["k"]
+        fl2, perm = relabel(fl, random.Random("relabel/" + name))
+        k2 = [perm[c] for c in k] if k else None
+        assert homologies(fl2.cx, k2) == homologies(fl.cx, k), name
+        if not k:
+            continue
+        assert sections(fl2, k2) == sections(fl, k), name
+        rep = outcome(attractor.analyze, fl, k)
+        rep2 = outcome(attractor.analyze, fl2, k2)
+        if type(rep) is tuple:
+            assert rep2 == rep, name
+            continue
+        for key in ("classification", "r", "s", "global_attractor"):
+            assert getattr(rep2, key) == getattr(rep, key), (name, key)
+        for key in ("stabilization", "basin", "unstable"):
+            assert getattr(rep2, key) == {perm[c] for c in
+                                          getattr(rep, key)}, (name, key)
+        assert {(frozenset(map(perm.get, c["cells"])), c["label"])
+                for c in rep.components} == \
+            {(c["cells"], c["label"]) for c in rep2.components}, name
+        if rep2.witness is None:
+            assert rep.witness is None, name
+            continue
+        # the witness is the least candidate in sorted order, so it may be
+        # another cell; it must still violate, with a cycle off the collar
+        kset = frozenset(k2)
+        col = attractor.collar(fl2, kset)
+        within = rep2.basin - kset
+        cands = (violators_per_cell(fl2, within, within, col, "f")
+                 or violators_per_cell(fl2, rep2.stabilization & within,
+                                       within, col, "p"))
+        cycle = rep2.witness_cycle
+        assert rep2.witness in cands, name
+        assert cycle and not set(cycle) & col, name
+        assert all(b in fl2.succ[a]
+                   for a, b in zip(cycle, cycle[1:] + cycle[:1])), name

@@ -70,10 +70,10 @@ def assert_matches_expectation(name, resolution=None):
     if want.get("error"):
         with pytest.raises((catalog.CatalogError,
                             attractor.NotIsolatedError)) as ei:
-            catalog.analysis(name, resolution, entry)
+            catalog.analysis(entry)
         assert ei.value.code == want["error"], where
         return
-    rep = catalog.analysis(name, resolution, entry)
+    rep = catalog.analysis(entry)
     assert rep.classification == want["classification"], where
     assert rep.r == want["r"], where
     assert rep.s == want["s"], where
@@ -100,7 +100,7 @@ def test_external_file_is_read_afresh(tmp_path, monkeypatch):
         body = src["flow"].to_json()
         body["k"] = src["k"]
         (tmp_path / "ext.json").write_text(json.dumps(body))
-        rep = catalog.analysis("ext")
+        rep = catalog.analysis(catalog.build("ext"))
         assert rep.flow.succ == src["flow"].succ, name
         assert rep.k == frozenset(src["k"]), name
 
@@ -109,8 +109,9 @@ def test_rest_torus_has_no_candidate():
     entry = catalog.build("rest-torus")
     assert entry["expected"]["error"] == "no-candidate"
     with pytest.raises(catalog.CatalogError) as ei:
-        catalog.analysis("rest-torus")
+        catalog.analysis(entry)
     assert ei.value.code == "no-candidate"
+    assert "rest-torus carries no attractor candidate" in str(ei.value)
 
 
 def test_external_catalog_dir(tmp_path, monkeypatch):

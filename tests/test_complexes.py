@@ -5,7 +5,7 @@ from collections import defaultdict
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conleylab import complexes as cxm
+from conleylab import catalog, complexes as cxm
 
 NAMED_SPACES = ("torus", "klein", "genus2", "sphere", "rp2", "annulus",
                 "s2xs1", "s2xts1", "t3")
@@ -401,7 +401,8 @@ def test_mapping_torus_of_point_is_circle():
 def test_quotient_contradiction():
     c = cxm.circle(4)
     with pytest.raises(cxm.ComplexError):
-        cxm.quotient(c, [("v:0", "v:1", 1), ("v:0", "v:1", -1)])
+        cxm.quotient("circle(4)/~", c.cells, c.boundary,
+                     [("v:0", "v:1", 1), ("v:0", "v:1", -1)])
 
 
 def test_json_round_trip():
@@ -412,6 +413,30 @@ def test_json_round_trip():
     assert t2.name == t.name
     assert t2.cells == t.cells
     assert dict(t2.boundary) == dict(t.boundary)
+
+
+def test_each_builder_validates_its_output_once(monkeypatch):
+    # builders glue plain tables, so only the spaces a builder takes as
+    # arguments and the one it returns are checked: genus two is one
+    # circle, one torus used twice and the sum, and each strip adds an
+    # interval, a circle, the annulus and the glued space
+    names = []
+    real = cxm.CellComplex._validate
+
+    def counted(self):
+        names.append(self.name)
+        return real(self)
+
+    monkeypatch.setattr(cxm.CellComplex, "_validate", counted)
+    cxm.named_space("genus2", 8)
+    genus2 = ["circle(8)", "torus(8,8)", "sum(torus(8,8),torus(8,8))"]
+    assert names == genus2
+    del names[:]
+    catalog.build("hypersurface-genus2-strip2", 8)
+    strip = ["interval(3)", "circle(8)", "annulus(3,8)"]
+    assert names == genus2 + strip + [genus2[-1] + "+u0"] + \
+        strip + [genus2[-1] + "+u0+u1"]
+    assert len(names) == 11
 
 
 def test_unknown_boundary_cell_rejected():

@@ -7,10 +7,11 @@ import sys
 import weakref
 
 import pytest
+from hypothesis import given, settings
 
 import conleylab
 from conleylab import catalog, complexes as cxm, flow as flm, theorems
-from test_flow import eventual_image
+from test_flow import eventual_image, small_flows
 
 
 def pairwise_jduality_violations(j_plus, j_minus, rings):
@@ -219,6 +220,23 @@ def test_jduality_count_matches_pairwise_oracle():
                 rings), f.name
             skewed.append(bad)
     assert min(skewed) > 0
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_flows())
+def test_jduality_count_matches_pairwise_oracle_on_small_flows(fl):
+    # the flow against itself, where the duality holds, and against the
+    # rest flow on its complex either way round, where it may break
+    rings = {x: fl.one_ring(x) for x in fl.tops}
+    rest = flm.rest_flow(fl.cx)
+    pairs = ((fl, fl), (fl, rest), (rest, fl))
+    counts = [theorems.jduality_violations(
+        fl.cx, a.eventual_images("f"), b.eventual_images("p"))
+        for a, b in pairs]
+    assert counts == [pairwise_jduality_violations(
+        per_seed(a, "f", rings), per_seed(b, "p", rings), rings)
+        for a, b in pairs]
+    assert counts[0] == 0
 
 
 def test_runs_agree_and_leave_no_module_state(monkeypatch):
