@@ -15,9 +15,11 @@ bijection of its fiber, with solved signs, and that sweep is its one
 chain-map check.
 
 Construction indexes only the cells by dimension. The top cofaces of each
-codim-1 face, the vertex supports and the top cells at each vertex are
-built once, on their first query, so a complex that only feeds homology
-never builds them. `star_tops` is the one closed-star query, a one-ring
+codim-1 face, the vertex supports of the cells of dimension 2 and up and
+the top cells at each vertex are built once, on their first query, so a
+complex that only feeds homology never builds them. The support of a vertex
+(itself) and of an edge (its boundary) is derived on each query and never
+stored. `star_tops` is the one closed-star query, a one-ring
 included, and it goes through the vertices. `components` is the one
 connected-components walk: the components of basin - k, the block sections,
 the circles of a cycle, the pieces a cycle cuts a surface into and the two
@@ -28,7 +30,9 @@ coface index, and no complex stores a ring per cell. A connected sum glues
 its holes by one matching.
 
 Each builder that allocates counts the cells its arguments imply, and refuses
-more than MAX_CELLS with code too-large before it allocates.
+more than MAX_CELLS with code too-large before it allocates. A cell dimension
+is refused too: a negative one with bad-complex, and one above MAX_CELLS
+with too-large, since homology walks every degree up to the top one.
 """
 
 from collections import defaultdict
@@ -77,9 +81,19 @@ class CellComplex:
                 raise ComplexError("dimension of %s is not an integer: %r"
                                    % (c, d))
             self._by_dim[d].append(c)
+        low = min(self._by_dim, default=0)
+        self.top_dim = max(self._by_dim, default=0)
+        if low < 0:
+            raise ComplexError("dimension of %s is negative: %d"
+                               % (self._by_dim[low][0], low))
+        # homology walks every degree up to the top one
+        if self.top_dim > MAX_CELLS:
+            raise ConleyError("too-large",
+                              "dimension of %s is %d; the limit is %d"
+                              % (self._by_dim[self.top_dim][0],
+                                 self.top_dim, MAX_CELLS))
         for d in self._by_dim:
             self._by_dim[d].sort()
-        self.top_dim = max(self._by_dim) if self.cells else 0
         self._validate()
 
     # -- construction-time checks ------------------------------------------
@@ -145,28 +159,30 @@ class CellComplex:
 
     @cached_property
     def _verts(self):
-        # vertex support of each closed cell, for star and ring queries;
-        # the faces of an edge are its vertices
+        # vertex support of each closed cell, for star and ring queries:
+        # stored for the cells of dimension 2 and up, each the union of its
+        # faces' supports (an edge's faces are its vertices)
         boundary = self.boundary
-        vs, es = self._by_dim.get(0, ()), self._by_dim.get(1, ())
-        verts = dict(zip(vs, map(frozenset, zip(vs))))
-        verts.update(zip(es, map(frozenset, map(boundary.__getitem__, es))))
+        verts = _Supports(self.cells, boundary)
         for d in sorted(self._by_dim):
-            if d > 1:
+            if d == 2:
                 for c in self._by_dim[d]:
-                    s = set()
-                    for f in boundary[c]:
-                        s |= verts[f]
-                    verts[c] = frozenset(s)
+                    verts[c] = frozenset(chain.from_iterable(
+                        map(boundary.__getitem__, boundary[c])))
+            elif d > 2:
+                for c in self._by_dim[d]:
+                    verts[c] = frozenset().union(
+                        *map(verts.__getitem__, boundary[c]))
         return verts
 
     @cached_property
     def _vert_tops(self):
-        # all top cells whose closure contains each vertex
-        vert_tops = {v: set() for v in self._by_dim.get(0, ())}
+        # all top cells whose closure contains each vertex; a top cell is
+        # listed once per vertex of its support, so no list repeats a cell
+        vert_tops = {v: [] for v in self._by_dim.get(0, ())}
         for t in self.top_cells():
             for v in self._verts[t]:
-                vert_tops[v].add(t)
+                vert_tops[v].append(t)
         return vert_tops
 
     @cached_property
@@ -320,6 +336,23 @@ class CellComplex:
         return cls(data.get("name", "complex"), cells,
                    {c: dict(pairs) for c, pairs in bnd.items()},
                    identifications=data.get("identifications"))
+
+
+class _Supports(dict):
+    """The stored vertex supports, {cell: frozenset of vertices}, which
+    derives the support of a vertex (itself) or an edge (its boundary) on
+    each lookup instead of storing it. It holds the complex's tables, not
+    the complex, so it makes no reference cycle."""
+
+    __slots__ = ("cells", "boundary")
+
+    def __init__(self, cells, boundary):
+        super().__init__()
+        self.cells, self.boundary = cells, boundary
+
+    def __missing__(self, c):
+        return (frozenset((c,)) if self.cells[c] == 0
+                else frozenset(self.boundary[c]))
 
 
 def complete_map_signs(fiber, bijection):

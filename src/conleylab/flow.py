@@ -39,7 +39,7 @@ from collections import deque
 from functools import cached_property
 from itertools import chain
 
-from .complexes import CellComplex, ComplexError, ConleyError
+from .complexes import CellComplex, ConleyError
 
 
 class FlowError(ConleyError):
@@ -300,22 +300,30 @@ class CombinatorialFlow:
 
     @classmethod
     def from_json(cls, data, complex_resolver=None):
+        """The flow of a JSON body, which is read and not changed."""
+        return cls._take(dict(data), complex_resolver)
+
+    @classmethod
+    def _take(cls, data, complex_resolver=None):
+        # the flow of a body the caller hands over: the complex body is
+        # popped and its name rebound to the built complex, so its parsed
+        # lists are freed before the flow allocates its tables
         try:
-            cxdata = data["complex"]
-            if isinstance(cxdata, str):
+            cx = data.pop("complex")
+            if isinstance(cx, str):
                 if complex_resolver is None:
                     raise FlowError("unreadable-input",
-                                    "flow references complex %r by name" % cxdata)
-                cx = complex_resolver(cxdata)
+                                    "flow references complex %r by name" % cx)
+                cx = complex_resolver(cx)
             else:
-                cx = CellComplex.from_json(cxdata)
+                cx = CellComplex.from_json(cx)
             meta = {}
             if "recipe" in data:
                 meta["recipe"] = data["recipe"]
             flow = cls(cx, data["successors"], name=data.get("name"),
                        meta=meta)
             declared = set(data.get("fixed", []))
-        except (FlowError, ComplexError):
+        except ConleyError:
             raise
         except (AttributeError, KeyError, TypeError, ValueError) as exc:
             # malformed structure: a missing key, a list where a mapping
@@ -356,7 +364,9 @@ def load_file(path, name=None, error=FlowError):
     file is read as it stands and never rebuilt, whatever recipe it names.
     A file that cannot be read or parsed raises `error`, and one whose
     fields have the wrong shape raises FlowError naming the field, both
-    with code unreadable-input."""
+    with code unreadable-input. The parsed file is this function's own, so
+    its inline complex body is dropped once the complex is built, before
+    the flow is."""
     try:
         with open(path) as fh:
             data = json.load(fh)
@@ -368,7 +378,7 @@ def load_file(path, name=None, error=FlowError):
         raise FlowError("unreadable-input",
                         "malformed flow data: the file is not a JSON object")
     _check_fields(data)
-    flow = CombinatorialFlow.from_json(data)
+    flow = CombinatorialFlow._take(data)
     k = data.get("k")
     return {"name": (name or data.get("name")
                      or os.path.splitext(os.path.basename(path))[0]),

@@ -191,6 +191,22 @@ def test_k_outside_the_top_cells_exits(tmp_path, capsys):
                 "cell\n"), (k, cmd)
 
 
+@pytest.mark.parametrize("command, dim, message", [
+    ("homology", 10 ** 8, "error[too-large]: dimension of a is 100000000; "
+     "the limit is %d\n" % cxm.MAX_CELLS),
+    ("analyze", -3, "error[bad-complex]: dimension of a is negative: -3\n"),
+    ("homology", -3, "error[bad-complex]: dimension of a is negative: -3\n")],
+    ids=["homology-huge", "analyze-negative", "homology-negative"])
+def test_an_out_of_range_dimension_is_refused(tmp_path, command, dim, message):
+    # homology walks every degree up to the top one, and no cell has a
+    # negative dimension: both are refused as the complex is built
+    path = tmp_path / "cell.json"
+    path.write_text(json.dumps({
+        "complex": {"name": "one-cell", "cells": [["a", dim]]},
+        "successors": {"a": ["a"]}, "k": ["a"]}))
+    assert run_cli([command, str(path)]) == (1, "", message)
+
+
 def assert_field_refused(tmp_path, capsys, field, value, message):
     body = flm.rest_flow(cxm.sphere(3, 6)).to_json()
     if field == "successors":

@@ -5,7 +5,7 @@ from collections import defaultdict
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conleylab import catalog, complexes as cxm
+from conleylab import catalog, complexes as cxm, flow as flm
 
 NAMED_SPACES = ("torus", "klein", "genus2", "sphere", "rp2", "annulus",
                 "s2xs1", "s2xts1", "t3")
@@ -44,12 +44,20 @@ def eager_indexes(cx):
 
 
 def test_lazy_indexes_match_eager_rebuild():
-    for name in ("torus", "klein", "genus2", "sphere", "rp2", "annulus",
-                 "s2xs1", "s2xts1", "t3"):
-        # a builder may query its complex; a loaded one has built nothing
-        cx = cxm.CellComplex.from_json(cxm.named_space(name).to_json())
+    # a builder may query its complex; a loaded one has built nothing
+    loaded = [(n, cxm.CellComplex.from_json(cxm.named_space(n).to_json()))
+              for n in NAMED_SPACES]
+    loaded.append(("s2-min", cxm.CellComplex("s2-min", {"v": 0, "f": 2}, {})))
+    for name, cx in loaded:
         assert not {"_top_cofaces", "_verts", "_vert_tops"} & set(vars(cx)), \
             name
+    # a 1-dimensional flow, whose top cells are edges, asks for the
+    # supports of edges as it checks locality
+    circ = cxm.circle(6)
+    line = flm.CombinatorialFlow(
+        cxm.CellComplex.from_json(circ.to_json()),
+        {e: sorted(circ.star_tops({e})) for e in circ.top_cells()})
+    for name, cx in loaded + [("circle flow", line.cx)]:
         top_cofaces, verts = eager_indexes(cx)
         tops = cx.top_cells()
         for c in sorted(cx.cells):
@@ -59,6 +67,9 @@ def test_lazy_indexes_match_eager_rebuild():
             if cx.cells[c] == cx.top_dim:
                 ring.add(c)
             assert cx.star_tops({c}) == ring, (name, c)
+        # a vertex's or an edge's support is derived on each query, and
+        # only the cells of dimension 2 and up store one
+        assert all(cx.cells[c] >= 2 for c in cx._verts), name
 
 
 def star_tops_by_closure(cx, cellset):

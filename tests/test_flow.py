@@ -1,4 +1,7 @@
 import functools
+import json
+import os
+import tempfile
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -178,6 +181,32 @@ def test_scc_images_match_set_iteration(fl):
         assert fl.j_minus(x).cells == iterated_image(fl, seed, "p"), x
 
 
+def analysis_outcome(fl, k):
+    """The report on k as JSON, or the code and text of the error."""
+    try:
+        return attractor.analyze(fl, k).to_json()
+    except cxm.ConleyError as err:
+        return err.code, str(err)
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_flows(), st.data())
+def test_flow_file_round_trip(fl, data):
+    # the invariant part of the whole flow is isolated in its collar; a
+    # single cell need not be, and then both flows must refuse it alike
+    whole = fl.trim(fl.tops, "f") & fl.trim(fl.tops, "p")
+    cell = data.draw(st.sampled_from(sorted(fl.tops)))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "flow.json")
+        with open(path, "w") as fh:
+            json.dump(fl.to_json(), fh)
+        back = flm.load_file(path)["flow"]
+    assert back.succ == fl.succ
+    assert back.fixed == fl.fixed
+    for k in (whole, {cell}):
+        assert analysis_outcome(back, k) == analysis_outcome(fl, k), sorted(k)
+
+
 def test_trim_matches_sweep_loop():
     for name, fl, k in catalog_flows():
         if not k:
@@ -261,6 +290,7 @@ def test_json_round_trip():
     fl = catalog.build("example22-circle")["flow"]
     data = fl.to_json()
     back = flm.CombinatorialFlow.from_json(data)
+    assert data == fl.to_json()    # the body is read, not taken apart
     assert back.succ == fl.succ
     assert set(back.fixed) == set(fl.fixed)
     assert back.meta["recipe"] == fl.meta["recipe"]
