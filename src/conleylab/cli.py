@@ -11,6 +11,11 @@ entry has no resolution and is analysed as it stands: a `recipe` it carries
 is provenance, never a flow to substitute. `construct NAME --resolution R`
 output refines as `catalog:NAME --resolution R`.
 
+Output is streamed: a JSON report goes out as the encoder's chunks, about a
+thousand per write, so no command holds its report as one string, and a
+loaded flow file is taken apart as its complex is built (see
+`flow.load_file`).
+
 Each command imports the layers it calls inside its own function, so a call
 loads only what its command runs: `analyze FILE` never compiles the
 catalog, the checks or the plotting code.
@@ -29,6 +34,7 @@ import gc
 import json
 import os
 import sys
+from itertools import islice
 
 from .complexes import ComplexError, ConleyError, named_space
 from .flow import FlowError, load_file
@@ -51,20 +57,37 @@ def _load_target(spec, resolution=None):
                     "%r is neither a file nor a catalog name" % spec)
 
 
-def _emit(text, out):
+# chunks joined into one write: a 0.5 MB JSON report is tens of writes, not
+# one per encoder chunk, which unbuffered stdout would make one syscall each
+_BATCH = 1024
+
+
+def _write(fh, chunks):
+    it = iter(chunks)
+    for batch in iter(lambda: list(islice(it, _BATCH)), []):
+        fh.write("".join(batch))
+
+
+def _emit(chunks, out):
+    """Write the command's text, an iterable of str chunks, to the file
+    `out` or to stdout, _BATCH chunks per write."""
     if out:
         try:
             with open(out, "w") as fh:
-                fh.write(text)
+                _write(fh, chunks)
         except OSError as err:
             raise ConleyError("unwritable-output", "cannot write %s: %s"
                               % (out, err.strerror or err))
     else:
-        sys.stdout.write(text)
+        _write(sys.stdout, chunks)
 
 
 def _json_dumps(payload):
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    """The payload as JSON with sorted keys and an indent of 2, then a
+    newline, yielded as the encoder's chunks: no report is held as one
+    string."""
+    yield from json.JSONEncoder(sort_keys=True, indent=2).iterencode(payload)
+    yield "\n"
 
 
 # -- analyze -------------------------------------------------------------------
@@ -116,7 +139,7 @@ def cmd_analyze(args):
         payload["refinements"] = refines
         _emit(_json_dumps(payload), args.out)
     else:
-        _emit(_analyze_text(report, refines), args.out)
+        _emit([_analyze_text(report, refines)], args.out)
     return 0
 
 
@@ -136,7 +159,7 @@ def cmd_verify(args):
             lines.extend("    " + d for d in r.details)
         lines.append("result: %d/%d checks passed"
                      % (len(results) - len(failed), len(results)))
-        _emit("\n".join(lines) + "\n", args.out)
+        _emit(["\n".join(lines) + "\n"], args.out)
     return 1 if failed else 0
 
 
@@ -147,9 +170,9 @@ def cmd_plot(args):
     entry = _load_target(args.target, args.resolution)
     report, _, entry = _analyze(entry, args.refine)
     if args.format == "csv":
-        _emit(svgplot.csv_text(report), args.out)
+        _emit([svgplot.csv_text(report)], args.out)
     elif args.format == "text":
-        _emit(svgplot.text_grid(report), args.out)
+        _emit([svgplot.text_grid(report)], args.out)
     elif args.format == "json":
         _emit(_json_dumps({"flow": report.flow.name,
                            "roles": svgplot.cell_roles(report)}), args.out)
@@ -159,7 +182,7 @@ def cmd_plot(args):
             block = blocks.build_block(entry["flow"], entry["k"])
         except blocks.NoBlockError:
             pass
-        _emit(svgplot.svg_text(report, block=block), args.out)
+        _emit([svgplot.svg_text(report, block=block)], args.out)
     return 0
 
 
@@ -233,7 +256,7 @@ def cmd_homology(args):
         lines.extend("%d,%d,%s" % (r["degree"], r["rank"],
                                    ";".join(str(t) for t in r["torsion"]))
                      for r in rows)
-        _emit("\n".join(lines) + "\n", args.out)
+        _emit(["\n".join(lines) + "\n"], args.out)
     else:
         lines = ["%s over %s" % (cx.name, ring)]
         for r in rows:
@@ -242,7 +265,7 @@ def cmd_homology(args):
             lines.append("H_%d: rank %d%s" % (r["degree"], r["rank"], tor))
         if pair is not None:
             lines.append("pair polynomial relative to k: %s" % pair)
-        _emit("\n".join(lines) + "\n", args.out)
+        _emit(["\n".join(lines) + "\n"], args.out)
     return 0
 
 

@@ -6,7 +6,8 @@ sweep, lowest dimension first: each face is known, one dimension lower and
 has a nonzero integer coefficient, and del o del = 0, so a bad sign in a
 builder fails loudly at build time instead of corrupting homology later. A
 boundary for a cell that is not declared is refused too. `from_json` turns
-a file's [face, coeff] lists into the dicts the constructor keeps.
+a file's [face, coeff] lists into the dicts the constructor keeps, popping
+each list from the body as it goes.
 
 Builders glue tables, not complexes: `connected_sum`, `rp2` and the catalog's
 strips hand plain cells/boundary tables to `quotient`, so each space becomes
@@ -17,17 +18,17 @@ chain-map check.
 Construction indexes only the cells by dimension. The top cofaces of each
 codim-1 face, the vertex supports of the cells of dimension 2 and up and
 the top cells at each vertex are built once, on their first query, so a
-complex that only feeds homology never builds them. The support of a vertex
-(itself) and of an edge (its boundary) is derived on each query and never
-stored. `star_tops` is the one closed-star query, a one-ring
-included, and it goes through the vertices. `components` is the one
-connected-components walk: the components of basin - k, the block sections,
-the circles of a cycle, the pieces a cycle cuts a surface into and the two
-sides of a circle are all cells joined through shared faces outside a cut,
-and it maps those faces from the set's own boundaries. So `attractor.analyze`
-on a loaded file builds the vertex supports and the vertex stars only: no
-coface index, and no complex stores a ring per cell. A connected sum glues
-its holes by one matching.
+complex that only feeds homology never builds them. A vertex support is a
+tuple of distinct vertices. The support of a vertex (itself) and of an edge
+(its boundary) is derived on each query and never stored. `star_tops` is
+the one closed-star query, a one-ring included, and it goes through the
+vertices. `components` is the one connected-components walk: the components
+of basin - k, the block sections, the circles of a cycle, the pieces a cycle
+cuts a surface into and the two sides of a circle are all cells joined
+through shared faces outside a cut, and it maps those faces from the set's
+own boundaries. So `attractor.analyze` on a loaded file builds the vertex
+supports and the vertex stars only: no coface index, and no complex stores a
+ring per cell. A connected sum glues its holes by one matching.
 
 Each builder that allocates counts the cells its arguments imply, and refuses
 more than MAX_CELLS with code too-large before it allocates. A cell dimension
@@ -159,20 +160,19 @@ class CellComplex:
 
     @cached_property
     def _verts(self):
-        # vertex support of each closed cell, for star and ring queries:
-        # stored for the cells of dimension 2 and up, each the union of its
-        # faces' supports (an edge's faces are its vertices)
+        # vertex support of each closed cell, for star and ring queries, as
+        # a tuple of distinct vertices: stored for the cells of dimension 2
+        # and up, each the union of its faces' supports (an edge's faces are
+        # its vertices)
         boundary = self.boundary
         verts = _Supports(self.cells, boundary)
         for d in sorted(self._by_dim):
-            if d == 2:
-                for c in self._by_dim[d]:
-                    verts[c] = frozenset(chain.from_iterable(
-                        map(boundary.__getitem__, boundary[c])))
-            elif d > 2:
-                for c in self._by_dim[d]:
-                    verts[c] = frozenset().union(
-                        *map(verts.__getitem__, boundary[c]))
+            if d < 2:
+                continue
+            faces_of = boundary.__getitem__ if d == 2 else verts.__getitem__
+            for c in self._by_dim[d]:
+                verts[c] = tuple(set(chain.from_iterable(
+                    map(faces_of, boundary[c]))))
         return verts
 
     @cached_property
@@ -214,6 +214,7 @@ class CellComplex:
         return out
 
     def vertices_of(self, c):
+        """The vertices in the closure of c, as a tuple of distinct ids."""
         return self._verts[c]
 
     def star_tops(self, cellset):
@@ -312,20 +313,25 @@ class CellComplex:
     # -- serialization -----------------------------------------------------
 
     def to_json(self):
+        ids = sorted(self.cells)
         return {
             "name": self.name,
-            "cells": [[c, self.cells[c]] for c in sorted(self.cells)],
+            "cells": [[c, self.cells[c]] for c in ids],
             "boundary": {c: sorted(self.boundary[c].items())
-                         for c in sorted(self.cells) if self.boundary[c]},
+                         for c in ids if self.boundary[c]},
             "identifications": self.identifications,
         }
 
     @classmethod
     def from_json(cls, data):
-        """The complex of a JSON body. Its `cells` pairs go to the
-        constructor as they stand, and each cell's [face, coeff] list
-        becomes the dict the complex keeps; a mapping where a list belongs
-        would pass through dict() unnoticed, so it is refused here."""
+        """The complex of a JSON body, which takes the body's `boundary`
+        mapping apart: each cell's [face, coeff] list is popped from it as
+        soon as it has become the dict the complex keeps, so a loader that
+        owns its parsed file frees those lists while the complex is built.
+        A caller that keeps its body hands over a copy of that mapping. The
+        `cells` pairs go to the constructor as they stand; a mapping where a
+        [face, coeff] list belongs would pass through dict() unnoticed, so
+        it is refused here, before any list is popped."""
         cells, bnd = data["cells"], data.get("boundary", {})
         if type(cells) is not list:
             raise ComplexError("cells are not a list of [id, dim] pairs")
@@ -333,13 +339,16 @@ class CellComplex:
             c = next(c for c, pairs in bnd.items() if type(pairs) is not list)
             raise ComplexError("boundary of %s is not a list of "
                                "[face, coeff] pairs" % c)
-        return cls(data.get("name", "complex"), cells,
-                   {c: dict(pairs) for c, pairs in bnd.items()},
+        # the keys in the body's order; each value replaced in place
+        boundary = dict.fromkeys(bnd)
+        for c in boundary:
+            boundary[c] = dict(bnd.pop(c))
+        return cls(data.get("name", "complex"), cells, boundary,
                    identifications=data.get("identifications"))
 
 
 class _Supports(dict):
-    """The stored vertex supports, {cell: frozenset of vertices}, which
+    """The stored vertex supports, {cell: tuple of distinct vertices}, which
     derives the support of a vertex (itself) or an edge (its boundary) on
     each lookup instead of storing it. It holds the complex's tables, not
     the complex, so it makes no reference cycle."""
@@ -351,8 +360,7 @@ class _Supports(dict):
         self.cells, self.boundary = cells, boundary
 
     def __missing__(self, c):
-        return (frozenset((c,)) if self.cells[c] == 0
-                else frozenset(self.boundary[c]))
+        return (c,) if self.cells[c] == 0 else tuple(self.boundary[c])
 
 
 def complete_map_signs(fiber, bijection):

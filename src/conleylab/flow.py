@@ -80,8 +80,8 @@ class CombinatorialFlow:
             if c not in successors or not successors[c]:
                 raise FlowError("not-total", "cell %s has no successor" % c)
             out = tuple(sorted(set(successors[c])))
-            # c's vertex support, read on its first edge to another cell, so
-            # a rest flow builds no vertex supports
+            # c's vertex support as a set, made on its first edge to another
+            # cell, so a rest flow builds no vertex supports
             near = None
             for d in out:
                 if d not in topset:
@@ -91,7 +91,7 @@ class CombinatorialFlow:
                     continue
                 # d in one_ring(c), tested on vertex supports without the ring
                 if near is None:
-                    near = vertices_of(c)
+                    near = set(vertices_of(c))
                 if near.isdisjoint(vertices_of(d)):
                     raise FlowError("not-local",
                                     "%s -> %s leaves the one-ring" % (c, d))
@@ -291,7 +291,8 @@ class CombinatorialFlow:
         body = {
             "schema": "1",
             "complex": self.cx.to_json() if inline_complex else self.cx.name,
-            "successors": {c: sorted(self.succ[c]) for c in sorted(self.succ)},
+            # each successor tuple is sorted already
+            "successors": {c: list(self.succ[c]) for c in sorted(self.succ)},
             "fixed": sorted(self.fixed),
         }
         if "recipe" in self.meta:
@@ -300,14 +301,21 @@ class CombinatorialFlow:
 
     @classmethod
     def from_json(cls, data, complex_resolver=None):
-        """The flow of a JSON body, which is read and not changed."""
-        return cls._take(dict(data), complex_resolver)
+        """The flow of a JSON body, which is read and not changed: `_take`
+        gets copies of the mappings it takes apart (the body and its
+        complex's boundary table), and every list stays the caller's."""
+        data = dict(data)
+        body = data.get("complex")
+        if isinstance(body, dict) and isinstance(body.get("boundary"), dict):
+            data["complex"] = dict(body, boundary=dict(body["boundary"]))
+        return cls._take(data, complex_resolver)
 
     @classmethod
     def _take(cls, data, complex_resolver=None):
         # the flow of a body the caller hands over: the complex body is
-        # popped and its name rebound to the built complex, so its parsed
-        # lists are freed before the flow allocates its tables
+        # popped and its name rebound to the built complex, and
+        # CellComplex.from_json pops each boundary list as it converts it,
+        # so the parsed lists are freed before the flow allocates its tables
         try:
             cx = data.pop("complex")
             if isinstance(cx, str):
@@ -365,7 +373,8 @@ def load_file(path, name=None, error=FlowError):
     A file that cannot be read or parsed raises `error`, and one whose
     fields have the wrong shape raises FlowError naming the field, both
     with code unreadable-input. The parsed file is this function's own, so
-    its inline complex body is dropped once the complex is built, before
+    it is taken apart: each boundary list is freed as it is converted, and
+    the inline complex body is dropped once the complex is built, before
     the flow is."""
     try:
         with open(path) as fh:

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import conleylab
-from conleylab import catalog, cli, complexes as cxm, flow as flm
+from conleylab import attractor, catalog, cli, complexes as cxm, flow as flm
 from test_algebra import LOOP_D2, determinantal_invariants, loop_complex
 
 
@@ -42,6 +42,42 @@ def test_analyze_json(tmp_path):
     assert data["schema"] == "1"
     assert data["refinements"] == 0
     assert data["k"] == sorted(data["k"])
+
+
+class CountingWriter(io.StringIO):
+    """A text stream that counts its write calls."""
+
+    def __init__(self):
+        super().__init__()
+        self.writes = 0
+
+    def write(self, text):
+        self.writes += 1
+        return super().write(text)
+
+
+def test_a_json_report_is_written_in_batches(tmp_path, monkeypatch):
+    # one write per batch of encoder chunks: one write per chunk is a
+    # syscall each on unbuffered stdout, and one write for the whole report
+    # holds it as one string
+    entry = catalog.build("example22-torus", 24)
+    payload = attractor.analyze(entry["flow"], entry["k"]).to_json()
+    payload["refinements"] = 0
+    want = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    chunks = 1 + sum(1 for _ in json.JSONEncoder(
+        sort_keys=True, indent=2).iterencode(payload))
+    argv = ["analyze", "catalog:example22-torus", "--resolution", "24",
+            "--format", "json"]
+    out = CountingWriter()
+    monkeypatch.setattr(sys, "stdout", out)
+    assert cli.main(argv) == 0
+    assert out.getvalue().encode() == want.encode()
+    assert out.writes > 1
+    assert chunks > cli._BATCH
+    assert out.writes <= -(-chunks // cli._BATCH) + 1
+    path = tmp_path / "report.json"
+    assert cli.main(argv + ["--out", str(path)]) == 0
+    assert path.read_bytes() == want.encode()
 
 
 def test_analyze_error_exits(capsys):

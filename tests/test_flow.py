@@ -1,3 +1,4 @@
+import copy
 import functools
 import json
 import os
@@ -286,14 +287,25 @@ def test_j_of_unknown_cell_rejected():
     assert ei.value.code == "bad-cell"
 
 
-def test_json_round_trip():
-    fl = catalog.build("example22-circle")["flow"]
-    data = fl.to_json()
-    back = flm.CombinatorialFlow.from_json(data)
-    assert data == fl.to_json()    # the body is read, not taken apart
-    assert back.succ == fl.succ
-    assert set(back.fixed) == set(fl.fixed)
-    assert back.meta["recipe"] == fl.meta["recipe"]
+def test_json_round_trip(tmp_path):
+    # every catalog entry at its minimum resolution
+    for name, (_, _, minimum) in sorted(catalog._RECIPES.items()):
+        fl = shared_entry(name, minimum)["flow"]
+        data = fl.to_json()
+        before = copy.deepcopy(data)
+        back = flm.CombinatorialFlow.from_json(data)
+        # the body is read, not taken apart: every boundary list included
+        assert data == before, name
+        assert back.succ == fl.succ, name
+        assert set(back.fixed) == set(fl.fixed), name
+        assert back.meta["recipe"] == fl.meta["recipe"], name
+        # load_file takes its own parsed file apart and builds the same flow
+        path = tmp_path / (name + ".json")
+        path.write_text(json.dumps(data))
+        loaded = flm.load_file(str(path))["flow"]
+        read = flm.CombinatorialFlow.from_json(json.loads(path.read_text()))
+        assert (loaded.cx.cells, loaded.cx.boundary, loaded.succ) == \
+            (read.cx.cells, read.cx.boundary, read.succ), name
 
 
 def test_json_fixed_disagreement():
