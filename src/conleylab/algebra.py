@@ -1,14 +1,20 @@
 """Homology, cohomology ranks, and the small cup-product lookups.
 
-Two coefficient rings are supported, named "z" and "z2". A boundary matrix
-whose every row is an edge {u: 1, v: -1}, a half edge {u: +-1} (the other
-end lies in the relative part) or empty is a reduced graph incidence matrix,
-as d1 of every complex the builders make is. It is totally unimodular, so it
-has no torsion, and its rank is that of a spanning forest, found by
-union-find in near-linear time whatever the cell numbering. Over z2 any row
-with at most two odd entries qualifies. Every other matrix, over both rings,
-is reduced with one scheme: a pivot table keyed by each row's lowest column,
-so a row finds the pivot that clears its lowest entry in O(1).
+Two coefficient rings are supported, named "z" and "z2". Every ring, degree
+and relative pair goes through one pipeline:
+
+1. The cells of the relative part are dropped.
+2. Coreduction pairs are removed (Mrozek & Batko, DCG 2009): a cell whose
+   boundary among the cells still present, read over the ring, is a unit
+   times one face goes with that face. No other boundary changes, so the
+   homology does not. A FIFO worklist holds the cells left with one face.
+3. When the worklist runs dry, a remaining vertex is removed as a seed,
+   which lowers rank H_0 by one. Seeds are taken only when every edge is
+   v - u, +-v or empty over the ring, so that once no edge has one face
+   left each vertex's class is a basis element of H_0. Edges a + b and
+   a - b make H_0 = Z/2; then the whole complex less its pairs is left.
+4. Each degree's boundary matrix on the cells left goes to one kernel, a
+   pivot table keyed by each row's lowest column:
 
 - Over z2 rows are int bitmasks; a row is XORed with the pivot of its low
   bit until that bit has no pivot, then stored as one.
@@ -22,6 +28,7 @@ so a row finds the pivot that clears its lowest entry in O(1).
 Torsion is reported as invariant factors d1 | d2 | ... with the 1s dropped.
 """
 
+from collections import defaultdict, deque
 from math import gcd
 
 from .complexes import ConleyError
@@ -155,71 +162,8 @@ def _invariant_factors(diag):
 
 # -- chain complexes ---------------------------------------------------------
 
-def _chain_data(cx, rel=None):
-    """Generator counts per dimension and, for each d >= 1, the boundary of
-    every d-cell as {index of a (d-1)-cell: coefficient}, optionally mod a
-    closed subcomplex rel."""
-    rel = set(rel or ())
-    if rel and cx.closure(rel) != rel:
-        raise AlgebraError("not-closed", "relative part is not closed")
-    gens = {d: [c for c in cx.cells_of_dim(d) if c not in rel]
-            for d in range(cx.top_dim + 1)}
-    index = {}
-    for cs in gens.values():
-        index.update((c, i) for i, c in enumerate(cs))
-    chains = {d: [{index[f]: k for f, k in cx.boundary[c].items()
-                   if f not in rel} for c in gens[d]]
-              for d in range(1, cx.top_dim + 1)}
-    return {d: len(cs) for d, cs in gens.items()}, chains
-
-
-def _graph_edges(chains, ring):
-    """The rows as the ends of graph edges: [u, v] for {u: 1, v: -1} (either
-    sign order), [u] for {u: +-1}, whose other end is the ground node, and []
-    for an empty row. Over z2 the ends are the odd entries. None when some
-    row has another shape."""
-    edges = []
-    for ch in chains:
-        if ring == "z2":
-            ends = [j for j, k in ch.items() if k % 2]
-            if len(ends) > 2:
-                return None
-        else:
-            ends = list(ch)
-            if sorted(ch.values()) not in ([], [-1], [1], [-1, 1]):
-                return None
-        edges.append(ends)
-    return edges
-
-
-def _forest_rank(edges):
-    """Number of edges in a spanning forest, by union-find; a one-ended edge
-    goes to the ground node -1."""
-    parent = {}
-
-    def find(x):
-        while parent.get(x, x) != x:
-            parent[x] = x = parent.get(parent[x], parent[x])
-        return x
-
-    rank = 0
-    for ends in edges:
-        if not ends:
-            continue
-        u = find(ends[0])
-        v = find(ends[1]) if len(ends) == 2 else find(-1)
-        if u != v:
-            parent[u] = v
-            rank += 1
-    return rank
-
-
 def _rank(chains, ring):
-    """Rank and torsion of the matrix whose rows are the given chains:
-    union-find when it is a graph incidence matrix, else the pivot table."""
-    edges = _graph_edges(chains, ring)
-    if edges is not None:
-        return _forest_rank(edges), []
+    """Rank and torsion of the matrix whose rows are the given chains."""
     if ring == "z2":
         return gf2_rank(sum(1 << i for i, k in ch.items() if k % 2)
                         for ch in chains), []
@@ -230,14 +174,70 @@ def homology(cx, ring="z", rel=None):
     """List over dimensions of {"rank": int, "torsion": [int, ...]}; torsion
     is the list of invariant factors."""
     _check_ring(ring)
-    sizes, chains = _chain_data(cx, rel=rel)
-    ranks = {}
-    torsions = {}
-    for d, rows in chains.items():
-        ranks[d], torsions[d] = _rank(rows, ring)
-    return [{"rank": sizes[d] - ranks.get(d, 0) - ranks.get(d + 1, 0),
-             "torsion": torsions.get(d + 1, [])}
-            for d in range(cx.top_dim + 1)]
+    rel = set(rel or ())
+    if rel and cx.closure(rel) != rel:
+        raise AlgebraError("not-closed", "relative part is not closed")
+    odd = ring == "z2"
+    bnd = cx.boundary
+    # faces left per cell, nonzero over the ring, and each edge's coefficients
+    live = {}
+    cofaces = defaultdict(list)
+    shapes = set()
+    for c, dim in cx.cells.items():
+        if c in rel:
+            continue
+        faces = bnd[c]
+        if rel or odd:
+            faces = [f for f, k in faces.items()
+                     if f not in rel and (k % 2 or not odd)]
+        live[c] = len(faces)
+        for f in faces:
+            cofaces[f].append(c)
+        if dim == 1:
+            shapes.add(tuple(map(bnd[c].get, faces)))
+    graph = all(len(ks) <= 2 if odd else sorted(ks) in ([], [-1], [1], [-1, 1])
+                for ks in shapes)
+    queue = deque(c for c, n in live.items() if n == 1)
+    seeds = 0
+    vertices = iter(cx.cells_of_dim(0) if graph else ())
+    while True:
+        if queue:
+            c = queue.popleft()
+            if live.get(c) != 1:
+                continue
+            for f, k in bnd[c].items():
+                if f in live and (k % 2 or not odd):
+                    break
+            if not odd and k not in (1, -1):
+                continue
+            pair = (c, f)
+        else:
+            v = next((v for v in vertices if v in live), None)
+            if v is None:
+                break
+            seeds += 1
+            pair = (v,)
+        for x in pair:
+            del live[x]
+            for e in cofaces.get(x, ()):
+                n = live.get(e)
+                if n is not None:
+                    live[e] = n - 1
+                    if n == 2:
+                        queue.append(e)
+    gens = {d: [c for c in cx.cells_of_dim(d) if c in live]
+            for d in range(cx.top_dim + 1)}
+    index = {c: i for cs in gens.values() for i, c in enumerate(cs)}
+    ranks, torsions = {}, {}
+    for d in range(1, cx.top_dim + 1):
+        ranks[d], torsions[d] = _rank(
+            [{index[f]: k for f, k in bnd[c].items() if f in live}
+             for c in gens[d]], ring)
+    out = [{"rank": len(gens[d]) - ranks.get(d, 0) - ranks.get(d + 1, 0),
+            "torsion": torsions.get(d + 1, [])}
+           for d in range(cx.top_dim + 1)]
+    out[0]["rank"] += seeds
+    return out
 
 
 def cohomology_ranks(cx, ring="z", rel=None):

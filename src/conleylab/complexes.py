@@ -804,6 +804,10 @@ def t3(n):
 def genus2(n):
     """torus(n, n) summed with itself at its middle 2-cell; the a:/b:
     prefixes of `connected_sum` keep the two copies apart."""
+    # two tori less the two holes, and less one rim's 4 vertices and 4
+    # edges, which are glued onto the other's
+    _check_size("sum(torus(%d,%d),torus(%d,%d))" % (n, n, n, n),
+                8 * n * n - 10)
     t = torus(n, n)
     mid = "e:%d@e%d" % (n // 2, n // 2)
     return connected_sum(t, t, mid, mid)

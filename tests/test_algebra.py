@@ -1,6 +1,8 @@
 from collections import defaultdict
+from functools import lru_cache
 from itertools import combinations, product
 from math import gcd
+from random import Random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -160,16 +162,32 @@ def sweep_smith_normal_form(mat):
     return len(divisors), [d for d in divisors if d > 1]
 
 
-def sweep_homology(cx, ring="z", rel=None):
-    """homology() computed with the sweep kernels on {(i, j): v} matrices."""
+def full_chains(cx, rel=None):
+    """Generator counts per dimension and, for each d >= 1, the boundary of
+    every d-cell outside rel as {index of a (d-1)-cell: coefficient}: the
+    whole chain complex, with no cell paired off."""
     rel = set(rel or ())
     gens = {d: [c for c in cx.cells_of_dim(d) if c not in rel]
             for d in range(cx.top_dim + 1)}
     index = {c: i for cs in gens.values() for i, c in enumerate(cs)}
+    chains = {d: [{index[f]: k for f, k in cx.boundary[c].items()
+                   if f not in rel} for c in gens[d]]
+              for d in range(1, cx.top_dim + 1)}
+    return {d: len(cs) for d, cs in gens.items()}, chains
+
+
+def groups(sizes, ranks, torsions):
+    return [{"rank": n - ranks.get(d, 0) - ranks.get(d + 1, 0),
+             "torsion": torsions.get(d + 1, [])}
+            for d, n in sorted(sizes.items())]
+
+
+def sweep_homology(cx, ring="z", rel=None):
+    """homology() computed with the sweep kernels on {(i, j): v} matrices."""
+    sizes, chains = full_chains(cx, rel)
     ranks, torsions = {}, {}
-    for d in range(1, cx.top_dim + 1):
-        mat = {(index[f], j): k for j, c in enumerate(gens[d])
-               for f, k in cx.boundary[c].items() if f not in rel}
+    for d, rows in chains.items():
+        mat = {(i, j): k for j, ch in enumerate(rows) for i, k in ch.items()}
         if ring == "z2":
             bits = defaultdict(int)
             for (i, j), v in mat.items():
@@ -178,14 +196,11 @@ def sweep_homology(cx, ring="z", rel=None):
             ranks[d], torsions[d] = gf2_rank_sweep(list(bits.values())), []
         else:
             ranks[d], torsions[d] = sweep_smith_normal_form(mat)
-    return [{"rank": len(gens[d]) - ranks.get(d, 0) - ranks.get(d + 1, 0),
-             "torsion": torsions.get(d + 1, [])}
-            for d in range(cx.top_dim + 1)]
+    return groups(sizes, ranks, torsions)
 
 
 def kernel_rank(chains, ring):
-    """Rank and torsion from the pivot-table kernel alone, without the
-    union-find path for graph-shaped matrices."""
+    """Rank and torsion from the pivot-table kernel alone."""
     if ring == "z2":
         return algebra.gf2_rank(sum(1 << i for i, k in ch.items() if k % 2)
                                 for ch in chains), []
@@ -193,14 +208,54 @@ def kernel_rank(chains, ring):
 
 
 def kernel_homology(cx, ring="z", rel=None):
-    """homology() with every boundary matrix sent to the pivot-table kernel."""
-    sizes, chains = algebra._chain_data(cx, rel=rel)
+    """homology() with every full boundary matrix sent to the pivot-table
+    kernel, with no coreduction before it."""
+    sizes, chains = full_chains(cx, rel)
     ranks, torsions = {}, {}
     for d, rows in chains.items():
         ranks[d], torsions[d] = kernel_rank(rows, ring)
-    return [{"rank": sizes[d] - ranks.get(d, 0) - ranks.get(d + 1, 0),
-             "torsion": torsions.get(d + 1, [])}
-            for d in range(cx.top_dim + 1)]
+    return groups(sizes, ranks, torsions)
+
+
+def graph_edges(chains, ring):
+    """The rows as the ends of graph edges: [u, v] for {u: 1, v: -1} (either
+    sign order), [u] for {u: +-1}, whose other end is the ground node, and []
+    for an empty row. Over z2 the ends are the odd entries. None when some
+    row has another shape."""
+    edges = []
+    for ch in chains:
+        if ring == "z2":
+            ends = [j for j, k in ch.items() if k % 2]
+            if len(ends) > 2:
+                return None
+        else:
+            ends = list(ch)
+            if sorted(ch.values()) not in ([], [-1], [1], [-1, 1]):
+                return None
+        edges.append(ends)
+    return edges
+
+
+def forest_rank(edges):
+    """Number of edges in a spanning forest, by union-find; a one-ended edge
+    goes to the ground node -1."""
+    parent = {}
+
+    def find(x):
+        while parent.get(x, x) != x:
+            parent[x] = x = parent.get(parent[x], parent[x])
+        return x
+
+    rank = 0
+    for ends in edges:
+        if not ends:
+            continue
+        u = find(ends[0])
+        v = find(ends[1]) if len(ends) == 2 else find(-1)
+        if u != v:
+            parent[u] = v
+            rank += 1
+    return rank
 
 
 def prime_powers(factors):
@@ -364,40 +419,102 @@ graph_rows = st.one_of(
     .map(lambda t: {t[0]: t[2], t[1]: -t[2]}),
     st.tuples(column, sign).map(lambda t: {t[0]: t[1]}),
     st.just({}))
-# rows that send the matrix to the pivot table over z
-fallback_rows = st.one_of(
-    st.tuples(column, column).filter(lambda t: t[0] != t[1])
-    .map(lambda t: {t[0]: 1, t[1]: 1}),
-    st.tuples(column, st.sampled_from([2, -2, 3])).map(lambda t: {t[0]: t[1]}),
-    st.lists(column, min_size=3, max_size=3, unique=True)
-    .map(lambda cs: {cs[0]: 1, cs[1]: -1, cs[2]: 1}))
+
+
+def graph_complex(rows):
+    """A vertex per column, the ground vertex g, and an edge per row: a
+    one-ended row {u: s} is an edge from g, an empty row a loop."""
+    cells = {"v%d" % j: 0 for j in range(NCOLS)}
+    cells["g"] = 0
+    bnd = {}
+    for i, ch in enumerate(rows):
+        cells["e%d" % i] = 1
+        bnd["e%d" % i] = {"v%d" % j: k for j, k in ch.items()}
+        if len(ch) == 1:
+            bnd["e%d" % i]["g"] = -sum(ch.values())
+    return cxm.CellComplex("graph", cells, bnd)
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.lists(graph_rows, max_size=14))
 def test_union_find_rank_matches_kernel(rows):
+    # H_0 and H_1 of the graph mod its ground vertex are the column and
+    # row counts less the rank of a spanning forest
+    cx = graph_complex(rows)
     for ring in algebra.RINGS:
-        assert algebra._graph_edges(rows, ring) is not None
-        assert algebra._rank(rows, ring) == kernel_rank(rows, ring), ring
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.lists(graph_rows, max_size=12), fallback_rows, st.integers(0, 12))
-def test_rank_falls_back_to_kernel_on_other_rows(rows, extra, at):
-    rows = rows[:at] + [extra] + rows[at:]
-    assert algebra._graph_edges(rows, "z") is None
-    for ring in algebra.RINGS:
-        assert algebra._rank(rows, ring) == kernel_rank(rows, ring), ring
+        edges = graph_edges(rows, ring)
+        assert edges is not None
+        r = forest_rank(edges)
+        assert (r, []) == kernel_rank(rows, ring), ring
+        assert algebra.homology(cx, ring, rel={"g"}) == \
+            [{"rank": NCOLS - r, "torsion": []},
+             {"rank": len(rows) - r, "torsion": []}][:cx.top_dim + 1], ring
 
 
 def test_homology_of_named_spaces_matches_kernel():
-    # the builders' own cell ids: d1 is graph-shaped and takes union-find
+    # the builders' own cell ids, in the order the builders number them
     for name in NAMED_SPACES:
         for res in (None, 8):
             cx = cxm.named_space(name, res)
             for ring in algebra.RINGS:
                 assert algebra.homology(cx, ring) == \
                     kernel_homology(cx, ring), (name, res, ring)
+
+
+@lru_cache(maxsize=None)
+def small_space(name, res):
+    return cxm.named_space(name, res)
+
+
+def relabelled(cx, rng):
+    """cx with its cell ids permuted within each dimension, so that the
+    order of every worklist and seed changes."""
+    perm = {}
+    for d in range(cx.top_dim + 1):
+        old = cx.cells_of_dim(d)
+        new = list(old)
+        rng.shuffle(new)
+        perm.update(zip(old, new))
+    return cxm.CellComplex(cx.name, {perm[c]: d for c, d in cx.cells.items()},
+                           {perm[c]: {perm[f]: k for f, k in faces.items()}
+                            for c, faces in cx.boundary.items()})
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(NAMED_SPACES), st.sampled_from((3, 4, 5)),
+       st.sampled_from((0.05, 0.15, 0.4, 1.0)),
+       st.sampled_from((0, 0.02, 0.1)),
+       st.integers(0, 2 ** 32 - 1).map(Random))
+def test_homology_matches_kernel_on_random_pairs(name, res, keep, rel_share,
+                                                 rng):
+    # the closure of a random set of top cells has several components and
+    # free faces; rel is the closure of a random set of its cells
+    cx = relabelled(small_space(name, res), rng)
+    if keep < 1:
+        cx = cx.subcomplex([t for t in cx.top_cells() if rng.random() < keep])
+    rel = cx.closure(c for c in sorted(cx.cells) if rng.random() < rel_share)
+    for ring in algebra.RINGS:
+        assert algebra.homology(cx, ring, rel=rel) == \
+            kernel_homology(cx, ring, rel=rel), (name, res, ring)
+
+
+def test_seeds_only_on_graph_shaped_edges():
+    # edges a + b and a - b make H_0 = Z/2 over z, and an edge 2a next to
+    # an isolated vertex c makes it Z + Z/2: neither has a vertex whose
+    # class is a basis element, so no vertex may be removed as a seed
+    cases = [
+        (cxm.CellComplex("a+b,a-b", {"a": 0, "b": 0, "e": 1, "f": 1},
+                         {"e": {"a": 1, "b": 1}, "f": {"a": 1, "b": -1}}),
+         {"z": [{"rank": 0, "torsion": [2]}, {"rank": 0, "torsion": []}],
+          "z2": [{"rank": 1, "torsion": []}, {"rank": 1, "torsion": []}]}),
+        (cxm.CellComplex("2a,c", {"a": 0, "c": 0, "e": 1}, {"e": {"a": 2}}),
+         {"z": [{"rank": 1, "torsion": [2]}, {"rank": 0, "torsion": []}],
+          "z2": [{"rank": 2, "torsion": []}, {"rank": 1, "torsion": []}]}),
+    ]
+    for cx, want in cases:
+        for ring in algebra.RINGS:
+            assert algebra.homology(cx, ring) == want[ring] == \
+                kernel_homology(cx, ring), (cx.name, ring)
 
 
 def test_gf2_rank():

@@ -545,7 +545,8 @@ def test_a_huge_resolution_is_refused(capsys, argv):
 
 @pytest.mark.parametrize("name, refused", [
     ("torus", "torus(100000,100000)"), ("klein", "klein(100000,100000)"),
-    ("t3", "t3(100000,100000)"), ("genus2", "torus(100000,100000)")])
+    ("t3", "t3(100000,100000)"),
+    ("genus2", "sum(torus(100000,100000),torus(100000,100000))")])
 def test_a_refused_grid_builds_no_fiber(capsys, monkeypatch, name, refused):
     built = []
     real_circle = cxm.circle
@@ -559,6 +560,15 @@ def test_a_refused_grid_builds_no_fiber(capsys, monkeypatch, name, refused):
     assert built == []
     assert capsys.readouterr().err.startswith(
         "error[too-large]: %s would have " % refused)
+
+
+def test_genus2_is_refused_before_its_torus(capsys, monkeypatch):
+    # torus(257, 257) is within the limit, and the sum of two is not
+    monkeypatch.setattr(cxm, "torus", None)
+    assert cli.main(["homology", "genus2", "--resolution", "257"]) == 1
+    assert capsys.readouterr().err == (
+        "error[too-large]: sum(torus(257,257),torus(257,257)) would have "
+        "528382 cells; the limit is %d\n" % cxm.MAX_CELLS)
 
 
 def test_homology_of_rp2_ignores_the_resolution(capsys):

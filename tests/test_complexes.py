@@ -381,6 +381,7 @@ SIZED_BUILDERS = [
     (lambda: cxm.disc(3, 5), 51),
     (lambda: cxm.product(cxm.circle(3), cxm.circle(4)), 48),
     (lambda: cxm.mapping_torus(cxm.circle(3), None, 4), 48),
+    (lambda: cxm.genus2(4), 118),
 ]
 
 
