@@ -182,7 +182,7 @@ def cmd_plot(args):
             block = blocks.build_block(entry["flow"], entry["k"])
         except blocks.NoBlockError:
             pass
-        _emit([svgplot.svg_text(report, block=block)], args.out)
+        _emit(svgplot.svg_chunks(report, block=block), args.out)
     return 0
 
 

@@ -99,40 +99,42 @@ def _rect(x, y, w, h, fill, title=None, stroke=None):
             '</rect>' % (x, y, w, h, fill, extra, body))
 
 
-def svg_text(report, block=None):
+def svg_chunks(report, block=None):
+    """The SVG picture as chunks of text, each made as it is asked for: the
+    header, one per rectangle or label, the title and the closing tag. The
+    sizes the header needs come from the layout, before any part is made."""
     roles = cell_roles(report)
     placed, strip = _layout(report.flow.cx, roles)
     outline = frozenset(block.n) if block is not None else frozenset()
-    parts = []
     nrows = 1 + max((r for r, _ in placed.values()), default=0)
     ncols = 1 + max((l for _, l in placed.values()), default=0)
     step = CELL + GAP
-    for c in sorted(placed):
-        r, l = placed[c]
-        parts.append(_rect(GAP + l * step, GAP + r * step, CELL, CELL,
-                           COLORS[roles[c]], title="%s: %s" % (c, roles[c]),
-                           stroke="#000000" if c in outline else None))
     x_strip = GAP + ncols * step + 2 * GAP
-    for i, c in enumerate(strip):
-        parts.append(_rect(x_strip, GAP + i * step, CELL, CELL,
-                           COLORS[roles[c]], title="%s: %s" % (c, roles[c]),
-                           stroke="#000000" if c in outline else None))
-        parts.append('<text x="%d" y="%d" font-size="11" '
-                     'font-family="monospace">%s</text>'
-                     % (x_strip + CELL + GAP, GAP + i * step + CELL - 6, c))
     y_leg = GAP + max(nrows, len(strip)) * step + 2 * GAP
     used = [r for r in ROLES if r in set(roles.values())]
-    for i, role in enumerate(used):
-        parts.append(_rect(GAP, y_leg + i * step, CELL, CELL, COLORS[role]))
-        parts.append('<text x="%d" y="%d" font-size="12" '
-                     'font-family="monospace">%s</text>'
-                     % (GAP + CELL + GAP, y_leg + i * step + CELL - 6, role))
     width = max(x_strip + 240, GAP + ncols * step)
     height = y_leg + len(used) * step + GAP
-    head = ('<svg xmlns="http://www.w3.org/2000/svg" width="%d" '
-            'height="%d" viewBox="0 0 %d %d">' % (width, height,
-                                                  width, height))
-    title = ('<text x="%d" y="%d" font-size="13" font-family="monospace">'
-             '%s: %s</text>' % (GAP, y_leg + len(used) * step + GAP - 6,
-                                report.flow.name, report.classification))
-    return head + "".join(parts) + title + "</svg>\n"
+    yield ('<svg xmlns="http://www.w3.org/2000/svg" width="%d" '
+           'height="%d" viewBox="0 0 %d %d">' % (width, height,
+                                                 width, height))
+    for c in sorted(placed):
+        r, l = placed[c]
+        yield _rect(GAP + l * step, GAP + r * step, CELL, CELL,
+                    COLORS[roles[c]], title="%s: %s" % (c, roles[c]),
+                    stroke="#000000" if c in outline else None)
+    for i, c in enumerate(strip):
+        yield _rect(x_strip, GAP + i * step, CELL, CELL,
+                    COLORS[roles[c]], title="%s: %s" % (c, roles[c]),
+                    stroke="#000000" if c in outline else None)
+        yield ('<text x="%d" y="%d" font-size="11" '
+               'font-family="monospace">%s</text>'
+               % (x_strip + CELL + GAP, GAP + i * step + CELL - 6, c))
+    for i, role in enumerate(used):
+        yield _rect(GAP, y_leg + i * step, CELL, CELL, COLORS[role])
+        yield ('<text x="%d" y="%d" font-size="12" '
+               'font-family="monospace">%s</text>'
+               % (GAP + CELL + GAP, y_leg + i * step + CELL - 6, role))
+    yield ('<text x="%d" y="%d" font-size="13" font-family="monospace">'
+           '%s: %s</text>' % (GAP, y_leg + len(used) * step + GAP - 6,
+                              report.flow.name, report.classification))
+    yield "</svg>\n"

@@ -501,7 +501,8 @@ def _check_conley_euler(res, population):
 def _check_jduality(res, population):
     # the prolongational sets come in a dual pair: y lies in the forward
     # set of x exactly when x lies in the backward set of y. Checked on
-    # every ordered pair of top cells.
+    # every ordered pair of top cells, up to 2,000 top cells: the count
+    # holds a few n-bit masks per top cell.
     for f in population(res):
         flow = f.flow
         n = len(flow.tops)
@@ -520,26 +521,55 @@ def jduality_violations(cx, plus, minus):
     forward and backward eventual image, and J+(x), J-(x) are the unions of
     those images over the one-ring of x.
 
-    For each x the cells J+(x) touches are compared with dual[x], the cells
-    y whose J-(y) touches x. Touching distributes over unions, so each
-    distinct image is expanded once. The one-rings are taken once per call
-    and dropped when it returns."""
+    No pair is enumerated. Top cells are numbered by their place in
+    cx.top_cells(), and each set of them is an int bitmask. One-rings are
+    symmetric, and a bare top cell's is itself, so the star of a set S (the
+    top cells S touches) is the OR of the ring masks of S's cells.
+    - Forward: J+(x) touches the OR, over w in ring(x), of star(plus[w]).
+      Each distinct image is starred once.
+    - Backward, transposed: J-(y) touches x exactly when y lies in
+      star({z : minus[z] meets ring(x)}). So the cells z are grouped by
+      their shared image I, the star of each group is ORed into B[w] for
+      every w in I, and the y whose J-(y) touches x are the OR of B[w] over
+      w in ring(x).
+    The count is the number of bits set in one of x's two masks and not the
+    other, summed over x.
+
+    Cost: one star_tops per top cell, then one n-bit OR per ring member,
+    per member of a distinct image and per top cell in its group, where n
+    is the number of top cells. Memory is a few n-bit masks per top cell,
+    n^2 bits per side: 0.5 MB at the 2,000 top cells above which
+    _check_jduality skips a flow, and unbounded without that cap, since
+    MAX_CELLS allows half a million cells."""
     tops = cx.top_cells()
-    rings = {x: cx.star_tops((x,)) for x in tops}
-    expanded = {}
+    pos = {x: i for i, x in enumerate(tops)}
+    rings = [[pos[y] for y in cx.star_tops((x,))] for x in tops]
+    ring_masks = [sum(1 << i for i in ring) for ring in rings]
 
-    def touching(images, x):
-        parts = {images[y] for y in rings[x]}
-        for img in parts:
-            if img not in expanded:
-                expanded[img] = cx.star_tops(img)
-        return set().union(*(expanded[img] for img in parts))
+    def star(cells):
+        mask = 0
+        for c in cells:
+            mask |= ring_masks[pos[c]]
+        return mask
 
-    dual = {x: set() for x in tops}
-    for y in tops:
-        for x in touching(minus, y):
-            dual[x].add(y)
-    return sum(len(touching(plus, x) ^ dual[x]) for x in tops)
+    starred = {img: star(img) for img in set(plus.values())}
+    fwd = [starred[plus[x]] for x in tops]
+    groups = {}
+    for z in tops:
+        groups.setdefault(minus[z], []).append(z)
+    back = [0] * len(tops)
+    for img, members in groups.items():
+        g = star(members)
+        for w in img:
+            back[pos[w]] |= g
+    count = 0
+    for ring in rings:
+        t = d = 0
+        for w in ring:
+            t |= fwd[w]
+            d |= back[w]
+        count += (t ^ d).bit_count()
+    return count
 
 
 _REGISTRY = [

@@ -2,11 +2,12 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conleylab import (algebra, attractor, blocks, catalog, complexes as cxm,
                        flow as flm)
 from test_flow import (eventual_image, image_cycle, iterated_image,
-                       shared_entry, trim_loop)
+                       shared_entry, small_flows, trim_loop)
 
 
 # -- reference implementations: one enclosure per cell -----------------------------
@@ -200,39 +201,80 @@ def test_two_cycle_flow_has_image_period_six():
     assert rep.classification == "ExternalExplosions"
 
 
+def assert_pipeline_matches_per_cell_definitions(f, k, label):
+    kset = frozenset(k)
+    col = attractor.collar(f, kset)
+    khat = attractor.stabilization(f, kset)
+    assert khat == stabilization_rounds(f, kset), label
+    bas = attractor.basin(f, khat)
+    assert bas == basin_per_cell(f, khat), label
+    assert attractor.unstable_manifold(f, col) == \
+        unstable_per_cell(f, col), label
+    within = bas - kset
+    rec = f.recurrent_cells(within)
+    plus = attractor._violators(f, within, within, rec, col, "f")
+    minus = attractor._violators(f, khat & within, within, rec, col, "p")
+    assert plus == violators_per_cell(f, within, within, col, "f"), label
+    assert minus == violators_per_cell(f, khat & within, within, col,
+                                       "p"), label
+    for cands in (plus, minus):
+        assert attractor._witness_search(f, cands, within, col) == \
+            witness_per_candidate(f, cands, within, col), label
+
+
+def assert_components_match_coface_walk(f, k, label):
+    kset = frozenset(k)
+    khat = attractor.stabilization(f, kset)
+    bas = attractor.basin(f, khat)
+    assert attractor.components(f, bas, kset, khat) == \
+        components_by_cofaces(f, bas, kset, khat), label
+    # a basin without k's neighbours splits into more pieces
+    thin = bas - attractor.collar(f, kset) | kset
+    assert attractor.components(f, thin, kset, khat) == \
+        components_by_cofaces(f, thin, kset, khat), label
+
+
 def test_pipeline_matches_per_cell_definitions():
     for f, k in oracle_cases():
-        kset = frozenset(k)
-        col = attractor.collar(f, kset)
-        khat = attractor.stabilization(f, kset)
-        assert khat == stabilization_rounds(f, kset), f.name
-        bas = attractor.basin(f, khat)
-        assert bas == basin_per_cell(f, khat), f.name
-        assert attractor.unstable_manifold(f, col) == \
-            unstable_per_cell(f, col), f.name
-        within = bas - kset
-        rec = f.recurrent_cells(within)
-        plus = attractor._violators(f, within, within, rec, col, "f")
-        minus = attractor._violators(f, khat & within, within, rec, col, "p")
-        assert plus == violators_per_cell(f, within, within, col, "f"), f.name
-        assert minus == violators_per_cell(f, khat & within, within, col,
-                                           "p"), f.name
-        for cands in (plus, minus):
-            assert attractor._witness_search(f, cands, within, col) == \
-                witness_per_candidate(f, cands, within, col), f.name
+        assert_pipeline_matches_per_cell_definitions(f, k, f.name)
 
 
 def test_components_match_coface_walk():
     for f, k in oracle_cases():
-        kset = frozenset(k)
-        khat = attractor.stabilization(f, kset)
-        bas = attractor.basin(f, khat)
-        assert attractor.components(f, bas, kset, khat) == \
-            components_by_cofaces(f, bas, kset, khat), f.name
-        # a basin without k's neighbours splits into more pieces
-        thin = bas - attractor.collar(f, kset) | kset
-        assert attractor.components(f, thin, kset, khat) == \
-            components_by_cofaces(f, thin, kset, khat), f.name
+        assert_components_match_coface_walk(f, k, f.name)
+
+
+def random_candidate(data):
+    """(flow, k, seed) with k the invariant part of the star of a random set
+    of top cells, or None when k is empty or not isolated in its collar."""
+    fl = data.draw(small_flows())
+    seed = data.draw(st.frozensets(st.sampled_from(sorted(fl.tops)),
+                                   min_size=1))
+    star = fl.cx.star_tops(seed)
+    k = fl.trim(star, "f") & fl.trim(star, "p")
+    if not k:
+        return None
+    try:
+        attractor.check_isolated(fl, k, attractor.collar(fl, k))
+    except attractor.NotIsolatedError:
+        return None
+    return fl, k, sorted(seed)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_pipeline_matches_per_cell_definitions_on_small_flows(data):
+    drawn = random_candidate(data)
+    if drawn:
+        assert_pipeline_matches_per_cell_definitions(*drawn)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_components_match_coface_walk_on_small_flows(data):
+    drawn = random_candidate(data)
+    if drawn:
+        assert_components_match_coface_walk(*drawn)
 
 
 def test_analyze_on_a_loaded_file_builds_no_coface_index_or_rings():

@@ -80,6 +80,25 @@ def test_a_json_report_is_written_in_batches(tmp_path, monkeypatch):
     assert path.read_bytes() == want.encode()
 
 
+def test_an_svg_plot_is_written_in_batches(tmp_path, monkeypatch):
+    # the picture is streamed as a JSON report is, _BATCH chunks per
+    # write: a header, a chunk per rectangle or label, the title and the
+    # closing tag; the digest pins its bytes
+    argv = ["plot", "catalog:example22-torus", "--resolution", "32"]
+    out = CountingWriter()
+    monkeypatch.setattr(sys, "stdout", out)
+    assert cli.main(argv) == 0
+    text = out.getvalue()
+    assert hashlib.sha256(text.encode()).hexdigest() == \
+        "45576e7be5a19a04a8e888ee71f187fb9d15766603e7b69413c0b0003fa50281"
+    chunks = text.count("<rect") + text.count("<text ") + 2
+    assert chunks > cli._BATCH
+    assert out.writes == -(-chunks // cli._BATCH)
+    path = tmp_path / "plot.svg"
+    assert cli.main(argv + ["--out", str(path)]) == 0
+    assert path.read_bytes() == text.encode()
+
+
 def test_analyze_error_exits(capsys):
     assert cli.main(["analyze", "capped-annulus"]) == 1
     assert "error[not-isolated]" in capsys.readouterr().err

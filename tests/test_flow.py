@@ -156,10 +156,11 @@ def small_complexes():
 
 
 @st.composite
-def small_flows(draw):
-    """Local flows on small complexes. Few successors per cell give chains
-    of recurrent components joined by transient cells, and self loops."""
-    cx = draw(st.sampled_from(small_complexes()))
+def small_flows(draw, complexes=None):
+    """Local flows on small complexes, by default small_complexes(). Few
+    successors per cell give chains of recurrent components joined by
+    transient cells, and self loops."""
+    cx = draw(st.sampled_from(complexes or small_complexes()))
     succ = {c: draw(st.lists(st.sampled_from(sorted(cx.star_tops({c}))),
                              min_size=1, max_size=3))
             for c in cx.top_cells()}
