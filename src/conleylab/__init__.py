@@ -21,7 +21,8 @@ _EXPORTS = {
     "blocks": ("BlockError", "IsolatingBlock", "NoBlockError", "build_block",
                "conley_euler", "section_components"),
     "catalog": ("CatalogError", "analysis", "build", "names"),
-    "complexes": ("CellComplex", "ComplexError", "ConleyError"),
+    "complexes": ("CellComplex", "ComplexError", "ConleyError",
+                  "named_space"),
     "constructions": ("ConstructionError",),
     "flow": ("CombinatorialFlow", "FlowError", "LimitEnclosure", "rest_flow"),
     "theorems": ("CheckResult", "TheoremError", "check_ids", "run"),

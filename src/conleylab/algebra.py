@@ -326,8 +326,8 @@ def max_null_system(form, ring="z2"):
 
 def suspension_pair_homology(x, ring="z"):
     """H_k(X x I, X x ends): should equal H_{k-1}(X) with torsion."""
-    from . import complexes as cxm
-    prod = cxm.product(x, cxm.interval(2))
+    from . import spaces
+    prod = spaces.product(x, spaces.interval(2))
     ends = set()
     for c in x.cells:
         ends.add(c + "&v:0")

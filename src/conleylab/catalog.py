@@ -22,9 +22,9 @@ with code unreadable-input and the file's path.
 import os
 
 from . import constructions as cons
-from .complexes import (ComplexError, ConleyError, mapping_torus,
-                        named_space, point)
+from .complexes import ComplexError, ConleyError, named_space
 from .flow import FlowError, load_file, rest_flow
+from .spaces import mapping_torus, point
 
 
 class CatalogError(ConleyError):

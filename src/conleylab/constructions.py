@@ -11,8 +11,9 @@ are the two components of the top cells at the circle's vertices, cut along
 the cycle and along every face that misses the circle.
 """
 
-from .complexes import ConleyError, annulus, disc, quotient, sphere
+from .complexes import ConleyError
 from .flow import CombinatorialFlow
+from .spaces import annulus, disc, quotient, sphere
 
 
 class ConstructionError(ConleyError):

@@ -23,10 +23,11 @@ One-rings of top cells are symmetric (a is in the one-ring of b exactly
 when b is in that of a), so the top cells whose one-ring meets a region are
 the union of the region's one-rings: the complex's closed star,
 `cx.star_tops`, in place of a test per cell or per pair. It goes through
-vertices: the region's vertex supports, then the top cells at each of those
-vertices. `one_ring(c)` is the same query on {c}, computed on each call and
-never stored. Locality of F is tested on vertex supports too, so a rest
-flow builds no one-ring.
+supports: the cells with an empty boundary in the region's closure (its
+vertices, in a complex that is not degenerate), then the top cells at each
+of those. `one_ring(c)` is the same query on {c}, computed on each call and
+never stored. Locality of F is tested on supports too, so a rest flow
+builds no one-ring.
 
 A flow knows nothing of how it was built. A catalog flow carries its
 `recipe` ({name, resolution}) in `meta` and in its JSON as provenance only;
@@ -80,8 +81,8 @@ class CombinatorialFlow:
             if c not in successors or not successors[c]:
                 raise FlowError("not-total", "cell %s has no successor" % c)
             out = tuple(sorted(set(successors[c])))
-            # c's vertex support as a set, made on its first edge to another
-            # cell, so a rest flow builds no vertex supports
+            # c's support as a set, made on its first edge to another cell,
+            # so a rest flow builds no supports
             near = None
             for d in out:
                 if d not in topset:
@@ -89,7 +90,7 @@ class CombinatorialFlow:
                                     "%s -> %s is not a top cell" % (c, d))
                 if d == c:
                     continue
-                # d in one_ring(c), tested on vertex supports without the ring
+                # d in one_ring(c), tested on supports without the ring
                 if near is None:
                     near = set(vertices_of(c))
                 if near.isdisjoint(vertices_of(d)):

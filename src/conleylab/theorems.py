@@ -17,7 +17,8 @@ once. A catalog file that cannot be read is skipped with a note naming it.
 import itertools
 from functools import cached_property
 
-from . import algebra, attractor, blocks, catalog, complexes, constructions
+from . import (algebra, attractor, blocks, catalog, complexes, constructions,
+               spaces)
 
 NOEXT = "NoExternalExplosions"
 
@@ -302,18 +303,18 @@ def obstruction_report(cx, ring="z2"):
 def _check_obstruction(res, population):
     # cup products on H^1 bound the homoclinic count before any flow is
     # chosen. Spaces with a zero bound admit no such attractor at all.
-    torus = complexes.torus(6, 6)
+    torus = spaces.torus(6, 6)
     genus2 = catalog.build("hypersurface-genus2", None, population.built)
-    spaces = [
-        ("sphere", complexes.sphere(2, 6), "z2", 0),
-        ("projective plane", complexes.rp2(), "z2", 0),
+    cases = [
+        ("sphere", spaces.sphere(2, 6), "z2", 0),
+        ("projective plane", spaces.rp2(), "z2", 0),
         ("torus", torus, "z", 1),
         ("torus", torus, "z2", 1),
-        ("klein bottle", complexes.klein(6, 6), "z2", 1),
-        ("three-torus", complexes.t3(3), "z", 1),
+        ("klein bottle", spaces.klein(6, 6), "z2", 1),
+        ("three-torus", spaces.t3(3), "z", 1),
         ("genus two surface", genus2["flow"].cx, "z2", 2),
     ]
-    for label, cx, ring, want in spaces:
+    for label, cx, ring, want in cases:
         rec = obstruction_report(cx, ring)
         res.case(rec["r_max"] == want,
                  "%s over %s: %s" % (label, ring, rec["verdict"]))
@@ -383,7 +384,7 @@ def _check_thm59(res, population):
         ok = rep.classification == NOEXT and f.unstable and rep.r >= 1
         res.case(ok, "%s: %s, r = %d, s = %d"
                  % (f.name, rep.classification, rep.r, rep.s))
-    sp = complexes.sphere(4, 8)
+    sp = spaces.sphere(4, 8)
     z = {"eh:2,%d" % l for l in range(8)}
     try:
         constructions.hypersurface_flow(sp, z, name="sphere-band")
@@ -470,8 +471,8 @@ def _check_lemma71(res, population):
 def _check_lemma72(res, population):
     # product with an interval relative to its ends shifts homology up one
     # degree, torsion included.
-    for x, ring in ((complexes.point(), "z"), (complexes.circle(8), "z"),
-                    (complexes.torus(4, 4), "z"), (complexes.rp2(), "z")):
+    for x, ring in ((spaces.point(), "z"), (spaces.circle(8), "z"),
+                    (spaces.torus(4, 4), "z"), (spaces.rp2(), "z")):
         pair, base = algebra.suspension_pair_homology(x, ring=ring)
         ok = pair[0]["rank"] == 0 and not pair[0]["torsion"]
         for k in range(1, len(pair)):

@@ -100,7 +100,7 @@ def test_criterion_05_first_cohomology_and_chi():
 
 
 def test_criterion_06_obstruction_report():
-    from conleylab.complexes import rp2, sphere, torus
+    from conleylab.spaces import rp2, sphere, torus
     zero = theorems.NO_UNSTABLE
     rec = theorems.obstruction_report(sphere(2, 6), "z2")
     assert rec["r_max"] == 0 and rec["verdict"] == zero
@@ -142,7 +142,7 @@ def test_criterion_08_conley_euler_on_surface_blocks():
 
 
 def test_criterion_09_duality_suites():
-    from conleylab.complexes import circle, point, torus
+    from conleylab.spaces import circle, point, torus
     # block duality over z2 on every regular surface block
     regular_blocks = 0
     for entry, rep in _population():

@@ -7,7 +7,7 @@ from random import Random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conleylab import algebra, catalog, complexes as cxm
+from conleylab import algebra, catalog, complexes as cxm, spaces as spm
 from test_flow import shared_entry
 
 
@@ -289,25 +289,25 @@ def ranks(hom):
 
 
 def test_homology_pinned_spaces():
-    assert ranks(algebra.homology(cxm.circle(6))) == [1, 1]
-    assert ranks(algebra.homology(cxm.sphere(3, 6))) == [1, 0, 1]
-    assert ranks(algebra.homology(cxm.torus(4, 4))) == [1, 2, 1]
+    assert ranks(algebra.homology(spm.circle(6))) == [1, 1]
+    assert ranks(algebra.homology(spm.sphere(3, 6))) == [1, 0, 1]
+    assert ranks(algebra.homology(spm.torus(4, 4))) == [1, 2, 1]
 
-    k = algebra.homology(cxm.klein(4, 4))
+    k = algebra.homology(spm.klein(4, 4))
     assert ranks(k) == [1, 1, 0]
     assert k[1]["torsion"] == [2]
-    assert ranks(algebra.homology(cxm.klein(4, 4), ring="z2")) == [1, 2, 1]
+    assert ranks(algebra.homology(spm.klein(4, 4), ring="z2")) == [1, 2, 1]
 
-    r = algebra.homology(cxm.rp2())
+    r = algebra.homology(spm.rp2())
     assert ranks(r) == [1, 0, 0]
     assert r[1]["torsion"] == [2]
-    assert ranks(algebra.homology(cxm.rp2(), ring="z2")) == [1, 1, 1]
+    assert ranks(algebra.homology(spm.rp2(), ring="z2")) == [1, 1, 1]
 
-    assert ranks(algebra.homology(cxm.t3(3))) == [1, 3, 3, 1]
+    assert ranks(algebra.homology(spm.t3(3))) == [1, 3, 3, 1]
 
 
 def test_relative_disc_mod_boundary():
-    d = cxm.disc(2, 6)
+    d = spm.disc(2, 6)
     free = {e for e in d.cells_of_dim(1) if len(d.top_cofaces(e)) == 1}
     rim = d.closure(free)
     p = algebra.poincare_polynomial(d, rel=rim, ring="z")
@@ -317,18 +317,18 @@ def test_relative_disc_mod_boundary():
 
 
 def test_cohomology_ranks():
-    assert algebra.cohomology_ranks(cxm.torus(4, 4)) == [1, 2, 1]
+    assert algebra.cohomology_ranks(spm.torus(4, 4)) == [1, 2, 1]
     # integral cohomology of the Klein bottle loses the torsion rank
-    assert algebra.cohomology_ranks(cxm.klein(4, 4)) == [1, 1, 0]
-    assert algebra.cohomology_ranks(cxm.klein(4, 4), ring="z2") == [1, 2, 1]
+    assert algebra.cohomology_ranks(spm.klein(4, 4)) == [1, 1, 0]
+    assert algebra.cohomology_ranks(spm.klein(4, 4), ring="z2") == [1, 2, 1]
     # universal coefficients: free ranks agree both ways over z
-    for cx in (cxm.sphere(3, 6), cxm.torus(4, 4), cxm.rp2(), cxm.t3(3)):
+    for cx in (spm.sphere(3, 6), spm.torus(4, 4), spm.rp2(), spm.t3(3)):
         assert algebra.cohomology_ranks(cx) == ranks(algebra.homology(cx))
 
 
 def test_euler_matches_polynomial_at_minus_one():
-    for cx in (cxm.torus(4, 4), cxm.sphere(3, 6), cxm.klein(4, 4),
-               cxm.rp2(), cxm.t3(3)):
+    for cx in (spm.torus(4, 4), spm.sphere(3, 6), spm.klein(4, 4),
+               spm.rp2(), spm.t3(3)):
         p = algebra.poincare_polynomial(cx, ring="z2")
         assert sum(v * (-1) ** k for k, v in p.items()) == cx.euler()
 
@@ -524,21 +524,21 @@ def test_gf2_rank():
 
 
 def test_cup_forms_and_max_null_system():
-    genus2 = cxm.connected_sum(cxm.torus(4, 4), cxm.torus(4, 4),
+    genus2 = spm.connected_sum(spm.torus(4, 4), spm.torus(4, 4),
                                "e:2@e2", "e:2@e2")
     cases = [
-        (cxm.sphere(3, 6), 0),
-        (cxm.rp2(), 0),
-        (cxm.torus(4, 4), 1),
+        (spm.sphere(3, 6), 0),
+        (spm.rp2(), 0),
+        (spm.torus(4, 4), 1),
         (genus2, 2),
     ]
     for cx, want in cases:
         form = algebra.cup_form_h1(cx)
         assert algebra.max_null_system(form) == want, cx.name
-    assert algebra.cup_form_h1(cxm.torus(4, 4)) == [[0, 1], [1, 0]]
-    assert algebra.cup_form_h1(cxm.rp2()) == [[1]]
+    assert algebra.cup_form_h1(spm.torus(4, 4)) == [[0, 1], [1, 0]]
+    assert algebra.cup_form_h1(spm.rp2()) == [[1]]
     # t3 carries an exterior-algebra presentation
-    assert algebra.cup_form_h1(cxm.t3(3)) == ("exterior", 3)
+    assert algebra.cup_form_h1(spm.t3(3)) == ("exterior", 3)
     assert algebra.max_null_system(("exterior", 3)) == 1
 
 
@@ -621,18 +621,18 @@ def test_max_null_system_matches_search_on_skew_z_forms(m):
 
 def test_algebra_errors():
     with pytest.raises(algebra.AlgebraError) as ei:
-        algebra.homology(cxm.torus(4, 4), ring="q")
+        algebra.homology(spm.torus(4, 4), ring="q")
     assert ei.value.code == "unsupported-ring"
     with pytest.raises(algebra.AlgebraError) as ei:
-        algebra.cup_form_h1(cxm.circle(6))
+        algebra.cup_form_h1(spm.circle(6))
     assert ei.value.code == "unsupported-space"
 
 
 def test_suspension_pair_homology():
-    pair, base = algebra.suspension_pair_homology(cxm.circle(6))
+    pair, base = algebra.suspension_pair_homology(spm.circle(6))
     assert ranks(pair) == [0, 1, 1]
     assert ranks(base) == [1, 1]
-    pair, base = algebra.suspension_pair_homology(cxm.rp2())
+    pair, base = algebra.suspension_pair_homology(spm.rp2())
     assert [h["torsion"] for h in pair] == [[], [], [2], []]
 
 

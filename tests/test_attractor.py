@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conleylab import (algebra, attractor, blocks, catalog, complexes as cxm,
-                       flow as flm)
+                       flow as flm, spaces as spm)
 from test_flow import (eventual_image, image_cycle, iterated_image,
                        shared_entry, small_flows, trim_loop)
 
@@ -80,7 +80,7 @@ def components_by_cofaces(flow, basin_cells, k, khat):
 
 
 def hug_flow():
-    c = cxm.circle(6)
+    c = spm.circle(6)
     succ = {"e:0": ["e:0"], "e:1": ["e:2"], "e:2": ["e:3"],
             "e:3": ["e:4"], "e:4": ["e:5"], "e:5": ["e:4"]}
     return flm.CombinatorialFlow(c, succ, name="hug")
@@ -112,7 +112,7 @@ def two_cycle_flow():
     for cyc in (TWO_CYCLE, THREE_CYCLE):
         for a, b in zip(cyc, cyc[1:] + cyc[:1]):
             succ[a] = [b]
-    return flm.CombinatorialFlow(cxm.torus(6), succ, name="two-cycles")
+    return flm.CombinatorialFlow(spm.torus(6), succ, name="two-cycles")
 
 
 def oracle_cases():
@@ -178,7 +178,7 @@ def test_not_isolated_candidate_rejected():
     with pytest.raises(attractor.NotIsolatedError) as ei:
         catalog.analysis(catalog.build("capped-annulus"))
     assert ei.value.code == "not-isolated"
-    f = flm.rest_flow(cxm.circle(6))
+    f = flm.rest_flow(spm.circle(6))
     with pytest.raises(attractor.NotIsolatedError):
         attractor.analyze(f, {"v:0"})    # not a top cell
 
@@ -284,11 +284,11 @@ def test_analyze_on_a_loaded_file_builds_no_coface_index_or_rings():
         attractor.analyze(loaded, k)
         cx = loaded.cx
         assert "_top_cofaces" not in cx.__dict__, f.name
-        # the analysis adds the vertex supports and the vertex stars to the
+        # the analysis adds the supports and the base-cell stars to the
         # complex and nothing else: no ring is stored per cell
         fresh = flm.CombinatorialFlow.from_json(body).cx
         assert set(vars(cx)) - set(vars(fresh)) <= \
-            {"_verts", "_vert_tops", "_bare_tops"}, f.name
+            {"_verts", "_vert_tops"}, f.name
 
 
 def test_analyze_computes_the_collar_and_isolation_once(monkeypatch):

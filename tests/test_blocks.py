@@ -1,7 +1,8 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conleylab import algebra, blocks, complexes as cxm, flow as flm
+from conleylab import (algebra, blocks, complexes as cxm, flow as flm,
+                       spaces as spm)
 from test_flow import catalog_flows, shared_entry, small_flows, trim_loop
 
 
@@ -107,7 +108,7 @@ def test_genus2_blocks():
 def test_no_block_when_neighbors_never_leave():
     # a rest point next to other rest points: every neighborhood keeps
     # extra invariant cells, so no isolating block exists
-    f = flm.rest_flow(cxm.circle(6))
+    f = flm.rest_flow(spm.circle(6))
     with pytest.raises(blocks.NoBlockError) as ei:
         blocks.build_block(f, {"e:0"})
     assert ei.value.code == "no-block"

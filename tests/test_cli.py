@@ -15,7 +15,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import conleylab
-from conleylab import attractor, catalog, cli, complexes as cxm, flow as flm
+from conleylab import (attractor, catalog, cli, complexes as cxm, flow as flm,
+                       spaces as spm)
 from test_algebra import LOOP_D2, determinantal_invariants, loop_complex
 
 
@@ -126,7 +127,7 @@ def test_malformed_flow_file_exits(tmp_path, capsys):
 
 
 def test_malformed_complex_file_exits(tmp_path, capsys):
-    body = flm.rest_flow(cxm.sphere(3, 6)).to_json()
+    body = flm.rest_flow(spm.sphere(3, 6)).to_json()
     top = min(body["successors"])
     vertex = min(c for c, d in body["complex"]["cells"] if d == 0)
 
@@ -165,7 +166,7 @@ def test_malformed_complex_file_exits(tmp_path, capsys):
 def test_malformed_complex_shapes_exit(tmp_path, capsys):
     # the loader hands the file's lists to the constructor, so a mapping or
     # a wrong-sized pair must not pass through dict() as if it were pairs
-    body = flm.rest_flow(cxm.sphere(3, 6)).to_json()
+    body = flm.rest_flow(spm.sphere(3, 6)).to_json()
     top = min(body["successors"])
 
     def mapping_boundary(cx):
@@ -218,7 +219,7 @@ def test_malformed_complex_shapes_exit(tmp_path, capsys):
 
 def test_malformed_k_exits(tmp_path, capsys):
     # k must be a list of cell ids; any other shape is unreadable input
-    body = flm.rest_flow(cxm.sphere(3, 6)).to_json()
+    body = flm.rest_flow(spm.sphere(3, 6)).to_json()
     for i, k in enumerate((5, [1, "cap:s"], [["cap:s"]])):
         path = tmp_path / ("k%d.json" % i)
         path.write_text(json.dumps(dict(body, k=k)))
@@ -234,7 +235,7 @@ def test_malformed_k_exits(tmp_path, capsys):
 
 def test_k_outside_the_top_cells_exits(tmp_path, capsys):
     # homology checks k as analyze does, instead of looking the id up
-    body = flm.rest_flow(cxm.sphere(3, 6)).to_json()
+    body = flm.rest_flow(spm.sphere(3, 6)).to_json()
     # with several such ids, both name the least, whatever the hash seed
     for k in (["nowhere"], ["zzz", "nowhere", "xyz"]):
         path = tmp_path / "k.json"
@@ -263,7 +264,7 @@ def test_an_out_of_range_dimension_is_refused(tmp_path, command, dim, message):
 
 
 def assert_field_refused(tmp_path, capsys, field, value, message):
-    body = flm.rest_flow(cxm.sphere(3, 6)).to_json()
+    body = flm.rest_flow(spm.sphere(3, 6)).to_json()
     if field == "successors":
         top = min(body["successors"])
         body["successors"][top] = value
@@ -568,13 +569,13 @@ def test_a_huge_resolution_is_refused(capsys, argv):
     ("genus2", "sum(torus(100000,100000),torus(100000,100000))")])
 def test_a_refused_grid_builds_no_fiber(capsys, monkeypatch, name, refused):
     built = []
-    real_circle = cxm.circle
+    real_circle = spm.circle
 
     def circle(n):
         built.append(n)
         return real_circle(n)
 
-    monkeypatch.setattr(cxm, "circle", circle)
+    monkeypatch.setattr(spm, "circle", circle)
     assert cli.main(["homology", name, "--resolution", str(10 ** 5)]) == 1
     assert built == []
     assert capsys.readouterr().err.startswith(
@@ -583,7 +584,7 @@ def test_a_refused_grid_builds_no_fiber(capsys, monkeypatch, name, refused):
 
 def test_genus2_is_refused_before_its_torus(capsys, monkeypatch):
     # torus(257, 257) is within the limit, and the sum of two is not
-    monkeypatch.setattr(cxm, "torus", None)
+    monkeypatch.setattr(spm, "torus", None)
     assert cli.main(["homology", "genus2", "--resolution", "257"]) == 1
     assert capsys.readouterr().err == (
         "error[too-large]: sum(torus(257,257),torus(257,257)) would have "
@@ -649,7 +650,7 @@ def test_external_catalog_env(tmp_path, monkeypatch, capsys):
 
 def hug_file(tmp_path, **extra):
     """A hand-built flow on circle(6) whose candidate analyzes as Unknown."""
-    c = cxm.circle(6)
+    c = spm.circle(6)
     succ = {"e:0": ["e:0"], "e:1": ["e:2"], "e:2": ["e:3"],
             "e:3": ["e:4"], "e:4": ["e:5"], "e:5": ["e:4"]}
     body = flm.CombinatorialFlow(c, succ, name="hug").to_json()
@@ -753,24 +754,38 @@ def test_cli_loads_only_the_layers_its_command_runs(tmp_path):
     # a file with no candidate fails without compiling the catalog
     nok = tmp_path / "nok.json"
     nok.write_text(json.dumps(entry["flow"].to_json()))
+    # the modules loaded, then the builders any of them defines
     script = ("import sys\n"
               "from conleylab import cli\n"
               "rc = cli.main(sys.argv[1:])\n"
-              "print(' '.join(m for m in sys.modules"
-              " if m.startswith('conleylab.')))\n"
+              "mods = [m for m in sys.modules if m.startswith('conleylab.')]\n"
+              "print(' '.join(mods))\n"
+              "print(' '.join(b for b in ('torus', 'mapping_torus',"
+              " 'connected_sum') for m in mods"
+              " if hasattr(sys.modules[m], b)))\n"
               "sys.exit(rc)\n")
     out = str(tmp_path / "out.json")
-    for args, layer, rc in (
-            (["analyze", str(path)], "attractor", 0),
-            (["analyze", str(nok)], "attractor", 1),
-            (["homology", str(path), "--ring", "z2"], "algebra", 0)):
+
+    def run(args, rc):
         proc = subprocess.run(
             [sys.executable, "-c", script] + args
             + ["--format", "json", "--out", out],
             capture_output=True, text=True, env=src_env(), timeout=60)
         assert proc.returncode == rc, proc.stderr
-        loaded = {m[len("conleylab."):] for m in proc.stdout.split()}
+        mods, builders = proc.stdout.split("\n")[:2]
+        return {m[len("conleylab."):] for m in mods.split()}, builders
+
+    for args, layer, rc in (
+            (["analyze", str(path)], "attractor", 0),
+            (["analyze", str(nok)], "attractor", 1),
+            (["homology", str(path), "--ring", "z2"], "algebra", 0),
+            (["homology", str(path)], "algebra", 0)):
+        loaded, builders = run(args, rc)
         assert loaded == {"cli", "complexes", "flow", layer}, args
+        # a file command compiles no builder
+        assert builders == "", args
+    loaded, builders = run(["homology", "torus", "--resolution", "4"], 0)
+    assert "spaces" in loaded and "torus" in builders.split()
 
 
 def test_public_names_resolve_on_first_use():

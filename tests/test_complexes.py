@@ -5,7 +5,7 @@ from collections import defaultdict
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conleylab import catalog, complexes as cxm, flow as flm
+from conleylab import catalog, complexes as cxm, flow as flm, spaces as spm
 
 NAMED_SPACES = ("torus", "klein", "genus2", "sphere", "rp2", "annulus",
                 "s2xs1", "s2xts1", "t3")
@@ -32,14 +32,15 @@ def eager_cofaces(cx):
 
 
 def eager_indexes(cx):
-    """Top cofaces and vertex supports of every cell, built from the
-    boundary table alone, lowest dimension first."""
+    """Top cofaces and supports of every cell, built from the boundary
+    table alone, lowest dimension first. The support of a cell is the set
+    of cells with an empty boundary in its closure."""
     top_cofaces = {f: [c for c in cof if cx.cells[c] == cx.top_dim]
                    for f, cof in eager_cofaces(cx).items()}
     verts = {}
     for c in sorted(cx.cells, key=cx.cells.__getitem__):
-        verts[c] = (frozenset([c]) if cx.cells[c] == 0 else
-                    frozenset().union(*(verts[f] for f in cx.boundary[c])))
+        verts[c] = (frozenset().union(*(verts[f] for f in cx.boundary[c]))
+                    or frozenset([c]))
     return top_cofaces, verts
 
 
@@ -61,7 +62,7 @@ def test_lazy_indexes_match_eager_rebuild():
             name
     # a 1-dimensional flow, whose top cells are edges, asks for the
     # supports of edges as it checks locality
-    circ = cxm.circle(6)
+    circ = spm.circle(6)
     line = flm.CombinatorialFlow(
         cxm.CellComplex.from_json(circ.to_json()),
         {e: sorted(circ.star_tops({e})) for e in circ.top_cells()})
@@ -112,6 +113,28 @@ def star_tops_by_rings(cx, cellset):
 
 
 @functools.lru_cache(maxsize=None)
+def top_closures(cx):
+    return {t: cx.closure((t,)) for t in cx.top_cells()}
+
+
+def star_tops_by_closure_meet(cx, cellset):
+    """The closed star by its definition, from `closure` alone: the top
+    cells t with closure({t}) meeting closure(cellset). Unlike the oracles
+    above, it goes through no support."""
+    cl = cx.closure(cellset)
+    return {t for t, ct in top_closures(cx).items() if not cl.isdisjoint(ct)}
+
+
+def degenerate_complexes():
+    """Accepted complexes in which a closure holds no vertex: a sphere as a
+    vertex and a disc, and two discs on an edge whose ends cancel, so that
+    their closures meet only in that edge."""
+    return [cxm.CellComplex("s2-min", {"v": 0, "f": 2}, {}),
+            cxm.CellComplex("loop-edge", {"v": 0, "e": 1, "f1": 2, "f2": 2},
+                            {"f1": {"e": 1}, "f2": {"e": -1}})]
+
+
+@functools.lru_cache(maxsize=None)
 def named(name):
     return cxm.named_space(name)
 
@@ -126,13 +149,31 @@ def test_star_tops_matches_closure_walk(data):
                                min_size=1, max_size=6))
     assert cx.star_tops(s) == star_tops_by_closure(cx, s), cx.name
     assert cx.star_tops(s) == star_tops_by_rings(cx, s), cx.name
+    assert cx.star_tops(s) == star_tops_by_closure_meet(cx, s), cx.name
+
+
+def test_star_tops_matches_the_closure_definition_at_every_cell():
+    for cx in [named(n) for n in NAMED_SPACES] + degenerate_complexes():
+        for c in sorted(cx.cells):
+            assert cx.star_tops((c,)) == star_tops_by_closure_meet(cx, (c,)), \
+                (cx.name, c)
+
+
+def test_star_tops_joins_top_cells_through_a_face_without_vertices():
+    cx = degenerate_complexes()[1]
+    assert support(cx, "e") == support(cx, "f1") == {"e"}
+    assert cx.star_tops(("f1",)) == cx.star_tops(("e",)) == {"f1", "f2"}
+    assert cx.star_tops(("v",)) == set()
+    # the flow's locality check takes the same stars
+    fl = flm.CombinatorialFlow(cx, {"f1": ["f2"], "f2": ["f2"]})
+    assert fl.one_ring("f1") == {"f1", "f2"}
 
 
 def test_star_tops_keeps_a_top_cell_without_vertices():
     # a sphere as one vertex and one 2-cell: the 2-cell's closure holds no
-    # vertex, so no vertex star lists it, but its own star does
+    # vertex, so no vertex star lists it, but it is its own support
     cx = cxm.CellComplex("s2-min", {"v": 0, "f": 2}, {})
-    assert support(cx, "f") == set()
+    assert support(cx, "f") == {"f"}
     for s in ({"f"}, {"v", "f"}):
         assert cx.star_tops(s) == star_tops_by_rings(cx, s) == {"f"}
     assert cx.star_tops({"v"}) == star_tops_by_rings(cx, {"v"}) == set()
@@ -270,37 +311,37 @@ def test_one_sweep_validation_matches_two_passes(data):
 
 
 def test_builder_counts_and_euler():
-    t = cxm.torus(4, 4)
+    t = spm.torus(4, 4)
     assert len(t.cells) == 64 and t.euler() == 0
     assert t.is_closed_surface() and t.is_orientable()
 
-    s = cxm.sphere(4, 8)
+    s = spm.sphere(4, 8)
     assert s.euler() == 2 and s.is_orientable()
 
-    k = cxm.klein(4, 4)
+    k = spm.klein(4, 4)
     assert k.euler() == 0 and k.is_closed_surface() and not k.is_orientable()
 
-    r = cxm.rp2()
+    r = spm.rp2()
     assert r.euler() == 1 and not r.is_orientable()
 
-    c = cxm.circle(6)
+    c = spm.circle(6)
     assert len(c.cells) == 12 and c.euler() == 0 and c.top_dim == 1
 
-    assert cxm.interval(3).euler() == 1
-    assert cxm.disc(2, 6).euler() == 1
-    assert cxm.t3(3).euler() == 0 and cxm.t3(3).top_dim == 3
+    assert spm.interval(3).euler() == 1
+    assert spm.disc(2, 6).euler() == 1
+    assert spm.t3(3).euler() == 0 and spm.t3(3).top_dim == 3
 
 
 def test_boundary_squares_to_zero():
-    for cx in (cxm.torus(4, 4), cxm.sphere(3, 6), cxm.klein(4, 4),
-               cxm.rp2(), cxm.t3(3),
-               cxm.connected_sum(cxm.torus(4, 4), cxm.torus(4, 4),
+    for cx in (spm.torus(4, 4), spm.sphere(3, 6), spm.klein(4, 4),
+               spm.rp2(), spm.t3(3),
+               spm.connected_sum(spm.torus(4, 4), spm.torus(4, 4),
                                  "e:2@e2", "e:2@e2")):
         assert ddzero(cx), cx.name
 
 
 def test_closure_and_cofaces():
-    t = cxm.torus(4, 4)
+    t = spm.torus(4, 4)
     sq = sorted(t.top_cells())[0]
     cl = t.closure({sq})
     assert len(cl) == 9           # square, 4 edges, 4 vertices
@@ -310,7 +351,7 @@ def test_closure_and_cofaces():
 
 
 def test_subcomplex_of_closed_square():
-    t = cxm.torus(4, 4)
+    t = spm.torus(4, 4)
     sq = sorted(t.top_cells())[0]
     sub = t.subcomplex(t.closure({sq}))
     assert len(sub.cells) == 9 and sub.euler() == 1
@@ -320,7 +361,7 @@ def test_subcomplex_of_closed_square():
 
 
 def test_annulus_two_boundary_circles():
-    a = cxm.annulus(3, 8)
+    a = spm.annulus(3, 8)
     assert a.euler() == 0 and not a.is_closed_manifold()
     free = [e for e in a.cells_of_dim(1) if len(a.top_cofaces(e)) == 1]
     assert len(free) == 16
@@ -345,22 +386,22 @@ def test_annulus_two_boundary_circles():
 
 
 def test_product_torus():
-    p = cxm.product(cxm.circle(4), cxm.circle(6))
+    p = spm.product(spm.circle(4), spm.circle(6))
     assert p.top_dim == 2 and p.euler() == 0
     assert p.is_closed_manifold() and ddzero(p)
 
 
 def test_connected_sum_genus_two():
-    g = cxm.connected_sum(cxm.torus(4, 4), cxm.torus(4, 4),
+    g = spm.connected_sum(spm.torus(4, 4), spm.torus(4, 4),
                           "e:2@e2", "e:2@e2")
     assert g.euler() == -2
     assert g.is_closed_surface() and g.is_orientable()
 
 
 def test_connected_sum_refuses_a_non_orientable_or_open_input():
-    for a, cell in ((cxm.klein(4, 4), "e:2@e2"), (cxm.annulus(3, 4), "e:1&e:2")):
+    for a, cell in ((spm.klein(4, 4), "e:2@e2"), (spm.annulus(3, 4), "e:1&e:2")):
         with pytest.raises(cxm.ComplexError, match="not an orientable surface"):
-            cxm.connected_sum(a, cxm.torus(4, 4), cell, "e:2@e2")
+            spm.connected_sum(a, spm.torus(4, 4), cell, "e:2@e2")
 
 
 @pytest.mark.parametrize("hole, why", [
@@ -369,19 +410,19 @@ def test_connected_sum_refuses_a_non_orientable_or_open_input():
 def test_connected_sum_refuses_a_hole_that_is_no_two_cell(hole, why):
     for holes in ((hole, "e:2@e2"), ("e:2@e2", hole)):
         with pytest.raises(cxm.ComplexError) as ei:
-            cxm.connected_sum(cxm.torus(4, 4), cxm.torus(4, 4), *holes)
+            spm.connected_sum(spm.torus(4, 4), spm.torus(4, 4), *holes)
         assert str(ei.value) == why
 
 
 # each allocating builder with the cell count its arguments imply
 SIZED_BUILDERS = [
-    (lambda: cxm.interval(5), 11),
-    (lambda: cxm.circle(7), 14),
-    (lambda: cxm.sphere(3, 5), 72),
-    (lambda: cxm.disc(3, 5), 51),
-    (lambda: cxm.product(cxm.circle(3), cxm.circle(4)), 48),
-    (lambda: cxm.mapping_torus(cxm.circle(3), None, 4), 48),
-    (lambda: cxm.genus2(4), 118),
+    (lambda: spm.interval(5), 11),
+    (lambda: spm.circle(7), 14),
+    (lambda: spm.sphere(3, 5), 72),
+    (lambda: spm.disc(3, 5), 51),
+    (lambda: spm.product(spm.circle(3), spm.circle(4)), 48),
+    (lambda: spm.mapping_torus(spm.circle(3), None, 4), 48),
+    (lambda: spm.genus2(4), 118),
 ]
 
 
@@ -409,24 +450,24 @@ def test_named_spaces_refuse_a_huge_resolution():
 
 def test_the_largest_measured_grid_is_within_the_limit():
     # torus(160, 160) is two copies of circle(160) per band, 160 bands
-    assert 5 * 2 * 160 * len(cxm.circle(160).cells) <= cxm.MAX_CELLS
+    assert 5 * 2 * 160 * len(spm.circle(160).cells) <= cxm.MAX_CELLS
 
 
 def test_mapping_torus_of_point_is_circle():
-    pt = cxm.point()
-    mt = cxm.mapping_torus(pt, None, 8)
+    pt = spm.point()
+    mt = spm.mapping_torus(pt, None, 8)
     assert mt.top_dim == 1 and mt.euler() == 0 and len(mt.cells) == 16
 
 
 def test_quotient_contradiction():
-    c = cxm.circle(4)
+    c = spm.circle(4)
     with pytest.raises(cxm.ComplexError):
-        cxm.quotient("circle(4)/~", c.cells, c.boundary,
+        spm.quotient("circle(4)/~", c.cells, c.boundary,
                      [("v:0", "v:1", 1), ("v:0", "v:1", -1)])
 
 
 def test_json_round_trip():
-    t = cxm.torus(4, 4)
+    t = spm.torus(4, 4)
     d = t.to_json()
     assert sorted(d) == ["boundary", "cells", "identifications", "name"]
     t2 = cxm.CellComplex.from_json(d)
@@ -469,29 +510,29 @@ def test_unknown_boundary_cell_rejected():
 
 
 def test_glue_must_be_chain_map():
-    c = cxm.circle(4)
+    c = spm.circle(4)
     ident = {cell: cell for cell in c.cells}
     # the identity bijection glues, and to the same torus as no glue
-    assert cxm.mapping_torus(c, ident, 4).boundary == \
-        cxm.mapping_torus(c, None, 4).boundary
+    assert spm.mapping_torus(c, ident, 4).boundary == \
+        spm.mapping_torus(c, None, 4).boundary
     # swapping two vertices but no edge is a bijection, not a chain map
     bad = dict(ident, **{"v:0": "v:1", "v:1": "v:0"})
     with pytest.raises(cxm.ComplexError) as ei:
-        cxm.mapping_torus(c, bad, 4)
+        spm.mapping_torus(c, bad, 4)
     assert "del del != 0" in str(ei.value)
 
 
 @pytest.mark.parametrize("fiber, glue", [
-    (cxm.circle(6), cxm.circle_reflection(6)),
-    (cxm.sphere(3, 6), cxm.sphere_reflection(3, 6)),
+    (spm.circle(6), spm.circle_reflection(6)),
+    (spm.sphere(3, 6), spm.sphere_reflection(3, 6)),
 ], ids=["klein", "s2xts1"])
 def test_seam_del_del_covers_the_chain_map_condition(monkeypatch, fiber,
                                                      glue):
     # on the seam band sigma@e{m-1}, del del is +-(del phi - phi del)
     # (sigma)@v0, so the complex's own sweep refuses a sign table with any
     # one sign flipped
-    real = cxm.complete_map_signs
-    cxm.mapping_torus(fiber, glue, 3)       # the solved table glues
+    real = spm.complete_map_signs
+    spm.mapping_torus(fiber, glue, 3)       # the solved table glues
     for cell in sorted(fiber.cells):
         def flipped(fib, bijection):
             table = real(fib, bijection)
@@ -499,14 +540,14 @@ def test_seam_del_del_covers_the_chain_map_condition(monkeypatch, fiber,
             table[cell] = (image, -sign)
             return table
 
-        monkeypatch.setattr(cxm, "complete_map_signs", flipped)
+        monkeypatch.setattr(spm, "complete_map_signs", flipped)
         with pytest.raises(cxm.ComplexError) as ei:
-            cxm.mapping_torus(fiber, glue, 3)
+            spm.mapping_torus(fiber, glue, 3)
         assert "del del != 0" in str(ei.value), cell
 
 
 def test_reflection_glues_to_klein_bottle():
-    k = cxm.mapping_torus(cxm.circle(6), cxm.circle_reflection(6), 6)
+    k = spm.mapping_torus(spm.circle(6), spm.circle_reflection(6), 6)
     from conleylab import algebra
     hom = algebra.homology(k)
     assert [h["rank"] for h in hom] == [1, 1, 0]

@@ -1,7 +1,7 @@
 import pytest
 
 from conleylab import (attractor, catalog, complexes as cxm,
-                       constructions as cons, flow as flm)
+                       constructions as cons, flow as flm, spaces as spm)
 
 
 def circle_with_arc(m=12):
@@ -10,8 +10,8 @@ def circle_with_arc(m=12):
     The arc drains into the sink band, so its inner cell joins the basin as
     a second, uniform component while the circulation component stays
     homoclinic."""
-    pt = cxm.point()
-    base = cxm.mapping_torus(pt, None, m)
+    pt = spm.point()
+    base = spm.mapping_torus(pt, None, m)
     cells = dict(base.cells)
     bnd = {c: dict(base.boundary[c]) for c in base.cells}
     cells.update({"arc:v:0": 0, "arc:v:1": 0, "arc:e:0": 1, "arc:e:1": 1})
@@ -43,7 +43,7 @@ def embedded_annulus(rows=8, cols=12, band=(2, 5)):
     lo, hi = band
     if not (0 < lo <= hi < rows - 1):
         raise cons.ConstructionError("bad-host", "band must be interior")
-    cx = cxm.sphere(rows, cols)
+    cx = spm.sphere(rows, cols)
     succ = {"cap:n": ["cap:n"] + ["f:0,%d" % l for l in range(cols)],
             "cap:s": ["cap:s"] + ["f:%d,%d" % (rows - 1, l)
                                   for l in range(cols)]}
@@ -67,7 +67,7 @@ def embedded_annulus(rows=8, cols=12, band=(2, 5)):
 
 def test_example_general_needs_a_mapping_torus():
     with pytest.raises(cons.ConstructionError) as ei:
-        cons.example_general(cxm.sphere(3, 6))
+        cons.example_general(spm.sphere(3, 6))
     assert ei.value.code == "bad-host"
 
 
@@ -89,8 +89,8 @@ def test_circle_with_arc():
 
 def test_example_over_interval_fiber():
     # the closed-annulus phase space: same engine construction, fiber an arc
-    fiber = cxm.interval(3)
-    mt = cxm.mapping_torus(fiber, None, 12)
+    fiber = spm.interval(3)
+    mt = spm.mapping_torus(fiber, None, 12)
     flow, k = cons.example_general(mt)
     rep = attractor.analyze(flow, k)
     assert rep.classification == "NoExternalExplosions"
@@ -133,7 +133,7 @@ def test_add_uniform_component_raises_s_not_r():
 
 
 def test_hypersurface_needs_nonseparating_cycle():
-    sp = cxm.sphere(4, 8)
+    sp = spm.sphere(4, 8)
     z = ["eh:2,%d" % l for l in range(8)]
     with pytest.raises(cons.ConstructionError) as ei:
         cons.hypersurface_flow(sp, z)
@@ -142,11 +142,11 @@ def test_hypersurface_needs_nonseparating_cycle():
 
 @pytest.mark.parametrize("cx, z", [
     # the core circle of a Klein bottle has a Moebius band for its collar
-    (cxm.klein(8, 8), ["v:0@e%d" % i for i in range(8)]),
+    (spm.klein(8, 8), ["v:0@e%d" % i for i in range(8)]),
     # an arc of a torus circle: the collar wraps round its two ends
-    (cxm.torus(8, 8), ["e:%d@v6" % l for l in range(7)]),
+    (spm.torus(8, 8), ["e:%d@v6" % l for l in range(7)]),
     # a circle with a tail: the tail's two cofaces lie on one side
-    (cxm.torus(8, 8), ["e:%d@v6" % l for l in range(8)] + ["v:0@e6"]),
+    (spm.torus(8, 8), ["e:%d@v6" % l for l in range(8)] + ["v:0@e6"]),
 ])
 def test_hypersurface_needs_two_sided_cycle(cx, z):
     with pytest.raises(cons.ConstructionError) as ei:

@@ -7,7 +7,8 @@ import tempfile
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conleylab import attractor, blocks, catalog, complexes as cxm, flow as flm
+from conleylab import (attractor, blocks, catalog, complexes as cxm,
+                       flow as flm, spaces as spm)
 
 
 # -- reference implementations ---------------------------------------------------
@@ -99,7 +100,7 @@ def catalog_flows():
 
 
 def test_validation_errors():
-    c = cxm.circle(6)
+    c = spm.circle(6)
     with pytest.raises(flm.FlowError) as ei:
         flm.CombinatorialFlow(c, {})
     assert ei.value.code == "not-total"
@@ -115,7 +116,7 @@ def test_validation_errors():
 
 
 def test_rest_flow_prolongation_is_one_ring():
-    c = cxm.circle(6)
+    c = spm.circle(6)
     f = flm.rest_flow(c)
     assert set(f.fixed) == set(c.top_cells())
     for x in c.top_cells():
@@ -152,7 +153,7 @@ def test_j_enclosures_match_per_seed_images():
 
 @functools.lru_cache(maxsize=None)
 def small_complexes():
-    return [cxm.circle(3), cxm.circle(7), cxm.circle(12), cxm.torus(3, 3)]
+    return [spm.circle(3), spm.circle(7), spm.circle(12), spm.torus(3, 3)]
 
 
 @st.composite

@@ -11,7 +11,8 @@ import pytest
 from hypothesis import given, settings
 
 import conleylab
-from conleylab import catalog, complexes as cxm, flow as flm, theorems
+from conleylab import (catalog, complexes as cxm, flow as flm, spaces as spm,
+                       theorems)
 from test_flow import eventual_image, small_flows
 
 
@@ -86,7 +87,7 @@ def test_all_checks_pass():
 def test_run_builds_the_genus_two_surface_once(monkeypatch):
     # the four genus-two entries share one surface through catalog.build
     calls = []
-    real = cxm.connected_sum
+    real = spm.connected_sum
 
     def counted(*args, **kwargs):
         calls.append(args)
@@ -158,10 +159,10 @@ def test_check_result_json():
 
 def test_obstruction_report_values():
     cases = [
-        (cxm.sphere(3, 6), 0),
-        (cxm.rp2(), 0),
-        (cxm.torus(6, 6), 1),
-        (cxm.connected_sum(cxm.torus(4, 4), cxm.torus(4, 4),
+        (spm.sphere(3, 6), 0),
+        (spm.rp2(), 0),
+        (spm.torus(6, 6), 1),
+        (spm.connected_sum(spm.torus(4, 4), spm.torus(4, 4),
                            "e:2@e2", "e:2@e2"), 2),
     ]
     for cx, want in cases:
@@ -176,7 +177,7 @@ def test_obstruction_report_values():
 def test_obstruction_of_a_sum_with_a_sphere_is_the_torus_bound():
     # sphere # torus is a torus: its cup table is the torus table plus the
     # sphere's empty one, so both rings bound r by 1
-    cx = cxm.connected_sum(cxm.sphere(3, 4), cxm.torus(4, 4),
+    cx = spm.connected_sum(spm.sphere(3, 4), spm.torus(4, 4),
                            "f:1,1", "e:2@e2")
     assert cx.euler() == 0
     for ring in ("z", "z2"):
@@ -254,8 +255,8 @@ def more_complexes():
     one-vertex sphere), free faces, dimension 3 and a non-orientable
     surface."""
     return [cxm.CellComplex("s2-min", {"v": 0, "f": 2}, {}),
-            cxm.annulus(3, 4), cxm.disc(2, 5), cxm.t3(3), cxm.sphere(3, 4),
-            cxm.klein(3, 3)]
+            spm.annulus(3, 4), spm.disc(2, 5), spm.t3(3), spm.sphere(3, 4),
+            spm.klein(3, 3)]
 
 
 @settings(max_examples=150, deadline=None)
