@@ -3,16 +3,20 @@
 The transition relation F is total and local (successors stay inside the
 one-ring). P is the exact transpose. Every enclosure is computed by one graph
 kernel, each part O(cells + edges) and asked one direction at a time: `reach`
-(breadth-first reachability), Tarjan's strongly connected components and
-`trim` (a worklist that peels off the cells with no successor, or no
-predecessor, left inside a region). Limit sets are eventual images: the cells
+(breadth-first reachability), strongly connected components and `trim` (a
+worklist that peels off the cells with no successor, or no predecessor, left
+inside a region). The components come from `reach` too: one depth-first
+pass along F orders the cells by when they finish, and, latest finisher
+first, each cell not yet placed takes its backward `reach` among the cells
+not yet placed (Kosaraju-Sharir). Limit sets are eventual images: the cells
 reached by arbitrarily long paths from a seed, which is the reach of the
 recurrent part of the seed's reach.
 
-One Tarjan pass over the whole flow, kept as `_sccs`, lists its components in
-reverse topological order. It gives `recurrent_cells`, and, read forward for F
-and backward for P, every cell's own eventual image: a cell on a cycle reaches
-its image; any other cell's image is the union of its successors' images.
+One component pass over the whole flow, kept as `_sccs`, lists its
+components in reverse topological order. It gives `recurrent_cells`, and,
+read forward for F and backward for P, every cell's own eventual image: a
+cell on a cycle reaches its image; any other cell's image is the union of
+its successors' images.
 The image of a seed is the union of its cells' images, so J+(x) and J-(x)
 are unions over the one-ring of x, with no walk per cell. This is the one
 J+/J- path of the flow. Enclosures relative to a region (basin - k) are
@@ -156,8 +160,9 @@ class CombinatorialFlow:
 
     @cached_property
     def _sccs(self):
-        # the one whole-flow Tarjan pass, in reverse topological order
-        return list(self._components(None))
+        # the one whole-flow pass, reversed: each component comes after
+        # every component it reaches
+        return list(self._components(None))[::-1]
 
     @cached_property
     def _rec(self):
@@ -170,56 +175,38 @@ class CombinatorialFlow:
 
     def _components(self, within):
         """Strongly connected components of the subgraph induced on `within`
-        (the whole flow when None), by iterative Tarjan. They are yielded in
-        reverse topological order: each after every component it reaches."""
-        def outs(c):
-            if within is None:
-                return self.succ[c]
-            return tuple(d for d in self.succ[c] if d in within)
-
-        index = {}
-        low = {}
-        onstack = set()
-        stack = []
-        counter = [0]
-        order = sorted(self.tops if within is None else within)
-        for root in order:
-            if root in index:
+        (the whole flow when None), yielded as lists of cells in
+        topological order: each before every component it reaches.
+        Kosaraju-Sharir: one depth-first pass along F records the order in
+        which cells finish; then, latest finisher first, each cell not yet
+        placed takes as its component the cells not yet placed that reach
+        it."""
+        cells = self.tops if within is None else within
+        succ = self.succ
+        finished = []
+        seen = set()
+        for root in sorted(cells):
+            if root in seen:
                 continue
-            work = [(root, iter(outs(root)))]
-            index[root] = low[root] = counter[0]
-            counter[0] += 1
-            stack.append(root)
-            onstack.add(root)
+            seen.add(root)
+            work = [(root, iter(succ[root]))]
             while work:
                 node, it = work[-1]
-                advanced = False
                 for d in it:
-                    if d not in index:
-                        index[d] = low[d] = counter[0]
-                        counter[0] += 1
-                        stack.append(d)
-                        onstack.add(d)
-                        work.append((d, iter(outs(d))))
-                        advanced = True
+                    if d not in seen and d in cells:
+                        seen.add(d)
+                        work.append((d, iter(succ[d])))
                         break
-                    elif d in onstack:
-                        low[node] = min(low[node], index[d])
-                if advanced:
-                    continue
-                work.pop()
-                if work:
-                    parent = work[-1][0]
-                    low[parent] = min(low[parent], low[node])
-                if low[node] == index[node]:
-                    comp = []
-                    while True:
-                        w = stack.pop()
-                        onstack.discard(w)
-                        comp.append(w)
-                        if w == node:
-                            break
-                    yield comp
+                else:
+                    work.pop()
+                    finished.append(node)
+        # the pass visited every cell; now the set holds those not yet placed
+        left = seen
+        for c in reversed(finished):
+            if c in left:
+                comp = list(self.reach((c,), "p", left))
+                left.difference_update(comp)
+                yield comp
 
     def eventual_images(self, direction="f"):
         """{cell: eventual image of {cell}} for every top cell, from the
@@ -288,10 +275,10 @@ class CombinatorialFlow:
 
     # -- serialization --------------------------------------------------------
 
-    def to_json(self, inline_complex=True):
+    def to_json(self):
         body = {
             "schema": "1",
-            "complex": self.cx.to_json() if inline_complex else self.cx.name,
+            "complex": self.cx.to_json(),
             # each successor tuple is sorted already
             "successors": {c: list(self.succ[c]) for c in sorted(self.succ)},
             "fixed": sorted(self.fixed),
@@ -301,31 +288,31 @@ class CombinatorialFlow:
         return body
 
     @classmethod
-    def from_json(cls, data, complex_resolver=None):
+    def from_json(cls, data):
         """The flow of a JSON body, which is read and not changed: `_take`
         gets copies of the mappings it takes apart (the body and its
-        complex's boundary table), and every list stays the caller's."""
+        complex's boundary table), and every list stays the caller's. A
+        body that `load_file` would refuse is refused the same way."""
         data = dict(data)
         body = data.get("complex")
         if isinstance(body, dict) and isinstance(body.get("boundary"), dict):
             data["complex"] = dict(body, boundary=dict(body["boundary"]))
-        return cls._take(data, complex_resolver)
+        return cls._take(data)
 
     @classmethod
-    def _take(cls, data, complex_resolver=None):
-        # the flow of a body the caller hands over: the complex body is
-        # popped and its name rebound to the built complex, and
-        # CellComplex.from_json pops each boundary list as it converts it,
-        # so the parsed lists are freed before the flow allocates its tables
+    def _take(cls, data):
+        # the flow of a body the caller hands over, its fields' shapes
+        # checked first: the complex body is popped and its name rebound to
+        # the built complex, and CellComplex.from_json pops each boundary
+        # list as it converts it, so the parsed lists are freed before the
+        # flow allocates its tables
+        _check_fields(data)
         try:
             cx = data.pop("complex")
             if isinstance(cx, str):
-                if complex_resolver is None:
-                    raise FlowError("unreadable-input",
-                                    "flow references complex %r by name" % cx)
-                cx = complex_resolver(cx)
-            else:
-                cx = CellComplex.from_json(cx)
+                raise FlowError("unreadable-input",
+                                "flow references complex %r by name" % cx)
+            cx = CellComplex.from_json(cx)
             meta = {}
             if "recipe" in data:
                 meta["recipe"] = data["recipe"]
@@ -387,7 +374,6 @@ def load_file(path, name=None, error=FlowError):
     if type(data) is not dict:
         raise FlowError("unreadable-input",
                         "malformed flow data: the file is not a JSON object")
-    _check_fields(data)
     flow = CombinatorialFlow._take(data)
     k = data.get("k")
     return {"name": (name or data.get("name")

@@ -1,10 +1,16 @@
 """Machine checks for the structural results the catalog was built to witness.
 
 Every registered check recomputes both sides of one identity on the catalog
-flows meeting its hypotheses. Flows are picked out by properties of the
-complex and of the attractor report, not by name, so external catalog entries
-join the sweeps automatically. A check that matches no instance fails loudly
-rather than passing empty.
+flows meeting its hypotheses. Flows are picked out by properties, not by
+name. An external catalog entry joins the checks that select on properties
+computed from its cells and its attractor report. It does not join the five
+that select on tags of the built-in entries, since a loaded file keeps only
+its `recipe`: cor5.8 and thm5.9 read `flow.meta["family"]`, the
+open-manifold branch of prop3.2 `flow.meta["strips"]`, thm6.1
+`cx.meta["mapping_torus"]` and the per-flow bound of the obstruction check
+`cx.meta["cup"]`. A check that matches no instance fails loudly rather than
+passing empty. A flow with no isolating block within budget is noted by
+name in each check that reads the block, which goes on to the next flow.
 
 `run` hands every check one population: the catalog entries the run builds,
 one per (name, resolution), and a `FlowRecord` per catalog flow, each built
@@ -93,18 +99,13 @@ class FlowRecord:
                                            ring=self.ring)
 
     @cached_property
-    def _block(self):
+    def block(self):
+        """The isolating block around k, or None if none is found within
+        the budget."""
         try:
             return blocks.build_block(self.flow, self.entry["k"])
-        except blocks.NoBlockError as err:
-            return err
-
-    @property
-    def block(self):
-        """The isolating block around k; raises its NoBlockError if none."""
-        if isinstance(self._block, blocks.NoBlockError):
-            raise self._block
-        return self._block
+        except blocks.NoBlockError:
+            return None
 
     @cached_property
     def section_minus(self):
@@ -115,7 +116,8 @@ class FlowRecord:
         return self._section("plus")
 
     def _section(self, side):
-        # Poincare polynomial of the exit (or entry) section of the block
+        # Poincare polynomial of the exit (or entry) section of the block,
+        # which the caller has checked exists
         blk = self.block
         faces = blk.nminus_faces if side == "minus" else blk.nplus_faces
         sub = self.cx.subcomplex(faces)
@@ -140,6 +142,15 @@ class FlowRecord:
 
 def _rank_at(ranks, i):
     return ranks[i] if 0 <= i < len(ranks) else 0
+
+
+def _blockless(res, f):
+    """Whether record f has no isolating block, noted on res when so: a
+    check that reads the block skips that record and goes on."""
+    if f.block is None:
+        res.note("%s: no isolating block within budget" % f.name)
+        return True
+    return False
 
 
 # -- shape feasibility --------------------------------------------------------
@@ -208,6 +219,8 @@ def _check_thm34(res, population):
         if not f.closed_manifold:
             continue
         if f.rep.classification != NOEXT or not f.rep.global_attractor:
+            continue
+        if _blockless(res, f):
             continue
         d = f.cx.top_dim
         p = f.pair_poly
@@ -411,7 +424,7 @@ def _check_thm61(res, population):
         if f.rep.classification != NOEXT or not f.rep.global_attractor:
             continue
         key = (f.cx.top_dim, f.orientable)
-        if key not in want:
+        if key not in want or _blockless(res, f):
             continue
         ranks, tordeg, ptxt, secpoly = want[key]
         hom = algebra.homology(f.cx, ring="z")
@@ -439,12 +452,9 @@ def _check_lemma31(res, population):
     # Lefschetz duality on the block: H^k(n, boundary) matches H_{2-k}(n)
     # with mod 2 coefficients on closed orientable surfaces.
     for f in population(res):
-        if not f.closed_surface or not f.orientable:
+        if not f.closed_surface or not f.orientable or _blockless(res, f):
             continue
-        try:
-            blk = f.block
-        except blocks.NoBlockError:
-            continue
+        blk = f.block
         sub = blocks.block_subcomplex(blk)
         rim = f.cx.closure(set(blk.boundary_faces()))
         co = algebra.cohomology_ranks(sub, ring="z2", rel=rim)
@@ -488,13 +498,9 @@ def _check_conley_euler(res, population):
     # chi(n) - chi(exit set) recovers the Euler number of the attractor on
     # every closed surface in the catalog that admits a block.
     for f in population(res):
-        if not f.closed_surface:
+        if not f.closed_surface or _blockless(res, f):
             continue
-        try:
-            blk = f.block
-        except blocks.NoBlockError:
-            continue
-        ce = blocks.conley_euler(blk)
+        ce = blocks.conley_euler(f.block)
         res.case(ce == f.chi_k, "%s: index pair gives %d, chi(k) = %d"
                  % (f.name, ce, f.chi_k))
 

@@ -115,8 +115,20 @@ def two_cycle_flow():
     return flm.CombinatorialFlow(spm.torus(6), succ, name="two-cycles")
 
 
+def witness_seed_flow():
+    """k = {e:1, e:2} on a circle of 7 edges, whose basin is the whole
+    circle. The violator e:0 reaches only the fixed cell e:6 inside
+    basin - k, but its one-ring also holds e:1, a cell of k that leads on
+    to the 2-cycle e:4, e:5. So the witness cycle depends on the seed
+    being confined to basin - k."""
+    succ = {"e:0": ["e:6"], "e:1": ["e:2"], "e:2": ["e:1", "e:2", "e:3"],
+            "e:3": ["e:4"], "e:4": ["e:5"], "e:5": ["e:4", "e:5", "e:6"],
+            "e:6": ["e:6"]}
+    return flm.CombinatorialFlow(spm.circle(7), succ, name="witness-seed")
+
+
 def oracle_cases():
-    """(flow, k) for every isolated catalog candidate and two hand-built
+    """(flow, k) for every isolated catalog candidate and three hand-built
     flows. capped-annulus is not isolated, see
     test_not_isolated_candidate_rejected."""
     for name in catalog.names():
@@ -125,6 +137,7 @@ def oracle_cases():
             yield entry["flow"], entry["k"]
     yield hug_flow(), ["e:0"]
     yield two_cycle_flow(), [_cell(0, 0)]
+    yield witness_seed_flow(), ["e:1", "e:2"]
 
 
 def test_verdict_vocabulary():
@@ -199,6 +212,13 @@ def test_two_cycle_flow_has_image_period_six():
     assert rep.stabilization == frozenset([_cell(0, 0)] + TWO_CYCLE
                                           + THREE_CYCLE)
     assert rep.classification == "ExternalExplosions"
+
+
+def test_witness_seed_stays_outside_k():
+    rep = attractor.analyze(witness_seed_flow(), ["e:1", "e:2"])
+    assert rep.global_attractor
+    assert rep.classification == "ExternalExplosions"
+    assert (rep.witness, rep.witness_cycle) == ("e:0", ["e:6"])
 
 
 def assert_pipeline_matches_per_cell_definitions(f, k, label):

@@ -286,6 +286,22 @@ def test_successors_field_must_map_cells_to_lists(tmp_path, capsys):
         "successors is not a mapping from cell ids to lists of cell ids")
 
 
+@pytest.mark.parametrize("succ, message", [
+    ({"e:0": ["v:0"]}, "e:0 -> v:0 is not a top cell"),
+    ({"v:0": ["e:0"]}, "successors given for non top cells: ['v:0']"),
+])
+def test_successors_must_name_top_cells(tmp_path, capsys, succ, message):
+    cx = spm.circle(3)
+    body = {"complex": cx.to_json(),
+            "successors": dict({c: [c] for c in cx.top_cells()}, **succ)}
+    path = tmp_path / "flow.json"
+    path.write_text(json.dumps(body))
+    for command in ("analyze", "homology"):
+        assert cli.main([command, str(path)]) == 1
+        assert capsys.readouterr().err == \
+            "error[bad-successor]: %s\n" % message
+
+
 def test_fixed_field_must_be_a_list_of_cells(tmp_path, capsys):
     assert_field_refused(tmp_path, capsys, "fixed", 7,
                          "fixed is not a list of cell ids")
@@ -611,6 +627,13 @@ def test_homology_named_complexes(capsys):
     assert "H_1: rank 4" in capsys.readouterr().out
 
 
+def test_homology_of_an_unknown_name_is_one_error_line(capsys):
+    assert cli.main(["homology", "nosuch"]) == 1
+    assert capsys.readouterr().err == (
+        "error[unreadable-input]: 'nosuch' is neither a file, a catalog "
+        "flow nor a named complex\n")
+
+
 def test_homology_csv(capsys):
     assert cli.main(["homology", "rp2", "--format", "csv"]) == 0
     assert capsys.readouterr().out == "degree,rank,torsion\n0,1,\n1,0,2\n2,0,\n"
@@ -670,6 +693,68 @@ def test_refine_unavailable_leaves_note(tmp_path):
     data = json.loads(out.read_text())
     assert data["classification"] == "Unknown"
     assert any("refinement unavailable" in n for n in data["notes"])
+
+
+def test_analyze_text_shows_witness_notes_and_refinements(
+        tmp_path, monkeypatch, capsys):
+    head = ("classification: %s\nglobal attractor: yes\n"
+            "components: r = %d homoclinic, s = 1 total\n")
+    assert cli.main(["analyze", str(hug_file(tmp_path)), "--refine", "1"]) \
+        == 0
+    assert capsys.readouterr().out == (
+        "flow: flow on circle(6)\n" + head % ("Unknown", 0)
+        + "cells: k 1, stabilization 3, basin 6, unstable manifold 1\n"
+        "note: enclosures leave the collar but no out-of-collar cycle was "
+        "certified; refine and retry\n"
+        "note: refinement unavailable, verdict stays open\n")
+    rep = catalog.analysis(catalog.build("homoclinic-sphere"))
+    assert cli.main(["analyze", "homoclinic-sphere"]) == 0
+    assert capsys.readouterr().out.endswith(
+        "\nwitness: %s via cycle of %d cells\n"
+        % (rep.witness, len(rep.witness_cycle)))
+    # the coarse entry is made to come back Unknown, the finer one settles
+    coarse = catalog.build("example22-circle")
+    real_analyze = attractor.analyze
+
+    def analyze(flow, k):
+        rep = real_analyze(flow, k)
+        if flow.meta["recipe"]["resolution"] == coarse["resolution"]:
+            rep.classification = "Unknown"
+        return rep
+
+    monkeypatch.setattr(attractor, "analyze", analyze)
+    assert cli.main(["analyze", "example22-circle", "--refine", "2"]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("flow: example22-circle\n"
+                          + head % ("NoExternalExplosions", 1))
+    assert out.endswith("\nrefinements used: 1\n")
+
+
+def test_plot_lists_every_cell_of_a_loaded_file_in_the_side_strip(
+        tmp_path, capsys):
+    from conleylab import blocks, svgplot
+    # a loaded complex carries no grid, so each top cell gets a strip line
+    # of text and an SVG label, and the block's cells are outlined there
+    path = tmp_path / "circle.json"
+    assert cli.main(["construct", "example22-circle", "--out", str(path)]) \
+        == 0
+    entry = flm.load_file(str(path))
+    report = attractor.analyze(entry["flow"], entry["k"])
+    roles = svgplot.cell_roles(report)
+    tops = sorted(entry["flow"].tops)
+    assert cli.main(["plot", str(path), "--format", "text"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    letters = {"k": "K", "homoclinic": "H", "uniform": "U"}
+    assert lines[:-1] == ["%s %s" % (letters[roles[c]], c) for c in tops]
+    assert lines[-1].startswith("legend: ")
+    assert cli.main(["plot", str(path), "--format", "svg"]) == 0
+    svg = capsys.readouterr().out
+    labels = re.findall(r'<text [^>]*font-size="11"[^>]*>([^<]*)</text>', svg)
+    assert labels == tops
+    block = blocks.build_block(entry["flow"], entry["k"])
+    outlined = re.findall(r'stroke="#000000"[^>]*><title>(.*?): \w+</title>',
+                          svg)
+    assert outlined == sorted(block.n) and block.n < entry["flow"].tops
 
 
 def test_refine_never_swaps_in_the_recipe_flow(tmp_path):

@@ -169,10 +169,14 @@ def small_flows(draw, complexes=None):
 
 
 @settings(max_examples=150, deadline=None)
-@given(small_flows())
-def test_scc_images_match_set_iteration(fl):
+@given(small_flows(), st.data())
+def test_scc_images_match_set_iteration(fl, data):
     on_cycle = {c for c in fl.tops if c in fl.reach(fl.succ[c])}
     assert fl.recurrent_cells() == on_cycle
+    # a path that leaves `within` and comes back closes no cycle there
+    within = data.draw(st.frozensets(st.sampled_from(sorted(fl.tops))))
+    assert fl.recurrent_cells(within) == \
+        {c for c in within if c in fl.reach(fl.succ[c], "f", within)}
     for d in ("f", "p"):
         images = fl.eventual_images(d)
         assert set(images) == fl.tops
@@ -321,10 +325,29 @@ def test_json_fixed_disagreement():
 
 def test_json_named_complex_needs_resolver():
     fl = catalog.build("example22-circle")["flow"]
-    data = fl.to_json(inline_complex=False)
-    assert isinstance(data["complex"], str)
+    data = dict(fl.to_json(), complex=fl.cx.name)
     with pytest.raises(flm.FlowError) as ei:
         flm.CombinatorialFlow.from_json(data)
     assert ei.value.code == "unreadable-input"
-    back = flm.CombinatorialFlow.from_json(data, complex_resolver=lambda n: fl.cx)
-    assert back.succ == fl.succ
+    assert str(ei.value) == "flow references complex %r by name" % fl.cx.name
+
+
+@pytest.mark.parametrize("field, value, why", [
+    ("successors", {"a": "a"},
+     "successors is not a mapping from cell ids to lists of cell ids"),
+    ("fixed", "a", "fixed is not a list of cell ids"),
+    ("k", "a", "k is not a list of cell ids"),
+    ("ring", "q", "ring is not z or z2"),
+])
+def test_from_json_refuses_what_a_file_refuses(tmp_path, field, value, why):
+    # a string where a list of ids belongs reads as a list of letters
+    body = {"complex": {"name": "pt", "cells": [["a", 0]]},
+            "successors": {"a": ["a"]}, "fixed": ["a"], field: value}
+    path = tmp_path / "flow.json"
+    path.write_text(json.dumps(body))
+    want = "malformed flow data: " + why
+    for read in (lambda: flm.CombinatorialFlow.from_json(body),
+                 lambda: flm.load_file(str(path))):
+        with pytest.raises(flm.FlowError) as ei:
+            read()
+        assert (ei.value.code, str(ei.value)) == ("unreadable-input", want)

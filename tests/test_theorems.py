@@ -101,7 +101,7 @@ def test_run_builds_the_genus_two_surface_once(monkeypatch):
     assert len(calls) == 1
 
 
-def test_run_makes_one_whole_flow_tarjan_pass_per_flow(monkeypatch):
+def test_run_makes_one_whole_flow_scc_pass_per_flow(monkeypatch):
     # the recurrent cells and both image tables read one component list
     passes = {}
     real = flm.CombinatorialFlow._components
@@ -136,6 +136,35 @@ def test_run_reads_each_external_file_once(tmp_path, monkeypatch):
     results = theorems.run()
     assert all(r.status == "pass" for r in results)
     assert sorted(reads) == ["nok.json", "withk.json"]
+
+
+def test_a_flow_without_a_block_is_noted_and_skipped(monkeypatch):
+    # each check that reads the block names the flow that has none and
+    # goes on to the next record, keeping every other instance
+    from conleylab import blocks
+    real = blocks.build_block
+
+    def build_block(flow, k):
+        if flow.name == "example22-torus":
+            raise blocks.NoBlockError("no isolating block within budget "
+                                      "around %d cells" % len(k))
+        return real(flow, k)
+
+    monkeypatch.setattr(blocks, "build_block", build_block)
+    path = os.path.join(os.path.dirname(__file__), "data", "verify.json")
+    with open(path) as fh:
+        pinned = {r["id"]: r for r in json.load(fh)}
+    note = "note example22-torus: no isolating block within budget"
+    checks = ("thm3.4", "thm6.1", "lemma3.1", "conley-euler")
+    for r in theorems.run():
+        if r.id not in checks:
+            continue
+        assert r.status == "pass", (r.id, r.details)
+        assert note in r.details, r.id
+        kept = [line for line in pinned[r.id]["details"]
+                if not line.startswith("ok   example22-torus")]
+        assert [line for line in r.details if line != note] == kept, r.id
+        assert r.instances == pinned[r.id]["instances"] - 1, r.id
 
 
 def test_run_only(monkeypatch):
