@@ -12,13 +12,15 @@ is provenance, never a flow to substitute. `construct NAME --resolution R`
 output refines as `catalog:NAME --resolution R`.
 
 Output is streamed: a JSON report goes out as the encoder's chunks, about a
-thousand per write, so no command holds its report as one string, and a
-loaded flow file is taken apart as its complex is built (see
-`flow.load_file`).
+thousand per write, so no command holds its report as one string. A flow
+file is read one member at a time: its complex's boundary lists are freed
+as they are converted, and the complex is built before the successors are
+read (see `flow.load_file`).
 
 Each command imports the layers it calls inside its own function, so a call
 loads only what its command runs: `analyze FILE` never compiles the
-catalog, the checks or the plotting code.
+catalog, the checks or the plotting code, and `homology NAME` on a bare
+space name compiles the space builders alone.
 
 A command runs with the cyclic garbage collector paused. Everything it
 builds (the complex, the flow, the enclosures) is an acyclic graph that lives
@@ -36,7 +38,7 @@ import os
 import sys
 from itertools import islice
 
-from .complexes import ComplexError, ConleyError, named_space
+from .complexes import SPACES, ConleyError, named_space
 from .flow import FlowError, load_file
 
 
@@ -214,19 +216,22 @@ def _homology_rows(groups):
 
 
 def _homology_target(args):
-    """(complex, default ring, k or None); bare complex names resolve too,
-    but a file or `catalog:` spec that fails to load reports its error."""
+    """(complex, default ring, k or None). A bare name of a space, one that
+    is neither a file nor a `catalog:` spec, builds the space without
+    consulting the catalog, whose names are disjoint from the spaces'; a
+    file or `catalog:` spec that fails to load reports its error."""
+    target = args.target
+    is_spec = target.startswith("catalog:") or os.path.exists(target)
+    if target in SPACES and not is_spec:
+        return named_space(target, args.resolution), "z", None
     try:
-        entry = _load_target(args.target, args.resolution)
+        entry = _load_target(target, args.resolution)
     except FlowError:
-        if args.target.startswith("catalog:") or os.path.exists(args.target):
+        if is_spec:
             raise
-        try:
-            return named_space(args.target, args.resolution), "z", None
-        except ComplexError:
-            raise FlowError("unreadable-input",
-                            "%r is neither a file, a catalog flow nor a "
-                            "named complex" % args.target)
+        raise FlowError("unreadable-input",
+                        "%r is neither a file, a catalog flow nor a "
+                        "named complex" % target)
     return entry["flow"].cx, entry["ring"], entry["k"]
 
 

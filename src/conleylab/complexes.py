@@ -5,9 +5,10 @@ Cells are string ids, each with a dimension and a boundary chain written as
 sweep, lowest dimension first: each face is known, one dimension lower and
 has a nonzero integer coefficient, and del o del = 0, so a bad sign in a
 builder fails loudly at build time instead of corrupting homology later. A
-boundary for a cell that is not declared is refused too. `from_json` turns
-a file's [face, coeff] lists into the dicts the constructor keeps, popping
-each list from the body as it goes.
+boundary for a cell that is not declared is refused too. `boundary_table`
+turns a file's [face, coeff] lists into the dicts the constructor keeps,
+popping each list from the body as it goes; `from_json` and the flow file
+reader both convert through it.
 
 Construction indexes only the cells by dimension. The top cofaces of each
 codim-1 face, the supports of the cells of dimension 2 and up and the top
@@ -323,28 +324,38 @@ class CellComplex:
         }
 
     @classmethod
-    def from_json(cls, data):
+    def from_json(cls, data, *, boundary=None):
         """The complex of a JSON body, which takes the body's `boundary`
-        mapping apart: each cell's [face, coeff] list is popped from it as
-        soon as it has become the dict the complex keeps, so a loader that
-        owns its parsed file frees those lists while the complex is built.
-        A caller that keeps its body hands over a copy of that mapping. The
-        `cells` pairs go to the constructor as they stand; a mapping where a
-        [face, coeff] list belongs would pass through dict() unnoticed, so
-        it is refused here, before any list is popped."""
-        cells, bnd = data["cells"], data.get("boundary", {})
+        mapping apart through `boundary_table`. A caller that keeps its
+        body hands over a copy of that mapping. A reader that decodes a
+        file one member at a time converts the boundary as soon as it is
+        decoded and passes the table as `boundary`, in place of the body's
+        own. The `cells` pairs go to the constructor as they stand."""
+        cells = data["cells"]
         if type(cells) is not list:
             raise ComplexError("cells are not a list of [id, dim] pairs")
-        if set(map(type, bnd.values())) - {list}:
-            c = next(c for c, pairs in bnd.items() if type(pairs) is not list)
-            raise ComplexError("boundary of %s is not a list of "
-                               "[face, coeff] pairs" % c)
-        # the keys in the body's order; each value replaced in place
-        boundary = dict.fromkeys(bnd)
-        for c in boundary:
-            boundary[c] = dict(bnd.pop(c))
+        if boundary is None:
+            boundary = boundary_table(data.get("boundary", {}))
         return cls(data.get("name", "complex"), cells, boundary,
                    identifications=data.get("identifications"))
+
+
+def boundary_table(bnd):
+    """A body's boundary mapping of [face, coeff] lists as the {face: coeff}
+    dicts a complex keeps. Each list is popped from the mapping as soon as
+    it has become its dict, so a loader that owns its parsed file frees
+    those lists while the table is built. A mapping where a [face, coeff]
+    list belongs would pass through dict() unnoticed, so it is refused
+    here, before any list is popped."""
+    if set(map(type, bnd.values())) - {list}:
+        c = next(c for c, pairs in bnd.items() if type(pairs) is not list)
+        raise ComplexError("boundary of %s is not a list of "
+                           "[face, coeff] pairs" % c)
+    # the keys in the body's order; each value replaced in place
+    boundary = dict.fromkeys(bnd)
+    for c in boundary:
+        boundary[c] = dict(bnd.pop(c))
+    return boundary
 
 
 class _Supports(dict):
@@ -379,32 +390,37 @@ def _check_size(what, count):
                           % (what, count, MAX_CELLS))
 
 
+# named_space's builders by name, each called with the `spaces` module and
+# the resolution: the names are known without compiling a builder
+SPACES = {
+    "torus": lambda sp, n: sp.torus(n, n),
+    "klein": lambda sp, n: sp.klein(n, n),
+    "genus2": lambda sp, n: sp.genus2(n),
+    "sphere": lambda sp, n: sp.sphere(n, 2 * n),
+    "rp2": lambda sp, n: sp.rp2(),
+    "annulus": lambda sp, n: sp.annulus(max(2, n // 2), n),
+    "s2xs1": lambda sp, n: sp.mapping_torus(
+        sp.sphere(3, 6), None, n, name="s2xs1(%d)" % n),
+    "s2xts1": lambda sp, n: sp.mapping_torus(
+        sp.sphere(3, 6), sp.sphere_reflection(3, 6), n,
+        name="s2xts1(%d)" % n),
+    "t3": lambda sp, n: sp.t3(n),
+}
+
+
 def named_space(name, resolution=None):
-    """Catalog complexes addressable by bare name string.
+    """Catalog complexes addressable by bare name string, the keys of
+    SPACES.
 
     resolution scales the grid where the builder takes one, from 3 up
     (4 when it is None); below 3 is refused with code bad-resolution. rp2
     has a fixed small model and ignores it. The builders live in `spaces`,
     imported on the first call, so loading a flow file never compiles them."""
-    from . import spaces
     n = 4 if resolution is None else resolution
-    builders = {
-        "torus": lambda: spaces.torus(n, n),
-        "klein": lambda: spaces.klein(n, n),
-        "genus2": lambda: spaces.genus2(n),
-        "sphere": lambda: spaces.sphere(n, 2 * n),
-        "rp2": spaces.rp2,
-        "annulus": lambda: spaces.annulus(max(2, n // 2), n),
-        "s2xs1": lambda: spaces.mapping_torus(
-            spaces.sphere(3, 6), None, n, name="s2xs1(%d)" % n),
-        "s2xts1": lambda: spaces.mapping_torus(
-            spaces.sphere(3, 6), spaces.sphere_reflection(3, 6), n,
-            name="s2xts1(%d)" % n),
-        "t3": lambda: spaces.t3(n),
-    }
-    if name not in builders:
+    if name not in SPACES:
         raise ComplexError("no catalog complex named %r" % name)
     if n < 3 and name != "rp2":
         raise ConleyError("bad-resolution",
                           "%s needs resolution >= 3" % name)
-    return builders[name]()
+    from . import spaces
+    return SPACES[name](spaces, n)

@@ -41,10 +41,12 @@ rebuilding it finer is the catalog's job, by that (name, resolution) key.
 import json
 import os
 from collections import deque
+from contextlib import contextmanager
 from functools import cached_property
 from itertools import chain
+from json.decoder import WHITESPACE, JSONDecodeError, scanstring
 
-from .complexes import CellComplex, ConleyError
+from .complexes import CellComplex, ConleyError, boundary_table
 
 
 class FlowError(ConleyError):
@@ -79,6 +81,10 @@ class CombinatorialFlow:
         self.meta = dict(meta or {})
         tops = cx.top_cells()
         topset = frozenset(tops)
+        # each top cell's id as the complex holds it: the successor lists
+        # are read through it, so the tables share the complex's strings
+        # instead of keeping the lists' own copies
+        own = dict(zip(tops, tops))
         vertices_of = cx.vertices_of
         self.succ = {}
         for c in tops:
@@ -89,7 +95,7 @@ class CombinatorialFlow:
             # so a rest flow builds no supports
             near = None
             for d in out:
-                if d not in topset:
+                if d not in own:
                     raise FlowError("bad-successor",
                                     "%s -> %s is not a top cell" % (c, d))
                 if d == c:
@@ -100,7 +106,7 @@ class CombinatorialFlow:
                 if near.isdisjoint(vertices_of(d)):
                     raise FlowError("not-local",
                                     "%s -> %s leaves the one-ring" % (c, d))
-            self.succ[c] = out
+            self.succ[c] = tuple(map(own.__getitem__, out))
         extra = set(successors) - topset
         if extra:
             raise FlowError("bad-successor",
@@ -292,43 +298,61 @@ class CombinatorialFlow:
         """The flow of a JSON body, which is read and not changed: `_take`
         gets copies of the mappings it takes apart (the body and its
         complex's boundary table), and every list stays the caller's. A
-        body that `load_file` would refuse is refused the same way."""
+        body with one fault that `load_file` would refuse is refused the
+        same way; of several, the first that `_check_fields` meets, before
+        any fault in the complex."""
         data = dict(data)
         body = data.get("complex")
         if isinstance(body, dict) and isinstance(body.get("boundary"), dict):
             data["complex"] = dict(body, boundary=dict(body["boundary"]))
-        return cls._take(data)
+        cx, data = _take(data)
+        return cls._assemble(cx, data, data.get("name"))
 
     @classmethod
-    def _take(cls, data):
-        # the flow of a body the caller hands over, its fields' shapes
-        # checked first: the complex body is popped and its name rebound to
-        # the built complex, and CellComplex.from_json pops each boundary
-        # list as it converts it, so the parsed lists are freed before the
-        # flow allocates its tables
-        _check_fields(data)
-        try:
-            cx = data.pop("complex")
-            if isinstance(cx, str):
-                raise FlowError("unreadable-input",
-                                "flow references complex %r by name" % cx)
-            cx = CellComplex.from_json(cx)
+    def _assemble(cls, cx, data, name):
+        # the flow of a body's checked fields on its built complex
+        with _malformed():
             meta = {}
             if "recipe" in data:
                 meta["recipe"] = data["recipe"]
-            flow = cls(cx, data["successors"], name=data.get("name"),
-                       meta=meta)
+            flow = cls(cx, data["successors"], name=name, meta=meta)
             declared = set(data.get("fixed", []))
-        except ConleyError:
-            raise
-        except (AttributeError, KeyError, TypeError, ValueError) as exc:
-            # malformed structure: a missing key, a list where a mapping
-            # belongs, an unhashable cell id
-            raise FlowError("unreadable-input", "malformed flow data: %s: %s"
-                            % (type(exc).__name__, exc))
         if declared and declared != set(flow.fixed):
             raise FlowError("unreadable-input", "fixed set disagrees with successors")
         return flow
+
+
+def _take(data):
+    """(complex, other fields) of a flow body the caller hands over, its
+    fields' shapes checked first. The complex body is popped, and
+    boundary_table pops each boundary list as it converts it, so the parsed
+    lists are freed before the flow allocates its tables."""
+    _check_fields(data)
+    with _malformed():
+        return _complex(data.pop("complex")), data
+
+
+@contextmanager
+def _malformed():
+    """Report malformed structure met in the block (a missing key, a list
+    where a mapping belongs, an unhashable cell id) as unreadable input; a
+    ConleyError passes as it is."""
+    try:
+        yield
+    except ConleyError:
+        raise
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise FlowError("unreadable-input", "malformed flow data: %s: %s"
+                        % (type(exc).__name__, exc))
+
+
+def _complex(body):
+    # the complex of a flow body's `complex` member; one given by name is
+    # refused
+    if isinstance(body, str):
+        raise FlowError("unreadable-input",
+                        "flow references complex %r by name" % body)
+    return CellComplex.from_json(body)
 
 
 def _ids(value):
@@ -336,49 +360,165 @@ def _ids(value):
     return type(value) is list and not set(map(type, value)) - {str}
 
 
-def _check_fields(data):
+def _is_successors(value):
+    return (type(value) is dict
+            and not set(map(type, value.values())) - {list}
+            and not set(map(type, chain.from_iterable(value.values())))
+            - {str})
+
+
+# field -> (test of its value's shape, why a value fails it)
+_SHAPES = {
+    "successors": (_is_successors, "successors is not a mapping from cell "
+                   "ids to lists of cell ids"),
+    "fixed": (_ids, "fixed is not a list of cell ids"),
+    "k": (lambda v: v is None or _ids(v), "k is not a list of cell ids"),
+    "ring": (lambda v: v in ("z", "z2"), "ring is not z or z2"),
+}
+
+
+def _check_field(key, value):
     """Refuse a flow file field of the wrong shape, naming the field."""
-    succ = data.get("successors")
-    if (type(succ) is not dict or set(map(type, succ.values())) - {list}
-            or set(map(type, chain.from_iterable(succ.values()))) - {str}):
-        bad = "successors is not a mapping from cell ids to lists of cell ids"
-    elif "fixed" in data and not _ids(data["fixed"]):
-        bad = "fixed is not a list of cell ids"
-    elif data.get("k") is not None and not _ids(data["k"]):
-        bad = "k is not a list of cell ids"
-    elif data.get("ring", "z") not in ("z", "z2"):
-        bad = "ring is not z or z2"
-    else:
-        return
-    raise FlowError("unreadable-input", "malformed flow data: " + bad)
+    ok, why = _SHAPES[key]
+    if not ok(value):
+        raise FlowError("unreadable-input", "malformed flow data: " + why)
+
+
+def _check_fields(data):
+    # every field of a body, in the order of _SHAPES; successors is required
+    for key in _SHAPES:
+        if key in data or key == "successors":
+            _check_field(key, data.get(key))
+
+
+def _members(text, i, member):
+    """Walk the JSON object that opens at text[i], calling member(key, j)
+    at the start j of each value; member decodes the value and returns the
+    index past it. Returns the index past the object. A structural fault
+    raises StopIteration, as the decoder's own scanner does where no value
+    starts, and a bad key raises JSONDecodeError."""
+    ws = WHITESPACE.match
+    if text[i:i + 1] != "{":
+        raise StopIteration(i)
+    i = ws(text, i + 1).end()
+    if text[i:i + 1] == "}":
+        return i + 1
+    while text[i:i + 1] == '"':
+        key, i = scanstring(text, i + 1)
+        i = ws(text, i).end()
+        if text[i:i + 1] != ":":
+            break
+        i = ws(text, member(key, ws(text, i + 1).end())).end()
+        if text[i:i + 1] == "}":
+            return i + 1
+        if text[i:i + 1] != ",":
+            break
+        i = ws(text, i + 1).end()
+    raise StopIteration(i)
+
+
+def _read_complex(text, i, scan):
+    """(the complex of the object that opens at text[i], the index past
+    it). Its `boundary` becomes the complex's dicts as soon as it is
+    decoded, and the complex is built when the object closes."""
+    body = {}
+    table = None
+
+    def member(key, j):
+        nonlocal table
+        value, j = scan(text, j)
+        if key == "boundary":
+            with _malformed():
+                table = boundary_table(value)
+        else:
+            body[key] = value
+        return j
+
+    end = _members(text, i, member)
+    with _malformed():
+        return CellComplex.from_json(body, boundary=table), end
+
+
+def _read(text):
+    """(complex, other fields) of a flow file's text, read one top-level
+    member at a time and each checked as it is read; None for a text that
+    is not one JSON object the reader can parse."""
+    scan = json.JSONDecoder().scan_once
+    data = {}
+
+    def member(key, j):
+        if key == "complex" and text.startswith("{", j):
+            value, j = _read_complex(text, j, scan)
+        else:
+            value, j = scan(text, j)
+            if key == "complex":
+                with _malformed():
+                    value = _complex(value)
+            elif key in _SHAPES:
+                _check_field(key, value)
+        data[key] = value
+        return j
+
+    try:
+        end = _members(text, WHITESPACE.match(text).end(), member)
+        if WHITESPACE.match(text, end).end() != len(text):
+            return None
+    except (StopIteration, JSONDecodeError, RecursionError):
+        # RecursionError: arrays or objects nested past the parser's depth
+        return None
+    if "successors" not in data:
+        _check_field("successors", None)
+    with _malformed():
+        return data.pop("complex"), data
 
 
 def load_file(path, name=None, error=FlowError):
     """Read a flow file into an entry shaped like `catalog.build`'s:
-    {name, resolution, flow, k, expected, ring}. The entry is called `name`,
-    else the file's "name", else the file stem. Its resolution is None: a
-    file is read as it stands and never rebuilt, whatever recipe it names.
-    A file that cannot be read or parsed raises `error`, and one whose
-    fields have the wrong shape raises FlowError naming the field, both
-    with code unreadable-input. The parsed file is this function's own, so
-    it is taken apart: each boundary list is freed as it is converted, and
-    the inline complex body is dropped once the complex is built, before
-    the flow is."""
+    {name, resolution, flow, k, expected, ring}. The entry and its flow are
+    called `name`, else the file's "name", else the file stem. Its
+    resolution is None: a file is read as it stands and never rebuilt,
+    whatever recipe it names.
+
+    The file is decoded one top-level member at a time, and so is its
+    inline complex object: its `boundary` becomes the complex's
+    {face: coeff} dicts as soon as it is decoded, each [face, coeff] list
+    freed once converted, and the complex is built, fully validated, when
+    its object closes, before the members after it are decoded. Each member
+    is checked as it is read, so of two faults in one file the one met
+    first in the file is reported. A text the reader cannot parse, or whose
+    top level is not an object, is handed to json.loads: a file that cannot
+    be read or parsed raises `error` with the reader's or the parser's own
+    message, and one whose fields have the wrong shape raises FlowError
+    naming the field, both with code unreadable-input."""
+    def unreadable(exc):
+        return error("unreadable-input",
+                     "cannot read flow file %s: %s" % (path, exc))
+
     try:
         with open(path) as fh:
-            data = json.load(fh)
-    except (OSError, ValueError, RecursionError) as exc:
-        # RecursionError: arrays or objects nested past the parser's depth
-        raise error("unreadable-input",
-                    "cannot read flow file %s: %s" % (path, exc))
-    if type(data) is not dict:
-        raise FlowError("unreadable-input",
-                        "malformed flow data: the file is not a JSON object")
-    flow = CombinatorialFlow._take(data)
+            text = fh.read()
+    except (OSError, ValueError) as exc:
+        raise unreadable(exc)
+    parts = _read(text)
+    if parts is None:
+        try:
+            data = json.loads(text)
+        except (ValueError, RecursionError) as exc:
+            # RecursionError: arrays or objects nested past the parser's
+            # depth
+            raise unreadable(exc)
+        if type(data) is not dict:
+            raise FlowError("unreadable-input", "malformed flow data: the "
+                            "file is not a JSON object")
+        parts = _take(data)
+    # the text goes before the flow allocates its tables
+    del text
+    cx, data = parts
+    name = (name or data.get("name")
+            or os.path.splitext(os.path.basename(path))[0])
+    flow = CombinatorialFlow._assemble(cx, data, name)
     k = data.get("k")
-    return {"name": (name or data.get("name")
-                     or os.path.splitext(os.path.basename(path))[0]),
-            "resolution": None, "flow": flow,
+    return {"name": name, "resolution": None, "flow": flow,
             "k": sorted(k) if k else None, "expected": {},
             "ring": data.get("ring", "z")}
 

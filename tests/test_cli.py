@@ -263,6 +263,100 @@ def test_an_out_of_range_dimension_is_refused(tmp_path, command, dim, message):
     assert run_cli([command, str(path)]) == (1, "", message)
 
 
+def json_message(text):
+    """json.loads's own message for a text it refuses."""
+    with pytest.raises(ValueError) as ei:
+        json.loads(text)
+    return str(ei.value)
+
+
+def structural_faults():
+    """(name, text) for a small flow file with one structural fault, at the
+    top level and inside its complex object."""
+    text = json.dumps(flm.rest_flow(spm.circle(3)).to_json())
+    inner = text.index('"identifications": []') + len('"identifications": []')
+    assert text[inner] == "}"
+    edits = {
+        "top-missing-colon": text.replace('"successors": ', '"successors" '),
+        "top-missing-comma": text.replace(', "successors"', ' "successors"'),
+        "top-trailing-comma": text[:-1] + ", }",
+        "top-unterminated": text[:-1],
+        "data-after-object": text + " {}",
+        "empty": "",
+        "complex-missing-colon": text.replace('"cells": ', '"cells" '),
+        "complex-missing-comma": text.replace(', "cells"', ' "cells"'),
+        "complex-trailing-comma": text[:inner] + ", " + text[inner:],
+        "complex-unterminated": text[:inner],
+    }
+    for name, bad in edits.items():
+        assert bad != text, name
+        yield name, bad
+
+
+def test_a_structural_fault_reports_the_parsers_message(tmp_path, capsys):
+    # the reader hands a text it cannot parse to json.loads, so the line
+    # carries the message of the running Python's own parser
+    for name, text in structural_faults():
+        path = tmp_path / (name + ".json")
+        path.write_text(text)
+        want = ("error[unreadable-input]: cannot read flow file %s: %s\n"
+                % (path, json_message(text)))
+        for cmd in ("analyze", "homology"):
+            assert cli.main([cmd, str(path)]) == 1, (name, cmd)
+            assert capsys.readouterr().err == want, (name, cmd)
+
+
+def test_members_in_any_order_load_the_same_flow(tmp_path, capsys):
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        assert cli.main(["construct", "example22-circle"]) == 0
+    body = json.loads(out.getvalue())
+    # successors before the complex, cells before the boundary
+    cx = body.pop("complex")
+    moved = dict(successors=body.pop("successors"), **body)
+    moved["complex"] = {"cells": cx["cells"], "name": cx["name"],
+                        "boundary": cx["boundary"],
+                        "identifications": cx["identifications"]}
+    assert list(moved)[0] == "successors" and list(moved)[-1] == "complex"
+    paths = [tmp_path / "sorted.json", tmp_path / "moved.json"]
+    paths[0].write_text(out.getvalue())
+    paths[1].write_text(json.dumps(moved))
+    flows = [flm.load_file(str(p))["flow"] for p in paths]
+    assert (flows[0].cx.cells, flows[0].cx.boundary, flows[0].succ) == \
+        (flows[1].cx.cells, flows[1].cx.boundary, flows[1].succ)
+    reports = []
+    for p in paths:
+        assert cli.main(["analyze", str(p), "--format", "json"]) == 0
+        reports.append(capsys.readouterr().out)
+    assert reports[0] == reports[1]
+
+
+def test_of_two_faults_the_first_in_the_file_is_reported(tmp_path, capsys):
+    # the complex is built when its object closes, and each field is
+    # checked as it is read, so the fault met first in the file is the one
+    # reported, a syntax error after it included
+    body = json.loads(json.dumps(flm.rest_flow(spm.sphere(3, 6)).to_json()))
+    top = min(body["successors"])
+    body["complex"]["boundary"][top][0][1] *= -1
+    bad_complex = "error[bad-complex]: del del != 0 at %s" % top
+    bad_successors = ("error[unreadable-input]: malformed flow data: "
+                      "successors is not a mapping from cell ids to lists "
+                      "of cell ids\n")
+    complex_first = dict(body, successors="cap:n")
+    successors_first = {"successors": "cap:n", "complex": body["complex"]}
+    texts = {"complex-then-successors": json.dumps(complex_first),
+             "successors-then-complex": json.dumps(successors_first),
+             "complex-then-syntax": json.dumps(body)[:-1]}
+    for name, text in texts.items():
+        path = tmp_path / (name + ".json")
+        path.write_text(text)
+        assert cli.main(["analyze", str(path)]) == 1, name
+        err = capsys.readouterr().err
+        if name == "successors-then-complex":
+            assert err == bad_successors, name
+        else:
+            assert err.startswith(bad_complex), (name, err)
+
+
 def assert_field_refused(tmp_path, capsys, field, value, message):
     body = flm.rest_flow(spm.sphere(3, 6)).to_json()
     if field == "successors":
@@ -627,6 +721,13 @@ def test_homology_named_complexes(capsys):
     assert "H_1: rank 4" in capsys.readouterr().out
 
 
+def test_space_names_are_not_catalog_names(monkeypatch):
+    # homology resolves a bare space name before it consults the catalog,
+    # which this keeps from changing the flow a name means
+    monkeypatch.delenv("CONLEYLAB_CATALOG", raising=False)
+    assert set(cxm.SPACES).isdisjoint(catalog.names())
+
+
 def test_homology_of_an_unknown_name_is_one_error_line(capsys):
     assert cli.main(["homology", "nosuch"]) == 1
     assert capsys.readouterr().err == (
@@ -695,6 +796,21 @@ def test_refine_unavailable_leaves_note(tmp_path):
     assert any("refinement unavailable" in n for n in data["notes"])
 
 
+def test_a_flow_is_named_as_its_entry(tmp_path, capsys):
+    # a nameless file's flow is named after the file stem, as its entry is
+    path = hug_file(tmp_path)
+    assert "name" not in json.loads(path.read_text())
+    assert cli.main(["analyze", str(path)]) == 0
+    assert capsys.readouterr().out.startswith("flow: hug\n")
+    assert cli.main(["plot", str(path), "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["flow"] == "hug"
+    assert flm.load_file(str(path), "other")["flow"].name == "other"
+    # the file's own name comes before the stem
+    assert cli.main(["analyze", str(hug_file(tmp_path, name="loop")),
+                     "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["flow"] == "loop"
+
+
 def test_analyze_text_shows_witness_notes_and_refinements(
         tmp_path, monkeypatch, capsys):
     head = ("classification: %s\nglobal attractor: yes\n"
@@ -702,7 +818,7 @@ def test_analyze_text_shows_witness_notes_and_refinements(
     assert cli.main(["analyze", str(hug_file(tmp_path)), "--refine", "1"]) \
         == 0
     assert capsys.readouterr().out == (
-        "flow: flow on circle(6)\n" + head % ("Unknown", 0)
+        "flow: hug\n" + head % ("Unknown", 0)
         + "cells: k 1, stabilization 3, basin 6, unstable manifold 1\n"
         "note: enclosures leave the collar but no out-of-collar cycle was "
         "certified; refine and retry\n"
@@ -869,8 +985,10 @@ def test_cli_loads_only_the_layers_its_command_runs(tmp_path):
         assert loaded == {"cli", "complexes", "flow", layer}, args
         # a file command compiles no builder
         assert builders == "", args
+    # a bare space name builds its space without the catalog
     loaded, builders = run(["homology", "torus", "--resolution", "4"], 0)
-    assert "spaces" in loaded and "torus" in builders.split()
+    assert loaded == {"cli", "complexes", "flow", "spaces", "algebra"}
+    assert "torus" in builders.split()
 
 
 def test_public_names_resolve_on_first_use():

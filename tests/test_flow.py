@@ -3,6 +3,7 @@ import functools
 import json
 import os
 import tempfile
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -205,8 +206,9 @@ def test_flow_file_round_trip(fl, data):
     cell = data.draw(st.sampled_from(sorted(fl.tops)))
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "flow.json")
+        # the file carries the flow's name, which the loaded flow keeps
         with open(path, "w") as fh:
-            json.dump(fl.to_json(), fh)
+            json.dump(dict(fl.to_json(), name=fl.name), fh)
         back = flm.load_file(path)["flow"]
     assert back.succ == fl.succ
     assert back.fixed == fl.fixed
@@ -312,6 +314,46 @@ def test_json_round_trip(tmp_path):
         read = flm.CombinatorialFlow.from_json(json.loads(path.read_text()))
         assert (loaded.cx.cells, loaded.cx.boundary, loaded.succ) == \
             (read.cx.cells, read.cx.boundary, read.succ), name
+
+
+def traced_peak(fn):
+    """The peak of the memory traced while fn runs."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_load_file_peaks_below_a_whole_parse(tmp_path):
+    # each boundary list is freed as soon as the boundary member is
+    # decoded, so loading the file never holds the whole parsed file; a
+    # loader that parses the whole file first peaks where json.load does
+    from conleylab import cli
+    path = str(tmp_path / "torus.json")
+    assert cli.main(["construct", "example22-torus", "--resolution", "32",
+                     "--out", path]) == 0
+
+    def parse():
+        with open(path) as fh:
+            json.load(fh)
+
+    assert traced_peak(lambda: flm.load_file(path)) < \
+        0.95 * traced_peak(parse)
+
+
+def test_a_loaded_flow_holds_the_complex_strings(tmp_path):
+    # each successor is the complex's own id string, not the file list's
+    # copy of it, so the lists' strings are freed with the lists
+    fl = catalog.build("example22-circle")["flow"]
+    path = tmp_path / "flow.json"
+    path.write_text(json.dumps(fl.to_json()))
+    back = flm.load_file(str(path))["flow"]
+    own = {c: c for c in back.cx.cells}
+    for table in (back.succ, back.pred):
+        for c, outs in table.items():
+            assert c is own[c] and all(d is own[d] for d in outs), c
 
 
 def test_json_fixed_disagreement():
