@@ -6,9 +6,10 @@ sweep, lowest dimension first: each face is known, one dimension lower and
 has a nonzero integer coefficient, and del o del = 0, so a bad sign in a
 builder fails loudly at build time instead of corrupting homology later. A
 boundary for a cell that is not declared is refused too. `boundary_table`
-turns a file's [face, coeff] lists into the dicts the constructor keeps,
-popping each list from the body as it goes; `from_json` and the flow file
-reader both convert through it.
+turns a body's [face, coeff] lists into the dicts the constructor keeps,
+popping each list from the body as it goes. `from_json` converts through
+it, and so does the flow file reader for a boundary it cannot decode a span
+at a time.
 
 Construction indexes only the cells by dimension. The top cofaces of each
 codim-1 face, the supports of the cells of dimension 2 and up and the top

@@ -8,9 +8,10 @@ worklist that peels off the cells with no successor, or no predecessor, left
 inside a region). The components come from `reach` too: one depth-first
 pass along F orders the cells by when they finish, and, latest finisher
 first, each cell not yet placed takes its backward `reach` among the cells
-not yet placed (Kosaraju-Sharir). Limit sets are eventual images: the cells
-reached by arbitrarily long paths from a seed, which is the reach of the
-recurrent part of the seed's reach.
+not yet placed (Kosaraju-Sharir); a cell that no other unplaced cell
+precedes is its own component, with no walk. Limit sets are eventual
+images: the cells reached by arbitrarily long paths from a seed, which is
+the reach of the recurrent part of the seed's reach.
 
 One component pass over the whole flow, kept as `_sccs`, lists its
 components in reverse topological order. It gives `recurrent_cells`, and,
@@ -36,10 +37,17 @@ builds no one-ring.
 A flow knows nothing of how it was built. A catalog flow carries its
 `recipe` ({name, resolution}) in `meta` and in its JSON as provenance only;
 rebuilding it finer is the catalog's job, by that (name, resolution) key.
+
+`load_file` reads a flow file one member at a time, and decodes the
+boundary of its complex a span of text at a time, so no whole parsed file
+is held. One table per file maps each cell id to one string, so the
+complex, the flow's tables and `k` share one string per id, and a face
+lookup meets the key object itself.
 """
 
 import json
 import os
+import re
 from collections import deque
 from contextlib import contextmanager
 from functools import cached_property
@@ -208,8 +216,15 @@ class CombinatorialFlow:
                     finished.append(node)
         # the pass visited every cell; now the set holds those not yet placed
         left = seen
+        pred = self.pred
         for c in reversed(finished):
             if c in left:
+                left.discard(c)
+                # no other cell left reaches c: c is its own component
+                if left.isdisjoint(pred[c]):
+                    yield [c]
+                    continue
+                left.add(c)
                 comp = list(self.reach((c,), "p", left))
                 left.difference_update(comp)
                 yield comp
@@ -417,21 +432,77 @@ def _members(text, i, member):
     raise StopIteration(i)
 
 
-def _read_complex(text, i, scan):
+# A file's boundary object is decoded a span of about _SPAN characters at a
+# time. A span ends just past the `]` of an entry that a comma and the next
+# key follow (JSON whitespace only, as json.loads reads it).
+_SPAN = 1 << 16
+_CUT = re.compile(r'\][ \t\n\r]*,[ \t\n\r]*"')
+
+
+def _read_boundary(text, j, scan, ids):
+    """(the {cell: {face: coeff}} table of the boundary object that opens
+    at text[j], the index past it), decoded a span at a time, or None.
+
+    Each span is decoded as an object of its own, and its entries become
+    dicts, every id taken from `ids`, before the next span is decoded. A
+    cut that falls inside a string or a nested value leaves the span
+    unterminated, so it does not decode. That, or an entry that is not a
+    list of [face, coeff] pairs with string faces, gives None: the caller
+    then decodes the object whole. So does a value that is not an
+    object."""
+    if not text.startswith("{", j):
+        return None
+    table = {}
+    intern = ids.setdefault
+    a = j + 1
+    try:
+        while True:
+            cut = _CUT.search(text, a + _SPAN)
+            # the last span holds the object's own closing brace
+            b = cut.start() + 1 if cut else len(text)
+            part, end = scan("{%s%s" % (text[a:b], "}" if cut else ""), 0)
+            if set(map(type, part.values())) - {list}:
+                return None
+            for c, pairs in part.items():
+                faces = table[intern(c, c)] = {}
+                for f, n in pairs:
+                    faces[intern(f, f)] = n
+            del part
+            # the span's own brace closed it: the object goes on
+            if cut and end == b - a + 2:
+                a = cut.end() - 1
+                continue
+            if set(map(type, ids)) - {str}:
+                return None
+            return table, a - 1 + end
+    except (StopIteration, RecursionError, TypeError, ValueError):
+        return None
+
+
+def _read_complex(text, i, scan, ids):
     """(the complex of the object that opens at text[i], the index past
-    it). Its `boundary` becomes the complex's dicts as soon as it is
-    decoded, and the complex is built when the object closes."""
+    it). Its `boundary` is decoded a span at a time into the complex's
+    dicts, and the complex is built when the object closes. Every cell id
+    of `cells` and `boundary` is taken from `ids`, one string per id."""
     body = {}
     table = None
 
     def member(key, j):
         nonlocal table
+        parts = key == "boundary" and _read_boundary(text, j, scan, ids)
+        if parts:
+            table, j = parts
+            return j
         value, j = scan(text, j)
         if key == "boundary":
             with _malformed():
                 table = boundary_table(value)
-        else:
-            body[key] = value
+            return j
+        if key == "cells" and type(value) is list:
+            for p in value:
+                if type(p) is list and p and type(p[0]) is str:
+                    p[0] = ids.setdefault(p[0], p[0])
+        body[key] = value
         return j
 
     end = _members(text, i, member)
@@ -442,13 +513,15 @@ def _read_complex(text, i, scan):
 def _read(text):
     """(complex, other fields) of a flow file's text, read one top-level
     member at a time and each checked as it is read; None for a text that
-    is not one JSON object the reader can parse."""
+    is not one JSON object the reader can parse. The complex and `k` share
+    one string per cell id."""
     scan = json.JSONDecoder().scan_once
+    ids = {}
     data = {}
 
     def member(key, j):
         if key == "complex" and text.startswith("{", j):
-            value, j = _read_complex(text, j, scan)
+            value, j = _read_complex(text, j, scan, ids)
         else:
             value, j = scan(text, j)
             if key == "complex":
@@ -456,6 +529,8 @@ def _read(text):
                     value = _complex(value)
             elif key in _SHAPES:
                 _check_field(key, value)
+                if key == "k" and value:
+                    value = list(map(ids.setdefault, value, value))
         data[key] = value
         return j
 
@@ -480,12 +555,15 @@ def load_file(path, name=None, error=FlowError):
     whatever recipe it names.
 
     The file is decoded one top-level member at a time, and so is its
-    inline complex object: its `boundary` becomes the complex's
-    {face: coeff} dicts as soon as it is decoded, each [face, coeff] list
-    freed once converted, and the complex is built, fully validated, when
-    its object closes, before the members after it are decoded. Each member
-    is checked as it is read, so of two faults in one file the one met
-    first in the file is reported. A text the reader cannot parse, or whose
+    inline complex object. Its `boundary` is decoded a span of about _SPAN
+    characters at a time, each span's entries made into the complex's
+    {face: coeff} dicts before the next span is decoded; a boundary whose
+    spans do not decode is decoded whole, as `boundary_table` converts it.
+    Every cell id of `cells`, `boundary` and `k` is kept as one string.
+    The complex is built, fully validated, when its object closes, before
+    the members after it are decoded. Each member is checked as it is
+    read, so of two faults in one file the one met first in the file is
+    reported. A text the reader cannot parse, or whose
     top level is not an object, is handed to json.loads: a file that cannot
     be read or parsed raises `error` with the reader's or the parser's own
     message, and one whose fields have the wrong shape raises FlowError

@@ -113,7 +113,8 @@ def svg_chunks(report, block=None):
     y_leg = GAP + max(nrows, len(strip)) * step + 2 * GAP
     used = [r for r in ROLES if r in set(roles.values())]
     width = max(x_strip + 240, GAP + ncols * step)
-    height = y_leg + len(used) * step + GAP
+    # the legend rows, then one row for the title
+    height = y_leg + (len(used) + 1) * step + GAP
     yield ('<svg xmlns="http://www.w3.org/2000/svg" width="%d" '
            'height="%d" viewBox="0 0 %d %d">' % (width, height,
                                                  width, height))
@@ -135,6 +136,6 @@ def svg_chunks(report, block=None):
                'font-family="monospace">%s</text>'
                % (GAP + CELL + GAP, y_leg + i * step + CELL - 6, role))
     yield ('<text x="%d" y="%d" font-size="13" font-family="monospace">'
-           '%s: %s</text>' % (GAP, y_leg + len(used) * step + GAP - 6,
+           '%s: %s</text>' % (GAP, y_leg + len(used) * step + CELL - 6,
                               report.flow.name, report.classification))
     yield "</svg>\n"

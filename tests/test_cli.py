@@ -91,7 +91,7 @@ def test_an_svg_plot_is_written_in_batches(tmp_path, monkeypatch):
     assert cli.main(argv) == 0
     text = out.getvalue()
     assert hashlib.sha256(text.encode()).hexdigest() == \
-        "45576e7be5a19a04a8e888ee71f187fb9d15766603e7b69413c0b0003fa50281"
+        "bfb9f11517a1dd24fdae87d57288a99d8f856ef5126e0e7513a533836bb5ae56"
     chunks = text.count("<rect") + text.count("<text ") + 2
     assert chunks > cli._BATCH
     assert out.writes == -(-chunks // cli._BATCH)
@@ -304,6 +304,29 @@ def test_a_structural_fault_reports_the_parsers_message(tmp_path, capsys):
         for cmd in ("analyze", "homology"):
             assert cli.main([cmd, str(path)]) == 1, (name, cmd)
             assert capsys.readouterr().err == want, (name, cmd)
+
+
+@pytest.mark.parametrize("span", [4, None])
+def test_a_space_json_does_not_take_is_refused_next_to_a_cut(
+        tmp_path, capsys, monkeypatch, span):
+    # a form feed or a no-break space is not JSON whitespace: around the
+    # comma after a boundary entry, where the reader cuts its spans, the
+    # file is refused with the parser's own message, as json.loads refuses
+    # it
+    if span:
+        monkeypatch.setattr(flm, "_SPAN", span)
+    text = json.dumps(flm.rest_flow(spm.sphere(3, 6)).to_json())
+    comma = text.index("]], ", text.index('"boundary": ')) + 2
+    for odd in ("\x0c", "\xa0"):
+        for at in (comma, comma + 1):
+            bad = text[:at] + odd + text[at:]
+            path = tmp_path / "odd.json"
+            path.write_text(bad)
+            want = ("error[unreadable-input]: cannot read flow file %s: %s\n"
+                    % (path, json_message(bad)))
+            for cmd in ("analyze", "homology"):
+                assert cli.main([cmd, str(path)]) == 1, (odd, at, cmd)
+                assert capsys.readouterr().err == want, (odd, at, cmd)
 
 
 def test_members_in_any_order_load_the_same_flow(tmp_path, capsys):
@@ -556,6 +579,21 @@ def test_plot_svg_deterministic(tmp_path):
     assert cli.main(["plot", "example22-torus", "--out", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
     assert a.read_text().startswith("<svg")
+
+
+def test_the_svg_title_has_a_row_below_the_legend(capsys):
+    # the title's baseline is below the bottom edge of the last legend
+    # swatch (a rect with no <title>), and inside the picture
+    for name in ("north-south", "homoclinic-sphere"):
+        assert cli.main(["plot", name, "--format", "svg"]) == 0
+        svg = capsys.readouterr().out
+        height = int(re.match(r'<svg [^>]* height="(\d+)"', svg).group(1))
+        swatches = re.findall(r'<rect x="\d+" y="(\d+)" width="\d+" '
+                              r'height="(\d+)" fill="#[0-9a-f]+"></rect>', svg)
+        top, size = map(int, swatches[-1])
+        titles = re.findall(r'<text x="\d+" y="(\d+)" font-size="13"', svg)
+        assert len(titles) == 1, name
+        assert top + size < int(titles[0]) < height, name
 
 
 def test_plot_json_roles(capsys):

@@ -1,3 +1,4 @@
+import contextlib
 import copy
 import functools
 import json
@@ -326,10 +327,9 @@ def traced_peak(fn):
         tracemalloc.stop()
 
 
-def test_load_file_peaks_below_a_whole_parse(tmp_path):
-    # each boundary list is freed as soon as the boundary member is
-    # decoded, so loading the file never holds the whole parsed file; a
-    # loader that parses the whole file first peaks where json.load does
+def load_and_parse_peaks(tmp_path):
+    """The traced peaks of load_file and of json.load on the construct
+    file of example22-torus@32."""
     from conleylab import cli
     path = str(tmp_path / "torus.json")
     assert cli.main(["construct", "example22-torus", "--resolution", "32",
@@ -339,21 +339,243 @@ def test_load_file_peaks_below_a_whole_parse(tmp_path):
         with open(path) as fh:
             json.load(fh)
 
-    assert traced_peak(lambda: flm.load_file(path)) < \
-        0.95 * traced_peak(parse)
+    return traced_peak(lambda: flm.load_file(path)), traced_peak(parse)
+
+
+def test_load_file_peaks_below_a_whole_parse(tmp_path):
+    # each boundary list is freed as soon as the boundary member is
+    # decoded, so loading the file never holds the whole parsed file; a
+    # loader that parses the whole file first peaks where json.load does
+    load, parse = load_and_parse_peaks(tmp_path)
+    assert load < 0.95 * parse
+
+
+def test_load_file_peaks_below_four_fifths_of_a_whole_parse(tmp_path):
+    # the boundary is decoded a span at a time and each cell id is kept as
+    # one string; a reader that decodes the boundary whole, or keeps a
+    # string per id occurrence, peaks near 0.9 of json.load
+    load, parse = load_and_parse_peaks(tmp_path)
+    assert load < 0.8 * parse
 
 
 def test_a_loaded_flow_holds_the_complex_strings(tmp_path):
-    # each successor is the complex's own id string, not the file list's
-    # copy of it, so the lists' strings are freed with the lists
-    fl = catalog.build("example22-circle")["flow"]
+    # each successor, face and k cell is the complex's own id string, not
+    # the file's copy of it, so the file's strings are freed with its lists
+    entry = catalog.build("example22-circle")
+    fl = entry["flow"]
+    assert entry["k"]
     path = tmp_path / "flow.json"
-    path.write_text(json.dumps(fl.to_json()))
-    back = flm.load_file(str(path))["flow"]
+    path.write_text(json.dumps(dict(fl.to_json(), k=sorted(entry["k"]))))
+    loaded = flm.load_file(str(path))
+    back = loaded["flow"]
     own = {c: c for c in back.cx.cells}
     for table in (back.succ, back.pred):
         for c, outs in table.items():
             assert c is own[c] and all(d is own[d] for d in outs), c
+    for c, faces in back.cx.boundary.items():
+        assert c is own[c] and all(f is own[f] for f in faces), c
+    assert loaded["k"] == sorted(entry["k"])
+    assert all(c is own[c] for c in loaded["k"])
+
+
+# -- the boundary read a span at a time ------------------------------------------
+
+def complex_rows(fl):
+    """A flow's cells, boundaries (each face with its type, since 1 and
+    True are equal) and successors, in their order."""
+    cx = fl.cx
+    return (list(cx.cells.items()),
+            [(c, [(f, type(f), n) for f, n in faces.items()])
+             for c, faces in cx.boundary.items()],
+            list(fl.succ.items()))
+
+
+def read_outcome(read):
+    """complex_rows of the flow read() gives, or its error's code and
+    text."""
+    try:
+        return complex_rows(read())
+    except cxm.ConleyError as err:
+        return err.code, str(err)
+
+
+def parsed_outcome(text):
+    return read_outcome(
+        lambda: flm.CombinatorialFlow.from_json(json.loads(text)))
+
+
+def loaded_outcome(path):
+    return read_outcome(lambda: flm.load_file(str(path))["flow"])
+
+
+@contextlib.contextmanager
+def patched(name, value):
+    # flow.<name> set to value for the block
+    saved = getattr(flm, name)
+    setattr(flm, name, value)
+    try:
+        yield
+    finally:
+        setattr(flm, name, saved)
+
+
+def reader_span(n):
+    return patched("_SPAN", n)
+
+
+@contextlib.contextmanager
+def whole_decodes():
+    """A list that gets one item each time the reader decodes a boundary
+    object whole, as it does when a span does not decode."""
+    calls = []
+    real = flm.boundary_table
+    with patched("boundary_table", lambda bnd: calls.append(1) or real(bnd)):
+        yield calls
+
+
+def renamed_body(fl, name, k=None):
+    """The flow's file body with every cell id c renamed name(c)."""
+    cx = fl.cx
+    body = {
+        "complex": {
+            "name": cx.name,
+            "cells": [[name(c), d] for c, d in sorted(cx.cells.items())],
+            "boundary": {name(c): [[name(f), n] for f, n in sorted(b.items())]
+                         for c, b in sorted(cx.boundary.items()) if b},
+        },
+        "successors": {name(c): [name(d) for d in outs]
+                       for c, outs in sorted(fl.succ.items())},
+    }
+    if k:
+        body["k"] = sorted(map(name, k))
+    return body
+
+
+def test_a_tiny_span_loads_every_catalog_file_as_parsed(tmp_path):
+    # spans of a few characters: a cut after nearly every entry, over the
+    # newlines and indents of construct's output
+    from conleylab import cli
+    with reader_span(4), whole_decodes() as whole:
+        for name, (_, _, minimum) in sorted(catalog._RECIPES.items()):
+            path = tmp_path / (name + ".json")
+            assert cli.main(["construct", name, "--resolution", str(minimum),
+                             "--out", str(path)]) == 0
+            assert loaded_outcome(path) == parsed_outcome(path.read_text()), \
+                name
+    # no span of these files failed to decode
+    assert whole == []
+
+
+# ids that hold a false cut, a `]` then a comma and the string's own
+# closing quote, and ids that hold none
+FALSE_CUTS = ["],", "], ", "] ,", "]],"]
+ODD_IDS = ["]", '"', '\\"', ",", ", ", "\u00fc", "\u2202]", "[", "\u00a0"]
+
+
+@pytest.mark.parametrize("piece", FALSE_CUTS + ODD_IDS)
+def test_ids_with_brackets_commas_and_quotes_load_as_parsed(tmp_path, piece):
+    entry = catalog.build("example22-circle")
+    body = renamed_body(entry["flow"], lambda c: c + piece, entry["k"])
+    for span in (4, 64, flm._SPAN):
+        for ascii_only in (True, False):
+            path = tmp_path / "flow.json"
+            path.write_text(json.dumps(body, ensure_ascii=ascii_only),
+                            encoding="utf-8")
+            with reader_span(span), whole_decodes() as whole:
+                assert loaded_outcome(path) == \
+                    parsed_outcome(path.read_text(encoding="utf-8")), span
+            # a cut inside a string leaves the span unterminated, and the
+            # reader decodes the object whole
+            if piece in FALSE_CUTS and span == 4:
+                assert whole, (piece, ascii_only)
+
+
+def test_whitespace_between_tokens_is_cut_over(tmp_path):
+    entry = catalog.build("example22-circle")
+    body = renamed_body(entry["flow"], str, entry["k"])
+    texts = [json.dumps(body, indent=1),
+             json.dumps(body, indent="\t"),
+             json.dumps(body, indent=1).replace("\n", "\r\n"),
+             json.dumps(body, separators=("\t,\r\n\t", " :\t"))]
+    path = tmp_path / "flow.json"
+    for text in texts:
+        # written as it stands: the \r\n pairs stay on disk
+        path.write_text(text, newline="")
+        for span in (4, 64):
+            with reader_span(span), whole_decodes() as whole:
+                assert loaded_outcome(path) == \
+                    parsed_outcome(path.read_text()), span
+            assert whole == [], span
+
+
+@pytest.mark.parametrize("ids", [(1, True), (True, 1), (1, 1.0), (0, False)])
+def test_equal_ids_of_other_types_read_as_parsed(tmp_path, ids):
+    # 1, True and 1.0 are one dict key: a vertex given as one of them in
+    # `cells` and in one boundary, and as another in the second boundary
+    # that names it, keeps each occurrence as the file gives it
+    vertices = {"v:0": ids[0], "v:1": 2, "v:2": 3}
+    body = renamed_body(flm.rest_flow(spm.circle(3)),
+                        lambda c: vertices.get(c, c))
+    pairs = [p for c, faces in sorted(body["complex"]["boundary"].items())
+             for p in faces if p[0] == ids[0]]
+    assert len(pairs) == 2
+    pairs[1][0] = ids[1]
+    path = tmp_path / "flow.json"
+    path.write_text(json.dumps(body))
+    for span in (4, flm._SPAN):
+        with reader_span(span):
+            assert loaded_outcome(path) == parsed_outcome(path.read_text())
+
+
+# id text rich in false cuts; faces that are not strings, or not hashable
+ID_TEXT = st.text(alphabet='ab], "\\\u00fc\t', max_size=4)
+ODD_FACES = st.sampled_from([1, True, 1.0, 0, None, [1], {"a": 1}, "ghost"])
+ODD_COEFFS = st.sampled_from([0, 2, -1, "1", True, None, 1.5])
+
+
+@st.composite
+def renamed_flow_texts(draw):
+    """The text of a rest flow on a small complex, its ids drawn from
+    ID_TEXT, with up to two faults in its boundary, in one of several
+    layouts."""
+    cx = draw(st.sampled_from(small_complexes()))
+    old = sorted(cx.cells)
+    new = dict(zip(old, draw(st.lists(ID_TEXT, min_size=len(old),
+                                      max_size=len(old), unique=True))))
+    body = renamed_body(flm.rest_flow(cx), new.__getitem__)
+    bnd = body["complex"]["boundary"]
+    for c in draw(st.lists(st.sampled_from(sorted(bnd)), max_size=2,
+                           unique=True)):
+        pairs = bnd[c]
+        i = draw(st.integers(0, len(pairs) - 1))
+        fault = draw(st.sampled_from(["face", "coeff", "pair", "value"]))
+        if fault == "face":
+            pairs[i][0] = draw(ODD_FACES | ID_TEXT)
+        elif fault == "coeff":
+            pairs[i][1] = draw(ODD_COEFFS)
+        elif fault == "pair":
+            pairs[i] = pairs[i][:draw(st.sampled_from([0, 1]))] or [1, 2, 3]
+        else:
+            bnd[c] = draw(st.sampled_from([{}, "ab", 5, dict(pairs)]))
+    return json.dumps(body, ensure_ascii=draw(st.booleans()),
+                      indent=draw(st.sampled_from([None, 1, "\t"])))
+
+
+@settings(max_examples=150, deadline=None)
+@given(renamed_flow_texts(), st.sampled_from([1, 4, 16]))
+def test_a_tiny_span_reads_what_json_loads_reads(text, span):
+    # the same complex and flow, or the same error line, as json.loads
+    # then from_json, and as the reader decoding the boundary whole
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "flow.json")
+        with open(path, "w") as fh:
+            fh.write(text)
+        with reader_span(span):
+            got = loaded_outcome(path)
+        with patched("_read_boundary", lambda *args: None):
+            whole = loaded_outcome(path)
+    assert got == parsed_outcome(text)
+    assert got == whole
 
 
 def test_json_fixed_disagreement():
