@@ -19,12 +19,12 @@ _EXPORTS = {
     "attractor": ("AttractorReport", "NotIsolatedError", "VERDICTS",
                   "analyze", "classify"),
     "blocks": ("BlockError", "IsolatingBlock", "NoBlockError", "build_block",
-               "conley_euler", "section_components"),
+               "conley_euler"),
     "catalog": ("CatalogError", "analysis", "build", "names"),
     "complexes": ("CellComplex", "ComplexError", "ConleyError",
                   "named_space"),
     "constructions": ("ConstructionError",),
-    "flow": ("CombinatorialFlow", "FlowError", "LimitEnclosure", "rest_flow"),
+    "flow": ("CombinatorialFlow", "FlowError", "rest_flow"),
     "theorems": ("CheckResult", "TheoremError", "check_ids", "run"),
 }
 _MODULE_OF = {name: mod for mod, names in _EXPORTS.items() for name in names}

@@ -2,8 +2,8 @@
 boundary faces as entrances and exits, and read off the asymptotic sets.
 Each round takes two trims of n, the cells staying inside forward (n+) and
 backward (n-); their intersection is the invariant part of n, which must
-be k. The sections n- and n+ are counted as `CellComplex.components` of
-their boundary faces."""
+be k. A block is regular when n+ and n- cover n and its entrance and
+exit faces are exactly the boundary faces of n+ and of n-."""
 
 from .complexes import ConleyError
 
@@ -90,16 +90,6 @@ def build_block(flow, k):
             continue  # k is not the invariant part of n
         return IsolatingBlock(flow, kset, n, faces, ni, no, nplus, nminus)
     raise NoBlockError("no isolating block within budget around %d cells" % len(kset))
-
-
-def section_components(block):
-    """(components of n-, components of n+). Only regular blocks have
-    well-defined sections."""
-    if not block.regular:
-        raise BlockError("not-regular", "sections need a regular block")
-    cx = block.flow.cx
-    return (len(cx.components(block.nminus_faces)),
-            len(cx.components(block.nplus_faces)))
 
 
 def conley_euler(block):

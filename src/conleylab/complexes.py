@@ -7,9 +7,9 @@ has a nonzero integer coefficient, and del o del = 0, so a bad sign in a
 builder fails loudly at build time instead of corrupting homology later. A
 boundary for a cell that is not declared is refused too. `boundary_table`
 turns a body's [face, coeff] lists into the dicts the constructor keeps,
-popping each list from the body as it goes. `from_json` converts through
-it, and so does the flow file reader for a boundary it cannot decode a span
-at a time.
+popping each list from the body as it goes. The flow reader converts
+through it a boundary it cannot decode a span at a time, and `from_json`
+converts through it when it is given no table.
 
 Construction indexes only the cells by dimension. The top cofaces of each
 codim-1 face, the supports of the cells of dimension 2 and up and the top
@@ -328,10 +328,11 @@ class CellComplex:
     def from_json(cls, data, *, boundary=None):
         """The complex of a JSON body, which takes the body's `boundary`
         mapping apart through `boundary_table`. A caller that keeps its
-        body hands over a copy of that mapping. A reader that decodes a
-        file one member at a time converts the boundary as soon as it is
-        decoded and passes the table as `boundary`, in place of the body's
-        own. The `cells` pairs go to the constructor as they stand."""
+        body hands over a copy of that mapping. The flow reader, which
+        decodes a body one member at a time, converts the boundary as it
+        is decoded and passes the table as `boundary`, in place of the
+        body's own. The `cells` pairs go to the constructor as they
+        stand."""
         cells = data["cells"]
         if type(cells) is not list:
             raise ComplexError("cells are not a list of [id, dim] pairs")
@@ -344,10 +345,10 @@ class CellComplex:
 def boundary_table(bnd):
     """A body's boundary mapping of [face, coeff] lists as the {face: coeff}
     dicts a complex keeps. Each list is popped from the mapping as soon as
-    it has become its dict, so a loader that owns its parsed file frees
-    those lists while the table is built. A mapping where a [face, coeff]
-    list belongs would pass through dict() unnoticed, so it is refused
-    here, before any list is popped."""
+    it has become its dict, so the flow reader, which owns the boundary it
+    has just decoded whole, frees those lists while the table is built. A
+    mapping where a [face, coeff] list belongs would pass through dict()
+    unnoticed, so it is refused here, before any list is popped."""
     if set(map(type, bnd.values())) - {list}:
         c = next(c for c, pairs in bnd.items() if type(pairs) is not list)
         raise ComplexError("boundary of %s is not a list of "

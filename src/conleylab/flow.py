@@ -18,11 +18,11 @@ components in reverse topological order. It gives `recurrent_cells`, and,
 read forward for F and backward for P, every cell's own eventual image: a
 cell on a cycle reaches its image; any other cell's image is the union of
 its successors' images.
-The image of a seed is the union of its cells' images, so J+(x) and J-(x)
-are unions over the one-ring of x, with no walk per cell. This is the one
-J+/J- path of the flow. Enclosures relative to a region (basin - k) are
-whole-set sweeps in `attractor`, composed from `reach` and `recurrent_cells`
-of that region.
+The image of a seed is the union of its cells' images, so J+(x) and J-(x),
+the images of the one-ring of x, need no walk per cell: `theorems` counts
+J-duality from these per-cell images. Enclosures relative to a region
+(basin - k) are whole-set sweeps in `attractor`, composed from `reach` and
+`recurrent_cells` of that region.
 
 One-rings of top cells are symmetric (a is in the one-ring of b exactly
 when b is in that of a), so the top cells whose one-ring meets a region are
@@ -38,11 +38,13 @@ A flow knows nothing of how it was built. A catalog flow carries its
 `recipe` ({name, resolution}) in `meta` and in its JSON as provenance only;
 rebuilding it finer is the catalog's job, by that (name, resolution) key.
 
-`load_file` reads a flow file one member at a time, and decodes the
-boundary of its complex a span of text at a time, so no whole parsed file
-is held. One table per file maps each cell id to one string, so the
-complex, the flow's tables and `k` share one string per id, and a face
-lookup meets the key object itself.
+One reader, `_read`, parses every flow body: `load_file` hands it a file's
+text, and `CombinatorialFlow.from_json` the text json.dumps writes of a
+body. It reads one member at a time, and decodes the boundary of the
+complex a span of text at a time, so no whole parsed body is held. One
+table per body maps each cell id to one string, so the complex, the flow's
+tables and `k` share one string per id, and a face lookup meets the key
+object itself.
 """
 
 import json
@@ -59,21 +61,6 @@ from .complexes import CellComplex, ConleyError, boundary_table
 
 class FlowError(ConleyError):
     pass
-
-
-class LimitEnclosure:
-    """An outer enclosure of a limit set, as a set of top cells.
-
-    Membership of a cell is tested through its one-ring: the enclosure is a
-    region, and a cell belongs to the limit behaviour when its neighborhood
-    meets that region. Plain `in` on .cells is deliberately not the test."""
-
-    def __init__(self, cells, flow):
-        self.cells = frozenset(cells)
-        self.flow = flow
-
-    def touches(self, cell):
-        return bool(self.flow.one_ring(cell) & self.cells)
 
 
 def _union(sets):
@@ -276,24 +263,6 @@ class CombinatorialFlow:
                         dead.append(e)
         return frozenset(s)
 
-    # -- limit enclosures -----------------------------------------------------
-
-    def j_plus(self, x):
-        return LimitEnclosure(self._j(x, "f"), self)
-
-    def j_minus(self, x):
-        return LimitEnclosure(self._j(x, "p"), self)
-
-    def _j(self, x, direction):
-        # the eventual image of a seed is the union of its cells' images
-        self._need_cell(x)
-        image = self.eventual_images(direction)
-        return _union(image[y] for y in self.one_ring(x))
-
-    def _need_cell(self, x):
-        if x not in self.tops:
-            raise FlowError("bad-cell", "%s is not a top cell" % x)
-
     # -- serialization --------------------------------------------------------
 
     def to_json(self):
@@ -310,17 +279,19 @@ class CombinatorialFlow:
 
     @classmethod
     def from_json(cls, data):
-        """The flow of a JSON body, which is read and not changed: `_take`
-        gets copies of the mappings it takes apart (the body and its
-        complex's boundary table), and every list stays the caller's. A
-        body with one fault that `load_file` would refuse is refused the
-        same way; of several, the first that `_check_fields` meets, before
-        any fault in the complex."""
-        data = dict(data)
-        body = data.get("complex")
-        if isinstance(body, dict) and isinstance(body.get("boundary"), dict):
-            data["complex"] = dict(body, boundary=dict(body["boundary"]))
-        cx, data = _take(data)
+        """The flow of a JSON body, read by the file reader from the text
+        json.dumps writes of it: the body is not changed, and it is refused
+        as a file holding that text would be. A body json.dumps cannot
+        write is refused as unreadable input."""
+        def unreadable(exc):
+            return FlowError("unreadable-input",
+                             "cannot read flow body: %s" % exc)
+
+        try:
+            text = json.dumps(data)
+        except (TypeError, ValueError, RecursionError) as exc:
+            raise unreadable(exc)
+        cx, data = _read(text, unreadable)
         return cls._assemble(cx, data, data.get("name"))
 
     @classmethod
@@ -337,16 +308,6 @@ class CombinatorialFlow:
         return flow
 
 
-def _take(data):
-    """(complex, other fields) of a flow body the caller hands over, its
-    fields' shapes checked first. The complex body is popped, and
-    boundary_table pops each boundary list as it converts it, so the parsed
-    lists are freed before the flow allocates its tables."""
-    _check_fields(data)
-    with _malformed():
-        return _complex(data.pop("complex")), data
-
-
 @contextmanager
 def _malformed():
     """Report malformed structure met in the block (a missing key, a list
@@ -359,15 +320,6 @@ def _malformed():
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise FlowError("unreadable-input", "malformed flow data: %s: %s"
                         % (type(exc).__name__, exc))
-
-
-def _complex(body):
-    # the complex of a flow body's `complex` member; one given by name is
-    # refused
-    if isinstance(body, str):
-        raise FlowError("unreadable-input",
-                        "flow references complex %r by name" % body)
-    return CellComplex.from_json(body)
 
 
 def _ids(value):
@@ -399,13 +351,6 @@ def _check_field(key, value):
         raise FlowError("unreadable-input", "malformed flow data: " + why)
 
 
-def _check_fields(data):
-    # every field of a body, in the order of _SHAPES; successors is required
-    for key in _SHAPES:
-        if key in data or key == "successors":
-            _check_field(key, data.get(key))
-
-
 def _members(text, i, member):
     """Walk the JSON object that opens at text[i], calling member(key, j)
     at the start j of each value; member decodes the value and returns the
@@ -434,7 +379,9 @@ def _members(text, i, member):
 
 # A file's boundary object is decoded a span of about _SPAN characters at a
 # time. A span ends just past the `]` of an entry that a comma and the next
-# key follow (JSON whitespace only, as json.loads reads it).
+# key follow (JSON whitespace only, as json.loads reads it), or at the
+# first `}` before that: in a boundary that is well formed, the object's
+# own closing brace, after the `]` of its last entry and JSON whitespace.
 _SPAN = 1 << 16
 _CUT = re.compile(r'\][ \t\n\r]*,[ \t\n\r]*"')
 
@@ -444,12 +391,13 @@ def _read_boundary(text, j, scan, ids):
     at text[j], the index past it), decoded a span at a time, or None.
 
     Each span is decoded as an object of its own, and its entries become
-    dicts, every id taken from `ids`, before the next span is decoded. A
-    cut that falls inside a string or a nested value leaves the span
-    unterminated, so it does not decode. That, or an entry that is not a
-    list of [face, coeff] pairs with string faces, gives None: the caller
-    then decodes the object whole. So does a value that is not an
-    object."""
+    dicts, every id taken from `ids`, before the next span is decoded. The
+    last span ends at the object's closing brace, so no span runs on into
+    the members after the boundary. A cut or a brace that falls inside a
+    string or a nested value leaves the span unterminated, so it does not
+    decode. That, or an entry that is not a list of [face, coeff] pairs
+    with string faces, gives None: the caller then decodes the object
+    whole. So does a value that is not an object."""
     if not text.startswith("{", j):
         return None
     table = {}
@@ -458,8 +406,11 @@ def _read_boundary(text, j, scan, ids):
     try:
         while True:
             cut = _CUT.search(text, a + _SPAN)
-            # the last span holds the object's own closing brace
             b = cut.start() + 1 if cut else len(text)
+            # the last span holds the object's own closing brace
+            close = text.find("}", a, b)
+            if close >= 0:
+                cut, b = None, close + 1
             part, end = scan("{%s%s" % (text[a:b], "}" if cut else ""), 0)
             if set(map(type, part.values())) - {list}:
                 return None
@@ -510,11 +461,17 @@ def _read_complex(text, i, scan, ids):
         return CellComplex.from_json(body, boundary=table), end
 
 
-def _read(text):
-    """(complex, other fields) of a flow file's text, read one top-level
-    member at a time and each checked as it is read; None for a text that
-    is not one JSON object the reader can parse. The complex and `k` share
-    one string per cell id."""
+def _read(text, unreadable):
+    """(complex, other fields) of a flow body's text, read one top-level
+    member at a time and each checked as it is read. The complex and `k`
+    share one string per cell id. This is the one parser of a flow body.
+
+    A text the reader cannot parse is handed to json.loads for its error
+    message only, and raises `unreadable(message)`; one whose top level is
+    not an object raises FlowError. A member of the complex nested within a
+    level of the interpreter's recursion limit is such a text: the reader's
+    own calls meet the limit first. A text json.loads reads and the reader
+    does not is refused all the same."""
     scan = json.JSONDecoder().scan_once
     ids = {}
     data = {}
@@ -525,8 +482,12 @@ def _read(text):
         else:
             value, j = scan(text, j)
             if key == "complex":
+                if isinstance(value, str):
+                    raise FlowError("unreadable-input",
+                                    "flow references complex %r by name"
+                                    % value)
                 with _malformed():
-                    value = _complex(value)
+                    value = CellComplex.from_json(value)
             elif key in _SHAPES:
                 _check_field(key, value)
                 if key == "k" and value:
@@ -536,11 +497,18 @@ def _read(text):
 
     try:
         end = _members(text, WHITESPACE.match(text).end(), member)
-        if WHITESPACE.match(text, end).end() != len(text):
-            return None
     except (StopIteration, JSONDecodeError, RecursionError):
         # RecursionError: arrays or objects nested past the parser's depth
-        return None
+        end = None
+    if end is None or WHITESPACE.match(text, end).end() != len(text):
+        try:
+            whole = json.loads(text)
+        except (ValueError, RecursionError) as exc:
+            raise unreadable(exc)
+        if type(whole) is not dict:
+            raise FlowError("unreadable-input", "malformed flow data: the "
+                            "file is not a JSON object")
+        raise unreadable("values nested too deeply to read")
     if "successors" not in data:
         _check_field("successors", None)
     with _malformed():
@@ -563,11 +531,10 @@ def load_file(path, name=None, error=FlowError):
     The complex is built, fully validated, when its object closes, before
     the members after it are decoded. Each member is checked as it is
     read, so of two faults in one file the one met first in the file is
-    reported. A text the reader cannot parse, or whose
-    top level is not an object, is handed to json.loads: a file that cannot
-    be read or parsed raises `error` with the reader's or the parser's own
-    message, and one whose fields have the wrong shape raises FlowError
-    naming the field, both with code unreadable-input."""
+    reported. A file that cannot be read or parsed raises `error` with the
+    reader's or json.loads' own message, and one whose fields have the
+    wrong shape raises FlowError naming the field, both with code
+    unreadable-input."""
     def unreadable(exc):
         return error("unreadable-input",
                      "cannot read flow file %s: %s" % (path, exc))
@@ -577,21 +544,9 @@ def load_file(path, name=None, error=FlowError):
             text = fh.read()
     except (OSError, ValueError) as exc:
         raise unreadable(exc)
-    parts = _read(text)
-    if parts is None:
-        try:
-            data = json.loads(text)
-        except (ValueError, RecursionError) as exc:
-            # RecursionError: arrays or objects nested past the parser's
-            # depth
-            raise unreadable(exc)
-        if type(data) is not dict:
-            raise FlowError("unreadable-input", "malformed flow data: the "
-                            "file is not a JSON object")
-        parts = _take(data)
+    cx, data = _read(text, unreadable)
     # the text goes before the flow allocates its tables
     del text
-    cx, data = parts
     name = (name or data.get("name")
             or os.path.splitext(os.path.basename(path))[0])
     flow = CombinatorialFlow._assemble(cx, data, name)

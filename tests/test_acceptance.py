@@ -11,7 +11,7 @@ import time
 import pytest
 
 from conleylab import algebra, attractor, blocks, catalog, cli, theorems
-from test_flow import shared_entry
+from test_flow import j_minus, j_plus, shared_entry
 
 NOEXT = "NoExternalExplosions"
 
@@ -187,8 +187,8 @@ def test_criterion_10_exhaustive_jduality():
         flow = entry["flow"]
         tops = sorted(flow.tops)
         assert len(tops) <= 2000
-        jp = {x: flow.j_plus(x) for x in tops}
-        jm = {x: flow.j_minus(x) for x in tops}
+        jp = {x: j_plus(flow, x) for x in tops}
+        jm = {x: j_minus(flow, x) for x in tops}
         for x in tops:
             for y in tops:
                 assert jp[x].touches(y) == jm[y].touches(x), \

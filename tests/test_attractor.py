@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from conleylab import (algebra, attractor, blocks, catalog, complexes as cxm,
                        flow as flm, spaces as spm)
+from test_blocks import section_components
 from test_flow import (eventual_image, image_cycle, iterated_image,
                        shared_entry, small_flows, trim_loop)
 
@@ -356,7 +357,7 @@ def outcome(fn, *args):
 
 
 def sections(fl, k):
-    return outcome(lambda: blocks.section_components(
+    return outcome(lambda: section_components(
         blocks.build_block(fl, k)))
 
 

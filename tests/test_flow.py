@@ -3,8 +3,10 @@ import copy
 import functools
 import json
 import os
+import sys
 import tempfile
 import tracemalloc
+import types
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -38,10 +40,47 @@ def image_cycle(flow, seed, direction="f", within=None):
     return seq[seen[s]:]
 
 
+class LimitEnclosure:
+    """An outer enclosure of a limit set, as a set of top cells.
+
+    Membership of a cell is tested through its one-ring: the enclosure is a
+    region, and a cell belongs to the limit behaviour when its neighborhood
+    meets that region. Plain `in` on .cells is deliberately not the test."""
+
+    def __init__(self, cells, flow):
+        self.cells = frozenset(cells)
+        self.flow = flow
+
+    def touches(self, cell):
+        return bool(self.flow.one_ring(cell) & self.cells)
+
+
+def need_cell(flow, x):
+    if x not in flow.tops:
+        raise flm.FlowError("bad-cell", "%s is not a top cell" % x)
+
+
+def j_enclosure(flow, x, direction):
+    """J+ (direction "f") or J- ("p") of the cell x: the eventual image of
+    its one-ring, the union of the flow's shared per-cell images."""
+    need_cell(flow, x)
+    image = flow.eventual_images(direction)
+    return LimitEnclosure(flm._union(image[y] for y in flow.one_ring(x)),
+                          flow)
+
+
+def j_plus(flow, x):
+    return j_enclosure(flow, x, "f")
+
+
+def j_minus(flow, x):
+    return j_enclosure(flow, x, "p")
+
+
 def omega_limit(flow, x):
     """Omega limit enclosure of one cell: its own eventual image."""
-    flow._need_cell(x)
-    return flm.LimitEnclosure(eventual_image(flow, {x}, "f"), flow)
+    need_cell(flow, x)
+    return LimitEnclosure(eventual_image(flow, {x}, "f"), flow)
 
 
 def relative_image(flow, seed, direction, within):
@@ -122,7 +161,7 @@ def test_rest_flow_prolongation_is_one_ring():
     f = flm.rest_flow(c)
     assert set(f.fixed) == set(c.top_cells())
     for x in c.top_cells():
-        jp = f.j_plus(x)
+        jp = j_plus(f, x)
         assert jp.cells == frozenset(f.one_ring(x))
         assert omega_limit(f, x).cells == frozenset({x})
 
@@ -147,9 +186,9 @@ def test_j_enclosures_match_per_seed_images():
     for name, fl, k in catalog_flows():
         for x in sorted(fl.tops):
             seed = fl.one_ring(x)
-            assert fl.j_plus(x).cells == eventual_image(fl, seed, "f"), \
+            assert j_plus(fl, x).cells == eventual_image(fl, seed, "f"), \
                 (name, x)
-            assert fl.j_minus(x).cells == eventual_image(fl, seed, "p"), \
+            assert j_minus(fl, x).cells == eventual_image(fl, seed, "p"), \
                 (name, x)
 
 
@@ -186,8 +225,8 @@ def test_scc_images_match_set_iteration(fl, data):
             assert images[x] == iterated_image(fl, {x}, d), (x, d)
     for x in fl.tops:
         seed = fl.one_ring(x)
-        assert fl.j_plus(x).cells == iterated_image(fl, seed, "f"), x
-        assert fl.j_minus(x).cells == iterated_image(fl, seed, "p"), x
+        assert j_plus(fl, x).cells == iterated_image(fl, seed, "f"), x
+        assert j_minus(fl, x).cells == iterated_image(fl, seed, "p"), x
 
 
 def analysis_outcome(fl, k):
@@ -276,14 +315,14 @@ def test_limit_enclosures_nest():
     fl = entry["flow"]
     x = sorted(fl.tops)[0]
     w = fl.reach({x})
-    assert relative_image(fl, fl.one_ring(x), "f", w) <= fl.j_plus(x).cells
-    assert omega_limit(fl, x).cells <= fl.j_plus(x).cells
+    assert relative_image(fl, fl.one_ring(x), "f", w) <= j_plus(fl, x).cells
+    assert omega_limit(fl, x).cells <= j_plus(fl, x).cells
 
 
 def test_touch_duality_small_flow():
     f = catalog.build("example22-circle")["flow"]
-    jp = {x: f.j_plus(x) for x in f.tops}
-    jm = {x: f.j_minus(x) for x in f.tops}
+    jp = {x: j_plus(f, x) for x in f.tops}
+    jm = {x: j_minus(f, x) for x in f.tops}
     for x in f.tops:
         for y in f.tops:
             assert jp[x].touches(y) == jm[y].touches(x)
@@ -292,7 +331,7 @@ def test_touch_duality_small_flow():
 def test_j_of_unknown_cell_rejected():
     f = catalog.build("example22-circle")["flow"]
     with pytest.raises(flm.FlowError) as ei:
-        f.j_plus("not-a-cell")
+        j_plus(f, "not-a-cell")
     assert ei.value.code == "bad-cell"
 
 
@@ -308,11 +347,11 @@ def test_json_round_trip(tmp_path):
         assert back.succ == fl.succ, name
         assert set(back.fixed) == set(fl.fixed), name
         assert back.meta["recipe"] == fl.meta["recipe"], name
-        # load_file takes its own parsed file apart and builds the same flow
+        # the reader builds from the file the flow the in-memory path builds
         path = tmp_path / (name + ".json")
         path.write_text(json.dumps(data))
         loaded = flm.load_file(str(path))["flow"]
-        read = flm.CombinatorialFlow.from_json(json.loads(path.read_text()))
+        read = parsed_flow(path.read_text())
         assert (loaded.cx.cells, loaded.cx.boundary, loaded.succ) == \
             (read.cx.cells, read.cx.boundary, read.succ), name
 
@@ -399,9 +438,26 @@ def read_outcome(read):
         return err.code, str(err)
 
 
+def parsed_flow(text):
+    """The flow of a body's text by an in-memory path that shares no
+    parsing with the reader: json.loads, the shape of each field in the
+    order of flow._SHAPES, then the complex of the whole parsed body, whose
+    boundary CellComplex.from_json converts through boundary_table."""
+    data = json.loads(text)
+    for key in flm._SHAPES:
+        if key in data or key == "successors":
+            flm._check_field(key, data.get(key))
+    with flm._malformed():
+        body = data["complex"]
+        if isinstance(body, str):
+            raise flm.FlowError("unreadable-input",
+                                "flow references complex %r by name" % body)
+        cx = cxm.CellComplex.from_json(body)
+        return flm.CombinatorialFlow._assemble(cx, data, data.get("name"))
+
+
 def parsed_outcome(text):
-    return read_outcome(
-        lambda: flm.CombinatorialFlow.from_json(json.loads(text)))
+    return read_outcome(lambda: parsed_flow(text))
 
 
 def loaded_outcome(path):
@@ -564,8 +620,8 @@ def renamed_flow_texts(draw):
 @settings(max_examples=150, deadline=None)
 @given(renamed_flow_texts(), st.sampled_from([1, 4, 16]))
 def test_a_tiny_span_reads_what_json_loads_reads(text, span):
-    # the same complex and flow, or the same error line, as json.loads
-    # then from_json, and as the reader decoding the boundary whole
+    # the same complex and flow, or the same error line, as the in-memory
+    # path, and as the reader decoding the boundary whole
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "flow.json")
         with open(path, "w") as fh:
@@ -615,3 +671,188 @@ def test_from_json_refuses_what_a_file_refuses(tmp_path, field, value, why):
         with pytest.raises(flm.FlowError) as ei:
             read()
         assert (ei.value.code, str(ei.value)) == ("unreadable-input", want)
+
+
+def test_no_boundary_span_runs_past_the_object(tmp_path, monkeypatch):
+    # with sorted keys, `cells` follows `boundary` and holds no cut: the
+    # last span ends at the boundary's own closing brace, not at the end
+    # of `cells`
+    body = shared_entry("example22-torus")["flow"].to_json()
+    path = tmp_path / "flow.json"
+    path.write_text(json.dumps(body, sort_keys=True))
+    longest = max(len(json.dumps({c: pairs}))
+                  for c, pairs in body["complex"]["boundary"].items())
+    spans = []
+
+    class Recording(json.JSONDecoder):
+        # a span is decoded from its own index 0, a member from the text's
+        def __init__(self):
+            super().__init__()
+            scan = self.scan_once
+
+            def recorded(s, i):
+                if i == 0:
+                    spans.append(len(s) - 2)
+                return scan(s, i)
+
+            self.scan_once = recorded
+
+    monkeypatch.setattr(flm, "json", types.SimpleNamespace(
+        JSONDecoder=Recording, dumps=json.dumps, loads=json.loads))
+    with reader_span(256):
+        got = loaded_outcome(path)
+    assert len(spans) > 2
+    assert max(spans) <= 256 + longest, (max(spans), longest)
+    assert got == parsed_outcome(path.read_text())
+
+
+# cell ids rich in what JSON escapes, in false cuts and in braces
+ESCAPED_IDS = st.text(alphabet='a]}", \\\n\tü∂\U0001d49c',
+                      min_size=1, max_size=3)
+UNKNOWN_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | ESCAPED_IDS,
+    lambda inner: (st.lists(inner, max_size=3)
+                   | st.dictionaries(ESCAPED_IDS, inner, max_size=3)),
+    max_leaves=8)
+FLOW_KEYS = {"complex", "successors", "fixed", "k", "ring", "recipe", "name"}
+COMPLEX_KEYS = {"name", "cells", "boundary", "identifications"}
+
+
+def written_string(rnd, s):
+    """s as a JSON string, each character as itself, as json.dumps escapes
+    it for ASCII, or as a \\u escape of its UTF-16 units, chosen by rnd."""
+    out = []
+    for ch in s:
+        way = rnd.choice(["plain", "ascii", "u"])
+        if way == "u":
+            units = ch.encode("utf-16-be")
+            out.extend("\\u%02x%02X" % (units[i], units[i + 1])
+                       for i in range(0, len(units), 2))
+        else:
+            out.append(json.dumps(ch, ensure_ascii=way == "ascii")[1:-1])
+    return '"%s"' % "".join(out)
+
+
+def written(rnd, value):
+    """value as JSON text, with up to two characters of JSON whitespace
+    around each token, the members of each object in a shuffled order, and
+    each string written by written_string, every choice made by rnd."""
+    def ws():
+        return "".join(rnd.choice(" \t\n\r") for _ in range(rnd.randint(0, 2)))
+
+    if type(value) is dict:
+        items = list(value.items())
+        rnd.shuffle(items)
+        return "{%s}" % (",".join(
+            "%s%s%s:%s%s%s" % (ws(), written_string(rnd, k), ws(), ws(),
+                               written(rnd, v), ws())
+            for k, v in items) or ws())
+    if type(value) is list:
+        return "[%s]" % (",".join(ws() + written(rnd, v) + ws()
+                                  for v in value) or ws())
+    if type(value) is str:
+        return written_string(rnd, value)
+    return json.dumps(value)
+
+
+@st.composite
+def object_texts(draw):
+    """The text of a rest flow on a small complex, its ids drawn from
+    ESCAPED_IDS, with unknown members in the body and in its complex,
+    written by `written`."""
+    cx = draw(st.sampled_from(small_complexes()))
+    old = sorted(cx.cells)
+    new = dict(zip(old, draw(st.lists(ESCAPED_IDS, min_size=len(old),
+                                      max_size=len(old), unique=True))))
+    tops = sorted(cx.top_cells())
+    k = draw(st.lists(st.sampled_from(tops), min_size=1, unique=True))
+    body = renamed_body(flm.rest_flow(cx), new.__getitem__, k)
+    for part, known in ((body, FLOW_KEYS), (body["complex"], COMPLEX_KEYS)):
+        part.update(draw(st.dictionaries(
+            st.text(max_size=3).filter(lambda key: key not in known),
+            UNKNOWN_VALUES, max_size=2)))
+    return written(draw(st.randoms(use_true_random=True)), body)
+
+
+@settings(max_examples=150, deadline=None)
+@given(object_texts(), st.sampled_from([4, 64, flm._SPAN]))
+def test_the_reader_reads_every_object_json_loads_reads(text, span):
+    # a text json.loads reads as an object is read by the reader too, as
+    # the in-memory path reads it
+    want = parsed_outcome(text)
+    assert len(want) == 3, want
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "flow.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        with reader_span(span):
+            assert loaded_outcome(path) == want
+
+
+def nested_flow_text(depth):
+    """A one-cell flow whose complex holds an unknown member: arrays
+    nested `depth` deep."""
+    return ('{"complex": {"name": "pt", "cells": [["a", 0]], "x": %s%s}, '
+            '"successors": {"a": ["a"]}, "k": ["a"]}'
+            % ("[" * depth, "]" * depth))
+
+
+def test_a_complex_member_nested_past_the_reader_is_refused(
+        tmp_path, capsys, monkeypatch):
+    # json.loads, called where the reader is called, reads a text nested
+    # a level deeper than the reader does: the reader's own calls meet the
+    # recursion limit first. Such a text was loaded through json.loads; now
+    # the CLI refuses it on one line
+    from conleylab import cli
+    read = flm._read
+    calls = []
+
+    def recorded(text, unreadable):
+        # (whether json.loads reads the text here, whether the reader does)
+        try:
+            json.loads(text)
+            parsed = True
+        except RecursionError:
+            parsed = False
+        try:
+            parts = read(text, unreadable)
+        except flm.FlowError:
+            calls.append((parsed, False))
+            raise
+        calls.append((parsed, True))
+        return parts
+
+    monkeypatch.setattr(flm, "_read", recorded)
+    path = tmp_path / "deep.json"
+    window = []
+    for depth in range(sys.getrecursionlimit(), 0, -1):
+        path.write_text(nested_flow_text(depth))
+        code = cli.main(["analyze", str(path)])
+        out, err = capsys.readouterr()
+        parsed, read_ok = calls.pop()
+        if read_ok:
+            assert code == 0, depth
+            break
+        if parsed:
+            window.append(depth)
+        assert (code, out) == (1, ""), depth
+        assert err.startswith("error[unreadable-input]: "), (depth, err)
+        assert err.count("\n") == 1 and "Traceback" not in err, depth
+    assert window
+
+
+def test_a_text_json_loads_reads_and_the_reader_does_not_is_refused(
+        tmp_path, monkeypatch):
+    # json.loads accepts the text; the reader, made to meet the recursion
+    # limit inside the complex, refuses it all the same
+    def too_deep(*args):
+        raise RecursionError
+
+    path = tmp_path / "flow.json"
+    path.write_text(nested_flow_text(1))
+    monkeypatch.setattr(flm, "_read_complex", too_deep)
+    with pytest.raises(flm.FlowError) as ei:
+        flm.load_file(str(path))
+    assert (ei.value.code, str(ei.value)) == (
+        "unreadable-input", "cannot read flow file %s: values nested too "
+        "deeply to read" % path)
