@@ -18,7 +18,7 @@ _EXPORTS = {
                 "poincare_polynomial", "poly_to_string"),
     "attractor": ("AttractorReport", "NotIsolatedError", "VERDICTS",
                   "analyze", "classify"),
-    "blocks": ("BlockError", "IsolatingBlock", "NoBlockError", "build_block",
+    "blocks": ("IsolatingBlock", "NoBlockError", "build_block",
                "conley_euler"),
     "catalog": ("CatalogError", "analysis", "build", "names"),
     "complexes": ("CellComplex", "ComplexError", "ConleyError",

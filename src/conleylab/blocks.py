@@ -15,10 +15,6 @@ class NoBlockError(ConleyError):
         super().__init__(self.code, msg)
 
 
-class BlockError(ConleyError):
-    pass
-
-
 class IsolatingBlock:
     def __init__(self, flow, k, n, faces, ni, no, nplus, nminus):
         self.flow = flow

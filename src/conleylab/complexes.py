@@ -65,7 +65,8 @@ class ComplexError(ConleyError):
 class CellComplex:
     """Cells {id: dim} and boundaries {id: {face: coeff}}. The boundary
     dicts handed in are kept, not copied, and may be shared with the tables
-    they came from: no boundary is changed after construction."""
+    they came from, and every cell with an empty boundary (each vertex)
+    shares one empty dict: no boundary is changed after construction."""
 
     def __init__(self, name, cells, boundary, identifications=None):
         self.name = name
@@ -75,8 +76,9 @@ class CellComplex:
             raise ComplexError("boundary given for undeclared cell %s"
                                % min(undeclared, key=str))
         # each cell's faces as {face: coeff}: the dict handed in, not a
-        # copy, and an empty one for a cell given none
-        self.boundary = {c: boundary.get(c) or {} for c in self.cells}
+        # copy, and for every cell given none one shared empty dict
+        empty = {}
+        self.boundary = {c: boundary.get(c) or empty for c in self.cells}
         self.identifications = list(identifications or [])
         self.meta = {}
         self._by_dim = defaultdict(list)
@@ -325,17 +327,18 @@ class CellComplex:
         }
 
     @classmethod
-    def from_json(cls, data, *, boundary=None):
+    def from_json(cls, data, *, cells=None, boundary=None):
         """The complex of a JSON body, which takes the body's `boundary`
         mapping apart through `boundary_table`. A caller that keeps its
-        body hands over a copy of that mapping. The flow reader, which
-        decodes a body one member at a time, converts the boundary as it
-        is decoded and passes the table as `boundary`, in place of the
-        body's own. The `cells` pairs go to the constructor as they
-        stand."""
-        cells = data["cells"]
-        if type(cells) is not list:
-            raise ComplexError("cells are not a list of [id, dim] pairs")
+        body hands over a copy of that mapping. The body's `cells` pairs
+        go to the constructor as they stand. The flow reader, which
+        decodes a body one member at a time, converts `cells` and
+        `boundary` as they are decoded and passes the tables as `cells`
+        ({id: dim}) and `boundary`, in place of the body's own."""
+        if cells is None:
+            cells = data["cells"]
+            if type(cells) is not list:
+                raise ComplexError("cells are not a list of [id, dim] pairs")
         if boundary is None:
             boundary = boundary_table(data.get("boundary", {}))
         return cls(data.get("name", "complex"), cells, boundary,

@@ -38,15 +38,18 @@ A flow knows nothing of how it was built. A catalog flow carries its
 `recipe` ({name, resolution}) in `meta` and in its JSON as provenance only;
 rebuilding it finer is the catalog's job, by that (name, resolution) key.
 
-One reader, `_read`, parses every flow body: `load_file` hands it a file's
-text, and `CombinatorialFlow.from_json` the text json.dumps writes of a
-body. It reads one member at a time, and decodes the boundary of the
-complex a span of text at a time, so no whole parsed body is held. One
+One reader, `_read`, parses every flow body: `load_file` hands it a file,
+and `CombinatorialFlow.from_json` the text json.dumps writes of a body, as
+a file in memory. It reads the text through one window of a few chunks,
+one member at a time, and decodes the members that grow with the complex
+(its `cells` and `boundary`, and the flow's `successors`) a span of text at
+a time, so neither the whole text nor a whole parsed body is held. One
 table per body maps each cell id to one string, so the complex, the flow's
 tables and `k` share one string per id, and a face lookup meets the key
 object itself.
 """
 
+import io
 import json
 import os
 import re
@@ -291,7 +294,7 @@ class CombinatorialFlow:
             text = json.dumps(data)
         except (TypeError, ValueError, RecursionError) as exc:
             raise unreadable(exc)
-        cx, data = _read(text, unreadable)
+        cx, data = _read(io.StringIO(text), unreadable)
         return cls._assemble(cx, data, data.get("name"))
 
     @classmethod
@@ -334,13 +337,16 @@ def _is_successors(value):
             - {str})
 
 
-# field -> (test of its value's shape, why a value fails it)
+# field -> (test of its value's shape, why a value fails it); a missing
+# `successors` or `complex` fails its test too
 _SHAPES = {
     "successors": (_is_successors, "successors is not a mapping from cell "
                    "ids to lists of cell ids"),
     "fixed": (_ids, "fixed is not a list of cell ids"),
     "k": (lambda v: v is None or _ids(v), "k is not a list of cell ids"),
     "ring": (lambda v: v in ("z", "z2"), "ring is not z or z2"),
+    # an object is read as the complex, and a name is refused by name
+    "complex": (lambda v: type(v) in (dict, str), "complex is not an object"),
 }
 
 
@@ -351,168 +357,339 @@ def _check_field(key, value):
         raise FlowError("unreadable-input", "malformed flow data: " + why)
 
 
-def _members(text, i, member):
-    """Walk the JSON object that opens at text[i], calling member(key, j)
-    at the start j of each value; member decodes the value and returns the
-    index past it. Returns the index past the object. A structural fault
-    raises StopIteration, as the decoder's own scanner does where no value
-    starts, and a bad key raises JSONDecodeError."""
-    ws = WHITESPACE.match
-    if text[i:i + 1] != "{":
-        raise StopIteration(i)
-    i = ws(text, i + 1).end()
-    if text[i:i + 1] == "}":
-        return i + 1
-    while text[i:i + 1] == '"':
-        key, i = scanstring(text, i + 1)
-        i = ws(text, i).end()
-        if text[i:i + 1] != ":":
-            break
-        i = ws(text, member(key, ws(text, i + 1).end())).end()
-        if text[i:i + 1] == "}":
-            return i + 1
-        if text[i:i + 1] != ",":
-            break
-        i = ws(text, i + 1).end()
-    raise StopIteration(i)
-
-
-# A file's boundary object is decoded a span of about _SPAN characters at a
-# time. A span ends just past the `]` of an entry that a comma and the next
-# key follow (JSON whitespace only, as json.loads reads it), or at the
-# first `}` before that: in a boundary that is well formed, the object's
-# own closing brace, after the `]` of its last entry and JSON whitespace.
+# A file is read through one window of _SPAN-sized chunks. The members
+# that grow with the complex, its `cells` array and `boundary` object and
+# the body's `successors` object, are decoded a span of about _SPAN
+# characters at a time. A span ends just past the `]` of an entry that a
+# comma and the next entry follow (JSON whitespace only, as json.loads
+# reads it): the next [id, dim] pair of `cells`, the next key of an object.
+# Or it ends at the first close before that: in a member that is well
+# formed, its own closing bracket, after the `]` of its last pair, or its
+# own closing brace, after the `]` of its last entry.
 _SPAN = 1 << 16
-_CUT = re.compile(r'\][ \t\n\r]*,[ \t\n\r]*"')
+_CUTS = {"[": re.compile(r'\][ \t\n\r]*,[ \t\n\r]*\['),
+         "{": re.compile(r'\][ \t\n\r]*,[ \t\n\r]*"')}
+_CLOSES = {"[": re.compile(r'\][ \t\n\r]*\]'), "{": re.compile(r"\}")}
 
 
-def _read_boundary(text, j, scan, ids):
-    """(the {cell: {face: coeff}} table of the boundary object that opens
-    at text[j], the index past it), decoded a span at a time, or None.
+class _Window:
+    """A text file read through one window of _SPAN-sized chunks. `text`
+    holds the file from where the cursor `i` stood at the last read: each
+    read drops the text before the cursor, so what the reader has passed
+    is freed."""
 
-    Each span is decoded as an object of its own, and its entries become
-    dicts, every id taken from `ids`, before the next span is decoded. The
-    last span ends at the object's closing brace, so no span runs on into
-    the members after the boundary. A cut or a brace that falls inside a
-    string or a nested value leaves the span unterminated, so it does not
-    decode. That, or an entry that is not a list of [face, coeff] pairs
-    with string faces, gives None: the caller then decodes the object
-    whole. So does a value that is not an object."""
-    if not text.startswith("{", j):
-        return None
-    table = {}
-    intern = ids.setdefault
-    a = j + 1
+    def __init__(self, fh):
+        self.fh = fh
+        self.text = ""
+        self.i = 0
+        self.done = False
+
+    def grow(self):
+        """Read on: as many _SPAN chunks as the window holds from the
+        cursor on, at least one, so a value n chunks long is held after
+        about log2(n) reads. The window then starts at the cursor, so a
+        caller reads `text` and `i` afresh. False, with the window as it
+        was, once the file has ended."""
+        if self.done:
+            return False
+        chunks = [self.text[self.i:]]
+        for _ in range(max(1, len(chunks[0]) // _SPAN)):
+            chunk = self.fh.read(_SPAN)
+            if not chunk:
+                self.done = True
+                break
+            chunks.append(chunk)
+        if len(chunks) == 1:
+            return False
+        self.text, self.i = "".join(chunks), 0
+        return True
+
+    def skip(self):
+        """Move the cursor past JSON whitespace. The character there, or
+        "" at the end of the file."""
+        while True:
+            self.i = WHITESPACE.match(self.text, self.i).end()
+            if self.i < len(self.text) or not self.grow():
+                return self.text[self.i:self.i + 1]
+
+    def decode(self, scan):
+        """The value scan(text, i) decodes at the cursor, which moves past
+        it. The window grows until the value decodes or the file ends. A
+        number that ends within two characters of the window's end may go
+        on past it (`1e` of `1e5`), so it is decoded again once the window
+        has grown."""
+        while True:
+            try:
+                value, end = scan(self.text, self.i)
+            except (StopIteration, ValueError):
+                if self.grow():
+                    continue
+                raise
+            if (type(value) in (int, float) and end + 3 > len(self.text)
+                    and self.grow()):
+                continue
+            self.i = end
+            return value
+
+
+def _key(text, i):
+    # the string that opens at text[i]
+    return scanstring(text, i + 1)
+
+
+def _members(w, member):
+    """Walk the JSON object that opens at the window's cursor, calling
+    member(key) with the cursor at the start of each value; member decodes
+    the value and moves the cursor past it. Leaves the cursor past the
+    object. A structural fault raises StopIteration, as the decoder's own
+    scanner does where no value starts, and a bad key raises
+    JSONDecodeError."""
+    if w.skip() != "{":
+        raise StopIteration(w.i)
+    w.i += 1
+    ch = w.skip()
+    if ch == "}":
+        w.i += 1
+        return
+    while ch == '"':
+        key = w.decode(_key)
+        if w.skip() != ":":
+            break
+        w.i += 1
+        w.skip()
+        member(key)
+        ch = w.skip()
+        w.i += 1
+        if ch == "}":
+            return
+        if ch != ",":
+            break
+        ch = w.skip()
+    raise StopIteration(w.i)
+
+
+def _spans(w, scan, opener, take):
+    """Decode the array or object that opens with `opener` at the window's
+    cursor a span at a time, each span as an array or object of its own,
+    and hand each decoded span to take(part), which returns whether it
+    holds entries of the shape the caller reads. Returns whether every
+    span decoded and was taken; the cursor is then past the value.
+
+    The last span ends at the value's own close, so no span runs on into
+    the members after it. A cut or a close that falls inside a string or a
+    nested value leaves the span unterminated, so it does not decode. A
+    value that does not open with `opener` is not read."""
+    if w.skip() != opener:
+        return False
+    cut_at, close_at = _CUTS[opener].search, _CLOSES[opener].search
+    closer = "]" if opener == "[" else "}"
+    w.i += 1
+    if w.skip() == closer:
+        w.i += 1
+        return True
     try:
         while True:
-            cut = _CUT.search(text, a + _SPAN)
+            text, a = w.text, w.i
+            cut = cut_at(text, a + _SPAN)
             b = cut.start() + 1 if cut else len(text)
-            # the last span holds the object's own closing brace
-            close = text.find("}", a, b)
-            if close >= 0:
-                cut, b = None, close + 1
-            part, end = scan("{%s%s" % (text[a:b], "}" if cut else ""), 0)
-            if set(map(type, part.values())) - {list}:
-                return None
-            for c, pairs in part.items():
-                faces = table[intern(c, c)] = {}
-                for f, n in pairs:
-                    faces[intern(f, f)] = n
-            del part
-            # the span's own brace closed it: the object goes on
-            if cut and end == b - a + 2:
-                a = cut.end() - 1
+            close = close_at(text, a, b)
+            if close:
+                cut, b = None, close.end()
+            elif not cut and w.grow():
                 continue
-            if set(map(type, ids)) - {str}:
-                return None
-            return table, a - 1 + end
+            part, end = scan("%s%s%s" % (opener, text[a:b],
+                                         closer if cut else ""), 0)
+            if not take(part):
+                return False
+            del part
+            # the span's own close closed it: the value goes on
+            if cut and end == b - a + 2:
+                w.i = cut.end() - 1
+                continue
+            w.i = a - 1 + end
+            return True
     except (StopIteration, RecursionError, TypeError, ValueError):
-        return None
+        return False
 
 
-def _read_complex(text, i, scan, ids):
-    """(the complex of the object that opens at text[i], the index past
-    it). Its `boundary` is decoded a span at a time into the complex's
-    dicts, and the complex is built when the object closes. Every cell id
-    of `cells` and `boundary` is taken from `ids`, one string per id."""
+def _read_cells(w, scan, ids):
+    """The {cell: dim} table of the `cells` array at the window's cursor,
+    decoded a span at a time, every id taken from `ids`; or None when an
+    item is not an [id, dim] pair with a string id, or a span does not
+    decode. A repeated id keeps its first place and its last dimension,
+    as dict() of the pairs does."""
+    table = {}
+    intern = ids.setdefault
+
+    def take(pairs):
+        for p in pairs:
+            if type(p) is not list or len(p) != 2 or type(p[0]) is not str:
+                return False
+            table[intern(p[0], p[0])] = p[1]
+        return True
+
+    return table if _spans(w, scan, "[", take) else None
+
+
+def _read_boundary(w, scan, ids):
+    """The {cell: {face: coeff}} table of the `boundary` object at the
+    window's cursor, decoded a span at a time, every id taken from `ids`;
+    or None when an entry is not a list of [face, coeff] pairs with string
+    faces, or a span does not decode."""
+    table = {}
+    intern = ids.setdefault
+
+    def take(part):
+        if set(map(type, part.values())) - {list}:
+            return False
+        for c, pairs in part.items():
+            faces = table[intern(c, c)] = {}
+            for f, n in pairs:
+                faces[intern(f, f)] = n
+        return True
+
+    if _spans(w, scan, "{", take) and not set(map(type, ids)) - {str}:
+        return table
+    return None
+
+
+def _read_successors(w, scan):
+    """The `successors` mapping at the window's cursor, decoded a span at a
+    time; or None when a span does not decode, or is not a mapping from
+    cell ids to lists of cell ids."""
+    table = {}
+
+    def take(part):
+        table.update(part)
+        return _is_successors(part)
+
+    return table if _spans(w, scan, "{", take) else None
+
+
+class _Reread(Exception):
+    """A member the span readers cannot read: the body is read again from
+    its start, with each member decoded whole."""
+
+
+def _read_complex(w, scan, ids, spans):
+    """The complex of the object that opens at the window's cursor, the
+    cursor moved past it. With `spans`, its `cells` and `boundary` are
+    decoded a span at a time into the complex's tables, every cell id
+    taken from `ids`, one string per id, and a member the span readers
+    cannot read raises _Reread; else each is decoded whole. The complex
+    is built when the object closes."""
     body = {}
-    table = None
+    tables = {}
 
-    def member(key, j):
-        nonlocal table
-        parts = key == "boundary" and _read_boundary(text, j, scan, ids)
-        if parts:
-            table, j = parts
-            return j
-        value, j = scan(text, j)
+    def member(key):
+        if spans and key in ("cells", "boundary"):
+            read = _read_cells if key == "cells" else _read_boundary
+            tables[key] = read(w, scan, ids)
+            if tables[key] is None:
+                raise _Reread
+            return
+        value = w.decode(scan)
         if key == "boundary":
             with _malformed():
-                table = boundary_table(value)
-            return j
-        if key == "cells" and type(value) is list:
-            for p in value:
-                if type(p) is list and p and type(p[0]) is str:
-                    p[0] = ids.setdefault(p[0], p[0])
-        body[key] = value
-        return j
+                tables[key] = boundary_table(value)
+        else:
+            body[key] = value
 
-    end = _members(text, i, member)
+    _members(w, member)
     with _malformed():
-        return CellComplex.from_json(body, boundary=table), end
+        return CellComplex.from_json(body, **tables)
 
 
-def _read(text, unreadable):
-    """(complex, other fields) of a flow body's text, read one top-level
-    member at a time and each checked as it is read. The complex and `k`
-    share one string per cell id. This is the one parser of a flow body.
-
-    A text the reader cannot parse is handed to json.loads for its error
-    message only, and raises `unreadable(message)`; one whose top level is
-    not an object raises FlowError. A member of the complex nested within a
-    level of the interpreter's recursion limit is such a text: the reader's
-    own calls meet the limit first. A text json.loads reads and the reader
-    does not is refused all the same."""
-    scan = json.JSONDecoder().scan_once
+def _read_body(w, scan, spans):
+    # (complex, other fields) of the body at the window's cursor; with
+    # `spans`, `successors` and the complex's tables are read by spans
     ids = {}
     data = {}
 
-    def member(key, j):
-        if key == "complex" and text.startswith("{", j):
-            value, j = _read_complex(text, j, scan, ids)
+    def member(key):
+        if spans and key == "successors":
+            value = _read_successors(w, scan)
+            if value is None:
+                raise _Reread
+        elif key == "complex" and w.skip() == "{":
+            value = _read_complex(w, scan, ids, spans)
         else:
-            value, j = scan(text, j)
-            if key == "complex":
-                if isinstance(value, str):
-                    raise FlowError("unreadable-input",
-                                    "flow references complex %r by name"
-                                    % value)
-                with _malformed():
-                    value = CellComplex.from_json(value)
-            elif key in _SHAPES:
+            value = w.decode(scan)
+            if key in _SHAPES:
                 _check_field(key, value)
-                if key == "k" and value:
-                    value = list(map(ids.setdefault, value, value))
+            if key == "complex":
+                raise FlowError("unreadable-input",
+                                "flow references complex %r by name" % value)
+            if key == "k" and value:
+                value = list(map(ids.setdefault, value, value))
         data[key] = value
-        return j
 
+    _members(w, member)
+    if w.skip():
+        # data after the object
+        raise StopIteration(w.i)
+    for key in ("successors", "complex"):
+        if key not in data:
+            _check_field(key, None)
+    return data.pop("complex"), data
+
+
+def _read(fh, unreadable):
+    """(complex, other fields) of the flow body in the text file `fh`, read
+    through one window of _SPAN-sized chunks, one top-level member at a
+    time, each checked as it is read. The complex and `k` share one string
+    per cell id. This is the one parser of a flow body.
+
+    A member the span readers cannot read (an id that holds a cut, an
+    entry of another shape) sends the reader back to the start of the
+    text, to read each member whole. A text the reader cannot parse is
+    read whole and handed to json.loads for its error message only, and
+    raises `unreadable(message)`; one whose top level is not an object
+    raises FlowError. A member of the complex nested within a level of the
+    interpreter's recursion limit is such a text: the reader's own calls
+    meet the limit first. A text json.loads reads and the reader does not
+    is refused all the same. A fault in reading the text (a byte that does
+    not decode) is reported before any other, as when the text was read
+    whole."""
+    scan = json.JSONDecoder().scan_once
     try:
-        end = _members(text, WHITESPACE.match(text).end(), member)
-    except (StopIteration, JSONDecodeError, RecursionError):
-        # RecursionError: arrays or objects nested past the parser's depth
-        end = None
-    if end is None or WHITESPACE.match(text, end).end() != len(text):
         try:
-            whole = json.loads(text)
-        except (ValueError, RecursionError) as exc:
-            raise unreadable(exc)
-        if type(whole) is not dict:
-            raise FlowError("unreadable-input", "malformed flow data: the "
-                            "file is not a JSON object")
-        raise unreadable("values nested too deeply to read")
-    if "successors" not in data:
-        _check_field("successors", None)
-    with _malformed():
-        return data.pop("complex"), data
+            return _read_body(_Window(fh), scan, True)
+        except _Reread:
+            fh.seek(0)
+            return _read_body(_Window(fh), scan, False)
+    except ConleyError:
+        if _reads_to_end(fh):
+            raise
+    # RecursionError: arrays or objects nested past the parser's depth;
+    # OSError and UnicodeError: a fault in reading the text, which reading
+    # it whole reports
+    except (StopIteration, JSONDecodeError, RecursionError, OSError,
+            UnicodeError):
+        pass
+    try:
+        fh.seek(0)
+        text = fh.read()
+    except (OSError, ValueError) as exc:
+        raise unreadable(exc)
+    try:
+        whole = json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise unreadable(exc)
+    if type(whole) is not dict:
+        raise FlowError("unreadable-input", "malformed flow data: the "
+                        "file is not a JSON object")
+    raise unreadable("values nested too deeply to read")
+
+
+def _reads_to_end(fh):
+    # whether the rest of the text reads without a fault
+    try:
+        while fh.read(_SPAN):
+            pass
+    except (OSError, ValueError):
+        return False
+    return True
 
 
 def load_file(path, name=None, error=FlowError):
@@ -522,31 +699,37 @@ def load_file(path, name=None, error=FlowError):
     resolution is None: a file is read as it stands and never rebuilt,
     whatever recipe it names.
 
-    The file is decoded one top-level member at a time, and so is its
-    inline complex object. Its `boundary` is decoded a span of about _SPAN
-    characters at a time, each span's entries made into the complex's
-    {face: coeff} dicts before the next span is decoded; a boundary whose
-    spans do not decode is decoded whole, as `boundary_table` converts it.
-    Every cell id of `cells`, `boundary` and `k` is kept as one string.
-    The complex is built, fully validated, when its object closes, before
-    the members after it are decoded. Each member is checked as it is
-    read, so of two faults in one file the one met first in the file is
-    reported. A file that cannot be read or parsed raises `error` with the
-    reader's or json.loads' own message, and one whose fields have the
-    wrong shape raises FlowError naming the field, both with code
-    unreadable-input."""
+    The file is read through one window of _SPAN-sized chunks, and never
+    held whole: each read(_SPAN) call grows the window at its end and
+    frees what the reader has passed. It is decoded one top-level member
+    at a time, and so is its inline complex object. The members that grow
+    with the complex, its `cells` and `boundary` and the flow's
+    `successors`, are decoded a span of about _SPAN characters at a time,
+    each span's entries made into the complex's {id: dim} and
+    {face: coeff} tables, or the successor lists, before the next span is
+    decoded. A file with a member whose spans do not read is read again,
+    each member decoded whole, as `CellComplex.from_json` converts it.
+    Every cell id of `cells`, `boundary` and `k` is kept as one string. The complex is built, fully
+    validated, when its object closes, before the members after it are
+    decoded. Each member is checked as it is read, so of two faults in one
+    file the one met first in the file is reported. A file that cannot be
+    read or parsed raises `error` with the reader's or json.loads' own
+    message, and one whose fields have the wrong shape raises FlowError
+    naming the field, both with code unreadable-input."""
     def unreadable(exc):
         return error("unreadable-input",
                      "cannot read flow file %s: %s" % (path, exc))
 
     try:
-        with open(path) as fh:
-            text = fh.read()
+        fh = open(path)
+        if not fh.seekable():
+            # a pipe cannot be read again from its start: it is read whole
+            with fh:
+                fh = io.StringIO(fh.read())
     except (OSError, ValueError) as exc:
         raise unreadable(exc)
-    cx, data = _read(text, unreadable)
-    # the text goes before the flow allocates its tables
-    del text
+    with fh:
+        cx, data = _read(fh, unreadable)
     name = (name or data.get("name")
             or os.path.splitext(os.path.basename(path))[0])
     flow = CombinatorialFlow._assemble(cx, data, name)

@@ -6,6 +6,10 @@ from conleylab import (algebra, blocks, complexes as cxm, flow as flm,
 from test_flow import catalog_flows, shared_entry, small_flows, trim_loop
 
 
+class BlockError(cxm.ConleyError):
+    """The refusal of `section_components` on an irregular block."""
+
+
 def build_block_three_trims(flow, k):
     """Reference block construction: the star growth and grazing trim of
     `build_block`, checked by the separate invariant-part trim ("fp") before
@@ -46,7 +50,7 @@ def section_components(block):
     components of its boundary faces. Only regular blocks have
     well-defined sections."""
     if not block.regular:
-        raise blocks.BlockError("not-regular", "sections need a regular block")
+        raise BlockError("not-regular", "sections need a regular block")
     cx = block.flow.cx
     return (len(cx.components(block.nminus_faces)),
             len(cx.components(block.nplus_faces)))
@@ -101,7 +105,7 @@ def test_homoclinic_block_is_irregular():
     b, _ = block_for("homoclinic-sphere")
     assert not b.regular
     assert blocks.conley_euler(b) == 1
-    with pytest.raises(blocks.BlockError) as ei:
+    with pytest.raises(BlockError) as ei:
         section_components(b)
     assert ei.value.code == "not-regular"
 

@@ -306,6 +306,22 @@ def test_a_structural_fault_reports_the_parsers_message(tmp_path, capsys):
             assert capsys.readouterr().err == want, (name, cmd)
 
 
+def test_a_flow_piped_on_stdin_is_read_whole(tmp_path):
+    # a pipe cannot be read again from its start, so it is read whole: a
+    # flow loads from it, and a structural fault reports the parser's own
+    # message
+    text = json.dumps(flm.rest_flow(spm.sphere(3, 6)).to_json())
+    bad = text.replace(', "successors"', ' "successors"')
+    for body, code in ((text, 0), (bad, 1)):
+        proc = subprocess.run(
+            [sys.executable, "-m", "conleylab.cli", "homology", "/dev/stdin"],
+            input=body, capture_output=True, text=True, env=src_env(),
+            timeout=60)
+        assert proc.returncode == code, proc.stderr
+    assert proc.stderr == ("error[unreadable-input]: cannot read flow file "
+                           "/dev/stdin: %s\n" % json_message(bad))
+
+
 @pytest.mark.parametrize("span", [4, None])
 def test_a_space_json_does_not_take_is_refused_next_to_a_cut(
         tmp_path, capsys, monkeypatch, span):
@@ -394,6 +410,23 @@ def assert_field_refused(tmp_path, capsys, field, value, message):
         assert capsys.readouterr().err == (
             "error[unreadable-input]: malformed flow data: %s\n" % message), \
             (field, cmd)
+
+
+@pytest.mark.parametrize("complex_", [[1], None, 5, True, "absent"])
+def test_a_complex_that_is_not_an_object_is_named(tmp_path, capsys,
+                                                  complex_):
+    # these were a Python TypeError, or a KeyError for a body without
+    # `complex`, behind "malformed flow data"
+    body = {"complex": complex_, "successors": {"a": ["a"]}}
+    if complex_ == "absent":
+        del body["complex"]
+    path = tmp_path / "flow.json"
+    path.write_text(json.dumps(body))
+    for cmd in ("analyze", "homology"):
+        assert cli.main([cmd, str(path)]) == 1, cmd
+        assert capsys.readouterr() == ("", (
+            "error[unreadable-input]: malformed flow data: complex is not "
+            "an object\n")), cmd
 
 
 def test_successors_field_must_map_cells_to_lists(tmp_path, capsys):

@@ -397,6 +397,65 @@ def test_load_file_peaks_below_four_fifths_of_a_whole_parse(tmp_path):
     assert load < 0.8 * parse
 
 
+def test_load_file_peaks_below_three_fifths_of_a_whole_parse(tmp_path):
+    # the file is read through a window of a few chunks, never whole, and
+    # `cells` goes a span at a time into the complex's {id: dim} table; a
+    # reader that holds the file's text peaks near 0.73 of json.load, and
+    # one that holds it but decodes `cells` by spans near 0.64
+    load, parse = load_and_parse_peaks(tmp_path)
+    assert load < 0.6 * parse
+
+
+def test_load_file_reads_its_file_in_bounded_chunks(tmp_path, monkeypatch):
+    # every read is one read(_SPAN) call, each part of the file is read
+    # once, and the window holds a few chunks: every member that can be
+    # large (cells, boundary, successors) is decoded a span at a time
+    from conleylab import cli
+    path = str(tmp_path / "torus.json")
+    assert cli.main(["construct", "example22-torus", "--resolution", "32",
+                     "--out", path]) == 0
+    with open(path) as fh:
+        want = parsed_outcome(fh.read())
+    sizes = []
+    held = []
+
+    class Counted:
+        def __init__(self, fh):
+            self.fh = fh
+
+        def read(self, n=-1):
+            sizes.append(n)
+            return self.fh.read(n)
+
+        def seekable(self):
+            return self.fh.seekable()
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+    grow = flm._Window.grow
+
+    def recorded(self):
+        grown = grow(self)
+        held.append(len(self.text))
+        return grown
+
+    monkeypatch.setattr(flm, "open", lambda p: Counted(open(p)),
+                        raising=False)
+    monkeypatch.setattr(flm._Window, "grow", recorded)
+    for span in (1 << 12, flm._SPAN):
+        sizes.clear()
+        held.clear()
+        with reader_span(span):
+            assert loaded_outcome(path) == want, span
+        assert set(sizes) == {span}, span
+        assert len(sizes) <= os.path.getsize(path) // span + 2, span
+        assert max(held) <= 3 * span, (span, max(held))
+
+
 def test_a_loaded_flow_holds_the_complex_strings(tmp_path):
     # each successor, face and k cell is the complex's own id string, not
     # the file's copy of it, so the file's strings are freed with its lists
@@ -445,7 +504,7 @@ def parsed_flow(text):
     boundary CellComplex.from_json converts through boundary_table."""
     data = json.loads(text)
     for key in flm._SHAPES:
-        if key in data or key == "successors":
+        if key in data or key in ("successors", "complex"):
             flm._check_field(key, data.get(key))
     with flm._malformed():
         body = data["complex"]
@@ -522,10 +581,13 @@ def test_a_tiny_span_loads_every_catalog_file_as_parsed(tmp_path):
     assert whole == []
 
 
-# ids that hold a false cut, a `]` then a comma and the string's own
-# closing quote, and ids that hold none
-FALSE_CUTS = ["],", "], ", "] ,", "]],"]
-ODD_IDS = ["]", '"', '\\"', ",", ", ", "\u00fc", "\u2202]", "[", "\u00a0"]
+# ids that hold a false cut or close: a `]` then a comma and the string's
+# own closing quote (a boundary cut), a `]`, a comma and a `[` (a `cells`
+# cut) or two `]` (a `cells` close); and ids that hold none, some of them
+# written with escapes
+FALSE_CUTS = ["],", "], ", "] ,", "]],", "], [", "],[", "]]", "] ]"]
+ODD_IDS = ["]", '"', '\\"', ",", ", ", "\u00fc", "\u2202]", "[", "\u00a0",
+           "\\", "\n", "\U0001d49c"]
 
 
 @pytest.mark.parametrize("piece", FALSE_CUTS + ODD_IDS)
@@ -541,9 +603,61 @@ def test_ids_with_brackets_commas_and_quotes_load_as_parsed(tmp_path, piece):
                 assert loaded_outcome(path) == \
                     parsed_outcome(path.read_text(encoding="utf-8")), span
             # a cut inside a string leaves the span unterminated, and the
-            # reader decodes the object whole
+            # reader reads the file again, each member whole
             if piece in FALSE_CUTS and span == 4:
                 assert whole, (piece, ascii_only)
+            elif piece in ODD_IDS:
+                assert whole == [], (piece, span, ascii_only)
+
+
+def cells_body(edit):
+    """A rest flow on a circle, its `cells` pairs replaced by edit(pairs),
+    a list of [id, dim] pairs in the order the file gives them."""
+    body = flm.rest_flow(spm.circle(3)).to_json()
+    body["complex"]["cells"] = edit(body["complex"]["cells"])
+    return body
+
+
+@pytest.mark.parametrize("edit, want", [
+    (dict, ("bad-complex", "cells are not a list of [id, dim] pairs")),
+    (lambda p: p[:1] + ["ab"] + p[1:],
+     ("bad-complex", "dimension of a is not an integer: 'b'")),
+    (lambda p: p[:1] + [5] + p[1:],
+     ("unreadable-input", "malformed flow data: TypeError: cannot convert "
+      "dictionary update sequence element #1 to a sequence")),
+    (lambda p: p[:1] + [["e:9"]] + p[1:],
+     ("unreadable-input", "malformed flow data: ValueError: dictionary "
+      "update sequence element #1 has length 1; 2 is required")),
+    (lambda p: p[:1] + [["e:9", 1, 2]] + p[1:],
+     ("unreadable-input", "malformed flow data: ValueError: dictionary "
+      "update sequence element #1 has length 3; 2 is required")),
+    (lambda p: p[:1] + [[7, 0]] + p[1:],
+     ("unreadable-input", "malformed flow data: TypeError: '<' not "
+      "supported between instances of 'str' and 'int'")),
+    (lambda p: p[:1] + [["v:9", 0.5]] + p[1:],
+     ("bad-complex", "dimension of v:9 is not an integer: 0.5")),
+    (lambda p: p[:1] + [["v:9", "0"]] + p[1:],
+     ("bad-complex", "dimension of v:9 is not an integer: '0'")),
+    # a repeated id keeps its first place and its last dimension
+    (lambda p: p + [[p[0][0], 2]],
+     ("bad-complex", "boundary of e:0 (dim 2) mentions v:0 (dim 0)")),
+    (lambda p: [[p[-1][0], 2]] + p, None),
+], ids=["mapping", "string-item", "number-item", "short-pair", "long-pair",
+        "number-id", "fractional-dim", "string-dim", "repeat-last-bad",
+        "repeat-last-good"])
+def test_a_malformed_cells_member_gives_the_parsed_line(tmp_path, edit, want):
+    body = cells_body(edit)
+    path = tmp_path / "flow.json"
+    path.write_text(json.dumps(body))
+    expected = parsed_outcome(path.read_text())
+    if want:
+        assert expected == want
+    else:
+        # the repeated id, v:2, stands first, with the last dimension given
+        assert expected[0][0] == ("v:2", 0), expected[0]
+    for span in (4, 64, flm._SPAN):
+        with reader_span(span):
+            assert loaded_outcome(path) == expected, span
 
 
 def test_whitespace_between_tokens_is_cut_over(tmp_path):
@@ -685,15 +799,22 @@ def test_no_boundary_span_runs_past_the_object(tmp_path, monkeypatch):
     spans = []
 
     class Recording(json.JSONDecoder):
-        # a span is decoded from its own index 0, a member from the text's
+        # a boundary span is decoded from its own index 0 as an object of
+        # [face, coeff] lists; a member decoded whole may start at index 0
+        # of the reader's window too, but no other member of this file is
+        # such an object
         def __init__(self):
             super().__init__()
             scan = self.scan_once
 
             def recorded(s, i):
-                if i == 0:
+                value, end = scan(s, i)
+                if i == 0 and type(value) is dict and all(
+                        type(pairs) is list
+                        and all(type(p) is list for p in pairs)
+                        for pairs in value.values()):
                     spans.append(len(s) - 2)
-                return scan(s, i)
+                return value, end
 
             self.scan_once = recorded
 
@@ -807,15 +928,16 @@ def test_a_complex_member_nested_past_the_reader_is_refused(
     read = flm._read
     calls = []
 
-    def recorded(text, unreadable):
+    def recorded(fh, unreadable):
         # (whether json.loads reads the text here, whether the reader does)
         try:
-            json.loads(text)
+            json.loads(fh.read())
             parsed = True
         except RecursionError:
             parsed = False
+        fh.seek(0)
         try:
-            parts = read(text, unreadable)
+            parts = read(fh, unreadable)
         except flm.FlowError:
             calls.append((parsed, False))
             raise
@@ -856,3 +978,42 @@ def test_a_text_json_loads_reads_and_the_reader_does_not_is_refused(
     assert (ei.value.code, str(ei.value)) == (
         "unreadable-input", "cannot read flow file %s: values nested too "
         "deeply to read" % path)
+
+
+def test_a_byte_that_does_not_decode_is_reported_first(tmp_path):
+    # the file is read a chunk at a time, yet a byte that does not decode
+    # is reported before a field fault met earlier in the file, with the
+    # message of reading the file whole
+    flow = shared_entry("example22-torus")["flow"].to_json()
+    body = {"fixed": "a", "complex": flow["complex"],
+            "successors": flow["successors"]}
+    text = json.dumps(body, indent=1).encode()
+    # the bad byte lies well past the blocks the reads up to `fixed` decode
+    assert text.index(b'"fixed"') + (1 << 16) < len(text) - 20
+    path = tmp_path / "flow.json"
+    path.write_bytes(text[:-20] + b"\xff" + text[-20:])
+    with pytest.raises(UnicodeDecodeError) as whole:
+        with open(path) as fh:
+            fh.read()
+    for span in (64, flm._SPAN):
+        with reader_span(span), pytest.raises(flm.FlowError) as ei:
+            flm.load_file(str(path))
+        assert (ei.value.code, str(ei.value)) == (
+            "unreadable-input",
+            "cannot read flow file %s: %s" % (path, whole.value)), span
+
+
+@pytest.mark.parametrize("tail", ['"x": 12}', '"x": 1e5 }', '"x": [1]}'])
+def test_a_number_that_ends_the_file_is_read(tmp_path, tail):
+    # a number may go on past the window's end, so the window grows before
+    # it is taken; at the end of the file nothing is read and the cursor
+    # stays where it stood
+    entry = catalog.build("example22-circle")
+    text = json.dumps(renamed_body(entry["flow"], str, entry["k"]))
+    path = tmp_path / "flow.json"
+    path.write_text(text[:-1] + ", " + tail)
+    want = parsed_outcome(path.read_text())
+    assert len(want) == 3, want
+    for span in (4, 64, flm._SPAN):
+        with reader_span(span):
+            assert loaded_outcome(path) == want, span
