@@ -13,8 +13,8 @@ output refines as `catalog:NAME --resolution R`.
 
 Output is streamed: a JSON report goes out as the encoder's chunks, about a
 thousand per write, so no command holds its report as one string. A flow
-file is read through one window of 64 K-character chunks, never whole, one
-member at a time: its complex's cells and boundary and its successors are
+file is read through one window of 64 K-character chunks, one member at a
+time: its complex's cells and boundary and its successors, fixed and k are
 decoded a span of text at a time, each cell id is kept as one string, and
 the complex is built when its object closes (see `flow.load_file`).
 

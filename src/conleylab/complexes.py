@@ -5,11 +5,9 @@ Cells are string ids, each with a dimension and a boundary chain written as
 sweep, lowest dimension first: each face is known, one dimension lower and
 has a nonzero integer coefficient, and del o del = 0, so a bad sign in a
 builder fails loudly at build time instead of corrupting homology later. A
-boundary for a cell that is not declared is refused too. `boundary_table`
-turns a body's [face, coeff] lists into the dicts the constructor keeps,
-popping each list from the body as it goes. The flow reader converts
-through it a boundary it cannot decode a span at a time, and `from_json`
-converts through it when it is given no table.
+boundary for a cell that is not declared is refused too. `from_json` turns
+a body's [face, coeff] lists into the dicts the constructor keeps through
+`boundary_table`, unless it is given the table.
 
 Construction indexes only the cells by dimension. The top cofaces of each
 codim-1 face, the supports of the cells of dimension 2 and up and the top
@@ -328,13 +326,12 @@ class CellComplex:
 
     @classmethod
     def from_json(cls, data, *, cells=None, boundary=None):
-        """The complex of a JSON body, which takes the body's `boundary`
-        mapping apart through `boundary_table`. A caller that keeps its
-        body hands over a copy of that mapping. The body's `cells` pairs
-        go to the constructor as they stand. The flow reader, which
-        decodes a body one member at a time, converts `cells` and
-        `boundary` as they are decoded and passes the tables as `cells`
-        ({id: dim}) and `boundary`, in place of the body's own."""
+        """The complex of a JSON body, which is not changed. The body's
+        `cells` pairs go to the constructor as they stand, and its
+        `boundary` through `boundary_table`. The flow reader, which decodes
+        a body one member at a time, converts `cells` and `boundary` as
+        they are decoded and passes the tables as `cells` ({id: dim}) and
+        `boundary`, in place of the body's own."""
         if cells is None:
             cells = data["cells"]
             if type(cells) is not list:
@@ -347,20 +344,13 @@ class CellComplex:
 
 def boundary_table(bnd):
     """A body's boundary mapping of [face, coeff] lists as the {face: coeff}
-    dicts a complex keeps. Each list is popped from the mapping as soon as
-    it has become its dict, so the flow reader, which owns the boundary it
-    has just decoded whole, frees those lists while the table is built. A
-    mapping where a [face, coeff] list belongs would pass through dict()
-    unnoticed, so it is refused here, before any list is popped."""
+    dicts a complex keeps. A mapping where a [face, coeff] list belongs
+    would pass through dict() unnoticed, so it is refused here."""
     if set(map(type, bnd.values())) - {list}:
         c = next(c for c, pairs in bnd.items() if type(pairs) is not list)
         raise ComplexError("boundary of %s is not a list of "
                            "[face, coeff] pairs" % c)
-    # the keys in the body's order; each value replaced in place
-    boundary = dict.fromkeys(bnd)
-    for c in boundary:
-        boundary[c] = dict(bnd.pop(c))
-    return boundary
+    return {c: dict(pairs) for c, pairs in bnd.items()}
 
 
 class _Supports(dict):

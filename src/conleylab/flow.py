@@ -42,11 +42,12 @@ One reader, `_read`, parses every flow body: `load_file` hands it a file,
 and `CombinatorialFlow.from_json` the text json.dumps writes of a body, as
 a file in memory. It reads the text through one window of a few chunks,
 one member at a time, and decodes the members that grow with the complex
-(its `cells` and `boundary`, and the flow's `successors`) a span of text at
-a time, so neither the whole text nor a whole parsed body is held. One
-table per body maps each cell id to one string, so the complex, the flow's
-tables and `k` share one string per id, and a face lookup meets the key
-object itself.
+(its `cells` and `boundary`, and the flow's `successors`, `fixed` and `k`)
+a span of text at a time, so neither the whole text nor a whole parsed
+body is held. One table per body maps each cell id to one string, so the
+complex, the flow's tables and `k` share one string per id, and a face
+lookup meets the key object itself. A text the spans do not read is read
+whole, by json.loads, so the reader reads exactly what json.loads reads.
 """
 
 import io
@@ -57,9 +58,9 @@ from collections import deque
 from contextlib import contextmanager
 from functools import cached_property
 from itertools import chain
-from json.decoder import WHITESPACE, JSONDecodeError, scanstring
+from json.decoder import WHITESPACE, scanstring
 
-from .complexes import CellComplex, ConleyError, boundary_table
+from .complexes import CellComplex, ConleyError
 
 
 class FlowError(ConleyError):
@@ -351,25 +352,33 @@ _SHAPES = {
 
 
 def _check_field(key, value):
-    """Refuse a flow file field of the wrong shape, naming the field."""
+    """Refuse a flow file field of the wrong shape, naming the field, and a
+    complex given by name."""
     ok, why = _SHAPES[key]
     if not ok(value):
         raise FlowError("unreadable-input", "malformed flow data: " + why)
+    if key == "complex" and type(value) is str:
+        raise FlowError("unreadable-input",
+                        "flow references complex %r by name" % value)
 
 
 # A file is read through one window of _SPAN-sized chunks. The members
-# that grow with the complex, its `cells` array and `boundary` object and
-# the body's `successors` object, are decoded a span of about _SPAN
-# characters at a time. A span ends just past the `]` of an entry that a
-# comma and the next entry follow (JSON whitespace only, as json.loads
-# reads it): the next [id, dim] pair of `cells`, the next key of an object.
-# Or it ends at the first close before that: in a member that is well
-# formed, its own closing bracket, after the `]` of its last pair, or its
-# own closing brace, after the `]` of its last entry.
+# that grow with the complex (`cells`, `boundary`, `successors`, `fixed`
+# and `k`) are decoded a span of about _SPAN characters at a time. A span
+# ends just past the last character of an entry (the `]` of a pair or a
+# list, the `"` of an id) that a comma and the next entry follow, with
+# JSON whitespace only between them, as json.loads reads it; or at the
+# first close before that, in a member that is well formed its own
+# closing bracket or brace. Each kind of member is (opener, cut search,
+# close search); each pattern starts with one literal character, which
+# the regex engine finds by a fast scan.
 _SPAN = 1 << 16
-_CUTS = {"[": re.compile(r'\][ \t\n\r]*,[ \t\n\r]*\['),
-         "{": re.compile(r'\][ \t\n\r]*,[ \t\n\r]*"')}
-_CLOSES = {"[": re.compile(r'\][ \t\n\r]*\]'), "{": re.compile(r"\}")}
+_PAIRS = ("[", re.compile(r'\][ \t\n\r]*,[ \t\n\r]*\[').search,
+          re.compile(r'\][ \t\n\r]*\]').search)
+_IDS = ("[", re.compile(r'"[ \t\n\r]*,[ \t\n\r]*"').search,
+        re.compile(r'"[ \t\n\r]*\]').search)
+_LISTS = ("{", re.compile(r'\][ \t\n\r]*,[ \t\n\r]*"').search,
+          re.compile(r"\}").search)
 
 
 class _Window:
@@ -439,11 +448,11 @@ def _key(text, i):
 
 def _members(w, member):
     """Walk the JSON object that opens at the window's cursor, calling
-    member(key) with the cursor at the start of each value; member decodes
-    the value and moves the cursor past it. Leaves the cursor past the
-    object. A structural fault raises StopIteration, as the decoder's own
-    scanner does where no value starts, and a bad key raises
-    JSONDecodeError."""
+    member(key, opener) with the cursor at the start of each value and
+    `opener` its first character; member decodes the value and moves the
+    cursor past it. Leaves the cursor past the object. A structural fault
+    raises StopIteration, as the decoder's own scanner does where no value
+    starts, and a bad key raises JSONDecodeError."""
     if w.skip() != "{":
         raise StopIteration(w.i)
     w.i += 1
@@ -456,8 +465,7 @@ def _members(w, member):
         if w.skip() != ":":
             break
         w.i += 1
-        w.skip()
-        member(key)
+        member(key, w.skip())
         ch = w.skip()
         w.i += 1
         if ch == "}":
@@ -468,160 +476,153 @@ def _members(w, member):
     raise StopIteration(w.i)
 
 
-def _spans(w, scan, opener, take):
-    """Decode the array or object that opens with `opener` at the window's
-    cursor a span at a time, each span as an array or object of its own,
-    and hand each decoded span to take(part), which returns whether it
-    holds entries of the shape the caller reads. Returns whether every
-    span decoded and was taken; the cursor is then past the value.
+def _spans(w, scan, kind, take):
+    """Decode the array or object of `kind` (_PAIRS, _IDS or _LISTS) that
+    opens at the window's cursor a span at a time, each span as an array
+    or object of its own, and hand each decoded span to take(part), which
+    raises on an entry of a shape the caller does not read. The cursor
+    ends past the value.
 
     The last span ends at the value's own close, so no span runs on into
     the members after it. A cut or a close that falls inside a string or a
-    nested value leaves the span unterminated, so it does not decode. A
-    value that does not open with `opener` is not read."""
-    if w.skip() != opener:
-        return False
-    cut_at, close_at = _CUTS[opener].search, _CLOSES[opener].search
+    nested value leaves the span unterminated, so it does not decode, and
+    the decoder's error passes on."""
+    opener, cut_at, close_at = kind
     closer = "]" if opener == "[" else "}"
     w.i += 1
     if w.skip() == closer:
         w.i += 1
-        return True
-    try:
-        while True:
-            text, a = w.text, w.i
-            cut = cut_at(text, a + _SPAN)
-            b = cut.start() + 1 if cut else len(text)
-            close = close_at(text, a, b)
-            if close:
-                cut, b = None, close.end()
-            elif not cut and w.grow():
-                continue
-            part, end = scan("%s%s%s" % (opener, text[a:b],
-                                         closer if cut else ""), 0)
-            if not take(part):
-                return False
-            del part
-            # the span's own close closed it: the value goes on
-            if cut and end == b - a + 2:
-                w.i = cut.end() - 1
-                continue
-            w.i = a - 1 + end
-            return True
-    except (StopIteration, RecursionError, TypeError, ValueError):
-        return False
+        return
+    while True:
+        text, a = w.text, w.i
+        cut = cut_at(text, a + _SPAN)
+        b = cut.start() + 1 if cut else len(text)
+        close = close_at(text, a, b)
+        if close:
+            cut, b = None, close.end()
+        elif not cut and w.grow():
+            continue
+        part, end = scan("%s%s%s" % (opener, text[a:b],
+                                     closer if cut else ""), 0)
+        take(part)
+        del part
+        # the span's own close closed it: the value goes on
+        if cut and end == b - a + 2:
+            w.i = cut.end() - 1
+            continue
+        w.i = a - 1 + end
+        return
 
 
 def _read_cells(w, scan, ids):
     """The {cell: dim} table of the `cells` array at the window's cursor,
-    decoded a span at a time, every id taken from `ids`; or None when an
-    item is not an [id, dim] pair with a string id, or a span does not
-    decode. A repeated id keeps its first place and its last dimension,
-    as dict() of the pairs does."""
+    decoded a span at a time, every id taken from `ids`. An item that is
+    not an [id, dim] pair with a string id raises ValueError. A repeated
+    id keeps its first place and its last dimension, as dict() of the
+    pairs does."""
     table = {}
     intern = ids.setdefault
 
     def take(pairs):
         for p in pairs:
             if type(p) is not list or len(p) != 2 or type(p[0]) is not str:
-                return False
+                raise ValueError("a cell is not an [id, dim] pair")
             table[intern(p[0], p[0])] = p[1]
-        return True
 
-    return table if _spans(w, scan, "[", take) else None
+    _spans(w, scan, _PAIRS, take)
+    return table
+
+
+def _read_ids(w, scan, ids, key):
+    """The ids of the `fixed` or `k` array (`key`) at the window's cursor,
+    decoded a span at a time, each taken from `ids`. A span that holds an
+    item other than a string is refused as the field is."""
+    out = []
+    intern = ids.setdefault
+
+    def take(part):
+        _check_field(key, part)
+        out.extend(map(intern, part, part))
+
+    _spans(w, scan, _IDS, take)
+    return out
 
 
 def _read_boundary(w, scan, ids):
     """The {cell: {face: coeff}} table of the `boundary` object at the
-    window's cursor, decoded a span at a time, every id taken from `ids`;
-    or None when an entry is not a list of [face, coeff] pairs with string
-    faces, or a span does not decode."""
+    window's cursor, decoded a span at a time, every id taken from `ids`.
+    An entry that is not a list of [face, coeff] pairs with string faces
+    raises ValueError or TypeError."""
     table = {}
     intern = ids.setdefault
 
     def take(part):
         if set(map(type, part.values())) - {list}:
-            return False
+            raise ValueError("a boundary is not a list of pairs")
         for c, pairs in part.items():
             faces = table[intern(c, c)] = {}
             for f, n in pairs:
                 faces[intern(f, f)] = n
-        return True
 
-    if _spans(w, scan, "{", take) and not set(map(type, ids)) - {str}:
-        return table
-    return None
+    _spans(w, scan, _LISTS, take)
+    if set(map(type, ids)) - {str}:
+        raise ValueError("a face is not a string")
+    return table
 
 
 def _read_successors(w, scan):
     """The `successors` mapping at the window's cursor, decoded a span at a
-    time; or None when a span does not decode, or is not a mapping from
-    cell ids to lists of cell ids."""
+    time. A span that is not a mapping from cell ids to lists of cell ids
+    raises ValueError."""
     table = {}
 
     def take(part):
+        if not _is_successors(part):
+            raise ValueError("successors is not a mapping of id lists")
         table.update(part)
-        return _is_successors(part)
 
-    return table if _spans(w, scan, "{", take) else None
-
-
-class _Reread(Exception):
-    """A member the span readers cannot read: the body is read again from
-    its start, with each member decoded whole."""
+    _spans(w, scan, _LISTS, take)
+    return table
 
 
-def _read_complex(w, scan, ids, spans):
+def _read_complex(w, scan, ids):
     """The complex of the object that opens at the window's cursor, the
-    cursor moved past it. With `spans`, its `cells` and `boundary` are
+    cursor moved past it. Its `cells` array and `boundary` object are
     decoded a span at a time into the complex's tables, every cell id
-    taken from `ids`, one string per id, and a member the span readers
-    cannot read raises _Reread; else each is decoded whole. The complex
-    is built when the object closes."""
+    taken from `ids`, one string per id; any other member is decoded
+    whole. The complex is built when the object closes."""
     body = {}
     tables = {}
 
-    def member(key):
-        if spans and key in ("cells", "boundary"):
-            read = _read_cells if key == "cells" else _read_boundary
-            tables[key] = read(w, scan, ids)
-            if tables[key] is None:
-                raise _Reread
-            return
-        value = w.decode(scan)
-        if key == "boundary":
-            with _malformed():
-                tables[key] = boundary_table(value)
+    def member(key, opener):
+        if key == "cells" and opener == "[":
+            tables[key] = _read_cells(w, scan, ids)
+        elif key == "boundary" and opener == "{":
+            tables[key] = _read_boundary(w, scan, ids)
         else:
-            body[key] = value
+            body[key] = w.decode(scan)
 
     _members(w, member)
     with _malformed():
         return CellComplex.from_json(body, **tables)
 
 
-def _read_body(w, scan, spans):
-    # (complex, other fields) of the body at the window's cursor; with
-    # `spans`, `successors` and the complex's tables are read by spans
+def _read_body(w, scan):
+    # (complex, other fields) of the body at the window's cursor
     ids = {}
     data = {}
 
-    def member(key):
-        if spans and key == "successors":
+    def member(key, opener):
+        if key == "successors" and opener == "{":
             value = _read_successors(w, scan)
-            if value is None:
-                raise _Reread
-        elif key == "complex" and w.skip() == "{":
-            value = _read_complex(w, scan, ids, spans)
+        elif key in ("fixed", "k") and opener == "[":
+            value = _read_ids(w, scan, ids, key)
+        elif key == "complex" and opener == "{":
+            value = _read_complex(w, scan, ids)
         else:
             value = w.decode(scan)
             if key in _SHAPES:
                 _check_field(key, value)
-            if key == "complex":
-                raise FlowError("unreadable-input",
-                                "flow references complex %r by name" % value)
-            if key == "k" and value:
-                value = list(map(ids.setdefault, value, value))
         data[key] = value
 
     _members(w, member)
@@ -635,51 +636,50 @@ def _read_body(w, scan, spans):
 
 
 def _read(fh, unreadable):
-    """(complex, other fields) of the flow body in the text file `fh`, read
-    through one window of _SPAN-sized chunks, one top-level member at a
-    time, each checked as it is read. The complex and `k` share one string
-    per cell id. This is the one parser of a flow body.
-
-    A member the span readers cannot read (an id that holds a cut, an
-    entry of another shape) sends the reader back to the start of the
-    text, to read each member whole. A text the reader cannot parse is
-    read whole and handed to json.loads for its error message only, and
-    raises `unreadable(message)`; one whose top level is not an object
-    raises FlowError. A member of the complex nested within a level of the
-    interpreter's recursion limit is such a text: the reader's own calls
-    meet the limit first. A text json.loads reads and the reader does not
-    is refused all the same. A fault in reading the text (a byte that does
-    not decode) is reported before any other, as when the text was read
-    whole."""
-    scan = json.JSONDecoder().scan_once
+    """(complex, other fields) of the flow body in the text file `fh`, the
+    one parser of a flow body. It reads the text through one window of
+    _SPAN-sized chunks, one top-level member at a time, each checked as it
+    is read; the complex, `fixed` and `k` share one string per cell id. A
+    fault it names stands once the rest of the text reads without a fault
+    in reading it, so a byte that does not decode is reported first, as
+    when the text is read whole. Where it fails otherwise (a cut inside a
+    string id, an entry of another shape, a structural fault, values
+    nested past its calls' depth), `_read_whole` reads the text."""
     try:
-        try:
-            return _read_body(_Window(fh), scan, True)
-        except _Reread:
-            fh.seek(0)
-            return _read_body(_Window(fh), scan, False)
+        return _read_body(_Window(fh), json.JSONDecoder().scan_once)
     except ConleyError:
         if _reads_to_end(fh):
             raise
-    # RecursionError: arrays or objects nested past the parser's depth;
-    # OSError and UnicodeError: a fault in reading the text, which reading
-    # it whole reports
-    except (StopIteration, JSONDecodeError, RecursionError, OSError,
-            UnicodeError):
+    except (StopIteration, RecursionError, OSError, TypeError, ValueError):
         pass
+    return _read_whole(fh, unreadable)
+
+
+def _read_whole(fh, unreadable):
+    """(complex, other fields) of the body json.loads reads from the whole
+    text of `fh`, each member checked in the body's order, the complex
+    built where it stands. A text that does not read or parse raises
+    unreadable(message), with the file's or json.loads' own message; one
+    whose top level is not an object raises FlowError."""
     try:
         fh.seek(0)
-        text = fh.read()
-    except (OSError, ValueError) as exc:
+        data = json.loads(fh.read())
+    except (OSError, ValueError, RecursionError) as exc:
         raise unreadable(exc)
-    try:
-        whole = json.loads(text)
-    except (ValueError, RecursionError) as exc:
-        raise unreadable(exc)
-    if type(whole) is not dict:
+    if type(data) is not dict:
         raise FlowError("unreadable-input", "malformed flow data: the "
                         "file is not a JSON object")
-    raise unreadable("values nested too deeply to read")
+    with _malformed():
+        for key, value in data.items():
+            if key in _SHAPES:
+                _check_field(key, value)
+            if key == "complex":
+                cx = CellComplex.from_json(value)
+        for key in ("successors", "complex"):
+            if key not in data:
+                _check_field(key, None)
+    del data["complex"]
+    return cx, data
 
 
 def _reads_to_end(fh):
@@ -699,23 +699,22 @@ def load_file(path, name=None, error=FlowError):
     resolution is None: a file is read as it stands and never rebuilt,
     whatever recipe it names.
 
-    The file is read through one window of _SPAN-sized chunks, and never
-    held whole: each read(_SPAN) call grows the window at its end and
-    frees what the reader has passed. It is decoded one top-level member
-    at a time, and so is its inline complex object. The members that grow
-    with the complex, its `cells` and `boundary` and the flow's
-    `successors`, are decoded a span of about _SPAN characters at a time,
-    each span's entries made into the complex's {id: dim} and
-    {face: coeff} tables, or the successor lists, before the next span is
-    decoded. A file with a member whose spans do not read is read again,
-    each member decoded whole, as `CellComplex.from_json` converts it.
-    Every cell id of `cells`, `boundary` and `k` is kept as one string. The complex is built, fully
-    validated, when its object closes, before the members after it are
-    decoded. Each member is checked as it is read, so of two faults in one
-    file the one met first in the file is reported. A file that cannot be
-    read or parsed raises `error` with the reader's or json.loads' own
-    message, and one whose fields have the wrong shape raises FlowError
-    naming the field, both with code unreadable-input."""
+    The file is read through one window of _SPAN-sized chunks, one
+    top-level member at a time, and so is its inline complex object: each
+    read(_SPAN) call grows the window at its end and frees what the reader
+    has passed. The members that grow with the complex (its `cells` and
+    `boundary`, the flow's `successors`, `fixed` and `k`) are decoded a span
+    of about _SPAN characters at a time, each span's entries made into the
+    complex's tables or the flow's lists before the next span is decoded,
+    and every cell id is kept as one string. The complex is built, fully
+    validated, when its object closes. Each member is checked as it is
+    read, so of two faults in one file the one met first is reported. A
+    file the spans do not read (an id that holds a cut, an entry of another
+    shape) is read whole by json.loads and checked member by member in the
+    same order. A file that cannot be read or parsed raises `error` with
+    the file's or json.loads' own message, and one whose fields have the
+    wrong shape raises FlowError naming the field, both with code
+    unreadable-input."""
     def unreadable(exc):
         return error("unreadable-input",
                      "cannot read flow file %s: %s" % (path, exc))

@@ -1,3 +1,4 @@
+import copy
 import functools
 import json
 from collections import defaultdict
@@ -50,6 +51,14 @@ def support(cx, c):
     vs = cx.vertices_of(c)
     assert type(vs) is tuple and len(set(vs)) == len(vs), (cx.name, c, vs)
     return set(vs)
+
+
+def test_from_json_leaves_its_body_as_it_was():
+    body = cxm.named_space("torus", 3).to_json()
+    before = copy.deepcopy(body)
+    cx = cxm.CellComplex.from_json(body)
+    assert body == before
+    assert cx.to_json() == before
 
 
 def test_lazy_indexes_match_eager_rebuild():

@@ -409,13 +409,15 @@ def test_load_file_peaks_below_three_fifths_of_a_whole_parse(tmp_path):
 def test_load_file_reads_its_file_in_bounded_chunks(tmp_path, monkeypatch):
     # every read is one read(_SPAN) call, each part of the file is read
     # once, and the window holds a few chunks: every member that can be
-    # large (cells, boundary, successors) is decoded a span at a time
+    # large (cells, boundary, successors, and a rest flow's fixed) is
+    # decoded a span at a time
     from conleylab import cli
     path = str(tmp_path / "torus.json")
     assert cli.main(["construct", "example22-torus", "--resolution", "32",
                      "--out", path]) == 0
-    with open(path) as fh:
-        want = parsed_outcome(fh.read())
+    rest = tmp_path / "rest-torus.json"
+    rest.write_text(json.dumps(flm.rest_flow(spm.torus(32, 32)).to_json(),
+                               sort_keys=True))
     sizes = []
     held = []
 
@@ -446,14 +448,18 @@ def test_load_file_reads_its_file_in_bounded_chunks(tmp_path, monkeypatch):
     monkeypatch.setattr(flm, "open", lambda p: Counted(open(p)),
                         raising=False)
     monkeypatch.setattr(flm._Window, "grow", recorded)
-    for span in (1 << 12, flm._SPAN):
-        sizes.clear()
-        held.clear()
-        with reader_span(span):
-            assert loaded_outcome(path) == want, span
-        assert set(sizes) == {span}, span
-        assert len(sizes) <= os.path.getsize(path) // span + 2, span
-        assert max(held) <= 3 * span, (span, max(held))
+    for path in (path, str(rest)):
+        with open(path) as fh:
+            want = parsed_outcome(fh.read())
+        for span in (1 << 12, flm._SPAN):
+            sizes.clear()
+            held.clear()
+            with reader_span(span):
+                assert loaded_outcome(path) == want, (path, span)
+            assert set(sizes) == {span}, (path, span)
+            assert len(sizes) <= os.path.getsize(path) // span + 2, \
+                (path, span)
+            assert max(held) <= 3 * span, (path, span, max(held))
 
 
 def test_a_loaded_flow_holds_the_complex_strings(tmp_path):
@@ -540,12 +546,17 @@ def reader_span(n):
 
 @contextlib.contextmanager
 def whole_decodes():
-    """A list that gets one item each time the reader decodes a boundary
-    object whole, as it does when a span does not decode."""
+    """A list that gets one item each time the reader reads a text whole,
+    as it does when a span does not decode."""
     calls = []
-    real = flm.boundary_table
-    with patched("boundary_table", lambda bnd: calls.append(1) or real(bnd)):
+    real = flm._read_whole
+    with patched("_read_whole", lambda *args: calls.append(1) or real(*args)):
         yield calls
+
+
+def spans_fail(w, scan):
+    # a span reader that reads nothing, so every text is read whole
+    raise ValueError("no span read")
 
 
 def renamed_body(fl, name, k=None):
@@ -583,9 +594,11 @@ def test_a_tiny_span_loads_every_catalog_file_as_parsed(tmp_path):
 
 # ids that hold a false cut or close: a `]` then a comma and the string's
 # own closing quote (a boundary cut), a `]`, a comma and a `[` (a `cells`
-# cut) or two `]` (a `cells` close); and ids that hold none, some of them
-# written with escapes
-FALSE_CUTS = ["],", "], ", "] ,", "]],", "], [", "],[", "]]", "] ]"]
+# cut), two `]` (a `cells` close), a quote then a comma and the closing
+# quote (a `k` cut), or a quote then a `]` (a `k` close); and ids that
+# hold none, some of them written with escapes
+FALSE_CUTS = ["],", "], ", "] ,", "]],", "], [", "],[", "]]", "] ]",
+              '",', '", ', '"]']
 ODD_IDS = ["]", '"', '\\"', ",", ", ", "\u00fc", "\u2202]", "[", "\u00a0",
            "\\", "\n", "\U0001d49c"]
 
@@ -735,15 +748,16 @@ def renamed_flow_texts(draw):
 @given(renamed_flow_texts(), st.sampled_from([1, 4, 16]))
 def test_a_tiny_span_reads_what_json_loads_reads(text, span):
     # the same complex and flow, or the same error line, as the in-memory
-    # path, and as the reader decoding the boundary whole
+    # path, and as the reader reading the text whole
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "flow.json")
         with open(path, "w") as fh:
             fh.write(text)
         with reader_span(span):
             got = loaded_outcome(path)
-        with patched("_read_boundary", lambda *args: None):
+        with patched("_read_body", spans_fail), whole_decodes() as reads:
             whole = loaded_outcome(path)
+        assert reads == [1]
     assert got == parsed_outcome(text)
     assert got == whole
 
@@ -918,66 +932,65 @@ def nested_flow_text(depth):
             % ("[" * depth, "]" * depth))
 
 
-def test_a_complex_member_nested_past_the_reader_is_refused(
-        tmp_path, capsys, monkeypatch):
-    # json.loads, called where the reader is called, reads a text nested
-    # a level deeper than the reader does: the reader's own calls meet the
-    # recursion limit first. Such a text was loaded through json.loads; now
-    # the CLI refuses it on one line
+def test_a_complex_member_nested_past_the_reader_loads_or_is_one_error_line(
+        tmp_path, capsys):
+    # a member of the complex nested near the recursion limit: where the
+    # reader's own calls meet the limit the text is read whole, and
+    # json.loads reads it or refuses it. Each depth either loads, as the
+    # same flow nested one deep does, or is refused on one line
     from conleylab import cli
-    read = flm._read
-    calls = []
-
-    def recorded(fh, unreadable):
-        # (whether json.loads reads the text here, whether the reader does)
-        try:
-            json.loads(fh.read())
-            parsed = True
-        except RecursionError:
-            parsed = False
-        fh.seek(0)
-        try:
-            parts = read(fh, unreadable)
-        except flm.FlowError:
-            calls.append((parsed, False))
-            raise
-        calls.append((parsed, True))
-        return parts
-
-    monkeypatch.setattr(flm, "_read", recorded)
     path = tmp_path / "deep.json"
-    window = []
+    path.write_text(nested_flow_text(1))
+    assert cli.main(["analyze", str(path)]) == 0
+    want = capsys.readouterr().out
+    refused = []
     for depth in range(sys.getrecursionlimit(), 0, -1):
         path.write_text(nested_flow_text(depth))
         code = cli.main(["analyze", str(path)])
         out, err = capsys.readouterr()
-        parsed, read_ok = calls.pop()
-        if read_ok:
-            assert code == 0, depth
+        if code == 0:
+            assert out == want, depth
             break
-        if parsed:
-            window.append(depth)
+        refused.append(depth)
         assert (code, out) == (1, ""), depth
         assert err.startswith("error[unreadable-input]: "), (depth, err)
         assert err.count("\n") == 1 and "Traceback" not in err, depth
-    assert window
+    assert code == 0 and depth > 1, refused
 
 
-def test_a_text_json_loads_reads_and_the_reader_does_not_is_refused(
+def test_a_text_json_loads_reads_and_the_spans_do_not_loads_as_parsed(
         tmp_path, monkeypatch):
-    # json.loads accepts the text; the reader, made to meet the recursion
-    # limit inside the complex, refuses it all the same
+    # the reader, made to meet the recursion limit inside the complex,
+    # reads the text whole, as json.loads reads it
     def too_deep(*args):
         raise RecursionError
 
     path = tmp_path / "flow.json"
     path.write_text(nested_flow_text(1))
+    want = parsed_outcome(path.read_text())
+    assert len(want) == 3, want
     monkeypatch.setattr(flm, "_read_complex", too_deep)
-    with pytest.raises(flm.FlowError) as ei:
-        flm.load_file(str(path))
-    assert (ei.value.code, str(ei.value)) == (
-        "unreadable-input", "cannot read flow file %s: values nested too "
-        "deeply to read" % path)
+    with whole_decodes() as whole:
+        assert loaded_outcome(path) == want
+    assert whole == [1]
+
+
+def test_a_malformed_cells_entry_then_a_syntax_error_gives_the_parsers_line(
+        tmp_path):
+    # the spans leave a malformed `cells` entry to the whole read, which
+    # meets the syntax error after the complex before it builds the complex
+    text = json.dumps(cells_body(lambda p: p[:1] + [5] + p[1:]))
+    text = text[:-1] + ", }"
+    with pytest.raises(ValueError) as parser:
+        json.loads(text)
+    path = tmp_path / "flow.json"
+    path.write_text(text)
+    for span in (4, 64, flm._SPAN):
+        with reader_span(span), pytest.raises(flm.FlowError) as ei:
+            flm.load_file(str(path))
+        assert (ei.value.code, str(ei.value)) == (
+            "unreadable-input",
+            "cannot read flow file %s: %s" % (path, parser.value)), span
 
 
 def test_a_byte_that_does_not_decode_is_reported_first(tmp_path):
