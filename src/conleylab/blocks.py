@@ -37,11 +37,12 @@ class IsolatingBlock:
 
 def _boundary_data(flow, n):
     """Codim-1 faces with one top coface inside n and one outside."""
-    cx = flow.cx
+    boundary = flow.cx.boundary
+    top_cofaces = flow.cx._top_cofaces
     faces = {}
     for u in n:
-        for f in cx.boundary[u]:
-            cof = cx.top_cofaces(f)
+        for f in boundary[u]:
+            cof = top_cofaces.get(f, ())
             if len(cof) != 2:
                 continue
             v = cof[0] if cof[1] == u else cof[1]

@@ -7,7 +7,9 @@ has a nonzero integer coefficient, and del o del = 0, so a bad sign in a
 builder fails loudly at build time instead of corrupting homology later. A
 boundary for a cell that is not declared is refused too. `from_json` turns
 a body's [face, coeff] lists into the dicts the constructor keeps through
-`boundary_table`, unless it is given the table.
+`boundary_table`, unless it is given the table. A `subcomplex` is the one
+complex not swept: it is a closure of cells that passed the sweep, on
+their own boundary dicts, so it is only indexed.
 
 Construction indexes only the cells by dimension. The top cofaces of each
 codim-1 face, the supports of the cells of dimension 2 and up and the top
@@ -67,6 +69,11 @@ class CellComplex:
     shares one empty dict: no boundary is changed after construction."""
 
     def __init__(self, name, cells, boundary, identifications=None):
+        self._index(name, cells, boundary, identifications)
+        self._validate()
+
+    def _index(self, name, cells, boundary, identifications):
+        # the tables and the cells by dimension, without the sweep
         self.name = name
         self.cells = dict(cells)          # id -> dim
         undeclared = boundary.keys() - self.cells.keys()
@@ -98,7 +105,6 @@ class CellComplex:
                                  self.top_dim, MAX_CELLS))
         for d in self._by_dim:
             self._by_dim[d].sort()
-        self._validate()
 
     # -- construction-time checks ------------------------------------------
 
@@ -205,14 +211,14 @@ class CellComplex:
         return list(self._top_cofaces.get(c, ()))
 
     def closure(self, cellset):
-        out = set()
-        stack = list(cellset)
-        while stack:
-            c = stack.pop()
-            if c in out:
-                continue
-            out.add(c)
-            stack.extend(self.boundary[c])
+        """The set of cellset's cells and all their faces, grown one level
+        at a time: each level is the faces of the last one not yet in it."""
+        faces_of = self.boundary.__getitem__
+        out = set(cellset)
+        level = out
+        while level:
+            level = set(chain.from_iterable(map(faces_of, level))) - out
+            out |= level
         return out
 
     def vertices_of(self, c):
@@ -269,8 +275,9 @@ class CellComplex:
 
     def is_closed_manifold(self):
         """Every codim-1 face sits in exactly two top cells."""
-        return all(len(self.top_cofaces(f)) == 2
-                   for f in self._by_dim.get(self.top_dim - 1, []))
+        top_cofaces = self._top_cofaces
+        return all(len(top_cofaces.get(f, ())) == 2
+                   for f in self._by_dim.get(self.top_dim - 1, ()))
 
     def is_closed_surface(self):
         return self.top_dim == 2 and self.is_closed_manifold()
@@ -282,22 +289,23 @@ class CellComplex:
         no constraint.
         """
         sign = {}
-        tops = self.top_cells()
-        for start in tops:
+        top_cofaces = self._top_cofaces
+        boundary = self.boundary
+        for start in self._by_dim.get(self.top_dim, ()):
             if start in sign:
                 continue
             sign[start] = 1
             stack = [start]
             while stack:
                 u = stack.pop()
-                for f in self.boundary[u]:
-                    cof = self.top_cofaces(f)
+                for f, k in boundary[u].items():
+                    cof = top_cofaces.get(f, ())
                     if len(cof) != 2:
                         continue
                     v = cof[0] if cof[1] == u else cof[1]
                     if v == u:
                         continue
-                    want = -sign[u] * self.boundary[u][f] * self.boundary[v][f]
+                    want = -sign[u] * k * boundary[v][f]
                     if v in sign:
                         if sign[v] != want:
                             return False
@@ -307,10 +315,15 @@ class CellComplex:
         return True
 
     def subcomplex(self, cellset):
+        """The closure of cellset as a complex of its own, on this
+        complex's cells and boundary dicts. A closure holds every face of
+        its cells, so it keeps every check this complex passed, and it is
+        indexed without a second sweep."""
         cl = self.closure(cellset)
-        cells = {c: self.cells[c] for c in cl}
-        bnd = {c: self.boundary[c] for c in cl}
-        return CellComplex(self.name + ":sub", cells, bnd)
+        sub = CellComplex.__new__(CellComplex)
+        sub._index(self.name + ":sub", {c: self.cells[c] for c in cl},
+                   {c: self.boundary[c] for c in cl}, None)
+        return sub
 
     # -- serialization -----------------------------------------------------
 

@@ -308,13 +308,15 @@ def add_uniform_component(flow, k):
     strip = annulus(3, n)
     cells = dict(flow.cx.cells)
     bnd = dict(flow.cx.boundary)
+    # each prefixed id made once
+    own = {c: pre + c for c in strip.cells}
     for c, d in strip.cells.items():
-        cells[pre + c] = d
-        bnd[pre + c] = {pre + f: v for f, v in strip.boundary[c].items()}
+        cells[own[c]] = d
+        bnd[own[c]] = {own[f]: v for f, v in strip.boundary[c].items()}
     pairs = []
     for l in range(n):
-        pairs.append((edges[l], pre + "v:0&e:%d" % l, 1))
-        pairs.append((verts[l], pre + "v:0&v:%d" % l, 1))
+        pairs.append((edges[l], own["v:0&e:%d" % l], 1))
+        pairs.append((verts[l], own["v:0&v:%d" % l], 1))
     cx2 = quotient(flow.cx.name + "+u%d" % idx, cells, bnd, pairs)
     succ = {c: list(flow.succ[c]) for c in sorted(flow.tops)}
     for l in range(n):

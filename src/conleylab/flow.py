@@ -31,8 +31,11 @@ the union of the region's one-rings: the complex's closed star,
 supports: the cells with an empty boundary in the region's closure (its
 vertices, in a complex that is not degenerate), then the top cells at each
 of those. `one_ring(c)` is the same query on {c}, computed on each call and
-never stored. Locality of F is tested on supports too, so a rest flow
-builds no one-ring.
+never stored. Locality of F needs no ring: a successor that shares a
+codim-1 face with its cell is local, as that face lies in both closures,
+and only the other successors are tested on supports. So a rest flow, and
+a flow whose edges all cross faces (the circulating band flows, the sphere
+flows), builds no support table until a star is asked for.
 
 A flow knows nothing of how it was built. A catalog flow carries its
 `recipe` ({name, resolution}) in `meta` and in its JSON as provenance only;
@@ -84,20 +87,24 @@ class CombinatorialFlow:
         # are read through it, so the tables share the complex's strings
         # instead of keeping the lists' own copies
         own = dict(zip(tops, tops))
+        boundary = cx.boundary
         vertices_of = cx.vertices_of
         self.succ = {}
         for c in tops:
             if c not in successors or not successors[c]:
                 raise FlowError("not-total", "cell %s has no successor" % c)
             out = tuple(sorted(set(successors[c])))
-            # c's support as a set, made on its first edge to another cell,
-            # so a rest flow builds no supports
+            faces = boundary[c].keys()
+            # c's support as a set, made on its first edge to a cell that
+            # shares no face with it, so a flow whose edges all cross faces
+            # builds no supports
             near = None
             for d in out:
                 if d not in own:
                     raise FlowError("bad-successor",
                                     "%s -> %s is not a top cell" % (c, d))
-                if d == c:
+                # a shared codim-1 face lies in both closures
+                if d == c or not faces.isdisjoint(boundary[d]):
                     continue
                 # d in one_ring(c), tested on supports without the ring
                 if near is None:

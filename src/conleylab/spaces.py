@@ -6,6 +6,13 @@ one CellComplex, checked once. A mapping torus glues through a plain cell
 bijection of its fiber, with solved signs, and that sweep is its one
 chain-map check.
 
+Each builder makes each cell id once, in a table (the slice and band ids of
+each fiber cell, a row of product ids for each cell of the first factor,
+the prefixed ids of a sum), and writes every face as a reference to the
+same string; `quotient` maps a dropped face to its kept cell as the table
+holds it. So a built complex keeps one string per id, as a loaded one does,
+and a face lookup meets the key object itself.
+
 Each builder that allocates counts the cells its arguments imply and hands
 the count to `complexes._check_size`, which refuses more than
 `complexes.MAX_CELLS` with code too-large before anything is allocated.
@@ -52,28 +59,26 @@ def interval(n):
     """n edges in a row, vertices v:0 .. v:n."""
     assert n >= 1
     _check_size("interval(%d)" % n, 2 * n + 1)
-    cells = {}
+    vs = ["v:%d" % i for i in range(n + 1)]
+    cells = dict.fromkeys(vs, 0)
     bnd = {}
-    for i in range(n + 1):
-        cells["v:%d" % i] = 0
     for i in range(n):
         e = "e:%d" % i
         cells[e] = 1
-        bnd[e] = {"v:%d" % (i + 1): 1, "v:%d" % i: -1}
+        bnd[e] = {vs[i + 1]: 1, vs[i]: -1}
     return CellComplex("interval(%d)" % n, cells, bnd)
 
 
 def circle(n):
     assert n >= 3, "need at least 3 edges for a regular circle"
     _check_size("circle(%d)" % n, 2 * n)
-    cells = {}
+    vs = ["v:%d" % i for i in range(n)]
+    cells = dict.fromkeys(vs, 0)
     bnd = {}
-    for i in range(n):
-        cells["v:%d" % i] = 0
     for i in range(n):
         e = "e:%d" % i
         cells[e] = 1
-        bnd[e] = {"v:%d" % ((i + 1) % n): 1, "v:%d" % i: -1}
+        bnd[e] = {vs[(i + 1) % n]: 1, vs[i]: -1}
     return CellComplex("circle(%d)" % n, cells, bnd)
 
 
@@ -90,38 +95,36 @@ def sphere(rows, cols):
     """Grid sphere: `rows` bands of squares between two polygonal caps."""
     assert rows >= 1 and cols >= 3
     _check_size("sphere(%d,%d)" % (rows, cols), (4 * rows + 2) * cols + 2)
+    # each id made once, rows of vertices, horizontal and vertical edges
+    w = [["w:%d,%d" % (r, l) for l in range(cols)] for r in range(rows + 1)]
+    eh = [["eh:%d,%d" % (r, l) for l in range(cols)]
+          for r in range(rows + 1)]
+    ev = [["ev:%d,%d" % (r, l) for l in range(cols)] for r in range(rows)]
     cells = {}
     bnd = {}
-    for r in range(rows + 1):
-        for l in range(cols):
-            cells["w:%d,%d" % (r, l)] = 0
-    for r in range(rows + 1):
-        for l in range(cols):
-            e = "eh:%d,%d" % (r, l)
+    for row in w:
+        cells.update(dict.fromkeys(row, 0))
+    for r, row in enumerate(eh):
+        for l, e in enumerate(row):
             cells[e] = 1
-            bnd[e] = {"w:%d,%d" % (r, (l + 1) % cols): 1, "w:%d,%d" % (r, l): -1}
-    for r in range(rows):
-        for l in range(cols):
-            e = "ev:%d,%d" % (r, l)
+            bnd[e] = {w[r][(l + 1) % cols]: 1, w[r][l]: -1}
+    for r, row in enumerate(ev):
+        for l, e in enumerate(row):
             cells[e] = 1
-            bnd[e] = {"w:%d,%d" % (r + 1, l): 1, "w:%d,%d" % (r, l): -1}
+            bnd[e] = {w[r + 1][l]: 1, w[r][l]: -1}
+    grid = {"cap:n": (-1, 0), "cap:s": (rows, 0)}
     for r in range(rows):
         for l in range(cols):
             f = "f:%d,%d" % (r, l)
             cells[f] = 2
-            bnd[f] = {"eh:%d,%d" % (r, l): 1,
-                      "ev:%d,%d" % (r, (l + 1) % cols): 1,
-                      "eh:%d,%d" % (r + 1, l): -1,
-                      "ev:%d,%d" % (r, l): -1}
+            bnd[f] = {eh[r][l]: 1, ev[r][(l + 1) % cols]: 1,
+                      eh[r + 1][l]: -1, ev[r][l]: -1}
+            grid[f] = (r, l)
     cells["cap:n"] = 2
-    bnd["cap:n"] = {"eh:0,%d" % l: 1 for l in range(cols)}
+    bnd["cap:n"] = dict.fromkeys(eh[0], 1)
     cells["cap:s"] = 2
-    bnd["cap:s"] = {"eh:%d,%d" % (rows, l): 1 for l in range(cols)}
+    bnd["cap:s"] = dict.fromkeys(eh[rows], 1)
     cx = CellComplex("sphere(%d,%d)" % (rows, cols), cells, bnd)
-    grid = {"cap:n": (-1, 0), "cap:s": (rows, 0)}
-    for r in range(rows):
-        for l in range(cols):
-            grid["f:%d,%d" % (r, l)] = (r, l)
     cx.meta["grid"] = grid
     cx.meta["cup"] = {"rings": {"z": [], "z2": []}}
     return cx
@@ -146,34 +149,36 @@ def disc(rings, sectors):
     assert rings >= 1 and sectors >= 3
     _check_size("disc(%d,%d)" % (rings, sectors),
                 (4 * rings - 2) * sectors + 1)
+    # each id made once: the vertices and circle edges of ring r, from 1,
+    # and the radial edges from ring r to r + 1
+    w = [None] + [["w:%d,%d" % (r, s) for s in range(sectors)]
+                  for r in range(1, rings + 1)]
+    c = [None] + [["c:%d,%d" % (r, s) for s in range(sectors)]
+                  for r in range(1, rings + 1)]
+    d = [None] + [["d:%d,%d" % (r, s) for s in range(sectors)]
+                  for r in range(1, rings)]
     cells = {}
     bnd = {}
     for r in range(1, rings + 1):
         for s in range(sectors):
-            cells["w:%d,%d" % (r, s)] = 0
-            e = "c:%d,%d" % (r, s)
-            cells[e] = 1
-            bnd[e] = {"w:%d,%d" % (r, (s + 1) % sectors): 1, "w:%d,%d" % (r, s): -1}
+            cells[w[r][s]] = 0
+            cells[c[r][s]] = 1
+            bnd[c[r][s]] = {w[r][(s + 1) % sectors]: 1, w[r][s]: -1}
     for r in range(1, rings):
         for s in range(sectors):
-            e = "d:%d,%d" % (r, s)
-            cells[e] = 1
-            bnd[e] = {"w:%d,%d" % (r + 1, s): 1, "w:%d,%d" % (r, s): -1}
+            cells[d[r][s]] = 1
+            bnd[d[r][s]] = {w[r + 1][s]: 1, w[r][s]: -1}
     cells["hub"] = 2
-    bnd["hub"] = {"c:1,%d" % s: 1 for s in range(sectors)}
+    bnd["hub"] = dict.fromkeys(c[1], 1)
+    grid = {"hub": (0, 0)}
     for r in range(1, rings):
         for s in range(sectors):
             f = "q:%d,%d" % (r, s)
             cells[f] = 2
-            bnd[f] = {"c:%d,%d" % (r, s): 1,
-                      "d:%d,%d" % (r, (s + 1) % sectors): 1,
-                      "c:%d,%d" % (r + 1, s): -1,
-                      "d:%d,%d" % (r, s): -1}
+            bnd[f] = {c[r][s]: 1, d[r][(s + 1) % sectors]: 1,
+                      c[r + 1][s]: -1, d[r][s]: -1}
+            grid[f] = (r, s)
     cx = CellComplex("disc(%d,%d)" % (rings, sectors), cells, bnd)
-    grid = {"hub": (0, 0)}
-    for r in range(1, rings):
-        for s in range(sectors):
-            grid["q:%d,%d" % (r, s)] = (r, s)
     cx.meta["grid"] = grid
     return cx
 
@@ -187,16 +192,24 @@ def product(a, b, name=None):
     """Cell product with Leibniz boundary signs. Ids look like `ca&cb`."""
     name = name or "(%s)x(%s)" % (a.name, b.name)
     _check_size(name, len(a.cells) * len(b.cells))
+    bcells = list(b.cells.items())
+    at = {cb: j for j, (cb, _) in enumerate(bcells)}
+    bfaces = [[(at[f], k) for f, k in b.boundary[cb].items()]
+              for cb, _ in bcells]
+    # one row of `ca&cb` ids for each cell of a, in b's order, made once
+    rows = {ca: [ca + "&" + cb for cb, _ in bcells] for ca in a.cells}
     cells = {}
     bnd = {}
     for ca, da in a.cells.items():
         sgn = -1 if da % 2 else 1
-        for cb, db in b.cells.items():
-            c = ca + "&" + cb
+        row = rows[ca]
+        afaces = [(rows[f], k) for f, k in a.boundary[ca].items()]
+        for j, (_, db) in enumerate(bcells):
+            c = row[j]
             cells[c] = da + db
-            faces = {f + "&" + cb: k for f, k in a.boundary[ca].items()}
-            for f, k in b.boundary[cb].items():
-                faces[ca + "&" + f] = sgn * k
+            faces = {fr[j]: k for fr, k in afaces}
+            for g, k in bfaces[j]:
+                faces[row[g]] = sgn * k
             bnd[c] = faces
     return CellComplex(name, cells, bnd)
 
@@ -220,8 +233,10 @@ def quotient(name, cells, boundary, pairs):
     coeff}} with cells identified: pairs of (keep, drop, sign) meaning drop
     = sign * keep. The pairs resolve, with sign tracking, into one table of
     the dropped cells, every face is looked up there once, and a cell with
-    no dropped face keeps its boundary dict. The result is validated, so an
-    identification that breaks del del = 0 raises."""
+    no dropped face keeps its boundary dict. A dropped face becomes its
+    class's kept cell as `cells` holds it, so the result keeps one string
+    per id. The result is validated, so an identification that breaks del
+    del = 0 raises."""
     target = {}
 
     def resolve(c):
@@ -242,6 +257,10 @@ def quotient(name, cells, boundary, pairs):
         target[rd] = (rk, sign * sk * sd)
 
     moved = {c: resolve(c) for c in target}
+    # each kept cell as `cells` holds it, not as a pair names it
+    reps = {rk for rk, _ in moved.values()}
+    own = {c: c for c in filter(reps.__contains__, cells)}
+    moved = {c: (own.get(rk, rk), s) for c, (rk, s) in moved.items()}
     kept = {}
     for c, d in cells.items():
         kept.setdefault(moved[c][0] if c in moved else c, d)
@@ -272,24 +291,29 @@ def mapping_torus(fiber, glue, m, name=None):
     _check_size(name, 2 * m * len(fiber.cells))
     signs = ({c: (c, 1) for c in fiber.cells} if glue is None
              else complete_map_signs(fiber, glue))
+    # each fiber cell's slice ids and band ids, made once
+    vid = {c: ["%s@v%d" % (c, i) for i in range(m)] for c in fiber.cells}
+    eid = {c: ["%s@e%d" % (c, i) for i in range(m)] for c in fiber.cells}
     cells = {}
     bnd = {}
     for c, d in fiber.cells.items():
-        faces = fiber.boundary[c].items()
+        faces = [(vid[f], eid[f], k) for f, k in fiber.boundary[c].items()]
         sgn = -1 if d % 2 else 1
         c2, s = signs[c]
+        vs, es = vid[c], eid[c]
         for i in range(m):
-            v, e = "%s@v%d" % (c, i), "%s@e%d" % (c, i)
+            v, e = vs[i], es[i]
             cells[v] = d
             cells[e] = d + 1
-            bnd[v] = {"%s@v%d" % (f, i): k for f, k in faces}
-            band = {"%s@e%d" % (f, i): k for f, k in faces}
+            if faces:
+                bnd[v] = {fv[i]: k for fv, _, k in faces}
+            band = {fe[i]: k for _, fe, k in faces}
             # the band ends on the next slice; the last one folds through
             # the glue onto the v0 slice
             if i + 1 < m:
-                band["%s@v%d" % (c, i + 1)] = sgn
+                band[vs[i + 1]] = sgn
             else:
-                band["%s@v0" % c2] = sgn * s
+                band[vid[c2][0]] = sgn * s
             band[v] = -sgn
             bnd[e] = band
     cx = CellComplex(name, cells, bnd)
@@ -299,8 +323,8 @@ def mapping_torus(fiber, glue, m, name=None):
         grid = {}
         for c in fiber.top_cells():
             pos = int(c.split(":")[1])
-            for i in range(m):
-                grid["%s@e%d" % (c, i)] = (pos, i)
+            for i, e in enumerate(eid[c]):
+                grid[e] = (pos, i)
         cx.meta["grid"] = grid
     return cx
 
@@ -392,22 +416,25 @@ def connected_sum(a, b, cell_a, cell_b):
         raise ComplexError("hole boundaries have different lengths")
     k = len(walk_a)
     # both surfaces side by side as plain tables, cells prefixed "a:" and
-    # "b:", less the holes; `quotient` makes the one complex
+    # "b:", each prefixed id made once, less the holes; `quotient` makes
+    # the one complex
+    ida = {c: "a:" + c for c in a.cells}
+    idb = {c: "b:" + c for c in b.cells}
     cells = {}
     bnd = {}
-    for pre, cx, hole in (("a:", a, cell_a), ("b:", b, cell_b)):
+    for own, cx, hole in ((ida, a, cell_a), (idb, b, cell_b)):
         for c, d in cx.cells.items():
             if c != hole:
-                cells[pre + c] = d
-                bnd[pre + c] = {pre + f: coeff
-                                for f, coeff in cx.boundary[c].items()}
+                cells[own[c]] = d
+                bnd[own[c]] = {own[f]: coeff
+                               for f, coeff in cx.boundary[c].items()}
 
-    verts_a = ["a:" + v for (v, e) in walk_a]
-    edges_a = ["a:" + e for (v, e) in walk_a]
-    vb = ["b:" + v for (v, e) in reversed(walk_b)]
+    verts_a = [ida[v] for (v, e) in walk_a]
+    edges_a = [ida[e] for (v, e) in walk_a]
+    vb = [idb[v] for (v, e) in reversed(walk_b)]
     # reversing the vertex cycle shifts which edge sits between consecutive
     # vertices
-    eb = ["b:" + e for (v, e) in reversed(walk_b)]
+    eb = [idb[e] for (v, e) in reversed(walk_b)]
     eb = eb[1:] + eb[:1]
     pairs = list(zip(verts_a, vb, [1] * k))
     for i in range(k):

@@ -492,6 +492,8 @@ def test_homology_matches_kernel_on_random_pairs(name, res, keep, rel_share,
     cx = relabelled(small_space(name, res), rng)
     if keep < 1:
         cx = cx.subcomplex([t for t in cx.top_cells() if rng.random() < keep])
+        # a subcomplex is not swept when it is taken; the sweep passes
+        cx._validate()
     rel = cx.closure(c for c in sorted(cx.cells) if rng.random() < rel_share)
     for ring in algebra.RINGS:
         assert algebra.homology(cx, ring, rel=rel) == \

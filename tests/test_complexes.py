@@ -69,8 +69,8 @@ def test_lazy_indexes_match_eager_rebuild():
     for name, cx in loaded:
         assert not {"_top_cofaces", "_verts", "_vert_tops"} & set(vars(cx)), \
             name
-    # a 1-dimensional flow, whose top cells are edges, asks for the
-    # supports of edges as it checks locality
+    # a 1-dimensional flow, whose top cells are edges; the queries below
+    # ask for the supports of edges
     circ = spm.circle(6)
     line = flm.CombinatorialFlow(
         cxm.CellComplex.from_json(circ.to_json()),
@@ -367,6 +367,10 @@ def test_subcomplex_of_closed_square():
     assert ddzero(sub)
     # a bare cellset is closed on the way in
     assert len(t.subcomplex({sq}).cells) == 9
+    # it is indexed as the constructor indexes it, without the sweep
+    sub = t.subcomplex({sq})
+    fresh = cxm.CellComplex(sub.name, sub.cells, sub.boundary)
+    assert (sub._by_dim, sub.top_dim) == (fresh._by_dim, fresh.top_dim)
 
 
 def test_annulus_two_boundary_circles():
@@ -507,6 +511,22 @@ def test_each_builder_validates_its_output_once(monkeypatch):
     assert names == genus2 + strip + [genus2[-1] + "+u0"] + \
         strip + [genus2[-1] + "+u0+u1"]
     assert len(names) == 11
+
+
+def assert_one_string_per_id(cx):
+    # every face is the very string the complex keys that cell by
+    own = dict(zip(cx.cells, cx.cells))
+    for c, faces in cx.boundary.items():
+        assert c is own[c] and all(f is own[f] for f in faces), (cx.name, c)
+
+
+def test_every_builder_makes_each_cell_id_once():
+    for name in NAMED_SPACES:
+        for res in (3, 6):
+            assert_one_string_per_id(cxm.named_space(name, res))
+    built = {}
+    for name in sorted(catalog._RECIPES):
+        assert_one_string_per_id(catalog.build(name, None, built)["flow"].cx)
 
 
 def test_unknown_boundary_cell_rejected():

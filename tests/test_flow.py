@@ -7,6 +7,7 @@ import sys
 import tempfile
 import tracemalloc
 import types
+from random import Random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -154,6 +155,103 @@ def test_validation_errors():
         flm.CombinatorialFlow(c, {t: (["e:3"] if t == "e:0" else [t])
                                   for t in c.top_cells()})
     assert ei.value.code == "not-local"
+
+
+def locality_outcome(cx, successors):
+    """The error code and message CombinatorialFlow gives for a successor
+    map on cx, or None where it accepts it, by a test of d in one_ring(c)
+    for each pair, in the order the flow checks them."""
+    ring = flm.rest_flow(cx).one_ring
+    tops = cx.top_cells()
+    for c in tops:
+        if not successors.get(c):
+            return "not-total", "cell %s has no successor" % c
+        for d in sorted(set(successors[c])):
+            if d not in cx.cells or cx.cells[d] != cx.top_dim:
+                return "bad-successor", "%s -> %s is not a top cell" % (c, d)
+            if d not in ring(c):
+                return "not-local", "%s -> %s leaves the one-ring" % (c, d)
+    extra = set(successors) - set(tops)
+    if extra:
+        return "bad-successor", ("successors given for non top cells: %s"
+                                 % sorted(extra)[:3])
+    return None
+
+
+@functools.lru_cache(maxsize=None)
+def neighbour_kinds(name):
+    """A small space and, for each top cell c, the other top cells that
+    share a codim-1 face with c, those that share only lower cells (a
+    diagonal square shares one vertex) and those that share nothing."""
+    cx = spm.circle(5) if name == "circle" else cxm.named_space(name, 3)
+    tops = cx.top_cells()
+    kinds = {}
+    for c in tops:
+        ring = cx.star_tops((c,)) - {c}
+        face = {d for d in ring if cx.boundary[c].keys() & cx.boundary[d]}
+        kinds[c] = [sorted(face), sorted(ring - face),
+                    sorted(set(tops) - ring - {c})]
+    return cx, kinds
+
+
+@st.composite
+def successor_maps(draw):
+    """(complex, successor map) on a small space: each cell goes to itself,
+    to cells across a face, to cells that share only lower cells with it
+    and, in some maps, to cells that share nothing with it or to no top
+    cell; now and then a cell has no successor, or a non top cell has
+    some."""
+    name = draw(st.sampled_from(("circle", "torus", "klein", "sphere",
+                                 "rp2", "annulus", "s2xs1", "t3")))
+    cx, kinds = neighbour_kinds(name)
+    rnd = Random(draw(st.integers(0, 2 ** 32 - 1)))
+    far = draw(st.sampled_from((0, 0.02, 0.1)))
+    succ = {}
+    for c, (face, corner, apart) in kinds.items():
+        pool = [c] + face + corner
+        outs = rnd.sample(pool, min(len(pool), rnd.randint(1, 3)))
+        if apart and rnd.random() < far:
+            outs.append(rnd.choice(apart))
+        if rnd.random() < far / 4:
+            outs.append(rnd.choice(["ghost", min(cx.boundary[c])]))
+        if rnd.random() > far / 4:
+            succ[c] = outs
+    if rnd.random() < far:
+        succ[min(cx.cells_of_dim(0))] = [min(kinds)]
+    return cx, succ
+
+
+@settings(max_examples=300, deadline=None)
+@given(successor_maps())
+def test_locality_by_faces_and_supports_matches_one_ring_pairs(drawn):
+    # a successor across a face is local without a support test; the flow
+    # accepts and refuses as a test of d in one_ring(c), pair by pair, with
+    # the same code and message
+    cx, succ = drawn
+    try:
+        flm.CombinatorialFlow(cx, succ)
+        got = None
+    except flm.FlowError as err:
+        got = err.code, str(err)
+    assert got == locality_outcome(cx, succ)
+
+
+def test_a_flow_across_faces_builds_no_support_table():
+    # every edge of a band flow, a sphere flow or a flow across the faces
+    # of a circle crosses a face, so building it asks for no support; a
+    # diagonal step on the torus does
+    for name in ("example22-torus", "example22-klein", "example22-circle",
+                 "example22-s2xts1", "north-south", "homoclinic-sphere"):
+        cx = catalog.build(name, catalog._RECIPES[name][2], {})["flow"].cx
+        assert "_verts" not in vars(cx), name
+    _, kinds = neighbour_kinds("torus")
+    cx = cxm.named_space("torus", 3)
+    across = {d: [d] + face[:1] for d, (face, _, _) in kinds.items()}
+    flm.CombinatorialFlow(cx, across)
+    assert "_verts" not in vars(cx)
+    c = min(kinds)
+    flm.CombinatorialFlow(cx, dict(across, **{c: [c, kinds[c][1][0]]}))
+    assert "_verts" in vars(cx)
 
 
 def test_rest_flow_prolongation_is_one_ring():
@@ -505,20 +603,22 @@ def read_outcome(read):
 
 def parsed_flow(text):
     """The flow of a body's text by an in-memory path that shares no
-    parsing with the reader: json.loads, the shape of each field in the
-    order of flow._SHAPES, then the complex of the whole parsed body, whose
-    boundary CellComplex.from_json converts through boundary_table."""
+    parsing with the reader: json.loads, then each member in the body's
+    own order, its shape checked and the complex built from the parsed
+    object where its member stands, its boundary converted by
+    CellComplex.from_json through boundary_table. A missing `successors`
+    or `complex` is refused once every member has been read."""
     data = json.loads(text)
-    for key in flm._SHAPES:
-        if key in data or key in ("successors", "complex"):
-            flm._check_field(key, data.get(key))
     with flm._malformed():
-        body = data["complex"]
-        if isinstance(body, str):
-            raise flm.FlowError("unreadable-input",
-                                "flow references complex %r by name" % body)
-        cx = cxm.CellComplex.from_json(body)
-        return flm.CombinatorialFlow._assemble(cx, data, data.get("name"))
+        for key, value in data.items():
+            if key in flm._SHAPES:
+                flm._check_field(key, value)
+            if key == "complex":
+                cx = cxm.CellComplex.from_json(value)
+        for key in ("successors", "complex"):
+            if key not in data:
+                flm._check_field(key, None)
+    return flm.CombinatorialFlow._assemble(cx, data, data.get("name"))
 
 
 def parsed_outcome(text):
@@ -760,6 +860,70 @@ def test_a_tiny_span_reads_what_json_loads_reads(text, span):
         assert reads == [1]
     assert got == parsed_outcome(text)
     assert got == whole
+
+
+def ghost_face(body):
+    # a boundary that names a cell the complex does not declare
+    bnd = body["complex"]["boundary"]
+    bnd[min(bnd)].append(["ghost", 1])
+
+
+def first_successors(body, value):
+    succ = body["successors"]
+    succ[min(succ)] = value(succ[min(succ)])
+
+
+# faults a flow body may carry, by the member that holds them
+MEMBER_FAULTS = {
+    "complex": [
+        ghost_face,
+        lambda body: body["complex"]["cells"].append(["x", "1"]),
+        lambda body: body["complex"]["boundary"].update(ghost=[]),
+        lambda body: body["complex"].pop("cells"),
+    ],
+    "successors": [
+        lambda body: first_successors(body, lambda outs: "ab"),
+        lambda body: first_successors(body, lambda outs: outs + [5]),
+        lambda body: first_successors(body, lambda outs: outs + ["ghost"]),
+        lambda body: body.pop("successors"),
+    ],
+    "fixed": [lambda body: body.update(fixed="ab"),
+              lambda body: body["fixed"].append(None)],
+    "k": [lambda body: body.update(k="ab"),
+          lambda body: body.update(k=[1])],
+    "ring": [lambda body: body.update(ring="q")],
+}
+
+
+@st.composite
+def two_fault_texts(draw):
+    """The text of a small catalog flow, with its `k` and `ring`, with a
+    fault in each of two members, its members in a drawn order."""
+    name = draw(st.sampled_from(["example22-circle", "north-south",
+                                 "planar-disc"]))
+    entry = shared_entry(name, catalog._RECIPES[name][2])
+    body = dict(entry["flow"].to_json(), k=entry["k"], ring=entry["ring"])
+    for member in draw(st.lists(st.sampled_from(sorted(MEMBER_FAULTS)),
+                                min_size=2, max_size=2, unique=True)):
+        draw(st.sampled_from(MEMBER_FAULTS[member]))(body)
+    order = draw(st.permutations(sorted(body)))
+    return json.dumps({key: body[key] for key in order},
+                      indent=draw(st.sampled_from([None, 1])))
+
+
+@settings(max_examples=150, deadline=None)
+@given(two_fault_texts(), st.sampled_from([4, flm._SPAN]))
+def test_of_faults_in_two_members_the_reader_names_the_oracles(text, span):
+    # the reader and the in-memory path read the members in the body's
+    # order, so both name the same one of the two faults
+    want = parsed_outcome(text)
+    assert len(want) == 2, want
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "flow.json")
+        with open(path, "w") as fh:
+            fh.write(text)
+        with reader_span(span):
+            assert loaded_outcome(path) == want
 
 
 def test_json_fixed_disagreement():
