@@ -15,9 +15,17 @@ whose one-ring meets that reach are the closed star `cx.star_tops` of it.
 `_violators` is the one path for these relative enclosures; the flow keeps
 only the ambient J+/J- of a single cell.
 
+Each stage works inside the flow's own memory. A sweep's search for the
+recurrent cells that escape the collar walks only the recurrent cells'
+reach, since every path from such a cell stays in it: when basin - K holds
+no recurrent cell, as on every example22 flow, a sweep walks nothing. The
+sweeps share their region basin - K with the components, and a
+stabilization or basin that covers the flow is `flow.tops` itself, not a
+copy.
+
 `analyze` builds the collar of K and checks isolation once; each stage that
 tests against the collar takes it as an argument. The components of
-basin - K are the complex's own `components` walk, labeled here.
+basin - K are the complex's own `components` union-find, labeled here.
 """
 
 from .complexes import ConleyError
@@ -85,32 +93,52 @@ def stabilization(flow, k):
 
     Each round takes the one-rings of the cells taken in the round before.
     `fwd` and `img` hold the forward reach of every one-ring so far and of
-    the recurrent cells in it, so each cell is walked at most once in each."""
+    the recurrent cells in it, so each cell is walked at most once in each,
+    and a round adds to each only the list of cells it walks. The
+    stabilization is k and `img`. Once `fwd` holds every top cell, no later
+    ring adds to it: it is dropped, and the round is the last. A
+    stabilization of every top cell is `flow.tops` itself, not a copy."""
     rec = flow.recurrent_cells()
-    khat = set(k)
     fwd, img = set(), set()
-    new = set(khat)
+    new = k
     while new:
-        ring = flow.cx.star_tops(new)
-        new = flow.reach(rec & flow.reach(ring, seen=fwd), seen=img) - khat
-        khat |= new
-    return frozenset(khat)
+        found = rec.intersection(
+            flow.reach(flow.cx.star_tops(new), seen=fwd))
+        if len(fwd) == len(flow.tops):
+            fwd.clear()
+            flow.reach(found, seen=img)
+            break
+        new = flow.reach(found, seen=img)
+    del fwd
+    img.update(k)
+    return flow.tops if len(img) == len(flow.tops) else frozenset(img)
 
 
 def basin(flow, khat):
     """Cells whose omega enclosure lands inside the stabilization khat: those
-    that reach no recurrent cell from which the complement is reachable."""
+    that reach no recurrent cell from which the complement is reachable.
+    When no cell does, the basin is `flow.tops` itself."""
     rec = flow.recurrent_cells()
     escape = rec & flow.reach(flow.tops - khat, "p")
-    return frozenset(flow.tops - flow.reach(escape, "p"))
+    leaving = flow.reach(escape, "p")
+    return flow.tops - leaving if leaving else flow.tops
 
 
 def unstable_manifold(flow, col):
     """Cells with a nonempty alpha enclosure inside the collar col: reachable
-    from a recurrent cell, but from none that is reachable from outside."""
+    from a recurrent cell, but from none that is reachable from outside.
+    A recurrent cell outside col is reachable from outside, and one inside
+    is when it is reachable inside col from a cell with a predecessor
+    outside, so that search walks col alone. The reach of those escaping
+    cells is forward closed, so the reach of the recurrent cells walked
+    past it is the rest, with no difference taken."""
     rec = flow.recurrent_cells()
-    escape = rec & flow.reach(flow.tops - col, "f")
-    return frozenset(flow.reach(rec, "f") - flow.reach(escape, "f"))
+    pred = flow.pred
+    entries = [c for c in col if not col.issuperset(pred[c])]
+    escape = (rec - col) | rec.intersection(flow.reach(entries, "f", col))
+    walked = flow.reach(rec, "f", seen=flow.reach(escape, "f"))
+    # a frozenset made from a dict is sized once, to fit
+    return frozenset(dict.fromkeys(walked))
 
 
 def components(flow, basin_cells, k, khat):
@@ -119,19 +147,25 @@ def components(flow, basin_cells, k, khat):
     stabilization."""
     return [{"cells": comp,
              "label": "homoclinic" if comp <= khat else "uniform"}
-            for comp in flow.cx.components(set(basin_cells) - set(k))]
+            for comp in flow.cx.components(
+                frozenset(basin_cells).difference(k))]
 
 
-def _violators(flow, cells, within, rec, col, direction):
-    """Sorted cells whose relative J+ ("f") or J- ("p") enclosure in `within`
-    leaves the collar: their one-ring meets the cells that reach, along
-    `direction` inside `within`, a recurrent cell of `within` that reaches
-    `within - col` the same way. Both reaches run against the direction,
-    and the cells touching `leaving` are one `cx.star_tops` call."""
+def _violators(flow, within, rec, col, direction):
+    """Sorted cells of `within` whose relative J+ ("f") or J- ("p")
+    enclosure in `within` leaves the collar: their one-ring meets the cells
+    that reach, along `direction` inside `within`, a recurrent cell of
+    `within` that reaches `within - col` the same way. Every path from a
+    recurrent cell stays in its reach `ahead`, so the search for those
+    escaping cells walks only `ahead`, never the rest of `within`: with no
+    recurrent cell it walks nothing. The cells that reach them are one reach
+    against the direction, and the cells touching those are one
+    `cx.star_tops` call."""
     back = "p" if direction == "f" else "f"
-    escape = rec & flow.reach(within - col, back, within)
+    ahead = flow.reach(rec, direction, within)
+    escape = rec.intersection(flow.reach(ahead - col, back, ahead))
     leaving = flow.reach(escape, back, within)
-    return sorted(flow.cx.star_tops(leaving) & cells)
+    return sorted(flow.cx.star_tops(leaving) & within)
 
 
 def _witness_search(flow, candidates, within, col):
@@ -162,17 +196,19 @@ def _extract_cycle(flow, core):
 
 
 def classify(flow, k, report, col):
-    """Fill classification, witness and notes on the report."""
-    kset = frozenset(k)
+    """Fill classification, witness and notes on a report whose components
+    are filled: their union is basin - k, the region of every sweep, and it
+    is the one component itself when there is one."""
     khat = report.stabilization
-    bas = report.basin
-    if khat == kset:
+    if khat == frozenset(k):
         report.classification = "Stable"
         return report
-    within = bas - kset
+    comps = [c["cells"] for c in report.components]
+    within = comps[0] if len(comps) == 1 else frozenset().union(*comps)
     rec = flow.recurrent_cells(within)
-    violations = _violators(flow, within, within, rec, col, "f")
-    dual_violations = _violators(flow, khat & within, within, rec, col, "p")
+    violations = _violators(flow, within, rec, col, "f")
+    dual_violations = [x for x in _violators(flow, within, rec, col, "p")
+                       if x in khat]
     if not violations and not dual_violations:
         report.classification = "NoExternalExplosions"
         return report

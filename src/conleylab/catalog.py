@@ -22,7 +22,8 @@ with code unreadable-input and the file's path.
 import os
 
 from . import constructions as cons
-from .complexes import ComplexError, ConleyError, named_space
+from .complexes import (ComplexError, ConleyError, collector_paused,
+                        named_space)
 from .flow import FlowError, load_file, rest_flow
 from .spaces import mapping_torus, point
 
@@ -194,6 +195,7 @@ def _load_external(name):
                            % (path, err))
 
 
+@collector_paused()
 def build(name, resolution=None, built=None):
     """Build a catalog entry: {name, resolution, flow, k, expected, ring}.
     An entry in `built`, a dict by (name, resolution), is returned as it

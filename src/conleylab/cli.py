@@ -23,23 +23,22 @@ loads only what its command runs: `analyze FILE` never compiles the
 catalog, the checks or the plotting code, and `homology NAME` on a bare
 space name compiles the space builders alone.
 
-A command runs with the cyclic garbage collector paused. Everything it
-builds (the complex, the flow, the enclosures) is an acyclic graph that lives
-until the command returns, so the collector could free none of it and only
-rescans it as it grows. `main` restores the caller's collector state on every
-exit. `test_a_command_leaves_cycles_that_do_not_grow_with_its_input` keeps
-this safe: the cyclic garbage one command leaves is the same at two input
-sizes.
+A command runs with the cyclic garbage collector paused, through the
+`complexes.collector_paused` that `catalog.build` and `named_space` use too.
+Everything it builds (the complex, the flow, the enclosures) is an acyclic
+graph that lives until the command returns, so the collector could free
+none of it and only rescans it as it grows. `main` restores the caller's
+collector state on every exit. Two tests keep this safe: the cyclic garbage
+one command, or one build, leaves is the same at two input sizes.
 """
 
 import argparse
-import gc
 import json
 import os
 import sys
 from itertools import islice
 
-from .complexes import SPACES, ConleyError, named_space
+from .complexes import SPACES, ConleyError, collector_paused, named_space
 from .flow import FlowError, load_file
 
 
@@ -73,7 +72,8 @@ def _write(fh, chunks):
 
 def _emit(chunks, out):
     """Write the command's text, an iterable of str chunks, to the file
-    `out` or to stdout, _BATCH chunks per write."""
+    `out` or to stdout, _BATCH chunks per write. Either one failing is
+    error[unwritable-output]."""
     if out:
         try:
             with open(out, "w") as fh:
@@ -81,8 +81,23 @@ def _emit(chunks, out):
         except OSError as err:
             raise ConleyError("unwritable-output", "cannot write %s: %s"
                               % (out, err.strerror or err))
+    elif sys.stdout is None:
+        # Python's stdout when the process started with descriptor 1 closed
+        raise ConleyError("unwritable-output", "cannot write stdout: "
+                          "it is closed")
     else:
-        _write(sys.stdout, chunks)
+        try:
+            _write(sys.stdout, chunks)
+            sys.stdout.flush()
+        except OSError as err:
+            # a reader that closed the pipe (`| head`): the interpreter
+            # flushes stdout again at exit, so stdout is pointed at
+            # os.devnull first, as the `signal` module's docs advise
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+            raise ConleyError("unwritable-output", "cannot write stdout: %s"
+                              % (err.strerror or err))
 
 
 def _json_dumps(payload):
@@ -330,16 +345,12 @@ def _parser():
 def main(argv=None):
     args = _parser().parse_args(argv)
     # the collector is paused for the command (see the module docstring)
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        return args.fn(args)
-    except ConleyError as err:
-        sys.stderr.write("error[%s]: %s\n" % (err.code, err))
-        return 1
-    finally:
-        if enabled:
-            gc.enable()
+    with collector_paused():
+        try:
+            return args.fn(args)
+        except ConleyError as err:
+            sys.stderr.write("error[%s]: %s\n" % (err.code, err))
+            return 1
 
 
 if __name__ == "__main__":

@@ -39,9 +39,29 @@ bad-complex, and one above MAX_CELLS with too-large, since homology walks
 every degree up to the top one.
 """
 
+import gc
 from collections import defaultdict
+from contextlib import contextmanager
 from functools import cached_property
 from itertools import chain, repeat
+
+
+@contextmanager
+def collector_paused():
+    """Run the block, or the function it decorates, with the cyclic
+    garbage collector paused, and restore the caller's state after it.
+
+    What a build or a command makes is an acyclic graph that lives until it
+    returns, so the collector could free none of it and only rescans it as
+    it grows. An inner pause finds the collector off and leaves it off, so
+    pauses nest. `cli.main`, `catalog.build` and `named_space` pause it."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
 
 
 class ConleyError(ValueError):
@@ -241,32 +261,43 @@ class CellComplex:
     def components(self, cells, cut=()):
         """Connected components of a set of cells of one dimension, two
         cells joined when their boundaries share a face outside `cut`, as
-        frozensets ordered by each component's least cell. Each face is
-        mapped to the cells of the set that own it, from those cells'
-        boundaries alone, less the faces in `cut`, and the walk follows
-        that map. On edges this is vertex adjacency."""
+        frozensets ordered by each component's least cell. On edges this
+        is vertex adjacency.
+
+        A union-find over the set's own boundaries (Tarjan 1975): each face
+        outside `cut` keeps the first cell of the set seen on it, each later
+        cell on that face is joined to that first one, and `parent` maps
+        each joined cell toward its root, compressed on every find. So the
+        memory is one entry per face and one per join, and no face keeps a
+        list of its cells. Each join makes one cell a non-root, so the set
+        is connected exactly when `parent` holds all its cells but one, and
+        then it is returned as its one component, unsorted and uncopied."""
         boundary = self.boundary
-        owners = defaultdict(list)
+        first = dict.fromkeys(cut)   # a cut face's first cell is None
+        parent = {}
+
+        def find(c):
+            root = c
+            while root in parent:
+                root = parent[root]
+            while c != root:
+                parent[c], c = root, parent[c]
+            return root
+
         for c in cells:
             for f in boundary[c]:
-                owners[f].append(c)
-        for f in cut:
-            owners.pop(f, None)
-        comps = []
-        seen = set()
-        for start in sorted(cells):
-            if start in seen:
-                continue
-            seen.add(start)
-            comp = [start]
-            for u in comp:  # the list grows while it is walked
-                for f in boundary[u]:
-                    for v in owners[f]:
-                        if v not in seen:
-                            seen.add(v)
-                            comp.append(v)
-            comps.append(frozenset(comp))
-        return comps
+                o = first.setdefault(f, c)
+                if o != c and o is not None:
+                    a, b = find(o), find(c)
+                    if a != b:
+                        parent[b] = a
+        del first
+        if len(parent) == len(cells) - 1:
+            return [frozenset(cells)]
+        comps = {}
+        for c in sorted(cells):
+            comps.setdefault(find(c), []).append(c)
+        return list(map(frozenset, comps.values()))
 
     def euler(self, cellset=None):
         """Euler characteristic of the closure of cellset (whole complex if None)."""
@@ -416,6 +447,7 @@ SPACES = {
 }
 
 
+@collector_paused()
 def named_space(name, resolution=None):
     """Catalog complexes addressable by bare name string, the keys of
     SPACES.

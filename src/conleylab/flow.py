@@ -14,10 +14,10 @@ images: the cells reached by arbitrarily long paths from a seed, which is
 the reach of the recurrent part of the seed's reach.
 
 One component pass over the whole flow, kept as `_sccs`, lists its
-components in reverse topological order. It gives `recurrent_cells`, and,
-read forward for F and backward for P, every cell's own eventual image: a
-cell on a cycle reaches its image; any other cell's image is the union of
-its successors' images.
+components in reverse topological order, a component of one cell as a
+1-tuple. It gives `recurrent_cells`, and, read forward for F and backward
+for P, every cell's own eventual image: a cell on a cycle reaches its
+image; any other cell's image is the union of its successors' images.
 The image of a seed is the union of its cells' images, so J+(x) and J-(x),
 the images of the one-ring of x, need no walk per cell: `theorems` counts
 J-duality from these per-cell images. Enclosures relative to a region
@@ -57,7 +57,6 @@ import io
 import json
 import os
 import re
-from collections import deque
 from contextlib import contextmanager
 from functools import cached_property
 from itertools import chain
@@ -143,23 +142,21 @@ class CombinatorialFlow:
     def reach(self, seed, direction="f", within=None, seen=None):
         """Cells reachable from the seed, inside `within` when given. With
         `seen`, a set already closed under reach, only cells outside it are
-        walked: they are added to `seen` and returned."""
+        walked: they are added to `seen` and returned as a list, in the
+        order walked, so the walk keeps no second set of them."""
         table = self._table(direction)
-        out = {c for c in seed if within is None or c in within}
-        if seen is None:
-            seen = out
-        else:
-            out -= seen
-            seen |= out
-        q = deque(out)
-        while q:
-            c = q.popleft()
+        fresh = seen is not None
+        if not fresh:
+            seen = set()
+        order = [c for c in seed
+                 if c not in seen and (within is None or c in within)]
+        seen.update(order)
+        for c in order:  # the list grows while it is walked
             for d in table[c]:
                 if d not in seen and (within is None or d in within):
                     seen.add(d)
-                    out.add(d)
-                    q.append(d)
-        return out
+                    order.append(d)
+        return order if fresh else seen
 
     def recurrent_cells(self, within=None):
         """Cells on some F-cycle (self loops included), optionally of the
@@ -174,7 +171,9 @@ class CombinatorialFlow:
     def _sccs(self):
         # the one whole-flow pass, reversed: each component comes after
         # every component it reaches
-        return list(self._components(None))[::-1]
+        comps = list(self._components(None))
+        comps.reverse()
+        return comps
 
     @cached_property
     def _rec(self):
@@ -187,8 +186,9 @@ class CombinatorialFlow:
 
     def _components(self, within):
         """Strongly connected components of the subgraph induced on `within`
-        (the whole flow when None), yielded as lists of cells in
-        topological order: each before every component it reaches.
+        (the whole flow when None), yielded in topological order, each
+        before every component it reaches: a lone cell as a 1-tuple, any
+        other component as a list of its cells.
         Kosaraju-Sharir: one depth-first pass along F records the order in
         which cells finish; then, latest finisher first, each cell not yet
         placed takes as its component the cells not yet placed that reach
@@ -201,17 +201,19 @@ class CombinatorialFlow:
             if root in seen:
                 continue
             seen.add(root)
-            work = [(root, iter(succ[root]))]
-            while work:
-                node, it = work[-1]
-                for d in it:
+            # the path from the root and an iterator over each of its
+            # cells' successors, as two lists: no pair per step
+            path, outs = [root], [iter(succ[root])]
+            while outs:
+                for d in outs[-1]:
                     if d not in seen and d in cells:
                         seen.add(d)
-                        work.append((d, iter(succ[d])))
+                        path.append(d)
+                        outs.append(iter(succ[d]))
                         break
                 else:
-                    work.pop()
-                    finished.append(node)
+                    outs.pop()
+                    finished.append(path.pop())
         # the pass visited every cell; now the set holds those not yet placed
         left = seen
         pred = self.pred
@@ -220,7 +222,7 @@ class CombinatorialFlow:
                 left.discard(c)
                 # no other cell left reaches c: c is its own component
                 if left.isdisjoint(pred[c]):
-                    yield [c]
+                    yield (c,)
                     continue
                 left.add(c)
                 comp = list(self.reach((c,), "p", left))

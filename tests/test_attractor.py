@@ -1,5 +1,6 @@
 import json
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -233,8 +234,9 @@ def assert_pipeline_matches_per_cell_definitions(f, k, label):
         unstable_per_cell(f, col), label
     within = bas - kset
     rec = f.recurrent_cells(within)
-    plus = attractor._violators(f, within, within, rec, col, "f")
-    minus = attractor._violators(f, khat & within, within, rec, col, "p")
+    plus = attractor._violators(f, within, rec, col, "f")
+    minus = [x for x in attractor._violators(f, within, rec, col, "p")
+             if x in khat]
     assert plus == violators_per_cell(f, within, within, col, "f"), label
     assert minus == violators_per_cell(f, khat & within, within, col,
                                        "p"), label
@@ -310,6 +312,51 @@ def test_analyze_on_a_loaded_file_builds_no_coface_index_or_rings():
         fresh = flm.CombinatorialFlow.from_json(body).cx
         assert set(vars(cx)) - set(vars(fresh)) <= \
             {"_verts", "_vert_tops"}, f.name
+
+
+def test_whole_flow_enclosures_are_the_top_cell_set_itself():
+    # a stabilization or basin that covers the flow is `flow.tops`, not a
+    # copy of it; one that does not is a set of its own
+    kinds = set()
+    for f, k in oracle_cases():
+        rep = attractor.analyze(f, k)
+        assert (rep.basin is f.tops) == rep.global_attractor, f.name
+        assert (rep.stabilization is f.tops) == \
+            (rep.stabilization == f.tops), f.name
+        kinds.add((rep.global_attractor, rep.stabilization == f.tops))
+    # the torus flow is global and stabilizes to the whole torus
+    entry = catalog.build("example22-torus")
+    f, kset = entry["flow"], frozenset(entry["k"])
+    assert attractor.stabilization(f, kset) is f.tops
+    assert attractor.basin(f, f.tops) is f.tops
+    assert {(True, True), (False, False)} <= kinds
+
+
+def test_analyze_peaks_within_half_the_loaded_flow(tmp_path):
+    # the stages work inside the flow's own memory: on example22-torus@32
+    # read from its file, the traced peak of analyze above its start is
+    # about a third of what the loaded flow holds (two thirds while the
+    # components kept a list of owners per face and the sweeps copied
+    # basin - k)
+    entry = catalog.build("example22-torus", 32)
+    path = tmp_path / "torus32.json"
+    path.write_text(json.dumps(dict(entry["flow"].to_json(), k=entry["k"])))
+    del entry
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        loaded = flm.load_file(str(path))
+        start = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        rep = attractor.analyze(loaded["flow"], loaded["k"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        if started:
+            tracemalloc.stop()
+    assert rep.classification == "NoExternalExplosions"
+    assert peak - start <= 0.5 * (start - base), (peak - start, start - base)
 
 
 def test_analyze_computes_the_collar_and_isolation_once(monkeypatch):

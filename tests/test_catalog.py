@@ -1,9 +1,11 @@
+import gc
 import json
 import os
 
 import pytest
 
 from conleylab import attractor, catalog
+from conleylab.complexes import SPACES, collector_paused, named_space
 from test_flow import shared_entry
 
 
@@ -128,3 +130,51 @@ def test_external_catalog_dir(tmp_path, monkeypatch):
     assert ei.value.code == "unreadable-input"
     monkeypatch.delenv("CONLEYLAB_CATALOG")
     assert "myflow" not in catalog.names()
+
+
+def build_garbage(fn, *args):
+    """Objects the cyclic collector finds unreachable after one build."""
+    was = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        fn(*args)
+        return gc.collect()
+    finally:
+        if was:
+            gc.enable()
+
+
+def test_a_build_leaves_cycles_that_do_not_grow_with_its_resolution():
+    # builds run with the collector paused, which is safe only while the
+    # cycles they leave do not grow with the space they build
+    builds = [(catalog.build, name, res)
+              for name, (_, _, minimum) in sorted(catalog._RECIPES.items())
+              for res in (minimum, 2 * minimum)]
+    builds += [(named_space, name, res) for name in sorted(SPACES)
+               for res in (3, 6)]
+    for build in builds:
+        build_garbage(*build)  # imports and caches fill on the first run
+    counts = {build[1:]: build_garbage(*build) for build in builds}
+    assert len(set(counts.values())) == 1, counts
+
+
+def test_the_collector_pause_nests_and_restores_the_callers_state():
+    was = gc.isenabled()
+    try:
+        for state in (True, False):
+            (gc.enable if state else gc.disable)()
+            with collector_paused():
+                assert not gc.isenabled()
+                with collector_paused():
+                    assert not gc.isenabled()
+                assert not gc.isenabled()
+            assert gc.isenabled() is state
+            catalog.build("north-south")
+            named_space("torus", 3)
+            assert gc.isenabled() is state
+            with pytest.raises(catalog.CatalogError):
+                catalog.build("nowhere")
+            assert gc.isenabled() is state
+    finally:
+        (gc.enable if was else gc.disable)()

@@ -322,6 +322,39 @@ def test_a_flow_piped_on_stdin_is_read_whole(tmp_path):
                            "/dev/stdin: %s\n" % json_message(bad))
 
 
+@pytest.mark.parametrize("argv", [
+    ["analyze", "catalog:example22-torus", "--resolution", "48",
+     "--format", "json"],
+    ["construct", "example22-torus", "--resolution", "16"],
+    ["plot", "catalog:example22-torus", "--resolution", "32",
+     "--format", "svg"],
+])
+def test_a_closed_stdout_is_one_error_line(argv):
+    # the reader closes the pipe after a few bytes, as `| head -c 8` does,
+    # of an output larger than the pipe buffer (64 KiB on Linux): each of
+    # these writes over 100 KB
+    with subprocess.Popen([sys.executable, "-m", "conleylab.cli"] + argv,
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                          env=src_env()) as proc:
+        assert len(proc.stdout.read(8)) == 8
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        assert proc.wait(timeout=120) == 1
+    # one line and no traceback, nor an "Exception ignored" at exit
+    assert err == ("error[unwritable-output]: cannot write stdout: "
+                   "Broken pipe\n"), err
+
+
+def test_a_stdout_closed_from_the_start_is_one_error_line():
+    proc = subprocess.run(
+        ["sh", "-c", 'exec "$0" -m conleylab.cli analyze catalog:north-south '
+         '>&-', sys.executable],
+        capture_output=True, text=True, env=src_env(), timeout=60)
+    assert proc.returncode == 1
+    assert proc.stderr == ("error[unwritable-output]: cannot write stdout: "
+                           "it is closed\n"), proc.stderr
+
+
 @pytest.mark.parametrize("span", [4, None])
 def test_a_space_json_does_not_take_is_refused_next_to_a_cut(
         tmp_path, capsys, monkeypatch, span):
