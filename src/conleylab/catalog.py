@@ -15,16 +15,16 @@ live as long as that dict does (`verify` keeps one for a run).
 Set the CONLEYLAB_CATALOG environment variable to a directory of flow JSON
 files to make external flows available under their file stem. They are read
 afresh on every call, have resolution None and so never refine. A file
-there that cannot be read, parsed or built as a flow raises CatalogError
-with code unreadable-input and the file's path.
+there that cannot be read, parsed or built as a flow, or whose complex is
+too large, raises CatalogError with code unreadable-input and the file's
+path.
 """
 
 import os
 
 from . import constructions as cons
-from .complexes import (ComplexError, ConleyError, collector_paused,
-                        named_space)
-from .flow import FlowError, load_file, rest_flow
+from .complexes import ConleyError, collector_paused, named_space
+from .flow import rest_flow
 from .spaces import mapping_torus, point
 
 
@@ -185,12 +185,16 @@ def _external_names():
 
 
 def _load_external(name):
-    # a file that cannot be read, parsed or built as a flow is one kind of
-    # failure: unreadable-input, naming the file
+    # a file that cannot be read, parsed or built as a flow, or that is
+    # too large, is one kind of failure: unreadable-input, naming the file
+    from .flowfile import load_file
     path = os.path.join(_external_dir(), name + ".json")
     try:
         return load_file(path, name, error=CatalogError)
-    except (FlowError, ComplexError) as err:
+    except CatalogError:
+        # the reader's own `cannot read flow file` line names the file
+        raise
+    except ConleyError as err:
         raise CatalogError("unreadable-input", "malformed flow file %s: %s"
                            % (path, err))
 

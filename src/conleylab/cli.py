@@ -12,16 +12,13 @@ is provenance, never a flow to substitute. `construct NAME --resolution R`
 output refines as `catalog:NAME --resolution R`.
 
 Output is streamed: a JSON report goes out as the encoder's chunks, about a
-thousand per write, so no command holds its report as one string. A flow
-file is read through one window of 64 K-character chunks, one member at a
-time: its complex's cells and boundary and its successors, fixed and k are
-decoded a span of text at a time, each cell id is kept as one string, and
-the complex is built when its object closes (see `flow.load_file`).
+thousand per write, so no command holds its report as one string.
 
 Each command imports the layers it calls inside its own function, so a call
 loads only what its command runs: `analyze FILE` never compiles the
-catalog, the checks or the plotting code, and `homology NAME` on a bare
-space name compiles the space builders alone.
+catalog, the checks or the plotting code, `homology NAME` on a bare space
+name compiles the space builders alone, and only a command that reads a
+file compiles the file reader, `flowfile.load_file`.
 
 A command runs with the cyclic garbage collector paused, through the
 `complexes.collector_paused` that `catalog.build` and `named_space` use too.
@@ -39,11 +36,12 @@ import sys
 from itertools import islice
 
 from .complexes import SPACES, ConleyError, collector_paused, named_space
-from .flow import FlowError, load_file
+from .flow import FlowError
 
 
 def _load_file(path):
     # the CLI's one entry to file loading; perfbench times it as cli.load
+    from .flowfile import load_file
     return load_file(path)
 
 

@@ -375,26 +375,38 @@ class CellComplex:
         `boundary` through `boundary_table`. The flow reader, which decodes
         a body one member at a time, converts `cells` and `boundary` as
         they are decoded and passes the tables as `cells` ({id: dim}) and
-        `boundary`, in place of the body's own."""
+        `boundary`, in place of the body's own. A `name` that is not a
+        string, or `identifications` that are not a list, are refused."""
         if cells is None:
             cells = data["cells"]
             if type(cells) is not list:
                 raise ComplexError("cells are not a list of [id, dim] pairs")
         if boundary is None:
             boundary = boundary_table(data.get("boundary", {}))
-        return cls(data.get("name", "complex"), cells, boundary,
-                   identifications=data.get("identifications"))
+        name = data.get("name", "complex")
+        if type(name) is not str:
+            raise ComplexError("the complex's name is not a string")
+        identifications = data.get("identifications")
+        if identifications is not None and type(identifications) is not list:
+            raise ComplexError("identifications are not a list")
+        return cls(name, cells, boundary, identifications=identifications)
 
 
 def boundary_table(bnd):
     """A body's boundary mapping of [face, coeff] lists as the {face: coeff}
     dicts a complex keeps. A mapping where a [face, coeff] list belongs
-    would pass through dict() unnoticed, so it is refused here."""
-    if set(map(type, bnd.values())) - {list}:
-        c = next(c for c, pairs in bnd.items() if type(pairs) is not list)
-        raise ComplexError("boundary of %s is not a list of "
-                           "[face, coeff] pairs" % c)
-    return {c: dict(pairs) for c, pairs in bnd.items()}
+    would pass through dict() unnoticed, so it is refused here, as is a
+    list dict() does not take."""
+    table = {}
+    for c, pairs in bnd.items():
+        try:
+            if type(pairs) is not list:
+                raise TypeError
+            table[c] = dict(pairs)
+        except (TypeError, ValueError):
+            raise ComplexError("boundary of %s is not a list of "
+                               "[face, coeff] pairs" % c) from None
+    return table
 
 
 class _Supports(dict):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conleylab import (algebra, attractor, blocks, catalog, complexes as cxm,
-                       flow as flm, spaces as spm)
+                       flow as flm, flowfile as ffm, spaces as spm)
 from test_blocks import section_components
 from test_flow import (eventual_image, image_cycle, iterated_image,
                        shared_entry, small_flows, trim_loop)
@@ -347,7 +347,7 @@ def test_analyze_peaks_within_half_the_loaded_flow(tmp_path):
         tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        loaded = flm.load_file(str(path))
+        loaded = ffm.load_file(str(path))
         start = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
         rep = attractor.analyze(loaded["flow"], loaded["k"])

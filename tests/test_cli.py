@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 import conleylab
 from conleylab import (attractor, catalog, cli, complexes as cxm, flow as flm,
-                       spaces as spm)
+                       flowfile as ffm, spaces as spm)
 from test_algebra import LOOP_D2, determinantal_invariants, loop_complex
 
 
@@ -363,7 +363,7 @@ def test_a_space_json_does_not_take_is_refused_next_to_a_cut(
     # file is refused with the parser's own message, as json.loads refuses
     # it
     if span:
-        monkeypatch.setattr(flm, "_SPAN", span)
+        monkeypatch.setattr(ffm, "_SPAN", span)
     text = json.dumps(flm.rest_flow(spm.sphere(3, 6)).to_json())
     comma = text.index("]], ", text.index('"boundary": ')) + 2
     for odd in ("\x0c", "\xa0"):
@@ -392,7 +392,7 @@ def test_members_in_any_order_load_the_same_flow(tmp_path, capsys):
     paths = [tmp_path / "sorted.json", tmp_path / "moved.json"]
     paths[0].write_text(out.getvalue())
     paths[1].write_text(json.dumps(moved))
-    flows = [flm.load_file(str(p))["flow"] for p in paths]
+    flows = [ffm.load_file(str(p))["flow"] for p in paths]
     assert (flows[0].cx.cells, flows[0].cx.boundary, flows[0].succ) == \
         (flows[1].cx.cells, flows[1].cx.boundary, flows[1].succ)
     reports = []
@@ -623,6 +623,49 @@ def test_verify_skips_unreadable_catalog_files_with_a_note(
         assert any(name in n for n in notes), name
         assert cli.main(["analyze", "catalog:" + name[:-5]]) == 1
         assert "error[unreadable-input]" in capsys.readouterr().err
+
+
+HUGE = {"complex": {"name": "huge", "cells": [["a", 100000000]]},
+        "successors": {"a": ["a"]}, "k": ["a"]}
+
+
+def test_a_too_large_or_misnamed_catalog_file_is_skipped_with_a_note(
+        tmp_path, monkeypatch, capsys):
+    # a complex past the dimension limit, or named by a number, is an
+    # unreadable catalog file: every check keeps its status and its
+    # details, and notes the file, and `analyze` on it is one error line
+    from conleylab import theorems
+    monkeypatch.delenv("CONLEYLAB_CATALOG", raising=False)
+    alone = theorems.run()
+    misnamed = dict(HUGE, complex={"name": 5, "cells": [["a", 0]]})
+    for name, body, why in (
+            ("huge", HUGE, "dimension of a is 100000000; the limit is "
+             "524288"),
+            ("misnamed", misnamed, "the complex's name is not a string")):
+        path = tmp_path / (name + ".json")
+        path.write_text(json.dumps(body))
+        monkeypatch.setenv("CONLEYLAB_CATALOG", str(tmp_path))
+        message = "malformed flow file %s: %s" % (path, why)
+        line = "skipped catalog entry %s: %s" % (name, message)
+        results = theorems.run()
+        assert [r.id for r in results] == [r.id for r in alone]
+        for r, before in zip(results, alone):
+            assert r.status == before.status, r.id
+            kept = [d for d in r.details if d != "note " + line]
+            assert kept == before.details, r.id
+        assert any("note " + line in r.details for r in results), name
+        assert cli.main(["analyze", name]) == 1
+        assert capsys.readouterr() == ("", "error[unreadable-input]: %s\n"
+                                       % message)
+        path.unlink()
+    # a file that does not parse keeps the reader's own line, not wrapped
+    bad = tmp_path / "notjson.json"
+    bad.write_text("not json")
+    assert cli.main(["analyze", "notjson"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error[unreadable-input]: cannot read flow file "
+                          "%s: " % bad), err
+    assert err.count("\n") == 1
 
 
 def test_plot_csv_row_per_top_cell(capsys):
@@ -908,7 +951,7 @@ def test_a_flow_is_named_as_its_entry(tmp_path, capsys):
     assert capsys.readouterr().out.startswith("flow: hug\n")
     assert cli.main(["plot", str(path), "--format", "json"]) == 0
     assert json.loads(capsys.readouterr().out)["flow"] == "hug"
-    assert flm.load_file(str(path), "other")["flow"].name == "other"
+    assert ffm.load_file(str(path), "other")["flow"].name == "other"
     # the file's own name comes before the stem
     assert cli.main(["analyze", str(hug_file(tmp_path, name="loop")),
                      "--format", "json"]) == 0
@@ -958,7 +1001,7 @@ def test_plot_lists_every_cell_of_a_loaded_file_in_the_side_strip(
     path = tmp_path / "circle.json"
     assert cli.main(["construct", "example22-circle", "--out", str(path)]) \
         == 0
-    entry = flm.load_file(str(path))
+    entry = ffm.load_file(str(path))
     report = attractor.analyze(entry["flow"], entry["k"])
     roles = svgplot.cell_roles(report)
     tops = sorted(entry["flow"].tops)
@@ -1086,13 +1129,37 @@ def test_cli_loads_only_the_layers_its_command_runs(tmp_path):
             (["homology", str(path), "--ring", "z2"], "algebra", 0),
             (["homology", str(path)], "algebra", 0)):
         loaded, builders = run(args, rc)
-        assert loaded == {"cli", "complexes", "flow", layer}, args
+        assert loaded == {"cli", "complexes", "flow", "flowfile", layer}, args
         # a file command compiles no builder
         assert builders == "", args
     # a bare space name builds its space without the catalog
     loaded, builders = run(["homology", "torus", "--resolution", "4"], 0)
     assert loaded == {"cli", "complexes", "flow", "spaces", "algebra"}
     assert "torus" in builders.split()
+
+
+def test_only_a_command_that_reads_a_file_imports_the_reader(tmp_path):
+    # verify, construct and a bare space name read no flow file, so they
+    # never compile the reader; a file command imports it
+    path = tmp_path / "circle.json"
+    assert cli.main(["construct", "example22-circle", "--out",
+                     str(path)]) == 0
+    script = ("import sys\n"
+              "from conleylab import cli\n"
+              "rc = cli.main(sys.argv[1:])\n"
+              "print('conleylab.flowfile' in sys.modules)\n"
+              "sys.exit(rc)\n")
+    for args, reads in (
+            (["verify", "--only", "ex3.5"], False),
+            (["construct", "example22-torus"], False),
+            (["homology", "torus"], False),
+            (["analyze", str(path)], True)):
+        proc = subprocess.run(
+            [sys.executable, "-c", script] + args
+            + ["--out", str(tmp_path / "out")],
+            capture_output=True, text=True, env=src_env(), timeout=60)
+        assert proc.returncode == 0, (args, proc.stderr)
+        assert proc.stdout == "%s\n" % reads, args
 
 
 def test_public_names_resolve_on_first_use():

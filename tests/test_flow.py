@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conleylab import (attractor, blocks, catalog, complexes as cxm,
-                       flow as flm, spaces as spm)
+                       flow as flm, flowfile as ffm, spaces as spm)
 
 
 # -- reference implementations ---------------------------------------------------
@@ -347,7 +347,7 @@ def test_flow_file_round_trip(fl, data):
         # the file carries the flow's name, which the loaded flow keeps
         with open(path, "w") as fh:
             json.dump(dict(fl.to_json(), name=fl.name), fh)
-        back = flm.load_file(path)["flow"]
+        back = ffm.load_file(path)["flow"]
     assert back.succ == fl.succ
     assert back.fixed == fl.fixed
     for k in (whole, {cell}):
@@ -448,7 +448,7 @@ def test_json_round_trip(tmp_path):
         # the reader builds from the file the flow the in-memory path builds
         path = tmp_path / (name + ".json")
         path.write_text(json.dumps(data))
-        loaded = flm.load_file(str(path))["flow"]
+        loaded = ffm.load_file(str(path))["flow"]
         read = parsed_flow(path.read_text())
         assert (loaded.cx.cells, loaded.cx.boundary, loaded.succ) == \
             (read.cx.cells, read.cx.boundary, read.succ), name
@@ -476,7 +476,7 @@ def load_and_parse_peaks(tmp_path):
         with open(path) as fh:
             json.load(fh)
 
-    return traced_peak(lambda: flm.load_file(path)), traced_peak(parse)
+    return traced_peak(lambda: ffm.load_file(path)), traced_peak(parse)
 
 
 def test_load_file_peaks_below_a_whole_parse(tmp_path):
@@ -536,20 +536,20 @@ def test_load_file_reads_its_file_in_bounded_chunks(tmp_path, monkeypatch):
         def __exit__(self, *exc):
             self.fh.close()
 
-    grow = flm._Window.grow
+    grow = ffm._Window.grow
 
     def recorded(self):
         grown = grow(self)
         held.append(len(self.text))
         return grown
 
-    monkeypatch.setattr(flm, "open", lambda p: Counted(open(p)),
+    monkeypatch.setattr(ffm, "open", lambda p: Counted(open(p)),
                         raising=False)
-    monkeypatch.setattr(flm._Window, "grow", recorded)
+    monkeypatch.setattr(ffm._Window, "grow", recorded)
     for path in (path, str(rest)):
         with open(path) as fh:
             want = parsed_outcome(fh.read())
-        for span in (1 << 12, flm._SPAN):
+        for span in (1 << 12, ffm._SPAN):
             sizes.clear()
             held.clear()
             with reader_span(span):
@@ -568,7 +568,7 @@ def test_a_loaded_flow_holds_the_complex_strings(tmp_path):
     assert entry["k"]
     path = tmp_path / "flow.json"
     path.write_text(json.dumps(dict(fl.to_json(), k=sorted(entry["k"]))))
-    loaded = flm.load_file(str(path))
+    loaded = ffm.load_file(str(path))
     back = loaded["flow"]
     own = {c: c for c in back.cx.cells}
     for table in (back.succ, back.pred):
@@ -609,16 +609,16 @@ def parsed_flow(text):
     CellComplex.from_json through boundary_table. A missing `successors`
     or `complex` is refused once every member has been read."""
     data = json.loads(text)
-    with flm._malformed():
+    with ffm._malformed():
         for key, value in data.items():
-            if key in flm._SHAPES:
-                flm._check_field(key, value)
+            if key in ffm._SHAPES:
+                ffm._check_field(key, value)
             if key == "complex":
                 cx = cxm.CellComplex.from_json(value)
         for key in ("successors", "complex"):
             if key not in data:
-                flm._check_field(key, None)
-    return flm.CombinatorialFlow._assemble(cx, data, data.get("name"))
+                ffm._check_field(key, None)
+    return ffm._assemble(cx, data, data.get("name"))
 
 
 def parsed_outcome(text):
@@ -626,18 +626,18 @@ def parsed_outcome(text):
 
 
 def loaded_outcome(path):
-    return read_outcome(lambda: flm.load_file(str(path))["flow"])
+    return read_outcome(lambda: ffm.load_file(str(path))["flow"])
 
 
 @contextlib.contextmanager
 def patched(name, value):
     # flow.<name> set to value for the block
-    saved = getattr(flm, name)
-    setattr(flm, name, value)
+    saved = getattr(ffm, name)
+    setattr(ffm, name, value)
     try:
         yield
     finally:
-        setattr(flm, name, saved)
+        setattr(ffm, name, saved)
 
 
 def reader_span(n):
@@ -649,7 +649,7 @@ def whole_decodes():
     """A list that gets one item each time the reader reads a text whole,
     as it does when a span does not decode."""
     calls = []
-    real = flm._read_whole
+    real = ffm._read_whole
     with patched("_read_whole", lambda *args: calls.append(1) or real(*args)):
         yield calls
 
@@ -707,7 +707,7 @@ ODD_IDS = ["]", '"', '\\"', ",", ", ", "\u00fc", "\u2202]", "[", "\u00a0",
 def test_ids_with_brackets_commas_and_quotes_load_as_parsed(tmp_path, piece):
     entry = catalog.build("example22-circle")
     body = renamed_body(entry["flow"], lambda c: c + piece, entry["k"])
-    for span in (4, 64, flm._SPAN):
+    for span in (4, 64, ffm._SPAN):
         for ascii_only in (True, False):
             path = tmp_path / "flow.json"
             path.write_text(json.dumps(body, ensure_ascii=ascii_only),
@@ -768,7 +768,7 @@ def test_a_malformed_cells_member_gives_the_parsed_line(tmp_path, edit, want):
     else:
         # the repeated id, v:2, stands first, with the last dimension given
         assert expected[0][0] == ("v:2", 0), expected[0]
-    for span in (4, 64, flm._SPAN):
+    for span in (4, 64, ffm._SPAN):
         with reader_span(span):
             assert loaded_outcome(path) == expected, span
 
@@ -805,10 +805,13 @@ def test_equal_ids_of_other_types_read_as_parsed(tmp_path, ids):
     pairs[1][0] = ids[1]
     path = tmp_path / "flow.json"
     path.write_text(json.dumps(body))
-    for span in (4, flm._SPAN):
+    for span in (4, ffm._SPAN):
         with reader_span(span):
             assert loaded_outcome(path) == parsed_outcome(path.read_text())
 
+
+# a field a drawn body leaves out
+ABSENT = object()
 
 # id text rich in false cuts; faces that are not strings, or not hashable
 ID_TEXT = st.text(alphabet='ab], "\\\u00fc\t', max_size=4)
@@ -840,6 +843,17 @@ def renamed_flow_texts(draw):
             pairs[i] = pairs[i][:draw(st.sampled_from([0, 1]))] or [1, 2, 3]
         else:
             bnd[c] = draw(st.sampled_from([{}, "ab", 5, dict(pairs)]))
+    # the complex's name and identifications, and the flow's name, each
+    # absent, well formed or of another type
+    for part, key, values in (
+            (body["complex"], "name", [cx.name, 5, ["x"], None]),
+            (body["complex"], "identifications", [[], None, 5, "ab"]),
+            (body, "name", [None, "x", 7])):
+        value = draw(st.sampled_from(values + [ABSENT]))
+        if value is ABSENT:
+            part.pop(key, None)
+        else:
+            part[key] = value
     return json.dumps(body, ensure_ascii=draw(st.booleans()),
                       indent=draw(st.sampled_from([None, 1, "\t"])))
 
@@ -912,7 +926,7 @@ def two_fault_texts(draw):
 
 
 @settings(max_examples=150, deadline=None)
-@given(two_fault_texts(), st.sampled_from([4, flm._SPAN]))
+@given(two_fault_texts(), st.sampled_from([4, ffm._SPAN]))
 def test_of_faults_in_two_members_the_reader_names_the_oracles(text, span):
     # the reader and the in-memory path read the members in the body's
     # order, so both name the same one of the two faults
@@ -944,25 +958,42 @@ def test_json_named_complex_needs_resolver():
     assert str(ei.value) == "flow references complex %r by name" % fl.cx.name
 
 
+def point(**fields):
+    # the one-cell complex's body with `fields` added
+    return dict({"name": "pt", "cells": [["a", 0]]}, **fields)
+
+
+PAIRS_REFUSED = "boundary of a is not a list of [face, coeff] pairs"
+
+
 @pytest.mark.parametrize("field, value, why", [
     ("successors", {"a": "a"},
      "successors is not a mapping from cell ids to lists of cell ids"),
     ("fixed", "a", "fixed is not a list of cell ids"),
     ("k", "a", "k is not a list of cell ids"),
     ("ring", "q", "ring is not z or z2"),
+    ("name", 7, "name is not a string"),
+    # the complex's own fields, each refused as a bad complex
+    ("complex", point(name=["x"]), "the complex's name is not a string"),
+    ("complex", point(name=5), "the complex's name is not a string"),
+    ("complex", point(identifications=5), "identifications are not a list"),
+    ("complex", point(boundary={"a": [["b", 1, 2]]}), PAIRS_REFUSED),
+    ("complex", point(boundary={"a": [[["b"], 1]]}), PAIRS_REFUSED),
 ])
 def test_from_json_refuses_what_a_file_refuses(tmp_path, field, value, why):
     # a string where a list of ids belongs reads as a list of letters
-    body = {"complex": {"name": "pt", "cells": [["a", 0]]},
-            "successors": {"a": ["a"]}, "fixed": ["a"], field: value}
+    body = {"complex": point(), "successors": {"a": ["a"]}, "fixed": ["a"],
+            field: value}
     path = tmp_path / "flow.json"
     path.write_text(json.dumps(body))
-    want = "malformed flow data: " + why
+    want = (("bad-complex", why) if field == "complex"
+            else ("unreadable-input", "malformed flow data: " + why))
     for read in (lambda: flm.CombinatorialFlow.from_json(body),
-                 lambda: flm.load_file(str(path))):
-        with pytest.raises(flm.FlowError) as ei:
+                 lambda: ffm.load_file(str(path)),
+                 lambda: parsed_flow(path.read_text())):
+        with pytest.raises(cxm.ConleyError) as ei:
             read()
-        assert (ei.value.code, str(ei.value)) == ("unreadable-input", want)
+        assert (ei.value.code, str(ei.value)) == want
 
 
 def test_no_boundary_span_runs_past_the_object(tmp_path, monkeypatch):
@@ -996,7 +1027,7 @@ def test_no_boundary_span_runs_past_the_object(tmp_path, monkeypatch):
 
             self.scan_once = recorded
 
-    monkeypatch.setattr(flm, "json", types.SimpleNamespace(
+    monkeypatch.setattr(ffm, "json", types.SimpleNamespace(
         JSONDecoder=Recording, dumps=json.dumps, loads=json.loads))
     with reader_span(256):
         got = loaded_outcome(path)
@@ -1074,7 +1105,7 @@ def object_texts(draw):
 
 
 @settings(max_examples=150, deadline=None)
-@given(object_texts(), st.sampled_from([4, 64, flm._SPAN]))
+@given(object_texts(), st.sampled_from([4, 64, ffm._SPAN]))
 def test_the_reader_reads_every_object_json_loads_reads(text, span):
     # a text json.loads reads as an object is read by the reader too, as
     # the in-memory path reads it
@@ -1133,7 +1164,7 @@ def test_a_text_json_loads_reads_and_the_spans_do_not_loads_as_parsed(
     path.write_text(nested_flow_text(1))
     want = parsed_outcome(path.read_text())
     assert len(want) == 3, want
-    monkeypatch.setattr(flm, "_read_complex", too_deep)
+    monkeypatch.setattr(ffm, "_read_complex", too_deep)
     with whole_decodes() as whole:
         assert loaded_outcome(path) == want
     assert whole == [1]
@@ -1149,9 +1180,9 @@ def test_a_malformed_cells_entry_then_a_syntax_error_gives_the_parsers_line(
         json.loads(text)
     path = tmp_path / "flow.json"
     path.write_text(text)
-    for span in (4, 64, flm._SPAN):
+    for span in (4, 64, ffm._SPAN):
         with reader_span(span), pytest.raises(flm.FlowError) as ei:
-            flm.load_file(str(path))
+            ffm.load_file(str(path))
         assert (ei.value.code, str(ei.value)) == (
             "unreadable-input",
             "cannot read flow file %s: %s" % (path, parser.value)), span
@@ -1172,9 +1203,9 @@ def test_a_byte_that_does_not_decode_is_reported_first(tmp_path):
     with pytest.raises(UnicodeDecodeError) as whole:
         with open(path) as fh:
             fh.read()
-    for span in (64, flm._SPAN):
+    for span in (64, ffm._SPAN):
         with reader_span(span), pytest.raises(flm.FlowError) as ei:
-            flm.load_file(str(path))
+            ffm.load_file(str(path))
         assert (ei.value.code, str(ei.value)) == (
             "unreadable-input",
             "cannot read flow file %s: %s" % (path, whole.value)), span
@@ -1191,6 +1222,6 @@ def test_a_number_that_ends_the_file_is_read(tmp_path, tail):
     path.write_text(text[:-1] + ", " + tail)
     want = parsed_outcome(path.read_text())
     assert len(want) == 3, want
-    for span in (4, 64, flm._SPAN):
+    for span in (4, 64, ffm._SPAN):
         with reader_span(span):
             assert loaded_outcome(path) == want, span

@@ -11,8 +11,8 @@ import pytest
 from hypothesis import given, settings
 
 import conleylab
-from conleylab import (catalog, complexes as cxm, flow as flm, spaces as spm,
-                       theorems)
+from conleylab import (catalog, complexes as cxm, flow as flm,
+                       flowfile as ffm, spaces as spm, theorems)
 from test_flow import eventual_image, small_flows
 
 
@@ -140,13 +140,13 @@ def test_run_reads_each_external_file_once(tmp_path, monkeypatch):
     (tmp_path / "nok.json").write_text(json.dumps(entry["flow"].to_json()))
     monkeypatch.setenv("CONLEYLAB_CATALOG", str(tmp_path))
     reads = []
-    real = catalog.load_file
+    real = ffm.load_file
 
     def counted(path, *args, **kwargs):
         reads.append(os.path.basename(path))
         return real(path, *args, **kwargs)
 
-    monkeypatch.setattr(catalog, "load_file", counted)
+    monkeypatch.setattr(ffm, "load_file", counted)
     results = theorems.run()
     assert all(r.status == "pass" for r in results)
     assert sorted(reads) == ["nok.json", "withk.json"]
