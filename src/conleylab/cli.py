@@ -21,15 +21,25 @@ name compiles the space builders alone, and only a command that reads a
 file compiles the file reader, `flowfile.load_file`.
 
 A command runs with the cyclic garbage collector paused, through the
-`complexes.collector_paused` that `catalog.build` and `named_space` use too.
+`complexes.collector_paused` that `catalog.build`, `named_space` and
+`CombinatorialFlow.to_json` use too.
 Everything it builds (the complex, the flow, the enclosures) is an acyclic
 graph that lives until the command returns, so the collector could free
-none of it and only rescans it as it grows. `main` restores the caller's
-collector state on every exit. Two tests keep this safe: the cyclic garbage
-one command, or one build, leaves is the same at two input sizes.
+none of it and only rescans it as it grows. Two tests keep this safe: the
+cyclic garbage one command, or one build, leaves is the same at two input
+sizes. `main` restores the caller's collector state on every exit and
+freezes nothing, so a library caller or a test that calls it in process
+keeps its collector as it was. `entry` is the process entry, the one that
+`python -m conleylab.cli` and the `conleylab` console script call: after
+`main` it collects the young generation, which holds all that the paused
+command left, so a cycle that holds a file is still finalized and `-X dev`
+still reports it; then it freezes every object left, so the collection
+the interpreter makes as it exits walks none of the twelve thousand or so
+objects that the interpreter, its `site` and the imported modules hold.
 """
 
 import argparse
+import gc
 import json
 import os
 import sys
@@ -351,5 +361,15 @@ def main(argv=None):
             return 1
 
 
+def entry():
+    """The process entry: main's exit code, after the young collection and
+    the freeze the module docstring describes."""
+    try:
+        return main()
+    finally:
+        gc.collect(0)
+        gc.freeze()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(entry())

@@ -54,7 +54,8 @@ def collector_paused():
     What a build or a command makes is an acyclic graph that lives until it
     returns, so the collector could free none of it and only rescans it as
     it grows. An inner pause finds the collector off and leaves it off, so
-    pauses nest. `cli.main`, `catalog.build` and `named_space` pause it."""
+    pauses nest. `cli.main`, `catalog.build`, `named_space` and
+    `CombinatorialFlow.to_json` pause it."""
     enabled = gc.isenabled()
     gc.disable()
     try:
@@ -375,11 +376,16 @@ class CellComplex:
         `boundary` through `boundary_table`. The flow reader, which decodes
         a body one member at a time, converts `cells` and `boundary` as
         they are decoded and passes the tables as `cells` ({id: dim}) and
-        `boundary`, in place of the body's own. A `name` that is not a
-        string, or `identifications` that are not a list, are refused."""
+        `boundary`, in place of the body's own. `cells` that are not a
+        list of [id, dim] pairs with string ids, a `boundary` that is not a
+        mapping of [face, coeff] lists, a `name` that is not a string, or
+        `identifications` that are not a list, are refused, each naming
+        its field."""
         if cells is None:
             cells = data["cells"]
-            if type(cells) is not list:
+            if type(cells) is not list or not all(
+                    type(p) is list and len(p) == 2 and type(p[0]) is str
+                    for p in cells):
                 raise ComplexError("cells are not a list of [id, dim] pairs")
         if boundary is None:
             boundary = boundary_table(data.get("boundary", {}))
@@ -396,7 +402,10 @@ def boundary_table(bnd):
     """A body's boundary mapping of [face, coeff] lists as the {face: coeff}
     dicts a complex keeps. A mapping where a [face, coeff] list belongs
     would pass through dict() unnoticed, so it is refused here, as is a
-    list dict() does not take."""
+    list dict() does not take, and so is a boundary that is no mapping."""
+    if type(bnd) is not dict:
+        raise ComplexError("boundary is not a mapping from cell ids to "
+                           "lists of [face, coeff] pairs")
     table = {}
     for c, pairs in bnd.items():
         try:

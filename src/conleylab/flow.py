@@ -44,7 +44,7 @@ rebuilding it finer is the catalog's job, by that (name, resolution) key.
 
 from functools import cached_property
 
-from .complexes import ConleyError
+from .complexes import ConleyError, collector_paused
 
 
 class FlowError(ConleyError):
@@ -260,7 +260,10 @@ class CombinatorialFlow:
 
     # -- serialization --------------------------------------------------------
 
+    @collector_paused()
     def to_json(self):
+        # the body is an acyclic graph of new lists and dicts, one per
+        # cell, that the collector would only rescan as it grows
         body = {
             "schema": "1",
             "complex": self.cx.to_json(),

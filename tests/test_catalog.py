@@ -145,17 +145,26 @@ def build_garbage(fn, *args):
             gc.enable()
 
 
+def flow_json(name, res):
+    # the body of a built entry's flow; the entry comes from the cache
+    return catalog.build(name, res)["flow"].to_json()
+
+
 def test_a_build_leaves_cycles_that_do_not_grow_with_its_resolution():
     # builds run with the collector paused, which is safe only while the
     # cycles they leave do not grow with the space they build
-    builds = [(catalog.build, name, res)
-              for name, (_, _, minimum) in sorted(catalog._RECIPES.items())
-              for res in (minimum, 2 * minimum)]
+    recipes = [(name, res)
+               for name, (_, _, minimum) in sorted(catalog._RECIPES.items())
+               for res in (minimum, 2 * minimum)]
+    builds = [(catalog.build, name, res) for name, res in recipes]
     builds += [(named_space, name, res) for name in sorted(SPACES)
                for res in (3, 6)]
+    # the flow's JSON body too, written with the collector paused
+    builds += [(flow_json, name, res) for name, res in recipes]
     for build in builds:
         build_garbage(*build)  # imports and caches fill on the first run
-    counts = {build[1:]: build_garbage(*build) for build in builds}
+    counts = {(build[0].__name__,) + build[1:]: build_garbage(*build)
+              for build in builds}
     assert len(set(counts.values())) == 1, counts
 
 

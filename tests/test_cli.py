@@ -1190,10 +1190,73 @@ def test_main_leaves_the_collector_as_it_found_it(monkeypatch, capsys):
             assert gc.isenabled() is state
             assert cli.main(["analyze", "rest-torus"]) == 1
             assert gc.isenabled() is state
+            # only the process entry freezes
+            assert gc.get_freeze_count() == 0
     finally:
         (gc.enable if was else gc.disable)()
     assert inside == [False] * 4
     assert "error[no-candidate]" in capsys.readouterr().err
+
+
+def run_console_script():
+    """What the installed `conleylab` console script runs: the function
+    pyproject.toml names, its return value the exit code."""
+    root = pathlib.Path(conleylab.__file__).parents[2]
+    text = (root / "pyproject.toml").read_text()
+    target = re.search(r'^conleylab = "([\w.]+):(\w+)"$', text, re.M)
+    return "from %s import %s as entry\nsys.exit(entry())\n" % target.groups()
+
+
+# what `python -m conleylab.cli` runs
+RUN_MODULE = ("import runpy\n"
+              "runpy.run_module('conleylab.cli', run_name='__main__', "
+              "alter_sys=True)\n")
+
+
+@pytest.mark.parametrize("entry", ["module", "console-script"])
+def test_a_process_exits_with_its_objects_frozen(entry):
+    # both process entries freeze what the command leaves, so the
+    # collection at interpreter exit walks nothing; the exit code and the
+    # output are main's. An atexit hook, registered before the command
+    # runs, prints how many objects are frozen as the interpreter exits.
+    script = ("import atexit, gc, sys\n"
+              "atexit.register(lambda: print(gc.get_freeze_count()))\n"
+              + (RUN_MODULE if entry == "module" else run_console_script()))
+    for args, rc in ((["analyze", "north-south"], 0),
+                     (["analyze", "rest-torus"], 1)):
+        proc = subprocess.run(
+            [sys.executable, "-c", script] + args,
+            capture_output=True, text=True, env=src_env(), timeout=60)
+        assert proc.returncode == rc, proc.stderr
+        *report, frozen = proc.stdout.splitlines()
+        assert int(frozen) > 0, proc.stdout
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            assert cli.main(args) == rc
+        assert report == out.getvalue().splitlines()
+
+
+def test_a_cycle_a_command_leaves_is_finalized_before_exit():
+    # the process entry collects the young generation before it freezes:
+    # a cycle that holds a file, left by the paused command, is finalized
+    # and -X dev reports the unclosed file, before the atexit hooks run
+    script = ("import atexit, os, sys\n"
+              "from conleylab import cli\n"
+              "class Held:\n"
+              "    def __del__(self):\n"
+              "        print('finalized')\n"
+              "def cmd_verify(args):\n"
+              "    held = Held()\n"
+              "    held.me = held\n"
+              "    held.fh = open(os.devnull)\n"
+              "    return 0\n"
+              "cli.cmd_verify = cmd_verify\n"
+              "atexit.register(print, 'exit')\n" + run_console_script())
+    proc = subprocess.run(
+        [sys.executable, "-X", "dev", "-c", script, "verify"],
+        capture_output=True, text=True, env=src_env(), timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "finalized\nexit\n"
+    assert "ResourceWarning: unclosed file" in proc.stderr, proc.stderr
 
 
 def cyclic_garbage(argv):
