@@ -56,13 +56,19 @@ class AttractorReport:
         self.witness_cycle = []
         self.notes = []
 
+    def _sorted(self, cells):
+        # a set that is `flow.tops` itself is listed as the complex lists
+        # its top cells, sorted already
+        flow = self.flow
+        return flow.cx.top_cells() if cells is flow.tops else sorted(cells)
+
     def to_json(self):
         return {
             "schema": "1",
             "flow": self.flow.name,
             "k": sorted(self.k),
-            "stabilization": sorted(self.stabilization),
-            "basin": sorted(self.basin),
+            "stabilization": self._sorted(self.stabilization),
+            "basin": self._sorted(self.basin),
             "unstable_manifold": sorted(self.unstable),
             "components": [{"cells": sorted(c["cells"]), "label": c["label"]}
                            for c in self.components],

@@ -12,23 +12,26 @@ complex not swept: it is a closure of cells that passed the sweep, on
 their own boundary dicts, so it is only indexed.
 
 Construction indexes only the cells by dimension. The top cofaces of each
-codim-1 face, the supports of the cells of dimension 2 and up and the top
-cells at each base cell are built once, on their first query, so a complex
-that only feeds homology never builds them. A base cell is a cell with an
-empty boundary: every vertex, and in a degenerate complex a higher cell too
-(an edge whose ends cancel, or the one 2-cell of a sphere made of a vertex
-and a disc). The support of a cell is the tuple of distinct base cells in
-its closure. Two closures meet exactly when their supports do: a cell they
-share has its closure in both, and the lowest cell of that closure has no
-faces. The support of a base cell (itself) and of an edge (its boundary) is
-derived on each query and never stored. `star_tops` is the one closed-star
-query, a one-ring included, and it goes through the supports. `components`
-is the one connected-components walk: the components of basin - k, the
-block sections, the circles of a cycle, the pieces a cycle cuts a surface
-into and the two sides of a circle are all cells joined through shared
-faces outside a cut, and it maps those faces from the set's own boundaries.
-So `attractor.analyze` on a loaded file builds the supports and the stars of
-the base cells only: no coface index, and no complex stores a ring per cell.
+codim-1 face, the supports of the cells of dimension 2 and up below the
+top one and the top cells at each base cell are built once, on their first
+query, so a complex that only feeds homology never builds them. A base
+cell is a cell with an empty boundary: every vertex, and in a degenerate
+complex a higher cell too (an edge whose ends cancel, or the one 2-cell of
+a sphere made of a vertex and a disc). The support of a cell is the tuple
+of distinct base cells in its closure. Two closures meet exactly when
+their supports do: a cell they share has its closure in both, and the
+lowest cell of that closure has no faces. A top cell's support is computed
+once, to list the top cells at each base cell, and not stored; it, a base
+cell's (itself) and an edge's (its boundary) are derived on each query.
+`star_tops` is the one closed-star query, a one-ring included: the star of
+a set is the top cells at the base cells of its closure, found for all the
+set's cells of one dimension at once. `components` is the one
+connected-components walk: the components of basin - k, the block
+sections, the circles of a cycle, the pieces a cycle cuts a surface into
+and the two sides of a circle are all cells joined through shared faces
+outside a cut, and it maps those faces from the set's own boundaries. So
+`attractor.analyze` on a loaded surface stores the stars of the base cells
+only: no coface index, no support, and no ring per cell.
 
 The builders of named spaces live in `spaces`; `named_space` imports it on
 its first call, so a command that loads a flow file never compiles them.
@@ -44,6 +47,7 @@ from collections import defaultdict
 from contextlib import contextmanager
 from functools import cached_property
 from itertools import chain, repeat
+from operator import countOf
 
 
 @contextmanager
@@ -190,33 +194,63 @@ class CellComplex:
 
     @cached_property
     def _verts(self):
-        # the support of each closed cell, for star and ring queries, as a
-        # tuple of distinct base cells: stored for the cells of dimension 2
-        # and up, each the union of its faces' supports, or the cell itself
-        # when it has no faces. A 2-cell unites its edges' boundaries, unless
-        # some edge has none and is its own support.
+        # the stored supports: those of the cells of dimension 2 and up
+        # below the top one, each the union of its faces' supports, or the
+        # cell itself when it has no faces. Every vertex lacks faces, so a
+        # higher cell does when more cells than the vertices do.
         boundary = self.boundary
-        verts = _Supports(boundary)
-        bare_edges = not all(map(boundary.__getitem__,
-                                 self._by_dim.get(1, ())))
+        verts = _Supports(boundary, countOf(boundary.values(), {})
+                          > len(self._by_dim.get(0, ())))
         for d in sorted(self._by_dim):
-            if d < 2:
-                continue
-            faces_of = (boundary.__getitem__ if d == 2 and not bare_edges
-                        else verts.__getitem__)
-            for c in self._by_dim[d]:
-                verts[c] = tuple(set(chain.from_iterable(
-                    map(faces_of, boundary[c])))) or (c,)
+            if 2 <= d < self.top_dim:
+                cells = self._by_dim[d]
+                verts.update(zip(cells, map(tuple,
+                                            self._supports(d, cells, verts))))
         return verts
+
+    def _supports(self, d, cells, verts):
+        """The support of each of `cells`, all of dimension d, as a set or
+        a tuple, from the supports `verts` holds or derives for their
+        faces. A 2-cell unites its edges' boundaries, unless some cell
+        above dimension 0 has none and is its own support."""
+        boundary = self.boundary
+        if d < 2:
+            return map(verts.__missing__, cells)
+        faces_of = (boundary.__getitem__ if d == 2 and not verts.bare
+                    else verts.__getitem__)
+        # each union unpacks a list: the tuple unpacked from a map is made
+        # for ten items and shrunk, and the interpreter keeps up to 2,000
+        # such tuples of each size once freed
+        return (set().union(*list(map(faces_of, boundary[c]))) or (c,)
+                for c in cells)
+
+    def _bases(self, d, cells, verts):
+        """The set of base cells in the closure of `cells`, all of
+        dimension d. Where every cell above dimension 0 has faces, these are
+        the vertices d levels of faces down, or, from dimension 3 up, the
+        stored supports of the faces: no support is made per cell."""
+        if verts.bare:
+            return set().union(*self._supports(d, cells, verts))
+        faces_of = self.boundary.__getitem__
+        if d > 2:
+            faces = set().union(*map(faces_of, cells))
+            return set().union(*map(verts.__getitem__, faces))
+        level = cells if d else set(cells)
+        for _ in range(d):
+            level = set().union(*map(faces_of, level))
+        return level
 
     @cached_property
     def _vert_tops(self):
         # all top cells whose closure contains each base cell, for the base
-        # cells in some top cell's closure; a top cell is listed once per
-        # cell of its support, so no list repeats a cell
+        # cells in some top cell's closure, from each top cell's support
+        # computed here and not kept; a top cell is listed once per cell of
+        # its support, so no list repeats a cell
         vert_tops = defaultdict(list)
-        for t in self.top_cells():
-            for v in self._verts[t]:
+        tops = self.top_cells()
+        for t, vs in zip(tops, self._supports(self.top_dim, tops,
+                                              self._verts)):
+            for v in vs:
                 vert_tops[v].append(t)
         return vert_tops
 
@@ -244,20 +278,39 @@ class CellComplex:
 
     def vertices_of(self, c):
         """The support of c: the base cells in its closure, as a tuple of
-        distinct ids. These are its vertices when every closure holds one."""
+        distinct ids. These are its vertices when every closure holds one.
+        Only a cell of dimension 2 and up below the top one has its support
+        stored; any other cell's is derived on each query."""
         return self._verts[c]
 
     def star_tops(self, cellset):
         """Closed star: every top cell whose closure meets closure(cellset).
         Two closures meet exactly when their supports do, and every top
         cell is in the star of each cell of its support, so this is the
-        union of the stars of the set's support. It is the one closed-star
-        query: the one-ring of a cell c is star_tops((c,)), and no ring is
-        kept."""
+        union of the stars of the base cells in closure(cellset): the
+        supports of the set's cells, derived for all its cells of one
+        dimension at once. It is the one closed-star query: the one-ring of
+        a cell c is star_tops((c,)), and no ring is kept."""
         verts = self._verts
-        vs = set().union(*map(verts.__getitem__, cellset))
+        dim = self.cells.__getitem__
+        dims = set(map(dim, cellset))
+        if len(dims) == 1:
+            bases = self._bases(dims.pop(), cellset, verts)
+        else:
+            bases = set().union(*(
+                self._bases(d, [c for c in cellset if dim(c) == d], verts)
+                for d in dims))
         # .get: a base cell in no top cell's closure has an empty star
-        return set().union(*map(self._vert_tops.get, vs, repeat(())))
+        return set().union(*map(self._vert_tops.get, bases, repeat(())))
+
+    def top_stars(self):
+        """star_tops((t,)) for each top cell t, in the order of top_cells(),
+        from the supports of all the top cells made in one pass, as for
+        the top cells at each base cell, and not kept."""
+        vert_tops = self._vert_tops
+        tops = self.top_cells()
+        return (set().union(*list(map(vert_tops.get, vs, repeat(()))))
+                for vs in self._supports(self.top_dim, tops, self._verts))
 
     def components(self, cells, cut=()):
         """Connected components of a set of cells of one dimension, two
@@ -400,8 +453,10 @@ class CellComplex:
 
 def boundary_table(bnd):
     """A body's boundary mapping of [face, coeff] lists as the {face: coeff}
-    dicts a complex keeps. A mapping where a [face, coeff] list belongs
-    would pass through dict() unnoticed, so it is refused here, as is a
+    dicts a complex keeps. A mapping where a [face, coeff] list belongs,
+    or a two-letter string or two-key mapping where a pair belongs, would
+    pass through dict() unnoticed, so an entry that is not a list of lists
+    (or, in a body made in process, of tuples) is refused here, as is a
     list dict() does not take, and so is a boundary that is no mapping."""
     if type(bnd) is not dict:
         raise ComplexError("boundary is not a mapping from cell ids to "
@@ -409,7 +464,8 @@ def boundary_table(bnd):
     table = {}
     for c, pairs in bnd.items():
         try:
-            if type(pairs) is not list:
+            if (type(pairs) is not list
+                    or set(map(type, pairs)) - {list, tuple}):
                 raise TypeError
             table[c] = dict(pairs)
         except (TypeError, ValueError):
@@ -420,19 +476,27 @@ def boundary_table(bnd):
 
 class _Supports(dict):
     """The stored supports, {cell: tuple of distinct base cells}, which
-    derives the support of a vertex or an edge on each lookup instead of
-    storing it: an edge's boundary holds only vertices, and a cell with an
-    empty boundary is its own support. It holds the complex's boundary
-    table, not the complex, so it makes no reference cycle."""
+    derives the support of any other cell on each lookup instead of storing
+    it: a cell whose faces are all base cells (every edge) has them as its
+    support, a cell with an empty boundary is its own, and any other cell
+    unites its faces' supports. It holds the complex's boundary table, not
+    the complex, so it makes no reference cycle."""
 
-    __slots__ = ("boundary",)
+    __slots__ = ("boundary", "bare")
 
-    def __init__(self, boundary):
+    def __init__(self, boundary, bare):
         super().__init__()
         self.boundary = boundary
+        # whether some cell above dimension 0 has an empty boundary, and so
+        # is its own support
+        self.bare = bare
 
     def __missing__(self, c):
-        return tuple(self.boundary[c]) or (c,)
+        boundary = self.boundary
+        faces = boundary[c]
+        if not any(map(boundary.__getitem__, faces)):
+            return tuple(faces) or (c,)
+        return tuple(set().union(*map(self.__getitem__, faces)))
 
 
 # -- size limit -------------------------------------------------------------

@@ -14,8 +14,9 @@ images: the cells reached by arbitrarily long paths from a seed, which is
 the reach of the recurrent part of the seed's reach.
 
 One component pass over the whole flow, kept as `_sccs`, lists its
-components in reverse topological order, a component of one cell as a
-1-tuple. It gives `recurrent_cells`, and, read forward for F and backward
+components in reverse topological order: a component of one cell as the
+cell itself, with no tuple around it, and any other as a list of its
+cells. It gives `recurrent_cells`, and, read forward for F and backward
 for P, every cell's own eventual image: a cell on a cycle reaches its
 image; any other cell's image is the union of its successors' images.
 The image of a seed is the union of its cells' images, so J+(x) and J-(x),
@@ -70,11 +71,15 @@ class CombinatorialFlow:
         own = dict(zip(tops, tops))
         boundary = cx.boundary
         vertices_of = cx.vertices_of
-        self.succ = {}
+        # succ and pred in one pass; succ is walked in sorted top-cell
+        # order, so each pred list comes out sorted and unique
+        succ = self.succ = {}
+        pred = self.pred = {c: [] for c in tops}
         for c in tops:
-            if c not in successors or not successors[c]:
+            outs = successors.get(c)
+            if not outs:
                 raise FlowError("not-total", "cell %s has no successor" % c)
-            out = tuple(sorted(set(successors[c])))
+            out = tuple(outs) if len(outs) == 1 else tuple(sorted(set(outs)))
             faces = boundary[c].keys()
             # c's support as a set, made on its first edge to a cell that
             # shares no face with it, so a flow whose edges all cross faces
@@ -84,6 +89,7 @@ class CombinatorialFlow:
                 if d not in own:
                     raise FlowError("bad-successor",
                                     "%s -> %s is not a top cell" % (c, d))
+                pred[d].append(c)
                 # a shared codim-1 face lies in both closures
                 if d == c or not faces.isdisjoint(boundary[d]):
                     continue
@@ -93,17 +99,14 @@ class CombinatorialFlow:
                 if near.isdisjoint(vertices_of(d)):
                     raise FlowError("not-local",
                                     "%s -> %s leaves the one-ring" % (c, d))
-            self.succ[c] = tuple(map(own.__getitem__, out))
+            succ[c] = tuple(map(own.__getitem__, out))
         extra = set(successors) - topset
         if extra:
             raise FlowError("bad-successor",
                             "successors given for non top cells: %s" % sorted(extra)[:3])
-        pred = {c: [] for c in tops}
-        for c, outs in self.succ.items():
-            for d in outs:
-                pred[d].append(c)
-        # succ is walked in sorted top-cell order: each list is sorted, unique
-        self.pred = {c: tuple(v) for c, v in pred.items()}
+        # each list becomes a tuple in place, so no second table is held
+        for c, v in pred.items():
+            pred[c] = tuple(v)
         self.tops = topset
         self._images = {}
 
@@ -162,15 +165,18 @@ class CombinatorialFlow:
         return self._cyclic(self._sccs)
 
     def _cyclic(self, comps):
+        # a list of cells is a cycle; a lone cell is on one when it is its
+        # own successor
+        succ = self.succ
         return frozenset(c for comp in comps
-                         if len(comp) > 1 or comp[0] in self.succ[comp[0]]
-                         for c in comp)
+                         for c in (comp if type(comp) is list else
+                                   (comp,) if comp in succ[comp] else ()))
 
     def _components(self, within):
         """Strongly connected components of the subgraph induced on `within`
         (the whole flow when None), yielded in topological order, each
-        before every component it reaches: a lone cell as a 1-tuple, any
-        other component as a list of its cells.
+        before every component it reaches: a lone cell as the cell itself,
+        any other component as a list of its cells.
         Kosaraju-Sharir: one depth-first pass along F records the order in
         which cells finish; then, latest finisher first, each cell not yet
         placed takes as its component the cells not yet placed that reach
@@ -179,7 +185,8 @@ class CombinatorialFlow:
         succ = self.succ
         finished = []
         seen = set()
-        for root in sorted(cells):
+        # the complex lists its top cells sorted already
+        for root in self.cx.top_cells() if within is None else sorted(cells):
             if root in seen:
                 continue
             seen.add(root)
@@ -204,7 +211,7 @@ class CombinatorialFlow:
                 left.discard(c)
                 # no other cell left reaches c: c is its own component
                 if left.isdisjoint(pred[c]):
-                    yield (c,)
+                    yield c
                     continue
                 left.add(c)
                 comp = list(self.reach((c,), "p", left))
@@ -223,6 +230,8 @@ class CombinatorialFlow:
             image = {}
             shared = {}
             for comp in comps:
+                if type(comp) is not list:
+                    comp = (comp,)
                 c = comp[0]
                 if len(comp) > 1 or c in table[c]:
                     s = frozenset(self.reach(comp, direction))

@@ -9,7 +9,8 @@ that grow with the complex (its `cells` and `boundary`, and the flow's
 `successors`, `fixed` and `k`) are decoded a span of about _SPAN
 characters at a time into the complex's tables or the flow's lists, so
 neither the whole text nor a whole parsed body is held, and every cell id
-is kept as one string. The complex is built, fully validated, when its
+is kept as one string: the complex, `successors`, `fixed` and `k` take
+each id from one table. The complex is built, fully validated, when its
 object closes; each member is checked as it is read, so of two faults the
 one met first is reported. A text the spans do not read (a cut inside an
 id, an entry of another shape, a structural fault) is read whole by
@@ -28,7 +29,7 @@ from contextlib import contextmanager
 from itertools import chain
 from json.decoder import WHITESPACE, scanstring
 
-from .complexes import CellComplex, ConleyError
+from .complexes import CellComplex, ComplexError, ConleyError
 from .flow import CombinatorialFlow, FlowError
 
 
@@ -273,7 +274,8 @@ def _read_boundary(w, scan, ids):
     """The {cell: {face: coeff}} table of the `boundary` object at the
     window's cursor, decoded a span at a time, every id taken from `ids`.
     An entry that is not a list of [face, coeff] pairs with string faces
-    raises ValueError or TypeError."""
+    raises ValueError or TypeError; a pair of another shape that unpacks
+    to two items is left to `_read_complex`."""
     table = {}
     intern = ids.setdefault
 
@@ -291,16 +293,18 @@ def _read_boundary(w, scan, ids):
     return table
 
 
-def _read_successors(w, scan):
+def _read_successors(w, scan, ids):
     """The `successors` mapping at the window's cursor, decoded a span at a
-    time. A span that is not a mapping from cell ids to lists of cell ids
-    raises ValueError."""
+    time, every id taken from `ids`. A span that is not a mapping from cell
+    ids to lists of cell ids raises ValueError."""
     table = {}
+    intern = ids.setdefault
 
     def take(part):
         if not _is_successors(part):
             raise ValueError("successors is not a mapping of id lists")
-        table.update(part)
+        for c, outs in part.items():
+            table[intern(c, c)] = list(map(intern, outs, outs))
 
     _spans(w, scan, _LISTS, take)
     return table
@@ -311,7 +315,15 @@ def _read_complex(w, scan, ids):
     cursor moved past it. Its `cells` array and `boundary` object are
     decoded a span at a time into the complex's tables, every cell id
     taken from `ids`, one string per id; any other member is decoded
-    whole. The complex is built when the object closes."""
+    whole. The complex is built when the object closes.
+
+    A boundary pair of another shape that unpacks to two items (a
+    two-letter string, a two-key object) reads as a face and a coefficient
+    that is no integer, which the complex refuses. The spans cannot tell it
+    from a list pair with such a coefficient, so a complex refused while it
+    holds one raises ValueError, and the text is read whole, where
+    `boundary_table` names the pair's shape. A valid complex pays for no
+    test per pair."""
     body = {}
     tables = {}
 
@@ -324,8 +336,15 @@ def _read_complex(w, scan, ids):
             body[key] = w.decode(scan)
 
     _members(w, member)
-    with _malformed():
-        return CellComplex.from_json(body, **tables)
+    try:
+        with _malformed():
+            return CellComplex.from_json(body, **tables)
+    except ComplexError:
+        coeffs = chain.from_iterable(map(dict.values, tables.get(
+            "boundary", {}).values()))
+        if set(map(type, coeffs)) - {int}:
+            raise ValueError("a coefficient is not an integer") from None
+        raise
 
 
 def _read_body(w, scan):
@@ -335,7 +354,7 @@ def _read_body(w, scan):
 
     def member(key, opener):
         if key == "successors" and opener == "{":
-            value = _read_successors(w, scan)
+            value = _read_successors(w, scan, ids)
         elif key in ("fixed", "k") and opener == "[":
             value = _read_ids(w, scan, ids, key)
         elif key == "complex" and opener == "{":
@@ -360,12 +379,13 @@ def _read(fh, unreadable):
     """(complex, other fields) of the flow body in the text file `fh`, the
     one parser of a flow body. It reads the text through one window of
     _SPAN-sized chunks, one top-level member at a time, each checked as it
-    is read; the complex, `fixed` and `k` share one string per cell id. A
-    fault it names stands once the rest of the text reads without a fault
-    in reading it, so a byte that does not decode is reported first, as
-    when the text is read whole. Where it fails otherwise (a cut inside a
-    string id, an entry of another shape, a structural fault, values
-    nested past its calls' depth), `_read_whole` reads the text."""
+    is read; the complex, `successors`, `fixed` and `k` share one string
+    per cell id. A fault it names stands once the rest of the text reads
+    without a fault in reading it, so a byte that does not decode is
+    reported first, as when the text is read whole. Where it fails
+    otherwise (a cut inside a string id, an entry of another shape, a
+    structural fault, values nested past its calls' depth), `_read_whole`
+    reads the text."""
     try:
         return _read_body(_Window(fh), json.JSONDecoder().scan_once)
     except ConleyError:

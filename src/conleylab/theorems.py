@@ -542,15 +542,15 @@ def jduality_violations(cx, plus, minus):
     The count is the number of bits set in one of x's two masks and not the
     other, summed over x.
 
-    Cost: one star_tops per top cell, then one n-bit OR per ring member,
-    per member of a distinct image and per top cell in its group, where n
-    is the number of top cells. Memory is a few n-bit masks per top cell,
-    n^2 bits per side: 0.5 MB at the 2,000 top cells above which
-    _check_jduality skips a flow, and unbounded without that cap, since
-    MAX_CELLS allows half a million cells."""
+    Cost: the stars of the top cells, made in one pass, then one n-bit OR
+    per ring member, per member of a distinct image and per top cell in its
+    group, where n is the number of top cells. Memory is a few n-bit masks
+    per top cell, n^2 bits per side: 0.5 MB at the 2,000 top cells above
+    which _check_jduality skips a flow, and unbounded without that cap,
+    since MAX_CELLS allows half a million cells."""
     tops = cx.top_cells()
     pos = {x: i for i, x in enumerate(tops)}
-    rings = [[pos[y] for y in cx.star_tops((x,))] for x in tops]
+    rings = [[pos[y] for y in ring] for ring in cx.top_stars()]
     ring_masks = [sum(1 << i for i in ring) for ring in rings]
 
     def star(cells):

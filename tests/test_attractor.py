@@ -312,6 +312,10 @@ def test_analyze_on_a_loaded_file_builds_no_coface_index_or_rings():
         fresh = flm.CombinatorialFlow.from_json(body).cx
         assert set(vars(cx)) - set(vars(fresh)) <= \
             {"_verts", "_vert_tops"}, f.name
+        # no support of a top cell is stored, and a surface stores none
+        assert not any(cx.cells[c] == cx.top_dim for c in cx._verts), f.name
+        if cx.top_dim == 2:
+            assert not cx._verts, f.name
 
 
 def test_whole_flow_enclosures_are_the_top_cell_set_itself():

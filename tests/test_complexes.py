@@ -75,7 +75,12 @@ def test_lazy_indexes_match_eager_rebuild():
     line = flm.CombinatorialFlow(
         cxm.CellComplex.from_json(circ.to_json()),
         {e: sorted(circ.star_tops({e})) for e in circ.top_cells()})
-    for name, cx in loaded + [("circle flow", line.cx)]:
+    # and a 3-dimensional flow read from its file body, whose 2-cells
+    # store their supports
+    s2xs1 = flm.CombinatorialFlow.from_json(
+        catalog.build("example22-s2xs1")["flow"].to_json())
+    for name, cx in loaded + [("circle flow", line.cx),
+                              ("s2xs1 flow", s2xs1.cx)]:
         top_cofaces, verts = eager_indexes(cx)
         tops = cx.top_cells()
         for c in sorted(cx.cells):
@@ -85,9 +90,15 @@ def test_lazy_indexes_match_eager_rebuild():
             if cx.cells[c] == cx.top_dim:
                 ring.add(c)
             assert cx.star_tops({c}) == ring, (name, c)
-        # a vertex's or an edge's support is derived on each query, and
-        # only the cells of dimension 2 and up store one
-        assert all(cx.cells[c] >= 2 for c in cx._verts), name
+            assert cx.star_tops({c}) == star_tops_by_closure(cx, {c}), \
+                (name, c)
+        assert list(cx.top_stars()) == [cx.star_tops({t}) for t in tops], \
+            name
+        # a vertex's, an edge's or a top cell's support is derived on each
+        # query, and only the cells of dimension 2 and up below the top one
+        # store one
+        assert all(2 <= cx.cells[c] < cx.top_dim for c in cx._verts), name
+    assert s2xs1.cx.top_dim == 3 and s2xs1.cx._verts
 
 
 def star_tops_by_closure(cx, cellset):

@@ -290,6 +290,25 @@ def test_j_enclosures_match_per_seed_images():
                 (name, x)
 
 
+def test_the_component_list_holds_a_lone_cell_as_itself():
+    # the whole-flow component list keeps a one-cell component as the cell
+    # itself and any other as a list; the recurrent cells and both image
+    # tables read from it match the per-seed references
+    for name, fl, k in catalog_flows():
+        comps = fl._sccs
+        assert all(type(c) is str or type(c) is list and len(c) > 1
+                   for c in comps), name
+        listed = [c for comp in comps
+                  for c in (comp if type(comp) is list else [comp])]
+        assert sorted(listed) == sorted(fl.tops), name
+        assert fl.recurrent_cells() == \
+            {c for c in fl.tops if c in fl.reach(fl.succ[c])}, name
+        for d in ("f", "p"):
+            images = fl.eventual_images(d)
+            for x in sorted(fl.tops):
+                assert images[x] == eventual_image(fl, {x}, d), (name, x, d)
+
+
 @functools.lru_cache(maxsize=None)
 def small_complexes():
     return [spm.circle(3), spm.circle(7), spm.circle(12), spm.torus(3, 3)]
@@ -578,6 +597,31 @@ def test_a_loaded_flow_holds_the_complex_strings(tmp_path):
         assert c is own[c] and all(f is own[f] for f in faces), c
     assert loaded["k"] == sorted(entry["k"])
     assert all(c is own[c] for c in loaded["k"])
+
+
+def test_the_reader_takes_successor_ids_from_the_complex(tmp_path):
+    # the successor lists the reader hands the flow already hold the
+    # complex's own id strings; the flow's pred is the transpose of its
+    # succ, each a sorted tuple of distinct cells
+    entry = catalog.build("example22-s2xs1")
+    path = tmp_path / "flow.json"
+    path.write_text(json.dumps(entry["flow"].to_json()))
+    with open(path) as fh:
+        cx, data = ffm._read(fh, ValueError)
+    own = {c: c for c in cx.cells}
+    for c, outs in data["successors"].items():
+        assert c is own[c] and all(d is own[d] for d in outs), c
+    fl = ffm.load_file(str(path))["flow"]
+    own = {c: c for c in fl.cx.cells}
+    transpose = {c: [] for c in fl.tops}
+    for c in sorted(fl.succ):
+        assert all(d is own[d] for d in fl.succ[c]), c
+        for d in fl.succ[c]:
+            transpose[d].append(c)
+    assert fl.pred == {c: tuple(v) for c, v in transpose.items()}
+    for table in (fl.succ, fl.pred):
+        assert all(type(v) is tuple and list(v) == sorted(set(v))
+                   for v in table.values())
 
 
 # -- the boundary read a span at a time ------------------------------------------
@@ -986,6 +1030,14 @@ BOUNDARY_REFUSED = ("boundary is not a mapping from cell ids to lists of "
     ("complex", point(cells=[[["a"], 0]]), CELLS_REFUSED),
     ("complex", point(cells=[[5, 0]]), CELLS_REFUSED),
     ("complex", point(cells=["ab"]), CELLS_REFUSED),
+    # a two-letter string or a two-key object where a pair belongs would
+    # read as a face and a coefficient
+    ("complex", point(cells=[["a", 1], ["b", 0]], boundary={"a": ["bc"]}),
+     PAIRS_REFUSED),
+    ("complex", point(cells=[["a", 1], ["b", 0]],
+                      boundary={"a": [["b", -1], "bc"]}), PAIRS_REFUSED),
+    ("complex", point(cells=[["a", 1], ["b", 0]],
+                      boundary={"a": [{"b": 1, "c": 1}]}), PAIRS_REFUSED),
 ])
 def test_from_json_refuses_what_a_file_refuses(tmp_path, field, value, why):
     # a string where a list of ids belongs reads as a list of letters
