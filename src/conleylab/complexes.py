@@ -11,27 +11,27 @@ a body's [face, coeff] lists into the dicts the constructor keeps through
 complex not swept: it is a closure of cells that passed the sweep, on
 their own boundary dicts, so it is only indexed.
 
-Construction indexes only the cells by dimension. The top cofaces of each
-codim-1 face, the supports of the cells of dimension 2 and up below the
-top one and the top cells at each base cell are built once, on their first
-query, so a complex that only feeds homology never builds them. A base
-cell is a cell with an empty boundary: every vertex, and in a degenerate
-complex a higher cell too (an edge whose ends cancel, or the one 2-cell of
-a sphere made of a vertex and a disc). The support of a cell is the tuple
-of distinct base cells in its closure. Two closures meet exactly when
-their supports do: a cell they share has its closure in both, and the
-lowest cell of that closure has no faces. A top cell's support is computed
-once, to list the top cells at each base cell, and not stored; it, a base
-cell's (itself) and an edge's (its boundary) are derived on each query.
-`star_tops` is the one closed-star query, a one-ring included: the star of
-a set is the top cells at the base cells of its closure, found for all the
-set's cells of one dimension at once. `components` is the one
-connected-components walk: the components of basin - k, the block
-sections, the circles of a cycle, the pieces a cycle cuts a surface into
-and the two sides of a circle are all cells joined through shared faces
-outside a cut, and it maps those faces from the set's own boundaries. So
-`attractor.analyze` on a loaded surface stores the stars of the base cells
-only: no coface index, no support, and no ring per cell.
+Construction indexes only the cells by dimension. Two indexes are built
+once, on their first query, so a complex that only feeds homology never
+builds them: the top cofaces of each codim-1 face, and the top cells at
+each base cell. A base cell is a cell with an empty boundary: every vertex,
+and in a degenerate complex a higher cell too (an edge whose ends cancel,
+or the one 2-cell of a sphere made of a vertex and a disc). The support of
+a cell is the tuple of distinct base cells in its closure. Two closures
+meet exactly when their supports do: a cell they share has its closure in
+both, and the lowest cell of that closure has no faces. No support is
+stored. One walk, `_bases`, finds the base cells of any set of cells a
+level of faces at a time, and the top cells' supports are found in one
+pass over all of them, to list the top cells at each base cell or to give
+every top cell's star. `star_tops` is the one closed-star query, a
+one-ring included: the star of a set is the top cells at the base cells of
+its closure. `components` is the one connected-components walk: the
+components of basin - k, the block sections, the circles of a cycle, the
+pieces a cycle cuts a surface into and the two sides of a circle are all
+cells joined through shared faces outside a cut, and it maps those faces
+from the set's own boundaries. So `attractor.analyze` on a loaded file
+stores the stars of the base cells only: no coface index, no support, and
+no ring per cell.
 
 The builders of named spaces live in `spaces`; `named_space` imports it on
 its first call, so a command that loads a flow file never compiles them.
@@ -46,8 +46,8 @@ import gc
 from collections import defaultdict
 from contextlib import contextmanager
 from functools import cached_property
-from itertools import chain, repeat
-from operator import countOf
+from itertools import chain, compress, repeat
+from operator import countOf, not_
 
 
 @contextmanager
@@ -141,7 +141,13 @@ class CellComplex:
         defect is reported before any del del != 0, each at the first
         defective cell in the order the cells were given."""
         cells, boundary = self.cells, self.boundary
-        coeffs = set(chain.from_iterable(map(dict.values, boundary.values())))
+        try:
+            coeffs = set(chain.from_iterable(map(dict.values,
+                                                 boundary.values())))
+        except TypeError:
+            # a list or a mapping as a coefficient is no integer
+            self._face_defect()
+            raise
         if 0 in coeffs or set(map(type, coeffs)) - {int}:
             self._face_defect()
         dd_bad = {}
@@ -192,64 +198,52 @@ class CellComplex:
                 top_cofaces[f].append(t)
         return top_cofaces
 
-    @cached_property
-    def _verts(self):
-        # the stored supports: those of the cells of dimension 2 and up
-        # below the top one, each the union of its faces' supports, or the
-        # cell itself when it has no faces. Every vertex lacks faces, so a
-        # higher cell does when more cells than the vertices do.
-        boundary = self.boundary
-        verts = _Supports(boundary, countOf(boundary.values(), {})
-                          > len(self._by_dim.get(0, ())))
-        for d in sorted(self._by_dim):
-            if 2 <= d < self.top_dim:
-                cells = self._by_dim[d]
-                verts.update(zip(cells, map(tuple,
-                                            self._supports(d, cells, verts))))
-        return verts
-
-    def _supports(self, d, cells, verts):
-        """The support of each of `cells`, all of dimension d, as a set or
-        a tuple, from the supports `verts` holds or derives for their
-        faces. A 2-cell unites its edges' boundaries, unless some cell
-        above dimension 0 has none and is its own support."""
-        boundary = self.boundary
-        if d < 2:
-            return map(verts.__missing__, cells)
-        faces_of = (boundary.__getitem__ if d == 2 and not verts.bare
-                    else verts.__getitem__)
-        # each union unpacks a list: the tuple unpacked from a map is made
-        # for ten items and shrunk, and the interpreter keeps up to 2,000
-        # such tuples of each size once freed
-        return (set().union(*list(map(faces_of, boundary[c]))) or (c,)
-                for c in cells)
-
-    def _bases(self, d, cells, verts):
-        """The set of base cells in the closure of `cells`, all of
-        dimension d. Where every cell above dimension 0 has faces, these are
-        the vertices d levels of faces down, or, from dimension 3 up, the
-        stored supports of the faces: no support is made per cell."""
-        if verts.bare:
-            return set().union(*self._supports(d, cells, verts))
+    def _bases(self, cells):
+        """The set of base cells in the closure of `cells`, cells of any
+        dimensions: each level of faces adds its cells with an empty
+        boundary, and the faces of the level are the next one. Every vertex
+        is found on the level its dimension puts it, and so is each cell
+        above dimension 0 that has no faces, in a degenerate complex."""
         faces_of = self.boundary.__getitem__
-        if d > 2:
-            faces = set().union(*map(faces_of, cells))
-            return set().union(*map(verts.__getitem__, faces))
-        level = cells if d else set(cells)
-        for _ in range(d):
-            level = set().union(*map(faces_of, level))
+        bases = set()
+        level = cells
+        while level:
+            faces = list(map(faces_of, level))
+            # one scan for an empty boundary, with no call per cell, skips
+            # the levels that hold no base cell
+            if {} in faces:
+                bases.update(compress(level, map(not_, faces)))
+            level = set().union(*faces)
+        return bases
+
+    def _top_bases(self):
+        """The base cells of each top cell, in the order of top_cells().
+        Where the vertices are the only cells without faces, each top
+        cell's are the cells top_dim levels of faces below it, reached by
+        one stage of unions per level over all the top cells. Otherwise
+        each is walked on its own."""
+        tops = self.top_cells()
+        boundary = self.boundary
+        if (not self.top_dim or countOf(boundary.values(), {})
+                > len(self._by_dim.get(0, ()))):
+            return map(self._bases, zip(tops))
+        faces_of = boundary.__getitem__
+        level = map(faces_of, tops)
+        for _ in range(self.top_dim - 1):
+            # each union unpacks a list: the tuple unpacked from a map is
+            # made for ten items and shrunk, and the interpreter keeps up
+            # to 2,000 such tuples of each size once freed
+            level = (set().union(*list(map(faces_of, s))) for s in level)
         return level
 
     @cached_property
     def _vert_tops(self):
         # all top cells whose closure contains each base cell, for the base
-        # cells in some top cell's closure, from each top cell's support
-        # computed here and not kept; a top cell is listed once per cell of
-        # its support, so no list repeats a cell
+        # cells in some top cell's closure, from each top cell's base cells
+        # found here and not kept; a top cell is listed once per base cell,
+        # so no list repeats a cell
         vert_tops = defaultdict(list)
-        tops = self.top_cells()
-        for t, vs in zip(tops, self._supports(self.top_dim, tops,
-                                              self._verts)):
+        for t, vs in zip(self.top_cells(), self._top_bases()):
             for v in vs:
                 vert_tops[v].append(t)
         return vert_tops
@@ -279,38 +273,27 @@ class CellComplex:
     def vertices_of(self, c):
         """The support of c: the base cells in its closure, as a tuple of
         distinct ids. These are its vertices when every closure holds one.
-        Only a cell of dimension 2 and up below the top one has its support
-        stored; any other cell's is derived on each query."""
-        return self._verts[c]
+        No support is stored: each query walks c's closure."""
+        return tuple(self._bases((c,)))
 
     def star_tops(self, cellset):
         """Closed star: every top cell whose closure meets closure(cellset).
         Two closures meet exactly when their supports do, and every top
         cell is in the star of each cell of its support, so this is the
-        union of the stars of the base cells in closure(cellset): the
-        supports of the set's cells, derived for all its cells of one
-        dimension at once. It is the one closed-star query: the one-ring of
+        union of the stars of the base cells of the set, found in one walk
+        down its closure. It is the one closed-star query: the one-ring of
         a cell c is star_tops((c,)), and no ring is kept."""
-        verts = self._verts
-        dim = self.cells.__getitem__
-        dims = set(map(dim, cellset))
-        if len(dims) == 1:
-            bases = self._bases(dims.pop(), cellset, verts)
-        else:
-            bases = set().union(*(
-                self._bases(d, [c for c in cellset if dim(c) == d], verts)
-                for d in dims))
         # .get: a base cell in no top cell's closure has an empty star
-        return set().union(*map(self._vert_tops.get, bases, repeat(())))
+        return set().union(*map(self._vert_tops.get, self._bases(cellset),
+                                repeat(())))
 
     def top_stars(self):
         """star_tops((t,)) for each top cell t, in the order of top_cells(),
-        from the supports of all the top cells made in one pass, as for
+        from the base cells of all the top cells found in one pass, as for
         the top cells at each base cell, and not kept."""
         vert_tops = self._vert_tops
-        tops = self.top_cells()
         return (set().union(*list(map(vert_tops.get, vs, repeat(()))))
-                for vs in self._supports(self.top_dim, tops, self._verts))
+                for vs in self._top_bases())
 
     def components(self, cells, cut=()):
         """Connected components of a set of cells of one dimension, two
@@ -435,7 +418,7 @@ class CellComplex:
         `identifications` that are not a list, are refused, each naming
         its field."""
         if cells is None:
-            cells = data["cells"]
+            cells = data.get("cells")
             if type(cells) is not list or not all(
                     type(p) is list and len(p) == 2 and type(p[0]) is str
                     for p in cells):
@@ -472,31 +455,6 @@ def boundary_table(bnd):
             raise ComplexError("boundary of %s is not a list of "
                                "[face, coeff] pairs" % c) from None
     return table
-
-
-class _Supports(dict):
-    """The stored supports, {cell: tuple of distinct base cells}, which
-    derives the support of any other cell on each lookup instead of storing
-    it: a cell whose faces are all base cells (every edge) has them as its
-    support, a cell with an empty boundary is its own, and any other cell
-    unites its faces' supports. It holds the complex's boundary table, not
-    the complex, so it makes no reference cycle."""
-
-    __slots__ = ("boundary", "bare")
-
-    def __init__(self, boundary, bare):
-        super().__init__()
-        self.boundary = boundary
-        # whether some cell above dimension 0 has an empty boundary, and so
-        # is its own support
-        self.bare = bare
-
-    def __missing__(self, c):
-        boundary = self.boundary
-        faces = boundary[c]
-        if not any(map(boundary.__getitem__, faces)):
-            return tuple(faces) or (c,)
-        return tuple(set().union(*map(self.__getitem__, faces)))
 
 
 # -- size limit -------------------------------------------------------------

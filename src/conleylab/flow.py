@@ -34,9 +34,10 @@ vertices, in a complex that is not degenerate), then the top cells at each
 of those. `one_ring(c)` is the same query on {c}, computed on each call and
 never stored. Locality of F needs no ring: a successor that shares a
 codim-1 face with its cell is local, as that face lies in both closures,
-and only the other successors are tested on supports. So a rest flow, and
-a flow whose edges all cross faces (the circulating band flows, the sphere
-flows), builds no support table until a star is asked for.
+and only the other successors are tested on supports, each derived from
+the cell's closure and not kept. So building a flow stores nothing on its
+complex, and a rest flow, or a flow whose edges all cross faces (the
+circulating band flows, the sphere flows), derives no support at all.
 
 A flow knows nothing of how it was built. A catalog flow carries its
 `recipe` ({name, resolution}) in `meta` and in its JSON as provenance only;

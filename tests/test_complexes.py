@@ -67,20 +67,27 @@ def test_lazy_indexes_match_eager_rebuild():
               for n in NAMED_SPACES]
     loaded.append(("s2-min", cxm.CellComplex("s2-min", {"v": 0, "f": 2}, {})))
     for name, cx in loaded:
-        assert not {"_top_cofaces", "_verts", "_vert_tops"} & set(vars(cx)), \
-            name
+        assert not {"_top_cofaces", "_vert_tops"} & set(vars(cx)), name
     # a 1-dimensional flow, whose top cells are edges; the queries below
     # ask for the supports of edges
     circ = spm.circle(6)
     line = flm.CombinatorialFlow(
         cxm.CellComplex.from_json(circ.to_json()),
         {e: sorted(circ.star_tops({e})) for e in circ.top_cells()})
-    # and a 3-dimensional flow read from its file body, whose 2-cells
-    # store their supports
+    # and a 3-dimensional flow read from its file body
     s2xs1 = flm.CombinatorialFlow.from_json(
         catalog.build("example22-s2xs1")["flow"].to_json())
-    for name, cx in loaded + [("circle flow", line.cx),
-                              ("s2xs1 flow", s2xs1.cx)]:
+    # degenerate complexes of dimensions 1 to 3: a circle of one vertex and
+    # one edge whose ends cancel, a disc on it, and each times an interval;
+    # in all four some edge has no faces
+    loop = cxm.CellComplex("loop", {"v": 0, "e": 1}, {})
+    cap = cxm.CellComplex("cap", {"v": 0, "e": 1, "d": 2}, {"d": {"e": 1}})
+    bare = [(cx.name, cx) for cx in
+            (loop, cap, spm.product(loop, spm.interval(2)),
+             spm.product(cap, spm.interval(2)))]
+    assert [cx.top_dim for _, cx in bare] == [1, 2, 2, 3]
+    for name, cx in loaded + bare + [("circle flow", line.cx),
+                                     ("s2xs1 flow", s2xs1.cx)]:
         top_cofaces, verts = eager_indexes(cx)
         tops = cx.top_cells()
         for c in sorted(cx.cells):
@@ -94,11 +101,9 @@ def test_lazy_indexes_match_eager_rebuild():
                 (name, c)
         assert list(cx.top_stars()) == [cx.star_tops({t}) for t in tops], \
             name
-        # a vertex's, an edge's or a top cell's support is derived on each
-        # query, and only the cells of dimension 2 and up below the top one
-        # store one
-        assert all(2 <= cx.cells[c] < cx.top_dim for c in cx._verts), name
-    assert s2xs1.cx.top_dim == 3 and s2xs1.cx._verts
+        # no support is stored: each is derived on its query
+        assert "_verts" not in vars(cx), name
+    assert s2xs1.cx.top_dim == 3
 
 
 def star_tops_by_closure(cx, cellset):

@@ -239,19 +239,21 @@ def test_locality_by_faces_and_supports_matches_one_ring_pairs(drawn):
 def test_a_flow_across_faces_builds_no_support_table():
     # every edge of a band flow, a sphere flow or a flow across the faces
     # of a circle crosses a face, so building it asks for no support; a
-    # diagonal step on the torus does
+    # diagonal step on the torus does, and derives the supports it tests
+    # without storing them: building a flow adds nothing to its complex
     for name in ("example22-torus", "example22-klein", "example22-circle",
                  "example22-s2xts1", "north-south", "homoclinic-sphere"):
         cx = catalog.build(name, catalog._RECIPES[name][2], {})["flow"].cx
         assert "_verts" not in vars(cx), name
     _, kinds = neighbour_kinds("torus")
     cx = cxm.named_space("torus", 3)
+    built = set(vars(cx))
     across = {d: [d] + face[:1] for d, (face, _, _) in kinds.items()}
     flm.CombinatorialFlow(cx, across)
-    assert "_verts" not in vars(cx)
+    assert set(vars(cx)) == built
     c = min(kinds)
     flm.CombinatorialFlow(cx, dict(across, **{c: [c, kinds[c][1][0]]}))
-    assert "_verts" in vars(cx)
+    assert set(vars(cx)) == built
 
 
 def test_rest_flow_prolongation_is_one_ring():
@@ -1038,6 +1040,15 @@ BOUNDARY_REFUSED = ("boundary is not a mapping from cell ids to lists of "
                       boundary={"a": [["b", -1], "bc"]}), PAIRS_REFUSED),
     ("complex", point(cells=[["a", 1], ["b", 0]],
                       boundary={"a": [{"b": 1, "c": 1}]}), PAIRS_REFUSED),
+    # a complex with no `cells`, and a coefficient that is a list or an
+    # object, are refused by name, not as a Python error
+    ("complex", {"name": "pt", "boundary": {}}, CELLS_REFUSED),
+    ("complex", point(cells=[["a", 1], ["b", 0]],
+                      boundary={"a": [["b", [1]]]}),
+     "coefficient of b in a is not an integer: [1]"),
+    ("complex", point(cells=[["a", 1], ["b", 0]],
+                      boundary={"a": [["b", {"x": 1}]]}),
+     "coefficient of b in a is not an integer: {'x': 1}"),
 ])
 def test_from_json_refuses_what_a_file_refuses(tmp_path, field, value, why):
     # a string where a list of ids belongs reads as a list of letters
