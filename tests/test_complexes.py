@@ -1,5 +1,6 @@
 import copy
 import functools
+import hashlib
 import json
 from collections import defaultdict
 
@@ -543,6 +544,40 @@ def test_every_builder_makes_each_cell_id_once():
     built = {}
     for name in sorted(catalog._RECIPES):
         assert_one_string_per_id(catalog.build(name, None, built)["flow"].cx)
+
+
+# sha256 of [to_json(), sorted grid] of grid and path builds at sizes the
+# catalog pins do not reach: a one-band sphere, a hub-only disc, a
+# one-edge interval, the smallest circle
+BUILDER_PINS = [
+    ("sphere", (1, 3),
+     "e262092933b6811df2ed42ec7930ab1cbac8947498a287e08658111ab6dee58d"),
+    ("sphere", (2, 5),
+     "b63e17cc7f128861c88d67a3b9aefdc86e0e51378e52b14246a9496b57921362"),
+    ("sphere", (5, 7),
+     "00cb21031b94fd26a48c43b9eee62f6e0f378ac87bf2b8229b9d838600954637"),
+    ("disc", (1, 3),
+     "46458e2b239c05f0d554d6ebe7388365e8e47c12f907bd6097a1c97ec11394e2"),
+    ("disc", (2, 3),
+     "f9f481ba66290c45fef6678e9e5cd952560817d10a798f3bd4cc5590adcdff3d"),
+    ("disc", (4, 7),
+     "5c7c78607c36df6e6c1e0e00b297362fd1b54dcebb9edc4bc57a965c87fa6e49"),
+    ("interval", (1,),
+     "5bb000b4a0a4df4a649e87c35b763ec141a53257cbc916f606a868184c30795e"),
+    ("interval", (5,),
+     "2abbe1aba4e3fdff66ef730ecfa456e049f49f23692a86512b99007617089f66"),
+    ("circle", (3,),
+     "acdccf3188cd3b04c7218007c6df050456e44cd20f83b52e901682a68aeb7e9d"),
+    ("circle", (7,),
+     "0ac8cd50af86c224b18c2208344d09c8fd93c1875a85176003ed599052c08a03"),
+]
+
+
+@pytest.mark.parametrize("builder, args, digest", BUILDER_PINS)
+def test_builder_output_is_pinned(builder, args, digest):
+    cx = getattr(spm, builder)(*args)
+    body = json.dumps([cx.to_json(), sorted(cx.meta.get("grid", {}).items())])
+    assert hashlib.sha256(body.encode()).hexdigest() == digest
 
 
 def test_unknown_boundary_cell_rejected():
