@@ -371,8 +371,6 @@ class CellComplex:
                     if len(cof) != 2:
                         continue
                     v = cof[0] if cof[1] == u else cof[1]
-                    if v == u:
-                        continue
                     want = -sign[u] * k * boundary[v][f]
                     if v in sign:
                         if sign[v] != want:
@@ -475,8 +473,8 @@ def _check_size(what, count):
 # named_space's builders by name, each called with the `spaces` module and
 # the resolution: the names are known without compiling a builder
 SPACES = {
-    "torus": lambda sp, n: sp.torus(n, n),
-    "klein": lambda sp, n: sp.klein(n, n),
+    "torus": lambda sp, n: sp.torus(n),
+    "klein": lambda sp, n: sp.klein(n),
     "genus2": lambda sp, n: sp.genus2(n),
     "sphere": lambda sp, n: sp.sphere(n, 2 * n),
     "rp2": lambda sp, n: sp.rp2(),

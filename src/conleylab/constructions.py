@@ -20,7 +20,19 @@ class ConstructionError(ConleyError):
     pass
 
 
-# -- circulating band flows on mapping tori ----------------------------------
+# -- circulating band flows --------------------------------------------------
+
+
+def _circulation(lanes):
+    """(successors, k) of cells circulating along lanes, each a list of two
+    cells or more: the last cell of each lane is a sink, the first feeds the
+    second, and the rest march on. k is each lane's first and last cell."""
+    succ = {}
+    for lane in lanes:
+        succ[lane[0]] = [lane[0], lane[1]]
+        succ.update({c: [nxt] for c, nxt in zip(lane[1:-1], lane[2:])})
+        succ[lane[-1]] = [lane[-1]]
+    return succ, sorted(c for lane in lanes for c in (lane[0], lane[-1]))
 
 
 def example_general(cx, name=None):
@@ -34,20 +46,9 @@ def example_general(cx, name=None):
     info = cx.meta.get("mapping_torus")
     if not info:
         raise ConstructionError("bad-host", "complex is not a mapping torus")
-    ftops = list(info["fiber_tops"])
     m = info["bands"]
-    succ = {}
-    for s in ftops:
-        for i in range(m):
-            c = "%s@e%d" % (s, i)
-            if i == m - 1:
-                succ[c] = [c]
-            elif i == 0:
-                succ[c] = [c, "%s@e1" % s]
-            else:
-                succ[c] = ["%s@e%d" % (s, i + 1)]
-    k = sorted(["%s@e%d" % (s, m - 1) for s in ftops] +
-               ["%s@e0" % s for s in ftops])
+    succ, k = _circulation([["%s@e%d" % (s, i) for i in range(m)]
+                            for s in info["fiber_tops"]])
     flow = CombinatorialFlow(cx, succ, name=name or "circulation")
     return flow, k
 
@@ -55,7 +56,7 @@ def example_general(cx, name=None):
 # -- gradient-like sphere flows ----------------------------------------------
 
 
-def north_south(rows=6, cols=8):
+def north_south(rows, cols):
     """North pole repels, south pole attracts, everything else descends."""
     cx = sphere(rows, cols)
     succ = {"cap:n": ["cap:n"] + ["f:0,%d" % l for l in range(cols)],
@@ -68,7 +69,7 @@ def north_south(rows=6, cols=8):
     return flow, ["cap:s"]
 
 
-def homoclinic_sphere(rows=5, cols=8):
+def homoclinic_sphere(rows, cols):
     """One fixed cell on a sphere whose unstable lane returns to it.
 
     The departure lane climbs the 0-meridian to the north cap, crosses over,
@@ -108,7 +109,7 @@ def homoclinic_sphere(rows=5, cols=8):
 # -- annulus flows ------------------------------------------------------------
 
 
-def ns_annulus(rows=4, cols=12):
+def ns_annulus(rows, cols):
     """Stable band attractor at one free boundary of an annulus.
 
     The outermost band drifts sideways while dropping inward, so it stays
@@ -133,32 +134,24 @@ def ns_annulus(rows=4, cols=12):
     return flow, ["e:0&e:%d" % l for l in range(cols)]
 
 
-def capped_annulus(rows=6, cols=10):
+def capped_annulus(rows, cols):
     """Annulus circulation capped off by two frozen polar cells.
 
     The seam bands span pole to pole, so the frozen caps sit inside the
     collar of K and stay invariant there: K is not isolated and analyze
     refuses it."""
     cx = sphere(rows, cols)
-    succ = {"cap:n": ["cap:n"], "cap:s": ["cap:s"]}
-    for r in range(rows):
-        for l in range(cols):
-            c = "f:%d,%d" % (r, l)
-            if l == cols - 1:
-                succ[c] = [c]
-            elif l == 0:
-                succ[c] = [c, "f:%d,1" % r]
-            else:
-                succ[c] = ["f:%d,%d" % (r, l + 1)]
+    succ, k = _circulation([["f:%d,%d" % (r, l) for l in range(cols)]
+                            for r in range(rows)])
+    succ.update({"cap:n": ["cap:n"], "cap:s": ["cap:s"]})
     flow = CombinatorialFlow(cx, succ, name="capped-annulus")
-    k = ["f:%d,%d" % (r, l) for r in range(rows) for l in (0, cols - 1)]
-    return flow, sorted(k)
+    return flow, k
 
 
 # -- planar flows -------------------------------------------------------------
 
 
-def planar_disc(sectors=8):
+def planar_disc(sectors):
     """Point sink in a disc; the rim drifts, the middle ring falls in."""
     cx = disc(3, sectors)
     succ = {"hub": ["hub"]}
@@ -170,7 +163,7 @@ def planar_disc(sectors=8):
     return flow, ["hub"]
 
 
-def planar_annulus(sectors=8):
+def planar_annulus(sectors):
     """Circle sink in a disc, fed from both sides, hub repelling."""
     cx = disc(5, sectors)
     succ = {"hub": ["hub"] + ["q:1,%d" % s for s in range(sectors)]}

@@ -1,23 +1,25 @@
-"""The named spaces: builders of cell complexes from grids and gluings.
+"""The named spaces: builders of cell complexes from tables and gluings.
 
-Builders glue tables, not complexes: `connected_sum`, `rp2` and the catalog's
-strips hand plain cells/boundary tables to `quotient`, so each space becomes
-one CellComplex, checked once. A mapping torus glues through a plain cell
-bijection of its fiber, with solved signs, and that sweep is its one
-chain-map check.
+Two table makers write the grid spaces. `_path` writes a row of edges, open
+for `interval` and closed for `circle`. `_bands` writes a stack of square
+bands: vertex circles, circle edges, edges between circles, squares and
+grid positions, under four id prefixes given as data. `sphere` caps it off
+at both ends, and `disc` at its inner circle with a hub.
 
-Each builder makes each cell id once, in a table (the slice and band ids of
-each fiber cell, a row of product ids for each cell of the first factor,
-the prefixed ids of a sum), and writes every face as a reference to the
-same string; `quotient` maps a dropped face to its kept cell as the table
-holds it. So a built complex keeps one string per id, as a loaded one does,
-and a face lookup meets the key object itself.
+The other builders glue tables, not complexes: `connected_sum`, `rp2` and
+the catalog's strips hand plain cells/boundary tables to `quotient`, and a
+mapping torus glues through a plain cell bijection of its fiber, with
+solved signs. So each space becomes one CellComplex, and its one sweep
+checks it, the glue's chain-map condition included.
 
-Each builder that allocates counts the cells its arguments imply and hands
-the count to `complexes._check_size`, which refuses more than
-`complexes.MAX_CELLS` with code too-large before anything is allocated.
-Only the layers that build a space import this module, so a command that
-loads a flow file never compiles it.
+Each builder makes each cell id once, in a table, and writes every face as
+a reference to the same string; `quotient` maps a dropped face to its kept
+cell as the table holds it. So a built complex keeps one string per id, as
+a loaded one does. Each builder that allocates first hands the count of
+cells its arguments imply to `complexes._check_size`, which refuses more
+than `complexes.MAX_CELLS` with code too-large. Only the layers that build
+a space import this module, so a command that loads a flow file never
+compiles it.
 """
 
 from collections import defaultdict
@@ -55,31 +57,28 @@ def point():
     return CellComplex("point", {"v:0": 0}, {})
 
 
+def _path(n, closed):
+    """The cells and boundary of n edges e:i, each from v:i to the next
+    vertex: v:0 .. v:n in a row, or around v:0 .. v:n-1 when `closed`."""
+    vs = ["v:%d" % i for i in range(n if closed else n + 1)]
+    es = ["e:%d" % i for i in range(n)]
+    cells = dict.fromkeys(vs, 0)
+    cells.update(dict.fromkeys(es, 1))
+    ends = vs[1:] + vs[:1] if closed else vs[1:]
+    return cells, {e: {b: 1, a: -1} for e, a, b in zip(es, vs, ends)}
+
+
 def interval(n):
     """n edges in a row, vertices v:0 .. v:n."""
     assert n >= 1
     _check_size("interval(%d)" % n, 2 * n + 1)
-    vs = ["v:%d" % i for i in range(n + 1)]
-    cells = dict.fromkeys(vs, 0)
-    bnd = {}
-    for i in range(n):
-        e = "e:%d" % i
-        cells[e] = 1
-        bnd[e] = {vs[i + 1]: 1, vs[i]: -1}
-    return CellComplex("interval(%d)" % n, cells, bnd)
+    return CellComplex("interval(%d)" % n, *_path(n, False))
 
 
 def circle(n):
     assert n >= 3, "need at least 3 edges for a regular circle"
     _check_size("circle(%d)" % n, 2 * n)
-    vs = ["v:%d" % i for i in range(n)]
-    cells = dict.fromkeys(vs, 0)
-    bnd = {}
-    for i in range(n):
-        e = "e:%d" % i
-        cells[e] = 1
-        bnd[e] = {vs[(i + 1) % n]: 1, vs[i]: -1}
-    return CellComplex("circle(%d)" % n, cells, bnd)
+    return CellComplex("circle(%d)" % n, *_path(n, True))
 
 
 def circle_reflection(n):
@@ -91,39 +90,50 @@ def circle_reflection(n):
     return bij
 
 
-def sphere(rows, cols):
-    """Grid sphere: `rows` bands of squares between two polygonal caps."""
-    assert rows >= 1 and cols >= 3
-    _check_size("sphere(%d,%d)" % (rows, cols), (4 * rows + 2) * cols + 2)
-    # each id made once, rows of vertices, horizontal and vertical edges
-    w = [["w:%d,%d" % (r, l) for l in range(cols)] for r in range(rows + 1)]
-    eh = [["eh:%d,%d" % (r, l) for l in range(cols)]
-          for r in range(rows + 1)]
-    ev = [["ev:%d,%d" % (r, l) for l in range(cols)] for r in range(rows)]
+def _bands(first, last, cols, names):
+    """(cells, boundary, grid, circles): the tables of the square bands
+    between vertex rows first .. last, `cols` squares around. With names
+    (w, h, v, f), row r has vertices w:r,l and circle edges h:r,l from w:r,l
+    to w:r,l+1, and band r has edges v:r,l from w:r,l to w:r+1,l and
+    squares f:r,l at grid position (r, l). `circles` is each row's circle
+    edges, first row first."""
+    rows = range(first, last + 1)
+    # each id made once: vertices and circle edges by row, the edges
+    # between circles and the squares by band
+    w, h, v, f = [[[fmt % (r, l) for l in range(cols)] for r in span]
+                  for fmt, span in zip([p + ":%d,%d" for p in names],
+                                       (rows, rows, rows[:-1], rows[:-1]))]
     cells = {}
     bnd = {}
     for row in w:
         cells.update(dict.fromkeys(row, 0))
-    for r, row in enumerate(eh):
-        for l, e in enumerate(row):
-            cells[e] = 1
-            bnd[e] = {w[r][(l + 1) % cols]: 1, w[r][l]: -1}
-    for r, row in enumerate(ev):
-        for l, e in enumerate(row):
-            cells[e] = 1
-            bnd[e] = {w[r + 1][l]: 1, w[r][l]: -1}
-    grid = {"cap:n": (-1, 0), "cap:s": (rows, 0)}
-    for r in range(rows):
-        for l in range(cols):
-            f = "f:%d,%d" % (r, l)
-            cells[f] = 2
-            bnd[f] = {eh[r][l]: 1, ev[r][(l + 1) % cols]: 1,
-                      eh[r + 1][l]: -1, ev[r][l]: -1}
-            grid[f] = (r, l)
-    cells["cap:n"] = 2
-    bnd["cap:n"] = dict.fromkeys(eh[0], 1)
-    cells["cap:s"] = 2
-    bnd["cap:s"] = dict.fromkeys(eh[rows], 1)
+    # circle edges from each vertex to the next around its row, band edges
+    # from each vertex to the one in the next row
+    nxt = [ws[1:] + ws[:1] for ws in w]
+    for lows, highs, edges in ((w, nxt, h), (w, w[1:], v)):
+        for lo, hi, es in zip(lows, highs, edges):
+            for a, b, e in zip(lo, hi, es):
+                cells[e] = 1
+                bnd[e] = {b: 1, a: -1}
+    grid = {}
+    for r, lo, hi, vs, fs in zip(rows, h, h[1:], v, f):
+        for l, (a, b, c, d, sq) in enumerate(
+                zip(lo, vs[1:] + vs[:1], hi, vs, fs)):
+            cells[sq] = 2
+            bnd[sq] = {a: 1, b: 1, c: -1, d: -1}
+            grid[sq] = (r, l)
+    return cells, bnd, grid, h
+
+
+def sphere(rows, cols):
+    """Grid sphere: `rows` bands of squares between two polygonal caps."""
+    assert rows >= 1 and cols >= 3
+    _check_size("sphere(%d,%d)" % (rows, cols), (4 * rows + 2) * cols + 2)
+    cells, bnd, grid, circles = _bands(0, rows, cols, ("w", "eh", "ev", "f"))
+    cells["cap:n"] = cells["cap:s"] = 2
+    bnd["cap:n"] = dict.fromkeys(circles[0], 1)
+    bnd["cap:s"] = dict.fromkeys(circles[-1], 1)
+    grid.update({"cap:n": (-1, 0), "cap:s": (rows, 0)})
     cx = CellComplex("sphere(%d,%d)" % (rows, cols), cells, bnd)
     cx.meta["grid"] = grid
     cx.meta["cup"] = {"rings": {"z": [], "z2": []}}
@@ -149,35 +159,11 @@ def disc(rings, sectors):
     assert rings >= 1 and sectors >= 3
     _check_size("disc(%d,%d)" % (rings, sectors),
                 (4 * rings - 2) * sectors + 1)
-    # each id made once: the vertices and circle edges of ring r, from 1,
-    # and the radial edges from ring r to r + 1
-    w = [None] + [["w:%d,%d" % (r, s) for s in range(sectors)]
-                  for r in range(1, rings + 1)]
-    c = [None] + [["c:%d,%d" % (r, s) for s in range(sectors)]
-                  for r in range(1, rings + 1)]
-    d = [None] + [["d:%d,%d" % (r, s) for s in range(sectors)]
-                  for r in range(1, rings)]
-    cells = {}
-    bnd = {}
-    for r in range(1, rings + 1):
-        for s in range(sectors):
-            cells[w[r][s]] = 0
-            cells[c[r][s]] = 1
-            bnd[c[r][s]] = {w[r][(s + 1) % sectors]: 1, w[r][s]: -1}
-    for r in range(1, rings):
-        for s in range(sectors):
-            cells[d[r][s]] = 1
-            bnd[d[r][s]] = {w[r + 1][s]: 1, w[r][s]: -1}
+    cells, bnd, grid, circles = _bands(1, rings, sectors,
+                                       ("w", "c", "d", "q"))
     cells["hub"] = 2
-    bnd["hub"] = dict.fromkeys(c[1], 1)
-    grid = {"hub": (0, 0)}
-    for r in range(1, rings):
-        for s in range(sectors):
-            f = "q:%d,%d" % (r, s)
-            cells[f] = 2
-            bnd[f] = {c[r][s]: 1, d[r][(s + 1) % sectors]: 1,
-                      c[r + 1][s]: -1, d[r][s]: -1}
-            grid[f] = (r, s)
+    bnd["hub"] = dict.fromkeys(circles[0], 1)
+    grid["hub"] = (0, 0)
     cx = CellComplex("disc(%d,%d)" % (rings, sectors), cells, bnd)
     cx.meta["grid"] = grid
     return cx
@@ -329,21 +315,19 @@ def mapping_torus(fiber, glue, m, name=None):
     return cx
 
 
-def torus(n, m=None):
-    m = m or n
-    name = "torus(%d,%d)" % (n, m)
-    _check_size(name, 4 * n * m)  # before the fiber circle is built
-    cx = mapping_torus(circle(n), None, m, name=name)
+def torus(n):
+    name = "torus(%d,%d)" % (n, n)
+    _check_size(name, 4 * n * n)  # before the fiber circle is built
+    cx = mapping_torus(circle(n), None, n, name=name)
     cx.meta["cup"] = {"rings": {"z": [[0, 1], [-1, 0]],
                                 "z2": [[0, 1], [1, 0]]}}
     return cx
 
 
-def klein(n, m=None):
-    m = m or n
-    name = "klein(%d,%d)" % (n, m)
-    _check_size(name, 4 * n * m)
-    cx = mapping_torus(circle(n), circle_reflection(n), m, name=name)
+def klein(n):
+    name = "klein(%d,%d)" % (n, n)
+    _check_size(name, 4 * n * n)
+    cx = mapping_torus(circle(n), circle_reflection(n), n, name=name)
     cx.meta["cup"] = {"rings": {"z2": [[0, 1], [1, 1]]}}
     return cx
 
@@ -465,18 +449,18 @@ def connected_sum(a, b, cell_a, cell_b):
 def t3(n):
     name = "t3(%d,%d)" % (n, n)
     _check_size(name, 8 * n ** 3)
-    cx = product(torus(n, n), circle(n), name=name)
+    cx = product(torus(n), circle(n), name=name)
     cx.meta["cup"] = {"rings": {"z": "exterior3", "z2": "exterior3"}}
     return cx
 
 
 def genus2(n):
-    """torus(n, n) summed with itself at its middle 2-cell; the a:/b:
+    """torus(n) summed with itself at its middle 2-cell; the a:/b:
     prefixes of `connected_sum` keep the two copies apart."""
     # two tori less the two holes, and less one rim's 4 vertices and 4
     # edges, which are glued onto the other's
     _check_size("sum(torus(%d,%d),torus(%d,%d))" % (n, n, n, n),
                 8 * n * n - 10)
-    t = torus(n, n)
+    t = torus(n)
     mid = "e:%d@e%d" % (n // 2, n // 2)
     return connected_sum(t, t, mid, mid)

@@ -316,14 +316,14 @@ def obstruction_report(cx, ring="z2"):
 def _check_obstruction(res, population):
     # cup products on H^1 bound the homoclinic count before any flow is
     # chosen. Spaces with a zero bound admit no such attractor at all.
-    torus = spaces.torus(6, 6)
+    torus = spaces.torus(6)
     genus2 = catalog.build("hypersurface-genus2", None, population.built)
     cases = [
         ("sphere", spaces.sphere(2, 6), "z2", 0),
         ("projective plane", spaces.rp2(), "z2", 0),
         ("torus", torus, "z", 1),
         ("torus", torus, "z2", 1),
-        ("klein bottle", spaces.klein(6, 6), "z2", 1),
+        ("klein bottle", spaces.klein(6), "z2", 1),
         ("three-torus", spaces.t3(3), "z", 1),
         ("genus two surface", genus2["flow"].cx, "z2", 2),
     ]
@@ -482,7 +482,7 @@ def _check_lemma72(res, population):
     # product with an interval relative to its ends shifts homology up one
     # degree, torsion included.
     for x, ring in ((spaces.point(), "z"), (spaces.circle(8), "z"),
-                    (spaces.torus(4, 4), "z"), (spaces.rp2(), "z")):
+                    (spaces.torus(4), "z"), (spaces.rp2(), "z")):
         pair, base = algebra.suspension_pair_homology(x, ring=ring)
         ok = pair[0]["rank"] == 0 and not pair[0]["torsion"]
         for k in range(1, len(pair)):

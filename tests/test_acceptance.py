@@ -106,7 +106,7 @@ def test_criterion_06_obstruction_report():
     assert rec["r_max"] == 0 and rec["verdict"] == zero
     rec = theorems.obstruction_report(rp2(), "z2")
     assert rec["r_max"] == 0 and rec["verdict"] == zero
-    rec = theorems.obstruction_report(torus(6, 6), "z2")
+    rec = theorems.obstruction_report(torus(6), "z2")
     assert rec["r_max"] == 1 and rec["verdict"] == theorems.AT_MOST % 1
     g2 = shared_entry("hypersurface-genus2")["flow"].cx
     rec = theorems.obstruction_report(g2, "z2")
@@ -162,7 +162,7 @@ def test_criterion_09_duality_suites():
         assert all(co[k] == ho[2 - k] for k in range(3)), entry["name"]
     assert regular_blocks >= 4
     # suspension shift for point, circle, torus
-    for x in (point(), circle(6), torus(4, 4)):
+    for x in (point(), circle(6), torus(4)):
         pair, base = algebra.suspension_pair_homology(x, ring="z")
         assert pair[0]["rank"] == 0
         for k in range(1, len(pair)):

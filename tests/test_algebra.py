@@ -291,12 +291,12 @@ def ranks(hom):
 def test_homology_pinned_spaces():
     assert ranks(algebra.homology(spm.circle(6))) == [1, 1]
     assert ranks(algebra.homology(spm.sphere(3, 6))) == [1, 0, 1]
-    assert ranks(algebra.homology(spm.torus(4, 4))) == [1, 2, 1]
+    assert ranks(algebra.homology(spm.torus(4))) == [1, 2, 1]
 
-    k = algebra.homology(spm.klein(4, 4))
+    k = algebra.homology(spm.klein(4))
     assert ranks(k) == [1, 1, 0]
     assert k[1]["torsion"] == [2]
-    assert ranks(algebra.homology(spm.klein(4, 4), ring="z2")) == [1, 2, 1]
+    assert ranks(algebra.homology(spm.klein(4), ring="z2")) == [1, 2, 1]
 
     r = algebra.homology(spm.rp2())
     assert ranks(r) == [1, 0, 0]
@@ -317,17 +317,17 @@ def test_relative_disc_mod_boundary():
 
 
 def test_cohomology_ranks():
-    assert algebra.cohomology_ranks(spm.torus(4, 4)) == [1, 2, 1]
+    assert algebra.cohomology_ranks(spm.torus(4)) == [1, 2, 1]
     # integral cohomology of the Klein bottle loses the torsion rank
-    assert algebra.cohomology_ranks(spm.klein(4, 4)) == [1, 1, 0]
-    assert algebra.cohomology_ranks(spm.klein(4, 4), ring="z2") == [1, 2, 1]
+    assert algebra.cohomology_ranks(spm.klein(4)) == [1, 1, 0]
+    assert algebra.cohomology_ranks(spm.klein(4), ring="z2") == [1, 2, 1]
     # universal coefficients: free ranks agree both ways over z
-    for cx in (spm.sphere(3, 6), spm.torus(4, 4), spm.rp2(), spm.t3(3)):
+    for cx in (spm.sphere(3, 6), spm.torus(4), spm.rp2(), spm.t3(3)):
         assert algebra.cohomology_ranks(cx) == ranks(algebra.homology(cx))
 
 
 def test_euler_matches_polynomial_at_minus_one():
-    for cx in (spm.torus(4, 4), spm.sphere(3, 6), spm.klein(4, 4),
+    for cx in (spm.torus(4), spm.sphere(3, 6), spm.klein(4),
                spm.rp2(), spm.t3(3)):
         p = algebra.poincare_polynomial(cx, ring="z2")
         assert sum(v * (-1) ** k for k, v in p.items()) == cx.euler()
@@ -526,18 +526,18 @@ def test_gf2_rank():
 
 
 def test_cup_forms_and_max_null_system():
-    genus2 = spm.connected_sum(spm.torus(4, 4), spm.torus(4, 4),
+    genus2 = spm.connected_sum(spm.torus(4), spm.torus(4),
                                "e:2@e2", "e:2@e2")
     cases = [
         (spm.sphere(3, 6), 0),
         (spm.rp2(), 0),
-        (spm.torus(4, 4), 1),
+        (spm.torus(4), 1),
         (genus2, 2),
     ]
     for cx, want in cases:
         form = algebra.cup_form_h1(cx)
         assert algebra.max_null_system(form) == want, cx.name
-    assert algebra.cup_form_h1(spm.torus(4, 4)) == [[0, 1], [1, 0]]
+    assert algebra.cup_form_h1(spm.torus(4)) == [[0, 1], [1, 0]]
     assert algebra.cup_form_h1(spm.rp2()) == [[1]]
     # t3 carries an exterior-algebra presentation
     assert algebra.cup_form_h1(spm.t3(3)) == ("exterior", 3)
@@ -623,7 +623,7 @@ def test_max_null_system_matches_search_on_skew_z_forms(m):
 
 def test_algebra_errors():
     with pytest.raises(algebra.AlgebraError) as ei:
-        algebra.homology(spm.torus(4, 4), ring="q")
+        algebra.homology(spm.torus(4), ring="q")
     assert ei.value.code == "unsupported-ring"
     with pytest.raises(algebra.AlgebraError) as ei:
         algebra.cup_form_h1(spm.circle(6))

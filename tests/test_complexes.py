@@ -337,14 +337,14 @@ def test_one_sweep_validation_matches_two_passes(data):
 
 
 def test_builder_counts_and_euler():
-    t = spm.torus(4, 4)
+    t = spm.torus(4)
     assert len(t.cells) == 64 and t.euler() == 0
     assert t.is_closed_surface() and t.is_orientable()
 
     s = spm.sphere(4, 8)
     assert s.euler() == 2 and s.is_orientable()
 
-    k = spm.klein(4, 4)
+    k = spm.klein(4)
     assert k.euler() == 0 and k.is_closed_surface() and not k.is_orientable()
 
     r = spm.rp2()
@@ -358,16 +358,30 @@ def test_builder_counts_and_euler():
     assert spm.t3(3).euler() == 0 and spm.t3(3).top_dim == 3
 
 
+def test_orientability_of_surfaces_with_free_faces():
+    # the free edges of the rim put no constraint; the twist of the Moebius
+    # band clashes through its interior edges alone
+    moebius = spm.mapping_torus(spm.interval(2), {
+        "v:0": "v:2", "v:1": "v:1", "v:2": "v:0", "e:0": "e:1", "e:1": "e:0"},
+        4)
+    assert moebius.euler() == 0
+    assert not moebius.is_closed_surface() and not moebius.is_orientable()
+    for cx in (moebius, spm.annulus(3, 8), spm.disc(3, 6)):
+        assert any(len(cx.top_cofaces(e)) == 1 for e in cx.cells_of_dim(1))
+    assert spm.annulus(3, 8).is_orientable()
+    assert spm.disc(3, 6).is_orientable()
+
+
 def test_boundary_squares_to_zero():
-    for cx in (spm.torus(4, 4), spm.sphere(3, 6), spm.klein(4, 4),
+    for cx in (spm.torus(4), spm.sphere(3, 6), spm.klein(4),
                spm.rp2(), spm.t3(3),
-               spm.connected_sum(spm.torus(4, 4), spm.torus(4, 4),
+               spm.connected_sum(spm.torus(4), spm.torus(4),
                                  "e:2@e2", "e:2@e2")):
         assert ddzero(cx), cx.name
 
 
 def test_closure_and_cofaces():
-    t = spm.torus(4, 4)
+    t = spm.torus(4)
     sq = sorted(t.top_cells())[0]
     cl = t.closure({sq})
     assert len(cl) == 9           # square, 4 edges, 4 vertices
@@ -377,7 +391,7 @@ def test_closure_and_cofaces():
 
 
 def test_subcomplex_of_closed_square():
-    t = spm.torus(4, 4)
+    t = spm.torus(4)
     sq = sorted(t.top_cells())[0]
     sub = t.subcomplex(t.closure({sq}))
     assert len(sub.cells) == 9 and sub.euler() == 1
@@ -422,16 +436,16 @@ def test_product_torus():
 
 
 def test_connected_sum_genus_two():
-    g = spm.connected_sum(spm.torus(4, 4), spm.torus(4, 4),
+    g = spm.connected_sum(spm.torus(4), spm.torus(4),
                           "e:2@e2", "e:2@e2")
     assert g.euler() == -2
     assert g.is_closed_surface() and g.is_orientable()
 
 
 def test_connected_sum_refuses_a_non_orientable_or_open_input():
-    for a, cell in ((spm.klein(4, 4), "e:2@e2"), (spm.annulus(3, 4), "e:1&e:2")):
+    for a, cell in ((spm.klein(4), "e:2@e2"), (spm.annulus(3, 4), "e:1&e:2")):
         with pytest.raises(cxm.ComplexError, match="not an orientable surface"):
-            spm.connected_sum(a, spm.torus(4, 4), cell, "e:2@e2")
+            spm.connected_sum(a, spm.torus(4), cell, "e:2@e2")
 
 
 @pytest.mark.parametrize("hole, why", [
@@ -440,7 +454,7 @@ def test_connected_sum_refuses_a_non_orientable_or_open_input():
 def test_connected_sum_refuses_a_hole_that_is_no_two_cell(hole, why):
     for holes in ((hole, "e:2@e2"), ("e:2@e2", hole)):
         with pytest.raises(cxm.ComplexError) as ei:
-            spm.connected_sum(spm.torus(4, 4), spm.torus(4, 4), *holes)
+            spm.connected_sum(spm.torus(4), spm.torus(4), *holes)
         assert str(ei.value) == why
 
 
@@ -497,7 +511,7 @@ def test_quotient_contradiction():
 
 
 def test_json_round_trip():
-    t = spm.torus(4, 4)
+    t = spm.torus(4)
     d = t.to_json()
     assert sorted(d) == ["boundary", "cells", "identifications", "name"]
     t2 = cxm.CellComplex.from_json(d)

@@ -142,11 +142,11 @@ def test_hypersurface_needs_nonseparating_cycle():
 
 @pytest.mark.parametrize("cx, z", [
     # the core circle of a Klein bottle has a Moebius band for its collar
-    (spm.klein(8, 8), ["v:0@e%d" % i for i in range(8)]),
+    (spm.klein(8), ["v:0@e%d" % i for i in range(8)]),
     # an arc of a torus circle: the collar wraps round its two ends
-    (spm.torus(8, 8), ["e:%d@v6" % l for l in range(7)]),
+    (spm.torus(8), ["e:%d@v6" % l for l in range(7)]),
     # a circle with a tail: the tail's two cofaces lie on one side
-    (spm.torus(8, 8), ["e:%d@v6" % l for l in range(8)] + ["v:0@e6"]),
+    (spm.torus(8), ["e:%d@v6" % l for l in range(8)] + ["v:0@e6"]),
 ])
 def test_hypersurface_needs_two_sided_cycle(cx, z):
     with pytest.raises(cons.ConstructionError) as ei:

@@ -313,7 +313,7 @@ def test_the_component_list_holds_a_lone_cell_as_itself():
 
 @functools.lru_cache(maxsize=None)
 def small_complexes():
-    return [spm.circle(3), spm.circle(7), spm.circle(12), spm.torus(3, 3)]
+    return [spm.circle(3), spm.circle(7), spm.circle(12), spm.torus(3)]
 
 
 @st.composite
@@ -535,7 +535,7 @@ def test_load_file_reads_its_file_in_bounded_chunks(tmp_path, monkeypatch):
     assert cli.main(["construct", "example22-torus", "--resolution", "32",
                      "--out", path]) == 0
     rest = tmp_path / "rest-torus.json"
-    rest.write_text(json.dumps(flm.rest_flow(spm.torus(32, 32)).to_json(),
+    rest.write_text(json.dumps(flm.rest_flow(spm.torus(32)).to_json(),
                                sort_keys=True))
     sizes = []
     held = []

@@ -204,8 +204,8 @@ def test_obstruction_report_values():
     cases = [
         (spm.sphere(3, 6), 0),
         (spm.rp2(), 0),
-        (spm.torus(6, 6), 1),
-        (spm.connected_sum(spm.torus(4, 4), spm.torus(4, 4),
+        (spm.torus(6), 1),
+        (spm.connected_sum(spm.torus(4), spm.torus(4),
                            "e:2@e2", "e:2@e2"), 2),
     ]
     for cx, want in cases:
@@ -220,7 +220,7 @@ def test_obstruction_report_values():
 def test_obstruction_of_a_sum_with_a_sphere_is_the_torus_bound():
     # sphere # torus is a torus: its cup table is the torus table plus the
     # sphere's empty one, so both rings bound r by 1
-    cx = spm.connected_sum(spm.sphere(3, 4), spm.torus(4, 4),
+    cx = spm.connected_sum(spm.sphere(3, 4), spm.torus(4),
                            "f:1,1", "e:2@e2")
     assert cx.euler() == 0
     for ring in ("z", "z2"):
@@ -299,7 +299,7 @@ def more_complexes():
     surface."""
     return [cxm.CellComplex("s2-min", {"v": 0, "f": 2}, {}),
             spm.annulus(3, 4), spm.disc(2, 5), spm.t3(3), spm.sphere(3, 4),
-            spm.klein(3, 3)]
+            spm.klein(3)]
 
 
 @settings(max_examples=150, deadline=None)
