@@ -594,6 +594,24 @@ def test_builder_output_is_pinned(builder, args, digest):
     assert hashlib.sha256(body.encode()).hexdigest() == digest
 
 
+# sha256 of the sorted (cell, image) pairs of each reflection, the glue of
+# the klein and s2xts1 bundles: the ids they map must be the ids the
+# circle and sphere builders make
+REFLECTION_PINS = [
+    ("circle_reflection", (7,),
+     "643bb00747a8f22cd3efa8cb6ba7cfbc35aa96774ccf214617843a00ad66a50e"),
+    ("sphere_reflection", (2, 5),
+     "97e5dac2178137e08eb66111e0928fa67df9565fab76337e90c4df4b650b58bb"),
+]
+
+
+@pytest.mark.parametrize("reflection, args, digest", REFLECTION_PINS)
+def test_reflection_is_pinned(reflection, args, digest):
+    bij = getattr(spm, reflection)(*args)
+    body = json.dumps(sorted(bij.items()))
+    assert hashlib.sha256(body.encode()).hexdigest() == digest
+
+
 def test_unknown_boundary_cell_rejected():
     with pytest.raises(cxm.ComplexError):
         cxm.CellComplex("x", {"a": 1}, {"a": {"missing": 1}})
