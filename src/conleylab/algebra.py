@@ -29,6 +29,7 @@ Torsion is reported as invariant factors d1 | d2 | ... with the 1s dropped.
 """
 
 from collections import defaultdict, deque
+from itertools import compress
 from math import gcd
 
 from .complexes import ConleyError
@@ -178,23 +179,31 @@ def homology(cx, ring="z", rel=None):
     if rel and cx.closure(rel) != rel:
         raise AlgebraError("not-closed", "relative part is not closed")
     odd = ring == "z2"
-    bnd = cx.boundary
-    # faces left per cell, nonzero over the ring, and each edge's coefficients
+    bnd, coeffs = cx.boundary, cx.coefficients
+    # faces left per cell, nonzero over the ring, and each edge's
+    # coefficients; whether a coefficient tuple is all odd is found once
     live = {}
     cofaces = defaultdict(list)
     shapes = set()
+    all_odd = {}
     for c, dim in cx.cells.items():
         if c in rel:
             continue
-        faces = bnd[c]
-        if rel or odd:
-            faces = [f for f, k in faces.items()
-                     if f not in rel and (k % 2 or not odd)]
+        faces, ks = bnd[c], coeffs[c]
+        if odd:
+            whole = all_odd.get(ks)
+            if whole is None:
+                whole = all_odd[ks] = all(k % 2 for k in ks)
+        if odd and not whole or rel and not rel.isdisjoint(faces):
+            keep = [f not in rel and (k % 2 or not odd)
+                    for f, k in zip(faces, ks)]
+            faces = tuple(compress(faces, keep))
+            ks = tuple(compress(ks, keep))
         live[c] = len(faces)
         for f in faces:
             cofaces[f].append(c)
         if dim == 1:
-            shapes.add(tuple(map(bnd[c].get, faces)))
+            shapes.add(ks)
     graph = all(len(ks) <= 2 if odd else sorted(ks) in ([], [-1], [1], [-1, 1])
                 for ks in shapes)
     queue = deque(c for c, n in live.items() if n == 1)
@@ -205,7 +214,7 @@ def homology(cx, ring="z", rel=None):
             c = queue.popleft()
             if live.get(c) != 1:
                 continue
-            for f, k in bnd[c].items():
+            for f, k in zip(bnd[c], coeffs[c]):
                 if f in live and (k % 2 or not odd):
                     break
             if not odd and k not in (1, -1):
@@ -231,7 +240,7 @@ def homology(cx, ring="z", rel=None):
     ranks, torsions = {}, {}
     for d in range(1, cx.top_dim + 1):
         ranks[d], torsions[d] = _rank(
-            [{index[f]: k for f, k in bnd[c].items() if f in live}
+            [{index[f]: k for f, k in zip(bnd[c], coeffs[c]) if f in live}
              for c in gens[d]], ring)
     out = [{"rank": len(gens[d]) - ranks.get(d, 0) - ranks.get(d + 1, 0),
             "torsion": torsions.get(d + 1, [])}

@@ -1,15 +1,22 @@
 """Finite regular CW complexes with integer incidence data.
 
-Cells are string ids, each with a dimension and a boundary chain written as
-{face_id: coefficient}. Every constructor validates the complex in one
-sweep, lowest dimension first: each face is known, one dimension lower and
-has a nonzero integer coefficient, and del o del = 0, so a bad sign in a
-builder fails loudly at build time instead of corrupting homology later. A
-boundary for a cell that is not declared is refused too. `from_json` turns
-a body's [face, coeff] lists into the dicts the constructor keeps through
-`boundary_table`, unless it is given the table. A `subcomplex` is the one
-complex not swept: it is a closure of cells that passed the sweep, on
-their own boundary dicts, so it is only indexed.
+Cells are string ids, each with a dimension. A cell's boundary chain is
+kept as two aligned tables: `boundary[c]` is the tuple of c's faces and
+`coefficients[c]` the tuple of their coefficients, in the same order. A
+cell with no faces has `()` in both. Equal coefficient tuples are one
+object wherever a reader or a builder writes them, so a grid complex holds
+a handful of coefficient tuples however many cells it has. Every
+constructor validates the complex in one sweep, lowest dimension first:
+each face is known and one dimension lower, each coefficient a nonzero
+integer (checked once per distinct coefficient tuple), and del o del = 0,
+so a bad sign in a builder fails loudly at build time instead of
+corrupting homology later. A boundary for a cell that is not declared is
+refused too, and so is a body's boundary that names a face twice.
+`from_json` turns a body's [face, coeff] lists into the two tables through
+`boundary_table`, unless it is given the tables; `chain_tables` makes them
+from {face: coeff} chains. A `subcomplex` is the one complex not swept: it
+is a closure of cells that passed the sweep, on their own tables, so it is
+only indexed.
 
 Construction indexes only the cells by dimension. Two indexes are built
 once, on their first query, so a complex that only feeds homology never
@@ -46,8 +53,8 @@ import gc
 from collections import defaultdict
 from contextlib import contextmanager
 from functools import cached_property
-from itertools import chain, compress, repeat
-from operator import countOf, not_
+from itertools import chain, compress, filterfalse, repeat
+from operator import countOf, ne, not_
 
 
 @contextmanager
@@ -88,27 +95,37 @@ class ComplexError(ConleyError):
 
 
 class CellComplex:
-    """Cells {id: dim} and boundaries {id: {face: coeff}}. The boundary
-    dicts handed in are kept, not copied, and may be shared with the tables
-    they came from, and every cell with an empty boundary (each vertex)
-    shares one empty dict: no boundary is changed after construction."""
+    """Cells {id: dim}, and each cell's faces {id: (face, ...)} and their
+    coefficients {id: (coeff, ...)} as two aligned tables. The dicts
+    handed in are kept, not copied, and may share their tuples with the
+    tables they came from: no table is changed after construction."""
 
-    def __init__(self, name, cells, boundary, identifications=None):
-        self._index(name, cells, boundary, identifications)
+    def __init__(self, name, cells, boundary, coefficients,
+                 identifications=None):
+        self._index(name, cells, boundary, coefficients, identifications)
         self._validate()
 
-    def _index(self, name, cells, boundary, identifications):
+    def _index(self, name, cells, boundary, coefficients, identifications):
         # the tables and the cells by dimension, without the sweep
         self.name = name
-        self.cells = dict(cells)          # id -> dim
-        undeclared = boundary.keys() - self.cells.keys()
-        if undeclared:
-            raise ComplexError("boundary given for undeclared cell %s"
-                               % min(undeclared, key=str))
-        # each cell's faces as {face: coeff}: the dict handed in, not a
-        # copy, and for every cell given none one shared empty dict
-        empty = {}
-        self.boundary = {c: boundary.get(c) or empty for c in self.cells}
+        self.cells = cells if type(cells) is dict else dict(cells)
+        # the tables handed in, both given () for every cell given no
+        # faces, in the order of the cells
+        none = dict.fromkeys(filterfalse(boundary.__contains__, self.cells),
+                             ())
+        boundary.update(none)
+        coefficients.update(none)
+        for table in (boundary, coefficients):
+            if len(table) > len(self.cells):
+                raise ComplexError("boundary given for undeclared cell %s"
+                                   % min(table.keys() - self.cells.keys(),
+                                         key=str))
+        if len(coefficients) < len(self.cells):
+            raise ComplexError("boundary of %s is given no coefficients"
+                               % min(self.cells.keys() - coefficients.keys(),
+                                     key=str))
+        self.boundary = boundary
+        self.coefficients = coefficients
         self.identifications = list(identifications or [])
         self.meta = {}
         self._by_dim = defaultdict(list)
@@ -134,16 +151,20 @@ class CellComplex:
     # -- construction-time checks ------------------------------------------
 
     def _validate(self):
-        """One sweep, lowest dimension first, after one look at all the
-        coefficients (nonzero integers). The faces of each dimension's cells
-        are checked together (known, one dimension lower), then each cell's
-        del del is summed over faces the sweep has already checked. A face
-        defect is reported before any del del != 0, each at the first
+        """One sweep, lowest dimension first, after one look at the
+        coefficients (nonzero integers) of each distinct coefficient tuple.
+        The faces of each dimension's cells are checked together (known,
+        one dimension lower, as many as their coefficients), then each
+        cell's del del is summed over faces the sweep has already checked. A
+        face defect is reported before any del del != 0, each at the first
         defective cell in the order the cells were given."""
-        cells, boundary = self.cells, self.boundary
+        cells, boundary, coefficients = (self.cells, self.boundary,
+                                         self.coefficients)
+        # the tuples by identity: a table of shared tuples holds a handful
+        tuples = coefficients.values()
         try:
-            coeffs = set(chain.from_iterable(map(dict.values,
-                                                 boundary.values())))
+            coeffs = set(chain.from_iterable(
+                dict(zip(map(id, tuples), tuples)).values()))
         except TypeError:
             # a list or a mapping as a coefficient is no integer
             self._face_defect()
@@ -152,17 +173,20 @@ class CellComplex:
             self._face_defect()
         dd_bad = {}
         for d in sorted(self._by_dim):
-            chains = list(map(boundary.__getitem__, self._by_dim[d]))
-            if set(map(cells.get, chain.from_iterable(chains))) - {d - 1}:
+            ids = self._by_dim[d]
+            chains = list(map(boundary.__getitem__, ids))
+            ks = list(map(coefficients.__getitem__, ids))
+            if (set(map(cells.get, chain.from_iterable(chains))) - {d - 1}
+                    or any(map(ne, map(len, chains), map(len, ks)))):
                 self._face_defect()
             # a cell with no cells two dimensions below it has faces
             # without faces, so its del del has nothing to sum
             if d - 2 not in self._by_dim:
                 continue
-            for c, faces in zip(self._by_dim[d], chains):
+            for c, faces, kc in zip(ids, chains, ks):
                 acc = {}
-                for f, coeff in faces.items():
-                    for g, coeff2 in boundary[f].items():
+                for f, coeff in zip(faces, kc):
+                    for g, coeff2 in zip(boundary[f], coefficients[f]):
                         acc[g] = acc.get(g, 0) + coeff * coeff2
                 if any(acc.values()):
                     dd_bad[c] = {g: v for g, v in acc.items() if v != 0}
@@ -172,9 +196,13 @@ class CellComplex:
 
     def _face_defect(self):
         # the sweep found a bad face; name the first one in the given order
-        for c, faces in self.boundary.items():
-            dc = self.cells[c]
-            for f, coeff in faces.items():
+        for c, dc in self.cells.items():
+            faces, coeffs = self.boundary[c], self.coefficients[c]
+            if len(faces) != len(coeffs):
+                raise ComplexError("boundary of %s has %d faces and %d "
+                                   "coefficients" % (c, len(faces),
+                                                     len(coeffs)))
+            for f, coeff in zip(faces, coeffs):
                 if f not in self.cells:
                     raise ComplexError("boundary of %s mentions unknown cell %s" % (c, f))
                 if self.cells[f] != dc - 1:
@@ -211,7 +239,7 @@ class CellComplex:
             faces = list(map(faces_of, level))
             # one scan for an empty boundary, with no call per cell, skips
             # the levels that hold no base cell
-            if {} in faces:
+            if () in faces:
                 bases.update(compress(level, map(not_, faces)))
             level = set().union(*faces)
         return bases
@@ -224,7 +252,7 @@ class CellComplex:
         each is walked on its own."""
         tops = self.top_cells()
         boundary = self.boundary
-        if (not self.top_dim or countOf(boundary.values(), {})
+        if (not self.top_dim or countOf(boundary.values(), ())
                 > len(self._by_dim.get(0, ()))):
             return map(self._bases, zip(tops))
         faces_of = boundary.__getitem__
@@ -358,7 +386,7 @@ class CellComplex:
         """
         sign = {}
         top_cofaces = self._top_cofaces
-        boundary = self.boundary
+        boundary, coefficients = self.boundary, self.coefficients
         for start in self._by_dim.get(self.top_dim, ()):
             if start in sign:
                 continue
@@ -366,12 +394,13 @@ class CellComplex:
             stack = [start]
             while stack:
                 u = stack.pop()
-                for f, k in boundary[u].items():
+                for f, k in zip(boundary[u], coefficients[u]):
                     cof = top_cofaces.get(f, ())
                     if len(cof) != 2:
                         continue
                     v = cof[0] if cof[1] == u else cof[1]
-                    want = -sign[u] * k * boundary[v][f]
+                    want = (-sign[u] * k
+                            * coefficients[v][boundary[v].index(f)])
                     if v in sign:
                         if sign[v] != want:
                             return False
@@ -382,39 +411,42 @@ class CellComplex:
 
     def subcomplex(self, cellset):
         """The closure of cellset as a complex of its own, on this
-        complex's cells and boundary dicts. A closure holds every face of
+        complex's cells and boundary tuples. A closure holds every face of
         its cells, so it keeps every check this complex passed, and it is
         indexed without a second sweep."""
         cl = self.closure(cellset)
         sub = CellComplex.__new__(CellComplex)
         sub._index(self.name + ":sub", {c: self.cells[c] for c in cl},
-                   {c: self.boundary[c] for c in cl}, None)
+                   {c: self.boundary[c] for c in cl},
+                   {c: self.coefficients[c] for c in cl}, None)
         return sub
 
     # -- serialization -----------------------------------------------------
 
     def to_json(self):
         ids = sorted(self.cells)
+        faces, coeffs = self.boundary, self.coefficients
         return {
             "name": self.name,
             "cells": [[c, self.cells[c]] for c in ids],
-            "boundary": {c: sorted(self.boundary[c].items())
-                         for c in ids if self.boundary[c]},
+            "boundary": {c: sorted(zip(faces[c], coeffs[c]))
+                         for c in ids if faces[c]},
             "identifications": self.identifications,
         }
 
     @classmethod
-    def from_json(cls, data, *, cells=None, boundary=None):
+    def from_json(cls, data, *, cells=None, boundary=None,
+                  coefficients=None):
         """The complex of a JSON body, which is not changed. The body's
         `cells` pairs go to the constructor as they stand, and its
         `boundary` through `boundary_table`. The flow reader, which decodes
         a body one member at a time, converts `cells` and `boundary` as
-        they are decoded and passes the tables as `cells` ({id: dim}) and
-        `boundary`, in place of the body's own. `cells` that are not a
-        list of [id, dim] pairs with string ids, a `boundary` that is not a
-        mapping of [face, coeff] lists, a `name` that is not a string, or
-        `identifications` that are not a list, are refused, each naming
-        its field."""
+        they are decoded and passes the tables as `cells` ({id: dim}),
+        `boundary` and `coefficients`, in place of the body's own. `cells`
+        that are not a list of [id, dim] pairs with string ids, a
+        `boundary` that is not a mapping of [face, coeff] lists, a `name`
+        that is not a string, or `identifications` that are not a list,
+        are refused, each naming its field."""
         if cells is None:
             cells = data.get("cells")
             if type(cells) is not list or not all(
@@ -422,37 +454,63 @@ class CellComplex:
                     for p in cells):
                 raise ComplexError("cells are not a list of [id, dim] pairs")
         if boundary is None:
-            boundary = boundary_table(data.get("boundary", {}))
+            boundary, coefficients = boundary_table(data.get("boundary", {}))
         name = data.get("name", "complex")
         if type(name) is not str:
             raise ComplexError("the complex's name is not a string")
         identifications = data.get("identifications")
         if identifications is not None and type(identifications) is not list:
             raise ComplexError("identifications are not a list")
-        return cls(name, cells, boundary, identifications=identifications)
+        return cls(name, cells, boundary, coefficients,
+                   identifications=identifications)
 
 
 def boundary_table(bnd):
-    """A body's boundary mapping of [face, coeff] lists as the {face: coeff}
-    dicts a complex keeps. A mapping where a [face, coeff] list belongs,
-    or a two-letter string or two-key mapping where a pair belongs, would
-    pass through dict() unnoticed, so an entry that is not a list of lists
-    (or, in a body made in process, of tuples) is refused here, as is a
-    list dict() does not take, and so is a boundary that is no mapping."""
+    """The (faces, coefficients) tables of a body's boundary mapping of
+    [face, coeff] lists. A mapping where a [face, coeff] list belongs, or a
+    two-letter string or two-key mapping where a pair belongs, would pass
+    through dict() unnoticed, so an entry that is not a list of lists (or,
+    in a body made in process, of tuples) is refused here, as is a list
+    dict() does not take, a list that names a face twice, and a boundary
+    that is no mapping."""
     if type(bnd) is not dict:
         raise ComplexError("boundary is not a mapping from cell ids to "
                            "lists of [face, coeff] pairs")
-    table = {}
+    chains = {}
     for c, pairs in bnd.items():
         try:
             if (type(pairs) is not list
                     or set(map(type, pairs)) - {list, tuple}):
                 raise TypeError
-            table[c] = dict(pairs)
+            chains[c] = dict(pairs)
         except (TypeError, ValueError):
             raise ComplexError("boundary of %s is not a list of "
                                "[face, coeff] pairs" % c) from None
-    return table
+        if len(chains[c]) < len(pairs):
+            seen = set()
+            for f, _ in pairs:
+                if f in seen:
+                    raise ComplexError("boundary of %s names %s twice"
+                                       % (c, f))
+                seen.add(f)
+    return chain_tables(chains)
+
+
+def chain_tables(chains):
+    """The (faces, coefficients) tables of {cell: {face: coeff}} chains,
+    each cell's faces in its chain's order, equal coefficient tuples one
+    object."""
+    faces, coefficients, shared = {}, {}, {}
+    for c, ch in chains.items():
+        faces[c] = tuple(ch)
+        ks = tuple(ch.values())
+        try:
+            ks = shared.setdefault(ks, ks)
+        except TypeError:
+            # an unhashable coefficient, which the complex refuses by name
+            pass
+        coefficients[c] = ks
+    return faces, coefficients
 
 
 # -- size limit -------------------------------------------------------------

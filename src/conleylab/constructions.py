@@ -301,16 +301,18 @@ def add_uniform_component(flow, k):
     strip = annulus(3, n)
     cells = dict(flow.cx.cells)
     bnd = dict(flow.cx.boundary)
+    coeffs = dict(flow.cx.coefficients)
     # each prefixed id made once
     own = {c: pre + c for c in strip.cells}
     for c, d in strip.cells.items():
         cells[own[c]] = d
-        bnd[own[c]] = {own[f]: v for f, v in strip.boundary[c].items()}
+        bnd[own[c]] = tuple(map(own.__getitem__, strip.boundary[c]))
+        coeffs[own[c]] = strip.coefficients[c]
     pairs = []
     for l in range(n):
         pairs.append((edges[l], own["v:0&e:%d" % l], 1))
         pairs.append((verts[l], own["v:0&v:%d" % l], 1))
-    cx2 = quotient(flow.cx.name + "+u%d" % idx, cells, bnd, pairs)
+    cx2 = quotient(flow.cx.name + "+u%d" % idx, cells, bnd, coeffs, pairs)
     succ = {c: list(flow.succ[c]) for c in sorted(flow.tops)}
     for l in range(n):
         c0 = pre + "e:0&e:%d" % l

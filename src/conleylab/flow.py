@@ -81,18 +81,22 @@ class CombinatorialFlow:
             if not outs:
                 raise FlowError("not-total", "cell %s has no successor" % c)
             out = tuple(outs) if len(outs) == 1 else tuple(sorted(set(outs)))
-            faces = boundary[c].keys()
-            # c's support as a set, made on its first edge to a cell that
-            # shares no face with it, so a flow whose edges all cross faces
-            # builds no supports
-            near = None
+            # c's faces as a set, made on its first edge to another cell,
+            # and c's support as a set, made on its first edge to a cell
+            # that shares no face with it, so a rest flow builds no face
+            # set and a flow whose edges all cross faces no support
+            faces = near = None
             for d in out:
                 if d not in own:
                     raise FlowError("bad-successor",
                                     "%s -> %s is not a top cell" % (c, d))
                 pred[d].append(c)
+                if d == c:
+                    continue
                 # a shared codim-1 face lies in both closures
-                if d == c or not faces.isdisjoint(boundary[d]):
+                if faces is None:
+                    faces = set(boundary[c])
+                if not faces.isdisjoint(boundary[d]):
                     continue
                 # d in one_ring(c), tested on supports without the ring
                 if near is None:

@@ -271,26 +271,37 @@ def _read_ids(w, scan, ids, key):
 
 
 def _read_boundary(w, scan, ids):
-    """The {cell: {face: coeff}} table of the `boundary` object at the
-    window's cursor, decoded a span at a time, every id taken from `ids`.
-    An entry that is not a list of [face, coeff] pairs with string faces
-    raises ValueError or TypeError; a pair of another shape that unpacks
-    to two items is left to `_read_complex`."""
-    table = {}
+    """The {cell: (face, ...)} and {cell: (coeff, ...)} tables of the
+    `boundary` object at the window's cursor, decoded a span at a time,
+    every id taken from `ids` and equal coefficient tuples one object. An
+    entry that is not a list of [face, coeff] pairs with string faces, or
+    that names a face twice, or an unhashable coefficient, raises
+    ValueError or TypeError, so `boundary_table` names it when the text is
+    read whole; a pair of another shape that unpacks to two items is left
+    to `_read_complex`."""
+    faces = {}
+    coeffs = {}
     intern = ids.setdefault
+    share = {}.setdefault
 
     def take(part):
         if set(map(type, part.values())) - {list}:
             raise ValueError("a boundary is not a list of pairs")
         for c, pairs in part.items():
-            faces = table[intern(c, c)] = {}
+            c = intern(c, c)
+            terms = {}
             for f, n in pairs:
-                faces[intern(f, f)] = n
+                terms[intern(f, f)] = n
+            if len(terms) < len(pairs):
+                raise ValueError("a boundary names a face twice")
+            faces[c] = tuple(terms)
+            ks = tuple(terms.values())
+            coeffs[c] = share(ks, ks)
 
     _spans(w, scan, _LISTS, take)
     if set(map(type, ids)) - {str}:
         raise ValueError("a face is not a string")
-    return table
+    return faces, coeffs
 
 
 def _read_successors(w, scan, ids):
@@ -331,7 +342,8 @@ def _read_complex(w, scan, ids):
         if key == "cells" and opener == "[":
             tables[key] = _read_cells(w, scan, ids)
         elif key == "boundary" and opener == "{":
-            tables[key] = _read_boundary(w, scan, ids)
+            tables[key], tables["coefficients"] = _read_boundary(w, scan,
+                                                                 ids)
         else:
             body[key] = w.decode(scan)
 
@@ -340,8 +352,8 @@ def _read_complex(w, scan, ids):
         with _malformed():
             return CellComplex.from_json(body, **tables)
     except ComplexError:
-        coeffs = chain.from_iterable(map(dict.values, tables.get(
-            "boundary", {}).values()))
+        coeffs = chain.from_iterable(set(tables.get(
+            "coefficients", {}).values()))
         if set(map(type, coeffs)) - {int}:
             raise ValueError("a coefficient is not an integer") from None
         raise

@@ -4,13 +4,19 @@ Two table makers write the grid spaces. `_path` writes a row of edges, open
 for `interval` and closed for `circle`. `_bands` writes a stack of square
 bands: vertex circles, circle edges, edges between circles, squares and
 grid positions, under four id prefixes given as data. `sphere` caps it off
-at both ends, and `disc` at its inner circle with a hub.
+at both ends, and `disc` at its inner circle with a hub. Both makers also
+give their rows of ids, so the reflections of the circle and the sphere map
+the ids the builders make.
 
 The other builders glue tables, not complexes: `connected_sum`, `rp2` and
-the catalog's strips hand plain cells/boundary tables to `quotient`, and a
-mapping torus glues through a plain cell bijection of its fiber, with
-solved signs. So each space becomes one CellComplex, and its one sweep
-checks it, the glue's chain-map condition included.
+the catalog's strips hand plain cells/faces/coefficients tables to
+`quotient`, and a mapping torus glues through a plain cell bijection of its
+fiber, with solved signs. So each space becomes one CellComplex, and its
+one sweep checks it, the glue's chain-map condition included.
+
+Every builder writes a complex's two boundary tables itself: each cell's
+faces as a tuple and their coefficients as a tuple that all cells of one
+shape share, so a grid space holds a handful of coefficient tuples.
 
 Each builder makes each cell id once, in a table, and writes every face as
 a reference to the same string; `quotient` maps a dropped face to its kept
@@ -23,8 +29,17 @@ compiles it.
 """
 
 from collections import defaultdict
+from itertools import repeat
+from operator import add
 
 from .complexes import CellComplex, ComplexError, _check_size
+
+# the coefficients of an edge (head, tail) and of a square (a, b, c, d)
+# with boundary a + b - c - d, each one tuple for every cell of its shape
+_EDGE = (1, -1)
+_SQUARE = (1, 1, -1, -1)
+# the sphere's id prefixes: vertices, circle edges, band edges, squares
+_SPHERE = ("w", "eh", "ev", "f")
 
 
 def complete_map_signs(fiber, bijection):
@@ -37,11 +52,11 @@ def complete_map_signs(fiber, bijection):
         for c in fiber.cells_of_dim(d):
             c2 = bijection[c]
             rhs = defaultdict(int)
-            for f, k in fiber.boundary[c].items():
+            for f, k in zip(fiber.boundary[c], fiber.coefficients[c]):
                 f2, s2 = table[f]
                 rhs[f2] += k * s2
             sign = None
-            for f2, k2 in fiber.boundary[c2].items():
+            for f2, k2 in zip(fiber.boundary[c2], fiber.coefficients[c2]):
                 if rhs.get(f2, 0):
                     sign = rhs[f2] // k2
                     break
@@ -54,49 +69,58 @@ def complete_map_signs(fiber, bijection):
 # -- elementary builders ----------------------------------------------------
 
 def point():
-    return CellComplex("point", {"v:0": 0}, {})
+    return CellComplex("point", {"v:0": 0}, {}, {})
 
 
 def _path(n, closed):
-    """The cells and boundary of n edges e:i, each from v:i to the next
-    vertex: v:0 .. v:n in a row, or around v:0 .. v:n-1 when `closed`."""
+    """(cells, faces, coefficients, (vs, es)): the tables of n edges e:i,
+    each from v:i to the next vertex: v:0 .. v:n in a row, or around
+    v:0 .. v:n-1 when `closed`, and the rows vs and es of their ids."""
     vs = ["v:%d" % i for i in range(n if closed else n + 1)]
     es = ["e:%d" % i for i in range(n)]
     cells = dict.fromkeys(vs, 0)
     cells.update(dict.fromkeys(es, 1))
     ends = vs[1:] + vs[:1] if closed else vs[1:]
-    return cells, {e: {b: 1, a: -1} for e, a, b in zip(es, vs, ends)}
+    return (cells, dict(zip(es, zip(ends, vs))), dict.fromkeys(es, _EDGE),
+            (vs, es))
 
 
 def interval(n):
     """n edges in a row, vertices v:0 .. v:n."""
     assert n >= 1
     _check_size("interval(%d)" % n, 2 * n + 1)
-    return CellComplex("interval(%d)" % n, *_path(n, False))
+    cells, faces, coeffs, _ = _path(n, False)
+    return CellComplex("interval(%d)" % n, cells, faces, coeffs)
 
 
 def circle(n):
     assert n >= 3, "need at least 3 edges for a regular circle"
     _check_size("circle(%d)" % n, 2 * n)
-    return CellComplex("circle(%d)" % n, *_path(n, True))
+    cells, faces, coeffs, _ = _path(n, True)
+    return CellComplex("circle(%d)" % n, cells, faces, coeffs)
+
+
+def _reflect(bij, vertices, edges):
+    """Add l -> -l on a circle of vertices and the edges between them, edge
+    l from vertex l to vertex l+1, to the bijection `bij`."""
+    bij.update(zip(vertices, vertices[:1] + vertices[:0:-1]))
+    bij.update(zip(edges, edges[::-1]))
 
 
 def circle_reflection(n):
     """The reflection l -> -l of circle(n), as a cell bijection."""
     bij = {}
-    for i in range(n):
-        bij["v:%d" % i] = "v:%d" % ((n - i) % n)
-        bij["e:%d" % i] = "e:%d" % ((n - 1 - i) % n)
+    _reflect(bij, *_path(n, True)[3])
     return bij
 
 
 def _bands(first, last, cols, names):
-    """(cells, boundary, grid, circles): the tables of the square bands
-    between vertex rows first .. last, `cols` squares around. With names
-    (w, h, v, f), row r has vertices w:r,l and circle edges h:r,l from w:r,l
-    to w:r,l+1, and band r has edges v:r,l from w:r,l to w:r+1,l and
-    squares f:r,l at grid position (r, l). `circles` is each row's circle
-    edges, first row first."""
+    """(cells, faces, coefficients, grid, (w, h, v, f)): the tables of the
+    square bands between vertex rows first .. last, `cols` squares around,
+    and their rows of ids. With names (w, h, v, f), row r has vertices
+    w:r,l and circle edges h:r,l from w:r,l to w:r,l+1, and band r has
+    edges v:r,l from w:r,l to w:r+1,l and squares f:r,l at grid position
+    (r, l). Each of w, h, v and f is a list of rows, first row first."""
     rows = range(first, last + 1)
     # each id made once: vertices and circle edges by row, the edges
     # between circles and the squares by band
@@ -104,7 +128,8 @@ def _bands(first, last, cols, names):
                   for fmt, span in zip([p + ":%d,%d" for p in names],
                                        (rows, rows, rows[:-1], rows[:-1]))]
     cells = {}
-    bnd = {}
+    faces = {}
+    coeffs = {}
     for row in w:
         cells.update(dict.fromkeys(row, 0))
     # circle edges from each vertex to the next around its row, band edges
@@ -112,29 +137,32 @@ def _bands(first, last, cols, names):
     nxt = [ws[1:] + ws[:1] for ws in w]
     for lows, highs, edges in ((w, nxt, h), (w, w[1:], v)):
         for lo, hi, es in zip(lows, highs, edges):
-            for a, b, e in zip(lo, hi, es):
-                cells[e] = 1
-                bnd[e] = {b: 1, a: -1}
+            cells.update(dict.fromkeys(es, 1))
+            faces.update(zip(es, zip(hi, lo)))
+            coeffs.update(dict.fromkeys(es, _EDGE))
     grid = {}
     for r, lo, hi, vs, fs in zip(rows, h, h[1:], v, f):
-        for l, (a, b, c, d, sq) in enumerate(
-                zip(lo, vs[1:] + vs[:1], hi, vs, fs)):
-            cells[sq] = 2
-            bnd[sq] = {a: 1, b: 1, c: -1, d: -1}
-            grid[sq] = (r, l)
-    return cells, bnd, grid, h
+        cells.update(dict.fromkeys(fs, 2))
+        faces.update(zip(fs, zip(lo, vs[1:] + vs[:1], hi, vs)))
+        coeffs.update(dict.fromkeys(fs, _SQUARE))
+        grid.update(zip(fs, zip([r] * cols, range(cols))))
+    return cells, faces, coeffs, grid, (w, h, v, f)
 
 
 def sphere(rows, cols):
     """Grid sphere: `rows` bands of squares between two polygonal caps."""
     assert rows >= 1 and cols >= 3
     _check_size("sphere(%d,%d)" % (rows, cols), (4 * rows + 2) * cols + 2)
-    cells, bnd, grid, circles = _bands(0, rows, cols, ("w", "eh", "ev", "f"))
-    cells["cap:n"] = cells["cap:s"] = 2
-    bnd["cap:n"] = dict.fromkeys(circles[0], 1)
-    bnd["cap:s"] = dict.fromkeys(circles[-1], 1)
+    cells, faces, coeffs, grid, (_, circles, _, _) = _bands(
+        0, rows, cols, _SPHERE)
+    # each cap bounded by its circle's edges, each with coefficient 1
+    ones = (1,) * cols
+    for cap, edges in (("cap:n", circles[0]), ("cap:s", circles[-1])):
+        cells[cap] = 2
+        faces[cap] = tuple(edges)
+        coeffs[cap] = ones
     grid.update({"cap:n": (-1, 0), "cap:s": (rows, 0)})
-    cx = CellComplex("sphere(%d,%d)" % (rows, cols), cells, bnd)
+    cx = CellComplex("sphere(%d,%d)" % (rows, cols), cells, faces, coeffs)
     cx.meta["grid"] = grid
     cx.meta["cup"] = {"rings": {"z": [], "z2": []}}
     return cx
@@ -143,14 +171,11 @@ def sphere(rows, cols):
 def sphere_reflection(rows, cols):
     """Longitude reflection l -> -l of the grid sphere, as a bijection."""
     bij = {"cap:n": "cap:n", "cap:s": "cap:s"}
-    for r in range(rows + 1):
-        for l in range(cols):
-            bij["w:%d,%d" % (r, l)] = "w:%d,%d" % (r, (cols - l) % cols)
-            bij["eh:%d,%d" % (r, l)] = "eh:%d,%d" % (r, (cols - 1 - l) % cols)
-    for r in range(rows):
-        for l in range(cols):
-            bij["ev:%d,%d" % (r, l)] = "ev:%d,%d" % (r, (cols - l) % cols)
-            bij["f:%d,%d" % (r, l)] = "f:%d,%d" % (r, (cols - 1 - l) % cols)
+    w, h, v, f = _bands(0, rows, cols, _SPHERE)[4]
+    for row in zip(w, h):
+        _reflect(bij, *row)
+    for row in zip(v, f):
+        _reflect(bij, *row)
     return bij
 
 
@@ -159,45 +184,60 @@ def disc(rings, sectors):
     assert rings >= 1 and sectors >= 3
     _check_size("disc(%d,%d)" % (rings, sectors),
                 (4 * rings - 2) * sectors + 1)
-    cells, bnd, grid, circles = _bands(1, rings, sectors,
-                                       ("w", "c", "d", "q"))
+    cells, faces, coeffs, grid, (_, circles, _, _) = _bands(
+        1, rings, sectors, ("w", "c", "d", "q"))
     cells["hub"] = 2
-    bnd["hub"] = dict.fromkeys(circles[0], 1)
+    faces["hub"] = tuple(circles[0])
+    coeffs["hub"] = (1,) * sectors
     grid["hub"] = (0, 0)
-    cx = CellComplex("disc(%d,%d)" % (rings, sectors), cells, bnd)
+    cx = CellComplex("disc(%d,%d)" % (rings, sectors), cells, faces, coeffs)
     cx.meta["grid"] = grid
     return cx
 
 
 # -- combining builders ------------------------------------------------------
 #
-# `product` and `mapping_torus` write each boundary as the plain dict of its
+# `product` and `mapping_torus` write each boundary as the tuple of its
 # Leibniz terms: the terms of one cell name distinct cells, so none cancel.
+# Each cell's coefficients are its factors' coefficient tuples joined, so
+# they take one tuple per pair of factor tuples, kept in `shared`.
 
 def product(a, b, name=None):
     """Cell product with Leibniz boundary signs. Ids look like `ca&cb`."""
     name = name or "(%s)x(%s)" % (a.name, b.name)
     _check_size(name, len(a.cells) * len(b.cells))
-    bcells = list(b.cells.items())
-    at = {cb: j for j, (cb, _) in enumerate(bcells)}
-    bfaces = [[(at[f], k) for f, k in b.boundary[cb].items()]
-              for cb, _ in bcells]
+    bids = list(b.cells)
+    bdims = list(b.cells.values())
+    at = {cb: j for j, cb in enumerate(bids)}
+    bfaces = [[at[f] for f in b.boundary[cb]] for cb in bids]
+    bcoeffs = [b.coefficients[cb] for cb in bids]
+    # b's coefficients under each sign, and a's joined to them: one list
+    # of tuples for each sign and each of a's coefficient tuples
+    signed = {1: bcoeffs, -1: [tuple(-k for k in ks) for ks in bcoeffs]}
+    joined = {}
+    shared = {}
     # one row of `ca&cb` ids for each cell of a, in b's order, made once
-    rows = {ca: [ca + "&" + cb for cb, _ in bcells] for ca in a.cells}
+    rows = {ca: [ca + "&" + cb for cb in bids] for ca in a.cells}
     cells = {}
-    bnd = {}
+    faces = {}
+    coeffs = {}
     for ca, da in a.cells.items():
         sgn = -1 if da % 2 else 1
         row = rows[ca]
-        afaces = [(rows[f], k) for f, k in a.boundary[ca].items()]
-        for j, (_, db) in enumerate(bcells):
-            c = row[j]
-            cells[c] = da + db
-            faces = {fr[j]: k for fr, k in afaces}
-            for g, k in bfaces[j]:
-                faces[row[g]] = sgn * k
-            bnd[c] = faces
-    return CellComplex(name, cells, bnd)
+        afaces = a.boundary[ca]
+        # each cell's faces from a, one tuple per cell of the row, then
+        # its faces from b
+        acols = zip(*map(rows.__getitem__, afaces)) if afaces else repeat(())
+        bcols = map(tuple, map(map, repeat(row.__getitem__), bfaces))
+        ak = a.coefficients[ca]
+        key = (ak, sgn)
+        if key not in joined:
+            joined[key] = [shared.setdefault(ak + bk, ak + bk)
+                           for bk in signed[sgn]]
+        cells.update(zip(row, map(add, repeat(da), bdims)))
+        faces.update(zip(row, map(add, acols, bcols)))
+        coeffs.update(zip(row, joined[key]))
+    return CellComplex(name, cells, faces, coeffs)
 
 
 def annulus(rows, cols):
@@ -214,15 +254,17 @@ def annulus(rows, cols):
     return cx
 
 
-def quotient(name, cells, boundary, pairs):
-    """The complex of the tables `cells` {id: dim} and `boundary` {id: {face:
-    coeff}} with cells identified: pairs of (keep, drop, sign) meaning drop
-    = sign * keep. The pairs resolve, with sign tracking, into one table of
-    the dropped cells, every face is looked up there once, and a cell with
-    no dropped face keeps its boundary dict. A dropped face becomes its
-    class's kept cell as `cells` holds it, so the result keeps one string
-    per id. The result is validated, so an identification that breaks del
-    del = 0 raises."""
+def quotient(name, cells, faces, coefficients, pairs):
+    """The complex of the tables `cells` {id: dim}, `faces` {id: (face,
+    ...)} and `coefficients` {id: (coeff, ...)} with cells identified:
+    pairs of (keep, drop, sign) meaning drop = sign * keep. The pairs
+    resolve, with sign tracking, into one table of the dropped cells, every
+    face is looked up there once, and a cell with no dropped face keeps its
+    tuples. A cell with a dropped face has its chain summed as a dict and
+    written as two tuples once, equal coefficient tuples shared. A dropped
+    face becomes its class's kept cell as `cells` holds it, so the result
+    keeps one string per id. The result is validated, so an identification
+    that breaks del del = 0 raises."""
     target = {}
 
     def resolve(c):
@@ -250,17 +292,21 @@ def quotient(name, cells, boundary, pairs):
     kept = {}
     for c, d in cells.items():
         kept.setdefault(moved[c][0] if c in moved else c, d)
-    bnd = {}
+    bnd, coeffs, shared = {}, {}, {}
     for c in kept:
-        faces = boundary.get(c, {})
-        if not moved.keys().isdisjoint(faces):
+        fs, ks = faces.get(c, ()), coefficients.get(c, ())
+        if not moved.keys().isdisjoint(fs):
             chain = defaultdict(int)
-            for f, k in faces.items():
+            for f, k in zip(fs, ks):
                 f, s = moved.get(f, (f, 1))
                 chain[f] += k * s
-            faces = {f: k for f, k in chain.items() if k}
-        bnd[c] = faces
-    return CellComplex(name, kept, bnd,
+            chain = {f: k for f, k in chain.items() if k}
+            fs = tuple(chain)
+            ks = tuple(chain.values())
+            ks = shared.setdefault(ks, ks)
+        bnd[c] = fs
+        coeffs[c] = ks
+    return CellComplex(name, kept, bnd, coeffs,
                        identifications=[[k, d, s] for (k, d, s) in pairs])
 
 
@@ -281,28 +327,32 @@ def mapping_torus(fiber, glue, m, name=None):
     vid = {c: ["%s@v%d" % (c, i) for i in range(m)] for c in fiber.cells}
     eid = {c: ["%s@e%d" % (c, i) for i in range(m)] for c in fiber.cells}
     cells = {}
-    bnd = {}
+    faces = {}
+    coeffs = {}
+    shared = {}
     for c, d in fiber.cells.items():
-        faces = [(vid[f], eid[f], k) for f, k in fiber.boundary[c].items()]
+        fs = fiber.boundary[c]
+        ks = fiber.coefficients[c]
+        ks = shared.setdefault(ks, ks)
         sgn = -1 if d % 2 else 1
         c2, s = signs[c]
         vs, es = vid[c], eid[c]
-        for i in range(m):
-            v, e = vs[i], es[i]
+        # each band's faces: its slice's faces' bands, then the next slice
+        # and its own; the last band ends, through the glue, on the v0 slice
+        slices = zip(*[vid[f] for f in fs]) if fs else repeat(())
+        bands = zip(*[eid[f] for f in fs], vs[1:] + vid[c2][:1], vs)
+        band_k = ks + (sgn, -sgn)
+        band_k = shared.setdefault(band_k, band_k)
+        for v, e, sl, band in zip(vs, es, slices, bands):
             cells[v] = d
             cells[e] = d + 1
-            if faces:
-                bnd[v] = {fv[i]: k for fv, _, k in faces}
-            band = {fe[i]: k for _, fe, k in faces}
-            # the band ends on the next slice; the last one folds through
-            # the glue onto the v0 slice
-            if i + 1 < m:
-                band[vs[i + 1]] = sgn
-            else:
-                band[vid[c2][0]] = sgn * s
-            band[v] = -sgn
-            bnd[e] = band
-    cx = CellComplex(name, cells, bnd)
+            faces[v] = sl
+            coeffs[v] = ks
+            faces[e] = band
+            coeffs[e] = band_k
+        seam_k = ks + (sgn * s, -sgn)
+        coeffs[es[-1]] = shared.setdefault(seam_k, seam_k)
+    cx = CellComplex(name, cells, faces, coeffs)
     cx.meta["mapping_torus"] = {"fiber_tops": sorted(fiber.top_cells()), "bands": m}
     if fiber.top_dim == 1:
         # fiber circle positions give a square grid
@@ -349,7 +399,8 @@ def rp2():
                 if a < b:
                     pairs.append((a, b, sign))
     pairs.append(("cap:n", "cap:s", 1))
-    cx = quotient("rp2(%d,%d)" % (R, C), sp.cells, sp.boundary, pairs)
+    cx = quotient("rp2(%d,%d)" % (R, C), sp.cells, sp.boundary,
+                  sp.coefficients, pairs)
     cx.meta["cup"] = {"rings": {"z2": [[1]]}}
     return cx
 
@@ -406,12 +457,13 @@ def connected_sum(a, b, cell_a, cell_b):
     idb = {c: "b:" + c for c in b.cells}
     cells = {}
     bnd = {}
+    coeffs = {}
     for own, cx, hole in ((ida, a, cell_a), (idb, b, cell_b)):
         for c, d in cx.cells.items():
             if c != hole:
                 cells[own[c]] = d
-                bnd[own[c]] = {own[f]: coeff
-                               for f, coeff in cx.boundary[c].items()}
+                bnd[own[c]] = tuple(map(own.__getitem__, cx.boundary[c]))
+                coeffs[own[c]] = cx.coefficients[c]
 
     verts_a = [ida[v] for (v, e) in walk_a]
     edges_a = [ida[e] for (v, e) in walk_a]
@@ -424,8 +476,9 @@ def connected_sum(a, b, cell_a, cell_b):
     for i in range(k):
         # an endpoint off the hole maps to None, which matches nothing
         vmap = {vb[i]: verts_a[i], vb[(i + 1) % k]: verts_a[(i + 1) % k]}
-        mapped = {vmap.get(w): kk for w, kk in bnd[eb[i]].items()}
-        ca = bnd[edges_a[i]]
+        mapped = {vmap.get(w): kk
+                  for w, kk in zip(bnd[eb[i]], coeffs[eb[i]])}
+        ca = dict(zip(bnd[edges_a[i]], coeffs[edges_a[i]]))
         if mapped == ca:
             pairs.append((edges_a[i], eb[i], 1))
         elif mapped == {w: -kk for w, kk in ca.items()}:
@@ -433,7 +486,8 @@ def connected_sum(a, b, cell_a, cell_b):
         else:
             raise ComplexError("hole edges %s and %s do not match"
                                % (edges_a[i], eb[i]))
-    out = quotient("sum(%s,%s)" % (a.name, b.name), cells, bnd, pairs)
+    out = quotient("sum(%s,%s)" % (a.name, b.name), cells, bnd, coeffs,
+                   pairs)
     if not (out.is_closed_surface() and out.is_orientable()):
         raise ComplexError("glued complex is not an orientable surface")
     # the orthogonal sum of the two cup tables, ring by ring

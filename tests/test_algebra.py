@@ -170,7 +170,8 @@ def full_chains(cx, rel=None):
     gens = {d: [c for c in cx.cells_of_dim(d) if c not in rel]
             for d in range(cx.top_dim + 1)}
     index = {c: i for cs in gens.values() for i, c in enumerate(cs)}
-    chains = {d: [{index[f]: k for f, k in cx.boundary[c].items()
+    chains = {d: [{index[f]: k for f, k in zip(cx.boundary[c],
+                                               cx.coefficients[c])
                    if f not in rel} for c in gens[d]]
               for d in range(1, cx.top_dim + 1)}
     return {d: len(cs) for d, cs in gens.items()}, chains
@@ -373,7 +374,7 @@ def loop_complex(m):
     cells.update(("f%d" % j, 2) for j in range(len(m[0])))
     bnd = {"f%d" % j: {"e%d" % i: r[j] for i, r in enumerate(m) if r[j]}
            for j in range(len(m[0]))}
-    return cxm.CellComplex("loops", cells, bnd)
+    return cxm.CellComplex("loops", cells, *cxm.chain_tables(bnd))
 
 
 def test_smith_normal_form_terminates_on_stale_divisor_matrix():
@@ -432,7 +433,7 @@ def graph_complex(rows):
         bnd["e%d" % i] = {"v%d" % j: k for j, k in ch.items()}
         if len(ch) == 1:
             bnd["e%d" % i]["g"] = -sum(ch.values())
-    return cxm.CellComplex("graph", cells, bnd)
+    return cxm.CellComplex("graph", cells, *cxm.chain_tables(bnd))
 
 
 @settings(max_examples=200, deadline=None)
@@ -476,8 +477,10 @@ def relabelled(cx, rng):
         rng.shuffle(new)
         perm.update(zip(old, new))
     return cxm.CellComplex(cx.name, {perm[c]: d for c, d in cx.cells.items()},
-                           {perm[c]: {perm[f]: k for f, k in faces.items()}
-                            for c, faces in cx.boundary.items()})
+                           {perm[c]: tuple(map(perm.get, faces))
+                            for c, faces in cx.boundary.items()},
+                           {perm[c]: ks
+                            for c, ks in cx.coefficients.items()})
 
 
 @settings(max_examples=200, deadline=None)
@@ -506,10 +509,12 @@ def test_seeds_only_on_graph_shaped_edges():
     # class is a basis element, so no vertex may be removed as a seed
     cases = [
         (cxm.CellComplex("a+b,a-b", {"a": 0, "b": 0, "e": 1, "f": 1},
-                         {"e": {"a": 1, "b": 1}, "f": {"a": 1, "b": -1}}),
+                         *cxm.chain_tables({"e": {"a": 1, "b": 1},
+                                            "f": {"a": 1, "b": -1}})),
          {"z": [{"rank": 0, "torsion": [2]}, {"rank": 0, "torsion": []}],
           "z2": [{"rank": 1, "torsion": []}, {"rank": 1, "torsion": []}]}),
-        (cxm.CellComplex("2a,c", {"a": 0, "c": 0, "e": 1}, {"e": {"a": 2}}),
+        (cxm.CellComplex("2a,c", {"a": 0, "c": 0, "e": 1},
+                         *cxm.chain_tables({"e": {"a": 2}})),
          {"z": [{"rank": 1, "torsion": [2]}, {"rank": 0, "torsion": []}],
           "z2": [{"rank": 2, "torsion": []}, {"rank": 1, "torsion": []}]}),
     ]

@@ -387,10 +387,12 @@ def relabel(fl, rng):
         perm.update(zip(old, new))
     back = {v: c for c, v in perm.items()}
     cells = {c: cx.cells[back[c]] for c in sorted(back)}
-    bnd = {perm[c]: {perm[f]: k for f, k in faces.items()}
+    bnd = {perm[c]: tuple(map(perm.get, faces))
            for c, faces in cx.boundary.items()}
+    coeffs = {perm[c]: ks for c, ks in cx.coefficients.items()}
     succ = {perm[c]: [perm[d] for d in outs] for c, outs in fl.succ.items()}
-    return (flm.CombinatorialFlow(cxm.CellComplex(cx.name, cells, bnd), succ,
+    return (flm.CombinatorialFlow(cxm.CellComplex(cx.name, cells, bnd,
+                                                  coeffs), succ,
                                   name=fl.name), perm)
 
 

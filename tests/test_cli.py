@@ -146,11 +146,16 @@ def test_malformed_complex_file_exits(tmp_path, capsys):
     def undeclared_boundary(bnd):
         bnd["ghost:1"] = [["nowhere", 1]]
 
+    def repeated_face(bnd):
+        bnd[top].append([bnd[top][0][0], 1])
+
     cases = [(unknown_face, "unknown cell nowhere"),
              (wrong_face_dimension, "(dim 0)"),
              (zero_coefficient, "zero coefficient"),
              (dd_nonzero, "del del != 0 at %s" % top),
-             (undeclared_boundary, "undeclared cell ghost:1")]
+             (undeclared_boundary, "undeclared cell ghost:1"),
+             (repeated_face, "boundary of %s names %s twice"
+              % (top, body["complex"]["boundary"][top][0][0]))]
     for edit, message in cases:
         bad = json.loads(json.dumps(body))
         edit(bad["complex"]["boundary"])
@@ -161,6 +166,16 @@ def test_malformed_complex_file_exits(tmp_path, capsys):
             err = capsys.readouterr().err
             assert err.startswith("error[bad-complex]: "), (edit.__name__, err)
             assert message in err, (edit.__name__, err)
+    # the loop v - v = 0 names v twice; read as a dict, it kept the last
+    # coefficient and gave H_0 rank 1 and H_1 rank 0 for ranks 2 and 1
+    path = tmp_path / "repeated-face.json"
+    path.write_text('{"complex": {"cells": [["e", 1], ["v", 0], ["w", 0]], '
+                    '"boundary": {"e": [["v", 1], ["v", -1]]}}, '
+                    '"successors": {"e": ["e"]}}')
+    for cmd in ("analyze", "homology"):
+        assert cli.main([cmd, str(path)]) == 1, cmd
+        assert capsys.readouterr().err == \
+            "error[bad-complex]: boundary of e names v twice\n", cmd
 
 
 def test_malformed_complex_shapes_exit(tmp_path, capsys):

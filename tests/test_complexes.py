@@ -16,12 +16,18 @@ NAMED_SPACES = ("torus", "klein", "genus2", "sphere", "rp2", "annulus",
 def ddzero(cx):
     for c in cx.cells:
         acc = defaultdict(int)
-        for f, k in cx.boundary[c].items():
-            for g, k2 in cx.boundary[f].items():
+        for f, k in zip(cx.boundary[c], cx.coefficients[c]):
+            for g, k2 in zip(cx.boundary[f], cx.coefficients[f]):
                 acc[g] += k * k2
         if any(acc.values()):
             return False
     return True
+
+
+def chains(cx):
+    """Each cell's boundary as the {face: coeff} dict of its two tuples."""
+    return {c: dict(zip(faces, cx.coefficients[c]))
+            for c, faces in cx.boundary.items()}
 
 
 def eager_cofaces(cx):
@@ -66,7 +72,8 @@ def test_lazy_indexes_match_eager_rebuild():
     # a builder may query its complex; a loaded one has built nothing
     loaded = [(n, cxm.CellComplex.from_json(cxm.named_space(n).to_json()))
               for n in NAMED_SPACES]
-    loaded.append(("s2-min", cxm.CellComplex("s2-min", {"v": 0, "f": 2}, {})))
+    loaded.append(("s2-min", cxm.CellComplex("s2-min", {"v": 0, "f": 2},
+                                             {}, {})))
     for name, cx in loaded:
         assert not {"_top_cofaces", "_vert_tops"} & set(vars(cx)), name
     # a 1-dimensional flow, whose top cells are edges; the queries below
@@ -81,8 +88,9 @@ def test_lazy_indexes_match_eager_rebuild():
     # degenerate complexes of dimensions 1 to 3: a circle of one vertex and
     # one edge whose ends cancel, a disc on it, and each times an interval;
     # in all four some edge has no faces
-    loop = cxm.CellComplex("loop", {"v": 0, "e": 1}, {})
-    cap = cxm.CellComplex("cap", {"v": 0, "e": 1, "d": 2}, {"d": {"e": 1}})
+    loop = cxm.CellComplex("loop", {"v": 0, "e": 1}, {}, {})
+    cap = cxm.CellComplex("cap", {"v": 0, "e": 1, "d": 2}, {"d": ("e",)},
+                          {"d": (1,)})
     bare = [(cx.name, cx) for cx in
             (loop, cap, spm.product(loop, spm.interval(2)),
              spm.product(cap, spm.interval(2)))]
@@ -155,9 +163,10 @@ def degenerate_complexes():
     """Accepted complexes in which a closure holds no vertex: a sphere as a
     vertex and a disc, and two discs on an edge whose ends cancel, so that
     their closures meet only in that edge."""
-    return [cxm.CellComplex("s2-min", {"v": 0, "f": 2}, {}),
+    return [cxm.CellComplex("s2-min", {"v": 0, "f": 2}, {}, {}),
             cxm.CellComplex("loop-edge", {"v": 0, "e": 1, "f1": 2, "f2": 2},
-                            {"f1": {"e": 1}, "f2": {"e": -1}})]
+                            {"f1": ("e",), "f2": ("e",)},
+                            {"f1": (1,), "f2": (-1,)})]
 
 
 @functools.lru_cache(maxsize=None)
@@ -198,7 +207,7 @@ def test_star_tops_joins_top_cells_through_a_face_without_vertices():
 def test_star_tops_keeps_a_top_cell_without_vertices():
     # a sphere as one vertex and one 2-cell: the 2-cell's closure holds no
     # vertex, so no vertex star lists it, but it is its own support
-    cx = cxm.CellComplex("s2-min", {"v": 0, "f": 2}, {})
+    cx = cxm.CellComplex("s2-min", {"v": 0, "f": 2}, {}, {})
     assert support(cx, "f") == {"f"}
     for s in ({"f"}, {"v", "f"}):
         assert cx.star_tops(s) == star_tops_by_rings(cx, s) == {"f"}
@@ -327,13 +336,158 @@ def test_one_sweep_validation_matches_two_passes(data):
             bnd[c][i][1] = -k
     cells = dict(body["cells"])
     boundary = {x: dict(bnd.get(x, [])) for x in cells}
-    want = validate_two_pass(cells, boundary)
+    # a face drawn onto another of the same boundary names it twice
+    want = body_repeat(body) or validate_two_pass(cells, boundary)
     if want is None:
         cxm.CellComplex.from_json(body)
     else:
         with pytest.raises(cxm.ComplexError) as ei:
             cxm.CellComplex.from_json(body)
         assert str(ei.value) == want, kind
+
+
+# -- the boundary tables against {face: coeff} chains -------------------------
+
+def body_repeat(body):
+    """The message for the first boundary of a body that names a face
+    twice, or None."""
+    for c, pairs in body.get("boundary", {}).items():
+        seen = set()
+        for f, _ in pairs:
+            if f in seen:
+                return "boundary of %s names %s twice" % (c, f)
+            seen.add(f)
+    return None
+
+
+def validate_by_dicts(body):
+    """The checks of a body's complex on {face: coeff} dicts, as they ran
+    when the complex kept each boundary as one: a face named twice first,
+    then one sweep, lowest dimension first, after one look at all the
+    coefficients, with a face defect reported before any del del != 0,
+    each at the first defective cell in the order the cells were given.
+    The first message, or None for a valid complex."""
+    repeat = body_repeat(body)
+    if repeat:
+        return repeat
+    cells = dict(body["cells"])
+    boundary = {c: dict(body.get("boundary", {}).get(c, [])) for c in cells}
+    by_dim = defaultdict(list)
+    for c in sorted(cells):
+        by_dim[cells[c]].append(c)
+
+    def face_defect():
+        for c, faces in boundary.items():
+            dc = cells[c]
+            for f, coeff in faces.items():
+                if f not in cells:
+                    return "boundary of %s mentions unknown cell %s" % (c, f)
+                if cells[f] != dc - 1:
+                    return ("boundary of %s (dim %d) mentions %s (dim %d)"
+                            % (c, dc, f, cells[f]))
+                if type(coeff) is not int:
+                    return ("coefficient of %s in %s is not an integer: %r"
+                            % (f, c, coeff))
+                if coeff == 0:
+                    return "zero coefficient stored for %s in %s" % (f, c)
+
+    coeffs = {k for faces in boundary.values() for k in faces.values()}
+    if 0 in coeffs or {type(k) for k in coeffs} - {int}:
+        return face_defect()
+    dd_bad = {}
+    for d in sorted(by_dim):
+        chains = [boundary[c] for c in by_dim[d]]
+        if {cells.get(f) for faces in chains for f in faces} - {d - 1}:
+            return face_defect()
+        if d - 2 not in by_dim:
+            continue
+        for c, faces in zip(by_dim[d], chains):
+            acc = {}
+            for f, coeff in faces.items():
+                for g, coeff2 in boundary[f].items():
+                    acc[g] = acc.get(g, 0) + coeff * coeff2
+            if any(acc.values()):
+                dd_bad[c] = {g: v for g, v in acc.items() if v != 0}
+    if dd_bad:
+        c = next(c for c in cells if c in dd_bad)
+        return "del del != 0 at %s: %r" % (c, dd_bad[c])
+    return None
+
+
+# every named space at three resolutions and every catalog entry at its own
+ORACLE_COMPLEXES = ([("space", name, res) for name in NAMED_SPACES
+                     for res in (3, 4, 8)]
+                    + [("entry", name, None)
+                       for name in sorted(catalog._RECIPES)])
+
+
+@functools.lru_cache(maxsize=None)
+def oracle_complex(kind, name, res):
+    if kind == "space":
+        return cxm.named_space(name, res)
+    return catalog.build(name)["flow"].cx
+
+
+@functools.lru_cache(maxsize=None)
+def oracle_json(kind, name, res):
+    return json.dumps(oracle_complex(kind, name, res).to_json())
+
+
+def test_boundary_tables_hold_the_chains_to_json_writes():
+    for key in ORACLE_COMPLEXES:
+        cx = oracle_complex(*key)
+        body = json.loads(oracle_json(*key))
+        written = body["boundary"]
+        for c in cx.cells:
+            faces, coeffs = cx.boundary[c], cx.coefficients[c]
+            assert type(faces) is tuple and type(coeffs) is tuple, (key, c)
+            assert dict(zip(faces, coeffs)) == dict(written.get(c, [])), \
+                (key, c)
+        # the oracle and the sweep accept every built complex, and its
+        # body reads back to the same tables
+        assert validate_by_dicts(body) is None, key
+        back = cxm.CellComplex.from_json(body)
+        assert chains(back) == chains(cx), key
+        assert all(type(faces) is tuple for faces in back.boundary.values())
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_the_sweep_refuses_what_the_dict_oracle_refuses(data):
+    key = data.draw(st.sampled_from(ORACLE_COMPLEXES))
+    body = json.loads(oracle_json(*key))
+    bnd = body["boundary"]
+    c = data.draw(st.sampled_from(sorted(bnd)))
+    i = data.draw(st.integers(0, len(bnd[c]) - 1))
+    kind = data.draw(st.sampled_from(("negate", "drop", "repeat")))
+    if kind == "negate":
+        bnd[c][i][1] = -bnd[c][i][1]
+    elif kind == "drop":
+        del bnd[c][i]
+    else:
+        # the face again, anywhere in the list, with any coefficient
+        at = data.draw(st.integers(0, len(bnd[c])))
+        coeff = data.draw(st.sampled_from((-1, 1, 2)))
+        bnd[c].insert(at, [bnd[c][i][0], coeff])
+    want = validate_by_dicts(body)
+    if want is None:
+        cxm.CellComplex.from_json(body)
+    else:
+        with pytest.raises(cxm.ComplexError) as ei:
+            cxm.CellComplex.from_json(body)
+        assert str(ei.value) == want, (key, kind)
+    if kind == "repeat":
+        assert want == "boundary of %s names %s twice" % (c, bnd[c][at][0])
+
+
+def test_a_grid_holds_a_handful_of_coefficient_tuples():
+    # equal coefficient tuples are one object, whatever the cell count:
+    # built, read from a body whole, and read by the flow file reader
+    torus = spm.torus(32)
+    read = flm.CombinatorialFlow.from_json(flm.rest_flow(torus).to_json())
+    for cx in (torus, cxm.CellComplex.from_json(torus.to_json()), read.cx):
+        assert len(set(map(id, cx.coefficients.values()))) < 10
+        assert all(type(ks) is tuple for ks in cx.coefficients.values())
 
 
 def test_builder_counts_and_euler():
@@ -400,7 +554,8 @@ def test_subcomplex_of_closed_square():
     assert len(t.subcomplex({sq}).cells) == 9
     # it is indexed as the constructor indexes it, without the sweep
     sub = t.subcomplex({sq})
-    fresh = cxm.CellComplex(sub.name, sub.cells, sub.boundary)
+    fresh = cxm.CellComplex(sub.name, sub.cells, sub.boundary,
+                            sub.coefficients)
     assert (sub._by_dim, sub.top_dim) == (fresh._by_dim, fresh.top_dim)
 
 
@@ -506,7 +661,7 @@ def test_mapping_torus_of_point_is_circle():
 def test_quotient_contradiction():
     c = spm.circle(4)
     with pytest.raises(cxm.ComplexError):
-        spm.quotient("circle(4)/~", c.cells, c.boundary,
+        spm.quotient("circle(4)/~", c.cells, c.boundary, c.coefficients,
                      [("v:0", "v:1", 1), ("v:0", "v:1", -1)])
 
 
@@ -517,7 +672,7 @@ def test_json_round_trip():
     t2 = cxm.CellComplex.from_json(d)
     assert t2.name == t.name
     assert t2.cells == t.cells
-    assert dict(t2.boundary) == dict(t.boundary)
+    assert chains(t2) == chains(t)
 
 
 def test_each_builder_validates_its_output_once(monkeypatch):
@@ -614,19 +769,30 @@ def test_reflection_is_pinned(reflection, args, digest):
 
 def test_unknown_boundary_cell_rejected():
     with pytest.raises(cxm.ComplexError):
-        cxm.CellComplex("x", {"a": 1}, {"a": {"missing": 1}})
+        cxm.CellComplex("x", {"a": 1}, {"a": ("missing",)}, {"a": (1,)})
     # a boundary for a cell that is not declared is refused, not dropped
     with pytest.raises(cxm.ComplexError) as ei:
-        cxm.CellComplex("x", {"a": 0}, {"a": {}, "ghost": {"a": 1}})
+        cxm.CellComplex("x", {"a": 0}, {"a": (), "ghost": ("a",)},
+                        {"a": (), "ghost": (1,)})
     assert ei.value.code == "bad-complex"
+    # the two tables must align: a cell with faces and no coefficients,
+    # and one with more faces than coefficients, are refused, not zipped
+    cells = {"v": 0, "w": 0, "e": 1}
+    for coeffs, why in (({}, "boundary of e is given no coefficients"),
+                        ({"e": (1,)}, "boundary of e has 2 faces and 1 "
+                                      "coefficients")):
+        with pytest.raises(cxm.ComplexError) as ei:
+            cxm.CellComplex("x", cells, {"e": ("w", "v")}, coeffs)
+        assert str(ei.value) == why
 
 
 def test_glue_must_be_chain_map():
     c = spm.circle(4)
     ident = {cell: cell for cell in c.cells}
     # the identity bijection glues, and to the same torus as no glue
-    assert spm.mapping_torus(c, ident, 4).boundary == \
-        spm.mapping_torus(c, None, 4).boundary
+    glued, plain = spm.mapping_torus(c, ident, 4), spm.mapping_torus(c, None, 4)
+    assert (glued.boundary, glued.coefficients) == \
+        (plain.boundary, plain.coefficients)
     # swapping two vertices but no edge is a bijection, not a chain map
     bad = dict(ident, **{"v:0": "v:1", "v:1": "v:0"})
     with pytest.raises(cxm.ComplexError) as ei:

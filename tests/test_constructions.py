@@ -13,13 +13,15 @@ def circle_with_arc(m=12):
     pt = spm.point()
     base = spm.mapping_torus(pt, None, m)
     cells = dict(base.cells)
-    bnd = {c: dict(base.boundary[c]) for c in base.cells}
+    bnd = {c: dict(zip(base.boundary[c], base.coefficients[c]))
+           for c in base.cells}
     cells.update({"arc:v:0": 0, "arc:v:1": 0, "arc:e:0": 1, "arc:e:1": 1})
     bnd["arc:v:0"] = {}
     bnd["arc:v:1"] = {}
     bnd["arc:e:0"] = {"arc:v:0": 1, "v:0@v0": -1}
     bnd["arc:e:1"] = {"arc:v:1": 1, "arc:v:0": -1}
-    cx = cxm.CellComplex("circle-arc(%d)" % m, cells, bnd)
+    cx = cxm.CellComplex("circle-arc(%d)" % m, cells,
+                         *cxm.chain_tables(bnd))
     tops = ["v:0@e%d" % i for i in range(m)]
     succ = {}
     for i, c in enumerate(tops):

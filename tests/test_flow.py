@@ -188,7 +188,8 @@ def neighbour_kinds(name):
     kinds = {}
     for c in tops:
         ring = cx.star_tops((c,)) - {c}
-        face = {d for d in ring if cx.boundary[c].keys() & cx.boundary[d]}
+        face = {d for d in ring
+                if not set(cx.boundary[c]).isdisjoint(cx.boundary[d])}
         kinds[c] = [sorted(face), sorted(ring - face),
                     sorted(set(tops) - ring - {c})]
     return cx, kinds
@@ -633,7 +634,7 @@ def complex_rows(fl):
     True are equal) and successors, in their order."""
     cx = fl.cx
     return (list(cx.cells.items()),
-            [(c, [(f, type(f), n) for f, n in faces.items()])
+            [(c, [(f, type(f), n) for f, n in zip(faces, cx.coefficients[c])])
              for c, faces in cx.boundary.items()],
             list(fl.succ.items()))
 
@@ -712,7 +713,8 @@ def renamed_body(fl, name, k=None):
         "complex": {
             "name": cx.name,
             "cells": [[name(c), d] for c, d in sorted(cx.cells.items())],
-            "boundary": {name(c): [[name(f), n] for f, n in sorted(b.items())]
+            "boundary": {name(c): [[name(f), n] for f, n in
+                                   sorted(zip(b, cx.coefficients[c]))]
                          for c, b in sorted(cx.boundary.items()) if b},
         },
         "successors": {name(c): [name(d) for d in outs]

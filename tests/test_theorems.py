@@ -297,7 +297,7 @@ def more_complexes():
     """Shapes small_complexes() lacks: a top cell with no vertex (the
     one-vertex sphere), free faces, dimension 3 and a non-orientable
     surface."""
-    return [cxm.CellComplex("s2-min", {"v": 0, "f": 2}, {}),
+    return [cxm.CellComplex("s2-min", {"v": 0, "f": 2}, {}, {}),
             spm.annulus(3, 4), spm.disc(2, 5), spm.t3(3), spm.sphere(3, 4),
             spm.klein(3)]
 
