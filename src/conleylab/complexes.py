@@ -3,13 +3,16 @@
 Cells are string ids, each with a dimension. A cell's boundary chain is
 kept as two aligned tables: `boundary[c]` is the tuple of c's faces and
 `coefficients[c]` the tuple of their coefficients, in the same order. A
-cell with no faces has `()` in both. Equal coefficient tuples are one
-object wherever a reader or a builder writes them, so a grid complex holds
-a handful of coefficient tuples however many cells it has. Every
-constructor validates the complex in one sweep, lowest dimension first:
-each face is known and one dimension lower, each coefficient a nonzero
-integer (checked once per distinct coefficient tuple), and del o del = 0,
-so a bad sign in a builder fails loudly at build time instead of
+cell with no faces has `()` in both, and `chain(c)` gives c's boundary as
+a {face: coeff} dict. Equal coefficient tuples are one object wherever a
+reader or a builder writes them, through `_share` or behind the span
+reader's type test, so a grid complex holds a handful of coefficient
+tuples however many cells it has. Only ints are shared: 1.0 and True
+equal the 1 they would be shared with.
+Every constructor validates the complex in one sweep, lowest dimension
+first: each face is known and one dimension lower, each coefficient a
+nonzero integer (checked once per distinct coefficient tuple), and del o
+del = 0, so a bad sign in a builder fails loudly at build time instead of
 corrupting homology later. A boundary for a cell that is not declared is
 refused too, and so is a body's boundary that names a face twice.
 `from_json` turns a body's [face, coeff] lists into the two tables through
@@ -96,9 +99,12 @@ class ComplexError(ConleyError):
 
 class CellComplex:
     """Cells {id: dim}, and each cell's faces {id: (face, ...)} and their
-    coefficients {id: (coeff, ...)} as two aligned tables. The dicts
-    handed in are kept, not copied, and may share their tuples with the
-    tables they came from: no table is changed after construction."""
+    coefficients {id: (coeff, ...)} as two aligned tables that name the
+    same cells. The dicts handed in are kept, not copied, and may share
+    their tuples with the tables they came from; once both are found to
+    name only declared cells, and every dimension is a natural number, each
+    is given () for every cell it does not name. No table is changed after
+    construction."""
 
     def __init__(self, name, cells, boundary, coefficients,
                  identifications=None):
@@ -109,21 +115,22 @@ class CellComplex:
         # the tables and the cells by dimension, without the sweep
         self.name = name
         self.cells = cells if type(cells) is dict else dict(cells)
-        # the tables handed in, both given () for every cell given no
-        # faces, in the order of the cells
-        none = dict.fromkeys(filterfalse(boundary.__contains__, self.cells),
-                             ())
-        boundary.update(none)
-        coefficients.update(none)
-        for table in (boundary, coefficients):
-            if len(table) > len(self.cells):
-                raise ComplexError("boundary given for undeclared cell %s"
-                                   % min(table.keys() - self.cells.keys(),
-                                         key=str))
-        if len(coefficients) < len(self.cells):
-            raise ComplexError("boundary of %s is given no coefficients"
-                               % min(self.cells.keys() - coefficients.keys(),
+        # the two tables name the same declared cells; once the dimensions
+        # pass too, each is given () for every cell given no faces
+        if not boundary.keys() <= self.cells.keys():
+            raise ComplexError("boundary given for undeclared cell %s"
+                               % min(boundary.keys() - self.cells.keys(),
                                      key=str))
+        if coefficients.keys() != boundary.keys():
+            c = min(boundary.keys() ^ coefficients.keys(), key=str)
+            if c in boundary:
+                raise ComplexError("boundary of %s is given no coefficients"
+                                   % c)
+            if c not in self.cells:
+                raise ComplexError("boundary given for undeclared cell %s"
+                                   % c)
+            raise ComplexError("coefficients given for %s, which has no "
+                               "boundary" % c)
         self.boundary = boundary
         self.coefficients = coefficients
         self.identifications = list(identifications or [])
@@ -147,6 +154,10 @@ class CellComplex:
                                  self.top_dim, MAX_CELLS))
         for d in self._by_dim:
             self._by_dim[d].sort()
+        none = dict.fromkeys(filterfalse(boundary.__contains__, self.cells),
+                             ())
+        boundary.update(none)
+        coefficients.update(none)
 
     # -- construction-time checks ------------------------------------------
 
@@ -160,15 +171,12 @@ class CellComplex:
         defective cell in the order the cells were given."""
         cells, boundary, coefficients = (self.cells, self.boundary,
                                          self.coefficients)
-        # the tuples by identity: a table of shared tuples holds a handful
+        # the tuples by identity, as a table of shared tuples holds a
+        # handful; their coefficients as a list, not a set, where 1.0 and
+        # True would pass as the 1 they equal
         tuples = coefficients.values()
-        try:
-            coeffs = set(chain.from_iterable(
-                dict(zip(map(id, tuples), tuples)).values()))
-        except TypeError:
-            # a list or a mapping as a coefficient is no integer
-            self._face_defect()
-            raise
+        coeffs = list(chain.from_iterable(
+            dict(zip(map(id, tuples), tuples)).values()))
         if 0 in coeffs or set(map(type, coeffs)) - {int}:
             self._face_defect()
         dd_bad = {}
@@ -277,6 +285,11 @@ class CellComplex:
         return vert_tops
 
     # -- queries -----------------------------------------------------------
+
+    def chain(self, c):
+        """c's boundary chain as a {face: coeff} dict, made from the two
+        tables on each call."""
+        return dict(zip(self.boundary[c], self.coefficients[c]))
 
     def cells_of_dim(self, d):
         return list(self._by_dim.get(d, []))
@@ -394,11 +407,12 @@ class CellComplex:
             stack = [start]
             while stack:
                 u = stack.pop()
-                for f, k in zip(boundary[u], coefficients[u]):
+                for f, k in self.chain(u).items():
                     cof = top_cofaces.get(f, ())
                     if len(cof) != 2:
                         continue
                     v = cof[0] if cof[1] == u else cof[1]
+                    # f's coefficient in v, with no dict made per face
                     want = (-sign[u] * k
                             * coefficients[v][boundary[v].index(f)])
                     if v in sign:
@@ -500,17 +514,21 @@ def chain_tables(chains):
     """The (faces, coefficients) tables of {cell: {face: coeff}} chains,
     each cell's faces in its chain's order, equal coefficient tuples one
     object."""
-    faces, coefficients, shared = {}, {}, {}
-    for c, ch in chains.items():
-        faces[c] = tuple(ch)
-        ks = tuple(ch.values())
-        try:
-            ks = shared.setdefault(ks, ks)
-        except TypeError:
-            # an unhashable coefficient, which the complex refuses by name
-            pass
-        coefficients[c] = ks
+    faces = {c: tuple(ch) for c, ch in chains.items()}
+    coefficients = dict(zip(chains, _share(
+        [tuple(ch.values()) for ch in chains.values()], {})))
     return faces, coefficients
+
+
+def _share(tuples, shared):
+    """The coefficient tuples of the list `tuples`, each as the equal tuple
+    in `shared`, where it is entered if none is, so equal tuples are one
+    object. Only ints are shared: 1.0 and True equal 1 and hash as it
+    does, so a list that holds any other coefficient is given back as it
+    is, and the complex's check names that coefficient."""
+    if set(map(type, chain.from_iterable(tuples))) - {int}:
+        return tuples
+    return list(map(shared.setdefault, tuples, tuples))
 
 
 # -- size limit -------------------------------------------------------------

@@ -4,9 +4,10 @@ Two table makers write the grid spaces. `_path` writes a row of edges, open
 for `interval` and closed for `circle`. `_bands` writes a stack of square
 bands: vertex circles, circle edges, edges between circles, squares and
 grid positions, under four id prefixes given as data. `sphere` caps it off
-at both ends, and `disc` at its inner circle with a hub. Both makers also
-give their rows of ids, so the reflections of the circle and the sphere map
-the ids the builders make.
+at both ends, and `disc` at its inner circle with a hub. The makers take
+their rows of ids from `_path_ids` and `_band_ids`, and so do the
+reflections of the circle and the sphere, so a reflection maps the ids
+the builders make.
 
 The other builders glue tables, not complexes: `connected_sum`, `rp2` and
 the catalog's strips hand plain cells/faces/coefficients tables to
@@ -16,7 +17,8 @@ one sweep checks it, the glue's chain-map condition included.
 
 Every builder writes a complex's two boundary tables itself: each cell's
 faces as a tuple and their coefficients as a tuple that all cells of one
-shape share, so a grid space holds a handful of coefficient tuples.
+shape share, a constant or one `complexes._share` gives, so a grid space
+holds a handful of coefficient tuples.
 
 Each builder makes each cell id once, in a table, and writes every face as
 a reference to the same string; `quotient` maps a dropped face to its kept
@@ -32,7 +34,7 @@ from collections import defaultdict
 from itertools import repeat
 from operator import add
 
-from .complexes import CellComplex, ComplexError, _check_size
+from .complexes import CellComplex, ComplexError, _check_size, _share
 
 # the coefficients of an edge (head, tail) and of a square (a, b, c, d)
 # with boundary a + b - c - d, each one tuple for every cell of its shape
@@ -52,11 +54,11 @@ def complete_map_signs(fiber, bijection):
         for c in fiber.cells_of_dim(d):
             c2 = bijection[c]
             rhs = defaultdict(int)
-            for f, k in zip(fiber.boundary[c], fiber.coefficients[c]):
+            for f, k in fiber.chain(c).items():
                 f2, s2 = table[f]
                 rhs[f2] += k * s2
             sign = None
-            for f2, k2 in zip(fiber.boundary[c2], fiber.coefficients[c2]):
+            for f2, k2 in fiber.chain(c2).items():
                 if rhs.get(f2, 0):
                     sign = rhs[f2] // k2
                     break
@@ -72,32 +74,34 @@ def point():
     return CellComplex("point", {"v:0": 0}, {}, {})
 
 
+def _path_ids(n, closed):
+    """The rows (vs, es) of the ids of n edges e:i and their vertices:
+    v:0 .. v:n in a row, or v:0 .. v:n-1 around when `closed`."""
+    return (["v:%d" % i for i in range(n if closed else n + 1)],
+            ["e:%d" % i for i in range(n)])
+
+
 def _path(n, closed):
-    """(cells, faces, coefficients, (vs, es)): the tables of n edges e:i,
-    each from v:i to the next vertex: v:0 .. v:n in a row, or around
-    v:0 .. v:n-1 when `closed`, and the rows vs and es of their ids."""
-    vs = ["v:%d" % i for i in range(n if closed else n + 1)]
-    es = ["e:%d" % i for i in range(n)]
+    """(cells, faces, coefficients): the tables of the `_path_ids` edges,
+    each e:i from v:i to the next vertex."""
+    vs, es = _path_ids(n, closed)
     cells = dict.fromkeys(vs, 0)
     cells.update(dict.fromkeys(es, 1))
     ends = vs[1:] + vs[:1] if closed else vs[1:]
-    return (cells, dict(zip(es, zip(ends, vs))), dict.fromkeys(es, _EDGE),
-            (vs, es))
+    return cells, dict(zip(es, zip(ends, vs))), dict.fromkeys(es, _EDGE)
 
 
 def interval(n):
     """n edges in a row, vertices v:0 .. v:n."""
     assert n >= 1
     _check_size("interval(%d)" % n, 2 * n + 1)
-    cells, faces, coeffs, _ = _path(n, False)
-    return CellComplex("interval(%d)" % n, cells, faces, coeffs)
+    return CellComplex("interval(%d)" % n, *_path(n, False))
 
 
 def circle(n):
     assert n >= 3, "need at least 3 edges for a regular circle"
     _check_size("circle(%d)" % n, 2 * n)
-    cells, faces, coeffs, _ = _path(n, True)
-    return CellComplex("circle(%d)" % n, cells, faces, coeffs)
+    return CellComplex("circle(%d)" % n, *_path(n, True))
 
 
 def _reflect(bij, vertices, edges):
@@ -110,23 +114,30 @@ def _reflect(bij, vertices, edges):
 def circle_reflection(n):
     """The reflection l -> -l of circle(n), as a cell bijection."""
     bij = {}
-    _reflect(bij, *_path(n, True)[3])
+    _reflect(bij, *_path_ids(n, True))
     return bij
 
 
-def _bands(first, last, cols, names):
-    """(cells, faces, coefficients, grid, (w, h, v, f)): the tables of the
-    square bands between vertex rows first .. last, `cols` squares around,
-    and their rows of ids. With names (w, h, v, f), row r has vertices
-    w:r,l and circle edges h:r,l from w:r,l to w:r,l+1, and band r has
-    edges v:r,l from w:r,l to w:r+1,l and squares f:r,l at grid position
-    (r, l). Each of w, h, v and f is a list of rows, first row first."""
+def _band_ids(first, last, cols, names):
+    """The rows (w, h, v, f) of the ids of the square bands between vertex
+    rows first .. last, `cols` squares around, each a list of rows, first
+    row first. With names (w, h, v, f), row r has vertices w:r,l and
+    circle edges h:r,l, and band r has edges v:r,l and squares f:r,l."""
     rows = range(first, last + 1)
-    # each id made once: vertices and circle edges by row, the edges
-    # between circles and the squares by band
-    w, h, v, f = [[[fmt % (r, l) for l in range(cols)] for r in span]
-                  for fmt, span in zip([p + ":%d,%d" for p in names],
-                                       (rows, rows, rows[:-1], rows[:-1]))]
+    # vertices and circle edges by row, the edges between circles and the
+    # squares by band
+    return [[[fmt % (r, l) for l in range(cols)] for r in span]
+            for fmt, span in zip([p + ":%d,%d" for p in names],
+                                 (rows, rows, rows[:-1], rows[:-1]))]
+
+
+def _bands(first, last, cols, names):
+    """(cells, faces, coefficients, grid, circles): the tables of the
+    `_band_ids` bands, each id made once. Circle edge h:r,l runs from
+    w:r,l to w:r,l+1, band edge v:r,l from w:r,l to w:r+1,l, and square
+    f:r,l sits at grid position (r, l). `circles` is each row's circle
+    edges, first row first."""
+    w, h, v, f = _band_ids(first, last, cols, names)
     cells = {}
     faces = {}
     coeffs = {}
@@ -141,20 +152,19 @@ def _bands(first, last, cols, names):
             faces.update(zip(es, zip(hi, lo)))
             coeffs.update(dict.fromkeys(es, _EDGE))
     grid = {}
-    for r, lo, hi, vs, fs in zip(rows, h, h[1:], v, f):
+    for r, lo, hi, vs, fs in zip(range(first, last), h, h[1:], v, f):
         cells.update(dict.fromkeys(fs, 2))
         faces.update(zip(fs, zip(lo, vs[1:] + vs[:1], hi, vs)))
         coeffs.update(dict.fromkeys(fs, _SQUARE))
         grid.update(zip(fs, zip([r] * cols, range(cols))))
-    return cells, faces, coeffs, grid, (w, h, v, f)
+    return cells, faces, coeffs, grid, h
 
 
 def sphere(rows, cols):
     """Grid sphere: `rows` bands of squares between two polygonal caps."""
     assert rows >= 1 and cols >= 3
     _check_size("sphere(%d,%d)" % (rows, cols), (4 * rows + 2) * cols + 2)
-    cells, faces, coeffs, grid, (_, circles, _, _) = _bands(
-        0, rows, cols, _SPHERE)
+    cells, faces, coeffs, grid, circles = _bands(0, rows, cols, _SPHERE)
     # each cap bounded by its circle's edges, each with coefficient 1
     ones = (1,) * cols
     for cap, edges in (("cap:n", circles[0]), ("cap:s", circles[-1])):
@@ -171,7 +181,7 @@ def sphere(rows, cols):
 def sphere_reflection(rows, cols):
     """Longitude reflection l -> -l of the grid sphere, as a bijection."""
     bij = {"cap:n": "cap:n", "cap:s": "cap:s"}
-    w, h, v, f = _bands(0, rows, cols, _SPHERE)[4]
+    w, h, v, f = _band_ids(0, rows, cols, _SPHERE)
     for row in zip(w, h):
         _reflect(bij, *row)
     for row in zip(v, f):
@@ -184,8 +194,8 @@ def disc(rings, sectors):
     assert rings >= 1 and sectors >= 3
     _check_size("disc(%d,%d)" % (rings, sectors),
                 (4 * rings - 2) * sectors + 1)
-    cells, faces, coeffs, grid, (_, circles, _, _) = _bands(
-        1, rings, sectors, ("w", "c", "d", "q"))
+    cells, faces, coeffs, grid, circles = _bands(1, rings, sectors,
+                                                 ("w", "c", "d", "q"))
     cells["hub"] = 2
     faces["hub"] = tuple(circles[0])
     coeffs["hub"] = (1,) * sectors
@@ -200,7 +210,7 @@ def disc(rings, sectors):
 # `product` and `mapping_torus` write each boundary as the tuple of its
 # Leibniz terms: the terms of one cell name distinct cells, so none cancel.
 # Each cell's coefficients are its factors' coefficient tuples joined, so
-# they take one tuple per pair of factor tuples, kept in `shared`.
+# they take one tuple per pair of factor tuples, shared through `_share`.
 
 def product(a, b, name=None):
     """Cell product with Leibniz boundary signs. Ids look like `ca&cb`."""
@@ -232,8 +242,7 @@ def product(a, b, name=None):
         ak = a.coefficients[ca]
         key = (ak, sgn)
         if key not in joined:
-            joined[key] = [shared.setdefault(ak + bk, ak + bk)
-                           for bk in signed[sgn]]
+            joined[key] = _share([ak + bk for bk in signed[sgn]], shared)
         cells.update(zip(row, map(add, repeat(da), bdims)))
         faces.update(zip(row, map(add, acols, bcols)))
         coeffs.update(zip(row, joined[key]))
@@ -261,7 +270,7 @@ def quotient(name, cells, faces, coefficients, pairs):
     resolve, with sign tracking, into one table of the dropped cells, every
     face is looked up there once, and a cell with no dropped face keeps its
     tuples. A cell with a dropped face has its chain summed as a dict and
-    written as two tuples once, equal coefficient tuples shared. A dropped
+    written as two tuples once, its coefficients shared. A dropped
     face becomes its class's kept cell as `cells` holds it, so the result
     keeps one string per id. The result is validated, so an identification
     that breaks del del = 0 raises."""
@@ -292,7 +301,7 @@ def quotient(name, cells, faces, coefficients, pairs):
     kept = {}
     for c, d in cells.items():
         kept.setdefault(moved[c][0] if c in moved else c, d)
-    bnd, coeffs, shared = {}, {}, {}
+    bnd, coeffs, summed = {}, {}, {}
     for c in kept:
         fs, ks = faces.get(c, ()), coefficients.get(c, ())
         if not moved.keys().isdisjoint(fs):
@@ -302,10 +311,10 @@ def quotient(name, cells, faces, coefficients, pairs):
                 chain[f] += k * s
             chain = {f: k for f, k in chain.items() if k}
             fs = tuple(chain)
-            ks = tuple(chain.values())
-            ks = shared.setdefault(ks, ks)
+            ks = summed[c] = tuple(chain.values())
         bnd[c] = fs
         coeffs[c] = ks
+    coeffs.update(zip(summed, _share(list(summed.values()), {})))
     return CellComplex(name, kept, bnd, coeffs,
                        identifications=[[k, d, s] for (k, d, s) in pairs])
 
@@ -332,17 +341,17 @@ def mapping_torus(fiber, glue, m, name=None):
     shared = {}
     for c, d in fiber.cells.items():
         fs = fiber.boundary[c]
-        ks = fiber.coefficients[c]
-        ks = shared.setdefault(ks, ks)
         sgn = -1 if d % 2 else 1
         c2, s = signs[c]
+        # the slices', the bands' and the seam band's coefficients
+        ks = fiber.coefficients[c]
+        ks, band_k, seam_k = _share(
+            [ks, ks + (sgn, -sgn), ks + (sgn * s, -sgn)], shared)
         vs, es = vid[c], eid[c]
         # each band's faces: its slice's faces' bands, then the next slice
         # and its own; the last band ends, through the glue, on the v0 slice
         slices = zip(*[vid[f] for f in fs]) if fs else repeat(())
         bands = zip(*[eid[f] for f in fs], vs[1:] + vid[c2][:1], vs)
-        band_k = ks + (sgn, -sgn)
-        band_k = shared.setdefault(band_k, band_k)
         for v, e, sl, band in zip(vs, es, slices, bands):
             cells[v] = d
             cells[e] = d + 1
@@ -350,8 +359,7 @@ def mapping_torus(fiber, glue, m, name=None):
             coeffs[v] = ks
             faces[e] = band
             coeffs[e] = band_k
-        seam_k = ks + (sgn * s, -sgn)
-        coeffs[es[-1]] = shared.setdefault(seam_k, seam_k)
+        coeffs[es[-1]] = seam_k
     cx = CellComplex(name, cells, faces, coeffs)
     cx.meta["mapping_torus"] = {"fiber_tops": sorted(fiber.top_cells()), "bands": m}
     if fiber.top_dim == 1:
@@ -465,27 +473,27 @@ def connected_sum(a, b, cell_a, cell_b):
                 bnd[own[c]] = tuple(map(own.__getitem__, cx.boundary[c]))
                 coeffs[own[c]] = cx.coefficients[c]
 
-    verts_a = [ida[v] for (v, e) in walk_a]
-    edges_a = [ida[e] for (v, e) in walk_a]
-    vb = [idb[v] for (v, e) in reversed(walk_b)]
+    verts_a = [v for (v, e) in walk_a]
+    edges_a = [e for (v, e) in walk_a]
+    vb = [v for (v, e) in reversed(walk_b)]
     # reversing the vertex cycle shifts which edge sits between consecutive
     # vertices
-    eb = [idb[e] for (v, e) in reversed(walk_b)]
+    eb = [e for (v, e) in reversed(walk_b)]
     eb = eb[1:] + eb[:1]
-    pairs = list(zip(verts_a, vb, [1] * k))
+    pairs = [(ida[v], idb[w], 1) for v, w in zip(verts_a, vb)]
     for i in range(k):
         # an endpoint off the hole maps to None, which matches nothing
         vmap = {vb[i]: verts_a[i], vb[(i + 1) % k]: verts_a[(i + 1) % k]}
-        mapped = {vmap.get(w): kk
-                  for w, kk in zip(bnd[eb[i]], coeffs[eb[i]])}
-        ca = dict(zip(bnd[edges_a[i]], coeffs[edges_a[i]]))
+        mapped = {vmap.get(w): kk for w, kk in b.chain(eb[i]).items()}
+        ca = a.chain(edges_a[i])
         if mapped == ca:
-            pairs.append((edges_a[i], eb[i], 1))
+            sign = 1
         elif mapped == {w: -kk for w, kk in ca.items()}:
-            pairs.append((edges_a[i], eb[i], -1))
+            sign = -1
         else:
             raise ComplexError("hole edges %s and %s do not match"
-                               % (edges_a[i], eb[i]))
+                               % (ida[edges_a[i]], idb[eb[i]]))
+        pairs.append((ida[edges_a[i]], idb[eb[i]], sign))
     out = quotient("sum(%s,%s)" % (a.name, b.name), cells, bnd, coeffs,
                    pairs)
     if not (out.is_closed_surface() and out.is_orientable()):

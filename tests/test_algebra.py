@@ -170,8 +170,7 @@ def full_chains(cx, rel=None):
     gens = {d: [c for c in cx.cells_of_dim(d) if c not in rel]
             for d in range(cx.top_dim + 1)}
     index = {c: i for cs in gens.values() for i, c in enumerate(cs)}
-    chains = {d: [{index[f]: k for f, k in zip(cx.boundary[c],
-                                               cx.coefficients[c])
+    chains = {d: [{index[f]: k for f, k in cx.chain(c).items()
                    if f not in rel} for c in gens[d]]
               for d in range(1, cx.top_dim + 1)}
     return {d: len(cs) for d, cs in gens.items()}, chains

@@ -149,13 +149,46 @@ def test_malformed_complex_file_exits(tmp_path, capsys):
     def repeated_face(bnd):
         bnd[top].append([bnd[top][0][0], 1])
 
+    # a float or a bool coefficient in a cell whose coefficients, as ints,
+    # an earlier cell has: 1.0 and True equal 1, and the reader shares
+    # equal coefficient tuples
+    seen = {}
+    for later, pairs in body["complex"]["boundary"].items():
+        shape = tuple(k for _, k in pairs)
+        if 1 in shape and shape in seen:
+            break
+        seen[shape] = later
+    face, k = body["complex"]["boundary"][later][0]
+    at_one = next(f for f, n in body["complex"]["boundary"][later] if n == 1)
+
+    def float_after_int(bnd):
+        bnd[later][0][1] = float(k)
+
+    def bool_after_int(bnd):
+        bnd[later][[f for f, _ in bnd[later]].index(at_one)][1] = True
+
+    def float_read_first(bnd):
+        # the float cell first in the boundary, last of its shape in cells
+        pairs = bnd.pop(later)
+        pairs[0][1] = float(k)
+        rest = list(bnd.items())
+        bnd.clear()
+        bnd[later] = pairs
+        bnd.update(rest)
+
     cases = [(unknown_face, "unknown cell nowhere"),
              (wrong_face_dimension, "(dim 0)"),
              (zero_coefficient, "zero coefficient"),
              (dd_nonzero, "del del != 0 at %s" % top),
              (undeclared_boundary, "undeclared cell ghost:1"),
              (repeated_face, "boundary of %s names %s twice"
-              % (top, body["complex"]["boundary"][top][0][0]))]
+              % (top, body["complex"]["boundary"][top][0][0])),
+             (float_after_int, "coefficient of %s in %s is not an integer: "
+              "%r" % (face, later, float(k))),
+             (bool_after_int, "coefficient of %s in %s is not an integer: "
+              "True" % (at_one, later)),
+             (float_read_first, "coefficient of %s in %s is not an integer: "
+              "%r" % (face, later, float(k)))]
     for edit, message in cases:
         bad = json.loads(json.dumps(body))
         edit(bad["complex"]["boundary"])

@@ -16,8 +16,8 @@ NAMED_SPACES = ("torus", "klein", "genus2", "sphere", "rp2", "annulus",
 def ddzero(cx):
     for c in cx.cells:
         acc = defaultdict(int)
-        for f, k in zip(cx.boundary[c], cx.coefficients[c]):
-            for g, k2 in zip(cx.boundary[f], cx.coefficients[f]):
+        for f, k in cx.chain(c).items():
+            for g, k2 in cx.chain(f).items():
                 acc[g] += k * k2
         if any(acc.values()):
             return False
@@ -26,8 +26,7 @@ def ddzero(cx):
 
 def chains(cx):
     """Each cell's boundary as the {face: coeff} dict of its two tuples."""
-    return {c: dict(zip(faces, cx.coefficients[c]))
-            for c, faces in cx.boundary.items()}
+    return {c: cx.chain(c) for c in cx.boundary}
 
 
 def eager_cofaces(cx):
@@ -366,7 +365,9 @@ def validate_by_dicts(body):
     then one sweep, lowest dimension first, after one look at all the
     coefficients, with a face defect reported before any del del != 0,
     each at the first defective cell in the order the cells were given.
-    The first message, or None for a valid complex."""
+    The coefficients are looked at as a list: in a set, 1.0 and True would
+    pass as the 1 they equal. The first message, or None for a valid
+    complex."""
     repeat = body_repeat(body)
     if repeat:
         return repeat
@@ -391,7 +392,7 @@ def validate_by_dicts(body):
                 if coeff == 0:
                     return "zero coefficient stored for %s in %s" % (f, c)
 
-    coeffs = {k for faces in boundary.values() for k in faces.values()}
+    coeffs = [k for faces in boundary.values() for k in faces.values()]
     if 0 in coeffs or {type(k) for k in coeffs} - {int}:
         return face_defect()
     dd_bad = {}
@@ -459,9 +460,15 @@ def test_the_sweep_refuses_what_the_dict_oracle_refuses(data):
     bnd = body["boundary"]
     c = data.draw(st.sampled_from(sorted(bnd)))
     i = data.draw(st.integers(0, len(bnd[c]) - 1))
-    kind = data.draw(st.sampled_from(("negate", "drop", "repeat")))
+    kind = data.draw(st.sampled_from(("negate", "drop", "repeat",
+                                      "retype")))
     if kind == "negate":
         bnd[c][i][1] = -bnd[c][i][1]
+    elif kind == "retype":
+        # a float, or a bool, equal to the int it replaces
+        k = bnd[c][i][1]
+        bnd[c][i][1] = data.draw(st.sampled_from(
+            (float(k), True) if k == 1 else (float(k),)))
     elif kind == "drop":
         del bnd[c][i]
     else:
@@ -777,13 +784,26 @@ def test_unknown_boundary_cell_rejected():
     assert ei.value.code == "bad-complex"
     # the two tables must align: a cell with faces and no coefficients,
     # and one with more faces than coefficients, are refused, not zipped
+    # and the tables must name the same cells: coefficients for a ghost do
+    # not make up for the ones e lacks, however many cells each table names
     cells = {"v": 0, "w": 0, "e": 1}
     for coeffs, why in (({}, "boundary of e is given no coefficients"),
+                        ({"ghost": (1,)},
+                         "boundary of e is given no coefficients"),
+                        ({"e": (1, -1), "ghost": (1,)},
+                         "boundary given for undeclared cell ghost"),
+                        ({"e": (1, -1), "v": ()},
+                         "coefficients given for v, which has no boundary"),
                         ({"e": (1,)}, "boundary of e has 2 faces and 1 "
                                       "coefficients")):
+        faces = {"e": ("w", "v")}
+        tables = copy.deepcopy((cells, faces, coeffs))
         with pytest.raises(cxm.ComplexError) as ei:
-            cxm.CellComplex("x", cells, {"e": ("w", "v")}, coeffs)
+            cxm.CellComplex("x", cells, faces, coeffs)
         assert str(ei.value) == why
+        # a refused table is not filled in
+        if "has 2 faces" not in why:
+            assert (cells, faces, coeffs) == tables
 
 
 def test_glue_must_be_chain_map():

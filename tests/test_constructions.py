@@ -13,8 +13,7 @@ def circle_with_arc(m=12):
     pt = spm.point()
     base = spm.mapping_torus(pt, None, m)
     cells = dict(base.cells)
-    bnd = {c: dict(zip(base.boundary[c], base.coefficients[c]))
-           for c in base.cells}
+    bnd = {c: base.chain(c) for c in base.cells}
     cells.update({"arc:v:0": 0, "arc:v:1": 0, "arc:e:0": 1, "arc:e:1": 1})
     bnd["arc:v:0"] = {}
     bnd["arc:v:1"] = {}

@@ -630,12 +630,13 @@ def test_the_reader_takes_successor_ids_from_the_complex(tmp_path):
 # -- the boundary read a span at a time ------------------------------------------
 
 def complex_rows(fl):
-    """A flow's cells, boundaries (each face with its type, since 1 and
-    True are equal) and successors, in their order."""
+    """A flow's cells, boundaries (each face and each coefficient with its
+    type, since 1, 1.0 and True are equal) and successors, in their
+    order."""
     cx = fl.cx
     return (list(cx.cells.items()),
-            [(c, [(f, type(f), n) for f, n in zip(faces, cx.coefficients[c])])
-             for c, faces in cx.boundary.items()],
+            [(c, [(f, type(f), n, type(n)) for f, n in cx.chain(c).items()])
+             for c in cx.boundary],
             list(fl.succ.items()))
 
 
@@ -714,7 +715,7 @@ def renamed_body(fl, name, k=None):
             "name": cx.name,
             "cells": [[name(c), d] for c, d in sorted(cx.cells.items())],
             "boundary": {name(c): [[name(f), n] for f, n in
-                                   sorted(zip(b, cx.coefficients[c]))]
+                                   sorted(cx.chain(c).items())]
                          for c, b in sorted(cx.boundary.items()) if b},
         },
         "successors": {name(c): [name(d) for d in outs]
@@ -1009,6 +1010,8 @@ def point(**fields):
 
 
 PAIRS_REFUSED = "boundary of a is not a list of [face, coeff] pairs"
+# two edges e and f from w to v, e first
+EDGES = [["e", 1], ["f", 1], ["v", 0], ["w", 0]]
 BOUNDARY_REFUSED = ("boundary is not a mapping from cell ids to lists of "
                     "[face, coeff] pairs")
 
@@ -1051,6 +1054,18 @@ BOUNDARY_REFUSED = ("boundary is not a mapping from cell ids to lists of "
     ("complex", point(cells=[["a", 1], ["b", 0]],
                       boundary={"a": [["b", {"x": 1}]]}),
      "coefficient of b in a is not an integer: {'x': 1}"),
+    # a float or a bool coefficient equals an int one, and each is refused
+    # where another cell has the same coefficients as ints, the bad cell
+    # read before it or after it
+    ("complex", point(cells=EDGES, boundary={"e": [["v", 1], ["w", -1]],
+                                             "f": [["v", 1.0], ["w", -1]]}),
+     "coefficient of v in f is not an integer: 1.0"),
+    ("complex", point(cells=EDGES, boundary={"e": [["v", 1], ["w", -1]],
+                                             "f": [["v", True], ["w", -1]]}),
+     "coefficient of v in f is not an integer: True"),
+    ("complex", point(cells=EDGES, boundary={"f": [["v", 1.0], ["w", -1]],
+                                             "e": [["v", 1], ["w", -1]]}),
+     "coefficient of v in f is not an integer: 1.0"),
 ])
 def test_from_json_refuses_what_a_file_refuses(tmp_path, field, value, why):
     # a string where a list of ids belongs reads as a list of letters
