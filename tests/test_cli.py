@@ -168,7 +168,8 @@ def test_malformed_complex_file_exits(tmp_path, capsys):
         bnd[later][[f for f, _ in bnd[later]].index(at_one)][1] = True
 
     def float_read_first(bnd):
-        # the float cell first in the boundary, last of its shape in cells
+        # the float cell read first, though a cell of its shape comes
+        # before it in the cells' order
         pairs = bnd.pop(later)
         pairs[0][1] = float(k)
         rest = list(bnd.items())
