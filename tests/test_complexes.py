@@ -756,6 +756,54 @@ def test_builder_output_is_pinned(builder, args, digest):
     assert hashlib.sha256(body.encode()).hexdigest() == digest
 
 
+# sha256 of the cells in order, each cell's face and coefficient tuples,
+# to_json(), the sorted grid and the mapping-torus meta of the glued and
+# product builders: homology's coreduction follows the cell order, which
+# the pins above do not see
+GLUED_PINS = [
+    ("torus(5)", lambda: spm.torus(5),
+     "6cc67dc871baa7350663942c7e1492cd7e9135142b7c24435fa9c23c43528d00"),
+    ("klein(5)", lambda: spm.klein(5),
+     "1f6c159b9e73a3ba1e2a188abd827fe5581d01d3456acf79b6b300672a115924"),
+    ("s2xts1", lambda: spm.mapping_torus(
+        spm.sphere(2, 5), spm.sphere_reflection(2, 5), 4),
+     "e25ff30e7bb4bb8e5ad0a43ad847cfb5cb689a855bbd66b26f8f0e9e8b340399"),
+    ("point-loop", lambda: spm.mapping_torus(spm.point(), None, 6),
+     "1e882a87b97121a7946d84a9d4a01eea8819923aad70b66f4b7a16da2877df64"),
+    # the Moebius band of test_orientability_of_surfaces_with_free_faces
+    ("moebius", lambda: spm.mapping_torus(spm.interval(2), {
+        "v:0": "v:2", "v:1": "v:1", "v:2": "v:0", "e:0": "e:1", "e:1": "e:0"},
+        4),
+     "bad29750ea6e435af6fc965c20707c17795e1b7befd4e57e6e613c0bda8da085"),
+    ("rp2", lambda: spm.rp2(),
+     "3335ff7077087841e30ac59af0c4be6ba6af38c388b9240e37e2e3b63192698f"),
+    ("genus2(4)", lambda: spm.genus2(4),
+     "5c53a3292e37327dd931bd89ff7c199977a26d4fdbd600b710a51c3362c6053f"),
+    ("sphere-torus-sum", lambda: spm.connected_sum(
+        spm.sphere(3, 4), spm.torus(4), "f:1,1", "e:2@e2"),
+     "e8f99579c3869435937461ab015b117e689cffc81279b2ce5afe241b2632e1ca"),
+    ("t3(3)", lambda: spm.t3(3),
+     "e7f4fbc1b7d36616b85bb82e17168122bb99a6c4d93feb476d5c1e8add9bb4fb"),
+    ("annulus(3,5)", lambda: spm.annulus(3, 5),
+     "a3f9ef24e32459bfca6d9e4db4259408c73e4903fbafe984805acd5ebfe26d81"),
+    ("strip2", lambda: catalog.build(
+        "hypersurface-genus2-strip2", 8)["flow"].cx,
+     "1f3a576f6ca0f99e71e2f10db918ed29a1da5b975b8c9793ed52592fb642b4c5"),
+]
+
+
+@pytest.mark.parametrize("build, digest", [p[1:] for p in GLUED_PINS],
+                         ids=[p[0] for p in GLUED_PINS])
+def test_glued_builder_tables_and_order_are_pinned(build, digest):
+    cx = build()
+    body = json.dumps([
+        list(cx.cells.items()),
+        [(c, cx.boundary[c], cx.coefficients[c]) for c in cx.cells],
+        cx.to_json(), sorted(cx.meta.get("grid", {}).items()),
+        cx.meta.get("mapping_torus")])
+    assert hashlib.sha256(body.encode()).hexdigest() == digest
+
+
 # sha256 of the sorted (cell, image) pairs of each reflection, the glue of
 # the klein and s2xts1 bundles: the ids they map must be the ids the
 # circle and sphere builders make
