@@ -13,7 +13,7 @@ the cycle and along every face that misses the circle.
 
 from .complexes import ConleyError
 from .flow import CombinatorialFlow
-from .spaces import annulus, disc, quotient, sphere
+from .spaces import _copy, annulus, disc, quotient, sphere
 
 
 class ConstructionError(ConleyError):
@@ -298,21 +298,14 @@ def add_uniform_component(flow, k):
                 "%s meets moving cells" % e)
     pre = "u%d:" % idx
     n = len(edges)
-    strip = annulus(3, n)
-    cells = dict(flow.cx.cells)
-    bnd = dict(flow.cx.boundary)
-    coeffs = dict(flow.cx.coefficients)
-    # each prefixed id made once
-    own = {c: pre + c for c in strip.cells}
-    for c, d in strip.cells.items():
-        cells[own[c]] = d
-        bnd[own[c]] = tuple(map(own.__getitem__, strip.boundary[c]))
-        coeffs[own[c]] = strip.coefficients[c]
+    tables = (dict(flow.cx.cells), dict(flow.cx.boundary),
+              dict(flow.cx.coefficients))
+    own = _copy(annulus(3, n), pre, tables)
     pairs = []
     for l in range(n):
         pairs.append((edges[l], own["v:0&e:%d" % l], 1))
         pairs.append((verts[l], own["v:0&v:%d" % l], 1))
-    cx2 = quotient(flow.cx.name + "+u%d" % idx, cells, bnd, coeffs, pairs)
+    cx2 = quotient(flow.cx.name + "+u%d" % idx, *tables, pairs)
     succ = {c: list(flow.succ[c]) for c in sorted(flow.tops)}
     for l in range(n):
         c0 = pre + "e:0&e:%d" % l

@@ -1,19 +1,19 @@
 """The named spaces: builders of cell complexes from tables and gluings.
 
-Two table makers write the grid spaces. `_path` writes a row of edges, open
+Three table makers write every space. `_path` writes a row of edges, open
 for `interval` and closed for `circle`. `_bands` writes a stack of square
-bands: vertex circles, circle edges, edges between circles, squares and
-grid positions, under four id prefixes given as data. `sphere` caps it off
-at both ends, and `disc` at its inner circle with a hub. The makers take
-their rows of ids from `_path_ids` and `_band_ids`, and so do the
-reflections of the circle and the sphere, so a reflection maps the ids
-the builders make.
+bands under four id prefixes given as data; `sphere` caps it off at both
+ends, and `disc` at its inner circle with a hub. `_product` writes the
+product of a complex with the tables of another: `product`'s, and a
+mapping torus as its fiber times a loop of m edges, rewritten at the seam.
+The ids come in rows from `_path_ids` and `_band_ids`, which the circle's
+and sphere's reflections and `rp2` read too, so a map names built ids.
 
-The other builders glue tables, not complexes: `connected_sum`, `rp2` and
-the catalog's strips hand plain cells/faces/coefficients tables to
-`quotient`, and a mapping torus glues through a plain cell bijection of its
-fiber, with solved signs. So each space becomes one CellComplex, and its
-one sweep checks it, the glue's chain-map condition included.
+The gluings glue tables, not complexes: `connected_sum` and the catalog's
+strips copy their pieces into plain cells/faces/coefficients tables
+through `_copy`, `rp2` takes its sphere's, and `quotient` makes the one
+complex. So each space becomes one CellComplex, and its one sweep checks
+it, a glue's chain-map condition included.
 
 Every builder writes a complex's two boundary tables itself: each cell's
 faces as a tuple and their coefficients as a tuple that all cells of one
@@ -32,7 +32,7 @@ compiles it.
 
 from collections import defaultdict
 from itertools import repeat
-from operator import add
+from operator import add, itemgetter, neg
 
 from .complexes import CellComplex, ComplexError, _check_size, _share
 
@@ -54,11 +54,11 @@ def complete_map_signs(fiber, bijection):
         for c in fiber.cells_of_dim(d):
             c2 = bijection[c]
             rhs = defaultdict(int)
-            for f, k in fiber.chain(c).items():
+            for f, k in zip(fiber.boundary[c], fiber.coefficients[c]):
                 f2, s2 = table[f]
                 rhs[f2] += k * s2
             sign = None
-            for f2, k2 in fiber.chain(c2).items():
+            for f2, k2 in zip(fiber.boundary[c2], fiber.coefficients[c2]):
                 if rhs.get(f2, 0):
                     sign = rhs[f2] // k2
                     break
@@ -207,60 +207,88 @@ def disc(rings, sectors):
 
 # -- combining builders ------------------------------------------------------
 #
-# `product` and `mapping_torus` write each boundary as the tuple of its
-# Leibniz terms: the terms of one cell name distinct cells, so none cancel.
-# Each cell's coefficients are its factors' coefficient tuples joined, so
-# they take one tuple per pair of factor tuples, shared through `_share`.
+# `_product` writes each boundary as the tuple of its Leibniz terms: the
+# terms of one cell name distinct cells, so none cancel. Each cell's
+# coefficients are its factors' coefficient tuples joined, so they take one
+# tuple per pair of factor tuples, shared through `_share`. `product` and
+# `mapping_torus` call it, and the mapping torus rewrites only its seam
+# bands; the gluings copy their pieces through `_copy` into `quotient`.
+
+def _picker(idx):
+    """The function of a tuple to the tuple of its items at the indices
+    idx, however many there are, called at C speed."""
+    if len(idx) > 1:
+        return itemgetter(*idx)
+    return itemgetter(slice(idx[0], idx[0] + 1) if idx else slice(0))
+
+
+def _product(a, cells_b, faces_b, coefficients_b, sep):
+    """(cells, faces, coefficients, rows): the tables of the product of the
+    complex a and the tables of b, ids `ca` + sep + `cb`, each made once;
+    rows[ca] is the tuple of ca's ids in b's cell order. A cell of b the
+    face tables do not name has none. The caller checks the size."""
+    bids = list(cells_b)
+    at = {cb: j for j, cb in enumerate(bids)}
+    # each cell's faces from b, picked from the row of its cell of a
+    picks = [_picker([at[f] for f in faces_b.get(cb, ())]) for cb in bids]
+    bcoeffs = [coefficients_b.get(cb, ()) for cb in bids]
+    # b's coefficients under each parity of a's dimension, and a's joined
+    # to them: one list of tuples for each parity and each of a's tuples
+    signed = (bcoeffs, [tuple(map(neg, ks)) for ks in bcoeffs])
+    bdims = list(cells_b.values())
+    joined = {}
+    shared = {}
+    seps = [sep + cb for cb in bids]
+    rows = {ca: tuple([ca + s for s in seps]) for ca in a.cells}
+    cells = {}
+    faces = {}
+    coeffs = {}
+    for ca, da in a.cells.items():
+        row = rows[ca]
+        afaces = a.boundary[ca]
+        ak = a.coefficients[ca]
+        key = (ak, da % 2)
+        if key not in joined:
+            joined[key] = _share([ak + bk for bk in signed[da % 2]], shared)
+        # each cell's faces from a, one tuple per cell of the row, then
+        # its faces from b
+        acols = zip(*map(rows.__getitem__, afaces)) if afaces else repeat(())
+        cells.update(zip(row, map(add, repeat(da), bdims)))
+        faces.update(zip(row, map(add, acols, [pick(row) for pick in picks])))
+        coeffs.update(zip(row, joined[key]))
+    return cells, faces, coeffs, rows
+
 
 def product(a, b, name=None):
     """Cell product with Leibniz boundary signs. Ids look like `ca&cb`."""
     name = name or "(%s)x(%s)" % (a.name, b.name)
     _check_size(name, len(a.cells) * len(b.cells))
-    bids = list(b.cells)
-    bdims = list(b.cells.values())
-    at = {cb: j for j, cb in enumerate(bids)}
-    bfaces = [[at[f] for f in b.boundary[cb]] for cb in bids]
-    bcoeffs = [b.coefficients[cb] for cb in bids]
-    # b's coefficients under each sign, and a's joined to them: one list
-    # of tuples for each sign and each of a's coefficient tuples
-    signed = {1: bcoeffs, -1: [tuple(-k for k in ks) for ks in bcoeffs]}
-    joined = {}
-    shared = {}
-    # one row of `ca&cb` ids for each cell of a, in b's order, made once
-    rows = {ca: [ca + "&" + cb for cb in bids] for ca in a.cells}
-    cells = {}
-    faces = {}
-    coeffs = {}
-    for ca, da in a.cells.items():
-        sgn = -1 if da % 2 else 1
-        row = rows[ca]
-        afaces = a.boundary[ca]
-        # each cell's faces from a, one tuple per cell of the row, then
-        # its faces from b
-        acols = zip(*map(rows.__getitem__, afaces)) if afaces else repeat(())
-        bcols = map(tuple, map(map, repeat(row.__getitem__), bfaces))
-        ak = a.coefficients[ca]
-        key = (ak, sgn)
-        if key not in joined:
-            joined[key] = _share([ak + bk for bk in signed[sgn]], shared)
-        cells.update(zip(row, map(add, repeat(da), bdims)))
-        faces.update(zip(row, map(add, acols, bcols)))
-        coeffs.update(zip(row, joined[key]))
-    return CellComplex(name, cells, faces, coeffs)
+    return CellComplex(name, *_product(a, b.cells, b.boundary,
+                                       b.coefficients, "&")[:3])
 
 
 def annulus(rows, cols):
     """rows bands of squares around a circle, two free boundary circles."""
-    iv = interval(rows)
-    ci = circle(cols)
-    cx = product(iv, ci, name="annulus(%d,%d)" % (rows, cols))
-    grid = {}
-    for r in range(rows):
-        for l in range(cols):
-            grid["e:%d&e:%d" % (r, l)] = (r, l)
-    cx.meta["grid"] = grid
+    cx = product(interval(rows), circle(cols),
+                 name="annulus(%d,%d)" % (rows, cols))
+    cx.meta["grid"] = {"e:%d&e:%d" % (r, l): (r, l)
+                       for r in range(rows) for l in range(cols)}
     cx.meta["cup"] = {"rings": {"z": [[0]], "z2": [[0]]}}
     return cx
+
+
+def _copy(cx, prefix, tables, skip=None):
+    """Enter cx's cells, less `skip`, in the tables (cells, faces,
+    coefficients) under `prefix`, each prefixed id made once; the {cell:
+    prefixed id} map."""
+    own = {c: prefix + c for c in cx.cells}
+    cells, faces, coeffs = tables
+    for c, d in cx.cells.items():
+        if c != skip:
+            cells[own[c]] = d
+            faces[own[c]] = tuple(map(own.__getitem__, cx.boundary[c]))
+            coeffs[own[c]] = cx.coefficients[c]
+    return own
 
 
 def quotient(name, cells, faces, coefficients, pairs):
@@ -321,7 +349,8 @@ def quotient(name, cells, faces, coefficients, pairs):
 
 def mapping_torus(fiber, glue, m, name=None):
     """Fiber x interval(m) with the top end glued back through `glue`, a
-    cell bijection of the fiber onto itself (None for the identity).
+    cell bijection of the fiber onto itself (None for the identity): the
+    product of the fiber with a loop of m edges, rewritten at the seam.
 
     Cell ids: `sigma@v{i}` for the slice copies and `sigma@e{i}` for the band
     copies, i = 0..m-1. The gluing seam is the v0 slice. On the seam band
@@ -330,36 +359,27 @@ def mapping_torus(fiber, glue, m, name=None):
     assert m >= 3
     name = name or "maptorus(%s,%d)" % (fiber.name, m)
     _check_size(name, 2 * m * len(fiber.cells))
-    signs = ({c: (c, 1) for c in fiber.cells} if glue is None
-             else complete_map_signs(fiber, glue))
-    # each fiber cell's slice ids and band ids, made once
-    vid = {c: ["%s@v%d" % (c, i) for i in range(m)] for c in fiber.cells}
-    eid = {c: ["%s@e%d" % (c, i) for i in range(m)] for c in fiber.cells}
-    cells = {}
-    faces = {}
-    coeffs = {}
-    shared = {}
-    for c, d in fiber.cells.items():
-        fs = fiber.boundary[c]
-        sgn = -1 if d % 2 else 1
-        c2, s = signs[c]
-        # the slices', the bands' and the seam band's coefficients
-        ks = fiber.coefficients[c]
-        ks, band_k, seam_k = _share(
-            [ks, ks + (sgn, -sgn), ks + (sgn * s, -sgn)], shared)
-        vs, es = vid[c], eid[c]
-        # each band's faces: its slice's faces' bands, then the next slice
-        # and its own; the last band ends, through the glue, on the v0 slice
-        slices = zip(*[vid[f] for f in fs]) if fs else repeat(())
-        bands = zip(*[eid[f] for f in fs], vs[1:] + vid[c2][:1], vs)
-        for v, e, sl, band in zip(vs, es, slices, bands):
-            cells[v] = d
-            cells[e] = d + 1
-            faces[v] = sl
-            coeffs[v] = ks
-            faces[e] = band
-            coeffs[e] = band_k
-        coeffs[es[-1]] = seam_k
+    signs = None if glue is None else complete_map_signs(fiber, glue)
+    # the loop: edge e{i} from v{i} to v{i+1}, in the order v0, e0, v1, e1,
+    # ..., so each fiber cell's row runs sigma@v0, sigma@e0, sigma@v1, ...
+    ids = [c for i in range(m) for c in ("v%d" % i, "e%d" % i)]
+    vs, es = ids[::2], ids[1::2]
+    loop = dict(zip(ids, (0, 1) * m))
+    cells, faces, coeffs, rows = _product(
+        fiber, loop, dict(zip(es, zip(vs[1:] + vs[:1], vs))),
+        dict.fromkeys(es, _EDGE), "@")
+    if signs:
+        # each seam band sigma@e{m-1} ends on glue(sigma)@v0, its head's
+        # coefficient times the solved sign, shared with the bands' tuples
+        shared, seam = {}, {}
+        for c, (c2, s) in signs.items():
+            e = rows[c][-1]
+            fs, ks = faces[e], coeffs[e]
+            faces[e] = fs[:-2] + (rows[c2][0], fs[-1])
+            shared[ks] = ks
+            if s < 0:
+                seam[e] = ks[:-2] + (-ks[-2], ks[-1])
+        coeffs.update(zip(seam, _share(list(seam.values()), shared)))
     cx = CellComplex(name, cells, faces, coeffs)
     cx.meta["mapping_torus"] = {"fiber_tops": sorted(fiber.top_cells()), "bands": m}
     if fiber.top_dim == 1:
@@ -367,7 +387,7 @@ def mapping_torus(fiber, glue, m, name=None):
         grid = {}
         for c in fiber.top_cells():
             pos = int(c.split(":")[1])
-            for i, e in enumerate(eid[c]):
+            for i, e in enumerate(rows[c][1::2]):
                 grid[e] = (pos, i)
         cx.meta["grid"] = grid
     return cx
@@ -395,15 +415,12 @@ def rp2():
     R, C = 2, 4
     sp = sphere(2 * R, 2 * C)
     pairs = []
-    # (kind, rows of that kind, the row r goes to, sign of the identification)
-    for kind, nrows, flip, sign in (("w", 2 * R + 1, 2 * R, 1),
-                                    ("eh", 2 * R + 1, 2 * R, 1),
-                                    ("ev", 2 * R, 2 * R - 1, -1),
-                                    ("f", 2 * R, 2 * R - 1, -1)):
-        for r in range(nrows):
-            for l in range(2 * C):
-                a = "%s:%d,%d" % (kind, r, l)
-                b = "%s:%d,%d" % (kind, flip - r, (l + C) % (2 * C))
+    # each kind's id rows, and its sign: the antipode of cell l of the r-th
+    # row is cell l + C of the r-th row from the other end
+    for rows, sign in zip(_band_ids(0, 2 * R, 2 * C, _SPHERE),
+                          (1, 1, -1, -1)):
+        for row, opposite in zip(rows, rows[::-1]):
+            for a, b in zip(row, opposite[C:] + opposite[:C]):
                 if a < b:
                     pairs.append((a, b, sign))
     pairs.append(("cap:n", "cap:s", 1))
@@ -459,19 +476,10 @@ def connected_sum(a, b, cell_a, cell_b):
         raise ComplexError("hole boundaries have different lengths")
     k = len(walk_a)
     # both surfaces side by side as plain tables, cells prefixed "a:" and
-    # "b:", each prefixed id made once, less the holes; `quotient` makes
-    # the one complex
-    ida = {c: "a:" + c for c in a.cells}
-    idb = {c: "b:" + c for c in b.cells}
-    cells = {}
-    bnd = {}
-    coeffs = {}
-    for own, cx, hole in ((ida, a, cell_a), (idb, b, cell_b)):
-        for c, d in cx.cells.items():
-            if c != hole:
-                cells[own[c]] = d
-                bnd[own[c]] = tuple(map(own.__getitem__, cx.boundary[c]))
-                coeffs[own[c]] = cx.coefficients[c]
+    # "b:", less the holes; `quotient` makes the one complex
+    tables = ({}, {}, {})
+    ida = _copy(a, "a:", tables, cell_a)
+    idb = _copy(b, "b:", tables, cell_b)
 
     verts_a = [v for (v, e) in walk_a]
     edges_a = [e for (v, e) in walk_a]
@@ -494,8 +502,7 @@ def connected_sum(a, b, cell_a, cell_b):
             raise ComplexError("hole edges %s and %s do not match"
                                % (ida[edges_a[i]], idb[eb[i]]))
         pairs.append((ida[edges_a[i]], idb[eb[i]], sign))
-    out = quotient("sum(%s,%s)" % (a.name, b.name), cells, bnd, coeffs,
-                   pairs)
+    out = quotient("sum(%s,%s)" % (a.name, b.name), *tables, pairs)
     if not (out.is_closed_surface() and out.is_orientable()):
         raise ComplexError("glued complex is not an orientable surface")
     # the orthogonal sum of the two cup tables, ring by ring
