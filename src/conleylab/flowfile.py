@@ -29,7 +29,7 @@ from contextlib import contextmanager
 from itertools import chain
 from json.decoder import WHITESPACE, scanstring
 
-from .complexes import CellComplex, ComplexError, ConleyError
+from .complexes import CellComplex, ConleyError
 from .flow import CombinatorialFlow, FlowError
 
 
@@ -274,11 +274,14 @@ def _read_boundary(w, scan, ids):
     """The {cell: (face, ...)} and {cell: (coeff, ...)} tables of the
     `boundary` object at the window's cursor, decoded a span at a time,
     every id taken from `ids` and equal coefficient tuples one object. An
-    entry that is not a list of [face, coeff] pairs with string faces, or
+    entry that is not a list of [face, coeff] lists with string faces, or
     that names a face twice, raises ValueError or TypeError, so
     `boundary_table` names it when the text is read whole; so does a span
     that holds a value other than a string or an int. A pair of another
-    shape that unpacks to two items is left to `_read_complex`.
+    shape (a two-letter string, a two-key object) would unpack to a face
+    and a coefficient, so each span's pairs are tested to be lists, and a
+    list pair with a coefficient of another type stands for the complex to
+    refuse.
 
     Only ints are shared (see `complexes._share`): the span test lets each
     tuple be shared as it is made, by value, since no string equals an
@@ -291,7 +294,9 @@ def _read_boundary(w, scan, ids):
     share = {}.setdefault
 
     def take(part):
-        if set(map(type, part.values())) - {list}:
+        if (set(map(type, part.values())) - {list}
+                or set(map(type, chain.from_iterable(part.values())))
+                - {list}):
             raise ValueError("a boundary is not a list of pairs")
         if set(map(type, chain.from_iterable(chain.from_iterable(
                 part.values())))) - {str, int}:
@@ -336,15 +341,7 @@ def _read_complex(w, scan, ids):
     cursor moved past it. Its `cells` array and `boundary` object are
     decoded a span at a time into the complex's tables, every cell id
     taken from `ids`, one string per id; any other member is decoded
-    whole. The complex is built when the object closes.
-
-    A boundary pair of another shape that unpacks to two items (a
-    two-letter string, a two-key object) reads as a face and a coefficient
-    that is no integer, which the complex refuses. The spans cannot tell it
-    from a list pair with such a coefficient, so a complex refused while it
-    holds one raises ValueError, and the text is read whole, where
-    `boundary_table` names the pair's shape. A valid complex pays for no
-    test per pair."""
+    whole. The complex is built when the object closes."""
     body = {}
     tables = {}
 
@@ -358,15 +355,8 @@ def _read_complex(w, scan, ids):
             body[key] = w.decode(scan)
 
     _members(w, member)
-    try:
-        with _malformed():
-            return CellComplex.from_json(body, **tables)
-    except ComplexError:
-        coeffs = chain.from_iterable(tables.get("coefficients",
-                                                {}).values())
-        if set(map(type, coeffs)) - {int}:
-            raise ValueError("a coefficient is not an integer") from None
-        raise
+    with _malformed():
+        return CellComplex.from_json(body, **tables)
 
 
 def _read_body(w, scan):
@@ -462,8 +452,7 @@ def _assemble(cx, data, name):
         if "recipe" in data:
             meta["recipe"] = data["recipe"]
         flow = CombinatorialFlow(cx, data["successors"], name=name, meta=meta)
-        declared = set(data.get("fixed", []))
-    if declared and declared != set(flow.fixed):
+    if "fixed" in data and set(data["fixed"]) != set(flow.fixed):
         raise FlowError("unreadable-input", "fixed set disagrees with successors")
     return flow
 

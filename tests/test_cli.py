@@ -539,6 +539,44 @@ def test_fixed_field_must_be_a_list_of_cells(tmp_path, capsys):
                          "fixed is not a list of cell ids")
 
 
+# two edges between two vertices, e0 fixed: an empty `fixed` disagrees
+# with the successors as a nonempty wrong one does
+EMPTY_FIXED = (
+    '{"complex": {"cells": [["v0",0],["v1",0],["e0",1],["e1",1]], '
+    '"boundary": {"e0": [["v1",1],["v0",-1]], "e1": [["v0",1],["v1",-1]]}}, '
+    '"successors": {"e0": ["e0"], "e1": ["e0"]}, "fixed": [], "k": ["e0"]}')
+
+
+@pytest.mark.parametrize("fixed", ["[]", '["e1"]'])
+def test_a_fixed_set_that_disagrees_is_refused(tmp_path, capsys, fixed):
+    path = tmp_path / "flow.json"
+    path.write_text(EMPTY_FIXED.replace('"fixed": []', '"fixed": ' + fixed))
+    for command in ("analyze", "homology"):
+        assert cli.main([command, str(path)]) == 1, command
+        assert capsys.readouterr() == ("", (
+            "error[unreadable-input]: fixed set disagrees with "
+            "successors\n")), command
+
+
+# a list pair with a string coefficient, or with an unknown face, then a
+# missing comma: the complex's fault, met first, is reported, not the
+# parser's
+@pytest.mark.parametrize("pair, message", [
+    ('["b", "1"]', "coefficient of b in a is not an integer: '1'"),
+    ('["c", 1]', "boundary of a mentions unknown cell c"),
+])
+def test_a_bad_pair_before_a_syntax_fault_is_reported(tmp_path, capsys,
+                                                      pair, message):
+    path = tmp_path / "flow.json"
+    path.write_text('{"complex": {"cells": [["a", 1], ["b", 0]], '
+                    '"boundary": {"a": [%s]}}, "successors": {"a": ["a"]} '
+                    '"k": ["a"]}' % pair)
+    for command in ("analyze", "homology"):
+        assert cli.main([command, str(path)]) == 1, command
+        assert capsys.readouterr() == (
+            "", "error[bad-complex]: %s\n" % message), command
+
+
 def test_ring_field_must_be_z_or_z2(tmp_path, capsys):
     assert_field_refused(tmp_path, capsys, "ring", "q",
                          "ring is not z or z2")

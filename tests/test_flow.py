@@ -1014,6 +1014,7 @@ PAIRS_REFUSED = "boundary of a is not a list of [face, coeff] pairs"
 EDGES = [["e", 1], ["f", 1], ["v", 0], ["w", 0]]
 BOUNDARY_REFUSED = ("boundary is not a mapping from cell ids to lists of "
                     "[face, coeff] pairs")
+DISAGREES = "fixed set disagrees with successors"
 
 
 @pytest.mark.parametrize("field, value, why", [
@@ -1066,6 +1067,8 @@ BOUNDARY_REFUSED = ("boundary is not a mapping from cell ids to lists of "
     ("complex", point(cells=EDGES, boundary={"f": [["v", 1.0], ["w", -1]],
                                              "e": [["v", 1], ["w", -1]]}),
      "coefficient of v in f is not an integer: 1.0"),
+    # the point's one cell is fixed, which an empty list denies too
+    ("fixed", [], DISAGREES),
 ])
 def test_from_json_refuses_what_a_file_refuses(tmp_path, field, value, why):
     # a string where a list of ids belongs reads as a list of letters
@@ -1074,6 +1077,7 @@ def test_from_json_refuses_what_a_file_refuses(tmp_path, field, value, why):
     path = tmp_path / "flow.json"
     path.write_text(json.dumps(body))
     want = (("bad-complex", why) if field == "complex"
+            else ("unreadable-input", why) if why == DISAGREES
             else ("unreadable-input", "malformed flow data: " + why))
     for read in (lambda: flm.CombinatorialFlow.from_json(body),
                  lambda: ffm.load_file(str(path)),
