@@ -54,11 +54,11 @@ def complete_map_signs(fiber, bijection):
         for c in fiber.cells_of_dim(d):
             c2 = bijection[c]
             rhs = defaultdict(int)
-            for f, k in zip(fiber.boundary[c], fiber.coefficients[c]):
+            for f, k in fiber.chain(c).items():
                 f2, s2 = table[f]
                 rhs[f2] += k * s2
             sign = None
-            for f2, k2 in zip(fiber.boundary[c2], fiber.coefficients[c2]):
+            for f2, k2 in fiber.chain(c2).items():
                 if rhs.get(f2, 0):
                     sign = rhs[f2] // k2
                     break
@@ -269,10 +269,14 @@ def product(a, b, name=None):
 
 def annulus(rows, cols):
     """rows bands of squares around a circle, two free boundary circles."""
-    cx = product(interval(rows), circle(cols),
-                 name="annulus(%d,%d)" % (rows, cols))
-    cx.meta["grid"] = {"e:%d&e:%d" % (r, l): (r, l)
-                       for r in range(rows) for l in range(cols)}
+    iv = interval(rows)
+    ci = circle(cols)
+    cx = product(iv, ci, name="annulus(%d,%d)" % (rows, cols))
+    grid = {}
+    for r in range(rows):
+        for l in range(cols):
+            grid["e:%d&e:%d" % (r, l)] = (r, l)
+    cx.meta["grid"] = grid
     cx.meta["cup"] = {"rings": {"z": [[0]], "z2": [[0]]}}
     return cx
 
@@ -371,7 +375,8 @@ def mapping_torus(fiber, glue, m, name=None):
     if signs:
         # each seam band sigma@e{m-1} ends on glue(sigma)@v0, its head's
         # coefficient times the solved sign, shared with the bands' tuples
-        shared, seam = {}, {}
+        shared = {}
+        seam = {}
         for c, (c2, s) in signs.items():
             e = rows[c][-1]
             fs, ks = faces[e], coeffs[e]
