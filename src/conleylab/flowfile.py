@@ -274,14 +274,13 @@ def _read_boundary(w, scan, ids):
     """The {cell: (face, ...)} and {cell: (coeff, ...)} tables of the
     `boundary` object at the window's cursor, decoded a span at a time,
     every id taken from `ids` and equal coefficient tuples one object. An
-    entry that is not a list of [face, coeff] lists with string faces, or
+    entry that is not a list of [face, coeff] pairs with string faces, or
     that names a face twice, raises ValueError or TypeError, so
     `boundary_table` names it when the text is read whole; so does a span
-    that holds a value other than a string or an int. A pair of another
-    shape (a two-letter string, a two-key object) would unpack to a face
-    and a coefficient, so each span's pairs are tested to be lists, and a
-    list pair with a coefficient of another type stands for the complex to
-    refuse.
+    that holds a value other than a string or an int, or a pair that is no
+    list: a two-letter string or a two-key object would unpack to a face
+    and a coefficient. A list pair whose coefficient is a string is left
+    for the complex to refuse, as it stands.
 
     Only ints are shared (see `complexes._share`): the span test lets each
     tuple be shared as it is made, by value, since no string equals an

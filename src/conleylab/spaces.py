@@ -215,8 +215,9 @@ def disc(rings, sectors):
 # bands; the gluings copy their pieces through `_copy` into `quotient`.
 
 def _picker(idx):
-    """The function of a tuple to the tuple of its items at the indices
-    idx, however many there are, called at C speed."""
+    """A C-level function of a tuple to the tuple of its items at the
+    indices idx. An itemgetter of one index gives the bare item, so one
+    index or none is taken as a slice."""
     if len(idx) > 1:
         return itemgetter(*idx)
     return itemgetter(slice(idx[0], idx[0] + 1) if idx else slice(0))
@@ -226,7 +227,7 @@ def _product(a, cells_b, faces_b, coefficients_b, sep):
     """(cells, faces, coefficients, rows): the tables of the product of the
     complex a and the tables of b, ids `ca` + sep + `cb`, each made once;
     rows[ca] is the tuple of ca's ids in b's cell order. A cell of b the
-    face tables do not name has none. The caller checks the size."""
+    face tables do not name has no faces. The caller checks the size."""
     bids = list(cells_b)
     at = {cb: j for j, cb in enumerate(bids)}
     # each cell's faces from b, picked from the row of its cell of a
