@@ -25,26 +25,11 @@ import io
 import json
 import os
 import re
-from contextlib import contextmanager
 from itertools import chain
 from json.decoder import WHITESPACE, scanstring
 
 from .complexes import CellComplex, ConleyError
 from .flow import CombinatorialFlow, FlowError
-
-
-@contextmanager
-def _malformed():
-    """Report malformed structure met in the block (a missing key, a list
-    where a mapping belongs, an unhashable cell id) as unreadable input; a
-    ConleyError passes as it is."""
-    try:
-        yield
-    except ConleyError:
-        raise
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
-        raise FlowError("unreadable-input", "malformed flow data: %s: %s"
-                        % (type(exc).__name__, exc))
 
 
 def _ids(value):
@@ -354,8 +339,7 @@ def _read_complex(w, scan, ids):
             body[key] = w.decode(scan)
 
     _members(w, member)
-    with _malformed():
-        return CellComplex.from_json(body, **tables)
+    return CellComplex.from_json(body, **tables)
 
 
 def _read_body(w, scan):
@@ -421,15 +405,14 @@ def _read_whole(fh, unreadable):
     if type(data) is not dict:
         raise FlowError("unreadable-input", "malformed flow data: the "
                         "file is not a JSON object")
-    with _malformed():
-        for key, value in data.items():
-            if key in _SHAPES:
-                _check_field(key, value)
-            if key == "complex":
-                cx = CellComplex.from_json(value)
-        for key in ("successors", "complex"):
-            if key not in data:
-                _check_field(key, None)
+    for key, value in data.items():
+        if key in _SHAPES:
+            _check_field(key, value)
+        if key == "complex":
+            cx = CellComplex.from_json(value)
+    for key in ("successors", "complex"):
+        if key not in data:
+            _check_field(key, None)
     del data["complex"]
     return cx, data
 
@@ -446,11 +429,10 @@ def _reads_to_end(fh):
 
 def _assemble(cx, data, name):
     # the flow of a body's checked fields on its built complex
-    with _malformed():
-        meta = {}
-        if "recipe" in data:
-            meta["recipe"] = data["recipe"]
-        flow = CombinatorialFlow(cx, data["successors"], name=name, meta=meta)
+    meta = {}
+    if "recipe" in data:
+        meta["recipe"] = data["recipe"]
+    flow = CombinatorialFlow(cx, data["successors"], name=name, meta=meta)
     if "fixed" in data and set(data["fixed"]) != set(flow.fixed):
         raise FlowError("unreadable-input", "fixed set disagrees with successors")
     return flow

@@ -175,16 +175,13 @@ def shape_obstruction(m_ranks, k_ranks, r, ring="z2"):
     feasible = []
     for kers in itertools.product(*spans):
         p = {}
-        bad = False
         for k in range(d + 1):
+            # never negative: kers[k - 1] >= hm[k - 1] - hk[k - 1] by its span
             coker = hk[k - 1] - (hm[k - 1] - kers[k - 1]) if k else 0
-            if coker < 0:
-                bad = True
-                break
             a = kers[k] + coker
             if a:
                 p[k] = a
-        if bad or p.get(0):
+        if p.get(0):
             continue
         if p not in candidates:
             candidates.append(p)
@@ -485,9 +482,9 @@ def _check_lemma72(res, population):
                     (spaces.torus(4), "z"), (spaces.rp2(), "z")):
         pair, base = algebra.suspension_pair_homology(x, ring=ring)
         ok = pair[0]["rank"] == 0 and not pair[0]["torsion"]
+        # X x I has one degree more than X, so base[k - 1] exists
         for k in range(1, len(pair)):
-            b = base[k - 1] if k - 1 < len(base) else {"rank": 0,
-                                                       "torsion": []}
+            b = base[k - 1]
             ok = ok and pair[k]["rank"] == b["rank"]
             ok = ok and pair[k]["torsion"] == b["torsion"]
         res.case(ok, "%s: shifted ranks %s" %

@@ -340,6 +340,8 @@ def test_poly_helpers():
     assert algebra.poly_to_string({1: 2, 2: 2}) == "2t^2 + 2t"
     assert algebra.poly_symmetric({1: 1, 2: 1}, 2)
     assert not algebra.poly_symmetric({1: 1, 2: 1}, 3)
+    # a degree-0 term is never symmetric, though a_1 = a_2 here
+    assert not algebra.poly_symmetric({0: 1, 1: 1, 2: 1}, 2)
     assert algebra.poly_mul_t({0: 1, 1: 2}) == {1: 1, 2: 2}
 
 
@@ -632,6 +634,10 @@ def test_algebra_errors():
     with pytest.raises(algebra.AlgebraError) as ei:
         algebra.cup_form_h1(spm.circle(6))
     assert ei.value.code == "unsupported-space"
+    with pytest.raises(algebra.AlgebraError) as ei:
+        algebra.homology(spm.torus(4), rel={"e:0@e0"})
+    assert (ei.value.code, str(ei.value)) == ("not-closed",
+                                              "relative part is not closed")
 
 
 def test_suspension_pair_homology():

@@ -15,8 +15,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import conleylab
-from conleylab import (attractor, catalog, cli, complexes as cxm, flow as flm,
-                       flowfile as ffm, spaces as spm)
+from conleylab import (attractor, blocks, catalog, cli, complexes as cxm,
+                       flow as flm, flowfile as ffm, spaces as spm, svgplot)
 from test_algebra import LOOP_D2, determinantal_invariants, loop_complex
 
 
@@ -792,6 +792,46 @@ def test_the_svg_title_has_a_row_below_the_legend(capsys):
         assert top + size < int(titles[0]) < height, name
 
 
+def test_an_svg_plot_without_a_block_draws_no_outline(tmp_path, capsys):
+    # a flow found by search: e:0 is isolated, yet no neighbourhood the
+    # block builder grows within its budget is a block
+    c = spm.circle(10)
+    succ = {"e:0": ["e:0"], "e:1": ["e:2"], "e:2": ["e:2"], "e:3": ["e:2"],
+            "e:4": ["e:3", "e:4"], "e:5": ["e:6"], "e:6": ["e:7", "e:6"],
+            "e:7": ["e:7"], "e:8": ["e:8"], "e:9": ["e:0"]}
+    flow = flm.CombinatorialFlow(c, succ, name="noblock")
+    with pytest.raises(blocks.NoBlockError):
+        blocks.build_block(flow, ["e:0"])
+    body = flow.to_json()
+    body["k"] = ["e:0"]
+    path = tmp_path / "noblock.json"
+    path.write_text(json.dumps(body))
+    assert cli.main(["plot", str(path), "--format", "svg"]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert out == "".join(svgplot.svg_chunks(attractor.analyze(flow, ["e:0"])))
+
+
+@pytest.mark.parametrize("command, target, why", [
+    ("analyze", "", "cannot read flow file {path}: [Errno 21] Is a "
+     "directory: '{path}'"),
+    ("plot", "", "cannot read flow file {path}: [Errno 21] Is a directory: "
+     "'{path}'"),
+    ("analyze", "{}", "malformed flow data: successors is not a mapping from "
+     "cell ids to lists of cell ids"),
+], ids=["analyze-directory", "plot-directory", "empty-object"])
+def test_a_target_that_is_no_flow_file_is_one_error_line(tmp_path, capsys,
+                                                         command, target, why):
+    # an empty target names the directory itself
+    path = tmp_path
+    if target:
+        path = tmp_path / "flow.json"
+        path.write_text(target)
+    assert cli.main([command, str(path)]) == 1
+    assert capsys.readouterr().err == \
+        "error[unreadable-input]: %s\n" % why.format(path=path)
+
+
 def test_plot_json_roles(capsys):
     assert cli.main(["plot", "homoclinic-sphere", "--format", "json"]) == 0
     data = json.loads(capsys.readouterr().out)
@@ -801,8 +841,10 @@ def test_plot_json_roles(capsys):
 def test_construct_round_trip(tmp_path, capsys):
     path = tmp_path / "flow.json"
     assert cli.main(["construct", "example22-klein", "--out", str(path)]) == 0
+    # a `catalog:` prefix names the same recipe
     again = tmp_path / "again.json"
-    assert cli.main(["construct", "example22-klein", "--out", str(again)]) == 0
+    assert cli.main(["construct", "catalog:example22-klein", "--out",
+                     str(again)]) == 0
     assert path.read_bytes() == again.read_bytes()
     body = json.loads(path.read_text())
     assert body["name"] == "example22-klein"

@@ -620,6 +620,69 @@ def test_connected_sum_refuses_a_hole_that_is_no_two_cell(hole, why):
         assert str(ei.value) == why
 
 
+def hand_complex(name, cells, chains):
+    # the complex of {cell: dim} and {cell: {face: coeff}} chains
+    return cxm.CellComplex(name, cells, *cxm.chain_tables(chains))
+
+
+# a disc whose rim is three edges from v1 to v2 behind a bigon at v0: the
+# rim walk from v0 ends at v2 with the third edge untried
+ODD_RIM = hand_complex(
+    "odd-rim",
+    {"v0": 0, "v1": 0, "v2": 0, "a": 1, "x": 1, "b": 1, "c": 1, "d": 1,
+     "F": 2},
+    {"a": {"v1": 1, "v0": -1}, "x": {"v1": 1, "v0": -1},
+     "b": {"v2": 1, "v1": -1}, "c": {"v2": 1, "v1": -1},
+     "d": {"v2": 2, "v1": -2},
+     "F": {"a": 1, "x": -1, "b": 1, "c": 1, "d": -1}})
+# a disc whose rim is two edges, each with one end
+DEGENERATE_RIM = hand_complex(
+    "degenerate-rim", {"v": 0, "e": 1, "f": 1, "F": 2},
+    {"e": {"v": 1}, "f": {"v": -1}, "F": {"e": 1, "f": 1}})
+
+
+def bigon(doubled):
+    """A disc F bounded by two edges p and q from v0 to v1; when `doubled`,
+    q's boundary and F's coefficient on p are twice as large."""
+    n = 2 if doubled else 1
+    return hand_complex(
+        "bigon", {"v0": 0, "v1": 0, "p": 1, "q": 1, "F": 2},
+        {"p": {"v1": 1, "v0": -1}, "q": {"v1": n, "v0": -n},
+         "F": {"p": n, "q": -1}})
+
+
+@pytest.mark.parametrize("a, hole_a, b, hole_b, why", [
+    (ODD_RIM, "F", spm.torus(4), "e:2@e2",
+     "boundary of F is not a simple cycle"),
+    (DEGENERATE_RIM, "F", spm.torus(4), "e:2@e2",
+     "degenerate edge on boundary of F"),
+    (spm.torus(4), "e:2@e2", spm.sphere(3, 6), "cap:n",
+     "hole boundaries have different lengths"),
+    (bigon(False), "F", bigon(True), "F", "hole edges a:q and b:q do not match"),
+], ids=["dead-end", "degenerate-edge", "lengths", "edges"])
+def test_connected_sum_refuses_holes_that_do_not_glue(a, hole_a, b, hole_b,
+                                                      why):
+    with pytest.raises(cxm.ComplexError) as ei:
+        spm.connected_sum(a, b, hole_a, hole_b)
+    assert str(ei.value) == why
+
+
+def test_complete_map_signs_refuses_a_cell_map_off_the_boundary():
+    # e:0 and e:2 swapped over the identity on vertices: e:2's boundary
+    # shares no vertex with e:0's
+    c = spm.circle(4)
+    swap = dict(zip(c.cells, c.cells), **{"e:0": "e:2", "e:2": "e:0"})
+    with pytest.raises(cxm.ComplexError) as ei:
+        spm.complete_map_signs(c, swap)
+    assert str(ei.value) == "cannot orient e:0 over e:2"
+
+
+def test_named_space_refuses_an_unknown_name():
+    with pytest.raises(cxm.ComplexError) as ei:
+        cxm.named_space("nope")
+    assert str(ei.value) == "no catalog complex named 'nope'"
+
+
 # each allocating builder with the cell count its arguments imply
 SIZED_BUILDERS = [
     (lambda: spm.interval(5), 11),
@@ -670,6 +733,16 @@ def test_quotient_contradiction():
     with pytest.raises(cxm.ComplexError):
         spm.quotient("circle(4)/~", c.cells, c.boundary, c.coefficients,
                      [("v:0", "v:1", 1), ("v:0", "v:1", -1)])
+
+
+def test_quotient_takes_a_repeated_pair_once():
+    c = spm.circle(4)
+    once, twice = (spm.quotient("circle(4)/~", dict(c.cells), dict(c.boundary),
+                                dict(c.coefficients), pairs)
+                   for pairs in ([("v:0", "v:1", 1)], [("v:0", "v:1", 1)] * 2))
+    assert twice.cells == once.cells
+    assert twice.boundary == once.boundary
+    assert twice.coefficients == once.coefficients
 
 
 def test_json_round_trip():

@@ -155,6 +155,40 @@ def test_hypersurface_needs_two_sided_cycle(cx, z):
     assert ei.value.code == "one-sided"
 
 
+@pytest.mark.parametrize("cx, z, code, why", [
+    (spm.torus(5), ["e:0@e0"], "bad-cycle", "e:0@e0 is not a codim-1 cell"),
+    # a boundary circle of an annulus has one coface per edge
+    (spm.annulus(3, 6), ["v:0&e:%d" % l for l in range(6)], "bad-cycle",
+     "v:0&e:0 is not interior two-sided"),
+    # four columns hold side a, side b and two bands, not the third band
+    (spm.torus(4), ["e:%d@v0" % i for i in range(4)], "collar-too-tight",
+     "the swept bands wrap into K"),
+    # a loop with a one-cell bay: the side-b cell in it borders side-a and
+    # side-b cells only, so the second band misses it
+    (spm.torus(5), ["e:1@v2", "e:1@v3", "e:2@v0", "e:2@v3", "v:1@e2",
+                    "v:2@e0", "v:2@e1", "v:3@e3", "v:3@e4"],
+     "collar-too-tight", "a band cell has nowhere to go"),
+    # a circle on each torus of the sum, whose collars meet at this size
+    (spm.genus2(4), ["a:v:0@e%d" % j for j in range(4)]
+     + ["b:e:%d@v1" % i for i in range(4)],
+     "collars-overlap", "the cycle collars are not disjoint"),
+], ids=["codim", "one-coface", "wrap", "nowhere", "overlap"])
+def test_hypersurface_refuses_a_cycle_without_room(cx, z, code, why):
+    with pytest.raises(cons.ConstructionError) as ei:
+        cons.hypersurface_flow(cx, z)
+    assert (ei.value.code, str(ei.value)) == (code, why)
+
+
+def test_add_uniform_component_needs_a_seam_inside_k():
+    # the seam's cell e:0&e:0 is left out of k, so it moves
+    flow, k = cons.ns_annulus(3, 6)
+    with pytest.raises(cons.ConstructionError) as ei:
+        cons.add_uniform_component(flow, k[1:])
+    assert (ei.value.code, str(ei.value)) == (
+        "no-room", "no room to attach a uniform strip: the seam at v:0&e:0 "
+        "meets moving cells")
+
+
 def test_hypersurface_torus_attractor_is_complement_of_band():
     entry = catalog.build("hypersurface-torus")
     rep = attractor.analyze(entry["flow"], entry["k"])

@@ -657,15 +657,14 @@ def parsed_flow(text):
     CellComplex.from_json through boundary_table. A missing `successors`
     or `complex` is refused once every member has been read."""
     data = json.loads(text)
-    with ffm._malformed():
-        for key, value in data.items():
-            if key in ffm._SHAPES:
-                ffm._check_field(key, value)
-            if key == "complex":
-                cx = cxm.CellComplex.from_json(value)
-        for key in ("successors", "complex"):
-            if key not in data:
-                ffm._check_field(key, None)
+    for key, value in data.items():
+        if key in ffm._SHAPES:
+            ffm._check_field(key, value)
+        if key == "complex":
+            cx = cxm.CellComplex.from_json(value)
+    for key in ("successors", "complex"):
+        if key not in data:
+            ffm._check_field(key, None)
     return ffm._assemble(cx, data, data.get("name"))
 
 
@@ -1004,6 +1003,29 @@ def test_json_named_complex_needs_resolver():
     assert str(ei.value) == "flow references complex %r by name" % fl.cx.name
 
 
+def test_json_body_json_cannot_write_is_refused():
+    with pytest.raises(flm.FlowError) as ei:
+        flm.CombinatorialFlow.from_json({"x": {1}})
+    assert (ei.value.code, str(ei.value)) == (
+        "unreadable-input",
+        "cannot read flow body: Object of type set is not JSON serializable")
+
+
+def test_a_text_read_whole_without_successors_is_refused_by_name(tmp_path):
+    # an id holding a false cut sends the reader to the whole text, where
+    # the missing member is found once every other member has been read
+    entry = catalog.build("example22-circle")
+    body = renamed_body(entry["flow"], lambda c: c + FALSE_CUTS[0])
+    del body["successors"]
+    path = tmp_path / "flow.json"
+    path.write_text(json.dumps(body))
+    with reader_span(4), whole_decodes() as whole:
+        assert loaded_outcome(path) == (
+            "unreadable-input", "malformed flow data: successors is not a "
+            "mapping from cell ids to lists of cell ids")
+    assert whole
+
+
 def point(**fields):
     # the one-cell complex's body with `fields` added
     return dict({"name": "pt", "cells": [["a", 0]]}, **fields)
@@ -1069,6 +1091,11 @@ DISAGREES = "fixed set disagrees with successors"
      "coefficient of v in f is not an integer: 1.0"),
     # the point's one cell is fixed, which an empty list denies too
     ("fixed", [], DISAGREES),
+    # an empty complex object; a face that is a number, read whole as an
+    # unknown cell
+    ("complex", {}, CELLS_REFUSED),
+    ("complex", point(cells=[["a", 1], ["b", 0]], boundary={"a": [[7, 1]]}),
+     "boundary of a mentions unknown cell 7"),
 ])
 def test_from_json_refuses_what_a_file_refuses(tmp_path, field, value, why):
     # a string where a list of ids belongs reads as a list of letters

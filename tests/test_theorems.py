@@ -11,8 +11,9 @@ import pytest
 from hypothesis import given, settings
 
 import conleylab
-from conleylab import (catalog, complexes as cxm, flow as flm,
-                       flowfile as ffm, spaces as spm, theorems)
+from conleylab import (algebra, attractor, catalog, complexes as cxm,
+                       constructions as cons, flow as flm, flowfile as ffm,
+                       spaces as spm, theorems)
 from test_flow import eventual_image, small_flows
 
 
@@ -198,6 +199,109 @@ def test_check_result_json():
     d = r.to_json()
     assert sorted(d) == ["details", "id", "instances", "status", "title"]
     assert all(line.startswith(("ok   ", "FAIL ", "note ")) for line in d["details"])
+
+
+def test_a_failed_case_fails_the_check():
+    res = theorems.CheckResult("x", "a check")
+    for ok, text in ((True, "one"), (False, "two"), (True, "three")):
+        res.case(ok, text)
+    assert (res.status, res.instances) == ("fail", 3)
+    assert res.details == ["ok   one", "FAIL two", "ok   three"]
+
+
+def test_a_crashing_check_fails_with_a_note(monkeypatch):
+    def crash(res, population):
+        res.case(True, "before the crash")
+        raise KeyError("boom")
+
+    monkeypatch.setattr(theorems, "_REGISTRY", theorems._REGISTRY
+                        + [("crash", "a check that crashes", crash)])
+    [r] = theorems.run(only="crash")
+    assert r.status == "fail"
+    assert r.details == ["ok   before the crash", "note crashed: 'boom'"]
+
+
+def test_a_sphere_equator_that_builds_fails_thm59(monkeypatch):
+    real = cons.hypersurface_flow
+
+    def hypersurface_flow(cx, z, name=None):
+        if name == "sphere-band":
+            return None, []
+        return real(cx, z, name)
+
+    monkeypatch.setattr(cons, "hypersurface_flow", hypersurface_flow)
+    [r] = theorems.run(only="thm5.9")
+    assert r.status == "fail"
+    assert r.details[-1] == \
+        "FAIL sphere equator: construction unexpectedly built"
+
+
+def flow_file(path, flow, k):
+    body = flow.to_json()
+    body["k"] = sorted(k)
+    path.write_text(json.dumps(body))
+
+
+def hug_torus():
+    """A flow on torus(6) whose every fiber circle carries the same flow: a
+    fixed cell, and a lane that runs into a two-cell cycle beside it. Its
+    column of fixed cells is unstable and analyzes as Unknown."""
+    hug = {0: [0], 1: [2], 2: [3], 3: [4], 4: [5], 5: [4]}
+    succ = {}
+    for c in spm.torus(6).top_cells():
+        i, j = c[2:].split("@")
+        succ[c] = ["e:%d@%s" % (h, j) for h in hug[int(i)]]
+    return (flm.CombinatorialFlow(spm.torus(6), succ, name="hug-torus"),
+            ["e:0@e%d" % j for j in range(6)])
+
+
+def test_external_entries_outside_a_checks_hypotheses_are_passed_over(
+        tmp_path, monkeypatch):
+    # a file that does not read is noted in every check; one whose
+    # candidate is not isolated is left out; a strip flow read from a file
+    # keeps no strips and is no closed manifold, so prop3.2 passes over
+    # it; an Unknown verdict on a closed surface is passed over by thm4.1;
+    # and jduality skips a flow past 2,000 top cells
+    (tmp_path / "broken.json").write_text("{nope")
+    for name, recipe in (("ext-capped", "capped-annulus"),
+                         ("ext-strip", "hypersurface-genus2-strip")):
+        entry = catalog.build(recipe)
+        flow_file(tmp_path / (name + ".json"), entry["flow"], entry["k"])
+    flow_file(tmp_path / "hug-torus.json", *hug_torus())
+    big = catalog.build("example22-torus", 48)
+    flow_file(tmp_path / "torus-48.json", big["flow"], big["k"])
+    monkeypatch.setenv("CONLEYLAB_CATALOG", str(tmp_path))
+    skipped = ("note skipped catalog entry broken: cannot read flow file %s: "
+               % (tmp_path / "broken.json"))
+    results = {r.id: r for r in theorems.run()}
+    for r in results.values():
+        assert r.status == "pass", (r.id, r.details)
+        assert "ext-capped" not in "\n".join(r.details), r.id
+    for cid in ("prop3.2", "thm4.1"):
+        text = "\n".join(results[cid].details)
+        assert "ext-strip" not in text and "hug-torus" not in text, cid
+    details = results["jduality"].details
+    assert details[0].startswith(skipped)
+    assert "note torus-48 skipped at 2304 top cells" in details
+
+
+def test_thm61_passes_over_a_bundle_flow_that_is_no_global_noext():
+    # the whole torus is a stable attractor of the example flow
+    entry = catalog.build("example22-torus")
+    k = sorted(entry["flow"].tops)
+    rec = theorems.FlowRecord(dict(entry, k=k),
+                              attractor.analyze(entry["flow"], k))
+    assert rec.rep.classification == "Stable"
+    res = theorems.CheckResult("thm6.1", "sphere bundle fingerprints")
+    theorems._check_thm61(res, lambda res: [rec])
+    assert (res.instances, res.details) == (0, [])
+
+
+def test_obstruction_report_needs_a_cup_table_over_the_ring():
+    with pytest.raises(algebra.AlgebraError) as ei:
+        theorems.obstruction_report(spm.klein(4), "z")
+    assert (ei.value.code, str(ei.value)) == (
+        "unsupported-ring", "no z cup presentation for klein(4,4)")
 
 
 def test_obstruction_report_values():
