@@ -28,6 +28,8 @@ tests against the collar takes it as an argument. The components of
 basin - K are the complex's own `components` union-find, labeled here.
 """
 
+from itertools import filterfalse
+
 from .complexes import ConleyError
 
 VERDICTS = ("Stable", "NoExternalExplosions", "ExternalExplosions", "Unknown")
@@ -125,9 +127,10 @@ def basin(flow, khat):
     that reach no recurrent cell from which the complement is reachable.
     When no cell does, the basin is `flow.tops` itself."""
     rec = flow.recurrent_cells()
-    escape = rec & flow.reach(flow.tops - khat, "p")
+    # the complement walked as it is filtered, not held as a set
+    escape = rec & flow.reach(filterfalse(khat.__contains__, flow.tops), "p")
     leaving = flow.reach(escape, "p")
-    return flow.tops - leaving if leaving else flow.tops
+    return frozenset(flow.tops - leaving) if leaving else flow.tops
 
 
 def unstable_manifold(flow, col):
@@ -151,10 +154,13 @@ def components(flow, basin_cells, k, khat):
     """The components of basin - k (`CellComplex.components`: through
     shared codim-1 faces), each labeled homoclinic when it lies in the
     stabilization."""
+    # one frozenset, filtered into a dict first so that it is sized once,
+    # to fit; a connected region is its own component, not a copy
+    region = frozenset(dict.fromkeys(filterfalse(k.__contains__,
+                                                 basin_cells)))
     return [{"cells": comp,
              "label": "homoclinic" if comp <= khat else "uniform"}
-            for comp in flow.cx.components(
-                frozenset(basin_cells).difference(k))]
+            for comp in flow.cx.components(region)]
 
 
 def _violators(flow, within, rec, col, direction):
@@ -242,10 +248,11 @@ def analyze(flow, k):
     report = AttractorReport(flow, kset)
     report.stabilization = stabilization(flow, kset)
     report.basin = basin(flow, report.stabilization)
-    report.unstable = unstable_manifold(flow, col)
     report.components = components(flow, report.basin, kset, report.stabilization)
     report.s = len(report.components)
     report.r = sum(1 for c in report.components if c["label"] == "homoclinic")
     report.global_attractor = report.basin == flow.tops
     classify(flow, kset, report, col)
+    # last: no other stage uses it, so its set is not alive beside theirs
+    report.unstable = unstable_manifold(flow, col)
     return report

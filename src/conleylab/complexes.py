@@ -277,11 +277,13 @@ class CellComplex:
         # all top cells whose closure contains each base cell, for the base
         # cells in some top cell's closure, from each top cell's base cells
         # found here and not kept; a top cell is listed once per base cell,
-        # so no list repeats a cell
+        # so no tuple repeats a cell. Each list becomes a tuple in place.
         vert_tops = defaultdict(list)
         for t, vs in zip(self.top_cells(), self._top_bases()):
             for v in vs:
                 vert_tops[v].append(t)
+        for v, ts in vert_tops.items():
+            vert_tops[v] = tuple(ts)
         return vert_tops
 
     # -- queries -----------------------------------------------------------
@@ -460,13 +462,21 @@ class CellComplex:
         that are not a list of [id, dim] pairs with string ids, a
         `boundary` that is not a mapping of [face, coeff] lists, a `name`
         that is not a string, or `identifications` that are not a list,
-        are refused, each naming its field."""
+        are refused, each naming its field, and so are `cells` that name an
+        id twice."""
         if cells is None:
-            cells = data.get("cells")
-            if type(cells) is not list or not all(
+            pairs = data.get("cells")
+            if type(pairs) is not list or not all(
                     type(p) is list and len(p) == 2 and type(p[0]) is str
-                    for p in cells):
+                    for p in pairs):
                 raise ComplexError("cells are not a list of [id, dim] pairs")
+            cells = dict(pairs)
+            if len(cells) < len(pairs):
+                seen = set()
+                for c, _ in pairs:
+                    if c in seen:
+                        raise ComplexError("cells name %s twice" % c)
+                    seen.add(c)
         if boundary is None:
             boundary, coefficients = boundary_table(data.get("boundary", {}))
         name = data.get("name", "complex")

@@ -65,22 +65,20 @@ class CombinatorialFlow:
         self.name = name or ("flow on " + cx.name)
         self.meta = dict(meta or {})
         tops = cx.top_cells()
-        topset = frozenset(tops)
-        # each top cell's id as the complex holds it: the successor lists
-        # are read through it, so the tables share the complex's strings
-        # instead of keeping the lists' own copies
-        own = dict(zip(tops, tops))
+        # each top cell's 1-tuple, of its id as the complex holds it: the
+        # successors are read through it, so the tables share the
+        # complex's strings, and a cell's one successor in succ and its one
+        # predecessor in pred are the same tuple object
+        own = {c: (c,) for c in tops}
         boundary = cx.boundary
         vertices_of = cx.vertices_of
-        # succ and pred in one pass; succ is walked in sorted top-cell
-        # order, so each pred list comes out sorted and unique
+        # succ is built in sorted top-cell order
         succ = self.succ = {}
-        pred = self.pred = {c: [] for c in tops}
         for c in tops:
             outs = successors.get(c)
             if not outs:
                 raise FlowError("not-total", "cell %s has no successor" % c)
-            out = tuple(outs) if len(outs) == 1 else tuple(sorted(set(outs)))
+            out = outs if len(outs) == 1 else sorted(set(outs))
             # c's faces as a set, made on its first edge to another cell,
             # and c's support as a set, made on its first edge to a cell
             # that shares no face with it, so a rest flow builds no face
@@ -90,7 +88,6 @@ class CombinatorialFlow:
                 if d not in own:
                     raise FlowError("bad-successor",
                                     "%s -> %s is not a top cell" % (c, d))
-                pred[d].append(c)
                 if d == c:
                     continue
                 # a shared codim-1 face lies in both closures
@@ -104,15 +101,32 @@ class CombinatorialFlow:
                 if near.isdisjoint(vertices_of(d)):
                     raise FlowError("not-local",
                                     "%s -> %s leaves the one-ring" % (c, d))
-            succ[c] = tuple(map(own.__getitem__, out))
-        extra = set(successors) - topset
-        if extra:
+            succ[c] = (own[out[0]] if len(out) == 1 else
+                       tuple([own[d][0] for d in out]))
+        # every top cell has an entry, so any other entry names another cell
+        if len(successors) > len(tops):
+            extra = sorted(successors.keys() - own.keys())
             raise FlowError("bad-successor",
-                            "successors given for non top cells: %s" % sorted(extra)[:3])
-        # each list becomes a tuple in place, so no second table is held
-        for c, v in pred.items():
-            pred[c] = tuple(v)
-        self.tops = topset
+                            "successors given for non top cells: %s" % extra[:3])
+        # pred from succ, walked in sorted order, so each tuple comes out
+        # sorted and unique; a cell's second predecessor opens a list,
+        # which becomes a tuple in place once all are found
+        pred = self.pred = dict.fromkeys(tops, ())
+        for c in tops:
+            for d in succ[c]:
+                p = pred[d]
+                if not p:
+                    pred[d] = own[c]
+                elif type(p) is tuple:
+                    pred[d] = [*p, c]
+                else:
+                    p.append(c)
+        del own
+        for d, p in pred.items():
+            if type(p) is list:
+                pred[d] = tuple(p)
+        # the top cells as the key view of succ: no second set of them
+        self.tops = succ.keys()
         self._images = {}
 
     # -- basic structure ----------------------------------------------------

@@ -224,19 +224,24 @@ def _spans(w, scan, kind, take):
 def _read_cells(w, scan, ids):
     """The {cell: dim} table of the `cells` array at the window's cursor,
     decoded a span at a time, every id taken from `ids`. An item that is
-    not an [id, dim] pair with a string id raises ValueError. A repeated
-    id keeps its first place and its last dimension, as dict() of the
-    pairs does."""
+    not an [id, dim] pair with a string id, or an array that names an id
+    twice, raises ValueError, so `CellComplex.from_json` names it when the
+    text is read whole."""
     table = {}
     intern = ids.setdefault
+    count = 0
 
     def take(pairs):
+        nonlocal count
+        count += len(pairs)
         for p in pairs:
             if type(p) is not list or len(p) != 2 or type(p[0]) is not str:
                 raise ValueError("a cell is not an [id, dim] pair")
             table[intern(p[0], p[0])] = p[1]
 
     _spans(w, scan, _PAIRS, take)
+    if len(table) < count:
+        raise ValueError("cells name an id twice")
     return table
 
 
@@ -305,8 +310,9 @@ def _read_boundary(w, scan, ids):
 
 def _read_successors(w, scan, ids):
     """The `successors` mapping at the window's cursor, decoded a span at a
-    time, every id taken from `ids`. A span that is not a mapping from cell
-    ids to lists of cell ids raises ValueError."""
+    time, each cell's successors a tuple, every id taken from `ids`. A span
+    that is not a mapping from cell ids to lists of cell ids raises
+    ValueError."""
     table = {}
     intern = ids.setdefault
 
@@ -314,7 +320,7 @@ def _read_successors(w, scan, ids):
         if not _is_successors(part):
             raise ValueError("successors is not a mapping of id lists")
         for c, outs in part.items():
-            table[intern(c, c)] = list(map(intern, outs, outs))
+            table[intern(c, c)] = tuple(map(intern, outs, outs))
 
     _spans(w, scan, _LISTS, take)
     return table

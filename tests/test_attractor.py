@@ -313,7 +313,7 @@ def test_analyze_on_a_loaded_file_builds_no_coface_index_or_rings():
         assert set(vars(cx)) - set(vars(fresh)) == {"_vert_tops"}, f.name
 
 
-def test_whole_flow_enclosures_are_the_top_cell_set_itself():
+def test_whole_flow_enclosures_are_the_top_cell_set_itself(tmp_path):
     # a stabilization or basin that covers the flow is `flow.tops`, not a
     # copy of it; one that does not is a set of its own
     kinds = set()
@@ -329,6 +329,12 @@ def test_whole_flow_enclosures_are_the_top_cell_set_itself():
     assert attractor.stabilization(f, kset) is f.tops
     assert attractor.basin(f, f.tops) is f.tops
     assert {(True, True), (False, False)} <= kinds
+    # so is a loaded flow's
+    path = tmp_path / "torus.json"
+    path.write_text(json.dumps(dict(f.to_json(), k=entry["k"])))
+    loaded = ffm.load_file(str(path))
+    rep = attractor.analyze(loaded["flow"], loaded["k"])
+    assert rep.stabilization is rep.basin is loaded["flow"].tops
 
 
 def test_analyze_peaks_within_half_the_loaded_flow(tmp_path):
@@ -356,6 +362,35 @@ def test_analyze_peaks_within_half_the_loaded_flow(tmp_path):
             tracemalloc.stop()
     assert rep.classification == "NoExternalExplosions"
     assert peak - start <= 0.5 * (start - base), (peak - start, start - base)
+
+
+def test_analyze_peaks_within_the_load_peak(tmp_path):
+    # on the example22-torus@48 file that `construct` writes, the traced
+    # highest point of analyze stays within the traced peak of load_file:
+    # the unstable manifold comes last, so its set is not alive beside the
+    # components' union-find (1.075 times the load peak before that, the
+    # key-view top set and the shared successor tuples)
+    from conleylab import cli
+    path = str(tmp_path / "torus48.json")
+    assert cli.main(["construct", "example22-torus", "--resolution", "48",
+                     "--out", path]) == 0
+    started = not tracemalloc.is_tracing()
+    with cxm.collector_paused():
+        if started:
+            tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            entry = ffm.load_file(path)
+            load_peak = tracemalloc.get_traced_memory()[1] - base
+            tracemalloc.reset_peak()
+            rep = attractor.analyze(entry["flow"], entry["k"])
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            if started:
+                tracemalloc.stop()
+    assert rep.classification == "NoExternalExplosions"
+    assert peak <= 1.03 * load_peak, (peak, load_peak)
 
 
 def test_analyze_computes_the_collar_and_isolation_once(monkeypatch):

@@ -210,6 +210,15 @@ def test_malformed_complex_file_exits(tmp_path, capsys):
         assert cli.main([cmd, str(path)]) == 1, cmd
         assert capsys.readouterr().err == \
             "error[bad-complex]: boundary of e names v twice\n", cmd
+    # a cells list that names an id twice was read as one cell, with the
+    # last dimension: here one 1-cell, of H_1 rank 1
+    path = tmp_path / "repeated-cell.json"
+    path.write_text('{"complex": {"cells": [["a", 0], ["a", 1]]}, '
+                    '"successors": {"a": ["a"]}}')
+    for cmd in ("analyze", "homology"):
+        assert cli.main([cmd, str(path)]) == 1, cmd
+        assert capsys.readouterr().err == \
+            "error[bad-complex]: cells name a twice\n", cmd
 
 
 def test_malformed_complex_shapes_exit(tmp_path, capsys):

@@ -627,6 +627,52 @@ def test_the_reader_takes_successor_ids_from_the_complex(tmp_path):
                    for v in table.values())
 
 
+def test_succ_and_pred_hold_the_complex_ids_in_shared_tuples(tmp_path):
+    # a built flow's successors are the builder's own strings, a loaded
+    # one's the reader's tuples; either way every succ and pred value is a
+    # tuple of the complex's own id objects, and a cell's 1-tuple is one
+    # object wherever succ or pred holds it
+    entry = catalog.build("example22-torus")
+    path = tmp_path / "flow.json"
+    path.write_text(json.dumps(dict(entry["flow"].to_json(), k=entry["k"])))
+    with open(path) as fh:
+        _, data = ffm._read(fh, ValueError)
+    assert all(type(v) is tuple for v in data["successors"].values())
+    for fl in (entry["flow"], ffm.load_file(str(path))["flow"]):
+        own = {c: c for c in fl.cx.cells}
+        ones = {}
+        for table in (fl.succ, fl.pred):
+            for c, outs in table.items():
+                assert c is own[c] and type(outs) is tuple, c
+                assert all(d is own[d] for d in outs), c
+                if len(outs) == 1:
+                    assert ones.setdefault(outs[0], outs) is outs, c
+        # on the torus flow every cell is some cell's one successor or one
+        # predecessor
+        assert len(ones) == len(fl.tops)
+
+
+def test_tops_is_the_successor_key_view(tmp_path):
+    # `tops` is no set of its own: it is the key view of succ, equal to the
+    # top cells, and it takes the set operations the attractor stages use
+    # with frozensets on either side
+    entry = catalog.build("example22-torus")
+    path = tmp_path / "flow.json"
+    path.write_text(json.dumps(entry["flow"].to_json()))
+    for fl in (entry["flow"], ffm.load_file(str(path))["flow"]):
+        tops = frozenset(fl.cx.top_cells())
+        assert type(fl.tops) is type({}.keys())
+        assert fl.tops == tops and tops == fl.tops and fl.tops == fl.succ.keys()
+        half = frozenset(sorted(tops)[::2])
+        assert fl.tops - half == tops - half
+        assert half - fl.tops == frozenset()
+        assert fl.tops & half == half and half & fl.tops == half
+        assert half <= fl.tops and not fl.tops <= half
+        assert fl.tops <= tops and tops <= fl.tops
+        assert all(c in fl.tops for c in tops)
+        assert "nowhere" not in fl.tops and len(fl.tops) == len(tops)
+
+
 # -- the boundary read a span at a time ------------------------------------------
 
 def complex_rows(fl):
@@ -796,10 +842,11 @@ CELLS_REFUSED = "cells are not a list of [id, dim] pairs"
      ("bad-complex", "dimension of v:9 is not an integer: 0.5")),
     (lambda p: p[:1] + [["v:9", "0"]] + p[1:],
      ("bad-complex", "dimension of v:9 is not an integer: '0'")),
-    # a repeated id keeps its first place and its last dimension
-    (lambda p: p + [[p[0][0], 2]],
-     ("bad-complex", "boundary of e:0 (dim 2) mentions v:0 (dim 0)")),
-    (lambda p: [[p[-1][0], 2]] + p, None),
+    # an id named twice is refused, wherever the repeat stands; each was
+    # read as one cell of the last dimension, the second into a valid
+    # complex
+    (lambda p: p + [[p[0][0], 2]], ("bad-complex", "cells name e:0 twice")),
+    (lambda p: [[p[-1][0], 2]] + p, ("bad-complex", "cells name v:2 twice")),
 ], ids=["mapping", "string-item", "number-item", "short-pair", "long-pair",
         "number-id", "fractional-dim", "string-dim", "repeat-last-bad",
         "repeat-last-good"])
@@ -808,11 +855,7 @@ def test_a_malformed_cells_member_gives_the_parsed_line(tmp_path, edit, want):
     path = tmp_path / "flow.json"
     path.write_text(json.dumps(body))
     expected = parsed_outcome(path.read_text())
-    if want:
-        assert expected == want
-    else:
-        # the repeated id, v:2, stands first, with the last dimension given
-        assert expected[0][0] == ("v:2", 0), expected[0]
+    assert expected == want
     for span in (4, 64, ffm._SPAN):
         with reader_span(span):
             assert loaded_outcome(path) == expected, span
