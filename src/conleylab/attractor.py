@@ -20,12 +20,18 @@ recurrent cells that escape the collar walks only the recurrent cells'
 reach, since every path from such a cell stays in it: when basin - K holds
 no recurrent cell, as on every example22 flow, a sweep walks nothing. The
 sweeps share their region basin - K with the components, and a
-stabilization or basin that covers the flow is `flow.tops` itself, not a
-copy.
+stabilization or basin that covers the flow is `flow.tops` itself, the key
+view of the successor table, not a copy.
 
 `analyze` builds the collar of K and checks isolation once; each stage that
 tests against the collar takes it as an argument. The components of
-basin - K are the complex's own `components` union-find, labeled here.
+basin - K are the complex's own `components` union-find, labeled here,
+over one frozenset of basin - K sized once to fit, which is the one
+component itself when the region is connected. The stages run in the
+order collar, isolation, stabilization, basin, components, classify, and
+the unstable manifold last: no other stage reads it, so its set, nearly
+the size of the flow on a circulating flow, is not alive beside the
+union-find's face table or the sweeps.
 """
 
 from itertools import filterfalse

@@ -24,7 +24,8 @@ only indexed.
 Construction indexes only the cells by dimension. Two indexes are built
 once, on their first query, so a complex that only feeds homology never
 builds them: the top cofaces of each codim-1 face, and the top cells at
-each base cell. A base cell is a cell with an empty boundary: every vertex,
+each base cell, `_vert_tops`, as a tuple per base cell, made from the
+list it is gathered in. A base cell is a cell with an empty boundary: every vertex,
 and in a degenerate complex a higher cell too (an edge whose ends cancel,
 or the one 2-cell of a sphere made of a vertex and a disc). The support of
 a cell is the tuple of distinct base cells in its closure. Two closures

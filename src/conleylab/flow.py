@@ -39,6 +39,18 @@ the cell's closure and not kept. So building a flow stores nothing on its
 complex, and a rest flow, or a flow whose edges all cross faces (the
 circulating band flows, the sphere flows), derives no support at all.
 
+F and P are kept as two tables, `succ` and `pred`: each top cell's
+successors, and its predecessors, as a sorted tuple of distinct cells.
+Every id in them is the complex's own string, whatever strings the caller
+gave, and a cell's 1-tuple is one object wherever it stands: the one
+successor of a cell in `succ` and the one predecessor of a cell in `pred`
+share it, so a flow whose cells mostly have one of each (every circulating
+flow) holds one small tuple per cell, not two. `tops`, the set of top
+cells, is the key view of `succ`, not a set of its own; it takes `in`,
+`len` and the set operators with frozensets on either side, and a whole-
+flow enclosure in `attractor` is that view itself. `pred` is built from
+`succ` once it is complete.
+
 A flow knows nothing of how it was built. A catalog flow carries its
 `recipe` ({name, resolution}) in `meta` and in its JSON as provenance only;
 rebuilding it finer is the catalog's job, by that (name, resolution) key.
