@@ -124,8 +124,8 @@ class CombinatorialFlow:
         # sorted and unique; a cell's second predecessor opens a list,
         # which becomes a tuple in place once all are found
         pred = self.pred = dict.fromkeys(tops, ())
-        for c in tops:
-            for d in succ[c]:
+        for c, out in succ.items():
+            for d in out:
                 p = pred[d]
                 if not p:
                     pred[d] = own[c]
@@ -133,7 +133,6 @@ class CombinatorialFlow:
                     pred[d] = [*p, c]
                 else:
                     p.append(c)
-        del own
         for d, p in pred.items():
             if type(p) is list:
                 pred[d] = tuple(p)
