@@ -10,8 +10,8 @@ that grow with the complex (its `cells` and `boundary`, and the flow's
 characters at a time into the complex's tables or the flow's lists, so
 neither the whole text nor a whole parsed body is held, and every cell id
 is kept as one string: the complex, `successors`, `fixed` and `k` take
-each id from one table. Each cell's successors are read into a tuple,
-which the flow reads its own tables from. The complex is built, fully validated, when its
+each id from one table. Each cell's successors are read into a tuple;
+the flow builds its own tables from them. The complex is built, fully validated, when its
 object closes; each member is checked as it is read, so of two faults the
 one met first is reported. A text the spans do not read (a cut inside an
 id, an entry of another shape, a structural fault) is read whole by
